@@ -25,7 +25,8 @@ from .connections import (chern_connection, covariant_derivative_n,
                           curvature_summary, levi_civita, nabla_j_checks,
                           symplectic_connection, torsion,
                           torsion_recovers_nijenhuis)
-from .errors import (CocycleViolation, DegenerateForm, DimensionMismatch,
+from .errors import (BadNumber, BracketOrder, CocycleViolation,
+                     DegenerateForm, DimensionMismatch,
                      InternalInvariantViolation, JacobiViolation,
                      LiesympError, NotACharacter, NotAlmostComplex,
                      NotCompatible, NotPositive, NotSkewSymmetric,

@@ -126,7 +126,7 @@ def builtin(name: str, alpha=None) -> SymplecticTriple:
     A separate `alpha` argument overrides any parenthesized parameter.
     """
     name = name.strip()
-    m = re.fullmatch(r"(\w+)\s*\(\s*([^)]+)\s*\)", name)
+    m = re.fullmatch(r"(\w+)\s*\(\s*([^)]+?)\s*\)", name)
     param: Optional[str] = None
     if m:
         name, param = m.group(1), m.group(2)

@@ -18,6 +18,17 @@ class DimensionMismatch(ValidationError):
     pass
 
 
+class BadNumber(ValidationError, ValueError):
+    """A number string outside the grammar: an integer or p/q, with an
+    optional leading minus and nothing else (no decimal point, exponent,
+    underscore, sign on the denominator or surrounding space)."""
+
+
+class BracketOrder(ValidationError, ValueError):
+    """A bracket given as (i, j) with i >= j; only i < j is stored, the
+    antisymmetric partner and [e_i, e_i] = 0 are implied."""
+
+
 class JacobiViolation(ValidationError):
     """Jacobi identity fails; args carry the basis triple (i, j, k)."""
 

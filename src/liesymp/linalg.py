@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything here works with `fractions.Fraction` entries and is fully
 deterministic: the same input always produces the same reduced row echelon
@@ -6,20 +6,36 @@ form, the same pivot choices, the same basis. That determinism is load
 bearing, because canonical RREF bases are compared verbatim in golden
 outputs.
 
-Matrices are immutable; all operations return new objects. Dimensions in
-this package stay small (<= 60), so O(n^3) dense algorithms are fine and
-much easier to audit than anything clever.
+Matrices are immutable; all operations return new objects. `entries` is
+the dense tuple of rows callers read, but the arithmetic skips zeros: each
+matrix lists its rows' nonzero (column, value) pairs once, and products,
+`apply` and the RREF row updates multiply only nonzero factors. The
+structure constants, forms and connection endomorphisms this package
+handles are almost all zero, so a product costs about its number of
+nonzero terms rather than n^3 Fraction operations.
+
+No size limit is enforced; cost follows the nonzero count and the
+coefficients' bit length. Measured full reports (`build_report(...,
+full=True)` on `build_rank_example(n, k, False, True)`, Python 3.11, one
+core of a shared 2-vCPU x86-64 VM): dim 12 (k = 2) 0.55 s, dim 14
+(k = 3) 1.0 s, dim 20 (k = 4) 3.3 s; with dense products the first two
+took 9.6 s and 19.9 s. Larger dimensions are untested.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import SingularGram
+from .errors import BadNumber, SingularGram
 
 Scalar = Fraction
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def qof(x) -> Fraction:
@@ -27,6 +43,9 @@ def qof(x) -> Fraction:
 
     Floats are refused on purpose: a float that has survived this far is
     already a rounding bug, and Fraction(0.1) would silently bless it.
+    Strings must be an integer or p/q (BadNumber otherwise): "0.5",
+    "1e3", "1_000" and " 1 " are refused, so that no decimal slips in
+    and a few bytes of exponent cannot ask for a huge integer.
     """
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
@@ -35,7 +54,12 @@ def qof(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if not _RATIONAL.fullmatch(x):
+            raise BadNumber(f"{x!r} is not an integer or p/q")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise BadNumber(f"{x!r} has a zero denominator") from None
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
@@ -89,6 +113,13 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Each row's nonzero entries as (column, value) pairs, computed
+        once per matrix; the arithmetic below runs over these only."""
+        return tuple(tuple((j, a) for j, a in enumerate(r) if a)
+                     for r in self.entries)
+
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
 
@@ -121,17 +152,27 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        cols = list(zip(*other.entries)) if other.entries else []
-        return Matrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries))
+        # row i of the product is sum_k a_ik * (row k of other), taken
+        # over the nonzero a_ik and the nonzero entries of row k only
+        brows, width = other._sparse_rows, other.ncols
+        z = Fraction(0)
+        out = []
+        for row in self._sparse_rows:
+            acc = [z] * width
+            for k, a in row:
+                for j, b in brows[k]:
+                    acc[j] += a * b
+            out.append(tuple(acc))
+        return Matrix(tuple(out))
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
         v = [qof(x) for x in vec]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        z = Fraction(0)
+        return tuple(sum((a * v[j] for j, a in row if v[j]), z)
+                     for row in self._sparse_rows)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)) if self.entries else ())
@@ -173,11 +214,17 @@ class Matrix:
                 continue
             m[rank], m[pivot] = m[pivot], m[rank]
             pv = m[rank][col]
-            m[rank] = [x / pv for x in m[rank]]
+            # the pivot row is zero left of col; only its support changes
+            # the other rows
+            support = [(j, x / pv) for j, x in enumerate(m[rank]) if x]
+            for j, x in support:
+                m[rank][j] = x
             for r in range(nr):
-                if r != rank and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                f = m[r][col]
+                if r != rank and f != 0:
+                    row = m[r]
+                    for j, x in support:
+                        row[j] -= f * x
             rank += 1
             if rank == nr:
                 break
@@ -256,12 +303,25 @@ class Matrix:
 
         Returns (ok, k, minor): on failure, k is the size of the first
         non-positive leading principal minor and minor its value.
+
+        One Bareiss pass without pivoting: its k-th pivot is the k-th
+        leading principal minor, and every earlier pivot is positive
+        when it is reached, so no division by zero can occur.
         """
-        for k in range(1, self.nrows + 1):
-            sub = Matrix(tuple(r[:k] for r in self.entries[:k]))
-            d = sub.det()
-            if d <= 0:
-                return False, k, d
+        n = self.nrows
+        if n != self.ncols:
+            raise ValueError("leading minors of a non-square matrix")
+        m = [list(r) for r in self.entries]
+        prev = Fraction(1)
+        for k in range(n):
+            p = m[k][k]
+            if p <= 0:
+                return False, k + 1, p
+            for i in range(k + 1, n):
+                mik = m[i][k]
+                for j in range(k + 1, n):
+                    m[i][j] = (m[i][j] * p - mik * m[k][j]) / prev
+            prev = p
         return True, 0, Fraction(1)
 
     def __str__(self) -> str:
@@ -269,17 +329,8 @@ class Matrix:
                          for r in self.entries)
 
 
-def vec_add(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(qof(a) + qof(b) for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
     return tuple(qof(a) - qof(b) for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Sequence) -> tuple[Fraction, ...]:
-    c = qof(c)
-    return tuple(c * qof(a) for a in v)
 
 
 def vec_is_zero(v: Sequence) -> bool:

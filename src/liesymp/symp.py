@@ -45,15 +45,19 @@ class SymplecticTriple:
         return self.metric.inverse()
 
     def omega_of(self, u: Sequence, v: Sequence) -> Fraction:
-        u = [qof(x) for x in u]
-        return sum((a * b for a, b in zip(u, self.omega.apply(v))), Fraction(0))
+        return _pair(u, self.omega.apply(v))
 
     def inner(self, u: Sequence, v: Sequence) -> Fraction:
-        u = [qof(x) for x in u]
-        return sum((a * b for a, b in zip(u, self.metric.apply(v))), Fraction(0))
+        return _pair(u, self.metric.apply(v))
 
     def j_apply(self, v: Sequence) -> tuple[Fraction, ...]:
         return self.j.apply(v)
+
+
+def _pair(u: Sequence, w: Sequence[Fraction]) -> Fraction:
+    """sum_i u_i w_i over the terms with both factors nonzero."""
+    return sum((a * b for a, b in zip(map(qof, u), w) if a and b),
+               Fraction(0))
 
 
 def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:

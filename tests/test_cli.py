@@ -51,6 +51,41 @@ def test_validate_jacobi_violation_exits_2(tmp_path, capsys):
     assert "X1" in err and "X2" in err and "Y2" in err
 
 
+@pytest.mark.parametrize("i,j", [(1, 0), (1, 1)])
+def test_validate_bracket_index_order_exits_2(tmp_path, capsys, i, j):
+    # brackets are stored with i < j; a swapped or diagonal entry is a
+    # named validation error, not a traceback
+    d = triple_to_dict(ex1())
+    d["brackets"][0]["i"], d["brackets"][0]["j"] = i, j
+    p = tmp_path / "swapped.json"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "BracketOrder" in err and f"({i}, {j})" in err
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1e0", "1_000", " 1 ", "1/0"])
+def test_validate_number_outside_grammar_exits_2(tmp_path, capsys, bad):
+    # omega(X1, Y1) = 1/2 written as a decimal: the README grammar is
+    # integers or p/q, so this is an input error even though it is skew
+    d = triple_to_dict(ex1())
+    d["omega"][0][2], d["omega"][2][0] = bad, "-1/2"
+    p = tmp_path / "decimal.json"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "SerializationError" in err and repr(bad) in err
+    d["omega"][0][2] = "1/2"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 0
+
+
+def test_cli_number_arguments_follow_the_grammar(capsys):
+    assert main(["analyze", "thurston", "--alpha", "0.5"]) == 2
+    assert "BadNumber" in capsys.readouterr().err
+    assert main(["analyze", "thurston( 1/2 )"]) == 0
+
+
 def test_analyze_json_report(capsys):
     assert main(["analyze", "thurston", "--alpha", "3"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from liesymp import Matrix, Subspace, complement, qof
-from liesymp.errors import SingularGram
+from liesymp.errors import BadNumber, SingularGram, ValidationError
 
 F = Fraction
 
@@ -21,6 +21,22 @@ def test_qof_refuses_floats():
         qof(0.5)
     with pytest.raises(TypeError):
         Matrix.from_rows([[0.1, 0], [0, 1]])
+
+
+def test_qof_string_grammar_is_integer_or_p_over_q():
+    for good, value in (("0", 0), ("-0", 0), ("17", 17), ("-4", -4),
+                        ("2/7", F(2, 7)), ("-6/4", F(-3, 2)), ("007", 7)):
+        assert qof(good) == value
+    for bad in ("0.5", "1.", ".5", "1e0", "1E3", "1_000", " 1", "1 ",
+                "+1", "--1", "1/-2", "-1/-2", "1/2/3", "1 /2", "", "-", "/",
+                "1/", "/2", "inf", "nan", "\u0663", "1\n"):
+        with pytest.raises(BadNumber):
+            qof(bad)
+    with pytest.raises(BadNumber, match="zero denominator"):
+        qof("3/0")
+    # a named validation error that old ValueError handlers still catch
+    assert issubclass(BadNumber, ValidationError)
+    assert issubclass(BadNumber, ValueError)
 
 
 def test_matrix_arithmetic_round_trip():

@@ -1,0 +1,178 @@
+"""The zero-skipping kernel against sympy on seeded random rational
+matrices, and the one-pass Sylvester check against the per-k det route.
+
+sympy is an independent exact implementation; it is used here only, never
+by the library.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from liesymp import Matrix
+
+F = Fraction
+
+
+def _random_matrix(rng, nrows, ncols, density):
+    return Matrix.from_rows([
+        [F(rng.randint(-6, 6), rng.randint(1, 5))
+         if rng.random() < density else 0 for _ in range(ncols)]
+        for _ in range(nrows)])
+
+
+def _rat(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _to_sympy(m):
+    return sympy.Matrix(m.nrows, m.ncols,
+                        [_rat(x) for r in m.entries for x in r])
+
+
+def _from_sympy(s):
+    return tuple(tuple(F(int(s[i, j].p), int(s[i, j].q))
+                       for j in range(s.cols)) for i in range(s.rows))
+
+
+def _cases():
+    """(name, matrix): mostly zero, dense, singular, with a zero row or a
+    zero column, the empty matrix and a matrix with rows but no columns."""
+    rng = random.Random(20261018)
+    out = [("empty", Matrix(())), ("no_columns", Matrix.from_rows([[]] * 3))]
+    for t in range(12):
+        n = rng.randint(1, 7)
+        c = rng.randint(1, 7)
+        out.append((f"sparse{t}", _random_matrix(rng, n, c, 0.15)))
+        out.append((f"dense{t}", _random_matrix(rng, n, c, 1.0)))
+    for t in range(4):
+        n = rng.randint(2, 6)
+        a = _random_matrix(rng, n, 2, 0.8)
+        b = _random_matrix(rng, 2, n, 0.8)
+        out.append((f"singular{t}", a @ b))  # rank <= 2 < n for n > 2
+        m = [list(r) for r in _random_matrix(rng, n, n, 0.7).entries]
+        m[rng.randrange(n)] = [F(0)] * n
+        out.append((f"zero_row{t}", Matrix.from_rows(m)))
+        m = [list(r) for r in _random_matrix(rng, n, n, 0.7).entries]
+        j = rng.randrange(n)
+        for r in m:
+            r[j] = F(0)
+        out.append((f"zero_col{t}", Matrix.from_rows(m)))
+    return out
+
+
+CASES = _cases()
+IDS = [name for name, _ in CASES]
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=IDS)
+def test_matmul_and_apply_match_sympy(name, m):
+    rng = random.Random(name)
+    if m.nrows == 0:
+        assert (m @ m) == m
+        assert m.apply([]) == ()
+        return
+    for density in (0.2, 1.0):
+        other = _random_matrix(rng, m.ncols, rng.randint(1, 6), density)
+        assert (m @ other).entries == _from_sympy(
+            _to_sympy(m) * _to_sympy(other))
+        v = [F(rng.randint(-4, 4), rng.randint(1, 3))
+             if rng.random() < density else F(0) for _ in range(m.ncols)]
+        expected = _to_sympy(m) * sympy.Matrix(len(v), 1, [_rat(x) for x in v])
+        assert m.apply(v) == tuple(r[0] for r in _from_sympy(expected))
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=IDS)
+def test_rref_rank_and_nullspace_match_sympy(name, m):
+    red, rank = m.rref()
+    assert m.rank() == rank
+    if m.nrows == 0:
+        assert red == m and rank == 0 and m.nullspace() == []
+        return
+    s = _to_sympy(m)
+    s_red, pivots = s.rref()
+    assert red.entries == _from_sympy(s_red)
+    assert rank == len(pivots)
+    # both give, per free column, the vector with 1 there and minus the
+    # RREF column in the pivot positions
+    assert m.nullspace() == [tuple(r[0] for r in _from_sympy(k))
+                             for k in s.nullspace()]
+
+
+@pytest.mark.parametrize("name,m", CASES, ids=IDS)
+def test_det_inverse_and_minors_match_sympy(name, m):
+    if m.nrows != m.ncols:
+        with pytest.raises(ValueError):
+            m.det()
+        return
+    s = _to_sympy(m)
+    d = m.det()
+    assert d == F(int(s.det().p), int(s.det().q))
+    if d == 0:
+        with pytest.raises(ValueError, match="singular"):
+            m.inverse()
+    else:
+        assert m.inverse().entries == _from_sympy(s.inv())
+    minors = [s[:k, :k].det() for k in range(1, m.nrows + 1)]
+    first_bad = next((k for k, x in enumerate(minors, 1) if x <= 0), None)
+    ok, k, minor = m.leading_minors_positive()
+    if first_bad is None:
+        assert (ok, k, minor) == (True, 0, 1)
+    else:
+        x = minors[first_bad - 1]
+        assert (ok, k, minor) == (False, first_bad, F(int(x.p), int(x.q)))
+
+
+def _minors_by_det(m):
+    """The per-k route: d separate determinants of the leading blocks."""
+    for k in range(1, m.nrows + 1):
+        d = Matrix(tuple(r[:k] for r in m.entries[:k])).det()
+        if d <= 0:
+            return False, k, d
+    return True, 0, Fraction(1)
+
+
+def _ldlt(rng, diag, density):
+    """L D L^T with L unit lower triangular: its k-th leading minor is
+    d_1 * ... * d_k, so the signs of `diag` place the first failure."""
+    n = len(diag)
+    low = Matrix.from_rows([
+        [1 if i == j else
+         (F(rng.randint(-3, 3), rng.randint(1, 3))
+          if j < i and rng.random() < density else 0)
+         for j in range(n)] for i in range(n)])
+    return low @ Matrix.diag(diag) @ low.transpose()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 8])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+@pytest.mark.parametrize("bad", [F(0), F(-7, 3)])
+def test_one_pass_sylvester_matches_per_k_det(dim, where, bad):
+    rng = random.Random(f"{dim}-{where}-{bad}")
+    k = {"first": 1, "middle": (dim + 1) // 2, "last": dim,
+         "none": None}[where]
+    for density in (0.3, 1.0):
+        diag = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(dim)]
+        if k is not None:
+            diag[k - 1] = bad
+        m = _ldlt(rng, diag, density)
+        got = m.leading_minors_positive()
+        assert got == _minors_by_det(m)
+        if k is None:
+            assert got == (True, 0, 1)
+        else:
+            expected = F(1)
+            for x in diag[:k]:
+                expected *= x
+            assert got == (False, k, expected)
+
+
+def test_one_pass_sylvester_on_random_symmetric_matrices():
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a = _random_matrix(rng, n, n, rng.choice([0.3, 1.0]))
+        m = a + a.transpose() + Matrix.identity(n).scale(rng.randint(-2, 6))
+        assert m.leading_minors_positive() == _minors_by_det(m)
