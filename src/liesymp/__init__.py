@@ -39,7 +39,7 @@ from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
                         kernel_distribution, nijenhuis_tensor, norm_sq)
 from .nspace import (contains_tensor, expected_dimension,
                      nijenhuis_space_dim)
-from .report import build_report, golden_rows, run_goldens
+from .report import Analysis, build_report, golden_rows, run_goldens
 from .serialization import (algebra_from_dict, algebra_to_dict,
                             triple_from_dict, triple_hash, triple_to_dict)
 from .symp import (SymplecticTriple, build_triple, standard_j,

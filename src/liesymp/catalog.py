@@ -23,7 +23,7 @@ from typing import Optional
 
 from .errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
-from .lie import LieAlgebra, validate
+from .lie import validate
 from .linalg import Matrix, qof, vec_is_zero
 from .symp import SymplecticTriple, build_triple, standard_j, standard_omega
 

@@ -28,25 +28,28 @@ M_A = Gamma(A, .):
 
 Ricci(A,B) = trace of Z -> R(Z,A)B, scalar = trace of Ginv @ Ricci.
 The mixed trace form  P(A,B) = Tr(J R^c(A,B))  is a closed 2-form whose
-top wedge against omega recovers the Hermitian scalar curvature:
+top wedge against omega recovers the Hermitian scalar curvature,
+s^c = d/dt Pf(W + t P) |_{t=0} / Pf(W), with W, P the matrices of omega
+and of the mixed trace form (the polarization identity
+beta ^ alpha^{n-1} = (n-1)! dPf(A + tB)/dt|_0 on top degree makes the two
+factorials cancel).  Jacobi's formula for the Pfaffian,
 
-    s^c = d/dt Pf(W + t P) |_{t=0} / Pf(W)
+    d/dt Pf(W + t P) |_{t=0} = 1/2 Pf(W) tr(W^-1 P),
 
-with W, P the matrices of omega and of the mixed trace form (the
-polarization identity  beta ^ alpha^{n-1} = (n-1)! dPf(A + tB)/dt|_0
-on top degree makes the two factorials cancel).
+turns this into a trace, and W^-1 = J Ginv because G = W J:
+
+    s^c = 1/2 tr(J Ginv P).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, vec_is_zero
-from .nijenhuis import Tensor3, classify, nijenhuis_tensor
+from .nijenhuis import DistributionReport, Tensor3
 from .symp import SymplecticTriple
 
 
@@ -90,7 +93,6 @@ def levi_civita(t: SymplecticTriple) -> Connection:
     g, metric = t.algebra, t.metric
     d = t.dim
     ginv = t.metric_inv
-    basis = _basis(d)
     rows = []
     for i in range(d):
         row = []
@@ -126,10 +128,7 @@ def levi_civita(t: SymplecticTriple) -> Connection:
     return conn
 
 
-def chern_connection(t: SymplecticTriple,
-                     lc: Optional[Connection] = None) -> Connection:
-    if lc is None:
-        lc = levi_civita(t)
+def chern_connection(t: SymplecticTriple, lc: Connection) -> Connection:
     d, j = t.dim, t.j
     basis = _basis(d)
     jb = [j.apply(e) for e in basis]
@@ -152,10 +151,7 @@ def chern_connection(t: SymplecticTriple,
     return conn
 
 
-def symplectic_connection(t: SymplecticTriple,
-                          lc: Optional[Connection] = None) -> Connection:
-    if lc is None:
-        lc = levi_civita(t)
+def symplectic_connection(t: SymplecticTriple, lc: Connection) -> Connection:
     d, j = t.dim, t.j
     basis = _basis(d)
     nj = nabla_j_endos(t, lc)  # (nabla_{e_i} J) as matrices
@@ -189,12 +185,9 @@ def symplectic_connection(t: SymplecticTriple,
     return conn
 
 
-def nabla_j_endos(t: SymplecticTriple,
-                  lc: Optional[Connection] = None) -> list[Matrix]:
+def nabla_j_endos(t: SymplecticTriple, lc: Connection) -> list[Matrix]:
     """(nabla_{e_i} J) for each basis direction, as matrices:
     (nabla_A J) B = Gamma(A, JB) - J Gamma(A, B)."""
-    if lc is None:
-        lc = levi_civita(t)
     d, j = t.dim, t.j
     basis = _basis(d)
     out = []
@@ -225,15 +218,13 @@ def torsion(t: SymplecticTriple, conn: Connection) -> Tensor3:
 
 
 def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
-                               n: Optional[Tensor3] = None) -> bool:
+                               n: Tensor3) -> bool:
     """For a J-parallel connection the torsion alone already knows the
     integrability obstruction:
 
         T(jx, jy) - j T(jx, y) - j T(x, jy) - T(x, y) = -N(x, y)
 
     on all basis pairs.  Returns False on the first defect."""
-    if n is None:
-        n = nijenhuis_tensor(t)
     d = t.dim
     tor = torsion(t, conn)
     basis = _basis(d)
@@ -252,8 +243,8 @@ def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
     return True
 
 
-def nabla_j_checks(t: SymplecticTriple,
-                   lc: Optional[Connection] = None) -> dict[str, bool]:
+def nabla_j_checks(t: SymplecticTriple, nj: Sequence[Matrix],
+                   n: Tensor3) -> dict[str, bool]:
     """Structural identities tying nabla J to the Nijenhuis tensor:
 
       nabla_j_pairing          2 omega((nabla_A J) B, C) = omega(N(B,C), JA)
@@ -261,12 +252,10 @@ def nabla_j_checks(t: SymplecticTriple,
                                equivalently as nabla_{JA} J = -J nabla_A J
                                composed with nothing: the endomorphism
                                identity (nabla_{JA} J) = -J (nabla_A J).
+
+    nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t.
     """
-    if lc is None:
-        lc = levi_civita(t)
     d, j = t.dim, t.j
-    nj = nabla_j_endos(t, lc)
-    n = nijenhuis_tensor(t)
     basis = _basis(d)
     pairing = True
     for a in range(d):
@@ -300,7 +289,6 @@ def curvature_operators(t: SymplecticTriple, conn: Connection,
     d = t.dim
     g = t.algebra
     endos = [conn.endo(i) for i in range(d)]
-    basis = _basis(d)
     out = [[Matrix.zeros(d, d)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1, d):
@@ -316,63 +304,6 @@ def curvature_operators(t: SymplecticTriple, conn: Connection,
     return out
 
 
-def _pf(entries: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    """Pfaffian of a skew matrix via the minimal-index expansion."""
-    idx0 = tuple(range(len(entries)))
-
-    @lru_cache(maxsize=None)
-    def rec(idx: tuple[int, ...]) -> Fraction:
-        if not idx:
-            return Fraction(1)
-        s0 = idx[0]
-        rest = idx[1:]
-        total = Fraction(0)
-        for pos, u in enumerate(rest):
-            a = entries[s0][u]
-            if a != 0:
-                sub = rest[:pos] + rest[pos + 1:]
-                total += (-1) ** pos * a * rec(sub)
-        return total
-
-    return rec(idx0)
-
-
-def _pf_mixed(a: tuple[tuple[Fraction, ...], ...],
-              b: tuple[tuple[Fraction, ...], ...]) -> Fraction:
-    """d/dt Pf(A + tB) at t = 0: expand like the Pfaffian, with exactly one
-    factor taken from B."""
-    @lru_cache(maxsize=None)
-    def pfa(idx: tuple[int, ...]) -> Fraction:
-        if not idx:
-            return Fraction(1)
-        s0, rest = idx[0], idx[1:]
-        total = Fraction(0)
-        for pos, u in enumerate(rest):
-            x = a[s0][u]
-            if x != 0:
-                total += (-1) ** pos * x * pfa(rest[:pos] + rest[pos + 1:])
-        return total
-
-    @lru_cache(maxsize=None)
-    def mixed(idx: tuple[int, ...]) -> Fraction:
-        if not idx:
-            return Fraction(0)
-        s0, rest = idx[0], idx[1:]
-        total = Fraction(0)
-        for pos, u in enumerate(rest):
-            sub = rest[:pos] + rest[pos + 1:]
-            sgn = (-1) ** pos
-            xb = b[s0][u]
-            if xb != 0:
-                total += sgn * xb * pfa(sub)
-            xa = a[s0][u]
-            if xa != 0:
-                total += sgn * xa * mixed(sub)
-        return total
-
-    return mixed(tuple(range(len(a))))
-
-
 @dataclass(frozen=True)
 class CurvatureSummary:
     connection: str
@@ -383,20 +314,14 @@ class CurvatureSummary:
     hermitian_scalar: Fraction
 
 
-def curvature_summary(t: SymplecticTriple,
-                      lc: Optional[Connection] = None,
-                      chern: Optional[Connection] = None,
-                      ) -> CurvatureSummary:
+def curvature_summary(t: SymplecticTriple, lc: Connection,
+                      chern: Connection) -> CurvatureSummary:
     """Riemannian Ricci/scalar of the Levi-Civita map plus the mixed trace
     form and Hermitian scalar of the Chern-type connection.
 
     Cross-checks (InternalInvariantViolation on failure): every Chern
     curvature operator commutes with J and is omega-skew with zero real
     trace."""
-    if lc is None:
-        lc = levi_civita(t)
-    if chern is None:
-        chern = chern_connection(t, lc)
     d, j = t.dim, t.j
     riem = curvature_operators(t, lc)
     ric_rows = []
@@ -429,10 +354,8 @@ def curvature_summary(t: SymplecticTriple,
             p_rows[x][y] = val
             p_rows[y][x] = -val
     p = Matrix.from_rows(p_rows)
-    pf_w = _pf(t.omega.entries)
-    if pf_w == 0:
-        raise InternalInvariantViolation("Pf(omega) = 0 on a symplectic form")
-    herm = _pf_mixed(t.omega.entries, p.entries) / pf_w
+    # Jacobi's formula, see the module docstring
+    herm = (j @ t.metric_inv @ p).trace() / 2
     return CurvatureSummary(
         connection=lc.label,
         ricci=ric,
@@ -457,19 +380,15 @@ class ParallelismReport:
         return self.image_parallel and self.perp_parallel
 
 
-def covariant_derivative_n(t: SymplecticTriple,
-                           lc: Optional[Connection] = None,
-                           n: Optional[Tensor3] = None) -> ParallelismReport:
+def covariant_derivative_n(t: SymplecticTriple, lc: Connection,
+                           n: Tensor3,
+                           rep: DistributionReport) -> ParallelismReport:
     """(nabla N)(A; B, C) = Gamma(A, N(B,C)) - N(Gamma(A,B), C)
                             - N(B, Gamma(A,C)) on all basis triples,
     plus parallelism of im N and of its orthogonal complement under the
-    Levi-Civita map. The two distribution flags must agree (the metric is
-    parallel, so a distribution is parallel iff its complement is); a
-    mismatch raises InternalInvariantViolation."""
-    if lc is None:
-        lc = levi_civita(t)
-    if n is None:
-        n = nijenhuis_tensor(t)
+    Levi-Civita map; rep is `classify(t, n)`. The two distribution flags
+    must agree (the metric is parallel, so a distribution is parallel iff
+    its complement is); a mismatch raises InternalInvariantViolation."""
     d = t.dim
     basis = _basis(d)
     all_zero = True
@@ -488,8 +407,6 @@ def covariant_derivative_n(t: SymplecticTriple,
                 break
         if not all_zero:
             break
-
-    rep = classify(t, n)
 
     def parallel(s: Subspace) -> bool:
         if s.dim in (0, d):

@@ -119,15 +119,11 @@ class LieAlgebra:
             return [tuple(r) for r in Matrix.identity(self.dim).entries]
         return der.basis.nullspace()
 
-    def has_rational_basis(self) -> bool:
-        # structure constants are Fractions by construction, so the given
-        # basis is already a rational one.
-        return True
-
     def admits_lattice(self) -> bool:
         """Criterion for a cocompact lattice in the simply connected group:
-        nilpotent with rational structure constants."""
-        return self.is_nilpotent()[0] and self.has_rational_basis()
+        nilpotent with rational structure constants. The constants are
+        Fractions by construction, so only nilpotency is left to test."""
+        return self.is_nilpotent()[0]
 
     # -- naming helpers ---------------------------------------------------
 

@@ -43,12 +43,15 @@ def qof(x) -> Fraction:
 
     Floats are refused on purpose: a float that has survived this far is
     already a rounding bug, and Fraction(0.1) would silently bless it.
-    Strings must be an integer or p/q (BadNumber otherwise): "0.5",
-    "1e3", "1_000" and " 1 " are refused, so that no decimal slips in
-    and a few bytes of exponent cannot ask for a huge integer.
+    Bools are refused too: a JSON `true` is not the number 1. Strings
+    must be an integer or p/q (BadNumber otherwise): "0.5", "1e3",
+    "1_000" and " 1 " are refused, so that no decimal slips in and a few
+    bytes of exponent cannot ask for a huge integer.
     """
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
+    if isinstance(x, bool):
+        raise TypeError(f"refusing to read the boolean {x!r} as a number")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, complement, vec_is_zero, vec_sub
@@ -150,8 +150,7 @@ def _j_stable(s: Subspace, j: Matrix) -> bool:
     return all(s.contains(j.apply(v)) for v in s.vectors())
 
 
-def classify(t: SymplecticTriple, n: Optional[Tensor3] = None,
-             ) -> DistributionReport:
+def classify(t: SymplecticTriple, n: Tensor3) -> DistributionReport:
     """Full image/kernel analysis of the Nijenhuis tensor, with built in
     consistency checks (raise InternalInvariantViolation on any failure):
 
@@ -161,9 +160,9 @@ def classify(t: SymplecticTriple, n: Optional[Tensor3] = None,
       * the kernel sits inside the metric complement of the image (a
         consequence of the cyclic omega identity);
       * integrable <=> |N|^2 = 0 <=> image = 0.
+
+    n is `nijenhuis_tensor(t)`.
     """
-    if n is None:
-        n = nijenhuis_tensor(t)
     g = t.algebra
     im = image_distribution(n)
     ker = kernel_distribution(n)
@@ -198,8 +197,8 @@ def classify(t: SymplecticTriple, n: Optional[Tensor3] = None,
     )
 
 
-def check_tensor_identities(t: SymplecticTriple, n: Optional[Tensor3] = None,
-                            ) -> dict[str, bool]:
+def check_tensor_identities(t: SymplecticTriple,
+                            n: Tensor3) -> dict[str, bool]:
     """Pointwise identities of the Nijenhuis tensor, verified on all basis
     pairs/triples. Returns {identity name: bool}; callers assert all true.
 
@@ -207,8 +206,6 @@ def check_tensor_identities(t: SymplecticTriple, n: Optional[Tensor3] = None,
       anti_linearity    N(Jx, y) = -J N(x, y)  (and the y slot likewise)
       cyclic_omega      sum_cyc omega(N(x, y), z) = 0
     """
-    if n is None:
-        n = nijenhuis_tensor(t)
     d, j = t.dim, t.j
     basis = [tuple(Fraction(1 if a == b else 0) for a in range(d))
              for b in range(d)]

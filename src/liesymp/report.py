@@ -1,5 +1,10 @@
 """Analysis reports and the golden-claim runner.
 
+`Analysis(t)` computes each quantity of one triple at most once, on first
+use, in dependency order: N, then its distributions; the Levi-Civita map,
+then the Chern connection, nabla J, the curvature summary and the
+parallelism of N. Its cache lives as long as the object.
+
 `build_report` aggregates everything the library can say about one
 triple into a plain JSON-ready dict: validation outcomes, the image and
 kernel distributions with involutivity flags, curvature scalars, the
@@ -19,20 +24,58 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable, Optional
+from functools import cached_property
+from typing import Any, Optional
 
 from . import catalog
-from .connections import (chern_connection, covariant_derivative_n,
-                          curvature_summary, levi_civita, nabla_j_checks)
+from .connections import (Connection, CurvatureSummary, ParallelismReport,
+                          chern_connection, covariant_derivative_n,
+                          curvature_summary, levi_civita, nabla_j_checks,
+                          nabla_j_endos)
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace
-from .nijenhuis import (DistributionReport, check_tensor_identities,
+from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
                         classify, nijenhuis_tensor)
 from .nspace import contains_tensor
 from .serialization import matrix_to_rows, triple_hash
 from .symp import SymplecticTriple
 from .twistor import twistor_claims
+
+
+class Analysis:
+    """The derived quantities of one triple, each computed once."""
+
+    def __init__(self, t: SymplecticTriple):
+        self.t = t
+
+    @cached_property
+    def n(self) -> Tensor3:
+        return nijenhuis_tensor(self.t)
+
+    @cached_property
+    def distributions(self) -> DistributionReport:
+        return classify(self.t, self.n)
+
+    @cached_property
+    def lc(self) -> Connection:
+        return levi_civita(self.t)
+
+    @cached_property
+    def chern(self) -> Connection:
+        return chern_connection(self.t, self.lc)
+
+    @cached_property
+    def nabla_j(self) -> list[Matrix]:
+        return nabla_j_endos(self.t, self.lc)
+
+    @cached_property
+    def curvature(self) -> CurvatureSummary:
+        return curvature_summary(self.t, self.lc, self.chern)
+
+    @cached_property
+    def parallelism(self) -> ParallelismReport:
+        return covariant_derivative_n(self.t, self.lc, self.n,
+                                      self.distributions)
 
 
 def subspace_payload(s: Subspace, g: LieAlgebra) -> dict:
@@ -65,14 +108,12 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
                  full: bool = False, timings: bool = False) -> dict:
     t0 = time.monotonic()
     g = t.algebra
-    n = nijenhuis_tensor(t)
-    rep: DistributionReport = classify(t, n)
-    lc = levi_civita(t)
-    ch = chern_connection(t, lc)
-    cs = curvature_summary(t, lc, ch)
-    par = covariant_derivative_n(t, lc, n)
+    a = Analysis(t)
+    n, rep = a.n, a.distributions
+    cs = a.curvature
+    par = a.parallelism
     ident = dict(check_tensor_identities(t, n))
-    ident.update(nabla_j_checks(t, lc))
+    ident.update(nabla_j_checks(t, a.nabla_j, n))
     ident["constraint_membership"] = contains_tensor(t, n)
     nil, lcs_dims = g.is_nilpotent()
     prop, factor = _proportional_to(cs.chern_ricci, t.omega)
@@ -272,9 +313,8 @@ _TWISTOR_EXPECT: dict[int, dict[str, Any]] = {
 }
 
 
-def _catalog_actual(name: str, claim: str) -> Any:
-    t = catalog.builtin(name)
-    rep = classify(t)
+def _catalog_actual(a: Analysis, claim: str) -> Any:
+    t, rep = a.t, a.distributions
     if claim == "image_span":
         return _span_rows(rep.image)
     if claim == "perp_span":
@@ -308,10 +348,11 @@ def golden_rows(filter_substr: Optional[str] = None,
     for name, claims in _TABLE_EXPECT.items():
         if filter_substr and filter_substr not in name:
             continue
+        a = Analysis(catalog.builtin(name))
         for claim, expected in claims.items():
             rows.append(GoldenRow(name, claim,
                                   want(name, claim, expected),
-                                  _catalog_actual(name, claim)))
+                                  _catalog_actual(a, claim)))
     for n, claims in _TWISTOR_EXPECT.items():
         name = f"twistor(n={n})"
         if filter_substr and filter_substr not in name:

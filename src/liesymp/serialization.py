@@ -65,8 +65,10 @@ def matrix_to_rows(m: Matrix) -> list[list[str]]:
 
 
 def matrix_from_rows(rows: Any, what: str) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise SerializationError(f"{what} must be a list of rows")
+    if (not isinstance(rows, list)
+            or not all(isinstance(r, list) for r in rows)
+            or len({len(r) for r in rows}) > 1):
+        raise SerializationError(f"{what} must be a list of equal-length rows")
     return Matrix.from_rows([[_num(x) for x in row] for row in rows])
 
 
@@ -87,25 +89,35 @@ def _field(d: dict, key: str) -> Any:
     return d[key]
 
 
+def _is_int(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_dict(d: dict) -> LieAlgebra:
     if not isinstance(d, dict):
         raise SerializationError("algebra payload must be an object")
     name = _field(d, "name")
     dim = _field(d, "dim")
     basis = _field(d, "basis")
-    if not isinstance(dim, int) or isinstance(dim, bool):
+    if not _is_int(dim):
         raise SerializationError("dim must be an integer")
     if not isinstance(basis, list) or not all(isinstance(x, str) for x in basis):
         raise SerializationError("basis must be a list of names")
+    brackets = _field(d, "brackets")
+    if not isinstance(brackets, list):
+        raise SerializationError("brackets must be a list")
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ent in _field(d, "brackets"):
+    for ent in brackets:
         if not isinstance(ent, dict):
             raise SerializationError("each bracket must be an object")
         i, j = _field(ent, "i"), _field(ent, "j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not _is_int(i) or not _is_int(j):
             raise SerializationError("bracket indices must be integers")
+        raw = _field(ent, "coeffs")
+        if not isinstance(raw, dict):
+            raise SerializationError("bracket coeffs must be an object")
         coeffs = {}
-        for k, v in _field(ent, "coeffs").items():
+        for k, v in raw.items():
             try:
                 ki = int(k)
             except ValueError:

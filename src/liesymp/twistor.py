@@ -44,6 +44,8 @@ from .linalg import Matrix, Subspace, qof
 Sign = Literal["+", "-"]
 
 Sparse = dict[tuple[int, int], Fraction]  # (row, col) -> value, matrix entries
+# (a, b) -> N(e_a, e_b) projected to m, as {basis index: value}; a < b, N != 0
+TwistorValues = dict[tuple[int, int], dict[int, Fraction]]
 
 
 def _mat_mul(a: Sparse, b: Sparse) -> Sparse:
@@ -244,8 +246,7 @@ def build_twistor_model(n: int) -> TwistorModel:
 # -- the integrability tensor on m --------------------------------------
 
 
-def twistor_nijenhuis(model: TwistorModel, sign: Sign,
-                      ) -> dict[tuple[int, int], dict[int, Fraction]]:
+def twistor_nijenhuis(model: TwistorModel, sign: Sign) -> TwistorValues:
     """N(e_a, e_b) for all m-basis pairs a < b, values projected to m.
 
     Definitional formula with J extended by zero on u(n):
@@ -304,17 +305,16 @@ def _m_coords(model: TwistorModel, d: dict[int, Fraction],
     return tuple(v)
 
 
-def nijenhuis_image(model: TwistorModel, sign: Sign) -> Subspace:
-    """Projected image span, as a subspace of m (coordinates ordered
-    q then p)."""
-    nvals = twistor_nijenhuis(model, sign)
+def nijenhuis_image(model: TwistorModel, nvals: TwistorValues) -> Subspace:
+    """Span of the values `twistor_nijenhuis` returned, as a subspace of
+    m (coordinates ordered q then p)."""
     return Subspace.span(model.m_dim,
                          [_m_coords(model, d) for d in nvals.values()])
 
 
-def p_pairs_span_q(model: TwistorModel, sign: Sign) -> bool:
-    """Do the p x p values of N fill the fibre directions q exactly?"""
-    nvals = twistor_nijenhuis(model, sign)
+def p_pairs_span_q(model: TwistorModel, nvals: TwistorValues) -> bool:
+    """Do the p x p values of N (as `twistor_nijenhuis` returned them)
+    fill the fibre directions q exactly?"""
     qset = set(model.q_indices)
     vecs = []
     for (a, b), d in nvals.items():
@@ -322,12 +322,8 @@ def p_pairs_span_q(model: TwistorModel, sign: Sign) -> bool:
             continue
         if any(k not in qset for k in d):
             return False  # a p x p value escaping q would refute the claim
-    # rebuild the q-span of p x p values
-    pstart = len(model.q_indices)
-    for (a, b), d in nvals.items():
-        if a in qset or b in qset:
-            continue
         vecs.append(_m_coords(model, d))
+    pstart = len(model.q_indices)
     span = Subspace.span(model.m_dim, vecs)
     want = Subspace.span(model.m_dim, [
         tuple(Fraction(1 if i == t else 0) for i in range(model.m_dim))
@@ -473,14 +469,15 @@ def twistor_claims(n: int, model: Optional[TwistorModel] = None,
     if model is None:
         model = build_twistor_model(n)
     nplus = twistor_nijenhuis(model, "+")
-    img = nijenhuis_image(model, "-")
+    nminus = twistor_nijenhuis(model, "-")
+    img = nijenhuis_image(model, nminus)
     pos = positivity_report(model)
     return TwistorClaims(
         n=n,
         plus_integrable=(not nplus),
         minus_image_dim=img.dim,
         m_dim=model.m_dim,
-        p_pairs_fill_q=p_pairs_span_q(model, "-"),
+        p_pairs_fill_q=p_pairs_span_q(model, nminus),
         kks_invariant_plus=kks_j_invariant(model, "+"),
         kks_invariant_minus=kks_j_invariant(model, "-"),
         minus_positive=pos.minus_positive,

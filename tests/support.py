@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from liesymp import Matrix, SymplecticTriple, build_triple
+from liesymp import Matrix, SymplecticTriple, build_triple, validate
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -49,6 +49,19 @@ def random_symplectic(omega: Matrix, rng: random.Random, steps: int = 5) -> Matr
         lam = rng.choice(_LAMBDAS)
         s = transvection(omega, a, lam) @ s
     return s
+
+
+def aff_aff_triple() -> SymplecticTriple:
+    """aff(R) + aff(R): [e1,e2] = e2, [e3,e4] = e4, omega = e^12 + e^34,
+    J e1 = e2, J e3 = e4.  Kaehler and not flat, unlike every integrable
+    catalog entry."""
+    alg = validate("aff+aff", 4, ("e1", "e2", "e3", "e4"),
+                   {(0, 1): {1: 1}, (2, 3): {3: 1}})
+    omega = Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
+                              [0, 0, 0, 1], [0, 0, -1, 0]])
+    j = Matrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0],
+                          [0, 0, 0, -1], [0, 0, 1, 0]])
+    return build_triple(alg, omega, j)
 
 
 def conjugated_triple(t: SymplecticTriple, rng: random.Random,

@@ -13,15 +13,13 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import (Subspace, abelian, build_rank_example, builtin,
-                     character_extension, chern_connection, classify,
-                     check_tensor_identities, curvature_summary,
-                     covariant_derivative_n, dim6, ex1, ex2, ex3, ex4,
+from liesymp import (Analysis, Subspace, abelian, build_rank_example,
+                     builtin, character_extension, chern_connection,
+                     check_tensor_identities, dim6, ex1, ex2, ex3, ex4,
                      expected_dimension, levi_civita, nabla_j_checks,
                      nijenhuis_space_dim, nijenhuis_tensor, norm_sq,
                      product_extension, symplectic_connection, thurston,
                      torsion, torsion_recovers_nijenhuis, twistor_claims)
-from liesymp.connections import nabla_j_endos
 from support import conjugated_triple
 
 F = Fraction
@@ -77,7 +75,7 @@ def test_criterion_01_golden_table_spans_and_flags():
     ok = True
     details = []
     for name, (im, im_inv, perp, perp_inv) in _GOLDEN_SPANS.items():
-        rep = classify(builders[name]())
+        rep = Analysis(builders[name]()).distributions
         claims = [
             rep.image == Subspace.span(4, im),
             rep.perp == Subspace.span(4, perp),
@@ -93,7 +91,7 @@ def test_criterion_01_golden_table_spans_and_flags():
 
 
 def test_criterion_02_dim6_maximally_non_integrable():
-    rep = classify(dim6())
+    rep = Analysis(dim6()).distributions
     ok = rep.image == Subspace.full(6)
     _verdict(2, "six-dimensional example: image of N is the whole algebra",
              ok)
@@ -115,7 +113,7 @@ def test_criterion_04_dimension_4_bound(random_dim4_triples):
     ok = True
     count = 0
     for t in named + random_dim4_triples:
-        rep = classify(t)
+        rep = Analysis(t).distributions
         count += 1
         if rep.image.dim not in (0, 2):
             ok = False
@@ -134,10 +132,10 @@ def test_criterion_04_dimension_4_bound(random_dim4_triples):
 def test_criterion_05_tensor_identities(full_catalog, random_dim4_triples):
     ok = True
     for name, t in full_catalog:
-        checks = check_tensor_identities(t)
+        checks = check_tensor_identities(t, nijenhuis_tensor(t))
         ok = ok and all(checks.values())
     for t in random_dim4_triples:
-        checks = check_tensor_identities(t)
+        checks = check_tensor_identities(t, nijenhuis_tensor(t))
         ok = ok and all(checks.values())
     _verdict(5, "antisymmetry, anti-linearity and the cyclic pairing "
                 "identity on every catalog and randomized triple", ok)
@@ -182,18 +180,18 @@ def test_criterion_06_connection_axioms(full_catalog):
 def test_criterion_07_nabla_j_identities(full_catalog):
     ok = True
     for name, t in full_catalog:
-        checks = nabla_j_checks(t)
+        a = Analysis(t)
+        checks = nabla_j_checks(t, a.nabla_j, a.n)
         ok = ok and all(checks.values())
     _verdict(7, "covariant-derivative-of-J pairing and anticommutation "
                 "identities on the full catalog", ok)
     assert ok
 
 
-def _grad_j_norm_sq(t) -> Fraction:
+def _grad_j_norm_sq(t, endos) -> Fraction:
     """|nabla J|^2 = sum of G^{ia} G^{jb} G_{kc} (nabla_i J)^k_j (nabla_a J)^c_b,
     the full metric contraction of the Levi-Civita derivative of J."""
     g, ginv = t.metric, t.metric_inv
-    endos = nabla_j_endos(t)
     total = F(0)
     for i in range(t.dim):
         for a in range(t.dim):
@@ -222,9 +220,10 @@ def test_criterion_08_scalar_identity_with_coefficient_two(full_catalog):
     """
     mismatches = []
     for name, t in full_catalog:
-        summary = curvature_summary(t)
-        nsq = norm_sq(nijenhuis_tensor(t), t)
-        djsq = _grad_j_norm_sq(t)
+        a = Analysis(t)
+        summary = a.curvature
+        nsq = norm_sq(a.n, t)
+        djsq = _grad_j_norm_sq(t, a.nabla_j)
         gap = summary.hermitian_scalar - summary.scalar
         if gap != F(1, 16) * nsq or gap != djsq / 4:
             mismatches.append((name, f"s_g={summary.scalar}",
@@ -239,9 +238,8 @@ def test_criterion_08_scalar_identity_with_coefficient_two(full_catalog):
 def test_criterion_09_parallel_n_forces_integrability(full_catalog):
     ok = True
     for name, t in full_catalog:
-        n = nijenhuis_tensor(t)
-        rep = covariant_derivative_n(t, n=n)
-        ok = ok and (rep.nabla_n_zero == n.is_zero())
+        a = Analysis(t)
+        ok = ok and (a.parallelism.nabla_n_zero == a.n.is_zero())
     _verdict(9, "metric-connection derivative of N vanishes exactly on "
                 "the integrable entries", ok)
     assert ok
@@ -252,14 +250,16 @@ def test_criterion_10_constructions():
     # product extension: image unchanged (embedded), complement grows by 2
     for builder in (ex1, ex2, ex3, ex4, dim6):
         t = builder()
-        rep, rep2 = classify(t), classify(product_extension(t))
+        rep = Analysis(t).distributions
+        rep2 = Analysis(product_extension(t)).distributions
         padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
         ok = ok and rep2.image == Subspace.span(t.dim + 2, padded)
         ok = ok and rep2.perp.dim == rep.perp.dim + 2
     # character extension: image grows by exactly the new plane
     for builder in (ex1, ex2, ex3, ex4):
         t = builder()
-        rep, rep2 = classify(t), classify(character_extension(t))
+        rep = Analysis(t).distributions
+        rep2 = Analysis(character_extension(t)).distributions
         d2 = t.dim + 2
         padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
         plane = [[F(0)] * t.dim + [F(1), F(0)],
@@ -279,7 +279,7 @@ def test_criterion_10_constructions():
             requested = patterns if 0 < k < n else [(None, None)]
             for inv_im, inv_perp in requested:
                 t = build_rank_example(n, k, inv_im, inv_perp)
-                rep = classify(t)
+                rep = Analysis(t).distributions
                 ok = ok and t.dim == 2 * n and rep.image.dim == 2 * k
                 if inv_im is not None:
                     ok = ok and rep.image_involutive == inv_im

@@ -1,0 +1,101 @@
+"""One analysis pass per triple, and the Hermitian scalar against an
+independent determinant route.
+
+The call counts patch each function in every liesymp module namespace
+that holds it, so a call through any `from .x import f` is counted.
+
+The oracle computes s_C from its definition, d/dt Pf(W + tP)|_0 / Pf(W),
+squared into determinants: with Pf^2 = det, the ratio is
+1/2 [t^1] det(W + tP) / det(W), expanded by sympy. sympy is used here
+only, never by the library.
+"""
+
+import sys
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from liesymp import (Analysis, build_rank_example, build_report, builtin,
+                     golden_rows)
+from liesymp.connections import (chern_connection, curvature_summary,
+                                  levi_civita, nabla_j_endos)
+from liesymp.nijenhuis import classify, nijenhuis_tensor
+from liesymp.twistor import twistor_nijenhuis
+from support import aff_aff_triple
+
+
+def _count(monkeypatch, fn) -> list:
+    """Record the arguments of every call to fn, through any module."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "liesymp" and getattr(
+                mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+def test_build_report_computes_each_quantity_once(monkeypatch):
+    fns = (nijenhuis_tensor, classify, levi_civita, chern_connection,
+           nabla_j_endos, curvature_summary)
+    calls = {fn.__name__: _count(monkeypatch, fn) for fn in fns}
+    build_report(build_rank_example(3, 1, True, True), full=True)
+    assert {k: len(v) for k, v in calls.items()} == {
+        fn.__name__: 1 for fn in fns}
+
+
+def test_golden_rows_classify_each_entry_once(monkeypatch):
+    classified = _count(monkeypatch, classify)
+    tensors = _count(monkeypatch, twistor_nijenhuis)
+    rows = golden_rows()
+    assert len(rows) == 48 and all(r.ok for r in rows)
+    assert len(classified) == 8
+    for sign in "+-":
+        assert sorted(m.n for m, s in tensors if s == sign) == [1, 2, 3]
+
+
+def test_analysis_caches_on_the_object():
+    a = Analysis(builtin("ex3"))
+    assert a.distributions is a.distributions
+    assert a.parallelism is a.parallelism
+    assert Analysis(a.t).n is not a.n
+
+
+def _rat(x: Fraction) -> sympy.Rational:
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _pfaffian_ratio(omega, p) -> Fraction:
+    s = sympy.Symbol("s")
+    d = omega.nrows
+    w = sympy.Matrix(d, d, [_rat(x) for r in omega.entries for x in r])
+    pm = sympy.Matrix(d, d, [_rat(x) for r in p.entries for x in r])
+    poly = sympy.Poly((w + s * pm).det(method="berkowitz"), s)
+    val = poly.coeff_monomial(s) / (2 * w.det(method="berkowitz"))
+    return Fraction(int(val.p), int(val.q))
+
+
+_ORACLE = {
+    "ex1": lambda: builtin("ex1"),
+    "ex2": lambda: builtin("ex2"),
+    "ex3": lambda: builtin("ex3"),
+    "ex4": lambda: builtin("ex4"),
+    "dim6": lambda: builtin("dim6"),
+    "thurston(2/3)": lambda: builtin("thurston(2/3)"),
+    "rank(5,2)": lambda: build_rank_example(5, 2, True, True),
+    "aff+aff": aff_aff_triple,
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE))
+def test_hermitian_scalar_matches_pfaffian_derivative(name):
+    t = _ORACLE[name]()
+    cs = Analysis(t).curvature
+    assert cs.hermitian_scalar == _pfaffian_ratio(t.omega, cs.chern_ricci)
+    if name == "aff+aff":
+        assert not cs.chern_ricci.is_zero()

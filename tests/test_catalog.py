@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import (Subspace, build_rank_example, builtin,
-                     character_extension, classify, nijenhuis_tensor,
+from liesymp import (Analysis, Subspace, build_rank_example, builtin,
+                     character_extension, nijenhuis_tensor,
                      product_extension)
 from liesymp.catalog import catalog_names
 from liesymp.errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
@@ -26,9 +26,9 @@ def test_builtin_lookup_and_parametrized_names():
 def test_product_extension_preserves_image_and_grows_complement(catalog):
     for base in ("ex1", "ex2", "ex3", "ex4", "dim6"):
         t = catalog[base]
-        rep = classify(t)
+        rep = Analysis(t).distributions
         t2 = product_extension(t)
-        rep2 = classify(t2)
+        rep2 = Analysis(t2).distributions
         assert t2.dim == t.dim + 2
         # old image, embedded by zero padding, is the whole new image
         padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
@@ -50,9 +50,9 @@ def test_product_extension_names_and_brackets(catalog):
 def test_character_extension_grows_image_by_new_plane(catalog):
     for base in ("ex1", "ex2", "ex3", "ex4"):
         t = catalog[base]
-        rep = classify(t)
+        rep = Analysis(t).distributions
         t2 = character_extension(t)
-        rep2 = classify(t2)
+        rep2 = Analysis(t2).distributions
         d2 = t2.dim
         assert d2 == t.dim + 2
         assert t2.algebra.basis_names[-2:] == ("c1", "d1")
@@ -102,14 +102,14 @@ def test_build_rank_example_full_sweep():
             if 0 < k < n:
                 for inv_im, inv_perp in patterns:
                     t = build_rank_example(n, k, inv_im, inv_perp)
-                    rep = classify(t)
+                    rep = Analysis(t).distributions
                     assert t.dim == 2 * n
                     assert rep.image.dim == 2 * k
                     assert rep.image_involutive == inv_im
                     assert rep.perp_involutive == inv_perp
             else:
                 t = build_rank_example(n, k)
-                rep = classify(t)
+                rep = Analysis(t).distributions
                 assert t.dim == 2 * n
                 assert rep.image.dim == 2 * k
 

@@ -80,6 +80,52 @@ def test_validate_number_outside_grammar_exits_2(tmp_path, capsys, bad):
     assert main(["validate", str(p)]) == 0
 
 
+def _set_brackets(d):
+    d["brackets"] = 5
+
+
+def _set_coeffs_list(d):
+    d["brackets"][0]["coeffs"] = [1]
+
+
+def _set_ragged_omega(d):
+    d["omega"][1] = d["omega"][1][:3]
+
+
+def _set_bool_index(d):
+    d["brackets"][0]["i"] = False
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_set_brackets, "brackets must be a list"),
+    (_set_coeffs_list, "coeffs must be an object"),
+    (_set_ragged_omega, "omega must be a list of equal-length rows"),
+    (_set_bool_index, "bracket indices must be integers"),
+], ids=["brackets-number", "coeffs-list", "ragged-omega", "bool-index"])
+def test_validate_malformed_payload_shape_exits_2(tmp_path, capsys, mutate,
+                                                  message):
+    # wrong JSON types or shapes are input errors with a message, never a
+    # traceback
+    d = triple_to_dict(ex1())
+    mutate(d)
+    p = tmp_path / "shape.json"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "SerializationError" in err and message in err
+
+
+def test_validate_boolean_coefficient_exits_2(tmp_path, capsys):
+    # JSON true is not the number 1
+    d = triple_to_dict(ex1())
+    d["brackets"][0]["coeffs"] = {"3": True}
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "SerializationError" in err and "True" in err
+
+
 def test_cli_number_arguments_follow_the_grammar(capsys):
     assert main(["analyze", "thurston", "--alpha", "0.5"]) == 2
     assert "BadNumber" in capsys.readouterr().err

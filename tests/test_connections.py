@@ -1,13 +1,12 @@
 import random
 from fractions import Fraction
 
-from liesymp import (Matrix, build_triple, chern_connection,
-                     covariant_derivative_n, curvature_summary, levi_civita,
+from liesymp import (Analysis, Matrix, chern_connection, levi_civita,
                      nabla_j_checks, nijenhuis_tensor, norm_sq,
                      symplectic_connection, torsion,
-                     torsion_recovers_nijenhuis, validate)
-from liesymp.connections import Connection, nabla_j_endos
-from support import conjugated_triple
+                     torsion_recovers_nijenhuis)
+from liesymp.connections import Connection
+from support import aff_aff_triple, conjugated_triple
 
 F = Fraction
 
@@ -69,14 +68,14 @@ def test_wrong_sign_convention_loses_metric_compatibility(catalog):
 
 def test_symplectic_connection_axioms(extended_catalog):
     for name, t in extended_catalog.items():
-        sc = symplectic_connection(t)
+        sc = symplectic_connection(t, levi_civita(t))
         assert _omega_parallel(t, sc), name
         assert torsion(t, sc).is_zero(), name
 
 
 def test_chern_connection_axioms(extended_catalog):
     for name, t in extended_catalog.items():
-        ch = chern_connection(t)
+        ch = chern_connection(t, levi_civita(t))
         assert _omega_parallel(t, ch), name
         # J parallel: each endomorphism commutes with J
         for i in range(t.dim):
@@ -87,7 +86,7 @@ def test_chern_connection_axioms(extended_catalog):
 def test_chern_torsion_is_quarter_nijenhuis(extended_catalog):
     for name, t in extended_catalog.items():
         n = nijenhuis_tensor(t)
-        tor = torsion(t, chern_connection(t))
+        tor = torsion(t, Analysis(t).chern)
         for b in range(t.dim):
             for c in range(b + 1, t.dim):
                 quarter = [x / 4 for x in n.of_basis(b, c)]
@@ -96,18 +95,20 @@ def test_chern_torsion_is_quarter_nijenhuis(extended_catalog):
 
 def test_torsion_of_j_parallel_connection_recovers_n(extended_catalog):
     for name, t in extended_catalog.items():
-        assert torsion_recovers_nijenhuis(t, chern_connection(t)), name
+        a = Analysis(t)
+        assert torsion_recovers_nijenhuis(t, a.chern, a.n), name
 
 
 def test_nabla_j_identities(extended_catalog):
     for name, t in extended_catalog.items():
-        checks = nabla_j_checks(t)
+        a = Analysis(t)
+        checks = nabla_j_checks(t, a.nabla_j, a.n)
         assert all(checks.values()), (name, checks)
 
 
 def test_nabla_j_anticommutes_with_j_pointwise(catalog):
     t = catalog["ex3"]
-    for m in nabla_j_endos(t):
+    for m in Analysis(t).nabla_j:
         assert (t.j @ m) == (m @ t.j).scale(-1)
 
 
@@ -123,7 +124,7 @@ _SCALARS = {
 
 def test_frozen_scalar_curvatures(catalog):
     for name, (sg, sc) in _SCALARS.items():
-        summary = curvature_summary(catalog[name])
+        summary = Analysis(catalog[name]).curvature
         assert summary.scalar == sg, name
         assert summary.hermitian_scalar == sc, name
 
@@ -155,19 +156,19 @@ def test_thurston_curvature_profile(catalog):
     for alpha in ("1/2", "1", "2", "3"):
         t = catalog[f"thurston({alpha})"]
         assert t.algebra.is_nilpotent()[0]
-        summary = curvature_summary(t)
+        summary = Analysis(t).curvature
         a = F(alpha)
         assert _milnor_nilpotent_scalar(t) == summary.scalar == -a / 2
         assert summary.hermitian_scalar == 0
         assert summary.chern_ricci.is_zero()
         assert not summary.ricci_j_invariant
         assert norm_sq(nijenhuis_tensor(t), t) / 16 == a / 2
-    s1 = curvature_summary(catalog["thurston(1)"])
+    s1 = Analysis(catalog["thurston(1)"]).curvature
     assert s1.ricci == Matrix.diag([0, F(1, 2), F(-1, 2), F(-1, 2)])
 
 
 def test_abelian_curvature_vanishes(catalog):
-    summary = curvature_summary(catalog["abelian(2)"])
+    summary = Analysis(catalog["abelian(2)"]).curvature
     assert summary.scalar == 0 and summary.hermitian_scalar == 0
     assert summary.ricci.is_zero() and summary.chern_ricci.is_zero()
     assert summary.ricci_j_invariant
@@ -175,7 +176,7 @@ def test_abelian_curvature_vanishes(catalog):
 
 def test_ricci_j_invariance_tracks_integrability(catalog):
     for name, t in catalog.items():
-        summary = curvature_summary(t)
+        summary = Analysis(t).curvature
         integrable = nijenhuis_tensor(t).is_zero()
         if integrable:
             assert summary.ricci_j_invariant, name
@@ -187,7 +188,7 @@ def test_scalar_gap_is_sixteenth_of_norm(extended_catalog):
     # measured exact law across every triple in the suite: the defect of
     # the hermitian scalar against the riemannian one is |N|^2 / 16
     for name, t in extended_catalog.items():
-        summary = curvature_summary(t)
+        summary = Analysis(t).curvature
         nsq = norm_sq(nijenhuis_tensor(t), t)
         assert summary.hermitian_scalar - summary.scalar == nsq / 16, name
 
@@ -196,25 +197,18 @@ def test_scalar_gap_law_survives_symplectic_conjugation(catalog):
     rng = random.Random(20250819)
     for base in ("ex1", "ex2", "ex4", "thurston(2)"):
         t = conjugated_triple(catalog[base], rng)
-        summary = curvature_summary(t)
+        summary = Analysis(t).curvature
         nsq = norm_sq(nijenhuis_tensor(t), t)
         assert summary.hermitian_scalar - summary.scalar == nsq / 16, base
 
 
 def test_kahler_scalars_agree_on_curved_algebra():
-    # aff(R) + aff(R): [e1,e2] = e2, [e3,e4] = e4, omega = e^12 + e^34,
-    # J e1 = e2, J e3 = e4.  Integrable and not flat, so s_C = s_g here
-    # fixes the normalisation of the hermitian scalar, which the catalog
-    # cannot: its integrable entries are all flat.
-    alg = validate("aff+aff", 4, ("e1", "e2", "e3", "e4"),
-                   {(0, 1): {1: 1}, (2, 3): {3: 1}})
-    omega = Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
-                              [0, 0, 0, 1], [0, 0, -1, 0]])
-    j = Matrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0],
-                          [0, 0, 0, -1], [0, 0, 1, 0]])
-    t = build_triple(alg, omega, j)
+    # aff(R) + aff(R) is integrable and not flat, so s_C = s_g here fixes
+    # the normalisation of the hermitian scalar, which the catalog cannot:
+    # its integrable entries are all flat.
+    t = aff_aff_triple()
     assert nijenhuis_tensor(t).is_zero()
-    summary = curvature_summary(t)
+    summary = Analysis(t).curvature
     assert summary.hermitian_scalar == summary.scalar == -4
 
 
@@ -230,7 +224,7 @@ _PARALLELISM = {
 
 def test_covariant_derivative_of_n(catalog):
     for name, (nz, im_par) in _PARALLELISM.items():
-        rep = covariant_derivative_n(catalog[name])
+        rep = Analysis(catalog[name]).parallelism
         assert rep.nabla_n_zero == nz, name
         assert rep.image_parallel == im_par, name
         assert rep.local_product == (rep.image_parallel and rep.perp_parallel)
@@ -238,6 +232,5 @@ def test_covariant_derivative_of_n(catalog):
 
 def test_nonvanishing_n_is_never_parallel(extended_catalog):
     for name, t in extended_catalog.items():
-        n = nijenhuis_tensor(t)
-        rep = covariant_derivative_n(t, n=n)
-        assert rep.nabla_n_zero == n.is_zero(), name
+        a = Analysis(t)
+        assert a.parallelism.nabla_n_zero == a.n.is_zero(), name
