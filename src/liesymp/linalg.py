@@ -7,19 +7,26 @@ bearing, because canonical RREF bases are compared verbatim in golden
 outputs.
 
 Matrices are immutable; all operations return new objects. `entries` is
-the dense tuple of rows callers read, but the arithmetic skips zeros: each
-matrix lists its rows' nonzero (column, value) pairs once, and products,
-`apply` and the RREF row updates multiply only nonzero factors. The
-structure constants, forms and connection endomorphisms this package
-handles are almost all zero, so a product costs about its number of
-nonzero terms rather than n^3 Fraction operations.
+the dense tuple of rows callers read. Products and `apply` run on a second
+form, cached once per matrix: each row as Python ints over a common
+denominator (the lcm of the row's denominators), listing only its nonzero
+(column, numerator) pairs. A product row is summed in ints, each left
+factor lifted to the lcm of the right operand's row denominators, and
+becomes one `Fraction` per nonzero entry at the end. `Fraction` reduces
+that to lowest terms, so the result is the same value, and prints the
+same bytes, as a sum of `Fraction` products. Zeros are skipped, so a
+product of the mostly-zero structure constants, forms and connection
+endomorphisms costs about its number of nonzero terms; on dense matrices
+with 20-30 bit entries an int multiply-add replaces a gcd-normalising
+`Fraction` multiply and add per term. Elimination (`rref`, `det`,
+`inverse`) still runs on `Fraction`s.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
 full=True)` on `build_rank_example(n, k, False, True)`, Python 3.11, one
-core of a shared 2-vCPU x86-64 VM): dim 12 (k = 2) 0.55 s, dim 14
-(k = 3) 1.0 s, dim 20 (k = 4) 3.3 s; with dense products the first two
-took 9.6 s and 19.9 s. Larger dimensions are untested.
+core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.46 s,
+dim 14 (k = 3) 0.74 s, dim 20 (k = 4) 2.4 s. Larger dimensions are
+untested.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import BadNumber, SingularGram
@@ -38,6 +46,15 @@ Scalar = Fraction
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
+def brief(x) -> str:
+    """repr of a value for an error message; a string longer than 32
+    characters is cut to its first 16 plus its digit count, so that a
+    rejected number of thousands of digits is not echoed whole."""
+    if not isinstance(x, str) or len(x) <= 32:
+        return repr(x)
+    return f"{x[:16]!r}... ({sum(c.isdigit() for c in x)} digits)"
+
+
 def qof(x) -> Fraction:
     """Coerce an int / Fraction / "p/q" string to Fraction.
 
@@ -46,7 +63,9 @@ def qof(x) -> Fraction:
     Bools are refused too: a JSON `true` is not the number 1. Strings
     must be an integer or p/q (BadNumber otherwise): "0.5", "1e3",
     "1_000" and " 1 " are refused, so that no decimal slips in and a few
-    bytes of exponent cannot ask for a huge integer.
+    bytes of exponent cannot ask for a huge integer. A numerator or
+    denominator longer than the interpreter converts from a string
+    (`sys.get_int_max_str_digits`, 4300 digits by default) is BadNumber.
     """
     if isinstance(x, float):
         raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
@@ -58,11 +77,14 @@ def qof(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
-            raise BadNumber(f"{x!r} is not an integer or p/q")
+            raise BadNumber(f"{brief(x)} is not an integer or p/q")
         try:
             return Fraction(x)
         except ZeroDivisionError:
-            raise BadNumber(f"{x!r} has a zero denominator") from None
+            raise BadNumber(f"{brief(x)} has a zero denominator") from None
+        except ValueError:
+            raise BadNumber(f"{brief(x)} exceeds the interpreter's digit "
+                            "limit for integers") from None
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
@@ -117,11 +139,16 @@ class Matrix:
         return len(self.entries[0]) if self.entries else 0
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Each row's nonzero entries as (column, value) pairs, computed
-        once per matrix; the arithmetic below runs over these only."""
-        return tuple(tuple((j, a) for j, a in enumerate(r) if a)
-                     for r in self.entries)
+    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """Each row as (d, ((j, p), ...)): d is the lcm of the row's
+        denominators, a_ij = p / d, and only nonzero entries are listed.
+        Computed once per matrix; `@` and `apply` run over these only."""
+        out = []
+        for r in self.entries:
+            nz = [(j, a.as_integer_ratio()) for j, a in enumerate(r) if a]
+            d = lcm(*(q for _, (_, q) in nz))
+            out.append((d, tuple((j, p * (d // q)) for j, (p, q) in nz)))
+        return tuple(out)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
@@ -155,27 +182,44 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        # row i of the product is sum_k a_ik * (row k of other), taken
-        # over the nonzero a_ik and the nonzero entries of row k only
-        brows, width = other._sparse_rows, other.ncols
+        # row i of the product is (1 / (d_i * big)) * sum_k p_ik * (big /
+        # f_k) * q_kj, where row k of other is q_k / f_k and big is the lcm
+        # of the f_k: the sum runs in ints over the nonzero factors only
+        brows, width = other._int_rows, other.ncols
+        big = lcm(*(f for f, _ in brows))
+        lift = [big // f for f, _ in brows]
         z = Fraction(0)
+        zero_row = (z,) * width
         out = []
-        for row in self._sparse_rows:
-            acc = [z] * width
-            for k, a in row:
-                for j, b in brows[k]:
-                    acc[j] += a * b
-            out.append(tuple(acc))
+        for d, row in self._int_rows:
+            acc = [0] * width
+            for k, p in row:
+                a = p * lift[k]
+                for j, q in brows[k][1]:
+                    acc[j] += a * q
+            if any(acc):
+                den = d * big
+                out.append(tuple([Fraction(x, den) if x else z for x in acc]))
+            else:
+                out.append(zero_row)
         return Matrix(tuple(out))
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
-        v = [qof(x) for x in vec]
+        v = [x if type(x) is Fraction else qof(x) for x in vec]
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
+        ratios = [x.as_integer_ratio() for x in v]
+        dv = lcm(*(q for _, q in ratios))
+        w = [p * (dv // q) for p, q in ratios]
         z = Fraction(0)
-        return tuple(sum((a * v[j] for j, a in row if v[j]), z)
-                     for row in self._sparse_rows)
+        out = []
+        for d, row in self._int_rows:
+            acc = 0
+            for j, p in row:
+                acc += p * w[j]
+            out.append(Fraction(acc, d * dv) if acc else z)
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.entries)) if self.entries else ())

@@ -26,7 +26,7 @@ from typing import Any
 
 from .errors import SerializationError
 from .lie import LieAlgebra, validate
-from .linalg import Matrix, qof
+from .linalg import Matrix, brief, qof
 from .symp import SymplecticTriple, build_triple
 
 
@@ -34,7 +34,30 @@ def _num(x: Any) -> Fraction:
     try:
         return qof(x)
     except (TypeError, ValueError, ZeroDivisionError) as e:
-        raise SerializationError(f"bad rational value {x!r}: {e}") from None
+        raise SerializationError(
+            f"bad rational value {brief(x)}: {e}") from None
+
+
+def _int_literal(s: str) -> int:
+    try:
+        return int(s)
+    except ValueError:
+        raise SerializationError(
+            f"integer literal {brief(s)} exceeds the interpreter's digit "
+            "limit for integers") from None
+
+
+def _index_key(k: str) -> int:
+    """A bracket coefficient key: a canonical decimal index ("0", "3",
+    "12"); "03", "+3", " 3 " and "0_3" are refused."""
+    try:
+        ki = int(k)
+    except ValueError:
+        ki = None
+    if ki is None or not k.isdigit() or str(ki) != k:
+        raise SerializationError(
+            f"bracket coefficient key {brief(k)} is not an index")
+    return ki
 
 
 def _refuse_float(s: str) -> None:
@@ -45,6 +68,7 @@ def _refuse_float(s: str) -> None:
 def loads_json(text: str) -> Any:
     try:
         return json.loads(text, parse_float=_refuse_float,
+                          parse_int=_int_literal,
                           parse_constant=_refuse_float)
     except json.JSONDecodeError as e:
         raise SerializationError(
@@ -116,14 +140,7 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
         raw = _field(ent, "coeffs")
         if not isinstance(raw, dict):
             raise SerializationError("bracket coeffs must be an object")
-        coeffs = {}
-        for k, v in raw.items():
-            try:
-                ki = int(k)
-            except ValueError:
-                raise SerializationError(
-                    f"bracket coefficient key {k!r} is not an index") from None
-            coeffs[ki] = _num(v)
+        coeffs = {_index_key(k): _num(v) for k, v in raw.items()}
         key = (i, j)
         if key in table:
             raise SerializationError(f"duplicate bracket entry ({i}, {j})")

@@ -126,6 +126,52 @@ def test_validate_boolean_coefficient_exits_2(tmp_path, capsys):
     assert "SerializationError" in err and "True" in err
 
 
+@pytest.mark.parametrize("key", ["0_3", " 3 ", "+3", "03"])
+def test_validate_non_canonical_coefficient_key_exits_2(tmp_path, capsys,
+                                                        key):
+    # int() would read each of these as index 3; only "3" names e_3
+    d = triple_to_dict(ex1())
+    d["brackets"][0]["coeffs"] = {key: "1"}
+    p = tmp_path / "key.json"
+    p.write_text(json.dumps(d))
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "SerializationError" in err and f"{key!r} is not an index" in err
+
+
+_HUGE = "7" * 5000   # beyond the interpreter's int-from-string digit limit
+
+
+def _assert_cut(err: str) -> None:
+    # the message names the number by a short prefix and its digit count
+    assert "(5000 digits)" in err and _HUGE[:100] not in err
+    assert len(err) < 300
+
+
+def test_oversized_number_arguments_exit_2(capsys):
+    for argv in (["analyze", "thurston", "--alpha", _HUGE],
+                 ["analyze", f"thurston({_HUGE})"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "BadNumber" in err
+        _assert_cut(err)
+
+
+@pytest.mark.parametrize("literal", ["string", "integer"])
+def test_validate_oversized_number_in_file_exits_2(tmp_path, capsys, literal):
+    d = triple_to_dict(ex1())
+    d["omega"][0][2] = _HUGE
+    text = json.dumps(d)
+    if literal == "integer":
+        text = text.replace(f'"{_HUGE}"', _HUGE)
+    p = tmp_path / "huge.json"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "SerializationError" in err
+    _assert_cut(err)
+
+
 def test_cli_number_arguments_follow_the_grammar(capsys):
     assert main(["analyze", "thurston", "--alpha", "0.5"]) == 2
     assert "BadNumber" in capsys.readouterr().err

@@ -39,6 +39,16 @@ def test_qof_string_grammar_is_integer_or_p_over_q():
     assert issubclass(BadNumber, ValueError)
 
 
+def test_apply_coerces_only_what_is_not_a_fraction():
+    m = Matrix.from_rows([[1, "1/2"], [0, -3]])
+    assert m.apply([2, F(4, 3)]) == (F(8, 3), F(-4))
+    assert m.apply(["2", "-2/3"]) == (F(5, 3), F(2))
+    for bad, error in ((0.5, TypeError), (True, TypeError),
+                       ("0.5", BadNumber), (" 1", BadNumber)):
+        with pytest.raises(error):
+            m.apply([1, bad])
+
+
 def test_matrix_arithmetic_round_trip():
     a = Matrix.from_rows([[1, 2], [3, "5/2"]])
     b = Matrix.from_rows([["1/2", 0], [-1, 4]])

@@ -1,5 +1,7 @@
-"""The zero-skipping kernel against sympy on seeded random rational
-matrices, and the one-pass Sylvester check against the per-k det route.
+"""The exact kernel against sympy on seeded random rational matrices,
+the common-denominator products on chosen denominators and against a naive
+Fraction triple sum, and the one-pass Sylvester check against the per-k
+det route.
 
 sympy is an independent exact implementation; it is used here only, never
 by the library.
@@ -7,9 +9,11 @@ by the library.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from liesymp import Matrix
 
@@ -82,6 +86,116 @@ def test_matmul_and_apply_match_sympy(name, m):
              if rng.random() < density else F(0) for _ in range(m.ncols)]
         expected = _to_sympy(m) * sympy.Matrix(len(v), 1, [_rat(x) for x in v])
         assert m.apply(v) == tuple(r[0] for r in _from_sympy(expected))
+
+
+def _assert_canonical(entries):
+    for x in entries:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+def _check_products(a, b):
+    """a @ b and a.apply(each column of b) against sympy, entries canonical."""
+    expected = _from_sympy(_to_sympy(a) * _to_sympy(b))
+    got = a @ b
+    assert got.entries == expected
+    _assert_canonical(x for r in got.entries for x in r)
+    for j in range(b.ncols):
+        col = a.apply(b.col(j))
+        assert col == tuple(r[j] for r in expected)
+        _assert_canonical(col)
+
+
+# primes just below and above 2^30: pairwise coprime denominators whose
+# lcm over a row or a column runs to 60-120 bits
+_P = [int(sympy.prevprime(2**30 - 2 * i)) for i in range(3)] + [
+    int(sympy.nextprime(2**30 + 2 * i)) for i in range(3)]
+
+
+def test_common_denominator_products_on_coprime_denominators_near_2_30():
+    rng = random.Random(30)
+    for _ in range(6):
+        a = Matrix.from_rows([[F(rng.randint(-2**31, 2**31), rng.choice(_P))
+                               for _ in range(4)] for _ in range(3)])
+        b = Matrix.from_rows([[F(rng.randint(-2**31, 2**31), rng.choice(_P))
+                               if rng.random() < 0.7 else 0
+                               for _ in range(5)] for _ in range(4)])
+        _check_products(a, b)
+
+
+def test_common_denominator_products_on_mixed_integer_and_fractional_rows():
+    # rows of integers (row lcm 1) beside rows of fractions, in both
+    # operands, so the left row lcm and the right operand's lcm differ
+    a = Matrix.from_rows([[3, -2, 0, 7],
+                          ["1/2", 5, "-3/7", 0],
+                          [0, 0, 0, 0],
+                          ["9/11", "-4/13", "1/77", 2]])
+    b = Matrix.from_rows([[1, 0, -4],
+                          ["2/3", "-5/9", 0],
+                          [6, 1, -1],
+                          [0, "1/26", "7/5"]])
+    _check_products(a, b)
+    _check_products(b.transpose(), a.transpose())
+    # integer left operand against a fractional right one and back
+    ints = Matrix.from_rows([[2, -1, 4, 0], [0, 3, 0, 1]])
+    _check_products(ints, b)
+    _check_products(b.transpose(), ints.transpose())
+
+
+def test_common_denominator_products_cancel_to_zero_and_reduce():
+    # row (1/2, 1/3) against (2/3, -1/2)^T sums to 1/3 - 1/6 = 1/6; against
+    # (2, -3)^T it cancels to 0; against (3/5, 9/10) it gives 3/10 + 3/10,
+    # whose common-denominator sum reduces to 3/5
+    a = Matrix.from_rows([["1/2", "1/3"], ["1/4", "-1/6"]])
+    b = Matrix.from_rows([["2/3", 2, "3/5"], ["-1/2", -3, "9/10"]])
+    assert (a @ b).entries == ((F(1, 6), F(0), F(3, 5)),
+                               (F(1, 4), F(1), F(0)))
+    _check_products(a, b)
+    # the off-diagonal sums of J @ J cancel to 0 and the diagonal ones,
+    # 9/49 - 58/49 over a common denominator, reduce to -1
+    j = Matrix.from_rows([["3/7", "-116/343"], ["7/2", "-3/7"]])
+    assert j @ j == Matrix.identity(2).scale(-1)
+    _check_products(j, j)
+    assert j.apply(j.apply(["-2/5", "4/15"])) == (F(2, 5), F(-4, 15))
+
+
+def _naive_matmul(a, b):
+    return tuple(tuple(sum((a.entries[i][k] * b.entries[k][j]
+                            for k in range(a.ncols)), F(0))
+                       for j in range(b.ncols)) for i in range(a.nrows))
+
+
+_ENTRIES = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.builds(F, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-50, 50), st.sampled_from(_P)))
+
+
+@st.composite
+def _operands(draw):
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return Matrix.from_rows(draw(st.lists(
+            st.lists(_ENTRIES, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)))
+
+    return matrix(n, k), matrix(k, m), draw(
+        st.lists(_ENTRIES, min_size=k, max_size=k))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_operands())
+def test_matmul_and_apply_match_naive_fraction_sums(ops):
+    a, b, v = ops
+    got = a @ b
+    assert got.entries == _naive_matmul(a, b)
+    _assert_canonical(x for r in got.entries for x in r)
+    got = a.apply(v)
+    assert got == tuple(sum((x * y for x, y in zip(r, v)), F(0))
+                        for r in a.entries)
+    _assert_canonical(got)
 
 
 @pytest.mark.parametrize("name,m", CASES, ids=IDS)
