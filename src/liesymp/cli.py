@@ -343,7 +343,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (ValidationError, SerializationError) as e:
+    except ValidationError as e:
         print(f"INVALID ({type(e).__name__}): {e}", file=sys.stderr)
         return 2
     except KeyError as e:

@@ -113,7 +113,7 @@ class Unsatisfiable(ValidationError):
     """No model with the requested invariants exists."""
 
 
-class SerializationError(LiesympError):
+class SerializationError(ValidationError):
     """Malformed JSON payloads, including any float contamination."""
 
 

@@ -4,8 +4,13 @@ Storage is sparse: only brackets [e_i, e_j] with i < j and a nonzero
 result are kept, as {(i, j): {k: coefficient}}. For the algebras handled
 here (nilpotent or solvable, few nonzero brackets) this makes the
 exhaustive Jacobi check cheap: it scans only triples that touch a stored
-bracket. No dimension limit is enforced; the linalg module docstring
-gives measured full-report times, up to dim 20.
+bracket. The identity scans (Jacobi here, the 2-cocycle check in `symp`)
+run on a second form of the table, cached once per algebra: every
+coefficient as a Python int over one common denominator D (the lcm of
+all of them), with both bracket orders stored, so a lookup neither
+copies a dict nor negates `Fraction`s. A residual becomes a `Fraction`
+only when it is reported. No dimension limit is enforced; the linalg
+module docstring gives measured full-report times, up to dim 20.
 
 Conventions:
   * bases are 0-indexed internally; names are whatever the caller says.
@@ -16,16 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from math import lcm
+from typing import Iterator, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
 from .linalg import Matrix, Subspace, qof
 
 BracketTable = dict[tuple[int, int], dict[int, Fraction]]
-
-
-def _clean(d: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    return {k: v for k, v in d.items() if v != 0}
+# [e_i, e_j] = sum p / D e_k over the listed (k, p), for i != j both ways
+IntTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -37,6 +42,21 @@ class LieAlgebra:
 
     # -- bracket evaluation ---------------------------------------------
 
+    @cached_property
+    def _int_table(self) -> tuple[int, IntTable]:
+        """(D, table): D is the lcm of every structure constant's
+        denominator and table[(i, j)] lists [e_i, e_j] as (k, p) pairs
+        with coefficient p / D, for i < j and i > j alike."""
+        big = lcm(*(c.denominator for res in self._table.values()
+                    for c in res.values()))
+        table: IntTable = {}
+        for (i, j), res in self._table.items():
+            row = tuple((k, c.numerator * (big // c.denominator))
+                        for k, c in res.items())
+            table[(i, j)] = row
+            table[(j, i)] = tuple((k, -p) for k, p in row)
+        return big, table
+
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """[e_i, e_j] as a sparse coordinate dict."""
         if i == j:
@@ -44,6 +64,19 @@ class LieAlgebra:
         if i < j:
             return dict(self._table.get((i, j), {}))
         return {k: -v for k, v in self._table.get((j, i), {}).items()}
+
+    def _touched_triples(self) -> Iterator[tuple[int, int, int]]:
+        """Each basis triple i < j < k with a stored bracket among its
+        pairs, once, in order of first touch: stored pairs sorted, then
+        the third index ascending. Only these triples can fail an
+        identity that is linear in the brackets."""
+        seen = set()
+        for (a, b) in sorted(self._table):
+            for c in range(self.dim):
+                tri = (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
+                if c != a and c != b and tri not in seen:
+                    seen.add(tri)
+                    yield tri
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
         """[u, v] for dense coordinate vectors."""
@@ -164,7 +197,7 @@ def validate(name: str, dim: int, basis_names: Sequence[str],
             raise DimensionMismatch(f"bracket index ({i}, {j}) out of range")
         if i >= j:
             raise BracketOrder(f"store brackets with i < j only, got ({i}, {j})")
-        coeffs = _clean({k: qof(v) for k, v in res.items()})
+        coeffs = {k: c for k, v in res.items() if (c := qof(v)) != 0}
         for k in coeffs:
             if not 0 <= k < dim:
                 raise DimensionMismatch(f"bracket result index {k} out of range")
@@ -179,30 +212,18 @@ def _check_jacobi(g: LieAlgebra) -> None:
     """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] = 0 for i<j<k.
 
     Exploits sparsity: a triple contributes only if at least one inner
-    bracket is nonzero, so only indices touching the table are scanned.
+    bracket is nonzero, so only the touched triples are scanned. The sum
+    runs in ints on the int table; each term carries D^2, which the
+    reported residual divides back out.
     """
-    def inner(i: int, d: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for m, c in d.items():
-            for k, v in g.bracket_basis(i, m).items():
-                out[k] = out.get(k, Fraction(0)) + c * v
-        return _clean(out)
-
-    seen = set()
-    for (a, b) in sorted(g._table):
-        for c in range(g.dim):
-            tri = tuple(sorted({a, b, c}))
-            if len(tri) < 3 or tri in seen:
-                continue
-            seen.add(tri)
-            i, j, k = tri
-            acc: dict[int, Fraction] = {}
-            for x, d in ((i, g.bracket_basis(j, k)),
-                         (j, g.bracket_basis(k, i)),
-                         (k, g.bracket_basis(i, j))):
-                for m, v in inner(x, d).items():
-                    acc[m] = acc.get(m, Fraction(0)) + v
-            acc = _clean(acc)
-            if acc:
-                resid = {g.basis_names[m]: str(v) for m, v in sorted(acc.items())}
-                raise JacobiViolation(i, j, k, resid, names=g.basis_names)
+    big, table = g._int_table
+    for i, j, k in g._touched_triples():
+        acc: dict[int, int] = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, p in table.get((y, z), ()):
+                for r, q in table.get((x, m), ()):
+                    acc[r] = acc.get(r, 0) + p * q
+        if any(acc.values()):
+            resid = {g.basis_names[m]: str(Fraction(v, big * big))
+                     for m, v in sorted(acc.items()) if v}
+            raise JacobiViolation(i, j, k, resid, names=g.basis_names)

@@ -18,8 +18,11 @@ same bytes, as a sum of `Fraction` products. Zeros are skipped, so a
 product of the mostly-zero structure constants, forms and connection
 endomorphisms costs about its number of nonzero terms; on dense matrices
 with 20-30 bit entries an int multiply-add replaces a gcd-normalising
-`Fraction` multiply and add per term. Elimination (`rref`, `det`,
-`inverse`) still runs on `Fraction`s.
+`Fraction` multiply and add per term. `det` and the Sylvester check
+run integer Bareiss: the matrix is scaled by the lcm D of all its
+denominators, every step divides exactly with `//`, and the k-th pivot,
+D^k times the k-th leading minor, becomes a `Fraction` only when it is
+returned. `rref` and `inverse` stay on `Fraction`.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
@@ -149,6 +152,19 @@ class Matrix:
             d = lcm(*(q for _, (_, q) in nz))
             out.append((d, tuple((j, p * (d // q)) for j, (p, q) in nz)))
         return tuple(out)
+
+    def _scaled(self) -> tuple[int, list[list[int]]]:
+        """(D, rows): D is the lcm of every denominator in the matrix and
+        a_ij = rows[i][j] / D, as a fresh dense list of int rows."""
+        irows = self._int_rows
+        big = lcm(*(d for d, _ in irows))
+        out = []
+        for d, row in irows:
+            r, f = [0] * self.ncols, big // d
+            for j, p in row:
+                r[j] = p * f
+            out.append(r)
+        return big, out
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
@@ -301,15 +317,15 @@ class Matrix:
         return basis
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free Bareiss elimination."""
+        """Determinant by fraction-free Bareiss elimination in ints."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         if n == 0:
             return Fraction(1)
-        m = [list(r) for r in self.entries]
+        big, m = self._scaled()
         sign = 1
-        prev = Fraction(1)
+        prev = 1
         for k in range(n - 1):
             if m[k][k] == 0:
                 swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
@@ -317,12 +333,8 @@ class Matrix:
                     return Fraction(0)
                 m[k], m[swap] = m[swap], m[k]
                 sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-                m[i][k] = Fraction(0)
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+            prev = _bareiss_step(m, k, prev)
+        return Fraction(sign * m[n - 1][n - 1], big ** n)
 
     def inverse(self) -> "Matrix":
         n = self.nrows
@@ -351,29 +363,40 @@ class Matrix:
         Returns (ok, k, minor): on failure, k is the size of the first
         non-positive leading principal minor and minor its value.
 
-        One Bareiss pass without pivoting: its k-th pivot is the k-th
-        leading principal minor, and every earlier pivot is positive
-        when it is reached, so no division by zero can occur.
+        One integer Bareiss pass without pivoting on the lcm-scaled
+        matrix: its k-th pivot is D^k times the k-th leading principal
+        minor, and every earlier pivot is positive when it is reached, so
+        no division by zero can occur.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("leading minors of a non-square matrix")
-        m = [list(r) for r in self.entries]
-        prev = Fraction(1)
+        big, m = self._scaled()
+        prev = 1
         for k in range(n):
             p = m[k][k]
             if p <= 0:
-                return False, k + 1, p
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * p - mik * m[k][j]) / prev
-            prev = p
+                return False, k + 1, Fraction(p, big ** (k + 1))
+            prev = _bareiss_step(m, k, prev)
         return True, 0, Fraction(1)
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(a) for a in r) + "]"
                          for r in self.entries)
+
+
+def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
+    """Eliminate column k below row k in place, fraction-free: each
+    update divides exactly by the previous pivot. Returns the new pivot."""
+    p = m[k][k]
+    tail = m[k][k + 1:]
+    for i in range(k + 1, len(m)):
+        ri = m[i]
+        f = ri[k]
+        ri[k] = 0
+        ri[k + 1:] = [(x * p - f * y) // prev
+                      for x, y in zip(ri[k + 1:], tail)]
+    return p
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:

@@ -15,57 +15,65 @@ constraint system, which doubles as a membership test for concrete
 tensors against a triple's own (omega, J).
 
 Unknowns are the (2n)^3 coefficients t[i][j][k] (k-th coordinate of
-t(e_i, e_j)) in the flat order (i*dim + j)*dim + k. Rows are kept as
-sparse {column: value} dicts; with the standard (omega, J) nearly every
-row has at most two entries, so plain exact Gaussian elimination on the
-dicts handles n = 5 (1000 unknowns) in well under a second.
+t(e_i, e_j)) in the flat order (i*dim + j)*dim + k. Rows are sparse
+{column: int} dicts (omega and J scaled to ints) and are eliminated
+fraction-free; with the standard (omega, J) nearly every row has at most
+two entries, and `nspace-dim --n 3,4,5,6,7,8` (up to 4096 unknowns)
+takes 0.08-0.13 s in all (Python 3.11, one core of a shared 2-vCPU
+x86-64 VM).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator
 
 from .linalg import Matrix
 from .nijenhuis import Tensor3
 from .symp import SymplecticTriple, standard_j, standard_omega
 
-Row = dict[int, Fraction]
+Row = dict[int, int]
 
 
 def _idx(dim: int, i: int, j: int, k: int) -> int:
     return (i * dim + j) * dim + k
 
 
+def _nonzeros(rows) -> list[list[tuple[int, int]]]:
+    return [[(c, v) for c, v in enumerate(r) if v] for r in rows]
+
+
 def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
                           ) -> Iterator[Row]:
-    """All constraint rows for the given ambient (omega, J)."""
+    """All constraint rows for the given ambient (omega, J), with int
+    coefficients: J and omega enter scaled by the lcm of their own
+    denominators, which multiplies a row by a nonzero constant and leaves
+    its solutions alone. Only their nonzero entries are walked."""
+    _, jm = j._scaled()
+    _, om = omega._scaled()
+    j_rows, j_cols = _nonzeros(jm), _nonzeros(zip(*jm))
+    om_cols = _nonzeros(zip(*om))
     # antisymmetry (and vanishing on the diagonal)
     for i in range(dim):
         for k in range(dim):
-            yield {_idx(dim, i, i, k): Fraction(1)}
+            yield {_idx(dim, i, i, k): 1}
     for i in range(dim):
         for jj in range(i + 1, dim):
             for k in range(dim):
-                yield {_idx(dim, i, jj, k): Fraction(1),
-                       _idx(dim, jj, i, k): Fraction(1)}
+                yield {_idx(dim, i, jj, k): 1, _idx(dim, jj, i, k): 1}
     # anti-linearity in the first slot: t(Je_i, e_j) = -J t(e_i, e_j);
     # the second slot follows from antisymmetry and this one.
     for i in range(dim):
         for jj in range(dim):
             for k in range(dim):
                 row: Row = {}
-                for a in range(dim):
-                    c = j.entry(a, i)
-                    if c != 0:
-                        col = _idx(dim, a, jj, k)
-                        row[col] = row.get(col, Fraction(0)) + c
-                for b in range(dim):
-                    c = j.entry(k, b)
-                    if c != 0:
-                        col = _idx(dim, i, jj, b)
-                        row[col] = row.get(col, Fraction(0)) + c
-                row = {c: v for c, v in row.items() if v != 0}
+                for a, c in j_cols[i]:
+                    col = _idx(dim, a, jj, k)
+                    row[col] = row.get(col, 0) + c
+                for b, c in j_rows[k]:
+                    col = _idx(dim, i, jj, b)
+                    row[col] = row.get(col, 0) + c
+                row = {c: v for c, v in row.items() if v}
                 if row:
                     yield row
     # cyclic coupling against omega
@@ -74,36 +82,39 @@ def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
             for k in range(jj + 1, dim):
                 row = {}
                 for (a, b, c) in ((i, jj, k), (jj, k, i), (k, i, jj)):
-                    for m in range(dim):
-                        w = omega.entry(m, c)
-                        if w != 0:
-                            col = _idx(dim, a, b, m)
-                            row[col] = row.get(col, Fraction(0)) + w
-                row = {c: v for c, v in row.items() if v != 0}
+                    for m, w in om_cols[c]:
+                        col = _idx(dim, a, b, m)
+                        row[col] = row.get(col, 0) + w
+                row = {c: v for c, v in row.items() if v}
                 if row:
                     yield row
 
 
 def _rank(rows: Iterator[Row]) -> int:
-    """Rank of a sparse row system by exact elimination; pivots are the
-    smallest column index of each reduced row."""
+    """Rank of a sparse int row system by fraction-free elimination:
+    a row meeting a stored pivot row becomes row * a - f * pivot (a the
+    pivot's leading entry, f the row's) and is divided by its content;
+    pivots are the smallest column index of each reduced row."""
     pivots: dict[int, Row] = {}
     for row in rows:
-        row = dict(row)
         while row:
             p = min(row)
-            if p in pivots:
-                f = row[p]
-                for c, v in pivots[p].items():
-                    nv = row.get(c, Fraction(0)) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-            else:
-                inv = 1 / row[p]
-                pivots[p] = {c: v * inv for c, v in row.items()}
+            piv = pivots.get(p)
+            if piv is None:
+                pivots[p] = row
                 break
+            a, f = piv[p], row[p]
+            g = gcd(a, f)
+            a, f = a // g, f // g
+            new = {c: v * a for c, v in row.items()}
+            for c, v in piv.items():
+                nv = new.get(c, 0) - f * v
+                if nv:
+                    new[c] = nv
+                else:
+                    new.pop(c, None)
+            g = gcd(*new.values())
+            row = {c: v // g for c, v in new.items()} if g > 1 else new
     return len(pivots)
 
 
@@ -129,20 +140,18 @@ def expected_dimension(n: int) -> int:
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space built from
     the triple's own (omega, J); an independent route to the pointwise
-    identity checks."""
+    identity checks. The tensor's coordinates are scaled to ints by the
+    lcm of their denominators, so each row is checked in ints."""
     dim = t.dim
-    coords: Row = {}
+    coords: dict[int, tuple[int, int]] = {}
     for i in range(dim):
         for jj in range(dim):
             for k, v in enumerate(tensor.vals[i][jj]):
                 if v != 0:
-                    coords[_idx(dim, i, jj, k)] = v
+                    coords[_idx(dim, i, jj, k)] = v.as_integer_ratio()
+    big = lcm(*(q for _, q in coords.values()))
+    scaled = {c: p * (big // q) for c, (p, q) in coords.items()}
     for row in build_constraint_rows(dim, t.omega, t.j):
-        acc = Fraction(0)
-        for c, v in row.items():
-            x = coords.get(c)
-            if x is not None:
-                acc += v * x
-        if acc != 0:
+        if sum(v * scaled.get(c, 0) for c, v in row.items()):
             return False
     return True

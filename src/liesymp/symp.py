@@ -55,38 +55,32 @@ class SymplecticTriple:
 
 
 def _pair(u: Sequence, w: Sequence[Fraction]) -> Fraction:
-    """sum_i u_i w_i over the terms with both factors nonzero."""
-    return sum((a * b for a, b in zip(map(qof, u), w) if a and b),
-               Fraction(0))
+    """sum_i u_i w_i over the terms with both factors nonzero; entries of
+    u that are not exactly `Fraction` are coerced through `qof`."""
+    u = (x if type(x) is Fraction else qof(x) for x in u)
+    return sum((a * b for a, b in zip(u, w) if a and b), Fraction(0))
 
 
 def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     """d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x).
 
     Sparse in the same way as the Jacobi check: a triple can only fail if
-    one of its three brackets is nonzero.
+    one of its three brackets is nonzero. The sum runs in ints: brackets
+    from the int table over D, omega scaled by the lcm D_omega of its
+    denominators; the reported value divides D * D_omega back out.
     """
-    def om_bracket(i: int, j: int, k: int) -> Fraction:
-        # omega([e_i, e_j], e_k)
-        out = Fraction(0)
-        for m, c in g.bracket_basis(i, j).items():
-            out += c * omega.entry(m, k)
-        return out
+    big, table = g._int_table
+    d_om, om = omega._scaled()
 
-    seen = set()
-    for (a, b) in sorted(g._table):
-        for c in range(g.dim):
-            tri = tuple(sorted({a, b, c}))
-            if len(tri) < 3 or tri in seen:
-                continue
-            seen.add(tri)
-            i, j, k = tri
-            val = (-om_bracket(i, j, k)
-                   + om_bracket(i, k, j)
-                   - om_bracket(j, k, i))
-            if val != 0:
-                raise CocycleViolation(i, j, k, str(val),
-                                       names=g.basis_names)
+    def om_bracket(i: int, j: int, k: int) -> int:
+        # D * D_omega * omega([e_i, e_j], e_k)
+        return sum(p * om[m][k] for m, p in table.get((i, j), ()))
+
+    for i, j, k in g._touched_triples():
+        val = -om_bracket(i, j, k) + om_bracket(i, k, j) - om_bracket(j, k, i)
+        if val != 0:
+            raise CocycleViolation(i, j, k, str(Fraction(val, big * d_om)),
+                                   names=g.basis_names)
 
 
 def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:

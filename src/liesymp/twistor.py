@@ -43,36 +43,28 @@ from .linalg import Matrix, Subspace, qof
 
 Sign = Literal["+", "-"]
 
-Sparse = dict[tuple[int, int], Fraction]  # (row, col) -> value, matrix entries
+Sparse = dict[tuple[int, int], int]  # (row, col) -> value, matrix entries
 # (a, b) -> N(e_a, e_b) projected to m, as {basis index: value}; a < b, N != 0
 TwistorValues = dict[tuple[int, int], dict[int, Fraction]]
 
 
 def _mat_mul(a: Sparse, b: Sparse) -> Sparse:
-    by_row: dict[int, list[tuple[int, Fraction]]] = {}
+    by_row: dict[int, list[tuple[int, int]]] = {}
     for (r, c), v in b.items():
         by_row.setdefault(r, []).append((c, v))
     out: Sparse = {}
     for (r, c), v in a.items():
         for c2, v2 in by_row.get(c, ()):
             key = (r, c2)
-            nv = out.get(key, Fraction(0)) + v * v2
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
-    return out
+            out[key] = out.get(key, 0) + v * v2
+    return {k: v for k, v in out.items() if v}
 
 
 def _mat_sub(a: Sparse, b: Sparse) -> Sparse:
     out = dict(a)
     for k, v in b.items():
-        nv = out.get(k, Fraction(0)) - v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
+        out[k] = out.get(k, 0) - v
+    return {k: v for k, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -134,73 +126,77 @@ def _names_and_mats(n: int) -> tuple[list[str], list[Sparse],
         names.append(name)
         mats.append(m)
 
-    one = Fraction(1)
     # u(n): UX_ab = [[E_ab - E_ba, 0], [0, E_ab - E_ba]]
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            add(f"UX_{a}_{b}", {(a, b): one, (b, a): -one,
-                                (n + a, n + b): one, (n + b, n + a): -one},
+            add(f"UX_{a}_{b}", {(a, b): 1, (b, a): -1,
+                                (n + a, n + b): 1, (n + b, n + a): -1},
                 u_idx)
     # u(n): UY_ab = [[0, E_ab + E_ba], [-(E_ab + E_ba), 0]]  (Y symmetric)
     for a in range(1, n + 1):
         for b in range(a, n + 1):
             if a == b:
-                m = {(a, n + a): one, (n + a, a): -one}
+                m = {(a, n + a): 1, (n + a, a): -1}
             else:
-                m = {(a, n + b): one, (b, n + a): one,
-                     (n + a, b): -one, (n + b, a): -one}
+                m = {(a, n + b): 1, (b, n + a): 1,
+                     (n + a, b): -1, (n + b, a): -1}
             add(f"UY_{a}_{b}", m, u_idx)
     # q: QX_ab = [[E_ab - E_ba, 0], [0, -(E_ab - E_ba)]]
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            add(f"QX_{a}_{b}", {(a, b): one, (b, a): -one,
-                                (n + a, n + b): -one, (n + b, n + a): one},
+            add(f"QX_{a}_{b}", {(a, b): 1, (b, a): -1,
+                                (n + a, n + b): -1, (n + b, n + a): 1},
                 q_idx)
     # q: QY_ab = [[0, E_ab - E_ba], [E_ab - E_ba, 0]]  (Y skew)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
-            add(f"QY_{a}_{b}", {(a, n + b): one, (b, n + a): -one,
-                                (n + a, b): one, (n + b, a): -one},
+            add(f"QY_{a}_{b}", {(a, n + b): 1, (b, n + a): -1,
+                                (n + a, b): 1, (n + b, a): -1},
                 q_idx)
     # p: P_i = E_{0i} + E_{i0}
     for i in range(1, 2 * n + 1):
-        add(f"P_{i}", {(0, i): one, (i, 0): one}, p_idx)
+        add(f"P_{i}", {(0, i): 1, (i, 0): 1}, p_idx)
     return names, mats, u_idx, q_idx, p_idx
 
 
-def _expand_in_basis(m: Sparse, n: int, names: list[str]) -> dict[int, Fraction]:
-    """Coordinates of a Lorentz-algebra matrix in the basis above.
+def _expand_in_basis(m: Sparse, n: int, pos: dict[str, int]) -> dict[int, int]:
+    """Twice the coordinates of a Lorentz-algebra matrix in the basis
+    above, keyed by basis index (`pos` maps names to indices).
 
-    Uses the entry layout directly: the p part is read off row 0, the
-    so(2n) block decomposes by symmetry type. Exactness of the expansion
-    is asserted by reconstruction."""
-    coords: dict[int, Fraction] = {}
-    name_pos = {nm: i for i, nm in enumerate(names)}
+    Uses the entry layout directly and reads only the nonzero entries:
+    the p part is read off row 0, the so(2n) block decomposes by
+    symmetry type, which halves some coordinates; doubling keeps them
+    ints. The expansion is exact only for matrices in the algebra, which
+    the caller checks by reconstruction."""
+    twice: dict[int, int] = {}
 
-    def put(nm: str, v: Fraction) -> None:
-        if v:
-            coords[name_pos[nm]] = coords.get(name_pos[nm], Fraction(0)) + v
+    def put(nm: str, v: int) -> None:
+        k = pos[nm]
+        twice[k] = twice.get(k, 0) + v
 
-    for i in range(1, 2 * n + 1):
-        v = m.get((0, i), Fraction(0))
-        put(f"P_{i}", v)
-    # so(2n) block entries, 1-indexed a, b within each n-half
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            tl = m.get((a, b), Fraction(0))           # X-type, top-left
-            br = m.get((n + a, n + b), Fraction(0))   # X-type, bottom-right
-            tr = m.get((a, n + b), Fraction(0))       # Y-type, top-right
-            trb = m.get((b, n + a), Fraction(0))
-            if a < b and (tl or br):
-                # split into UX (equal diagonal blocks) and QX (opposite)
-                put(f"UX_{a}_{b}", (tl + br) / 2)
-                put(f"QX_{a}_{b}", (tl - br) / 2)
-            if a == b and tr:
-                put(f"UY_{a}_{a}", tr)
-            if a < b and (tr or trb):
-                put(f"UY_{a}_{b}", (tr + trb) / 2)
-                put(f"QY_{a}_{b}", (tr - trb) / 2)
-    return {k: v for k, v in coords.items() if v != 0}
+    for (r, c), v in m.items():
+        if r == 0:
+            if c:
+                put(f"P_{c}", 2 * v)
+        elif c == 0:
+            continue
+        elif r <= n < c:                    # Y-type, top-right
+            a, b = r, c - n
+            if a == b:
+                put(f"UY_{a}_{a}", 2 * v)
+            elif a < b:
+                put(f"UY_{a}_{b}", v)
+                put(f"QY_{a}_{b}", v)
+            else:
+                put(f"UY_{b}_{a}", v)
+                put(f"QY_{b}_{a}", -v)
+        elif (r <= n) == (c <= n):          # X-type, diagonal blocks
+            top = r <= n
+            a, b = (r, c) if top else (r - n, c - n)
+            if a < b:
+                put(f"UX_{a}_{b}", v)
+                put(f"QX_{a}_{b}", v if top else -v)
+    return {k: v for k, v in twice.items() if v}
 
 
 def build_twistor_model(n: int) -> TwistorModel:
@@ -212,6 +208,7 @@ def build_twistor_model(n: int) -> TwistorModel:
     names, mats, u_idx, q_idx, p_idx = _names_and_mats(n)
     dim = len(names)
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
+    name_pos = {nm: i for i, nm in enumerate(names)}
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for x in range(dim):
         for y in range(x + 1, dim):
@@ -219,24 +216,20 @@ def build_twistor_model(n: int) -> TwistorModel:
                           _mat_mul(mats[y], mats[x]))
             if not br:
                 continue
-            coords = _expand_in_basis(br, n, names)
+            twice = _expand_in_basis(br, n, name_pos)
             recon: Sparse = {}
-            for k, c in coords.items():
+            for k, c in twice.items():
                 for key, v in mats[k].items():
-                    nv = recon.get(key, Fraction(0)) + c * v
-                    if nv:
-                        recon[key] = nv
-                    else:
-                        recon.pop(key, None)
-            if recon != br:
+                    recon[key] = recon.get(key, 0) + c * v
+            if ({k: v for k, v in recon.items() if v}
+                    != {k: 2 * v for k, v in br.items()}):
                 raise InternalInvariantViolation(
                     f"bracket of {names[x]}, {names[y]} leaves the span")
-            if coords:
-                table[(x, y)] = coords
+            if twice:
+                table[(x, y)] = {k: Fraction(c, 2) for k, c in twice.items()}
     g = validate(f"so(1,{2*n})", dim, names, table)
     # phi(A) = -Tr(j'0 A): supported on the UY diagonal only
     phi = [Fraction(0)] * dim
-    name_pos = {nm: i for i, nm in enumerate(names)}
     for a in range(1, n + 1):
         phi[name_pos[f"UY_{a}_{a}"]] = Fraction(-2)
     return TwistorModel(n, g, tuple(u_idx), tuple(q_idx), tuple(p_idx),
@@ -414,17 +407,15 @@ def q_element(model: TwistorModel, d2n: Matrix) -> dict[int, Fraction]:
     """Coordinates of a q-matrix given as its 2n x 2n spacelike block
     [[X, Y], [Y, -X]] with X, Y skew; raises if the matrix is not in q."""
     n = model.n
-    m: Sparse = {}
-    for r in range(2 * n):
-        for c in range(2 * n):
-            v = d2n.entry(r, c)
-            if v:
-                m[(r + 1, c + 1)] = v
-    coords = _expand_in_basis(m, n, list(model.algebra.basis_names))
+    big, rows = d2n._scaled()
+    m: Sparse = {(r + 1, c + 1): rows[r][c] for r in range(2 * n)
+                 for c in range(2 * n) if rows[r][c]}
+    pos = {nm: i for i, nm in enumerate(model.algebra.basis_names)}
+    twice = _expand_in_basis(m, n, pos)
     qset = set(model.q_indices)
-    if any(k not in qset for k in coords):
+    if any(k not in qset for k in twice):
         raise ValueError("matrix is not in the j0-anticommuting part")
-    return coords
+    return {k: Fraction(c, 2 * big) for k, c in twice.items()}
 
 
 def j0_matrix(n: int) -> Matrix:

@@ -290,3 +290,32 @@ def test_one_pass_sylvester_on_random_symmetric_matrices():
         a = _random_matrix(rng, n, n, rng.choice([0.3, 1.0]))
         m = a + a.transpose() + Matrix.identity(n).scale(rng.randint(-2, 6))
         assert m.leading_minors_positive() == _minors_by_det(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+def test_det_and_minors_on_coprime_row_denominators_near_2_30(n):
+    # row i has denominator _P[i], so the lcm D of the matrix has 30n
+    # bits and the k-th Bareiss pivot carries D^k; the diagonal shift
+    # makes the matrix diagonally dominant, so every leading minor is
+    # positive and the pass runs to the end
+    rng = random.Random(f"bareiss-{n}")
+    for shift in (0, 2**35):
+        m = Matrix.from_rows([
+            [F(rng.randint(-2**31, 2**31) + (shift if i == j else 0), _P[i])
+             for j in range(n)] for i in range(n)])
+        s = _to_sympy(m)
+        assert m.det() == F(int(s.det().p), int(s.det().q))
+        minors = [s[:k, :k].det() for k in range(1, n + 1)]
+        first_bad = next((k for k, x in enumerate(minors, 1) if x <= 0), None)
+        if shift:
+            assert first_bad is None
+            assert m.leading_minors_positive() == (True, 0, 1)
+        elif first_bad is not None:
+            x = minors[first_bad - 1]
+            assert m.leading_minors_positive() == (
+                False, first_bad, F(int(x.p), int(x.q)))
+    # a row swap in det: a zero leading entry over coprime denominators
+    m = Matrix.from_rows([[0, F(3, _P[0]), F(-1, _P[0])],
+                          [F(5, _P[1]), F(2, _P[1]), F(7, _P[1])],
+                          [F(-4, _P[2]), F(1, _P[2]), F(9, _P[2])]])
+    assert m.det() == F(int(_to_sympy(m).det().p), int(_to_sympy(m).det().q))

@@ -69,3 +69,55 @@ def test_membership_uses_the_triples_own_structures(catalog):
     n1 = nijenhuis_tensor(t1)
     assert t1.omega == t2.omega and t1.j == t2.j
     assert contains_tensor(t2, n1)
+
+
+def _dense_structures(n, seed, steps):
+    """A non-standard compatible (omega, J) on R^{2n} with fractional
+    entries: J is conjugated by a product S of `steps` symplectic
+    transvections v -> v + lam * omega(v, a) * a, as the benchmark's
+    dense inputs are, and then both are moved by a rational upper triangular P
+    (omega -> P^T omega P, J -> P^-1 J P), which keeps them compatible."""
+    import random
+    from liesymp import Matrix, standard_j, standard_omega
+    rng = random.Random(seed)
+    dim = 2 * n
+    omega, j = standard_omega(dim), standard_j(dim)
+
+    def transvection(a, lam):
+        w = omega.apply(a)
+        return Matrix.from_rows([[int(r == c) + lam * w[c] * a[r]
+                                  for c in range(dim)] for r in range(dim)])
+
+    s = s_inv = Matrix.identity(dim)
+    for _ in range(steps):
+        a = [F(rng.randint(-2, 2)) for _ in range(dim)]
+        a[rng.randrange(dim)] = F(1)
+        lam = rng.choice([F(1, 2), F(-1, 3), F(2, 5), F(-3, 7)])
+        s = transvection(a, lam) @ s
+        s_inv = s_inv @ transvection(a, -lam)
+    assert s @ s_inv == Matrix.identity(dim)
+    j = s @ j @ s_inv
+    p = Matrix.from_rows([[F(rng.randint(1, 9), rng.choice([2, 3, 5, 7]))
+                           if c >= r else 0 for c in range(dim)]
+                          for r in range(dim)])
+    omega, j = p.transpose() @ omega @ p, p.inverse() @ j @ p
+    assert sum(1 for r in j.entries for x in r if x.denominator > 1) > dim
+    assert omega.is_skew() and j @ j == Matrix.identity(dim).scale(-1)
+    assert j.transpose() @ omega @ j == omega
+    return omega, j
+
+
+def test_nullity_on_dense_structures_against_dense_elimination():
+    # the fraction-free sparse elimination over lcm-scaled rows against
+    # a dense Fraction rank of the same rows, on non-standard (omega, J)
+    from liesymp import Matrix
+    # (one transvection leaves zeros in J; two make every entry nonzero)
+    for n, seed, steps in ((2, 41, 4), (3, 43, 2)):
+        dim = 2 * n
+        omega, j = _dense_structures(n, seed, steps)
+        got = nullity(dim, omega, j)
+        rows = list(build_constraint_rows(dim, omega, j))
+        ncols = dim ** 3
+        dense = Matrix.from_rows([
+            [r.get(c, 0) for c in range(ncols)] for r in rows])
+        assert got == ncols - dense.rank() == expected_dimension(n)

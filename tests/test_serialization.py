@@ -80,3 +80,10 @@ def test_dict_validation_errors():
         algebra_from_dict({"name": "x", "dim": 2, "basis": ["a", "b"],
                            "brackets": [{"i": 0, "j": 1, "coeffs": {"0": "1"}},
                                         {"i": 0, "j": 1, "coeffs": {"0": "2"}}]})
+
+
+def test_serialization_error_is_a_validation_error():
+    # every rejection of bad input, malformed payloads included, is a
+    # ValidationError, which the CLI maps to exit code 2
+    from liesymp.errors import ValidationError
+    assert issubclass(SerializationError, ValidationError)

@@ -109,3 +109,35 @@ def test_validation_order_skewness_before_degeneracy():
         rows[0][k] = F(0)
     with pytest.raises(NotSkewSymmetric):
         build_triple(g, Matrix.from_rows(rows), standard_j(4))
+
+
+@pytest.mark.parametrize("name", ["ex1", "dim6", "thurston(1/2)"])
+def test_pairing_reads_every_number_type_as_before(catalog, name):
+    # omega_of and inner take Fractions as they are and coerce everything
+    # else through qof: ints and numeric strings are read, floats, bools
+    # and strings outside the grammar are refused, even where the other
+    # factor is zero
+    from liesymp.errors import BadNumber
+    t = catalog[name]
+    d = t.dim
+    u = [F(0) if i % 3 == 1 else F(i - 2, 1 + i % 2) for i in range(d)]
+    v = [F(1 + i, 2) for i in range(d)]
+    want_om, want_g = t.omega_of(u, v), t.inner(u, v)
+    as_ints = [int(x) if x.denominator == 1 else x for x in u]
+    as_strs = [str(x) for x in u]
+    for same in (as_ints, as_strs, [str(x) if i % 2 else x
+                                    for i, x in enumerate(u)]):
+        for got, want in ((t.omega_of(same, v), want_om),
+                          (t.inner(same, v), want_g)):
+            assert got == want and type(got) is F
+    om_v = t.omega.apply(v)
+    for i in (0, next((i for i in range(d) if om_v[i] == 0), d - 1)):
+        for bad, err in ((1.0, TypeError), (True, TypeError),
+                         (False, TypeError), ("0.5", BadNumber),
+                         (" 1", BadNumber)):
+            w = list(u)
+            w[i] = bad
+            with pytest.raises(err):
+                t.omega_of(w, v)
+            with pytest.raises(err):
+                t.inner(w, v)

@@ -156,3 +156,19 @@ def test_claims_bundle(models):
     assert tc.plus_witness == ("P_1", F(-2))
     tc1 = twistor_claims(1, models[1])
     assert tc1.minus_image_dim == 0
+
+
+def test_claims_bundle_at_n5():
+    # the largest n the benchmark runs: so(1,10), dim 55, with the int
+    # Lorentz matrices, the int Jacobi scan and the int Sylvester check
+    model = build_twistor_model(5)
+    assert model.algebra.dim == 55 and model.m_dim == 30
+    tc = twistor_claims(5, model)
+    assert tc.plus_integrable
+    assert tc.minus_image_dim == 30 == tc.m_dim
+    assert tc.p_pairs_fill_q
+    assert tc.kks_invariant_plus and tc.kks_invariant_minus
+    assert tc.minus_positive and not tc.plus_positive
+    assert tc.plus_witness == ("P_1", F(-2))
+    rep = positivity_report(model)
+    assert (rep.q_diag, rep.p_diag_minus) == (8, 2)
