@@ -8,6 +8,12 @@ constant) and only the bracket terms survive:
 
     2 g(Gamma(A, B), C) = g([A,B], C) - g([B,C], A) - g([A,C], B).
 
+A connection is a labelled `Tensor3` (see `nijenhuis`): Gamma(e_i, e_j)
+as ints over one common denominator, nonzero coordinates only. Every map
+below is composed from its int operations, and so is curvature: one int
+column per R(e_i, e_j) e_b, i < j, with Ricci and the mixed trace form
+summed over the nonzero values. Every runtime check compares ints.
+
 Sign sanity: metric compatibility  g(Gamma(A,B), C) + g(B, Gamma(A,C)) = 0
 and zero torsion  Gamma(A,B) - Gamma(B,A) = [A,B]  are asserted at
 construction, so a convention slip cannot survive silently.
@@ -43,178 +49,97 @@ turns this into a trace, and W^-1 = J Ginv because G = W J:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, vec_is_zero
-from .nijenhuis import DistributionReport, Tensor3
+from .nijenhuis import (DistributionReport, Tensor3, brackets, combine,
+                        int_matrix)
 from .symp import SymplecticTriple
 
-
-@dataclass(frozen=True)
-class Connection:
-    """Left invariant connection given by its basis table
-    table[i][j] = Gamma(e_i, e_j) as a coordinate tuple."""
-
-    label: str
-    dim: int
-    table: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    def gamma(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.table[i][j]
-
-    def nabla(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                c = a * b
-                if c == 0:
-                    continue
-                for k, w in enumerate(self.table[i][j]):
-                    if w != 0:
-                        out[k] += c * w
-        return tuple(out)
-
-    def endo(self, i: int) -> Matrix:
-        """M_{e_i} = Gamma(e_i, .) as a matrix (columns are images)."""
-        return Matrix.from_rows(list(zip(*self.table[i])))
+# a connection is the tensor (x, y) -> Gamma(x, y), labelled with its name
+Connection = Tensor3
 
 
-def _basis(d: int) -> list[tuple[Fraction, ...]]:
-    return [tuple(Fraction(1 if a == b else 0) for a in range(d))
-            for b in range(d)]
+def _parallel(conn: Connection, form: Matrix) -> bool:
+    """F M_i + M_i^T F = 0 for every i, F the form's matrix: with
+    lo(i, b)_c = (F Gamma(e_i, e_b))_c = (F M_i)_cb and hi(i, b)_c =
+    (F^T Gamma(e_i, e_b))_c = (M_i^T F)_bc, that is lo(i, b)_c +
+    hi(i, c)_b = 0."""
+    lo = conn.map_values(form)
+    hi = conn.map_values(form.transpose())
+    flip: dict[tuple[int, int], list[int]] = {}
+    for (i, c), row in hi.rows.items():
+        for b, p in row:
+            flip.setdefault((i, b), [0] * conn.dim)[c] = p
+    return combine([(1, lo), (1, Tensor3.from_ints(conn.dim, hi.den, flip))]
+                   ).is_zero()
 
 
 def levi_civita(t: SymplecticTriple) -> Connection:
-    g, metric = t.algebra, t.metric
+    """The Koszul sums 2 g(Gamma(e_i, e_j), e_c) = L(i, j)_c - L(j, c)_i
+    - L(i, c)_j in ints, L(a, b)_c = g(e_c, [e_a, e_b]) read off the
+    bracket tensor lowered by the metric, then Gamma = G^-1 of them / 2."""
     d = t.dim
-    ginv = t.metric_inv
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            br_ij = g.bracket_basis(i, j)
-            w = []
-            for c in range(d):
-                val = Fraction(0)
-                for m, co in br_ij.items():
-                    val += co * metric.entry(m, c)
-                for m, co in g.bracket_basis(j, c).items():
-                    val -= co * metric.entry(m, i)
-                for m, co in g.bracket_basis(i, c).items():
-                    val -= co * metric.entry(m, j)
-                w.append(val)
-            row.append(tuple(x / 2 for x in ginv.apply(w)))
-        rows.append(tuple(row))
-    conn = Connection("levi_civita", d, tuple(rows))
+    low = brackets(t.algebra).map_values(t.metric)
+    num: dict[tuple[int, int], list[int]] = {}
+    for (a, b), row in low.rows.items():
+        for k, p in row:
+            # L(a, b)_k is L(i, j)_c, L(j, c)_i and L(i, c)_j in turn
+            num.setdefault((a, b), [0] * d)[k] += p
+            num.setdefault((k, a), [0] * d)[b] -= p
+            num.setdefault((a, k), [0] * d)[b] -= p
+    koszul = Tensor3.from_ints(d, 2 * low.den, num)
+    conn = replace(koszul.map_values(t.metric_inv), label="levi_civita")
     # axioms; cheap and they catch convention slips immediately
-    for i in range(d):
-        mi = conn.endo(i)
-        if not (metric @ mi + mi.transpose() @ metric).is_zero():
-            raise InternalInvariantViolation("Levi-Civita not metric")
-    for i in range(d):
-        for j in range(i + 1, d):
-            tor = list(conn.table[i][j])
-            for k, x in enumerate(conn.table[j][i]):
-                tor[k] -= x
-            for k, co in g.bracket_basis(i, j).items():
-                tor[k] -= co
-            if not vec_is_zero(tor):
-                raise InternalInvariantViolation("Levi-Civita has torsion")
+    if not _parallel(conn, t.metric):
+        raise InternalInvariantViolation("Levi-Civita not metric")
+    if not torsion(t, conn).is_zero():
+        raise InternalInvariantViolation("Levi-Civita has torsion")
     return conn
 
 
+def _nabla_of(conn: Connection, m: Matrix) -> Tensor3:
+    """(x, y) -> (nabla_x m) y = Gamma(x, m y) - m Gamma(x, y)."""
+    return combine([(1, conn.map_second(m)), (-1, conn.map_values(m))])
+
+
 def chern_connection(t: SymplecticTriple, lc: Connection) -> Connection:
-    d, j = t.dim, t.j
-    basis = _basis(d)
-    jb = [j.apply(e) for e in basis]
-    rows = []
-    for i in range(d):
-        row = []
-        for b in range(d):
-            g1 = lc.table[i][b]
-            g2 = j.apply(lc.nabla(basis[i], jb[b]))
-            row.append(tuple((x - y) / 2 for x, y in zip(g1, g2)))
-        rows.append(tuple(row))
-    conn = Connection("chern", d, tuple(rows))
-    for i in range(d):
-        mi = conn.endo(i)
-        if mi @ j != j @ mi:
-            raise InternalInvariantViolation("Chern connection: nabla J != 0")
-        if not (t.omega @ mi + mi.transpose() @ t.omega).is_zero():
-            raise InternalInvariantViolation(
-                "Chern connection: nabla omega != 0")
+    j = t.j
+    conn = combine([(Fraction(1, 2), lc),
+                    (Fraction(-1, 2), lc.map_second(j).map_values(j))],
+                   label="chern")
+    if not _nabla_of(conn, j).is_zero():
+        raise InternalInvariantViolation("Chern connection: nabla J != 0")
+    if not _parallel(conn, t.omega):
+        raise InternalInvariantViolation("Chern connection: nabla omega != 0")
     return conn
 
 
 def symplectic_connection(t: SymplecticTriple, lc: Connection) -> Connection:
-    d, j = t.dim, t.j
-    basis = _basis(d)
-    nj = nabla_j_endos(t, lc)  # (nabla_{e_i} J) as matrices
-    rows = []
-    for i in range(d):
-        row = []
-        for b in range(d):
-            base = list(lc.table[i][b])
-            corr1 = j.apply(nj[i].apply(basis[b]))
-            corr2 = j.apply(nj[b].apply(basis[i]))
-            row.append(tuple(
-                x - (c1 + c2) / 3
-                for x, c1, c2 in zip(base, corr1, corr2)))
-        rows.append(tuple(row))
-    conn = Connection("symplectic", d, tuple(rows))
-    for i in range(d):
-        mi = conn.endo(i)
-        if not (t.omega @ mi + mi.transpose() @ t.omega).is_zero():
-            raise InternalInvariantViolation(
-                "symplectic connection: nabla omega != 0")
-    for i in range(d):
-        for b in range(i + 1, d):
-            tor = list(conn.table[i][b])
-            for k, x in enumerate(conn.table[b][i]):
-                tor[k] -= x
-            for k, co in t.algebra.bracket_basis(i, b).items():
-                tor[k] -= co
-            if not vec_is_zero(tor):
-                raise InternalInvariantViolation(
-                    "symplectic connection has torsion")
+    jnj = nabla_j_endos(t, lc).map_values(t.j)  # J (nabla_{e_i} J) e_b
+    third = Fraction(-1, 3)
+    conn = combine([(1, lc), (third, jnj), (third, jnj.swapped())],
+                   label="symplectic")
+    if not _parallel(conn, t.omega):
+        raise InternalInvariantViolation(
+            "symplectic connection: nabla omega != 0")
+    if not torsion(t, conn).is_zero():
+        raise InternalInvariantViolation("symplectic connection has torsion")
     return conn
 
 
-def nabla_j_endos(t: SymplecticTriple, lc: Connection) -> list[Matrix]:
-    """(nabla_{e_i} J) for each basis direction, as matrices:
-    (nabla_A J) B = Gamma(A, JB) - J Gamma(A, B)."""
-    d, j = t.dim, t.j
-    basis = _basis(d)
-    out = []
-    for i in range(d):
-        cols = []
-        for b in range(d):
-            v1 = lc.nabla(basis[i], j.apply(basis[b]))
-            v2 = j.apply(lc.table[i][b])
-            cols.append(tuple(x - y for x, y in zip(v1, v2)))
-        out.append(Matrix.from_rows(list(zip(*cols))))
-    return out
+def nabla_j_endos(t: SymplecticTriple, lc: Connection) -> Tensor3:
+    """nabla J as the tensor (A, B) -> (nabla_A J) B = Gamma(A, JB) -
+    J Gamma(A, B); its endo(i) is the matrix of nabla_{e_i} J."""
+    return _nabla_of(lc, t.j)
 
 
 def torsion(t: SymplecticTriple, conn: Connection) -> Tensor3:
-    g = t.algebra
-    d = t.dim
-    vals = [[tuple([Fraction(0)] * d) for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            v = list(conn.table[i][j])
-            for k, x in enumerate(conn.table[j][i]):
-                v[k] -= x
-            for k, co in g.bracket_basis(i, j).items():
-                v[k] -= co
-            vals[i][j] = tuple(v)
-            vals[j][i] = tuple(-x for x in v)
-    return Tensor3(d, tuple(tuple(r) for r in vals))
+    """T(x, y) = Gamma(x, y) - Gamma(y, x) - [x, y]."""
+    return combine([(1, conn), (-1, conn.swapped()),
+                    (-1, brackets(t.algebra))])
 
 
 def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
@@ -227,55 +152,46 @@ def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
     on all basis pairs.  Returns False on the first defect."""
     d = t.dim
     tor = torsion(t, conn)
-    basis = _basis(d)
+    basis = Matrix.identity(d).entries
     jb = [t.j.apply(e) for e in basis]
     for x in range(d):
         for y in range(x + 1, d):
-            lhs = list(tor.of_vectors(jb[x], jb[y]))
-            for k, v in enumerate(t.j.apply(tor.of_vectors(jb[x], basis[y]))):
-                lhs[k] -= v
-            for k, v in enumerate(t.j.apply(tor.of_vectors(basis[x], jb[y]))):
-                lhs[k] -= v
-            for k, v in enumerate(tor.of_basis(x, y)):
-                lhs[k] -= v
+            mixed = [p + q for p, q in zip(tor.of_vectors(jb[x], basis[y]),
+                                           tor.of_vectors(basis[x], jb[y]))]
+            lhs = [a - b - c for a, b, c in zip(tor.of_vectors(jb[x], jb[y]),
+                                                t.j.apply(mixed),
+                                                tor.of_basis(x, y))]
             if any(a != -b for a, b in zip(lhs, n.of_basis(x, y))):
                 return False
     return True
 
 
-def nabla_j_checks(t: SymplecticTriple, nj: Sequence[Matrix],
+def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
                    n: Tensor3) -> dict[str, bool]:
     """Structural identities tying nabla J to the Nijenhuis tensor:
 
       nabla_j_pairing          2 omega((nabla_A J) B, C) = omega(N(B,C), JA)
-      nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J) J ... stated
-                               equivalently as nabla_{JA} J = -J nabla_A J
-                               composed with nothing: the endomorphism
-                               identity (nabla_{JA} J) = -J (nabla_A J).
+      nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J), checked on
+                               every basis vector B.
 
     nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t.
     """
     d, j = t.dim, t.j
-    basis = _basis(d)
+    basis = Matrix.identity(d).entries
     pairing = True
     for a in range(d):
         ja = j.apply(basis[a])
         for b in range(d):
-            njb = nj[a].apply(basis[b])
+            njb = nj.of_basis(a, b)
             for c in range(d):
                 lhs = 2 * t.omega_of(njb, basis[c])
                 rhs = t.omega_of(n.of_basis(b, c), ja)
                 if lhs != rhs:
                     pairing = False
-    anticomm = True
-    for a in range(d):
-        ja = j.apply(basis[a])
-        lhs = Matrix.zeros(d, d)
-        for i, co in enumerate(ja):
-            if co != 0:
-                lhs = lhs + nj[i].scale(co)
-        if lhs != -(j @ nj[a]):
-            anticomm = False
+    anticomm = all(
+        nj.of_vectors(j.apply(basis[a]), basis[b])
+        == tuple(-x for x in j.apply(nj.of_basis(a, b)))
+        for a in range(d) for b in range(d))
     return {"nabla_j_pairing": pairing,
             "nabla_j_anticommutation": anticomm}
 
@@ -283,25 +199,36 @@ def nabla_j_checks(t: SymplecticTriple, nj: Sequence[Matrix],
 # -- curvature ---------------------------------------------------------
 
 
-def curvature_operators(t: SymplecticTriple, conn: Connection,
-                        ) -> list[list[Matrix]]:
-    """R(e_i, e_j) as matrices, for all i, j."""
-    d = t.dim
-    g = t.algebra
-    endos = [conn.endo(i) for i in range(d)]
-    out = [[Matrix.zeros(d, d)] * d for _ in range(d)]
+def curvature_operators(t: SymplecticTriple, conn: Connection) -> Tensor3:
+    """R(e_i, e_j) = M_i M_j - M_j M_i - sum_k c^k_ij M_k for i < j, with
+    M_i = Gamma(e_i, .), as the tensor ((i, j), b) -> R(e_i, e_j) e_b:
+    its first slot runs over the pairs i < j, so R(e_j, e_i) =
+    -R(e_i, e_j) is not stored. Summed in ints over den^2 D_c, den the
+    connection's denominator and D_c the structure constants'."""
+    d, den, rows = conn.dim, conn.den, conn.rows
+    dc, table = t.algebra._int_table
+    # cols[i]: the nonzero columns (b, M_i e_b) of M_i
+    cols = [[(b, rows[(i, b)]) for b in range(d) if (i, b) in rows]
+            for i in range(d)]
+    num: dict = {}
+
+    def add(key: tuple, f: int, vec) -> None:
+        col = num.setdefault(key, [0] * d)
+        for k, q in vec:
+            col[k] += f * q
+
     for i in range(d):
         for j in range(i + 1, d):
-            m = endos[i] @ endos[j] - endos[j] @ endos[i]
-            br = g.bracket_basis(i, j)
-            if br:
-                mbr = Matrix.zeros(d, d)
-                for k, co in br.items():
-                    mbr = mbr + endos[k].scale(co)
-                m = m - mbr
-            out[i][j] = m
-            out[j][i] = -m
-    return out
+            for x, y, f in ((i, j, dc), (j, i, -dc)):
+                # M_x M_y e_b = sum_m (M_y e_b)_m M_x e_m
+                for b, vec in cols[y]:
+                    for m, p in vec:
+                        if (x, m) in rows:
+                            add(((i, j), b), f * p, rows[(x, m)])
+            for k, c in table.get((i, j), ()):
+                for b, vec in cols[k]:
+                    add(((i, j), b), -den * c, vec)
+    return Tensor3.from_ints(d, den * den * dc, num)
 
 
 @dataclass(frozen=True)
@@ -319,49 +246,52 @@ def curvature_summary(t: SymplecticTriple, lc: Connection,
     """Riemannian Ricci/scalar of the Levi-Civita map plus the mixed trace
     form and Hermitian scalar of the Chern-type connection.
 
-    Cross-checks (InternalInvariantViolation on failure): every Chern
-    curvature operator commutes with J and is omega-skew with zero real
-    trace."""
+    Ricci(x, y) = sum_k (R(e_k, e_x) e_y)_k and P(x, y) = Tr(J R^c(e_x,
+    e_y)) are summed in ints over the nonzero curvature values.
+    Cross-checks (InternalInvariantViolation on failure): Ricci is
+    symmetric, and every Chern curvature operator commutes with J and
+    has zero real trace."""
     d, j = t.dim, t.j
     riem = curvature_operators(t, lc)
-    ric_rows = []
-    for x in range(d):
-        row = []
-        for y in range(d):
-            val = Fraction(0)
-            for k in range(d):
-                val += riem[k][x].entry(k, y)
-            row.append(val)
-        ric_rows.append(row)
-    ric = Matrix.from_rows(ric_rows)
-    if not ric.is_symmetric():
+    ric = [[0] * d for _ in range(d)]
+    for ((i, k), b), row in riem.rows.items():
+        for m, p in row:
+            if m == i:
+                ric[k][b] += p   # R(e_i, e_k) e_b, traced over i
+            elif m == k:
+                ric[i][b] -= p   # R(e_k, e_i) e_b, traced over k
+    if any(ric[x][y] != ric[y][x] for x in range(d) for y in range(x)):
         raise InternalInvariantViolation("Ricci form not symmetric")
-    scalar = (t.metric_inv @ ric).trace()
-    ricci_j = (j.transpose() @ ric @ j) == ric
+    ricci = Matrix.from_rows([[Fraction(p, riem.den) for p in r] for r in ric])
+    scalar = (t.metric_inv @ ricci).trace()
+    ricci_j = (j.transpose() @ ricci @ j) == ricci
 
     riem_c = curvature_operators(t, chern)
-    p_rows = [[Fraction(0)] * d for _ in range(d)]
-    for x in range(d):
-        for y in range(x + 1, d):
-            m = riem_c[x][y]
-            if m @ j != j @ m:
-                raise InternalInvariantViolation(
-                    "Chern curvature does not commute with J")
-            if m.trace() != 0:
-                raise InternalInvariantViolation(
-                    "Chern curvature has nonzero real trace")
-            val = (j @ m).trace()
-            p_rows[x][y] = val
-            p_rows[y][x] = -val
-    p = Matrix.from_rows(p_rows)
+    jr = riem_c.map_values(j)  # ((x, y), b) -> J R^c(e_x, e_y) e_b
+    if not combine([(1, jr), (-1, riem_c.map_second(j))]).is_zero():
+        raise InternalInvariantViolation(
+            "Chern curvature does not commute with J")
+    trace: dict[tuple[int, int], int] = {}
+    for (xy, b), row in riem_c.rows.items():
+        trace[xy] = trace.get(xy, 0) + dict(row).get(b, 0)
+    if any(trace.values()):
+        raise InternalInvariantViolation(
+            "Chern curvature has nonzero real trace")
+    p = [[0] * d for _ in range(d)]
+    for ((x, y), b), row in jr.rows.items():
+        val = dict(row).get(b, 0)
+        p[x][y] += val
+        p[y][x] -= val
+    chern_ricci = Matrix.from_rows([[Fraction(v, jr.den) for v in r]
+                                    for r in p])
     # Jacobi's formula, see the module docstring
-    herm = (j @ t.metric_inv @ p).trace() / 2
+    herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
     return CurvatureSummary(
         connection=lc.label,
-        ricci=ric,
+        ricci=ricci,
         scalar=scalar,
         ricci_j_invariant=ricci_j,
-        chern_ricci=p,
+        chern_ricci=chern_ricci,
         hermitian_scalar=herm,
     )
 
@@ -390,23 +320,16 @@ def covariant_derivative_n(t: SymplecticTriple, lc: Connection,
     must agree (the metric is parallel, so a distribution is parallel iff
     its complement is); a mismatch raises InternalInvariantViolation."""
     d = t.dim
-    basis = _basis(d)
-    all_zero = True
-    for i in range(d):
-        for b in range(d):
-            for c in range(b + 1, d):
-                v = list(lc.nabla(basis[i], n.of_basis(b, c)))
-                w1 = n.of_vectors(lc.table[i][b], basis[c])
-                w2 = n.of_vectors(basis[b], lc.table[i][c])
-                for k in range(d):
-                    v[k] -= w1[k] + w2[k]
-                if not vec_is_zero(v):
-                    all_zero = False
-                    break
-            if not all_zero:
-                break
-        if not all_zero:
-            break
+    basis = Matrix.identity(d).entries
+
+    def nabla_n_zero(i: int, b: int, c: int) -> bool:
+        v = lc.nabla(basis[i], n.of_basis(b, c))
+        w1 = n.of_vectors(lc.of_basis(i, b), basis[c])
+        w2 = n.of_vectors(basis[b], lc.of_basis(i, c))
+        return vec_is_zero([x - y - z for x, y, z in zip(v, w1, w2)])
+
+    all_zero = all(nabla_n_zero(i, b, c) for i in range(d) for b in range(d)
+                   for c in range(b + 1, d))
 
     def parallel(s: Subspace) -> bool:
         if s.dim in (0, d):

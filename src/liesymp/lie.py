@@ -93,15 +93,6 @@ class LieAlgebra:
                 out[k] += c * coeff
         return tuple(out)
 
-    def ad(self, u: Sequence) -> Matrix:
-        """Matrix of ad_u = [u, .] in the given basis."""
-        cols = []
-        for j in range(self.dim):
-            e = [Fraction(0)] * self.dim
-            e[j] = Fraction(1)
-            cols.append(self.bracket_vec(u, e))
-        return Matrix.from_rows(list(zip(*cols)))
-
     def nonzero_brackets(self) -> list[tuple[int, int, dict[int, Fraction]]]:
         return [(i, j, dict(res)) for (i, j), res in sorted(self._table.items())]
 

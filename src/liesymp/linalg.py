@@ -27,8 +27,8 @@ returned. `rref` and `inverse` stay on `Fraction`.
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
 full=True)` on `build_rank_example(n, k, False, True)`, Python 3.11, one
-core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.46 s,
-dim 14 (k = 3) 0.74 s, dim 20 (k = 4) 2.4 s. Larger dimensions are
+core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.19 s,
+dim 14 (k = 3) 0.30 s, dim 20 (k = 4) 0.78 s. Larger dimensions are
 untested.
 """
 
@@ -92,7 +92,8 @@ def qof(x) -> Fraction:
 
 
 def _freeze(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(qof(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else qof(x) for x in row)
+                 for row in rows)
 
 
 @dataclass(frozen=True)
@@ -116,19 +117,6 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(tuple(
             tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return Matrix(tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
-
-    @staticmethod
-    def diag(values: Sequence) -> "Matrix":
-        vals = [qof(v) for v in values]
-        n = len(vals)
-        return Matrix(tuple(
-            tuple(vals[i] if i == j else Fraction(0) for j in range(n))
             for i in range(n)))
 
     # -- shape / access ------------------------------------------------
@@ -168,12 +156,6 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.entries)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -353,10 +335,6 @@ class Matrix:
                     raise ValueError("matrix is singular")
         return Matrix(tuple(r[n:] for r in red.entries))
 
-    def solve(self, rhs: Sequence) -> tuple[Fraction, ...]:
-        """Solve A x = rhs for square invertible A."""
-        return self.inverse().apply(rhs)
-
     def leading_minors_positive(self) -> tuple[bool, int, Fraction]:
         """Sylvester's criterion for symmetric matrices.
 
@@ -400,11 +378,13 @@ def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
 
 
 def vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(qof(a) - qof(b) for a, b in zip(u, v))
+    return tuple((a if type(a) is Fraction else qof(a))
+                 - (b if type(b) is Fraction else qof(b))
+                 for a, b in zip(u, v))
 
 
 def vec_is_zero(v: Sequence) -> bool:
-    return all(qof(a) == 0 for a in v)
+    return all(not (a if type(a) is Fraction else qof(a)) for a in v)
 
 
 @dataclass(frozen=True)
@@ -417,7 +397,8 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vecs = [tuple(qof(x) for x in v) for v in vectors]
+        vecs = [tuple(x if type(x) is Fraction else qof(x) for x in v)
+                for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
@@ -442,7 +423,7 @@ class Subspace:
         return [tuple(r) for r in self.basis.entries]
 
     def contains(self, vec: Sequence) -> bool:
-        v = tuple(qof(x) for x in vec)
+        v = tuple(x if type(x) is Fraction else qof(x) for x in vec)
         if vec_is_zero(v):
             return True
         stacked = Matrix.from_rows(list(self.basis.entries) + [v])
@@ -450,12 +431,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.vectors())
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.ambient_dim,
-                             self.vectors() + other.vectors())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient map."""
@@ -477,10 +452,6 @@ class Subspace:
                 sum(c * bv for c, bv in zip(coeffs, col))
                 for col in zip(*self.basis.entries)))
         return Subspace.span(self.ambient_dim, vecs)
-
-    def image_under(self, mat: Matrix) -> "Subspace":
-        return Subspace.span(mat.nrows,
-                             [mat.apply(v) for v in self.vectors()])
 
 
 def complement(s: Subspace, gram: Matrix) -> Subspace:

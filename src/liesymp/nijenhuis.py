@@ -11,75 +11,200 @@ involutivity / dimensions classify the geometry. `classify` computes the
 full report and cross-checks every identity the tensor must satisfy;
 any mismatch raises InternalInvariantViolation rather than returning a
 silently wrong answer.
+
+`Tensor3` stores a vector valued 2-tensor as Python ints over one common
+denominator and lists only the nonzero coordinates of each nonzero
+T(e_i, e_j), like `Matrix`'s int rows and `LieAlgebra`'s int bracket
+table. N, the connections, their torsion, nabla J and the curvature
+operators are built on it: products with J or a form, slot swaps and
+rational combinations sum ints over the nonzeros, and a value becomes a
+`Fraction` only where it is read (`of_basis`, `of_vectors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import InternalInvariantViolation
-from .linalg import Matrix, Subspace, complement, vec_is_zero, vec_sub
+from .lie import LieAlgebra
+from .linalg import (Matrix, Subspace, complement, qof, vec_is_zero,
+                     vec_sub)
 from .symp import SymplecticTriple
+
+
+IntRows = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Antisymmetric (in the first two slots) vector valued 2-tensor,
-    stored densely as vals[i][j] = T(e_i, e_j) coordinate tuples."""
+    """Vector valued 2-tensor on the basis, stored sparsely in ints:
+    T(e_i, e_j) = sum of p / den e_k over the (k, p) in rows[(i, j)].
+    Only nonzero values are listed, in ascending k, and den is the least
+    common denominator of all of them, so equal tensors are equal
+    objects. A connection is a labelled instance, Gamma(e_i, e_j) =
+    T(e_i, e_j)."""
 
     dim: int
-    vals: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    den: int
+    rows: IntRows
+    label: str = ""
+
+    @staticmethod
+    def from_ints(dim: int, den: int, num: dict[tuple[int, int], list[int]],
+                  label: str = "") -> "Tensor3":
+        """The tensor with T(e_i, e_j)_k = num[(i, j)][k] / den (den > 0);
+        zero values and any factor common to den and every numerator
+        are dropped."""
+        g = den
+        for v in num.values():
+            g = gcd(g, *v)
+        rows = {}
+        for ij, v in num.items():
+            row = tuple((k, p // g) for k, p in enumerate(v) if p)
+            if row:
+                rows[ij] = row
+        return Tensor3(dim, den // g if rows else 1, rows, label)
+
+    @staticmethod
+    def from_dense(dim: int, vals: Sequence[Sequence[Sequence]],
+                   label: str = "") -> "Tensor3":
+        """The tensor with T(e_i, e_j) = vals[i][j], any exact numbers."""
+        num = {(i, j): [qof(x) for x in v]
+               for i, row in enumerate(vals) for j, v in enumerate(row)}
+        den = lcm(*(x.denominator for v in num.values() for x in v))
+        return Tensor3.from_ints(dim, den, {
+            ij: [x.numerator * (den // x.denominator) for x in v]
+            for ij, v in num.items()}, label)
+
+    @cached_property
+    def _values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        out = {}
+        for ij, row in self.rows.items():
+            v = [Fraction(0)] * self.dim
+            for k, p in row:
+                v[k] = Fraction(p, self.den)
+            out[ij] = tuple(v)
+        return out
 
     def of_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        return self.vals[i][j]
+        v = self._values.get((i, j))
+        return v if v is not None else (Fraction(0),) * self.dim
 
     def of_vectors(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            row = self.vals[i]
-            for j, b in enumerate(v):
-                c = a * b
-                if c == 0:
-                    continue
-                for k, w in enumerate(row[j]):
-                    if w != 0:
-                        out[k] += c * w
-        return tuple(out)
+        du, us = _int_vec(u)
+        dv, vs = _int_vec(v)
+        acc = [0] * self.dim
+        for i, a in us:
+            for j, b in vs:
+                row = self.rows.get((i, j))
+                if row:
+                    c = a * b
+                    for k, p in row:
+                        acc[k] += c * p
+        den = self.den * du * dv
+        z = Fraction(0)
+        return tuple([Fraction(x, den) if x else z for x in acc])
+
+    # a connection's covariant derivative of invariant fields
+    nabla = of_vectors
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(self.vals[i][j])
-                   for i in range(self.dim) for j in range(self.dim))
+        return not self.rows
+
+    def endo(self, i: int) -> Matrix:
+        """T(e_i, .) as a matrix (columns are images)."""
+        return Matrix(tuple(zip(*(self.of_basis(i, b)
+                                   for b in range(self.dim)))))
+
+    def swapped(self) -> "Tensor3":
+        """(x, y) -> T(y, x)."""
+        return Tensor3(self.dim, self.den,
+                       {(j, i): r for (i, j), r in self.rows.items()},
+                       self.label)
+
+    def map_values(self, m: Matrix) -> "Tensor3":
+        """(x, y) -> m T(x, y)."""
+        dm, _, cols = int_matrix(m)
+        num = {}
+        for ij, row in self.rows.items():
+            v = num[ij] = [0] * self.dim
+            for k, p in row:
+                for r, q in cols[k]:
+                    v[r] += q * p
+        return Tensor3.from_ints(self.dim, self.den * dm, num, self.label)
+
+    def map_second(self, m: Matrix) -> "Tensor3":
+        """(x, y) -> T(x, m y)."""
+        dm, mrows, _ = int_matrix(m)
+        num: dict[tuple[int, int], list[int]] = {}
+        for (i, l), row in self.rows.items():
+            for j, q in mrows[l]:
+                v = num.setdefault((i, j), [0] * self.dim)
+                for k, p in row:
+                    v[k] += q * p
+        return Tensor3.from_ints(self.dim, self.den * dm, num, self.label)
+
+
+def combine(terms: Sequence[tuple[object, Tensor3]],
+            label: str = "") -> Tensor3:
+    """The sum of c * T over the (c, T) in terms, c any exact number."""
+    dim = terms[0][1].dim
+    terms = [(qof(c), t) for c, t in terms]
+    den = lcm(*(c.denominator * t.den for c, t in terms))
+    num: dict[tuple[int, int], list[int]] = {}
+    for c, t in terms:
+        f = c.numerator * (den // (c.denominator * t.den))
+        for ij, row in t.rows.items():
+            v = num.setdefault(ij, [0] * dim)
+            for k, p in row:
+                v[k] += f * p
+    return Tensor3.from_ints(dim, den, num, label)
+
+
+def brackets(g: LieAlgebra) -> Tensor3:
+    """(x, y) -> [x, y], read from the algebra's int table."""
+    big, table = g._int_table
+    return Tensor3(g.dim, big,
+                   {ij: tuple(sorted(r)) for ij, r in table.items()})
+
+
+def int_matrix(m: Matrix) -> tuple[int, list, list]:
+    """(D, rows, cols): D is the lcm of m's denominators, and each row and
+    each column of D m is listed as its nonzero (index, int) pairs."""
+    big, s = m._scaled()
+    return big, _nonzeros(s), _nonzeros(zip(*s))
+
+
+def _nonzeros(rows) -> list[list[tuple[int, int]]]:
+    return [[(c, v) for c, v in enumerate(r) if v] for r in rows]
+
+
+def _int_vec(v: Sequence) -> tuple[int, list[tuple[int, int]]]:
+    """(D, ((i, p), ...)): v_i = p / D over the nonzero entries."""
+    nz = [(i, (x if type(x) is Fraction else qof(x)).as_integer_ratio())
+          for i, x in enumerate(v) if x]
+    den = lcm(*(q for _, (_, q) in nz))
+    return den, [(i, p * (den // q)) for i, (p, q) in nz]
 
 
 def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
-    g, j = t.algebra, t.j
-    n = g.dim
-    basis = [tuple(Fraction(1 if a == b else 0) for a in range(n))
-             for b in range(n)]
-    jbasis = [j.apply(e) for e in basis]
-    vals = [[tuple([Fraction(0)] * n) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            term = list(g.bracket_vec(jbasis[a], jbasis[b]))
-            for k, c in zip(range(n), j.apply(g.bracket_vec(jbasis[a], basis[b]))):
-                term[k] -= c
-            for k, c in zip(range(n), j.apply(g.bracket_vec(basis[a], jbasis[b]))):
-                term[k] -= c
-            br = g.bracket_basis(a, b)
-            for k, c in br.items():
-                term[k] -= c
-            v = tuple(term)
-            vals[a][b] = v
-            vals[b][a] = tuple(-x for x in v)
-    return Tensor3(n, tuple(tuple(row) for row in vals))
+    """N(x, y) = [Jx, Jy] - J[Jx, y] - J[x, Jy] - [x, y], composed from
+    the bracket tensor C: with A(x, y) = [x, Jy], [Jx, Jy] is A with J
+    also put into the first slot, and J[Jx, y] = -J A(y, x)."""
+    j = t.j
+    c = brackets(t.algebra)
+    a = c.map_second(j)
+    ja = a.map_values(j)
+    both = a.swapped().map_second(j).swapped()
+    return combine([(1, both), (1, ja.swapped()), (-1, ja), (-1, c)])
 
 
 def image_distribution(n: Tensor3) -> Subspace:
-    vecs = [n.vals[i][j] for i in range(n.dim) for j in range(i + 1, n.dim)]
+    vecs = [n.of_basis(i, j) for i in range(n.dim) for j in range(i + 1, n.dim)]
     return Subspace.span(n.dim, vecs)
 
 
@@ -88,7 +213,7 @@ def kernel_distribution(n: Tensor3) -> Subspace:
     rows = []
     for j in range(n.dim):
         for k in range(n.dim):
-            rows.append(tuple(n.vals[i][j][k] for i in range(n.dim)))
+            rows.append(tuple(n.of_basis(i, j)[k] for i in range(n.dim)))
     return Subspace.span(n.dim, Matrix.from_rows(rows).nullspace())
 
 
@@ -110,7 +235,7 @@ def norm_sq(n: Tensor3, t: SymplecticTriple) -> Fraction:
     """
     ginv = t.metric_inv
     d = n.dim
-    slabs = [Matrix.from_rows([[n.vals[i][j][k] for j in range(d)]
+    slabs = [Matrix.from_rows([[n.of_basis(i, j)[k] for j in range(d)]
                                for i in range(d)]) for k in range(d)]
     ys = [ginv @ s @ ginv for s in slabs]
     total = Fraction(0)
@@ -136,14 +261,6 @@ class DistributionReport:
     perp: Subspace
     perp_involutive: bool
     kernel: Subspace
-
-    @property
-    def image_dim(self) -> int:
-        return self.image.dim
-
-    @property
-    def perp_dim(self) -> int:
-        return self.perp.dim
 
 
 def _j_stable(s: Subspace, j: Matrix) -> bool:
@@ -207,16 +324,16 @@ def check_tensor_identities(t: SymplecticTriple,
       cyclic_omega      sum_cyc omega(N(x, y), z) = 0
     """
     d, j = t.dim, t.j
-    basis = [tuple(Fraction(1 if a == b else 0) for a in range(d))
-             for b in range(d)]
-    anti = all(vec_is_zero(vec_sub(n.vals[a][b], tuple(-x for x in n.vals[b][a])))
+    basis = Matrix.identity(d).entries
+    anti = all(vec_is_zero(vec_sub(n.of_basis(a, b),
+                                   tuple(-x for x in n.of_basis(b, a))))
                for a in range(d) for b in range(d))
     lin = True
     for a in range(d):
         ja = j.apply(basis[a])
         for b in range(d):
             lhs1 = n.of_vectors(ja, basis[b])
-            rhs1 = tuple(-x for x in j.apply(n.vals[a][b]))
+            rhs1 = tuple(-x for x in j.apply(n.of_basis(a, b)))
             jb = j.apply(basis[b])
             lhs2 = n.of_vectors(basis[a], jb)
             if lhs1 != rhs1 or lhs2 != rhs1:
@@ -228,9 +345,9 @@ def check_tensor_identities(t: SymplecticTriple,
     for a in range(d):
         for b in range(a + 1, d):
             for c in range(b + 1, d):
-                s = (t.omega_of(n.vals[a][b], basis[c])
-                     + t.omega_of(n.vals[b][c], basis[a])
-                     + t.omega_of(n.vals[c][a], basis[b]))
+                s = (t.omega_of(n.of_basis(a, b), basis[c])
+                     + t.omega_of(n.of_basis(b, c), basis[a])
+                     + t.omega_of(n.of_basis(c, a), basis[b]))
                 if s != 0:
                     cyc = False
     return {"antisymmetry": anti, "anti_linearity": lin, "cyclic_omega": cyc}

@@ -25,11 +25,11 @@ x86-64 VM).
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator
 
 from .linalg import Matrix
-from .nijenhuis import Tensor3
+from .nijenhuis import Tensor3, int_matrix
 from .symp import SymplecticTriple, standard_j, standard_omega
 
 Row = dict[int, int]
@@ -39,20 +39,14 @@ def _idx(dim: int, i: int, j: int, k: int) -> int:
     return (i * dim + j) * dim + k
 
 
-def _nonzeros(rows) -> list[list[tuple[int, int]]]:
-    return [[(c, v) for c, v in enumerate(r) if v] for r in rows]
-
-
 def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
                           ) -> Iterator[Row]:
     """All constraint rows for the given ambient (omega, J), with int
     coefficients: J and omega enter scaled by the lcm of their own
     denominators, which multiplies a row by a nonzero constant and leaves
     its solutions alone. Only their nonzero entries are walked."""
-    _, jm = j._scaled()
-    _, om = omega._scaled()
-    j_rows, j_cols = _nonzeros(jm), _nonzeros(zip(*jm))
-    om_cols = _nonzeros(zip(*om))
+    _, j_rows, j_cols = int_matrix(j)
+    _, _, om_cols = int_matrix(omega)
     # antisymmetry (and vanishing on the diagonal)
     for i in range(dim):
         for k in range(dim):
@@ -140,17 +134,11 @@ def expected_dimension(n: int) -> int:
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space built from
     the triple's own (omega, J); an independent route to the pointwise
-    identity checks. The tensor's coordinates are scaled to ints by the
-    lcm of their denominators, so each row is checked in ints."""
+    identity checks. Each row is checked in ints against the tensor's
+    numerators over its common denominator."""
     dim = t.dim
-    coords: dict[int, tuple[int, int]] = {}
-    for i in range(dim):
-        for jj in range(dim):
-            for k, v in enumerate(tensor.vals[i][jj]):
-                if v != 0:
-                    coords[_idx(dim, i, jj, k)] = v.as_integer_ratio()
-    big = lcm(*(q for _, q in coords.values()))
-    scaled = {c: p * (big // q) for c, (p, q) in coords.items()}
+    scaled = {_idx(dim, i, jj, k): p
+              for (i, jj), row in tensor.rows.items() for k, p in row}
     for row in build_constraint_rows(dim, t.omega, t.j):
         if sum(v * scaled.get(c, 0) for c, v in row.items()):
             return False

@@ -65,7 +65,7 @@ class Analysis:
         return chern_connection(self.t, self.lc)
 
     @cached_property
-    def nabla_j(self) -> list[Matrix]:
+    def nabla_j(self) -> Tensor3:
         return nabla_j_endos(self.t, self.lc)
 
     @cached_property

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal, Optional, Sequence
 
 from .errors import InternalInvariantViolation
@@ -92,6 +93,13 @@ class TwistorModel:
             if self.phi[k] != 0:
                 out += c * self.phi[k]
         return out
+
+    @cached_property
+    def kks_m(self) -> Matrix:
+        """omega on m, in m-coordinates, evaluated once per model."""
+        m_idx = self.m_indices
+        return Matrix.from_rows([
+            [self.omega_basis(x, y) for y in m_idx] for x in m_idx])
 
     def j_perm(self, sign: Sign) -> dict[int, tuple[int, Fraction]]:
         """J as a signed permutation of the m-part basis indices."""
@@ -326,21 +334,27 @@ def p_pairs_span_q(model: TwistorModel, nvals: TwistorValues) -> bool:
 
 def kks_matrix_m(model: TwistorModel) -> Matrix:
     """omega restricted to m, in m-coordinates."""
-    m_idx = model.m_indices
-    return Matrix.from_rows([
-        [model.omega_basis(x, y) for y in m_idx] for x in m_idx])
+    return model.kks_m
+
+
+def _j_matrix_m(model: TwistorModel, sign: Sign) -> Matrix:
+    """J on m, in m-coordinates (a signed permutation matrix)."""
+    perm = model.j_perm(sign)
+    pos = {k: i for i, k in enumerate(model.m_indices)}
+    cols = []
+    for b in model.m_indices:
+        jb, sb = perm[b]
+        col = [Fraction(0)] * model.m_dim
+        col[pos[jb]] = sb
+        cols.append(col)
+    return Matrix.from_rows(list(zip(*cols)))
 
 
 def kks_j_invariant(model: TwistorModel, sign: Sign) -> bool:
-    """omega(J A, J B) = omega(A, B) on all m-basis pairs."""
-    perm = model.j_perm(sign)
-    for a in model.m_indices:
-        ja, sa = perm[a]
-        for b in model.m_indices:
-            jb, sb = perm[b]
-            if sa * sb * model.omega_basis(ja, jb) != model.omega_basis(a, b):
-                return False
-    return True
+    """omega(J A, J B) = omega(A, B) on all m-basis pairs, that is
+    J^T W J = W for the m-block W of omega."""
+    jm, w = _j_matrix_m(model, sign), kks_matrix_m(model)
+    return jm.transpose() @ w @ jm == w
 
 
 @dataclass(frozen=True)
@@ -363,16 +377,7 @@ def positivity_report(model: TwistorModel) -> PositivityReport:
     kks = kks_matrix_m(model)
     grams = {}
     for sign in ("+", "-"):
-        perm = model.j_perm(sign)
-        pos = {k: i for i, k in enumerate(model.m_indices)}
-        cols = []
-        for b in model.m_indices:
-            jb, sb = perm[b]
-            col = [Fraction(0)] * model.m_dim
-            col[pos[jb]] = sb
-            cols.append(col)
-        jm = Matrix.from_rows(list(zip(*cols)))
-        gram = kks @ jm
+        gram = kks @ _j_matrix_m(model, sign)
         if not gram.is_symmetric():
             raise InternalInvariantViolation(
                 f"omega(., J{sign} .) not symmetric on m")

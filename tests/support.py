@@ -20,7 +20,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from liesymp import Matrix, SymplecticTriple, build_triple, validate
+from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
+                     validate)
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -51,6 +52,34 @@ def random_symplectic(omega: Matrix, rng: random.Random, steps: int = 5) -> Matr
     return s
 
 
+def dense_conjugate(t: SymplecticTriple, rng: random.Random,
+                    bits: tuple[int, int] = (20, 30)) -> SymplecticTriple:
+    """t with j moved to S j S^-1, S a product of transvections grown
+    until the largest numerator or denominator of the new j has bits[0]
+    bits; a candidate with a zero entry or more than bits[1] bits is
+    redrawn. The same recipe as the benchmark's dense conjugates."""
+    d = t.dim
+    while True:
+        s = s_inv = Matrix.identity(d)
+        out = t.j
+        while _max_bits(out) < bits[0]:
+            a = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+            if not any(a):
+                a[rng.randrange(d)] = Fraction(1)
+            lam = rng.choice(_LAMBDAS)
+            s = transvection(t.omega, a, lam) @ s
+            s_inv = s_inv @ transvection(t.omega, a, -lam)
+            out = s @ t.j @ s_inv
+        if _max_bits(out) <= bits[1] and all(x for r in out.entries
+                                             for x in r):
+            return build_triple(t.algebra, t.omega, out)
+
+
+def _max_bits(m: Matrix) -> int:
+    return max(max(x.numerator.bit_length(), x.denominator.bit_length())
+               for r in m.entries for x in r)
+
+
 def aff_aff_triple() -> SymplecticTriple:
     """aff(R) + aff(R): [e1,e2] = e2, [e3,e4] = e4, omega = e^12 + e^34,
     J e1 = e2, J e3 = e4.  Kaehler and not flat, unlike every integrable
@@ -72,3 +101,89 @@ def conjugated_triple(t: SymplecticTriple, rng: random.Random,
     s = random_symplectic(t.omega, rng, steps=steps)
     j2 = s @ t.j @ s.inverse()
     return build_triple(t.algebra, t.omega, j2)
+
+
+# -- helpers for matrix and subspace operations the library does not need
+
+
+def zeros(rows: int, cols: int) -> Matrix:
+    """The rows x cols zero matrix."""
+    return Matrix.from_rows([[0] * cols for _ in range(rows)])
+
+
+def diag(values) -> Matrix:
+    """Diagonal matrix with the given entries."""
+    n = len(values)
+    return Matrix.from_rows([[values[i] if i == j else 0 for j in range(n)]
+                             for i in range(n)])
+
+
+def col(m: Matrix, j: int) -> tuple:
+    """Column j of m."""
+    return tuple(r[j] for r in m.entries)
+
+
+def solve(m: Matrix, rhs) -> tuple:
+    """x with m x = rhs, for square invertible m."""
+    return m.inverse().apply(rhs)
+
+
+def ad(g, u) -> Matrix:
+    """Matrix of ad_u = [u, .] in g's basis."""
+    basis = [[Fraction(int(a == b)) for a in range(g.dim)]
+             for b in range(g.dim)]
+    return Matrix.from_rows(list(zip(*(g.bracket_vec(u, e) for e in basis))))
+
+
+def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a + b."""
+    return Subspace.span(a.ambient_dim, a.vectors() + b.vectors())
+
+
+def image_under(s: Subspace, m: Matrix) -> Subspace:
+    """m(s)."""
+    return Subspace.span(m.nrows, [m.apply(v) for v in s.vectors()])
+
+
+# -- the dense curvature route, as an oracle for the library's int route
+
+
+def dense_curvature(t: SymplecticTriple, lc, chern):
+    """(ricci, scalar, chern_ricci, hermitian_scalar) from d^2 dense
+    operators R(e_i, e_j) = M_i M_j - M_j M_i - sum_k c^k_ij M_k, formed
+    with Matrix @, - and scale, followed by the Ricci and mixed trace
+    loops: the route the library took before its curvature ran on ints."""
+    d, j = t.dim, t.j
+    riem = _dense_operators(t, lc)
+    ric = Matrix.from_rows([
+        [sum((riem[k][x].entry(k, y) for k in range(d)), Fraction(0))
+         for y in range(d)] for x in range(d)])
+    scalar = (t.metric_inv @ ric).trace()
+    riem_c = _dense_operators(t, chern)
+    p = [[Fraction(0)] * d for _ in range(d)]
+    for x in range(d):
+        for y in range(x + 1, d):
+            val = (j @ riem_c[x][y]).trace()
+            p[x][y] = val
+            p[y][x] = -val
+    p = Matrix.from_rows(p)
+    herm = (j @ t.metric_inv @ p).trace() / 2
+    return ric, scalar, p, herm
+
+
+def _dense_operators(t: SymplecticTriple, conn) -> list[list[Matrix]]:
+    d, g = t.dim, t.algebra
+    endos = [conn.endo(i) for i in range(d)]
+    out = [[zeros(d, d)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = endos[i] @ endos[j] - endos[j] @ endos[i]
+            br = g.bracket_basis(i, j)
+            if br:
+                mbr = zeros(d, d)
+                for k, co in br.items():
+                    mbr = mbr + endos[k].scale(co)
+                m = m - mbr
+            out[i][j] = m
+            out[j][i] = -m
+    return out

@@ -188,9 +188,10 @@ def test_criterion_07_nabla_j_identities(full_catalog):
     assert ok
 
 
-def _grad_j_norm_sq(t, endos) -> Fraction:
+def _grad_j_norm_sq(t, nj) -> Fraction:
     """|nabla J|^2 = sum of G^{ia} G^{jb} G_{kc} (nabla_i J)^k_j (nabla_a J)^c_b,
     the full metric contraction of the Levi-Civita derivative of J."""
+    endos = [nj.endo(i) for i in range(t.dim)]
     g, ginv = t.metric, t.metric_inv
     total = F(0)
     for i in range(t.dim):

@@ -8,6 +8,7 @@ from liesymp import (Analysis, Subspace, build_rank_example, builtin,
 from liesymp.catalog import catalog_names
 from liesymp.errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
                             ZeroCharacter)
+from support import diag
 
 F = Fraction
 
@@ -127,5 +128,4 @@ def test_build_rank_example_rejects_impossible_flags():
 
 def test_thurston_metric_profile(catalog):
     t = catalog["thurston(2)"]
-    from liesymp import Matrix
-    assert t.metric == Matrix.diag([2, 1, "1/2", 1])
+    assert t.metric == diag([2, 1, "1/2", 1])

@@ -1,12 +1,12 @@
 import random
 from fractions import Fraction
 
-from liesymp import (Analysis, Matrix, chern_connection, levi_civita,
+from liesymp import (Analysis, chern_connection, levi_civita,
                      nabla_j_checks, nijenhuis_tensor, norm_sq,
                      symplectic_connection, torsion,
                      torsion_recovers_nijenhuis)
 from liesymp.connections import Connection
-from support import aff_aff_triple, conjugated_triple
+from support import aff_aff_triple, conjugated_triple, diag
 
 F = Fraction
 
@@ -61,7 +61,7 @@ def test_wrong_sign_convention_loses_metric_compatibility(catalog):
                 rhs.append(val / 2)
             row.append(ginv.apply(rhs))
         rows.append(tuple(row))
-    variant = Connection("allplus", d, tuple(rows))
+    variant = Connection.from_dense(d, rows, "allplus")
     assert torsion(t, variant).is_zero()
     assert not _metric_compatible(t, variant)
 
@@ -108,7 +108,8 @@ def test_nabla_j_identities(extended_catalog):
 
 def test_nabla_j_anticommutes_with_j_pointwise(catalog):
     t = catalog["ex3"]
-    for m in Analysis(t).nabla_j:
+    nj = Analysis(t).nabla_j
+    for m in (nj.endo(i) for i in range(t.dim)):
         assert (t.j @ m) == (m @ t.j).scale(-1)
 
 
@@ -164,7 +165,7 @@ def test_thurston_curvature_profile(catalog):
         assert not summary.ricci_j_invariant
         assert norm_sq(nijenhuis_tensor(t), t) / 16 == a / 2
     s1 = Analysis(catalog["thurston(1)"]).curvature
-    assert s1.ricci == Matrix.diag([0, F(1, 2), F(-1, 2), F(-1, 2)])
+    assert s1.ricci == diag([0, F(1, 2), F(-1, 2), F(-1, 2)])
 
 
 def test_abelian_curvature_vanishes(catalog):

@@ -16,6 +16,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from liesymp import Matrix
+from support import col, diag as diag_matrix
 
 F = Fraction
 
@@ -101,9 +102,9 @@ def _check_products(a, b):
     assert got.entries == expected
     _assert_canonical(x for r in got.entries for x in r)
     for j in range(b.ncols):
-        col = a.apply(b.col(j))
-        assert col == tuple(r[j] for r in expected)
-        _assert_canonical(col)
+        got_col = a.apply(col(b, j))
+        assert got_col == tuple(r[j] for r in expected)
+        _assert_canonical(got_col)
 
 
 # primes just below and above 2^30: pairwise coprime denominators whose
@@ -257,7 +258,7 @@ def _ldlt(rng, diag, density):
          (F(rng.randint(-3, 3), rng.randint(1, 3))
           if j < i and rng.random() < density else 0)
          for j in range(n)] for i in range(n)])
-    return low @ Matrix.diag(diag) @ low.transpose()
+    return low @ diag_matrix(diag) @ low.transpose()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5, 8])

@@ -6,7 +6,7 @@ import pytest
 from liesymp import (Analysis, Subspace, check_tensor_identities,
                      image_distribution, kernel_distribution,
                      nijenhuis_tensor, norm_sq)
-from support import conjugated_triple
+from support import conjugated_triple, image_under
 
 F = Fraction
 
@@ -59,7 +59,7 @@ def test_named_examples_spans_and_flags(catalog):
 def test_image_j_stable(catalog):
     for name, t in catalog.items():
         im = image_distribution(nijenhuis_tensor(t))
-        assert im.image_under(t.j) == im
+        assert image_under(im, t.j) == im
 
 
 def test_kernel_inside_metric_complement(extended_catalog):

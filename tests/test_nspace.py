@@ -34,8 +34,7 @@ def test_catalog_tensors_satisfy_their_own_constraints(catalog):
 
 
 def _tensor(dim, vals):
-    return Tensor3(dim, tuple(tuple(tuple(x for x in v) for v in row)
-                              for row in vals))
+    return Tensor3.from_dense(dim, vals)
 
 
 def test_zero_tensor_is_always_a_member(catalog):
