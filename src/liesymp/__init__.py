@@ -44,7 +44,7 @@ from .serialization import (algebra_from_dict, algebra_to_dict,
                             triple_from_dict, triple_hash, triple_to_dict)
 from .symp import (SymplecticTriple, build_triple, standard_j,
                    standard_omega)
-from .twistor import (TwistorModel, build_twistor_model, nijenhuis_image,
-                      positivity_report, twistor_claims, twistor_nijenhuis)
+from .twistor import (TwistorModel, build_twistor_model, positivity_report,
+                      twistor_claims, twistor_nijenhuis)
 
 __version__ = "0.1.0"

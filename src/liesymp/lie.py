@@ -143,12 +143,6 @@ class LieAlgebra:
             return [tuple(r) for r in Matrix.identity(self.dim).entries]
         return der.basis.nullspace()
 
-    def admits_lattice(self) -> bool:
-        """Criterion for a cocompact lattice in the simply connected group:
-        nilpotent with rational structure constants. The constants are
-        Fractions by construction, so only nilpotency is left to test."""
-        return self.is_nilpotent()[0]
-
     # -- naming helpers ---------------------------------------------------
 
     def name_of_vector(self, vec: Sequence) -> str:

@@ -192,11 +192,14 @@ def _int_vec(v: Sequence) -> tuple[int, list[tuple[int, int]]]:
 
 
 def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
-    """N(x, y) = [Jx, Jy] - J[Jx, y] - J[x, Jy] - [x, y], composed from
-    the bracket tensor C: with A(x, y) = [x, Jy], [Jx, Jy] is A with J
+    """N of the triple's j, from the algebra's bracket tensor."""
+    return nijenhuis_of(brackets(t.algebra), t.j)
+
+
+def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
+    """N(x, y) = [Jx, Jy] - J[Jx, y] - J[x, Jy] - [x, y] for the bracket
+    tensor C and J = j: with A(x, y) = [x, Jy], [Jx, Jy] is A with J
     also put into the first slot, and J[Jx, y] = -J A(y, x)."""
-    j = t.j
-    c = brackets(t.algebra)
     a = c.map_second(j)
     ja = a.map_values(j)
     both = a.swapped().map_second(j).swapped()
@@ -204,8 +207,9 @@ def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
 
 
 def image_distribution(n: Tensor3) -> Subspace:
-    vecs = [n.of_basis(i, j) for i in range(n.dim) for j in range(i + 1, n.dim)]
-    return Subspace.span(n.dim, vecs)
+    """Span of the nonzero values N(e_i, e_j), i < j."""
+    return Subspace.span(n.dim, [n.of_basis(i, j) for i, j in n.rows
+                                 if i < j])
 
 
 def kernel_distribution(n: Tensor3) -> Subspace:

@@ -156,7 +156,9 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
             "maximally_non_integrable": rep.image.dim == t.dim,
             "ricci_j_invariant": cs.ricci_j_invariant,
             "chern_ricci_proportional_to_omega": prop,
-            "lattice_criterion": g.admits_lattice(),
+            # a cocompact lattice exists iff g is nilpotent with rational
+            # structure constants; they are rational by construction
+            "lattice_criterion": nil,
         },
         "curvature": {
             "scalar": str(cs.scalar),

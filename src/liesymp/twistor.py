@@ -9,8 +9,8 @@ on the spacelike R^{2n}, the algebra splits as
 
 where u(n) is the centralizer of j'0 = diag(0, j0) inside so(2n), q the
 j0-anticommuting part of so(2n), and p the boosts E_{0i} + E_{i0}. The
-reductive tangent space is m = q (+) p. Basis order (and the coordinate
-order of everything this module returns):
+reductive tangent space is m = q (+) p. Basis order (m-coordinates,
+which everything on m here uses, list q then p in the same order):
 
     u: UX_ab (a<b), UY_ab (a<=b)   with X skew / Y symmetric in
                                    [[X, Y], [-Y, X]]
@@ -25,10 +25,17 @@ The orbit 2-form is omega(A, B) = -Tr(j'0 [A, B]); its potential
 phi = -Tr(j'0 . ) vanishes on q and p, so omega kills u(n) and restricts
 to an invariant symplectic form on m (block diagonal across q and p).
 
-The integrability tensor of either J is computed definitionally from the
-structure constants, extending J by zero on u(n) and projecting values
-back to m. The plus structure is integrable; the minus one has image all
-of m once n >= 2, with its p x p values filling the fibre directions q.
+The integrability tensor of either J is N(A, B) = [JA, JB] - J[JA, B]
+- J[A, JB] - [A, B] with J extended by zero on u(n) and the values
+projected back to m. For A, B in m this is the plain Nijenhuis formula
+for J on m applied to the m-projected bracket [A, B]_m: J kills the
+u-part of every bracket it is applied to, and maps m into m, so
+projecting J[., .] to m changes nothing, and projecting [JA, JB] and
+[A, B] gives [JA, JB]_m and [A, B]_m. So `twistor_nijenhuis` is the
+shared `nijenhuis_of` on the model's m-projected bracket tensor, in
+m-coordinates. The plus structure is integrable; the minus one has image
+all of m once n >= 2, with its p x p values filling the fibre
+directions q.
 """
 
 from __future__ import annotations
@@ -41,12 +48,11 @@ from typing import Literal, Optional, Sequence
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra, validate
 from .linalg import Matrix, Subspace, qof
+from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
 
 Sign = Literal["+", "-"]
 
 Sparse = dict[tuple[int, int], int]  # (row, col) -> value, matrix entries
-# (a, b) -> N(e_a, e_b) projected to m, as {basis index: value}; a < b, N != 0
-TwistorValues = dict[tuple[int, int], dict[int, Fraction]]
 
 
 def _mat_mul(a: Sparse, b: Sparse) -> Sparse:
@@ -101,24 +107,39 @@ class TwistorModel:
         return Matrix.from_rows([
             [self.omega_basis(x, y) for y in m_idx] for x in m_idx])
 
-    def j_perm(self, sign: Sign) -> dict[int, tuple[int, Fraction]]:
-        """J as a signed permutation of the m-part basis indices."""
-        n = self.n
-        nq = len(self.q_indices)
+    @cached_property
+    def bracket_m(self) -> Tensor3:
+        """(A, B) -> [A, B]_m on m, in m-coordinates: the bracket with its
+        u-components dropped."""
+        big, table = self.algebra._int_table
+        d = self.m_dim
+        pos = {k: i for i, k in enumerate(self.m_indices)}
+        num = {}
+        for (a, b), row in table.items():
+            if a in pos and b in pos:
+                v = num[(pos[a], pos[b])] = [0] * d
+                for k, p in row:
+                    if k in pos:
+                        v[pos[k]] = p
+        return Tensor3.from_ints(d, big, num)
+
+    @cached_property
+    def j_m(self) -> dict[Sign, Matrix]:
+        """J^{+-} on m, in m-coordinates: QX_ab -> QY_ab -> -QX_ab and
+        P_i -> +-P_{n+i} -> -P_i, i <= n."""
+        n, d, nq = self.n, self.m_dim, len(self.q_indices)
         half = nq // 2
-        perm: dict[int, tuple[int, Fraction]] = {}
-        for t in range(half):  # QX_ab -> QY_ab -> -QX_ab
-            qx = self.q_indices[t]
-            qy = self.q_indices[half + t]
-            perm[qx] = (qy, Fraction(1))
-            perm[qy] = (qx, Fraction(-1))
-        s = Fraction(1 if sign == "+" else -1)
-        for i in range(n):  # P_i -> +-P_{n+i}, P_{n+i} -> -+P_i
-            pi = self.p_indices[i]
-            pni = self.p_indices[n + i]
-            perm[pi] = (pni, s)
-            perm[pni] = (pi, -s)
-        return perm
+        out = {}
+        for sign, s in (("+", 1), ("-", -1)):
+            rows = [[0] * d for _ in range(d)]
+            for t in range(half):
+                rows[half + t][t] = 1
+                rows[t][half + t] = -1
+            for i in range(nq, nq + n):
+                rows[i + n][i] = s
+                rows[i][i + n] = -s
+            out[sign] = Matrix.from_rows(rows)
+        return out
 
 
 def _names_and_mats(n: int) -> tuple[list[str], list[Sparse],
@@ -247,113 +268,29 @@ def build_twistor_model(n: int) -> TwistorModel:
 # -- the integrability tensor on m --------------------------------------
 
 
-def twistor_nijenhuis(model: TwistorModel, sign: Sign) -> TwistorValues:
-    """N(e_a, e_b) for all m-basis pairs a < b, values projected to m.
-
-    Definitional formula with J extended by zero on u(n):
-    N(A, B) = [JA, JB] - J[JA, B] - J[A, JB] - [A, B], then drop the
-    u-components of the value."""
-    g = model.algebra
-    perm = model.j_perm(sign)
-    uset = set(model.u_indices)
-
-    def j_apply(d: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for k, c in d.items():
-            hit = perm.get(k)
-            if hit is None:
-                continue  # u-component: J extends by zero
-            t, s = hit
-            nv = out.get(t, Fraction(0)) + s * c
-            if nv:
-                out[t] = nv
-            else:
-                out.pop(t, None)
-        return out
-
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    m_idx = model.m_indices
-    for ia, a in enumerate(m_idx):
-        sa_idx, sa = perm[a]
-        for b in m_idx[ia + 1:]:
-            sb_idx, sb = perm[b]
-            acc: dict[int, Fraction] = {}
-
-            def add(d: dict[int, Fraction], c: Fraction) -> None:
-                for k, v in d.items():
-                    nv = acc.get(k, Fraction(0)) + c * v
-                    if nv:
-                        acc[k] = nv
-                    else:
-                        acc.pop(k, None)
-
-            add(g.bracket_basis(sa_idx, sb_idx), sa * sb)
-            add(j_apply(g.bracket_basis(sa_idx, b)), -sa)
-            add(j_apply(g.bracket_basis(a, sb_idx)), -sb)
-            add(g.bracket_basis(a, b), Fraction(-1))
-            proj = {k: v for k, v in acc.items() if k not in uset}
-            if proj:
-                out[(a, b)] = proj
-    return out
+def twistor_nijenhuis(model: TwistorModel, sign: Sign) -> Tensor3:
+    """N of J^{+-} on m, in m-coordinates (see the module docstring)."""
+    return nijenhuis_of(model.bracket_m, model.j_m[sign])
 
 
-def _m_coords(model: TwistorModel, d: dict[int, Fraction],
-              ) -> tuple[Fraction, ...]:
-    pos = {k: i for i, k in enumerate(model.m_indices)}
-    v = [Fraction(0)] * model.m_dim
-    for k, c in d.items():
-        v[pos[k]] = c
-    return tuple(v)
-
-
-def nijenhuis_image(model: TwistorModel, nvals: TwistorValues) -> Subspace:
-    """Span of the values `twistor_nijenhuis` returned, as a subspace of
-    m (coordinates ordered q then p)."""
-    return Subspace.span(model.m_dim,
-                         [_m_coords(model, d) for d in nvals.values()])
-
-
-def p_pairs_span_q(model: TwistorModel, nvals: TwistorValues) -> bool:
-    """Do the p x p values of N (as `twistor_nijenhuis` returned them)
-    fill the fibre directions q exactly?"""
-    qset = set(model.q_indices)
+def p_pairs_span_q(model: TwistorModel, n: Tensor3) -> bool:
+    """Do the p x p values of N (as `twistor_nijenhuis` returned it) fill
+    the fibre directions q exactly? Every such value must lie in the
+    first nq coordinates, and together they must span nq dimensions."""
+    nq = len(model.q_indices)
     vecs = []
-    for (a, b), d in nvals.items():
-        if a in qset or b in qset:
-            continue
-        if any(k not in qset for k in d):
-            return False  # a p x p value escaping q would refute the claim
-        vecs.append(_m_coords(model, d))
-    pstart = len(model.q_indices)
-    span = Subspace.span(model.m_dim, vecs)
-    want = Subspace.span(model.m_dim, [
-        tuple(Fraction(1 if i == t else 0) for i in range(model.m_dim))
-        for t in range(pstart)])
-    return span == want
-
-
-def kks_matrix_m(model: TwistorModel) -> Matrix:
-    """omega restricted to m, in m-coordinates."""
-    return model.kks_m
-
-
-def _j_matrix_m(model: TwistorModel, sign: Sign) -> Matrix:
-    """J on m, in m-coordinates (a signed permutation matrix)."""
-    perm = model.j_perm(sign)
-    pos = {k: i for i, k in enumerate(model.m_indices)}
-    cols = []
-    for b in model.m_indices:
-        jb, sb = perm[b]
-        col = [Fraction(0)] * model.m_dim
-        col[pos[jb]] = sb
-        cols.append(col)
-    return Matrix.from_rows(list(zip(*cols)))
+    for (a, b), row in n.rows.items():
+        if nq <= a < b:
+            if any(k >= nq for k, _ in row):
+                return False  # a p x p value escaping q refutes the claim
+            vecs.append(n.of_basis(a, b))
+    return Subspace.span(model.m_dim, vecs).dim == nq
 
 
 def kks_j_invariant(model: TwistorModel, sign: Sign) -> bool:
     """omega(J A, J B) = omega(A, B) on all m-basis pairs, that is
     J^T W J = W for the m-block W of omega."""
-    jm, w = _j_matrix_m(model, sign), kks_matrix_m(model)
+    jm, w = model.j_m[sign], model.kks_m
     return jm.transpose() @ w @ jm == w
 
 
@@ -369,15 +306,15 @@ class PositivityReport:
 def positivity_report(model: TwistorModel) -> PositivityReport:
     """Definiteness of g_{+-}(A, B) = omega(A, J_{+-} B) on m.
 
-    The minus form is checked positive definite by Sylvester minors; for
-    the plus form a concrete non-positive direction is exhibited (the
-    first boost, unless q is empty in which case the form on q would be
-    the only difference and there is none for n = 1 ... the witness is
-    always found on p)."""
-    kks = kks_matrix_m(model)
+    The minus form is checked positive definite by Sylvester minors. For
+    the plus form, which is not, the first m-basis vector with a
+    non-positive diagonal entry is returned as the witness. The two forms
+    agree on q and differ by sign on p, so for every n the witness is a
+    boost (P_1)."""
+    kks = model.kks_m
     grams = {}
     for sign in ("+", "-"):
-        gram = kks @ _j_matrix_m(model, sign)
+        gram = kks @ model.j_m[sign]
         if not gram.is_symmetric():
             raise InternalInvariantViolation(
                 f"omega(., J{sign} .) not symmetric on m")
@@ -400,16 +337,16 @@ def positivity_report(model: TwistorModel) -> PositivityReport:
 # -- closed-form helpers (used by tests and the CLI claims) -------------
 
 
-def p_element(model: TwistorModel, u: Sequence) -> dict[int, Fraction]:
-    """P(u) = sum u_i P_i as basis coordinates (u has length 2n)."""
+def p_element(model: TwistorModel, u: Sequence) -> tuple[Fraction, ...]:
+    """P(u) = sum u_i P_i in m-coordinates (u has length 2n)."""
     u = [qof(x) for x in u]
     if len(u) != 2 * model.n:
         raise ValueError("boost vector has wrong length")
-    return {model.p_indices[i]: u[i] for i in range(2 * model.n) if u[i]}
+    return (Fraction(0),) * len(model.q_indices) + tuple(u)
 
 
-def q_element(model: TwistorModel, d2n: Matrix) -> dict[int, Fraction]:
-    """Coordinates of a q-matrix given as its 2n x 2n spacelike block
+def q_element(model: TwistorModel, d2n: Matrix) -> tuple[Fraction, ...]:
+    """m-coordinates of a q-matrix given as its 2n x 2n spacelike block
     [[X, Y], [Y, -X]] with X, Y skew; raises if the matrix is not in q."""
     n = model.n
     big, rows = d2n._scaled()
@@ -417,10 +354,13 @@ def q_element(model: TwistorModel, d2n: Matrix) -> dict[int, Fraction]:
                  for c in range(2 * n) if rows[r][c]}
     pos = {nm: i for i, nm in enumerate(model.algebra.basis_names)}
     twice = _expand_in_basis(m, n, pos)
-    qset = set(model.q_indices)
-    if any(k not in qset for k in twice):
+    qpos = {k: t for t, k in enumerate(model.q_indices)}
+    if any(k not in qpos for k in twice):
         raise ValueError("matrix is not in the j0-anticommuting part")
-    return {k: Fraction(c, 2 * big) for k, c in twice.items()}
+    v = [Fraction(0)] * model.m_dim
+    for k, c in twice.items():
+        v[qpos[k]] = Fraction(c, 2 * big)
+    return tuple(v)
 
 
 def j0_matrix(n: int) -> Matrix:
@@ -431,11 +371,13 @@ def j0_matrix(n: int) -> Matrix:
     return Matrix.from_rows(rows)
 
 
-def q_block_matrix(model: TwistorModel, coords: dict[int, Fraction]) -> Matrix:
-    """The 2n x 2n spacelike block of a q-element given by coordinates."""
+def q_block_matrix(model: TwistorModel, coords: Sequence) -> Matrix:
+    """The 2n x 2n spacelike block of a q-element given in m-coordinates."""
     n = model.n
     rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for k, c in coords.items():
+    for k, c in zip(model.m_indices, coords):
+        if not c:
+            continue
         for (r, col), v in model.mats[k].items():
             if r == 0 or col == 0:
                 raise ValueError("element has a boost component")
@@ -466,11 +408,11 @@ def twistor_claims(n: int, model: Optional[TwistorModel] = None,
         model = build_twistor_model(n)
     nplus = twistor_nijenhuis(model, "+")
     nminus = twistor_nijenhuis(model, "-")
-    img = nijenhuis_image(model, nminus)
+    img = image_distribution(nminus)
     pos = positivity_report(model)
     return TwistorClaims(
         n=n,
-        plus_integrable=(not nplus),
+        plus_integrable=nplus.is_zero(),
         minus_image_dim=img.dim,
         m_dim=model.m_dim,
         p_pairs_fill_q=p_pairs_span_q(model, nminus),

@@ -187,3 +187,46 @@ def _dense_operators(t: SymplecticTriple, conn) -> list[list[Matrix]]:
             out[i][j] = m
             out[j][i] = -m
     return out
+
+
+# -- the definitional twistor route, as an oracle for the m-projected kernel
+
+
+def definitional_twistor_n(model, sign: str) -> dict:
+    """(a, b) -> N(A, B) for every pair of m-coordinates (q then p), by
+    the definition on the full so(1,2n): J extended by zero on u(n) as a
+    dim x dim Matrix, read off the basis names (QX_ab -> QY_ab -> -QX_ab,
+    P_i -> +-P_{n+i} -> -+P_i), N from `bracket_vec` and `Matrix.apply`,
+    then the u-components dropped. The route the library took before its
+    twistor tensor ran on the shared kernel."""
+    g, n = model.algebra, model.n
+    pos = {nm: i for i, nm in enumerate(g.basis_names)}
+    s = 1 if sign == "+" else -1
+    rows = [[0] * g.dim for _ in range(g.dim)]
+    for nm, k in pos.items():
+        if nm.startswith("QX_"):
+            rows[pos["QY_" + nm[3:]]][k] = 1
+        elif nm.startswith("QY_"):
+            rows[pos["QX_" + nm[3:]]][k] = -1
+        elif nm.startswith("P_"):
+            i = int(nm[2:])
+            if i <= n:
+                rows[pos[f"P_{n + i}"]][k] = s
+            else:
+                rows[pos[f"P_{i - n}"]][k] = -s
+    j = Matrix.from_rows(rows)
+    m_idx = [k for k, nm in enumerate(g.basis_names) if nm[0] == "Q"]
+    m_idx += [k for k, nm in enumerate(g.basis_names) if nm[0] == "P"]
+    basis = Matrix.identity(g.dim).entries
+    out = {}
+    for ia, a in enumerate(m_idx):
+        x, jx = basis[a], j.apply(basis[a])
+        for ib, b in enumerate(m_idx):
+            y, jy = basis[b], j.apply(basis[b])
+            terms = (g.bracket_vec(jx, jy),
+                     tuple(-c for c in j.apply(g.bracket_vec(jx, y))),
+                     tuple(-c for c in j.apply(g.bracket_vec(x, jy))),
+                     tuple(-c for c in g.bracket_vec(x, y)))
+            val = [sum(cs, Fraction(0)) for cs in zip(*terms)]
+            out[(ia, ib)] = tuple(val[k] for k in m_idx)
+    return out

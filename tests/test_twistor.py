@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from liesymp import Matrix, build_twistor_model, twistor_claims
-from liesymp.twistor import (j0_matrix, kks_matrix_m, nijenhuis_image,
-                             p_element, p_pairs_span_q, positivity_report,
-                             q_block_matrix, q_element, twistor_nijenhuis)
+from liesymp.nijenhuis import image_distribution
+from liesymp.twistor import (j0_matrix, p_element, p_pairs_span_q,
+                             positivity_report, q_block_matrix, q_element,
+                             twistor_nijenhuis)
+from support import definitional_twistor_n
 
 F = Fraction
 
@@ -26,21 +28,21 @@ def test_model_dimensions(models):
 
 def test_orbit_form_skew_and_nondegenerate(models):
     for n, model in models.items():
-        kks = kks_matrix_m(model)
+        kks = model.kks_m
         assert kks.is_skew()
         assert kks.det() != 0
 
 
 def test_plus_structure_is_integrable(models):
     for n, model in models.items():
-        nvals = twistor_nijenhuis(model, "+")
-        assert all(not d for d in nvals.values())
-        assert nijenhuis_image(model, nvals).dim == 0
+        nplus = twistor_nijenhuis(model, "+")
+        assert nplus.is_zero()
+        assert image_distribution(nplus).dim == 0
 
 
 def test_minus_structure_fills_m(models):
     def image(n):
-        return nijenhuis_image(models[n], twistor_nijenhuis(models[n], "-"))
+        return image_distribution(twistor_nijenhuis(models[n], "-"))
 
     assert image(1).dim == 0
     for n in (2, 3):
@@ -71,29 +73,12 @@ def test_positivity_split(models):
         assert rep.p_diag_minus == 2
 
 
-def _n_minus_bilinear(model, x, y):
-    """Evaluate the projected tensor on arbitrary coordinate dicts by
-    bilinear expansion over the basis table."""
-    nvals = twistor_nijenhuis(model, "-")
-    out = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            if a == b:
-                continue
-            if a < b:
-                d, s = nvals.get((a, b), {}), ca * cb
-            else:
-                d, s = nvals.get((b, a), {}), -ca * cb
-            for k, v in d.items():
-                out[k] = out.get(k, F(0)) + s * v
-    return {k: v for k, v in out.items() if v}
-
-
 def test_closed_form_on_boost_pairs(models):
     # N(P(u), P(v)) lands in the fibre directions as the matrix
     # -2 (u wedge v - j0 u wedge j0 v), where (a wedge b) = a b^T - b a^T
     for n in (2, 3):
         model = models[n]
+        nminus = twistor_nijenhuis(model, "-")
         j0 = j0_matrix(n)
         samples = [
             ([1, 0, 0, 0] + [0] * (2 * n - 4), [0, 1, 0, 0] + [0] * (2 * n - 4)),
@@ -112,7 +97,7 @@ def test_closed_form_on_boost_pairs(models):
 
             block = (wedge(uc, vc) - wedge(j0u, j0v)).scale(-2)
             expected = q_element(model, block)
-            actual = _n_minus_bilinear(model, p_element(model, u),
+            actual = nminus.of_vectors(p_element(model, u),
                                        p_element(model, v))
             assert actual == expected
 
@@ -124,13 +109,14 @@ def test_closed_form_on_boost_fibre_pairs(models):
         # build a valid fibre element from a p x p value
         u0 = [F(1)] + [F(0)] * (2 * n - 1)
         v0 = [F(0), F(1)] + [F(0)] * (2 * n - 2)
-        qcoords = _n_minus_bilinear(model, p_element(model, u0),
+        nminus = twistor_nijenhuis(model, "-")
+        qcoords = nminus.of_vectors(p_element(model, u0),
                                     p_element(model, v0))
         b = q_block_matrix(model, qcoords)
         for u in ([1, 1, 0, 0] + [0] * (2 * n - 4),
                   [0, "2/3", 0, 1] + [0] * (2 * n - 4)):
             uq = [F(str(x)) for x in u]
-            actual = _n_minus_bilinear(model, p_element(model, uq), qcoords)
+            actual = nminus.of_vectors(p_element(model, uq), qcoords)
             bu = b.apply(uq)
             expected = p_element(model, [4 * x for x in bu])
             assert actual == expected
@@ -139,11 +125,23 @@ def test_closed_form_on_boost_fibre_pairs(models):
 def test_fibre_pairs_project_to_zero(models):
     for n in (2, 3):
         model = models[n]
-        nvals = twistor_nijenhuis(model, "-")
-        qset = set(model.q_indices)
-        for (a, b), d in nvals.items():
-            if a in qset and b in qset:
-                assert not d
+        nminus = twistor_nijenhuis(model, "-")
+        nq = len(model.q_indices)
+        for a in range(nq):
+            for b in range(nq):
+                assert not any(nminus.of_basis(a, b))
+
+
+@pytest.mark.parametrize("sign", "+-")
+@pytest.mark.parametrize("n", (2, 3))
+def test_nijenhuis_matches_definitional_route(models, n, sign):
+    # the full so(1,2n) with J extended by zero, u-components dropped
+    model = models[n]
+    want = definitional_twistor_n(model, sign)
+    got = twistor_nijenhuis(model, sign)
+    d = model.m_dim
+    assert {(a, b): got.of_basis(a, b)
+            for a in range(d) for b in range(d)} == want
 
 
 def test_claims_bundle(models):
