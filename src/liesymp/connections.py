@@ -174,24 +174,20 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
       nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J), checked on
                                every basis vector B.
 
-    nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t.
+    nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t. Both are
+    whole-tensor identities in ints: with omega(u, v) = u^T omega v, the
+    left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
+    the right side ((omega J)^T N(b, c))_a, each scaled by the other
+    side's denominator before the nonzero values are compared.
     """
-    d, j = t.dim, t.j
-    basis = Matrix.identity(d).entries
-    pairing = True
-    for a in range(d):
-        ja = j.apply(basis[a])
-        for b in range(d):
-            njb = nj.of_basis(a, b)
-            for c in range(d):
-                lhs = 2 * t.omega_of(njb, basis[c])
-                rhs = t.omega_of(n.of_basis(b, c), ja)
-                if lhs != rhs:
-                    pairing = False
-    anticomm = all(
-        nj.of_vectors(j.apply(basis[a]), basis[b])
-        == tuple(-x for x in j.apply(nj.of_basis(a, b)))
-        for a in range(d) for b in range(d))
+    j = t.j
+    low = nj.map_values(t.omega.transpose())
+    rhs = n.map_values((t.omega @ j).transpose())
+    lhs = {(a, b, c): 2 * p * rhs.den
+           for (a, b), row in low.rows.items() for c, p in row}
+    pairing = lhs == {(a, b, c): p * low.den
+                      for (b, c), row in rhs.rows.items() for a, p in row}
+    anticomm = combine([(1, nj.map_first(j)), (1, nj.map_values(j))]).is_zero()
     return {"nabla_j_pairing": pairing,
             "nabla_j_anticommutation": anticomm}
 

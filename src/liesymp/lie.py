@@ -108,8 +108,21 @@ class LieAlgebra:
         return Subspace.span(self.dim, vecs)
 
     def bracket_of_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
-        vecs = [self.bracket_vec(u, v)
-                for u in a.vectors() for v in b.vectors()]
+        """Span of [u, v] over the basis vectors u of a and v of b, each
+        summed in ints on the int table with u and v lifted to ints over
+        their lcm denominators. A nonzero multiple spans the same line,
+        so only the nonzero int results are passed to the span."""
+        _, table = self._int_table
+        vecs = []
+        for _, us in a.basis._int_rows:
+            for _, vs in b.basis._int_rows:
+                acc = [0] * self.dim
+                for i, p in us:
+                    for j, q in vs:
+                        for k, c in table.get((i, j), ()):
+                            acc[k] += p * q * c
+                if any(acc):
+                    vecs.append(acc)
         return Subspace.span(self.dim, vecs)
 
     def lower_central_series(self) -> list[Subspace]:

@@ -27,8 +27,8 @@ returned. `rref` and `inverse` stay on `Fraction`.
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
 full=True)` on `build_rank_example(n, k, False, True)`, Python 3.11, one
-core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.19 s,
-dim 14 (k = 3) 0.30 s, dim 20 (k = 4) 0.78 s. Larger dimensions are
+core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.016 s,
+dim 14 (k = 3) 0.035 s, dim 20 (k = 4) 0.071 s. Larger dimensions are
 untested.
 """
 

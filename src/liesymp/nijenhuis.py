@@ -19,6 +19,11 @@ table. N, the connections, their torsion, nabla J and the curvature
 operators are built on it: products with J or a form, slot swaps and
 rational combinations sum ints over the nonzeros, and a value becomes a
 `Fraction` only where it is read (`of_basis`, `of_vectors`).
+
+The identity checks and |N|^2 are int contractions of whole tensors, not
+loops over basis pairs and triples. With omega(u, v) = u^T omega v (the
+orientation of `symp._pair`), omega(T(x, y), e_z) is the z-th value of
+`T.map_values(omega^T)`, and T(Jx, y) is `T.map_first(J)`.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, complement, qof, vec_is_zero,
-                     vec_sub)
+from .linalg import Matrix, Subspace, complement, qof
 from .symp import SymplecticTriple
 
 
@@ -148,6 +152,10 @@ class Tensor3:
                     v[k] += q * p
         return Tensor3.from_ints(self.dim, self.den * dm, num, self.label)
 
+    def map_first(self, m: Matrix) -> "Tensor3":
+        """(x, y) -> T(m x, y)."""
+        return self.swapped().map_second(m).swapped()
+
 
 def combine(terms: Sequence[tuple[object, Tensor3]],
             label: str = "") -> Tensor3:
@@ -202,7 +210,7 @@ def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
     also put into the first slot, and J[Jx, y] = -J A(y, x)."""
     a = c.map_second(j)
     ja = a.map_values(j)
-    both = a.swapped().map_second(j).swapped()
+    both = a.map_first(j)
     return combine([(1, both), (1, ja.swapped()), (-1, ja), (-1, c)])
 
 
@@ -233,27 +241,17 @@ def norm_sq(n: Tensor3, t: SymplecticTriple) -> Fraction:
     """|N|^2 = sum over basis of G^{ia} G^{jb} G_{kc} N^k_{ij} N^c_{ab},
     i.e. the full metric contraction over ordered index pairs.
 
-    Implemented as sum_{k,l} G_kl * <Y^k, N^l>_Frobenius with
-    Y^k = Ginv @ N^k @ Ginv, where (N^k)_{ij} = k-th coordinate of
-    N(e_i, e_j). Cost O(dim^4).
+    Summed in ints as sum_{a,b} <R(e_a, e_b), G N(e_a, e_b)>, with R = N
+    with G^-1 put into both slots; one `Fraction` is made at the end.
     """
     ginv = t.metric_inv
-    d = n.dim
-    slabs = [Matrix.from_rows([[n.of_basis(i, j)[k] for j in range(d)]
-                               for i in range(d)]) for k in range(d)]
-    ys = [ginv @ s @ ginv for s in slabs]
-    total = Fraction(0)
-    for k in range(d):
-        for l in range(d):
-            gkl = t.metric.entry(k, l)
-            if gkl == 0:
-                continue
-            acc = Fraction(0)
-            yk, nl = ys[k].entries, slabs[l].entries
-            for i in range(d):
-                acc += sum(a * b for a, b in zip(yk[i], nl[i]))
-            total += gkl * acc
-    return total
+    r = n.map_second(ginv).map_first(ginv)
+    gn = n.map_values(t.metric)
+    total = 0
+    for ab, row in gn.rows.items():
+        other = dict(r.rows.get(ab, ()))
+        total += sum(p * other.get(k, 0) for k, p in row)
+    return Fraction(total, r.den * gn.den)
 
 
 @dataclass(frozen=True)
@@ -326,32 +324,22 @@ def check_tensor_identities(t: SymplecticTriple,
       antisymmetry      N(x, y) = -N(y, x)
       anti_linearity    N(Jx, y) = -J N(x, y)  (and the y slot likewise)
       cyclic_omega      sum_cyc omega(N(x, y), z) = 0
+
+    Each is a whole-tensor identity in ints; omega(N(x, y), e_z) is the
+    z-th value of N lowered by omega^T (omega(u, v) = u^T omega v).
     """
-    d, j = t.dim, t.j
-    basis = Matrix.identity(d).entries
-    anti = all(vec_is_zero(vec_sub(n.of_basis(a, b),
-                                   tuple(-x for x in n.of_basis(b, a))))
-               for a in range(d) for b in range(d))
-    lin = True
-    for a in range(d):
-        ja = j.apply(basis[a])
-        for b in range(d):
-            lhs1 = n.of_vectors(ja, basis[b])
-            rhs1 = tuple(-x for x in j.apply(n.of_basis(a, b)))
-            jb = j.apply(basis[b])
-            lhs2 = n.of_vectors(basis[a], jb)
-            if lhs1 != rhs1 or lhs2 != rhs1:
-                lin = False
-                break
-        if not lin:
-            break
-    cyc = True
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                s = (t.omega_of(n.of_basis(a, b), basis[c])
-                     + t.omega_of(n.of_basis(b, c), basis[a])
-                     + t.omega_of(n.of_basis(c, a), basis[b]))
-                if s != 0:
-                    cyc = False
+    j = t.j
+    jn = n.map_values(j)
+    anti = combine([(1, n), (1, n.swapped())]).is_zero()
+    lin = (combine([(1, n.map_first(j)), (1, jn)]).is_zero()
+           and combine([(1, n.map_second(j)), (1, jn)]).is_zero())
+    # add each lowered value L(x, y)_z into the x < y < z triple of which
+    # (x, y, z) is a cyclic rotation
+    sums: dict[tuple[int, int, int], int] = {}
+    for (x, y), row in n.map_values(t.omega.transpose()).rows.items():
+        for z, p in row:
+            if x < y < z or y < z < x or z < x < y:
+                key = tuple(sorted((x, y, z)))
+                sums[key] = sums.get(key, 0) + p
+    cyc = not any(sums.values())
     return {"antisymmetry": anti, "anti_linearity": lin, "cyclic_omega": cyc}

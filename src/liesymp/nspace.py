@@ -25,6 +25,7 @@ x86-64 VM).
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import Iterator
 
@@ -45,20 +46,25 @@ def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
     coefficients: J and omega enter scaled by the lcm of their own
     denominators, which multiplies a row by a nonzero constant and leaves
     its solutions alone. Only their nonzero entries are walked."""
+    pairs = [(i, i) for i in range(dim)] + list(combinations(range(dim), 2))
+    return _rows(dim, omega, j, pairs, range(dim),
+                 combinations(range(dim), 3))
+
+
+def _rows(dim: int, omega: Matrix, j: Matrix, pairs, seconds,
+          triples) -> Iterator[Row]:
+    """The constraint rows of the unordered pairs (i, jj), i <= jj, the
+    second-slot indices jj and the triples i < jj < k given."""
     _, j_rows, j_cols = int_matrix(j)
     _, _, om_cols = int_matrix(omega)
-    # antisymmetry (and vanishing on the diagonal)
-    for i in range(dim):
+    # antisymmetry (and vanishing on the diagonal, where both keys agree)
+    for i, jj in pairs:
         for k in range(dim):
-            yield {_idx(dim, i, i, k): 1}
-    for i in range(dim):
-        for jj in range(i + 1, dim):
-            for k in range(dim):
-                yield {_idx(dim, i, jj, k): 1, _idx(dim, jj, i, k): 1}
+            yield {_idx(dim, i, jj, k): 1, _idx(dim, jj, i, k): 1}
     # anti-linearity in the first slot: t(Je_i, e_j) = -J t(e_i, e_j);
     # the second slot follows from antisymmetry and this one.
     for i in range(dim):
-        for jj in range(dim):
+        for jj in seconds:
             for k in range(dim):
                 row: Row = {}
                 for a, c in j_cols[i]:
@@ -71,17 +77,15 @@ def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
                 if row:
                     yield row
     # cyclic coupling against omega
-    for i in range(dim):
-        for jj in range(i + 1, dim):
-            for k in range(jj + 1, dim):
-                row = {}
-                for (a, b, c) in ((i, jj, k), (jj, k, i), (k, i, jj)):
-                    for m, w in om_cols[c]:
-                        col = _idx(dim, a, b, m)
-                        row[col] = row.get(col, 0) + w
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    yield row
+    for i, jj, k in triples:
+        row = {}
+        for (a, b, c) in ((i, jj, k), (jj, k, i), (k, i, jj)):
+            for m, w in om_cols[c]:
+                col = _idx(dim, a, b, m)
+                row[col] = row.get(col, 0) + w
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
 
 
 def _rank(rows: Iterator[Row]) -> int:
@@ -135,11 +139,17 @@ def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space built from
     the triple's own (omega, J); an independent route to the pointwise
     identity checks. Each row is checked in ints against the tensor's
-    numerators over its common denominator."""
-    dim = t.dim
+    numerators over its common denominator. Only the rows that can meet
+    the tensor's support are built: those of its pairs, of the second-slot
+    indices in them and of the triples containing one of them; every
+    other row evaluates to 0."""
+    dim, support = t.dim, tensor.rows
     scaled = {_idx(dim, i, jj, k): p
-              for (i, jj), row in tensor.rows.items() for k, p in row}
-    for row in build_constraint_rows(dim, t.omega, t.j):
-        if sum(v * scaled.get(c, 0) for c, v in row.items()):
-            return False
-    return True
+              for (i, jj), row in support.items() for k, p in row}
+    pairs = {(min(ij), max(ij)) for ij in support}
+    triples = {tuple(sorted((i, jj, k))) for i, jj in pairs if i != jj
+               for k in range(dim) if k != i and k != jj}
+    rows = _rows(dim, t.omega, t.j, pairs, {jj for _, jj in support},
+                 triples)
+    return not any(sum(v * scaled.get(c, 0) for c, v in row.items())
+                   for row in rows)

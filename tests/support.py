@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
                      validate)
+from liesymp.nspace import build_constraint_rows
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -230,3 +231,62 @@ def definitional_twistor_n(model, sign: str) -> dict:
             val = [sum(cs, Fraction(0)) for cs in zip(*terms)]
             out[(ia, ib)] = tuple(val[k] for k in m_idx)
     return out
+
+
+# -- the definitional identity routes, as oracles for the int contractions
+
+
+def definitional_tensor_identities(t: SymplecticTriple, n) -> dict:
+    """`check_tensor_identities` by its definitions on every basis pair
+    and triple, with `of_vectors`, `Matrix.apply` and `omega_of`: the
+    route the library took before the checks were int contractions."""
+    d, j = t.dim, t.j
+    basis = Matrix.identity(d).entries
+    anti = all(n.of_basis(a, b) == tuple(-x for x in n.of_basis(b, a))
+               for a in range(d) for b in range(d))
+    lin = all(n.of_vectors(j.apply(basis[a]), basis[b])
+              == n.of_vectors(basis[a], j.apply(basis[b]))
+              == tuple(-x for x in j.apply(n.of_basis(a, b)))
+              for a in range(d) for b in range(d))
+    cyc = all(t.omega_of(n.of_basis(a, b), basis[c])
+              + t.omega_of(n.of_basis(b, c), basis[a])
+              + t.omega_of(n.of_basis(c, a), basis[b]) == 0
+              for a in range(d) for b in range(a + 1, d)
+              for c in range(b + 1, d))
+    return {"antisymmetry": anti, "anti_linearity": lin, "cyclic_omega": cyc}
+
+
+def definitional_nabla_j_checks(t: SymplecticTriple, nj, n) -> dict:
+    """`nabla_j_checks` by its definitions on every basis triple."""
+    d, j = t.dim, t.j
+    basis = Matrix.identity(d).entries
+    pairing = all(2 * t.omega_of(nj.of_basis(a, b), basis[c])
+                  == t.omega_of(n.of_basis(b, c), j.apply(basis[a]))
+                  for a in range(d) for b in range(d) for c in range(d))
+    anticomm = all(nj.of_vectors(j.apply(basis[a]), basis[b])
+                   == tuple(-x for x in j.apply(nj.of_basis(a, b)))
+                   for a in range(d) for b in range(d))
+    return {"nabla_j_pairing": pairing,
+            "nabla_j_anticommutation": anticomm}
+
+
+def slab_norm_sq(n, t: SymplecticTriple) -> Fraction:
+    """|N|^2 = sum_{k,l} G_kl <G^-1 N^k G^-1, N^l>_Frobenius over the d
+    dense slabs (N^k)_ij = N(e_i, e_j)_k."""
+    ginv, d = t.metric_inv, n.dim
+    slabs = [Matrix.from_rows([[n.of_basis(i, j)[k] for j in range(d)]
+                               for i in range(d)]) for k in range(d)]
+    ys = [ginv @ s @ ginv for s in slabs]
+    return sum((t.metric.entry(k, l)
+                * sum(a * b for ya, na in zip(ys[k].entries, slabs[l].entries)
+                      for a, b in zip(ya, na))
+                for k in range(d) for l in range(d)), Fraction(0))
+
+
+def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
+    """`contains_tensor` against every row of `build_constraint_rows`."""
+    d = t.dim
+    scaled = {(i * d + j) * d + k: p
+              for (i, j), row in tensor.rows.items() for k, p in row}
+    return all(sum(v * scaled.get(c, 0) for c, v in row.items()) == 0
+               for row in build_constraint_rows(d, t.omega, t.j))

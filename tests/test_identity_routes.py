@@ -1,0 +1,114 @@
+"""The second routes (`check_tensor_identities`, `nabla_j_checks`,
+`contains_tensor`) and `norm_sq` run as int contractions over `Tensor3`.
+Here they are held to the definitional loops they replaced
+(`support.definitional_tensor_identities`, `definitional_nabla_j_checks`,
+`slab_norm_sq`, `full_row_contains_tensor`), on valid triples and on
+broken inputs, and each flag is shown to turn False on a broken input:
+a route that always returned True would pass every test on valid
+triples."""
+
+import dataclasses
+import random
+
+import pytest
+
+from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
+                     check_tensor_identities, contains_tensor, dim6, ex1,
+                     nabla_j_checks, norm_sq)
+from support import (definitional_nabla_j_checks,
+                     definitional_tensor_identities, dense_conjugate,
+                     full_row_contains_tensor, slab_norm_sq)
+
+
+def _flags(t, nj, n):
+    """Every check a report runs, by the library routes, after asserting
+    that each equals its definitional oracle."""
+    ident = check_tensor_identities(t, n)
+    assert ident == definitional_tensor_identities(t, n)
+    nabla = nabla_j_checks(t, nj, n)
+    assert nabla == definitional_nabla_j_checks(t, nj, n)
+    member = contains_tensor(t, n)
+    assert member == full_row_contains_tensor(t, n)
+    return {**ident, **nabla, "constraint_membership": member}
+
+
+def _dense(n, k, flags):
+    base = build_rank_example(n, k, *flags)
+    return dense_conjugate(base, random.Random(f"dense:{n}:{k}"))
+
+
+def test_routes_match_oracles_on_extended_catalog(extended_catalog):
+    for name, t in extended_catalog.items():
+        a = Analysis(t)
+        assert all(_flags(t, a.nabla_j, a.n).values()), name
+        assert norm_sq(a.n, t) == slab_norm_sq(a.n, t), name
+
+
+@pytest.mark.parametrize("n, k, flags", [(2, 1, (True, False)),
+                                         (3, 2, (False, True))])
+def test_routes_match_oracles_on_dense_conjugates(n, k, flags):
+    t = _dense(n, k, flags)
+    a = Analysis(t)
+    assert all(_flags(t, a.nabla_j, a.n).values())
+    assert norm_sq(a.n, t) == slab_norm_sq(a.n, t)
+
+
+def _bumped(tensor: Tensor3) -> Tensor3:
+    """tensor with its first stored value raised by 1."""
+    d = tensor.dim
+    vals = [[list(tensor.of_basis(i, j)) for j in range(d)]
+            for i in range(d)]
+    i, j = min(tensor.rows)
+    vals[i][j][tensor.rows[(i, j)][0][0]] += 1
+    return Tensor3.from_dense(d, vals)
+
+
+def _omega_row0_negated(t):
+    om = t.omega.entries
+    return dataclasses.replace(
+        t, omega=Matrix.from_rows([[-x for x in om[0]], *om[1:]]))
+
+
+_TRIPLES = {"ex1": ex1, "dim6": dim6,
+            "dense-d6": lambda: _dense(3, 2, (False, True))}
+
+# which flags each broken input turns False, as the definitional loops
+# give them; the Omega mutation breaks the cyclic rows of the constraint
+# space as well as the two omega pairings
+_RED = {
+    "n": {"antisymmetry", "anti_linearity", "cyclic_omega",
+          "nabla_j_pairing", "constraint_membership"},
+    "nabla_j": {"nabla_j_pairing", "nabla_j_anticommutation"},
+    "omega": {"cyclic_omega", "nabla_j_pairing", "constraint_membership"},
+}
+
+
+@pytest.mark.parametrize("broken", sorted(_RED))
+@pytest.mark.parametrize("name", sorted(_TRIPLES))
+def test_each_flag_turns_false_on_a_broken_input(name, broken):
+    t = _TRIPLES[name]()
+    a = Analysis(t)
+    n, nj = a.n, a.nabla_j
+    if broken == "n":
+        n = _bumped(n)
+        assert norm_sq(n, t) == slab_norm_sq(n, t)
+    elif broken == "nabla_j":
+        nj = _bumped(nj)
+    else:
+        t = _omega_row0_negated(t)
+    flags = _flags(t, nj, n)
+    assert {f for f, ok in flags.items() if not ok} == _RED[broken]
+
+
+def test_a_single_value_is_never_a_member(catalog):
+    # it breaks the antisymmetry rows of its pair and anti-linearity rows
+    # of its second slot; a route that chose its rows from the support
+    # with that pair left out would build none of them and accept it
+    t = catalog["ex1"]
+    d = t.dim
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                one = Tensor3.from_ints(d, 1, {(i, j): [int(m == k)
+                                                        for m in range(d)]})
+                assert not contains_tensor(t, one), (i, j, k)
