@@ -22,13 +22,18 @@ with 20-30 bit entries an int multiply-add replaces a gcd-normalising
 run integer Bareiss: the matrix is scaled by the lcm D of all its
 denominators, every step divides exactly with `//`, and the k-th pivot,
 D^k times the k-th leading minor, becomes a `Fraction` only when it is
-returned. `rref` and `inverse` stay on `Fraction`.
+returned. Every other elimination is `echelon`, on sparse int rows: a
+row is reduced at its smallest column, fraction-free, and divided by its
+content. `rref` (under `inverse`, `Subspace.span`, `intersect` and
+`complement`) and `nullspace_of` back-substitute its rows in ints and
+make one `Fraction` per nonzero entry; `nspace` ranks with it, and
+`Subspace.contains` subtracts the RREF basis rows at their pivots.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
 full=True)` on `build_rank_example(n, k, False, True)`, Python 3.11, one
-core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.016 s,
-dim 14 (k = 3) 0.035 s, dim 20 (k = 4) 0.071 s. Larger dimensions are
+core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.008 s,
+dim 14 (k = 3) 0.010 s, dim 20 (k = 4) 0.020 s. Larger dimensions are
 untested.
 """
 
@@ -38,12 +43,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import BadNumber, SingularGram
 
 Scalar = Fraction
+Row = dict[int, int]   # a sparse int row {column: value}
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
@@ -240,63 +246,25 @@ class Matrix:
     # -- elimination ---------------------------------------------------
 
     def rref(self) -> tuple["Matrix", int]:
-        """Reduced row echelon form and rank.
-
-        Deterministic: pivots are always the first nonzero entry scanning
-        columns left to right, rows top to bottom. No pivoting heuristics,
-        so equal inputs give byte-equal outputs.
-        """
-        m = [list(r) for r in self.entries]
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        for col in range(nc):
-            pivot = None
-            for r in range(rank, nr):
-                if m[r][col] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            pv = m[rank][col]
-            # the pivot row is zero left of col; only its support changes
-            # the other rows
-            support = [(j, x / pv) for j, x in enumerate(m[rank]) if x]
-            for j, x in support:
-                m[rank][j] = x
-            for r in range(nr):
-                f = m[r][col]
-                if r != rank and f != 0:
-                    row = m[r]
-                    for j, x in support:
-                        row[j] -= f * x
-            rank += 1
-            if rank == nr:
-                break
-        return Matrix(tuple(tuple(r) for r in m)), rank
+        """Reduced row echelon form and rank: the rank pivot rows in
+        ascending pivot column, then zero rows, in lowest terms. The RREF
+        of a matrix is unique, so it does not depend on pivot order."""
+        z, nc = Fraction(0), self.ncols
+        out = []
+        for c, row in _reduced(dict(r) for _, r in self._int_rows):
+            r, a = [z] * nc, row[c]
+            for j, p in row.items():
+                r[j] = Fraction(p, a)
+            out.append(tuple(r))
+        zero = ((z,) * nc,) * (self.nrows - len(out))
+        return Matrix(tuple(out) + zero), len(out)
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, in deterministic RREF-derived form."""
-        red, rank = self.rref()
-        nc = self.ncols
-        pivots = []
-        for r in range(rank):
-            for c in range(nc):
-                if red.entries[r][c] != 0:
-                    pivots.append(c)
-                    break
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [Fraction(0)] * nc
-            v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
-            basis.append(tuple(v))
-        return basis
+        return nullspace_of((dict(r) for _, r in self._int_rows), self.ncols)
 
     def det(self) -> Fraction:
         """Determinant by fraction-free Bareiss elimination in ints."""
@@ -377,6 +345,67 @@ def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
     return p
 
 
+def echelon(rows: Iterable[Row]) -> dict[int, Row]:
+    """Sparse fraction-free echelon form: a row is reduced by the stored
+    row of its smallest column (`_eliminate`) until it is empty or that
+    column is new, then stored as given. Its size is the rank."""
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        while row:
+            p = min(row)
+            piv = pivots.get(p)
+            if piv is None:
+                pivots[p] = row
+                break
+            row = _eliminate(row, piv, p)
+    return pivots
+
+
+def _eliminate(row: Row, piv: Row, c: int) -> Row:
+    """row * a - f * piv, a = piv[c] and f = row[c] over their gcd, so
+    column c cancels, divided by its content."""
+    a, f = piv[c], row[c]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    new = {j: v * a for j, v in row.items()}
+    for j, v in piv.items():
+        nv = new.get(j, 0) - f * v
+        if nv:
+            new[j] = nv
+        else:
+            new.pop(j, None)
+    g = gcd(*new.values())
+    return {j: v // g for j, v in new.items()} if g > 1 else new
+
+
+def _reduced(rows: Iterable[Row]) -> list[tuple[int, Row]]:
+    """(pivot column, row), ascending: the `echelon` rows back-substituted
+    in ints, last pivot first, so each is 0 at every other pivot."""
+    piv = echelon(rows)
+    for c in sorted(piv, reverse=True):
+        for k in [k for k in piv[c] if k != c and k in piv]:
+            piv[c] = _eliminate(piv[c], piv[k], k)
+    return sorted(piv.items())
+
+
+def nullspace_of(rows: Iterable[Row], ncols: int,
+                 ) -> list[tuple[Fraction, ...]]:
+    """Basis of {x : row . x = 0 for every int row}: one vector per free
+    column fc, 1 at fc and minus the reduced entry at each pivot."""
+    red = _reduced(rows)
+    z, pivots = Fraction(0), {c for c, _ in red}
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [z] * ncols
+            v[fc] = Fraction(1)
+            for c, row in red:
+                if fc in row:
+                    v[c] = Fraction(-row[fc], row[c])
+            basis.append(tuple(v))
+    return basis
+
+
 def vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
     return tuple((a if type(a) is Fraction else qof(a))
                  - (b if type(b) is Fraction else qof(b))
@@ -423,11 +452,22 @@ class Subspace:
         return [tuple(r) for r in self.basis.entries]
 
     def contains(self, vec: Sequence) -> bool:
-        v = tuple(x if type(x) is Fraction else qof(x) for x in vec)
-        if vec_is_zero(v):
-            return True
-        stacked = Matrix.from_rows(list(self.basis.entries) + [v])
-        return stacked.rank() == self.dim
+        """vec is in the span iff vec - sum of vec[p_i] b_i is 0, p_i the
+        pivot of RREF row b_i; summed in ints over the lcm denominator."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        ratios = [(x if type(x) is Fraction else qof(x)).as_integer_ratio()
+                  for x in vec]
+        dv = lcm(*(q for _, q in ratios))
+        w = [p * (dv // q) for p, q in ratios]
+        brows = self.basis._int_rows
+        big = lcm(*(d for d, _ in brows))
+        acc = [x * big for x in w]
+        for d, row in brows:
+            c = w[row[0][0]] * (big // d)
+            for j, p in row:
+                acc[j] -= c * p
+        return not any(acc)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.vectors())

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, complement, qof
+from .linalg import Matrix, Subspace, complement, nullspace_of, qof
 from .symp import SymplecticTriple
 
 
@@ -221,12 +221,13 @@ def image_distribution(n: Tensor3) -> Subspace:
 
 
 def kernel_distribution(n: Tensor3) -> Subspace:
-    """{x : N(x, .) = 0}, computed as the kernel of the stacked slices."""
-    rows = []
-    for j in range(n.dim):
-        for k in range(n.dim):
-            rows.append(tuple(n.of_basis(i, j)[k] for i in range(n.dim)))
-    return Subspace.span(n.dim, Matrix.from_rows(rows).nullspace())
+    """{x : N(x, .) = 0}: the kernel of the rows (j, k) with entries
+    N(e_i, e_j)_k in column i, read straight off N's int values."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for (i, j), row in n.rows.items():
+        for k, p in row:
+            rows.setdefault((j, k), {})[i] = p
+    return Subspace.span(n.dim, nullspace_of(rows.values(), n.dim))
 
 
 def is_involutive(s: Subspace, g) -> bool:

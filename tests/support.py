@@ -146,6 +146,43 @@ def image_under(s: Subspace, m: Matrix) -> Subspace:
     return Subspace.span(m.nrows, [m.apply(v) for v in s.vectors()])
 
 
+# -- the Fraction Gauss-Jordan elimination, as an oracle for the library's
+#    fraction-free one
+
+
+def fraction_rref(m: Matrix) -> tuple[Matrix, int]:
+    """RREF and rank of m by Gauss-Jordan elimination on `Fraction`s:
+    pivots are the first nonzero entry scanning columns left to right,
+    rows top to bottom. `Matrix.rref`'s route before it ran on ints."""
+    m, nr, nc = [list(r) for r in m.entries], m.nrows, m.ncols
+    rank = 0
+    for col in range(nc):
+        pivot = None
+        for r in range(rank, nr):
+            if m[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        # the pivot row is zero left of col; only its support changes
+        # the other rows
+        support = [(j, x / pv) for j, x in enumerate(m[rank]) if x]
+        for j, x in support:
+            m[rank][j] = x
+        for r in range(nr):
+            f = m[r][col]
+            if r != rank and f != 0:
+                row = m[r]
+                for j, x in support:
+                    row[j] -= f * x
+        rank += 1
+        if rank == nr:
+            break
+    return Matrix(tuple(tuple(r) for r in m)), rank
+
+
 # -- the dense curvature route, as an oracle for the library's int route
 
 

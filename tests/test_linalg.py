@@ -139,6 +139,27 @@ def test_subspace_membership_and_lattice_ops():
     assert not plane_a.contains_subspace(total)
 
 
+def test_contains_refuses_a_nonzero_vector_of_the_wrong_length_on_zero():
+    with pytest.raises(ValueError, match="vector length != ambient dimension"):
+        Subspace.zero(3).contains((1, 0))
+
+
+def test_contains_refuses_a_zero_vector_of_the_wrong_length():
+    for s in (Subspace.zero(3), Subspace.span(3, [[1, 2, 0]])):
+        for vec in ((0, 0), (0, 0, 0, 0), ()):
+            with pytest.raises(ValueError,
+                               match="vector length != ambient dimension"):
+                s.contains(vec)
+
+
+def test_contains_refuses_a_vector_of_the_wrong_length():
+    plane = Subspace.span(3, [[1, 0, 0], [0, 1, "1/2"]])
+    for vec in ((1, 0), (1, 0, 0, 0), (0, 1, "1/2", 0)):
+        with pytest.raises(ValueError,
+                           match="vector length != ambient dimension"):
+            plane.contains(vec)
+
+
 def test_subspace_canonical_form_is_basis_independent():
     s1 = Subspace.span(3, [[1, 1, 0], [0, 2, 0]])
     s2 = Subspace.span(3, [["1/3", 0, 0], [5, 7, 0]])

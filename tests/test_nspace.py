@@ -3,6 +3,7 @@ from fractions import Fraction
 from liesymp import (Tensor3, contains_tensor, expected_dimension,
                      nijenhuis_space_dim, nijenhuis_tensor)
 from liesymp.nspace import build_constraint_rows, nullity
+from support import fraction_rref
 
 F = Fraction
 
@@ -17,14 +18,15 @@ def test_nullity_matches_closed_form():
 
 
 def test_nullity_against_dense_elimination():
-    # re-run the n = 2 system through a dense rank computation
+    # re-run the n = 2 system through a dense Fraction rank computation,
+    # not Matrix.rank, which shares nullity's elimination routine
     from liesymp import Matrix, standard_j, standard_omega
     dim = 4
     rows = build_constraint_rows(dim, standard_omega(dim), standard_j(dim))
     ncols = dim ** 3
     dense = Matrix.from_rows([
         [r.get(c, F(0)) for c in range(ncols)] for r in rows])
-    assert ncols - dense.rank() == 4
+    assert ncols - fraction_rref(dense)[1] == 4
 
 
 def test_catalog_tensors_satisfy_their_own_constraints(catalog):
@@ -108,7 +110,8 @@ def _dense_structures(n, seed, steps):
 
 def test_nullity_on_dense_structures_against_dense_elimination():
     # the fraction-free sparse elimination over lcm-scaled rows against
-    # a dense Fraction rank of the same rows, on non-standard (omega, J)
+    # a dense Fraction Gauss-Jordan rank of the same rows, on non-standard
+    # (omega, J)
     from liesymp import Matrix
     # (one transvection leaves zeros in J; two make every entry nonzero)
     for n, seed, steps in ((2, 41, 4), (3, 43, 2)):
@@ -119,4 +122,4 @@ def test_nullity_on_dense_structures_against_dense_elimination():
         ncols = dim ** 3
         dense = Matrix.from_rows([
             [r.get(c, 0) for c in range(ncols)] for r in rows])
-        assert got == ncols - dense.rank() == expected_dimension(n)
+        assert got == ncols - fraction_rref(dense)[1] == expected_dimension(n)
