@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time
 from typing import Optional
@@ -161,13 +162,17 @@ def _cmd_synthesize(args) -> int:
 
 
 def _parse_ns(spec: str) -> list[int]:
-    return [int(tok) for tok in spec.split(",") if tok.strip()]
+    """--n: comma-separated decimal integers >= 1, nothing else."""
+    if not re.fullmatch(r"0*[1-9][0-9]*(,0*[1-9][0-9]*)*", spec):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 1, got {spec!r}")
+    return [int(t) for t in spec.split(",")]
 
 
 def _cmd_nspace_dim(args) -> int:
     ok = True
     t0 = time.monotonic()
-    for n in _parse_ns(args.n):
+    for n in args.n:
         got = nijenhuis_space_dim(n)
         want = expected_dimension(n)
         match = got == want
@@ -183,7 +188,7 @@ def _cmd_twistor(args) -> int:
     ok = True
     t0 = time.monotonic()
     payloads = []
-    for n in _parse_ns(args.n):
+    for n in args.n:
         c = twistor_claims(n)
         checks = [
             ("+", "plus structure integrable", c.plus_integrable),
@@ -303,12 +308,12 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("nspace-dim",
                         help="corank of the tensor-identity constraint "
                              "system vs the closed form")
-    sp.add_argument("--n", default="1,2,3,4,5",
+    sp.add_argument("--n", default="1,2,3,4,5", type=_parse_ns,
                     help="comma separated list of n values")
     common(sp)
 
     sp = sub.add_parser("twistor", help="verify the twistor model claims")
-    sp.add_argument("--n", default="1,2,3",
+    sp.add_argument("--n", default="1,2,3", type=_parse_ns,
                     help="comma separated list of n values")
     sp.add_argument("--sign", choices=("+", "-"), default=None,
                     help="restrict to the claims of one structure")

@@ -1,16 +1,16 @@
 """Finite dimensional Lie algebras over Q, given by structure constants.
 
 Storage is sparse: only brackets [e_i, e_j] with i < j and a nonzero
-result are kept, as {(i, j): {k: coefficient}}. For the algebras handled
-here (nilpotent or solvable, few nonzero brackets) this makes the
-exhaustive Jacobi check cheap: it scans only triples that touch a stored
-bracket. The identity scans (Jacobi here, the 2-cocycle check in `symp`)
-run on a second form of the table, cached once per algebra: every
-coefficient as a Python int over one common denominator D (the lcm of
-all of them), with both bracket orders stored, so a lookup neither
-copies a dict nor negates `Fraction`s. A residual becomes a `Fraction`
-only when it is reported. No dimension limit is enforced; the linalg
-module docstring gives measured full-report times, up to dim 20.
+result are kept, as {(i, j): {k: coefficient}}. The identity checks
+(Jacobi here, the 2-cocycle check in `symp`) sweep the stored brackets
+once, adding each nonzero term into the sum of its basis triple, so
+their cost follows the nonzero terms, not the triples. They run on a
+second form of the table, cached once per algebra: every coefficient as
+a Python int over one common denominator D (the lcm of all of them),
+with both bracket orders stored, so a lookup neither copies a dict nor
+negates `Fraction`s. A residual becomes a `Fraction` only when it is
+reported. No dimension limit is enforced; the linalg module docstring
+gives measured full-report times, up to dim 20.
 
 Conventions:
   * bases are 0-indexed internally; names are whatever the caller says.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
 from .linalg import Matrix, Subspace, qof
@@ -65,18 +65,15 @@ class LieAlgebra:
             return dict(self._table.get((i, j), {}))
         return {k: -v for k, v in self._table.get((j, i), {}).items()}
 
-    def _touched_triples(self) -> Iterator[tuple[int, int, int]]:
-        """Each basis triple i < j < k with a stored bracket among its
-        pairs, once, in order of first touch: stored pairs sorted, then
-        the third index ascending. Only these triples can fail an
-        identity that is linear in the brackets."""
-        seen = set()
-        for (a, b) in sorted(self._table):
-            for c in range(self.dim):
-                tri = (c, a, b) if c < a else (a, c, b) if c < b else (a, b, c)
-                if c != a and c != b and tri not in seen:
-                    seen.add(tri)
-                    yield tri
+    def _first_touched(self, triples: Iterable[tuple]) -> tuple[int, ...]:
+        """The triple of `triples` that a walk over the stored pairs in
+        sorted order, each with its third index ascending, meets first."""
+        def first_touch(tri):
+            i, j, k = tri
+            for pair, c in (((i, j), k), ((i, k), j), ((j, k), i)):
+                if pair in self._table:
+                    return pair, c
+        return min(triples, key=first_touch)
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
         """[u, v] for dense coordinate vectors."""
@@ -209,19 +206,34 @@ def validate(name: str, dim: int, basis_names: Sequence[str],
 def _check_jacobi(g: LieAlgebra) -> None:
     """[e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] = 0 for i<j<k.
 
-    Exploits sparsity: a triple contributes only if at least one inner
-    bracket is nonzero, so only the touched triples are scanned. The sum
-    runs in ints on the int table; each term carries D^2, which the
-    reported residual divides back out.
+    One sweep over the stored pairs y < z: each (m, p) of [e_y, e_z] and
+    stored [e_x, e_m], x not y or z, adds +-p [e_x, e_m] to the triple
+    sorted(x, y, z), - when y < x < z (the [e_j,[e_k,e_i]] term), in ints
+    on the int table; the reported residual divides D^2 back out.
     """
     big, table = g._int_table
-    for i, j, k in g._touched_triples():
-        acc: dict[int, int] = {}
-        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, p in table.get((y, z), ()):
-                for r, q in table.get((x, m), ()):
-                    acc[r] = acc.get(r, 0) + p * q
-        if any(acc.values()):
-            resid = {g.basis_names[m]: str(Fraction(v, big * big))
-                     for m, v in sorted(acc.items()) if v}
-            raise JacobiViolation(i, j, k, resid, names=g.basis_names)
+    cols = [[] for _ in range(g.dim)]  # cols[m]: (x, [e_x, e_m]) stored
+    for (x, m), row in table.items():
+        cols[m].append((x, row))
+    acc: dict[tuple[int, int, int, int], int] = {}  # (i, j, k, r): sum
+    for y, z in g._table:
+        for m, p in table[(y, z)]:
+            for x, row in cols[m]:
+                if x < y:
+                    for r, q in row:
+                        key = (x, y, z, r)
+                        acc[key] = acc.get(key, 0) + p * q
+                elif x > z:
+                    for r, q in row:
+                        key = (y, z, x, r)
+                        acc[key] = acc.get(key, 0) + p * q
+                elif x != y and x != z:
+                    for r, q in row:
+                        key = (y, x, z, r)
+                        acc[key] = acc.get(key, 0) - p * q
+    bad = {key[:3] for key, v in acc.items() if v}
+    if bad:
+        i, j, k = tri = g._first_touched(bad)
+        resid = {g.basis_names[key[3]]: str(Fraction(v, big * big))
+                 for key, v in sorted(acc.items()) if key[:3] == tri and v}
+        raise JacobiViolation(i, j, k, resid, names=g.basis_names)

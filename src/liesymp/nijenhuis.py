@@ -231,11 +231,8 @@ def kernel_distribution(n: Tensor3) -> Subspace:
 
 
 def is_involutive(s: Subspace, g) -> bool:
-    for u in s.vectors():
-        for v in s.vectors():
-            if not s.contains(g.bracket_vec(u, v)):
-                return False
-    return True
+    """[s, s] lies in s, with [s, s] summed on g's int table."""
+    return s.contains_subspace(g.bracket_of_subspaces(s, s))
 
 
 def norm_sq(n: Tensor3, t: SymplecticTriple) -> Fraction:

@@ -64,23 +64,29 @@ def _pair(u: Sequence, w: Sequence[Fraction]) -> Fraction:
 def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     """d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x).
 
-    Sparse in the same way as the Jacobi check: a triple can only fail if
-    one of its three brackets is nonzero. The sum runs in ints: brackets
-    from the int table over D, omega scaled by the lcm D_omega of its
-    denominators; the reported value divides D * D_omega back out.
+    One sweep over the stored pairs y < z: the row omega([e_y, e_z], .)
+    is formed once and its entry x (not y or z) is added to the triple
+    sorted(x, y, z), + when y < x < z and - otherwise. Sums run in ints
+    (brackets over D, omega over the lcm D_omega of its denominators);
+    the reported value divides D * D_omega back out.
     """
     big, table = g._int_table
     d_om, om = omega._scaled()
-
-    def om_bracket(i: int, j: int, k: int) -> int:
-        # D * D_omega * omega([e_i, e_j], e_k)
-        return sum(p * om[m][k] for m, p in table.get((i, j), ()))
-
-    for i, j, k in g._touched_triples():
-        val = -om_bracket(i, j, k) + om_bracket(i, k, j) - om_bracket(j, k, i)
-        if val != 0:
-            raise CocycleViolation(i, j, k, str(Fraction(val, big * d_om)),
-                                   names=g.basis_names)
+    acc: dict[tuple[int, int, int], int] = {}
+    for y, z in g._table:
+        row = [0] * g.dim
+        for m, p in table[(y, z)]:
+            for x, v in enumerate(om[m]):
+                row[x] += p * v
+        for x, v in enumerate(row):
+            if v and x != y and x != z:
+                tri = (x, y, z) if x < y else (y, z, x) if x > z else (y, x, z)
+                acc[tri] = acc.get(tri, 0) + (v if y < x < z else -v)
+    bad = [tri for tri, v in acc.items() if v]
+    if bad:
+        i, j, k = tri = g._first_touched(bad)
+        raise CocycleViolation(i, j, k, str(Fraction(acc[tri], big * d_om)),
+                               names=g.basis_names)
 
 
 def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
                      validate)
+from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.nspace import build_constraint_rows
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -327,3 +328,77 @@ def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
               for (i, j), row in tensor.rows.items() for k, p in row}
     return all(sum(v * scaled.get(c, 0) for c, v in row.items()) == 0
                for row in build_constraint_rows(d, t.omega, t.j))
+
+
+# -- the per-triple identity scans, as oracles for the one-sweep checks
+
+
+def touched_triples(g):
+    """Each basis triple i < j < k with a stored bracket among its pairs,
+    once, in order of first touch: stored pairs sorted, then the third
+    index ascending."""
+    seen = set()
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            if not g.bracket_basis(a, b):
+                continue
+            for c in range(g.dim):
+                tri = tuple(sorted((a, b, c)))
+                if c != a and c != b and tri not in seen:
+                    seen.add(tri)
+                    yield tri
+
+
+def jacobi_residuals(g):
+    """(triple, residual) for each touched triple in order, the residual
+    [e_i,[e_j,e_k]] + [e_j,[e_k,e_i]] + [e_k,[e_i,e_j]] as {basis name:
+    str} over its nonzero coordinates, summed in `Fraction`s from
+    `bracket_basis`."""
+    for i, j, k in touched_triples(g):
+        acc: dict[int, Fraction] = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in g.bracket_basis(y, z).items():
+                for r, q in g.bracket_basis(x, m).items():
+                    acc[r] = acc.get(r, Fraction(0)) + c * q
+        yield (i, j, k), {g.basis_names[r]: str(v)
+                          for r, v in sorted(acc.items()) if v}
+
+
+def definitional_jacobi(g) -> None:
+    """Raise `JacobiViolation` on the first touched triple with a nonzero
+    residual: the scan `validate` ran before its check became one sweep
+    over the stored brackets."""
+    for (i, j, k), resid in jacobi_residuals(g):
+        if resid:
+            raise JacobiViolation(i, j, k, resid, names=g.basis_names)
+
+
+def cocycle_values(g, omega: Matrix):
+    """(triple, d(omega)(e_i, e_j, e_k)) for each touched triple in order,
+    -omega([e_i,e_j],e_k) + omega([e_i,e_k],e_j) - omega([e_j,e_k],e_i)
+    in `Fraction`s from `bracket_basis` and the entries of omega."""
+    def om(a, b, c):
+        return sum((v * omega.entry(m, c)
+                    for m, v in g.bracket_basis(a, b).items()), Fraction(0))
+
+    for i, j, k in touched_triples(g):
+        yield (i, j, k), -om(i, j, k) + om(i, k, j) - om(j, k, i)
+
+
+def definitional_cocycle(g, omega: Matrix) -> None:
+    """Raise `CocycleViolation` on the first touched triple where
+    d(omega) is nonzero: the scan `build_triple` ran before."""
+    for (i, j, k), val in cocycle_values(g, omega):
+        if val:
+            raise CocycleViolation(i, j, k, str(val), names=g.basis_names)
+
+
+# -- the pairwise involutivity test, as an oracle for the int-table route
+
+
+def pairwise_is_involutive(s: Subspace, g) -> bool:
+    """[u, v] in s for every ordered pair of basis vectors of s, by
+    `bracket_vec` and `Subspace.contains`: `is_involutive`'s route
+    before it bracketed the subspace on the int table."""
+    return all(s.contains(g.bracket_vec(u, v))
+               for u in s.vectors() for v in s.vectors())

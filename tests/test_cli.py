@@ -282,6 +282,22 @@ def test_nspace_dim_subcommand(capsys):
     assert "MISMATCH" not in out and "n=3: nullity=16" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["twistor", "--n", "0"],        # was a ValueError traceback
+    ["twistor", "--n", "x"],        # was a ValueError traceback
+    ["nspace-dim", "--n", "-2"],    # was a MISMATCH line and exit 3
+    ["twistor", "--n", "1_0"],      # was read as n = 10
+    ["nspace-dim", "--n", "0"],     # was a MATCH line and exit 0
+    ["nspace-dim", "--n", "1,,2"],
+    ["twistor", "--n", "1, 2"],
+])
+def test_n_list_outside_the_grammar_is_a_usage_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --n: ")
+
+
 def test_twistor_subcommand(capsys):
     assert main(["twistor", "--n", "1,2"]) == 0
     out = capsys.readouterr().out

@@ -8,7 +8,10 @@ k-th pivot is D^k times the k-th minor). Every case below uses coprime
 denominators (2, 3, 5, 7, 11, ...), so a residual that is not divided
 back, or a Bareiss pivot that is not divided by its predecessor, prints a
 different string. The expected strings were recorded on the Fraction
-implementation these scans replaced.
+implementation these scans replaced. The two cases whose triple is
+touched only through its (j, k) pair were recorded on the per-triple
+scan that the one-sweep checks replaced: they pin which of several
+failing triples is reported.
 """
 
 from fractions import Fraction as F
@@ -44,6 +47,13 @@ ABCD = ["a", "b", "c", "d"]
      (0, 1, 2), {"e5": "-3/10"},
      "Jacobi identity fails on basis triple (e1, e2, e3): "
      "residual {'e5': '-3/10'}"),
+    # (b, c, d) is touched only through its pair (c, d); (a, d, e) fails
+    # too and is smaller as a triple, but is touched later, through (d, e)
+    (5, ["a", "b", "c", "d", "e"],
+     {(0, 1): {0: "-1/7"}, (2, 3): {0: "2/11"}, (3, 4): {1: "2/3"}},
+     (1, 2, 3), {"a": "2/77"},
+     "Jacobi identity fails on basis triple (b, c, d): "
+     "residual {'a': '2/77'}"),
 ])
 def test_jacobi_violation_message(dim, names, brackets, triple, residual,
                                   message):
@@ -70,11 +80,18 @@ def _skew(dim, upper):
     (["x", "y", "z", "w"], {(0, 1): {2: "3/4"}, (0, 3): {2: "5/6"}},
      {(0, 1): "2/7", (0, 2): "1/5", (1, 2): "3/10", (1, 3): "7/3"},
      (0, 1, 3), "-1/4"),
+    # (y, z, w) is touched only through its pair (z, w); (x, w, v) fails
+    # too and is smaller as a triple, but is touched later, through (w, v)
+    (["x", "y", "z", "w", "u", "v"], {(2, 3): {0: "-1/5"}, (3, 5): {1: "2/3"}},
+     {(0, 1): "-1/5", (0, 3): "3", (1, 2): "1", (1, 4): "-1", (1, 5): "-1",
+      (2, 3): "3/5", (3, 5): "3", (4, 5): "3/11"},
+     (1, 2, 3), "-1/25"),
 ])
 def test_cocycle_violation_message(names, brackets, omega, triple, value):
-    g = validate("g", 4, names, brackets)
+    d = len(names)
+    g = validate("g", d, names, brackets)
     with pytest.raises(CocycleViolation) as exc:
-        build_triple(g, _skew(4, omega), Matrix.identity(4))
+        build_triple(g, _skew(d, omega), Matrix.identity(d))
     assert exc.value.triple == triple
     assert exc.value.value == value
     shown = ", ".join(names[i] for i in triple)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Subspace, check_tensor_identities,
-                     image_distribution, kernel_distribution,
-                     nijenhuis_tensor, norm_sq)
-from support import conjugated_triple, image_under
+from liesymp import (Analysis, Subspace, build_rank_example,
+                     check_tensor_identities, image_distribution,
+                     is_involutive, kernel_distribution, nijenhuis_tensor,
+                     norm_sq)
+from support import (conjugated_triple, dense_conjugate, image_under,
+                     pairwise_is_involutive)
 
 F = Fraction
 
@@ -129,3 +131,28 @@ def test_norm_is_invariant_under_symplectic_conjugation_of_nothing():
     assert rep.image.dim in (0, 2)
     checks = check_tensor_identities(t2, nijenhuis_tensor(t2))
     assert all(checks.values())
+
+
+def test_is_involutive_matches_pairwise_brackets(extended_catalog):
+    # the distributions of every catalog triple and of dense conjugates,
+    # plus seeded random subspaces, so both answers occur
+    rng = random.Random("involutive")
+    triples = list(extended_catalog.values())
+    triples += [dense_conjugate(build_rank_example(*args),
+                                random.Random(f"inv:{args}"))
+                for args in ((2, 1, False, True), (3, 1, True, False),
+                             (4, 2, False, False))]
+    answers = set()
+    for t in triples:
+        g, rep = t.algebra, Analysis(t).distributions
+        subspaces = [rep.image, rep.perp, rep.kernel, Subspace.zero(t.dim),
+                     Subspace.full(t.dim)]
+        for _ in range(4):
+            subspaces.append(Subspace.span(t.dim, [
+                [F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                 for _ in range(t.dim)] for _ in range(rng.randint(1, 3))]))
+        for s in subspaces:
+            got = is_involutive(s, g)
+            assert got == pairwise_is_involutive(s, g), (g.name, s)
+            answers.add(got)
+    assert answers == {True, False}
