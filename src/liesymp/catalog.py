@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
@@ -207,11 +208,13 @@ def character_extension(t: SymplecticTriple, xi=None) -> SymplecticTriple:
 
 
 def _block2(a: Matrix, b: Matrix) -> Matrix:
-    n, m = a.nrows, b.nrows
-    z = Fraction(0)
-    rows = [list(a.entries[i]) + [z] * m for i in range(n)]
-    rows += [[z] * n + list(b.entries[i]) for i in range(m)]
-    return Matrix.from_rows(rows)
+    """diag(a, b) over the lcm of their denominators; canonical, as a and
+    b are."""
+    den, n = lcm(a.den, b.den), a.ncols
+    fa, fb = den // a.den, den // b.den
+    return Matrix(den, tuple(tuple((j, p * fa) for j, p in r) for r in a.rows)
+                  + tuple(tuple((n + j, p * fb) for j, p in r)
+                          for r in b.rows), n + b.ncols)
 
 
 # -- synthesis ---------------------------------------------------------

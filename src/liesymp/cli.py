@@ -169,6 +169,17 @@ def _parse_ns(spec: str) -> list[int]:
     return [int(t) for t in spec.split(",")]
 
 
+def _decimal(minimum: int):
+    """A decimal integer >= minimum, nothing else: no sign, no space, no
+    digit separator."""
+    def parse(spec: str) -> int:
+        if not re.fullmatch(r"[0-9]+", spec) or int(spec) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a decimal integer >= {minimum}, got {spec!r}")
+        return int(spec)
+    return parse
+
+
 def _cmd_nspace_dim(args) -> int:
     ok = True
     t0 = time.monotonic()
@@ -291,9 +302,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("synthesize",
                         help="build a triple with prescribed invariants")
-    sp.add_argument("--n", type=int, required=True,
+    sp.add_argument("--n", type=_decimal(1), required=True,
                     help="half the dimension")
-    sp.add_argument("--k", type=int, required=True,
+    sp.add_argument("--k", type=_decimal(0), required=True,
                     help="half the image dimension")
     sp.add_argument("--image-involutive", choices=("true", "false"),
                     default=None)

@@ -54,8 +54,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, vec_is_zero
-from .nijenhuis import (DistributionReport, Tensor3, brackets, combine,
-                        int_matrix)
+from .nijenhuis import DistributionReport, Tensor3, brackets, combine
 from .symp import SymplecticTriple
 
 # a connection is the tensor (x, y) -> Gamma(x, y), labelled with its name
@@ -258,7 +257,7 @@ def curvature_summary(t: SymplecticTriple, lc: Connection,
                 ric[i][b] -= p   # R(e_k, e_i) e_b, traced over k
     if any(ric[x][y] != ric[y][x] for x in range(d) for y in range(x)):
         raise InternalInvariantViolation("Ricci form not symmetric")
-    ricci = Matrix.from_rows([[Fraction(p, riem.den) for p in r] for r in ric])
+    ricci = Matrix.from_ints(riem.den, ric)
     scalar = (t.metric_inv @ ricci).trace()
     ricci_j = (j.transpose() @ ricci @ j) == ricci
 
@@ -278,8 +277,7 @@ def curvature_summary(t: SymplecticTriple, lc: Connection,
         val = dict(row).get(b, 0)
         p[x][y] += val
         p[y][x] -= val
-    chern_ricci = Matrix.from_rows([[Fraction(v, jr.den) for v in r]
-                                    for r in p])
+    chern_ricci = Matrix.from_ints(jr.den, p)
     # Jacobi's formula, see the module docstring
     herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
     return CurvatureSummary(

@@ -90,29 +90,28 @@ class LieAlgebra:
                 out[k] += c * coeff
         return tuple(out)
 
-    def nonzero_brackets(self) -> list[tuple[int, int, dict[int, Fraction]]]:
-        return [(i, j, dict(res)) for (i, j), res in sorted(self._table.items())]
-
     # -- structure ------------------------------------------------------
 
     def derived_subalgebra(self) -> Subspace:
+        """Span of the stored brackets, as their int rows."""
+        _, table = self._int_table
         vecs = []
-        for (i, j), res in self._table.items():
-            v = [Fraction(0)] * self.dim
-            for k, c in res.items():
-                v[k] = c
+        for ij in self._table:
+            v = [0] * self.dim
+            for k, p in table[ij]:
+                v[k] = p
             vecs.append(v)
         return Subspace.span(self.dim, vecs)
 
     def bracket_of_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [u, v] over the basis vectors u of a and v of b, each
-        summed in ints on the int table with u and v lifted to ints over
-        their lcm denominators. A nonzero multiple spans the same line,
-        so only the nonzero int results are passed to the span."""
+        summed in ints on the int table from the bases' int rows. A nonzero
+        multiple spans the same line, so only the nonzero int results are
+        passed to the span."""
         _, table = self._int_table
         vecs = []
-        for _, us in a.basis._int_rows:
-            for _, vs in b.basis._int_rows:
+        for us in a.basis.rows:
+            for vs in b.basis.rows:
                 acc = [0] * self.dim
                 for i, p in us:
                     for j, q in vs:

@@ -1,33 +1,36 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction` entries and is fully
-deterministic: the same input always produces the same reduced row echelon
-form, the same pivot choices, the same basis. That determinism is load
-bearing, because canonical RREF bases are compared verbatim in golden
-outputs.
+Everything here is fully deterministic: the same input always produces
+the same reduced row echelon form, the same pivot choices, the same
+basis. That determinism is load bearing, because canonical RREF bases
+are compared verbatim in golden outputs.
 
-Matrices are immutable; all operations return new objects. `entries` is
-the dense tuple of rows callers read. Products and `apply` run on a second
-form, cached once per matrix: each row as Python ints over a common
-denominator (the lcm of the row's denominators), listing only its nonzero
-(column, numerator) pairs. A product row is summed in ints, each left
-factor lifted to the lcm of the right operand's row denominators, and
-becomes one `Fraction` per nonzero entry at the end. `Fraction` reduces
-that to lowest terms, so the result is the same value, and prints the
-same bytes, as a sum of `Fraction` products. Zeros are skipped, so a
-product of the mostly-zero structure constants, forms and connection
-endomorphisms costs about its number of nonzero terms; on dense matrices
-with 20-30 bit entries an int multiply-add replaces a gcd-normalising
-`Fraction` multiply and add per term. `det` and the Sylvester check
-run integer Bareiss: the matrix is scaled by the lcm D of all its
-denominators, every step divides exactly with `//`, and the k-th pivot,
-D^k times the k-th leading minor, becomes a `Fraction` only when it is
-returned. Every other elimination is `echelon`, on sparse int rows: a
-row is reduced at its smallest column, fraction-free, and divided by its
-content. `rref` (under `inverse`, `Subspace.span`, `intersect` and
-`complement`) and `nullspace_of` back-substitute its rows in ints and
-make one `Fraction` per nonzero entry; `nspace` ranks with it, and
-`Subspace.contains` subtracts the RREF basis rows at their pivots.
+A `Matrix` is immutable and holds one exact form: Python ints over one
+common denominator, entry (i, j) = p / den for the (j, p) listed in
+row i. Only nonzero entries are listed, in ascending column, and the
+state is canonical (den > 0, and no factor is common to den and every
+numerator), so `==` and `hash` compare the state, and equal matrices
+built over different denominators compare equal. Sums, negation,
+scaling, products, `apply`, the transpose, the trace and the predicates
+all run in ints on that state: a product row is summed over the nonzero
+factors only, and the result is brought to lowest terms once, by one
+gcd over the numerators that stops at 1. `entries`, the dense rows as
+`Fraction`s, is only a view, made on demand and cached, for output,
+serialization and `Subspace.vectors`. Strings are read straight into
+ints: `qof`'s grammar, "p" or "p/q", is matched once and its groups go
+to `int()`.
+
+`det` and the Sylvester check run integer Bareiss on a dense copy of
+the numerators: every step divides exactly with `//`, and the k-th
+pivot, den^k times the k-th leading minor, becomes a `Fraction` only
+when it is returned. Every other elimination is `echelon`, on sparse int
+rows: a row is reduced at its smallest column, fraction-free, and
+divided by its content. `rref` (under `inverse`, `Subspace.span`,
+`intersect` and `complement`) back-substitutes its rows in ints and
+puts each over its pivot straight into the canonical state, and
+`nullspace_of` makes one `Fraction` per nonzero entry; `nspace` ranks
+with it, and `Subspace.contains` subtracts the RREF basis rows at their
+pivots.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
@@ -50,9 +53,10 @@ from .errors import BadNumber, SingularGram
 
 Scalar = Fraction
 Row = dict[int, int]   # a sparse int row {column: value}
+IntRow = tuple[tuple[int, int], ...]   # ((column, value), ...), ascending
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def brief(x) -> str:
@@ -62,6 +66,34 @@ def brief(x) -> str:
     if not isinstance(x, str) or len(x) <= 32:
         return repr(x)
     return f"{x[:16]!r}... ({sum(c.isdigit() for c in x)} digits)"
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(p, q), q > 0 and x = p / q, not always in lowest terms, for the
+    values `qof` accepts; refuses what it refuses."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, float):
+        raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
+    if isinstance(x, bool):
+        raise TypeError(f"refusing to read the boolean {x!r} as a number")
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, str):
+        m = _RATIONAL.fullmatch(x)
+        if not m:
+            raise BadNumber(f"{brief(x)} is not an integer or p/q")
+        try:
+            p, q = int(m[1]), int(m[2] or 1)
+        except ValueError:
+            raise BadNumber(f"{brief(x)} exceeds the interpreter's digit "
+                            "limit for integers") from None
+        if not q:
+            raise BadNumber(f"{brief(x)} has a zero denominator")
+        return p, q
+    raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
 def qof(x) -> Fraction:
@@ -76,166 +108,166 @@ def qof(x) -> Fraction:
     denominator longer than the interpreter converts from a string
     (`sys.get_int_max_str_digits`, 4300 digits by default) is BadNumber.
     """
-    if isinstance(x, float):
-        raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
-    if isinstance(x, bool):
-        raise TypeError(f"refusing to read the boolean {x!r} as a number")
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise BadNumber(f"{brief(x)} is not an integer or p/q")
-        try:
-            return Fraction(x)
-        except ZeroDivisionError:
-            raise BadNumber(f"{brief(x)} has a zero denominator") from None
-        except ValueError:
-            raise BadNumber(f"{brief(x)} exceeds the interpreter's digit "
-                            "limit for integers") from None
-    raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
+    p, q = _ratio(x)
+    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
-def _freeze(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(x if type(x) is Fraction else qof(x) for x in row)
-                 for row in rows)
+def int_vector(vec: Sequence) -> tuple[int, list[int]]:
+    """(D, w): vec_i = w[i] / D, D the lcm of the entries' denominators;
+    every entry is read as `qof` reads it."""
+    if all(type(x) is int for x in vec):
+        return 1, list(vec)
+    ratios = [_ratio(x) for x in vec]
+    den = lcm(*(q for _, q in ratios))
+    return den, [p * (den // q) for p, q in ratios]
+
+
+def _canon(den: int, rows: tuple[IntRow, ...], ncols: int) -> "Matrix":
+    """The Matrix of rows over den (den > 0), with the factor common to
+    den and every numerator divided out."""
+    g = den
+    for r in rows:
+        if g == 1:
+            break
+        if r:
+            g = gcd(g, *(p for _, p in r))
+    if g == 1:
+        return Matrix(den, rows, ncols)
+    return Matrix(den // g, tuple(tuple((j, p // g) for j, p in r)
+                                  for r in rows), ncols)
 
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix of Fractions."""
+    """Immutable rational matrix: entry (i, j) is p / den for the (j, p)
+    in rows[i], and 0 where row i lists no j. Canonical (see the module
+    docstring); build one with `from_rows`, `from_ints` or `identity`."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    den: int
+    rows: tuple[IntRow, ...]
+    ncols: int
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        frozen = _freeze(rows)
-        if frozen:
-            w = len(frozen[0])
-            if any(len(r) != w for r in frozen):
-                raise ValueError("ragged rows")
-        return Matrix(frozen)
+        """The matrix of any exact numbers, each read as `qof` reads it."""
+        ratios = [[_ratio(x) for x in r] for r in rows]
+        if len({len(r) for r in ratios}) > 1:
+            raise ValueError("ragged rows")
+        den = lcm(*(q for r in ratios for _, q in r))
+        return Matrix.from_ints(den, [[p * (den // q) for p, q in r]
+                                      for r in ratios])
+
+    @staticmethod
+    def from_ints(den: int, rows: Sequence[Sequence[int]]) -> "Matrix":
+        """The matrix with entries rows[i][j] / den, den > 0."""
+        return _canon(den, tuple(tuple((j, p) for j, p in enumerate(r) if p)
+                                 for r in rows),
+                      len(rows[0]) if rows else 0)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n))
-            for i in range(n)))
+        return Matrix(1, tuple(((i, 1),) for i in range(n)), n)
 
     # -- shape / access ------------------------------------------------
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.rows)
 
     @cached_property
-    def _int_rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """Each row as (d, ((j, p), ...)): d is the lcm of the row's
-        denominators, a_ij = p / d, and only nonzero entries are listed.
-        Computed once per matrix; `@` and `apply` run over these only."""
-        out = []
-        for r in self.entries:
-            nz = [(j, a.as_integer_ratio()) for j, a in enumerate(r) if a]
-            d = lcm(*(q for _, (_, q) in nz))
-            out.append((d, tuple((j, p * (d // q)) for j, (p, q) in nz)))
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows as `Fraction`s in lowest terms."""
+        z, den, out = Fraction(0), self.den, []
+        for r in self.rows:
+            e = [z] * self.ncols
+            for j, p in r:
+                e[j] = Fraction(p, den)
+            out.append(tuple(e))
         return tuple(out)
 
-    def _scaled(self) -> tuple[int, list[list[int]]]:
-        """(D, rows): D is the lcm of every denominator in the matrix and
-        a_ij = rows[i][j] / D, as a fresh dense list of int rows."""
-        irows = self._int_rows
-        big = lcm(*(d for d, _ in irows))
-        out = []
-        for d, row in irows:
-            r, f = [0] * self.ncols, big // d
-            for j, p in row:
-                r[j] = p * f
-            out.append(r)
-        return big, out
-
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i][j]
+        return Fraction(dict(self.rows[i]).get(j, 0), self.den)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self._plus(other, -1)
+
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, summed over the lcm of the denominators."""
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} + "
+                             f"{other.nrows}x{other.ncols}")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            acc = {j: p * fa for j, p in ra}
+            for j, q in rb:
+                acc[j] = acc.get(j, 0) + q * fb
+            out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+        return _canon(den, tuple(out), self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in r) for r in self.entries))
+        return Matrix(self.den, tuple(tuple((j, -p) for j, p in r)
+                                      for r in self.rows), self.ncols)
 
     def scale(self, c) -> "Matrix":
-        c = qof(c)
-        return Matrix(tuple(tuple(c * a for a in r) for r in self.entries))
+        p, q = _ratio(c)
+        rows = (tuple(tuple((j, p * v) for j, v in r) for r in self.rows)
+                if p else ((),) * self.nrows)
+        return _canon(self.den * q, rows, self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        # row i of the product is (1 / (d_i * big)) * sum_k p_ik * (big /
-        # f_k) * q_kj, where row k of other is q_k / f_k and big is the lcm
-        # of the f_k: the sum runs in ints over the nonzero factors only
-        brows, width = other._int_rows, other.ncols
-        big = lcm(*(f for f, _ in brows))
-        lift = [big // f for f, _ in brows]
-        z = Fraction(0)
-        zero_row = (z,) * width
+        brows, width = other.rows, other.ncols
         out = []
-        for d, row in self._int_rows:
+        for row in self.rows:
             acc = [0] * width
             for k, p in row:
-                a = p * lift[k]
-                for j, q in brows[k][1]:
-                    acc[j] += a * q
-            if any(acc):
-                den = d * big
-                out.append(tuple([Fraction(x, den) if x else z for x in acc]))
-            else:
-                out.append(zero_row)
-        return Matrix(tuple(out))
+                for j, q in brows[k]:
+                    acc[j] += p * q
+            out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
+        return _canon(self.den * other.den, tuple(out), width)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
-        v = [x if type(x) is Fraction else qof(x) for x in vec]
-        if len(v) != self.ncols:
+        dv, w = int_vector(vec)
+        if len(w) != self.ncols:
             raise ValueError("vector length mismatch")
-        ratios = [x.as_integer_ratio() for x in v]
-        dv = lcm(*(q for _, q in ratios))
-        w = [p * (dv // q) for p, q in ratios]
-        z = Fraction(0)
+        den, z = self.den * dv, Fraction(0)
         out = []
-        for d, row in self._int_rows:
+        for row in self.rows:
             acc = 0
             for j, p in row:
                 acc += p * w[j]
-            out.append(Fraction(acc, d * dv) if acc else z)
+            out.append(Fraction(acc, den) if acc else z)
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)) if self.entries else ())
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for j, p in r:
+                cols[j].append((i, p))
+        return Matrix(self.den, tuple(map(tuple, cols)), self.nrows)
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.nrows)),
-                   Fraction(0))
+        return Fraction(sum(p for i, r in enumerate(self.rows)
+                            for j, p in r if j == i), self.den)
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return not any(self.rows)
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -247,24 +279,32 @@ class Matrix:
 
     def rref(self) -> tuple["Matrix", int]:
         """Reduced row echelon form and rank: the rank pivot rows in
-        ascending pivot column, then zero rows, in lowest terms. The RREF
-        of a matrix is unique, so it does not depend on pivot order."""
-        z, nc = Fraction(0), self.ncols
-        out = []
-        for c, row in _reduced(dict(r) for _, r in self._int_rows):
-            r, a = [z] * nc, row[c]
-            for j, p in row.items():
-                r[j] = Fraction(p, a)
-            out.append(tuple(r))
-        zero = ((z,) * nc,) * (self.nrows - len(out))
-        return Matrix(tuple(out) + zero), len(out)
+        ascending pivot column, then zero rows. The RREF of a matrix is
+        unique, so it does not depend on pivot order. Each reduced row,
+        divided by its content and put over its pivot, is in lowest terms,
+        so the lcm of those pivots is the canonical denominator (a
+        negative pivot's quotient carries the sign)."""
+        over = []
+        for c, row in _reduced(dict(r) for r in self.rows):
+            g = gcd(*row.values())
+            over.append((row[c] // g,
+                         sorted((j, p // g) for j, p in row.items())))
+        den = lcm(*(a for a, _ in over))
+        out = tuple(tuple((j, p * (den // a)) for j, p in r) for a, r in over)
+        return (Matrix(den, out + ((),) * (self.nrows - len(out)), self.ncols),
+                len(out))
 
     def rank(self) -> int:
         return self.rref()[1]
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel, in deterministic RREF-derived form."""
-        return nullspace_of((dict(r) for _, r in self._int_rows), self.ncols)
+        return nullspace_of((dict(r) for r in self.rows), self.ncols)
+
+    def _dense(self) -> list[list[int]]:
+        """A fresh dense copy of the numerators, for Bareiss in place."""
+        return [[r.get(j, 0) for j in range(self.ncols)]
+                for r in map(dict, self.rows)]
 
     def det(self) -> Fraction:
         """Determinant by fraction-free Bareiss elimination in ints."""
@@ -273,7 +313,7 @@ class Matrix:
             raise ValueError("determinant of a non-square matrix")
         if n == 0:
             return Fraction(1)
-        big, m = self._scaled()
+        m = self._dense()
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -284,24 +324,23 @@ class Matrix:
                 m[k], m[swap] = m[swap], m[k]
                 sign = -sign
             prev = _bareiss_step(m, k, prev)
-        return Fraction(sign * m[n - 1][n - 1], big ** n)
+        return Fraction(sign * m[n - 1][n - 1], self.den ** n)
 
     def inverse(self) -> "Matrix":
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        aug = Matrix.from_rows([
-            list(self.entries[i]) + [Fraction(1 if i == j else 0)
-                                     for j in range(n)]
-            for i in range(n)])
-        red, rank = aug.rref()
+        d = self.den
+        red, _ = Matrix(d, tuple(r + ((n + i, d),)
+                                 for i, r in enumerate(self.rows)),
+                        2 * n).rref()
         # the identity block keeps the augmented rank at n even when the
-        # left block is singular, so test the left block itself
-        for i in range(n):
-            for j in range(n):
-                if red.entries[i][j] != (1 if i == j else 0):
-                    raise ValueError("matrix is singular")
-        return Matrix(tuple(r[n:] for r in red.entries))
+        # left block is singular; the left block is I iff row i pivots
+        # at column i
+        if any(r[0][0] != i for i, r in enumerate(red.rows)):
+            raise ValueError("matrix is singular")
+        return _canon(red.den, tuple(tuple((j - n, p) for j, p in r[1:])
+                                     for r in red.rows), n)
 
     def leading_minors_positive(self) -> tuple[bool, int, Fraction]:
         """Sylvester's criterion for symmetric matrices.
@@ -309,20 +348,20 @@ class Matrix:
         Returns (ok, k, minor): on failure, k is the size of the first
         non-positive leading principal minor and minor its value.
 
-        One integer Bareiss pass without pivoting on the lcm-scaled
-        matrix: its k-th pivot is D^k times the k-th leading principal
-        minor, and every earlier pivot is positive when it is reached, so
-        no division by zero can occur.
+        One integer Bareiss pass without pivoting on the numerators: its
+        k-th pivot is den^k times the k-th leading principal minor, and
+        every earlier pivot is positive when it is reached, so no
+        division by zero can occur.
         """
         n = self.nrows
         if n != self.ncols:
             raise ValueError("leading minors of a non-square matrix")
-        big, m = self._scaled()
+        m = self._dense()
         prev = 1
         for k in range(n):
             p = m[k][k]
             if p <= 0:
-                return False, k + 1, Fraction(p, big ** (k + 1))
+                return False, k + 1, Fraction(p, self.den ** (k + 1))
             prev = _bareiss_step(m, k, prev)
         return True, 0, Fraction(1)
 
@@ -406,12 +445,6 @@ def nullspace_of(rows: Iterable[Row], ncols: int,
     return basis
 
 
-def vec_sub(u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-    return tuple((a if type(a) is Fraction else qof(a))
-                 - (b if type(b) is Fraction else qof(b))
-                 for a, b in zip(u, v))
-
-
 def vec_is_zero(v: Sequence) -> bool:
     return all(not (a if type(a) is Fraction else qof(a)) for a in v)
 
@@ -426,19 +459,23 @@ class Subspace:
 
     @staticmethod
     def span(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        vecs = [tuple(x if type(x) is Fraction else qof(x) for x in v)
-                for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
+        """Each vector enters as its ints over its own denominator: a
+        row's scale changes neither the span nor the RREF."""
+        rows = []
+        for v in vectors:
+            w = int_vector(v)[1]
+            if len(w) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        if not vecs:
-            return Subspace(ambient_dim, Matrix(()))
-        red, rank = Matrix.from_rows(vecs).rref()
-        return Subspace(ambient_dim, Matrix(red.entries[:rank]))
+            rows.append(tuple((j, p) for j, p in enumerate(w) if p))
+        if not rows:
+            return Subspace.zero(ambient_dim)
+        red, rank = Matrix(1, tuple(rows), ambient_dim).rref()
+        return Subspace(ambient_dim,
+                        Matrix(red.den, red.rows[:rank], ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(()))
+        return Subspace(ambient_dim, Matrix(1, (), ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -449,24 +486,21 @@ class Subspace:
         return self.basis.nrows
 
     def vectors(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(r) for r in self.basis.entries]
+        return list(self.basis.entries)
 
     def contains(self, vec: Sequence) -> bool:
         """vec is in the span iff vec - sum of vec[p_i] b_i is 0, p_i the
-        pivot of RREF row b_i; summed in ints over the lcm denominator."""
+        pivot of RREF row b_i; summed in ints, over den times vec's lcm
+        denominator."""
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        ratios = [(x if type(x) is Fraction else qof(x)).as_integer_ratio()
-                  for x in vec]
-        dv = lcm(*(q for _, q in ratios))
-        w = [p * (dv // q) for p, q in ratios]
-        brows = self.basis._int_rows
-        big = lcm(*(d for d, _ in brows))
-        acc = [x * big for x in w]
-        for d, row in brows:
-            c = w[row[0][0]] * (big // d)
-            for j, p in row:
-                acc[j] -= c * p
+        w = int_vector(vec)[1]
+        acc = [x * self.basis.den for x in w]
+        for row in self.basis.rows:
+            c = w[row[0][0]]
+            if c:
+                for j, p in row:
+                    acc[j] -= c * p
         return not any(acc)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -478,19 +512,24 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        # columns: coefficients on self.basis then other.basis;
-        # rows: ambient coordinates of (sum self - sum other)
-        a = self.basis.transpose()
-        b = other.basis.transpose()
-        stacked = Matrix.from_rows([
-            list(a.entries[i]) + [-x for x in b.entries[i]]
-            for i in range(self.ambient_dim)])
+        # unknowns: coefficients on self.basis then other.basis; one row
+        # per ambient coordinate of (sum self - sum other), both bases
+        # lifted to the denominator a.den * b.den
+        a, b, k = self.basis, other.basis, self.dim
+        stacked: list[Row] = [{} for _ in range(self.ambient_dim)]
+        for i, r in enumerate(a.rows):
+            for j, p in r:
+                stacked[j][i] = p * b.den
+        for i, r in enumerate(b.rows):
+            for j, p in r:
+                stacked[j][k + i] = -p * a.den
         vecs = []
-        for ker in stacked.nullspace():
-            coeffs = ker[:self.dim]
-            vecs.append(tuple(
-                sum(c * bv for c, bv in zip(coeffs, col))
-                for col in zip(*self.basis.entries)))
+        for ker in nullspace_of(stacked, k + other.dim):
+            acc = [0] * self.ambient_dim
+            for c, r in zip(int_vector(ker[:k])[1], a.rows):
+                for j, p in r:
+                    acc[j] += c * p
+            vecs.append(acc)
         return Subspace.span(self.ambient_dim, vecs)
 
 

@@ -14,15 +14,15 @@ silently wrong answer.
 
 `Tensor3` stores a vector valued 2-tensor as Python ints over one common
 denominator and lists only the nonzero coordinates of each nonzero
-T(e_i, e_j), like `Matrix`'s int rows and `LieAlgebra`'s int bracket
-table. N, the connections, their torsion, nabla J and the curvature
-operators are built on it: products with J or a form, slot swaps and
+T(e_i, e_j), like `Matrix` and `LieAlgebra`'s int bracket table. N,
+the connections, their torsion, nabla J and the curvature operators
+are built on it: products with J or a form, slot swaps and
 rational combinations sum ints over the nonzeros, and a value becomes a
 `Fraction` only where it is read (`of_basis`, `of_vectors`).
 
 The identity checks and |N|^2 are int contractions of whole tensors, not
-loops over basis pairs and triples. With omega(u, v) = u^T omega v (the
-orientation of `symp._pair`), omega(T(x, y), e_z) is the z-th value of
+loops over basis pairs and triples. With omega(u, v) = u^T omega v,
+omega(T(x, y), e_z) is the z-th value of
 `T.map_values(omega^T)`, and T(Jx, y) is `T.map_first(J)`.
 """
 
@@ -36,7 +36,8 @@ from typing import Sequence
 
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra
-from .linalg import Matrix, Subspace, complement, nullspace_of, qof
+from .linalg import (Matrix, Subspace, complement, int_vector, nullspace_of,
+                     qof)
 from .symp import SymplecticTriple
 
 
@@ -94,15 +95,25 @@ class Tensor3:
             out[ij] = tuple(v)
         return out
 
+    def numerators(self, i: int, j: int) -> list[int]:
+        """den * T(e_i, e_j) as a dense list of ints."""
+        v = [0] * self.dim
+        for k, p in self.rows.get((i, j), ()):
+            v[k] = p
+        return v
+
     def of_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         v = self._values.get((i, j))
         return v if v is not None else (Fraction(0),) * self.dim
 
     def of_vectors(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        du, us = _int_vec(u)
-        dv, vs = _int_vec(v)
+        du, us = int_vector(u)
+        dv, vs = int_vector(v)
+        vs = [(j, b) for j, b in enumerate(vs) if b]
         acc = [0] * self.dim
-        for i, a in us:
+        for i, a in enumerate(us):
+            if not a:
+                continue
             for j, b in vs:
                 row = self.rows.get((i, j))
                 if row:
@@ -121,8 +132,8 @@ class Tensor3:
 
     def endo(self, i: int) -> Matrix:
         """T(e_i, .) as a matrix (columns are images)."""
-        return Matrix(tuple(zip(*(self.of_basis(i, b)
-                                   for b in range(self.dim)))))
+        return Matrix.from_ints(self.den, list(zip(
+            *(self.numerators(i, b) for b in range(self.dim)))))
 
     def swapped(self) -> "Tensor3":
         """(x, y) -> T(y, x)."""
@@ -132,25 +143,24 @@ class Tensor3:
 
     def map_values(self, m: Matrix) -> "Tensor3":
         """(x, y) -> m T(x, y)."""
-        dm, _, cols = int_matrix(m)
+        cols = m.transpose().rows
         num = {}
         for ij, row in self.rows.items():
             v = num[ij] = [0] * self.dim
             for k, p in row:
                 for r, q in cols[k]:
                     v[r] += q * p
-        return Tensor3.from_ints(self.dim, self.den * dm, num, self.label)
+        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
 
     def map_second(self, m: Matrix) -> "Tensor3":
         """(x, y) -> T(x, m y)."""
-        dm, mrows, _ = int_matrix(m)
         num: dict[tuple[int, int], list[int]] = {}
         for (i, l), row in self.rows.items():
-            for j, q in mrows[l]:
+            for j, q in m.rows[l]:
                 v = num.setdefault((i, j), [0] * self.dim)
                 for k, p in row:
                     v[k] += q * p
-        return Tensor3.from_ints(self.dim, self.den * dm, num, self.label)
+        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
 
     def map_first(self, m: Matrix) -> "Tensor3":
         """(x, y) -> T(m x, y)."""
@@ -180,25 +190,6 @@ def brackets(g: LieAlgebra) -> Tensor3:
                    {ij: tuple(sorted(r)) for ij, r in table.items()})
 
 
-def int_matrix(m: Matrix) -> tuple[int, list, list]:
-    """(D, rows, cols): D is the lcm of m's denominators, and each row and
-    each column of D m is listed as its nonzero (index, int) pairs."""
-    big, s = m._scaled()
-    return big, _nonzeros(s), _nonzeros(zip(*s))
-
-
-def _nonzeros(rows) -> list[list[tuple[int, int]]]:
-    return [[(c, v) for c, v in enumerate(r) if v] for r in rows]
-
-
-def _int_vec(v: Sequence) -> tuple[int, list[tuple[int, int]]]:
-    """(D, ((i, p), ...)): v_i = p / D over the nonzero entries."""
-    nz = [(i, (x if type(x) is Fraction else qof(x)).as_integer_ratio())
-          for i, x in enumerate(v) if x]
-    den = lcm(*(q for _, (_, q) in nz))
-    return den, [(i, p * (den // q)) for i, (p, q) in nz]
-
-
 def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
     """N of the triple's j, from the algebra's bracket tensor."""
     return nijenhuis_of(brackets(t.algebra), t.j)
@@ -216,7 +207,7 @@ def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
 
 def image_distribution(n: Tensor3) -> Subspace:
     """Span of the nonzero values N(e_i, e_j), i < j."""
-    return Subspace.span(n.dim, [n.of_basis(i, j) for i, j in n.rows
+    return Subspace.span(n.dim, [n.numerators(i, j) for i, j in n.rows
                                  if i < j])
 
 

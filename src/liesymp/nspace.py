@@ -25,11 +25,11 @@ shared 2-vCPU x86-64 VM).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from .linalg import Matrix, Row, echelon
-from .nijenhuis import Tensor3, int_matrix
+from .nijenhuis import Tensor3
 from .symp import SymplecticTriple, standard_j, standard_omega
 
 
@@ -44,35 +44,33 @@ def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
     denominators, which multiplies a row by a nonzero constant and leaves
     its solutions alone. Only their nonzero entries are walked."""
     pairs = [(i, i) for i in range(dim)] + list(combinations(range(dim), 2))
-    return _rows(dim, omega, j, pairs, range(dim),
+    return _rows(dim, omega, j, pairs, product(range(dim), repeat=3),
                  combinations(range(dim), 3))
 
 
-def _rows(dim: int, omega: Matrix, j: Matrix, pairs, seconds,
+def _rows(dim: int, omega: Matrix, j: Matrix, pairs, linear,
           triples) -> Iterator[Row]:
     """The constraint rows of the unordered pairs (i, jj), i <= jj, the
-    second-slot indices jj and the triples i < jj < k given."""
-    _, j_rows, j_cols = int_matrix(j)
-    _, _, om_cols = int_matrix(omega)
+    anti-linearity keys (i, jj, k) and the triples i < jj < k given."""
+    j_rows, j_cols = j.rows, j.transpose().rows
+    om_cols = omega.transpose().rows
     # antisymmetry (and vanishing on the diagonal, where both keys agree)
     for i, jj in pairs:
         for k in range(dim):
             yield {_idx(dim, i, jj, k): 1, _idx(dim, jj, i, k): 1}
     # anti-linearity in the first slot: t(Je_i, e_j) = -J t(e_i, e_j);
     # the second slot follows from antisymmetry and this one.
-    for i in range(dim):
-        for jj in seconds:
-            for k in range(dim):
-                row: Row = {}
-                for a, c in j_cols[i]:
-                    col = _idx(dim, a, jj, k)
-                    row[col] = row.get(col, 0) + c
-                for b, c in j_rows[k]:
-                    col = _idx(dim, i, jj, b)
-                    row[col] = row.get(col, 0) + c
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    yield row
+    for i, jj, k in linear:
+        row: Row = {}
+        for a, c in j_cols[i]:
+            col = _idx(dim, a, jj, k)
+            row[col] = row.get(col, 0) + c
+        for b, c in j_rows[k]:
+            col = _idx(dim, i, jj, b)
+            row[col] = row.get(col, 0) + c
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
     # cyclic coupling against omega
     for i, jj, k in triples:
         row = {}
@@ -107,18 +105,30 @@ def expected_dimension(n: int) -> int:
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space built from
     the triple's own (omega, J); an independent route to the pointwise
-    identity checks. Each row is checked in ints against the tensor's
-    numerators over its common denominator. Only the rows that can meet
-    the tensor's support are built: those of its pairs, of the second-slot
-    indices in them and of the triples containing one of them; every
+    identity checks. Each row of `_support_rows` is checked in ints
+    against the tensor's numerators over its common denominator; every
     other row evaluates to 0."""
-    dim, support = t.dim, tensor.rows
+    dim = t.dim
     scaled = {_idx(dim, i, jj, k): p
-              for (i, jj), row in support.items() for k, p in row}
+              for (i, jj), row in tensor.rows.items() for k, p in row}
+    return not any(sum(v * scaled.get(c, 0) for c, v in row.items())
+                   for row in _support_rows(t, tensor))
+
+
+def _support_rows(t: SymplecticTriple, tensor: Tensor3) -> Iterator[Row]:
+    """The constraint rows with a column in the tensor's support: those of
+    its pairs, of the triples containing one of its pairs, and the
+    anti-linearity rows of its columns. Column (a, jj, k) lies in the
+    anti-linearity rows (i, jj, k) with J_ai != 0 and (a, jj, k') with
+    J_k'k != 0."""
+    dim, support = t.dim, tensor.rows
     pairs = {(min(ij), max(ij)) for ij in support}
+    j_rows, j_cols = t.j.rows, t.j.transpose().rows
+    linear = set()
+    for (a, jj), row in support.items():
+        for k, _ in row:
+            linear.update((i, jj, k) for i, _ in j_rows[a])
+            linear.update((a, jj, kk) for kk, _ in j_cols[k])
     triples = {tuple(sorted((i, jj, k))) for i, jj in pairs if i != jj
                for k in range(dim) if k != i and k != jj}
-    rows = _rows(dim, t.omega, t.j, pairs, {jj for _, jj in support},
-                 triples)
-    return not any(sum(v * scaled.get(c, 0) for c, v in row.items())
-                   for row in rows)
+    return _rows(dim, t.omega, t.j, pairs, linear, triples)

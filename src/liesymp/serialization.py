@@ -1,7 +1,7 @@
 """JSON schemas and exact round-tripping.
 
 Every number is serialized as the string str(Fraction) produces ("3",
-"-1/2") and parsed back through Fraction. Floats are rejected at the
+"-1/2") and parsed back in `qof`'s grammar. Floats are rejected at the
 JSON layer (parse_float hook) and at the coercion layer, so a rounding
 artifact cannot enter silently from any direction.
 
@@ -93,7 +93,14 @@ def matrix_from_rows(rows: Any, what: str) -> Matrix:
             or not all(isinstance(r, list) for r in rows)
             or len({len(r) for r in rows}) > 1):
         raise SerializationError(f"{what} must be a list of equal-length rows")
-    return Matrix.from_rows([[_num(x) for x in row] for row in rows])
+    try:
+        return Matrix.from_rows(rows)
+    except (TypeError, ValueError):
+        # report the first refused entry in `_num`'s words
+        for row in rows:
+            for x in row:
+                _num(x)
+        raise
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 from .errors import (CocycleViolation, DegenerateForm, DimensionMismatch,
                      NotAlmostComplex, NotCompatible, NotPositive,
                      NotSkewSymmetric)
 from .lie import LieAlgebra
-from .linalg import Matrix, qof
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -44,22 +43,6 @@ class SymplecticTriple:
     def metric_inv(self) -> Matrix:
         return self.metric.inverse()
 
-    def omega_of(self, u: Sequence, v: Sequence) -> Fraction:
-        return _pair(u, self.omega.apply(v))
-
-    def inner(self, u: Sequence, v: Sequence) -> Fraction:
-        return _pair(u, self.metric.apply(v))
-
-    def j_apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        return self.j.apply(v)
-
-
-def _pair(u: Sequence, w: Sequence[Fraction]) -> Fraction:
-    """sum_i u_i w_i over the terms with both factors nonzero; entries of
-    u that are not exactly `Fraction` are coerced through `qof`."""
-    u = (x if type(x) is Fraction else qof(x) for x in u)
-    return sum((a * b for a, b in zip(u, w) if a and b), Fraction(0))
-
 
 def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     """d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x).
@@ -71,12 +54,12 @@ def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     the reported value divides D * D_omega back out.
     """
     big, table = g._int_table
-    d_om, om = omega._scaled()
+    om = omega.rows
     acc: dict[tuple[int, int, int], int] = {}
     for y, z in g._table:
         row = [0] * g.dim
         for m, p in table[(y, z)]:
-            for x, v in enumerate(om[m]):
+            for x, v in om[m]:
                 row[x] += p * v
         for x, v in enumerate(row):
             if v and x != y and x != z:
@@ -85,7 +68,8 @@ def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     bad = [tri for tri, v in acc.items() if v]
     if bad:
         i, j, k = tri = g._first_touched(bad)
-        raise CocycleViolation(i, j, k, str(Fraction(acc[tri], big * d_om)),
+        raise CocycleViolation(i, j, k,
+                               str(Fraction(acc[tri], big * omega.den)),
                                names=g.basis_names)
 
 
@@ -100,7 +84,7 @@ def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:
     if omega.det() == 0:
         raise DegenerateForm("omega is degenerate")
     _check_cocycle(g, omega)
-    if not (j @ j + Matrix.identity(n)).is_zero():
+    if j @ j != -Matrix.identity(n):
         raise NotAlmostComplex("J^2 != -Id")
     # omega(Ju, Jv) = omega(u, v)  <=>  J^T omega J = omega
     if j.transpose() @ omega @ j != omega:
@@ -120,10 +104,10 @@ def standard_omega(n2: int) -> Matrix:
     if n2 % 2:
         raise DimensionMismatch("standard omega needs even dimension")
     n = n2 // 2
-    rows = [[Fraction(0)] * n2 for _ in range(n2)]
+    rows = [[0] * n2 for _ in range(n2)]
     for i in range(n):
-        rows[i][n + i] = Fraction(1)
-        rows[n + i][i] = Fraction(-1)
+        rows[i][n + i] = 1
+        rows[n + i][i] = -1
     return Matrix.from_rows(rows)
 
 
@@ -132,8 +116,8 @@ def standard_j(n2: int) -> Matrix:
     if n2 % 2:
         raise DimensionMismatch("standard J needs even dimension")
     n = n2 // 2
-    rows = [[Fraction(0)] * n2 for _ in range(n2)]
+    rows = [[0] * n2 for _ in range(n2)]
     for i in range(n):
-        rows[n + i][i] = Fraction(1)   # column i is J X_i = Y_i
-        rows[i][n + i] = Fraction(-1)  # column n+i is J Y_i = -X_i
+        rows[n + i][i] = 1   # column i is J X_i = Y_i
+        rows[i][n + i] = -1  # column n+i is J Y_i = -X_i
     return Matrix.from_rows(rows)

@@ -43,11 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal, Optional, Sequence
+from typing import Literal, Optional
 
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra, validate
-from .linalg import Matrix, Subspace, qof
+from .linalg import Matrix, Subspace
 from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
 
 Sign = Literal["+", "-"]
@@ -283,7 +283,7 @@ def p_pairs_span_q(model: TwistorModel, n: Tensor3) -> bool:
         if nq <= a < b:
             if any(k >= nq for k, _ in row):
                 return False  # a p x p value escaping q refutes the claim
-            vecs.append(n.of_basis(a, b))
+            vecs.append(n.numerators(a, b))
     return Subspace.span(model.m_dim, vecs).dim == nq
 
 
@@ -332,57 +332,6 @@ def positivity_report(model: TwistorModel) -> PositivityReport:
     q_diag = grams["-"].entry(0, 0) if nq else Fraction(0)
     p_diag = grams["-"].entry(nq, nq)
     return PositivityReport(ok_minus, ok_plus, witness, q_diag, p_diag)
-
-
-# -- closed-form helpers (used by tests and the CLI claims) -------------
-
-
-def p_element(model: TwistorModel, u: Sequence) -> tuple[Fraction, ...]:
-    """P(u) = sum u_i P_i in m-coordinates (u has length 2n)."""
-    u = [qof(x) for x in u]
-    if len(u) != 2 * model.n:
-        raise ValueError("boost vector has wrong length")
-    return (Fraction(0),) * len(model.q_indices) + tuple(u)
-
-
-def q_element(model: TwistorModel, d2n: Matrix) -> tuple[Fraction, ...]:
-    """m-coordinates of a q-matrix given as its 2n x 2n spacelike block
-    [[X, Y], [Y, -X]] with X, Y skew; raises if the matrix is not in q."""
-    n = model.n
-    big, rows = d2n._scaled()
-    m: Sparse = {(r + 1, c + 1): rows[r][c] for r in range(2 * n)
-                 for c in range(2 * n) if rows[r][c]}
-    pos = {nm: i for i, nm in enumerate(model.algebra.basis_names)}
-    twice = _expand_in_basis(m, n, pos)
-    qpos = {k: t for t, k in enumerate(model.q_indices)}
-    if any(k not in qpos for k in twice):
-        raise ValueError("matrix is not in the j0-anticommuting part")
-    v = [Fraction(0)] * model.m_dim
-    for k, c in twice.items():
-        v[qpos[k]] = Fraction(c, 2 * big)
-    return tuple(v)
-
-
-def j0_matrix(n: int) -> Matrix:
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[n + i][i] = Fraction(1)
-        rows[i][n + i] = Fraction(-1)
-    return Matrix.from_rows(rows)
-
-
-def q_block_matrix(model: TwistorModel, coords: Sequence) -> Matrix:
-    """The 2n x 2n spacelike block of a q-element given in m-coordinates."""
-    n = model.n
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for k, c in zip(model.m_indices, coords):
-        if not c:
-            continue
-        for (r, col), v in model.mats[k].items():
-            if r == 0 or col == 0:
-                raise ValueError("element has a boost component")
-            rows[r - 1][col - 1] += c * v
-    return Matrix.from_rows(rows)
 
 
 # -- claim bundle --------------------------------------------------------

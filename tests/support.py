@@ -23,7 +23,9 @@ from fractions import Fraction
 from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
                      validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
+from liesymp.linalg import qof
 from liesymp.nspace import build_constraint_rows
+from liesymp.twistor import _expand_in_basis
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -181,7 +183,7 @@ def fraction_rref(m: Matrix) -> tuple[Matrix, int]:
         rank += 1
         if rank == nr:
             break
-    return Matrix(tuple(tuple(r) for r in m)), rank
+    return Matrix.from_rows(m), rank
 
 
 # -- the dense curvature route, as an oracle for the library's int route
@@ -286,9 +288,9 @@ def definitional_tensor_identities(t: SymplecticTriple, n) -> dict:
               == n.of_vectors(basis[a], j.apply(basis[b]))
               == tuple(-x for x in j.apply(n.of_basis(a, b)))
               for a in range(d) for b in range(d))
-    cyc = all(t.omega_of(n.of_basis(a, b), basis[c])
-              + t.omega_of(n.of_basis(b, c), basis[a])
-              + t.omega_of(n.of_basis(c, a), basis[b]) == 0
+    cyc = all(omega_of(t, n.of_basis(a, b), basis[c])
+              + omega_of(t, n.of_basis(b, c), basis[a])
+              + omega_of(t, n.of_basis(c, a), basis[b]) == 0
               for a in range(d) for b in range(a + 1, d)
               for c in range(b + 1, d))
     return {"antisymmetry": anti, "anti_linearity": lin, "cyclic_omega": cyc}
@@ -298,8 +300,8 @@ def definitional_nabla_j_checks(t: SymplecticTriple, nj, n) -> dict:
     """`nabla_j_checks` by its definitions on every basis triple."""
     d, j = t.dim, t.j
     basis = Matrix.identity(d).entries
-    pairing = all(2 * t.omega_of(nj.of_basis(a, b), basis[c])
-                  == t.omega_of(n.of_basis(b, c), j.apply(basis[a]))
+    pairing = all(2 * omega_of(t, nj.of_basis(a, b), basis[c])
+                  == omega_of(t, n.of_basis(b, c), j.apply(basis[a]))
                   for a in range(d) for b in range(d) for c in range(d))
     anticomm = all(nj.of_vectors(j.apply(basis[a]), basis[b])
                    == tuple(-x for x in j.apply(nj.of_basis(a, b)))
@@ -402,3 +404,79 @@ def pairwise_is_involutive(s: Subspace, g) -> bool:
     before it bracketed the subspace on the int table."""
     return all(s.contains(g.bracket_vec(u, v))
                for u in s.vectors() for v in s.vectors())
+
+
+# -- API that only the tests call: pairings, bracket listings and the
+#    closed-form twistor elements
+
+
+def pair(u, w) -> Fraction:
+    """sum_i u_i w_i over the terms with both factors nonzero; entries of
+    u that are not exactly `Fraction` are coerced through `qof`."""
+    u = (x if type(x) is Fraction else qof(x) for x in u)
+    return sum((a * b for a, b in zip(u, w) if a and b), Fraction(0))
+
+
+def omega_of(t: SymplecticTriple, u, v) -> Fraction:
+    return pair(u, t.omega.apply(v))
+
+
+def inner(t: SymplecticTriple, u, v) -> Fraction:
+    return pair(u, t.metric.apply(v))
+
+
+def j_apply(t: SymplecticTriple, v) -> tuple:
+    return t.j.apply(v)
+
+
+def vec_sub(u, v) -> tuple:
+    return tuple(qof(a) - qof(b) for a, b in zip(u, v))
+
+
+def nonzero_brackets(g) -> list:
+    return [(i, j, dict(res)) for (i, j), res in sorted(g._table.items())]
+
+
+def p_element(model, u) -> tuple:
+    """P(u) = sum u_i P_i in m-coordinates (u has length 2n)."""
+    u = [qof(x) for x in u]
+    if len(u) != 2 * model.n:
+        raise ValueError("boost vector has wrong length")
+    return (Fraction(0),) * len(model.q_indices) + tuple(u)
+
+
+def q_element(model, d2n: Matrix) -> tuple:
+    """m-coordinates of a q-matrix given as its 2n x 2n spacelike block
+    [[X, Y], [Y, -X]] with X, Y skew; raises if the matrix is not in q."""
+    m = {(r + 1, c + 1): p for r, row in enumerate(d2n.rows) for c, p in row}
+    pos = {nm: i for i, nm in enumerate(model.algebra.basis_names)}
+    twice = _expand_in_basis(m, model.n, pos)
+    qpos = {k: t for t, k in enumerate(model.q_indices)}
+    if any(k not in qpos for k in twice):
+        raise ValueError("matrix is not in the j0-anticommuting part")
+    v = [Fraction(0)] * model.m_dim
+    for k, c in twice.items():
+        v[qpos[k]] = Fraction(c, 2 * d2n.den)
+    return tuple(v)
+
+
+def j0_matrix(n: int) -> Matrix:
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[n + i][i] = 1
+        rows[i][n + i] = -1
+    return Matrix.from_rows(rows)
+
+
+def q_block_matrix(model, coords) -> Matrix:
+    """The 2n x 2n spacelike block of a q-element given in m-coordinates."""
+    n = model.n
+    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
+    for k, c in zip(model.m_indices, coords):
+        if not c:
+            continue
+        for (r, col), v in model.mats[k].items():
+            if r == 0 or col == 0:
+                raise ValueError("element has a boost component")
+            rows[r - 1][col - 1] += c * v
+    return Matrix.from_rows(rows)

@@ -8,7 +8,7 @@ from liesymp import (Analysis, Subspace, build_rank_example, builtin,
 from liesymp.catalog import catalog_names
 from liesymp.errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
                             ZeroCharacter)
-from support import diag
+from support import diag, nonzero_brackets
 
 F = Fraction
 
@@ -44,7 +44,7 @@ def test_product_extension_names_and_brackets(catalog):
     assert t2.algebra.basis_names[-2:] == ("p1", "q1")
     assert t2.algebra.name.endswith("_xR2")
     # the added plane is central: no bracket touches it
-    for i, j, res in t2.algebra.nonzero_brackets():
+    for i, j, res in nonzero_brackets(t2.algebra):
         assert i < 4 and j < 4
 
 

@@ -276,6 +276,24 @@ def test_synthesize_unsatisfiable_exits_2(capsys):
     assert "Unsatisfiable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--n", "1_0", "--k", "1"],     # was read as n = 10
+    ["--n", " 3", "--k", "1"],      # was read as n = 3
+    ["--n", "3", "--k", "+1"],      # was read as k = 1
+    ["--n", "-2", "--k", "0"],      # was a validation failure, exit 2
+])
+def test_synthesize_sizes_outside_the_grammar_are_usage_errors(argv, capsys):
+    assert main(["synthesize"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: argument --")
+
+
+def test_synthesize_k_zero_builds_the_abelian_algebra(capsys):
+    assert main(["synthesize", "--n", "2", "--k", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "abelian(2)"
+
+
 def test_nspace_dim_subcommand(capsys):
     assert main(["nspace-dim", "--n", "1,2,3"]) == 0
     out = capsys.readouterr().out

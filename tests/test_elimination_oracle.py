@@ -38,7 +38,7 @@ def _random(rng, nrows, ncols, density, bits=(1, 3)):
 
 def _cases():
     rng = random.Random(20261019)
-    out = [("empty", Matrix(())), ("no_columns", Matrix.from_rows([[]] * 3)),
+    out = [("empty", Matrix.from_rows([])), ("no_columns", Matrix.from_rows([[]] * 3)),
            ("zero_3x4", Matrix.from_rows([[0] * 4] * 3))]
     for t in range(8):
         n, c = rng.randint(1, 9), rng.randint(1, 9)
@@ -189,7 +189,7 @@ def _matrices(draw):
     n, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     return Matrix.from_rows(draw(st.lists(
         st.lists(_ENTRIES, min_size=c, max_size=c),
-        min_size=n, max_size=n))) if n else Matrix(())
+        min_size=n, max_size=n))) if n else Matrix.from_rows([])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

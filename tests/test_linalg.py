@@ -5,8 +5,9 @@ import pytest
 
 from liesymp import Matrix, Subspace, complement, qof
 from liesymp.errors import BadNumber, SingularGram, ValidationError
-from liesymp.linalg import vec_is_zero, vec_sub
-from support import diag, image_under, solve, subspace_sum, zeros
+from liesymp.linalg import vec_is_zero
+from support import (diag, image_under, solve, subspace_sum, vec_sub,
+                     zeros)
 
 F = Fraction
 

@@ -46,7 +46,7 @@ def _cases():
     """(name, matrix): mostly zero, dense, singular, with a zero row or a
     zero column, the empty matrix and a matrix with rows but no columns."""
     rng = random.Random(20261018)
-    out = [("empty", Matrix(())), ("no_columns", Matrix.from_rows([[]] * 3))]
+    out = [("empty", Matrix.from_rows([])), ("no_columns", Matrix.from_rows([[]] * 3))]
     for t in range(12):
         n = rng.randint(1, 7)
         c = rng.randint(1, 7)
@@ -243,7 +243,7 @@ def test_det_inverse_and_minors_match_sympy(name, m):
 def _minors_by_det(m):
     """The per-k route: d separate determinants of the leading blocks."""
     for k in range(1, m.nrows + 1):
-        d = Matrix(tuple(r[:k] for r in m.entries[:k])).det()
+        d = Matrix.from_rows([r[:k] for r in m.entries[:k]]).det()
         if d <= 0:
             return False, k, d
     return True, 0, Fraction(1)

@@ -123,3 +123,61 @@ def test_nullity_on_dense_structures_against_dense_elimination():
         dense = Matrix.from_rows([
             [r.get(c, 0) for c in range(ncols)] for r in rows])
         assert got == ncols - fraction_rref(dense)[1] == expected_dimension(n)
+
+
+def _kernel_tensor(dim, rows, rng):
+    """A random small-int combination of the kernel of `rows`."""
+    from liesymp.linalg import nullspace_of
+    vec = [F(0)] * dim ** 3
+    for b in nullspace_of(rows, dim ** 3):
+        c = rng.randint(-2, 2)
+        vec = [x + c * y for x, y in zip(vec, b)]
+    return _tensor(dim, [[vec[(i * dim + j) * dim:(i * dim + j + 1) * dim]
+                          for j in range(dim)] for i in range(dim)])
+
+
+def test_membership_equals_the_full_constraint_system(extended_catalog):
+    # contains_tensor builds only the rows that meet the tensor's support;
+    # its verdict must be that of every row of build_constraint_rows, and
+    # every row that does not vanish on the tensor must be built. The
+    # tensors: N; N plus a member of the space; N plus a tensor that is
+    # antisymmetric and cyclic but in general not anti-linear (the
+    # kernel of all rows but the anti-linearity ones); N with one value
+    # bumped. Triples: the extended catalog and two with a dense J.
+    import random
+    from itertools import combinations
+    from liesymp.nijenhuis import combine
+    from liesymp.nspace import _rows, _support_rows
+    from support import dense_conjugate, full_row_contains_tensor
+    rng = random.Random(20261020)
+    triples = dict(extended_catalog)
+    for name in ("ex3", "dim6"):
+        triples[f"dense({name})"] = dense_conjugate(triples[name], rng)
+    verdicts = set()
+    for name, t in sorted(triples.items()):
+        d = t.dim
+        n = nijenhuis_tensor(t)
+        pairs = [(i, i) for i in range(d)] + list(combinations(range(d), 2))
+        unanchored = _rows(d, t.omega, t.j, pairs, (),
+                           combinations(range(d), 3))
+        member = _kernel_tensor(d, build_constraint_rows(d, t.omega, t.j),
+                                rng)
+        loose = _kernel_tensor(d, unanchored, rng)
+        i, jj, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+        bump = _tensor(d, [[[F(int((a, b, c) == (i, jj, k)))
+                             for c in range(d)] for b in range(d)]
+                           for a in range(d)])
+        for tensor in (n, combine([(1, n), (1, member)]),
+                       combine([(1, n), (1, loose)]),
+                       combine([(1, n), (1, bump)])):
+            got = contains_tensor(t, tensor)
+            assert got == full_row_contains_tensor(t, tensor), name
+            verdicts.add(got)
+            # and row by row: each row that does not vanish is built
+            built = {frozenset(r.items()) for r in _support_rows(t, tensor)}
+            scaled = {(a * d + b) * d + c: p
+                      for (a, b), row in tensor.rows.items() for c, p in row}
+            for row in build_constraint_rows(d, t.omega, t.j):
+                if sum(v * scaled.get(c, 0) for c, v in row.items()):
+                    assert frozenset(row.items()) in built, name
+    assert verdicts == {True, False}

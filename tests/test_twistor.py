@@ -4,10 +4,10 @@ import pytest
 
 from liesymp import Matrix, build_twistor_model, twistor_claims
 from liesymp.nijenhuis import image_distribution
-from liesymp.twistor import (j0_matrix, p_element, p_pairs_span_q,
-                             positivity_report, q_block_matrix, q_element,
+from liesymp.twistor import (p_pairs_span_q, positivity_report,
                              twistor_nijenhuis)
-from support import definitional_twistor_n
+from support import (definitional_twistor_n, j0_matrix, p_element,
+                     q_block_matrix, q_element)
 
 F = Fraction
 
