@@ -25,7 +25,7 @@ from typing import Optional
 from .errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
 from .lie import validate
-from .linalg import Matrix, qof, vec_is_zero
+from .linalg import Matrix, int_vector, qof
 from .symp import SymplecticTriple, build_triple, standard_j, standard_omega
 
 
@@ -160,14 +160,8 @@ def product_extension(t: SymplecticTriple) -> SymplecticTriple:
     on the old part and zero on the new, so im N is preserved and its
     complement gains the new plane."""
     g = t.algebra
-    n = g.dim
-    p, q = _fresh_pair(g.basis_names, "p", "q")
-    names = g.basis_names + (p, q)
-    table = {k: dict(v) for k, v in g._table.items()}
-    g2 = validate(f"{g.name}_xR2", n + 2, names, table)
-    omega2 = _block2(t.omega, Matrix.from_rows([[0, 1], [-1, 0]]))
-    j2 = _block2(t.j, Matrix.from_rows([[0, -1], [1, 0]]))
-    return build_triple(g2, omega2, j2)
+    pair = _fresh_pair(g.basis_names, "p", "q")
+    return _extended(t, f"{g.name}_xR2", pair, {})
 
 
 def character_extension(t: SymplecticTriple, xi=None) -> SymplecticTriple:
@@ -186,25 +180,32 @@ def character_extension(t: SymplecticTriple, xi=None) -> SymplecticTriple:
         if not chars:
             raise PerfectAlgebra(f"{g.name} has no nonzero characters")
         xi = chars[0]
-    xi = tuple(qof(x) for x in xi)
-    if len(xi) != n:
+    dx, xs = int_vector(xi)
+    if len(xs) != n:
         raise ValueError("character has wrong length")
-    if vec_is_zero(xi):
+    if not any(xs):
         raise ZeroCharacter("character must be nonzero")
-    for v in g.derived_subalgebra().vectors():
-        if sum(a * b for a, b in zip(xi, v)) != 0:
-            raise NotACharacter("functional does not vanish on [g, g]")
-    c, d = _fresh_pair(g.basis_names, "c", "d")
-    names = g.basis_names + (c, d)
-    table = {k: {kk: Fraction(vv) for kk, vv in v.items()}
-             for k, v in g._table.items()}
-    for i in range(n):
-        if xi[i] != 0:
-            table[(i, n)] = {n + 1: -xi[i]}
-    g2 = validate(f"{g.name}_ext", n + 2, names, table)
-    omega2 = _block2(t.omega, Matrix.from_rows([[0, 1], [-1, 0]]))
-    j2 = _block2(t.j, Matrix.from_rows([[0, -1], [1, 0]]))
-    return build_triple(g2, omega2, j2)
+    # [g, g] is spanned by the stored brackets
+    rows = g.bracket.rows
+    if any(sum(xs[k] * p for k, p in rows[ij]) for ij in g.pairs()):
+        raise NotACharacter("functional does not vanish on [g, g]")
+    pair = _fresh_pair(g.basis_names, "c", "d")
+    return _extended(t, f"{g.name}_ext", pair, {
+        (i, n): {n + 1: Fraction(-x, dx)} for i, x in enumerate(xs) if x})
+
+
+def _extended(t: SymplecticTriple, name: str, pair: tuple[str, str],
+              extra: dict) -> SymplecticTriple:
+    """t with two basis vectors `pair` added, omega = 1 and J a rotation
+    on their plane, and the brackets `extra` added to g's (read off its
+    int rows)."""
+    g = t.algebra
+    den, rows = g.bracket.den, g.bracket.rows
+    table = {ij: {k: Fraction(p, den) for k, p in rows[ij]}
+             for ij in g.pairs()}
+    g2 = validate(name, g.dim + 2, g.basis_names + pair, {**table, **extra})
+    plane = Matrix.from_rows([[0, 1], [-1, 0]])
+    return build_triple(g2, _block2(t.omega, plane), _block2(t.j, -plane))
 
 
 def _block2(a: Matrix, b: Matrix) -> Matrix:

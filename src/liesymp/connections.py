@@ -54,7 +54,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, vec_is_zero
-from .nijenhuis import DistributionReport, Tensor3, brackets, combine
+from .nijenhuis import DistributionReport, Tensor3, combine
 from .symp import SymplecticTriple
 
 # a connection is the tensor (x, y) -> Gamma(x, y), labelled with its name
@@ -81,7 +81,7 @@ def levi_civita(t: SymplecticTriple) -> Connection:
     - L(i, c)_j in ints, L(a, b)_c = g(e_c, [e_a, e_b]) read off the
     bracket tensor lowered by the metric, then Gamma = G^-1 of them / 2."""
     d = t.dim
-    low = brackets(t.algebra).map_values(t.metric)
+    low = t.algebra.bracket.map_values(t.metric)
     num: dict[tuple[int, int], list[int]] = {}
     for (a, b), row in low.rows.items():
         for k, p in row:
@@ -138,7 +138,7 @@ def nabla_j_endos(t: SymplecticTriple, lc: Connection) -> Tensor3:
 def torsion(t: SymplecticTriple, conn: Connection) -> Tensor3:
     """T(x, y) = Gamma(x, y) - Gamma(y, x) - [x, y]."""
     return combine([(1, conn), (-1, conn.swapped()),
-                    (-1, brackets(t.algebra))])
+                    (-1, t.algebra.bracket)])
 
 
 def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
@@ -201,7 +201,7 @@ def curvature_operators(t: SymplecticTriple, conn: Connection) -> Tensor3:
     -R(e_i, e_j) is not stored. Summed in ints over den^2 D_c, den the
     connection's denominator and D_c the structure constants'."""
     d, den, rows = conn.dim, conn.den, conn.rows
-    dc, table = t.algebra._int_table
+    dc, table = t.algebra.bracket.den, t.algebra.bracket.rows
     # cols[i]: the nonzero columns (b, M_i e_b) of M_i
     cols = [[(b, rows[(i, b)]) for b in range(d) if (i, b) in rows]
             for i in range(d)]

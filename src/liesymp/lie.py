@@ -1,36 +1,35 @@
 """Finite dimensional Lie algebras over Q, given by structure constants.
 
-Storage is sparse: only brackets [e_i, e_j] with i < j and a nonzero
-result are kept, as {(i, j): {k: coefficient}}. The identity checks
-(Jacobi here, the 2-cocycle check in `symp`) sweep the stored brackets
-once, adding each nonzero term into the sum of its basis triple, so
-their cost follows the nonzero terms, not the triples. They run on a
-second form of the table, cached once per algebra: every coefficient as
-a Python int over one common denominator D (the lcm of all of them),
-with both bracket orders stored, so a lookup neither copies a dict nor
-negates `Fraction`s. A residual becomes a `Fraction` only when it is
-reported. No dimension limit is enforced; the linalg module docstring
+A `LieAlgebra` holds its structure constants in one form, the bracket
+tensor `bracket` (a `Tensor3`): [e_i, e_j] lists the nonzero (k, p) with
+coefficient p / D of e_k, D the least common denominator of all of them,
+for i < j and i > j alike; [e_i, e_i] is never stored. The tensor is
+canonical, so `==` and `hash` compare the constants, and tables read over
+different denominators ("2/4" and "1/2") give equal algebras. `validate`
+reads each coefficient straight into ints, and a `Fraction` is made only
+where a value is read out (`bracket_vec`, serialization, a residual).
+
+The identity checks (Jacobi here, the 2-cocycle check in `symp`) sweep
+the stored pairs i < j once, adding each nonzero term into the sum of
+its basis triple, so their cost follows the nonzero terms, not the
+triples. No dimension limit is enforced; the linalg module docstring
 gives measured full-report times, up to dim 20.
 
 Conventions:
   * bases are 0-indexed internally; names are whatever the caller says.
-  * [e_i, e_i] = 0 and [e_j, e_i] = -[e_i, e_j] are implied, never stored.
+  * brackets are given for i < j only; [e_j, e_i] = -[e_i, e_j] is implied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
-from .linalg import Matrix, Subspace, qof
-
-BracketTable = dict[tuple[int, int], dict[int, Fraction]]
-# [e_i, e_j] = sum p / D e_k over the listed (k, p), for i != j both ways
-IntTable = dict[tuple[int, int], tuple[tuple[int, int], ...]]
+from .linalg import Matrix, Subspace, _ratio, qof
+from .tensor import Tensor3
 
 
 @dataclass(frozen=True)
@@ -38,32 +37,49 @@ class LieAlgebra:
     name: str
     dim: int
     basis_names: tuple[str, ...]
-    _table: BracketTable = field(repr=False)
+    bracket: Tensor3
+
+    @staticmethod
+    def from_brackets(name: str, dim: int, basis_names: Sequence[str],
+                      brackets: Mapping[tuple[int, int], Mapping[int, object]],
+                      ) -> "LieAlgebra":
+        """The algebra with [e_i, e_j] = sum of c e_k over brackets[(i, j)],
+        i < j, any exact numbers; indices and order are checked, the
+        Jacobi identity is not (`validate` adds it)."""
+        names = tuple(basis_names)
+        if len(names) != dim:
+            raise DimensionMismatch(f"{len(names)} basis names for dim {dim}")
+        ratios = {}
+        for (i, j), res in brackets.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise DimensionMismatch(
+                    f"bracket index ({i}, {j}) out of range")
+            if i >= j:
+                raise BracketOrder(
+                    f"store brackets with i < j only, got ({i}, {j})")
+            row = [(k, r) for k, v in res.items() if (r := _ratio(v))[0]]
+            for k, _ in row:
+                if not 0 <= k < dim:
+                    raise DimensionMismatch(
+                        f"bracket result index {k} out of range")
+            if row:
+                ratios[(i, j)] = sorted(row)
+        # lowest terms over the lcm, sparse (from_ints takes dense values)
+        den = lcm(*(q for row in ratios.values() for _, (_, q) in row))
+        num = {ij: [(k, p * (den // q)) for k, (p, q) in row]
+               for ij, row in sorted(ratios.items())}
+        g = gcd(den, *(p for row in num.values() for _, p in row))
+        rows = {}
+        for (i, j), row in num.items():
+            rows[(i, j)] = tuple((k, p // g) for k, p in row)
+            rows[(j, i)] = tuple((k, -p // g) for k, p in row)
+        return LieAlgebra(name, dim, names, Tensor3(dim, den // g, rows))
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The pairs i < j with [e_i, e_j] != 0, ascending."""
+        return sorted(ij for ij in self.bracket.rows if ij[0] < ij[1])
 
     # -- bracket evaluation ---------------------------------------------
-
-    @cached_property
-    def _int_table(self) -> tuple[int, IntTable]:
-        """(D, table): D is the lcm of every structure constant's
-        denominator and table[(i, j)] lists [e_i, e_j] as (k, p) pairs
-        with coefficient p / D, for i < j and i > j alike."""
-        big = lcm(*(c.denominator for res in self._table.values()
-                    for c in res.values()))
-        table: IntTable = {}
-        for (i, j), res in self._table.items():
-            row = tuple((k, c.numerator * (big // c.denominator))
-                        for k, c in res.items())
-            table[(i, j)] = row
-            table[(j, i)] = tuple((k, -p) for k, p in row)
-        return big, table
-
-    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
-        """[e_i, e_j] as a sparse coordinate dict."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._table.get((i, j), {}))
-        return {k: -v for k, v in self._table.get((j, i), {}).items()}
 
     def _first_touched(self, triples: Iterable[tuple]) -> tuple[int, ...]:
         """The triple of `triples` that a walk over the stored pairs in
@@ -71,44 +87,29 @@ class LieAlgebra:
         def first_touch(tri):
             i, j, k = tri
             for pair, c in (((i, j), k), ((i, k), j), ((j, k), i)):
-                if pair in self._table:
+                if pair in self.bracket.rows:
                     return pair, c
         return min(triples, key=first_touch)
 
     def bracket_vec(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
         """[u, v] for dense coordinate vectors."""
-        u = [qof(x) for x in u]
-        v = [qof(x) for x in v]
         if len(u) != self.dim or len(v) != self.dim:
             raise DimensionMismatch("vector length != algebra dimension")
-        out = [Fraction(0)] * self.dim
-        for (i, j), res in self._table.items():
-            c = u[i] * v[j] - u[j] * v[i]
-            if c == 0:
-                continue
-            for k, coeff in res.items():
-                out[k] += c * coeff
-        return tuple(out)
+        return self.bracket.of_vectors(u, v)
 
     # -- structure ------------------------------------------------------
 
     def derived_subalgebra(self) -> Subspace:
         """Span of the stored brackets, as their int rows."""
-        _, table = self._int_table
-        vecs = []
-        for ij in self._table:
-            v = [0] * self.dim
-            for k, p in table[ij]:
-                v[k] = p
-            vecs.append(v)
-        return Subspace.span(self.dim, vecs)
+        return Subspace.span(self.dim, [self.bracket.numerators(i, j)
+                                        for i, j in self.pairs()])
 
     def bracket_of_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [u, v] over the basis vectors u of a and v of b, each
-        summed in ints on the int table from the bases' int rows. A nonzero
-        multiple spans the same line, so only the nonzero int results are
-        passed to the span."""
-        _, table = self._int_table
+        summed in ints on the bracket tensor from the bases' int rows. A
+        nonzero multiple spans the same line, so only the nonzero int
+        results are passed to the span."""
+        table = self.bracket.rows
         vecs = []
         for us in a.basis.rows:
             for vs in b.basis.rows:
@@ -139,7 +140,7 @@ class LieAlgebra:
         return series[-1].dim == 0, [s.dim for s in series]
 
     def is_abelian(self) -> bool:
-        return not self._table
+        return self.bracket.is_zero()
 
     def characters(self) -> list[tuple[Fraction, ...]]:
         """Basis of the space of linear functionals vanishing on [g, g].
@@ -182,22 +183,7 @@ def validate(name: str, dim: int, basis_names: Sequence[str],
              ) -> LieAlgebra:
     """Build a LieAlgebra after checking indices, antisymmetry bookkeeping
     and the full Jacobi identity on all basis triples."""
-    names = tuple(basis_names)
-    if len(names) != dim:
-        raise DimensionMismatch(f"{len(names)} basis names for dim {dim}")
-    table: BracketTable = {}
-    for (i, j), res in brackets.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise DimensionMismatch(f"bracket index ({i}, {j}) out of range")
-        if i >= j:
-            raise BracketOrder(f"store brackets with i < j only, got ({i}, {j})")
-        coeffs = {k: c for k, v in res.items() if (c := qof(v)) != 0}
-        for k in coeffs:
-            if not 0 <= k < dim:
-                raise DimensionMismatch(f"bracket result index {k} out of range")
-        if coeffs:
-            table[(i, j)] = coeffs
-    g = LieAlgebra(name, dim, names, table)
+    g = LieAlgebra.from_brackets(name, dim, basis_names, brackets)
     _check_jacobi(g)
     return g
 
@@ -208,14 +194,14 @@ def _check_jacobi(g: LieAlgebra) -> None:
     One sweep over the stored pairs y < z: each (m, p) of [e_y, e_z] and
     stored [e_x, e_m], x not y or z, adds +-p [e_x, e_m] to the triple
     sorted(x, y, z), - when y < x < z (the [e_j,[e_k,e_i]] term), in ints
-    on the int table; the reported residual divides D^2 back out.
+    on the bracket tensor; the reported residual divides D^2 back out.
     """
-    big, table = g._int_table
+    big, table = g.bracket.den, g.bracket.rows
     cols = [[] for _ in range(g.dim)]  # cols[m]: (x, [e_x, e_m]) stored
     for (x, m), row in table.items():
         cols[m].append((x, row))
     acc: dict[tuple[int, int, int, int], int] = {}  # (i, j, k, r): sum
-    for y, z in g._table:
+    for y, z in g.pairs():
         for m, p in table[(y, z)]:
             for x, row in cols[m]:
                 if x < y:

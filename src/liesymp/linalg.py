@@ -10,27 +10,22 @@ common denominator, entry (i, j) = p / den for the (j, p) listed in
 row i. Only nonzero entries are listed, in ascending column, and the
 state is canonical (den > 0, and no factor is common to den and every
 numerator), so `==` and `hash` compare the state, and equal matrices
-built over different denominators compare equal. Sums, negation,
-scaling, products, `apply`, the transpose, the trace and the predicates
-all run in ints on that state: a product row is summed over the nonzero
-factors only, and the result is brought to lowest terms once, by one
-gcd over the numerators that stops at 1. `entries`, the dense rows as
-`Fraction`s, is only a view, made on demand and cached, for output,
-serialization and `Subspace.vectors`. Strings are read straight into
-ints: `qof`'s grammar, "p" or "p/q", is matched once and its groups go
-to `int()`.
+built over different denominators compare equal. Arithmetic, `apply`,
+the transpose, the trace and the predicates run in ints on that state,
+over the nonzero factors only, and a result is brought to lowest terms
+by one gcd pass that stops at 1. `entries`, the dense rows as
+`Fraction`s, is only a cached view for output. Strings are read straight
+into ints: `qof`'s grammar, "p" or "p/q", is matched once.
 
 `det` and the Sylvester check run integer Bareiss on a dense copy of
-the numerators: every step divides exactly with `//`, and the k-th
-pivot, den^k times the k-th leading minor, becomes a `Fraction` only
-when it is returned. Every other elimination is `echelon`, on sparse int
-rows: a row is reduced at its smallest column, fraction-free, and
-divided by its content. `rref` (under `inverse`, `Subspace.span`,
-`intersect` and `complement`) back-substitutes its rows in ints and
-puts each over its pivot straight into the canonical state, and
-`nullspace_of` makes one `Fraction` per nonzero entry; `nspace` ranks
-with it, and `Subspace.contains` subtracts the RREF basis rows at their
-pivots.
+the numerators, dividing exactly at every step; the k-th pivot, den^k
+times the k-th leading minor, becomes a `Fraction` only when returned.
+Every other elimination is `echelon` on sparse int rows, each reduced
+at its smallest column, fraction-free, and divided by its content.
+`rref` back-substitutes its rows in ints and puts each over its pivot,
+straight into the canonical state; `nullspace_of` reads int kernel
+vectors off the same rows, and `Matrix.nullspace` is their `Fraction`
+view. `Subspace.contains` subtracts the RREF rows at their pivots.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
@@ -298,8 +293,13 @@ class Matrix:
         return self.rref()[1]
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
-        """Basis of the right kernel, in deterministic RREF-derived form."""
-        return nullspace_of((dict(r) for r in self.rows), self.ncols)
+        """Basis of the right kernel, in deterministic RREF-derived form:
+        each `nullspace_of` vector over its last nonzero entry."""
+        out = []
+        for v in nullspace_of((dict(r) for r in self.rows), self.ncols):
+            d = next(x for x in reversed(v) if x)
+            out.append(tuple(Fraction(x, d) for x in v))
+        return out
 
     def _dense(self) -> list[list[int]]:
         """A fresh dense copy of the numerators, for Bareiss in place."""
@@ -427,21 +427,19 @@ def _reduced(rows: Iterable[Row]) -> list[tuple[int, Row]]:
     return sorted(piv.items())
 
 
-def nullspace_of(rows: Iterable[Row], ncols: int,
-                 ) -> list[tuple[Fraction, ...]]:
-    """Basis of {x : row . x = 0 for every int row}: one vector per free
-    column fc, 1 at fc and minus the reduced entry at each pivot."""
+def nullspace_of(rows: Iterable[Row], ncols: int) -> list[list[int]]:
+    """Basis of {x : row . x = 0 for every int row}: per free column fc,
+    d > 0 at fc (its last nonzero) and -d r_fc / r_c at each pivot c < fc,
+    r the reduced row of c, d the least such that all are ints."""
     red = _reduced(rows)
-    z, pivots = Fraction(0), {c for c, _ in red}
     basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            v = [z] * ncols
-            v[fc] = Fraction(1)
-            for c, row in red:
-                if fc in row:
-                    v[c] = Fraction(-row[fc], row[c])
-            basis.append(tuple(v))
+    for fc in sorted(set(range(ncols)) - {c for c, _ in red}):
+        hits = [(c, row) for c, row in red if fc in row]
+        v = [0] * ncols
+        v[fc] = d = lcm(*(row[c] for c, row in hits))
+        for c, row in hits:
+            v[c] = -row[fc] * (d // row[c])
+        basis.append(v)
     return basis
 
 
@@ -489,22 +487,24 @@ class Subspace:
         return list(self.basis.entries)
 
     def contains(self, vec: Sequence) -> bool:
-        """vec is in the span iff vec - sum of vec[p_i] b_i is 0, p_i the
-        pivot of RREF row b_i; summed in ints, over den times vec's lcm
-        denominator."""
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        w = int_vector(vec)[1]
-        acc = [x * self.basis.den for x in w]
-        for row in self.basis.rows:
-            c = w[row[0][0]]
-            if c:
-                for j, p in row:
-                    acc[j] -= c * p
-        return not any(acc)
+        return self._holds(dict(enumerate(int_vector(vec)[1])))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.vectors())
+        if other.dim and other.ambient_dim != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        return all(self._holds(dict(r)) for r in other.basis.rows)
+
+    def _holds(self, w: Row) -> bool:
+        """In the span iff den w = sum of w[p_i] den b_i (p_i: b_i's pivot)."""
+        acc = {j: x * self.basis.den for j, x in w.items()}
+        for row in self.basis.rows:
+            c = w.get(row[0][0])
+            if c:
+                for j, p in row:
+                    acc[j] = acc.get(j, 0) - c * p
+        return not any(acc.values())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of the stacked coefficient map."""
@@ -526,7 +526,7 @@ class Subspace:
         vecs = []
         for ker in nullspace_of(stacked, k + other.dim):
             acc = [0] * self.ambient_dim
-            for c, r in zip(int_vector(ker[:k])[1], a.rows):
+            for c, r in zip(ker[:k], a.rows):
                 for j, p in r:
                     acc[j] += c * p
             vecs.append(acc)
@@ -544,8 +544,8 @@ def complement(s: Subspace, gram: Matrix) -> Subspace:
     if s.dim == 0:
         return Subspace.full(s.ambient_dim)
     constraints = s.basis @ gram
-    kernel = constraints.nullspace()
-    comp = Subspace.span(s.ambient_dim, kernel)
+    comp = Subspace.span(s.ambient_dim, nullspace_of(
+        (dict(r) for r in constraints.rows), constraints.ncols))
     if comp.dim != s.ambient_dim - s.dim:
         raise SingularGram(
             f"form degenerate on subspace: complement dim {comp.dim}, "

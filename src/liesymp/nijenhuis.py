@@ -12,13 +12,8 @@ full report and cross-checks every identity the tensor must satisfy;
 any mismatch raises InternalInvariantViolation rather than returning a
 silently wrong answer.
 
-`Tensor3` stores a vector valued 2-tensor as Python ints over one common
-denominator and lists only the nonzero coordinates of each nonzero
-T(e_i, e_j), like `Matrix` and `LieAlgebra`'s int bracket table. N,
-the connections, their torsion, nabla J and the curvature operators
-are built on it: products with J or a form, slot swaps and
-rational combinations sum ints over the nonzeros, and a value becomes a
-`Fraction` only where it is read (`of_basis`, `of_vectors`).
+N is a `Tensor3` (module `tensor`, re-exported here), composed from the
+algebra's bracket tensor with the int operations of that class.
 
 The identity checks and |N|^2 are int contractions of whole tensors, not
 loops over basis pairs and triples. With omega(u, v) = u^T omega v,
@@ -30,169 +25,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
-from typing import Sequence
 
 from .errors import InternalInvariantViolation
-from .lie import LieAlgebra
-from .linalg import (Matrix, Subspace, complement, int_vector, nullspace_of,
-                     qof)
+from .linalg import Matrix, Subspace, complement, nullspace_of
 from .symp import SymplecticTriple
-
-
-IntRows = dict[tuple[int, int], tuple[tuple[int, int], ...]]
-
-
-@dataclass(frozen=True)
-class Tensor3:
-    """Vector valued 2-tensor on the basis, stored sparsely in ints:
-    T(e_i, e_j) = sum of p / den e_k over the (k, p) in rows[(i, j)].
-    Only nonzero values are listed, in ascending k, and den is the least
-    common denominator of all of them, so equal tensors are equal
-    objects. A connection is a labelled instance, Gamma(e_i, e_j) =
-    T(e_i, e_j)."""
-
-    dim: int
-    den: int
-    rows: IntRows
-    label: str = ""
-
-    @staticmethod
-    def from_ints(dim: int, den: int, num: dict[tuple[int, int], list[int]],
-                  label: str = "") -> "Tensor3":
-        """The tensor with T(e_i, e_j)_k = num[(i, j)][k] / den (den > 0);
-        zero values and any factor common to den and every numerator
-        are dropped."""
-        g = den
-        for v in num.values():
-            g = gcd(g, *v)
-        rows = {}
-        for ij, v in num.items():
-            row = tuple((k, p // g) for k, p in enumerate(v) if p)
-            if row:
-                rows[ij] = row
-        return Tensor3(dim, den // g if rows else 1, rows, label)
-
-    @staticmethod
-    def from_dense(dim: int, vals: Sequence[Sequence[Sequence]],
-                   label: str = "") -> "Tensor3":
-        """The tensor with T(e_i, e_j) = vals[i][j], any exact numbers."""
-        num = {(i, j): [qof(x) for x in v]
-               for i, row in enumerate(vals) for j, v in enumerate(row)}
-        den = lcm(*(x.denominator for v in num.values() for x in v))
-        return Tensor3.from_ints(dim, den, {
-            ij: [x.numerator * (den // x.denominator) for x in v]
-            for ij, v in num.items()}, label)
-
-    @cached_property
-    def _values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        out = {}
-        for ij, row in self.rows.items():
-            v = [Fraction(0)] * self.dim
-            for k, p in row:
-                v[k] = Fraction(p, self.den)
-            out[ij] = tuple(v)
-        return out
-
-    def numerators(self, i: int, j: int) -> list[int]:
-        """den * T(e_i, e_j) as a dense list of ints."""
-        v = [0] * self.dim
-        for k, p in self.rows.get((i, j), ()):
-            v[k] = p
-        return v
-
-    def of_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        v = self._values.get((i, j))
-        return v if v is not None else (Fraction(0),) * self.dim
-
-    def of_vectors(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
-        du, us = int_vector(u)
-        dv, vs = int_vector(v)
-        vs = [(j, b) for j, b in enumerate(vs) if b]
-        acc = [0] * self.dim
-        for i, a in enumerate(us):
-            if not a:
-                continue
-            for j, b in vs:
-                row = self.rows.get((i, j))
-                if row:
-                    c = a * b
-                    for k, p in row:
-                        acc[k] += c * p
-        den = self.den * du * dv
-        z = Fraction(0)
-        return tuple([Fraction(x, den) if x else z for x in acc])
-
-    # a connection's covariant derivative of invariant fields
-    nabla = of_vectors
-
-    def is_zero(self) -> bool:
-        return not self.rows
-
-    def endo(self, i: int) -> Matrix:
-        """T(e_i, .) as a matrix (columns are images)."""
-        return Matrix.from_ints(self.den, list(zip(
-            *(self.numerators(i, b) for b in range(self.dim)))))
-
-    def swapped(self) -> "Tensor3":
-        """(x, y) -> T(y, x)."""
-        return Tensor3(self.dim, self.den,
-                       {(j, i): r for (i, j), r in self.rows.items()},
-                       self.label)
-
-    def map_values(self, m: Matrix) -> "Tensor3":
-        """(x, y) -> m T(x, y)."""
-        cols = m.transpose().rows
-        num = {}
-        for ij, row in self.rows.items():
-            v = num[ij] = [0] * self.dim
-            for k, p in row:
-                for r, q in cols[k]:
-                    v[r] += q * p
-        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
-
-    def map_second(self, m: Matrix) -> "Tensor3":
-        """(x, y) -> T(x, m y)."""
-        num: dict[tuple[int, int], list[int]] = {}
-        for (i, l), row in self.rows.items():
-            for j, q in m.rows[l]:
-                v = num.setdefault((i, j), [0] * self.dim)
-                for k, p in row:
-                    v[k] += q * p
-        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
-
-    def map_first(self, m: Matrix) -> "Tensor3":
-        """(x, y) -> T(m x, y)."""
-        return self.swapped().map_second(m).swapped()
-
-
-def combine(terms: Sequence[tuple[object, Tensor3]],
-            label: str = "") -> Tensor3:
-    """The sum of c * T over the (c, T) in terms, c any exact number."""
-    dim = terms[0][1].dim
-    terms = [(qof(c), t) for c, t in terms]
-    den = lcm(*(c.denominator * t.den for c, t in terms))
-    num: dict[tuple[int, int], list[int]] = {}
-    for c, t in terms:
-        f = c.numerator * (den // (c.denominator * t.den))
-        for ij, row in t.rows.items():
-            v = num.setdefault(ij, [0] * dim)
-            for k, p in row:
-                v[k] += f * p
-    return Tensor3.from_ints(dim, den, num, label)
-
-
-def brackets(g: LieAlgebra) -> Tensor3:
-    """(x, y) -> [x, y], read from the algebra's int table."""
-    big, table = g._int_table
-    return Tensor3(g.dim, big,
-                   {ij: tuple(sorted(r)) for ij, r in table.items()})
+from .tensor import IntRows, Tensor3, combine  # IntRows only re-exported
 
 
 def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
     """N of the triple's j, from the algebra's bracket tensor."""
-    return nijenhuis_of(brackets(t.algebra), t.j)
+    return nijenhuis_of(t.algebra.bracket, t.j)
 
 
 def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
@@ -222,7 +64,7 @@ def kernel_distribution(n: Tensor3) -> Subspace:
 
 
 def is_involutive(s: Subspace, g) -> bool:
-    """[s, s] lies in s, with [s, s] summed on g's int table."""
+    """[s, s] lies in s, with [s, s] summed on g's bracket tensor."""
     return s.contains_subspace(g.bracket_of_subspaces(s, s))
 
 

@@ -104,11 +104,12 @@ def matrix_from_rows(rows: Any, what: str) -> Matrix:
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
+    den, rows = g.bracket.den, g.bracket.rows
     brackets = []
-    for (i, j), coeffs in sorted(g._table.items()):
+    for i, j in g.pairs():
         brackets.append({
             "i": i, "j": j,
-            "coeffs": {str(k): str(v) for k, v in sorted(coeffs.items())},
+            "coeffs": {str(k): str(Fraction(p, den)) for k, p in rows[(i, j)]},
         })
     return {"name": g.name, "dim": g.dim, "basis": list(g.basis_names),
             "brackets": brackets}

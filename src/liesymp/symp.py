@@ -53,10 +53,10 @@ def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     (brackets over D, omega over the lcm D_omega of its denominators);
     the reported value divides D * D_omega back out.
     """
-    big, table = g._int_table
+    big, table = g.bracket.den, g.bracket.rows
     om = omega.rows
     acc: dict[tuple[int, int, int], int] = {}
-    for y, z in g._table:
+    for y, z in g.pairs():
         row = [0] * g.dim
         for m, p in table[(y, z)]:
             for x, v in om[m]:

@@ -82,7 +82,7 @@ class TwistorModel:
     q_indices: tuple[int, ...]
     p_indices: tuple[int, ...]
     mats: tuple[Sparse, ...] = field(repr=False)  # basis as Lorentz matrices
-    phi: tuple[Fraction, ...] = field(repr=False)
+    phi: tuple[int, ...] = field(repr=False)
 
     @property
     def m_indices(self) -> tuple[int, ...]:
@@ -92,26 +92,28 @@ class TwistorModel:
     def m_dim(self) -> int:
         return len(self.q_indices) + len(self.p_indices)
 
+    def _omega_num(self, x: int, y: int) -> int:
+        """D omega(e_x, e_y) = D phi([e_x, e_y]), D the bracket's
+        denominator."""
+        return sum(p * self.phi[k]
+                   for k, p in self.algebra.bracket.rows.get((x, y), ()))
+
     def omega_basis(self, x: int, y: int) -> Fraction:
         """omega(e_x, e_y) = phi([e_x, e_y])."""
-        out = Fraction(0)
-        for k, c in self.algebra.bracket_basis(x, y).items():
-            if self.phi[k] != 0:
-                out += c * self.phi[k]
-        return out
+        return Fraction(self._omega_num(x, y), self.algebra.bracket.den)
 
     @cached_property
     def kks_m(self) -> Matrix:
         """omega on m, in m-coordinates, evaluated once per model."""
         m_idx = self.m_indices
-        return Matrix.from_rows([
-            [self.omega_basis(x, y) for y in m_idx] for x in m_idx])
+        return Matrix.from_ints(self.algebra.bracket.den, [
+            [self._omega_num(x, y) for y in m_idx] for x in m_idx])
 
     @cached_property
     def bracket_m(self) -> Tensor3:
         """(A, B) -> [A, B]_m on m, in m-coordinates: the bracket with its
         u-components dropped."""
-        big, table = self.algebra._int_table
+        big, table = self.algebra.bracket.den, self.algebra.bracket.rows
         d = self.m_dim
         pos = {k: i for i, k in enumerate(self.m_indices)}
         num = {}
@@ -258,9 +260,9 @@ def build_twistor_model(n: int) -> TwistorModel:
                 table[(x, y)] = {k: Fraction(c, 2) for k, c in twice.items()}
     g = validate(f"so(1,{2*n})", dim, names, table)
     # phi(A) = -Tr(j'0 A): supported on the UY diagonal only
-    phi = [Fraction(0)] * dim
+    phi = [0] * dim
     for a in range(1, n + 1):
-        phi[name_pos[f"UY_{a}_{a}"]] = Fraction(-2)
+        phi[name_pos[f"UY_{a}_{a}"]] = -2
     return TwistorModel(n, g, tuple(u_idx), tuple(q_idx), tuple(p_idx),
                         tuple(mats), tuple(phi))
 

@@ -219,7 +219,7 @@ def _dense_operators(t: SymplecticTriple, conn) -> list[list[Matrix]]:
     for i in range(d):
         for j in range(i + 1, d):
             m = endos[i] @ endos[j] - endos[j] @ endos[i]
-            br = g.bracket_basis(i, j)
+            br = bracket_basis(g, i, j)
             if br:
                 mbr = zeros(d, d)
                 for k, co in br.items():
@@ -342,7 +342,7 @@ def touched_triples(g):
     seen = set()
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            if not g.bracket_basis(a, b):
+            if not bracket_basis(g, a, b):
                 continue
             for c in range(g.dim):
                 tri = tuple(sorted((a, b, c)))
@@ -359,8 +359,8 @@ def jacobi_residuals(g):
     for i, j, k in touched_triples(g):
         acc: dict[int, Fraction] = {}
         for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in g.bracket_basis(y, z).items():
-                for r, q in g.bracket_basis(x, m).items():
+            for m, c in bracket_basis(g, y, z).items():
+                for r, q in bracket_basis(g, x, m).items():
                     acc[r] = acc.get(r, Fraction(0)) + c * q
         yield (i, j, k), {g.basis_names[r]: str(v)
                           for r, v in sorted(acc.items()) if v}
@@ -381,7 +381,7 @@ def cocycle_values(g, omega: Matrix):
     in `Fraction`s from `bracket_basis` and the entries of omega."""
     def om(a, b, c):
         return sum((v * omega.entry(m, c)
-                    for m, v in g.bracket_basis(a, b).items()), Fraction(0))
+                    for m, v in bracket_basis(g, a, b).items()), Fraction(0))
 
     for i, j, k in touched_triples(g):
         yield (i, j, k), -om(i, j, k) + om(i, k, j) - om(j, k, i)
@@ -404,6 +404,54 @@ def pairwise_is_involutive(s: Subspace, g) -> bool:
     before it bracketed the subspace on the int table."""
     return all(s.contains(g.bracket_vec(u, v))
                for u in s.vectors() for v in s.vectors())
+
+
+# -- the nested-Fraction bracket table, as an oracle for the bracket tensor
+
+
+class FractionTable:
+    """Structure constants as {(i, j): {k: Fraction}} for i < j, nonzero
+    coefficients only, read with `Fraction`'s own parser: the form
+    `LieAlgebra` kept before its bracket tensor, and its evaluations."""
+
+    def __init__(self, dim: int, brackets) -> None:
+        self.dim = dim
+        self.table = {}
+        for ij, res in brackets.items():
+            res = {k: Fraction(c) for k, c in res.items() if Fraction(c)}
+            if res:
+                self.table[ij] = res
+
+    def bracket_vec(self, u, v) -> tuple:
+        u, v = [Fraction(x) for x in u], [Fraction(x) for x in v]
+        out = [Fraction(0)] * self.dim
+        for (i, j), res in self.table.items():
+            c = u[i] * v[j] - u[j] * v[i]
+            for k, coeff in res.items():
+                out[k] += c * coeff
+        return tuple(out)
+
+    def bracket_of_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
+        return Subspace.span(self.dim, [self.bracket_vec(u, v)
+                                        for u in a.vectors()
+                                        for v in b.vectors()])
+
+    def derived_subalgebra(self) -> Subspace:
+        vecs = []
+        for res in self.table.values():
+            v = [Fraction(0)] * self.dim
+            for k, c in res.items():
+                v[k] = c
+            vecs.append(v)
+        return Subspace.span(self.dim, vecs)
+
+    def to_dict(self, name: str, basis) -> dict:
+        """The algebra payload, brackets sorted by (i, j) and k."""
+        return {"name": name, "dim": self.dim, "basis": list(basis),
+                "brackets": [{"i": i, "j": j,
+                              "coeffs": {str(k): str(c)
+                                         for k, c in sorted(res.items())}}
+                             for (i, j), res in sorted(self.table.items())]}
 
 
 # -- API that only the tests call: pairings, bracket listings and the
@@ -433,8 +481,14 @@ def vec_sub(u, v) -> tuple:
     return tuple(qof(a) - qof(b) for a, b in zip(u, v))
 
 
+def bracket_basis(g, i: int, j: int) -> dict[int, Fraction]:
+    """[e_i, e_j] as a sparse coordinate dict of `Fraction`s."""
+    den = g.bracket.den
+    return {k: Fraction(p, den) for k, p in g.bracket.rows.get((i, j), ())}
+
+
 def nonzero_brackets(g) -> list:
-    return [(i, j, dict(res)) for (i, j), res in sorted(g._table.items())]
+    return [(i, j, bracket_basis(g, i, j)) for i, j in g.pairs()]
 
 
 def p_element(model, u) -> tuple:

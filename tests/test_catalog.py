@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from liesymp import (Analysis, Subspace, build_rank_example, builtin,
 from liesymp.catalog import catalog_names
 from liesymp.errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
                             ZeroCharacter)
-from support import diag, nonzero_brackets
+from support import bracket_basis, diag, nonzero_brackets
 
 F = Fraction
 
@@ -90,6 +91,54 @@ def test_character_extension_rejects_bad_characters(catalog):
     # must kill the derived subalgebra; ex2 has [Y1,Y2] = X2
     with pytest.raises(NotACharacter):
         character_extension(t, xi=[F(0), F(1), F(0), F(0)])
+
+
+def test_character_is_tested_on_every_stored_bracket(catalog):
+    # ex3: [X1,X2] = (X2 + Y2)/2, [X1,Y1] = Y1, [X1,Y2] = Y2/2, [X2,Y2] = Y1.
+    # xi = (1/7, 1/3, 0, -1/3) vanishes on [X1,X2] only because its
+    # coprime-denominator terms cancel, and fails on [X1,Y2] alone
+    t = catalog["ex3"]
+    xi = [F(1, 7), F(1, 3), F(0), F(-1, 3)]
+    brackets = nonzero_brackets(t.algebra)
+    failing = [(i, j) for i, j, res in brackets
+               if sum(xi[k] * c for k, c in res.items())]
+    assert failing == [(0, 3)] and len(brackets) == 4
+    with pytest.raises(NotACharacter) as exc:
+        character_extension(t, xi=xi)
+    assert str(exc.value) == "functional does not vanish on [g, g]"
+    with pytest.raises(ZeroCharacter) as exc:
+        character_extension(t, xi=["0/3", 0, F(0), "0"])
+    assert str(exc.value) == "character must be nonzero"
+    with pytest.raises(ValueError) as exc:
+        character_extension(t, xi=[F(1, 7)] * 3)
+    assert str(exc.value) == "character has wrong length"
+    # a multiple of the first character passes: [X1, c] = -(2/7) d
+    t2 = character_extension(t, xi=["4/14", 0, 0, 0])
+    assert bracket_basis(t2.algebra, 0, 4) == {5: F(-2, 7)}
+    assert len(nonzero_brackets(t2.algebra)) == 5
+
+
+def test_character_check_matches_the_derived_algebra(catalog):
+    # xi passes iff it vanishes on the basis of [g, g]
+    rng = random.Random("characters")
+    seen = set()
+    for name in ("ex1", "ex3", "ex4", "dim6"):
+        t = catalog[name]
+        der = t.algebra.derived_subalgebra().vectors()
+        for _ in range(40):
+            xi = [F(rng.randint(-2, 2), rng.choice([1, 3, 5]))
+                  if rng.random() < 0.5 else F(0) for _ in range(t.dim)]
+            if not any(xi):
+                continue
+            kills = all(sum(a * b for a, b in zip(xi, v)) == 0 for v in der)
+            seen.add(kills)
+            try:
+                character_extension(t, xi=xi)
+            except NotACharacter:
+                assert not kills, (name, xi)
+            else:
+                assert kills, (name, xi)
+    assert seen == {True, False}
 
 
 def test_build_rank_example_full_sweep():

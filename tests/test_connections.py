@@ -6,7 +6,8 @@ from liesymp import (Analysis, chern_connection, levi_civita,
                      symplectic_connection, torsion,
                      torsion_recovers_nijenhuis)
 from liesymp.connections import Connection
-from support import aff_aff_triple, conjugated_triple, diag
+from support import (aff_aff_triple, bracket_basis, conjugated_triple,
+                     diag)
 
 F = Fraction
 
@@ -135,7 +136,7 @@ def _milnor_nilpotent_scalar(t):
     from the structure constants and the metric alone; valid on nilpotent
     algebras."""
     d, g, ginv = t.dim, t.metric, t.metric_inv
-    c = [[t.algebra.bracket_basis(i, j) for j in range(d)] for i in range(d)]
+    c = [[bracket_basis(t.algebra, i, j) for j in range(d)] for i in range(d)]
     total = F(0)
     for i in range(d):
         for j in range(d):

@@ -16,7 +16,7 @@ from liesymp.errors import ValidationError
 from liesymp.lie import LieAlgebra
 from liesymp.symp import _check_cocycle
 from support import (cocycle_values, definitional_cocycle,
-                     definitional_jacobi, jacobi_residuals)
+                     definitional_jacobi, jacobi_residuals, nonzero_brackets)
 
 F = Fraction
 
@@ -52,13 +52,12 @@ def _outcome(check, *args):
 def _jacobi_outcomes(g: LieAlgebra, edits) -> tuple:
     """Both routes on g's table with [e_a, e_b]_k set to c for each
     (a, b, k, c) in edits (c = 0 removes the term)."""
-    table = {pair: dict(res) for pair, res in g._table.items()}
+    table = {(i, j): res for i, j, res in nonzero_brackets(g)}
     for a, b, k, c in edits:
         table.setdefault((a, b), {})[k] = c
     table = {pair: {k: c for k, c in res.items() if c}
              for pair, res in table.items()}
-    unchecked = LieAlgebra("p", g.dim, g.basis_names,
-                           {pair: res for pair, res in table.items() if res})
+    unchecked = LieAlgebra.from_brackets("p", g.dim, g.basis_names, table)
     return (_outcome(validate, "p", g.dim, g.basis_names, table),
             _outcome(definitional_jacobi, unchecked))
 
@@ -92,7 +91,7 @@ def test_sweeps_match_per_triple_scans_on_seeded_perturbations():
     for name, (g, omega) in _bases().items():
         assert _jacobi_outcomes(g, ()) == (None, None), name
         assert _cocycle_outcomes(g, omega, ()) == (None, None), name
-        stored = sorted(g._table)
+        stored = g.pairs()
         for _ in range(12):
             edits = []
             for _ in range(rng.randint(1, 3)):
@@ -136,7 +135,7 @@ def test_reported_triple_is_the_first_touched_not_the_smallest():
     # (b, c, d) and (y, z, w) are touched only through their (j, k)
     # pair; the smaller failing triples (a, d, e) and (x, w, v) are
     # touched later, through (d, e) and (w, v)
-    g = LieAlgebra("j", 5, tuple("abcde"), {
+    g = LieAlgebra.from_brackets("j", 5, tuple("abcde"), {
         (0, 1): {0: F(-1, 7)}, (2, 3): {0: F(2, 11)}, (3, 4): {1: F(2, 3)}})
     failing = [tri for tri, resid in jacobi_residuals(g) if resid]
     assert failing == [(1, 2, 3), (0, 3, 4)]

@@ -161,6 +161,20 @@ def test_contains_refuses_a_vector_of_the_wrong_length():
             plane.contains(vec)
 
 
+def test_contains_subspace_refuses_a_subspace_of_another_ambient():
+    # it reads the other basis's int rows, which carry no length; a
+    # nonzero subspace of another ambient space is refused as a vector
+    # of the wrong length was, and a zero one is contained
+    plane = Subspace.span(3, [[1, 0, 0], [0, 1, "1/2"]])
+    for other in (Subspace.full(2), Subspace.span(4, [[1, 0, 0, 0]])):
+        with pytest.raises(ValueError,
+                           match="vector length != ambient dimension"):
+            plane.contains_subspace(other)
+    assert plane.contains_subspace(Subspace.zero(5))
+    assert plane.contains_subspace(Subspace.span(3, [[2, 2, 1]]))
+    assert not plane.contains_subspace(Subspace.span(3, [[0, 0, 1]]))
+
+
 def test_subspace_canonical_form_is_basis_independent():
     s1 = Subspace.span(3, [[1, 1, 0], [0, 2, 0]])
     s2 = Subspace.span(3, [["1/3", 0, 0], [5, 7, 0]])
