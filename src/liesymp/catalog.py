@@ -26,7 +26,8 @@ from .errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
 from .lie import validate
 from .linalg import Matrix, int_vector, qof
-from .symp import SymplecticTriple, build_triple, standard_j, standard_omega
+from .symp import (SymplecticTriple, _check_cocycle, build_triple,
+                   standard_j, standard_omega)
 
 
 def _xy_names(n: int) -> list[str]:
@@ -198,14 +199,20 @@ def _extended(t: SymplecticTriple, name: str, pair: tuple[str, str],
               extra: dict) -> SymplecticTriple:
     """t with two basis vectors `pair` added, omega = 1 and J a rotation
     on their plane, and the brackets `extra` added to g's (read off its
-    int rows)."""
+    int rows). Only the checks the new brackets can break run: Jacobi
+    (`validate`) and the 2-cocycle. Skewness, det != 0, J^2 = -1,
+    compatibility and positivity of diag(A, plane) follow from those of
+    A, and the metric is diag(t.metric, I), as plane @ -plane = I."""
     g = t.algebra
     den, rows = g.bracket.den, g.bracket.rows
     table = {ij: {k: Fraction(p, den) for k, p in rows[ij]}
              for ij in g.pairs()}
     g2 = validate(name, g.dim + 2, g.basis_names + pair, {**table, **extra})
     plane = Matrix.from_rows([[0, 1], [-1, 0]])
-    return build_triple(g2, _block2(t.omega, plane), _block2(t.j, -plane))
+    omega = _block2(t.omega, plane)
+    _check_cocycle(g2, omega)
+    return SymplecticTriple(g2, omega, _block2(t.j, -plane),
+                            _block2(t.metric, Matrix.identity(2)))
 
 
 def _block2(a: Matrix, b: Matrix) -> Matrix:

@@ -384,11 +384,14 @@ def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
     return p
 
 
-def echelon(rows: Iterable[Row]) -> dict[int, Row]:
+def echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None,
+            ) -> dict[int, Row]:
     """Sparse fraction-free echelon form: a row is reduced by the stored
     row of its smallest column (`_eliminate`) until it is empty or that
-    column is new, then stored as given. Its size is the rank."""
-    pivots: dict[int, Row] = {}
+    column is new, then stored as given. Its size is the rank. `pivots`,
+    the echelon form of other rows, is extended in place."""
+    if pivots is None:
+        pivots = {}
     for row in rows:
         while row:
             p = min(row)

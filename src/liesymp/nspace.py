@@ -14,13 +14,18 @@ is 2n(n^2 - 1)/3; `nullity` computes it as the corank of the explicit
 constraint system, which doubles as a membership test for concrete
 tensors against a triple's own (omega, J).
 
-Unknowns are the (2n)^3 coefficients t[i][j][k] (k-th coordinate of
-t(e_i, e_j)) in the flat order (i*dim + j)*dim + k. Rows are sparse
-{column: int} dicts (omega and J scaled to ints) and are ranked by the
-fraction-free `linalg.echelon`; with the standard (omega, J) nearly
-every row has at most two entries, and `nspace-dim --n 3,4,5,6,7,8`
-(up to 4096 unknowns) takes 0.04 s in all (Python 3.11, one core of a
-shared 2-vCPU x86-64 VM).
+Antisymmetry is imposed by the coordinates rather than by rows: the
+unknowns are the dim * C(dim, 2) coefficients x[p][k], the k-th
+coordinate of t(e_i, e_j) for the p-th pair i < j of
+`combinations(range(dim), 2)`, in the flat order p * dim + k, with
+t(e_j, e_i) = -x[p] and t(e_i, e_i) = 0. The rows are the anti-linearity
+identities at the first slots of `_first_slots` and the cyclic ones, in
+these unknowns. Rows are sparse {column: int} dicts (omega and J scaled
+to ints) and are ranked by the fraction-free `linalg.echelon`; with the
+standard (omega, J) nearly every row has at most two entries, and
+`nspace-dim --n 3,4,5,6,7,8` (up to 1,920 unknowns, 6,488 rows) takes
+0.03-0.04 s in all (Python 3.11, one core of a shared 2-vCPU x86-64
+VM).
 """
 
 from __future__ import annotations
@@ -33,8 +38,27 @@ from .nijenhuis import Tensor3
 from .symp import SymplecticTriple, standard_j, standard_omega
 
 
-def _idx(dim: int, i: int, j: int, k: int) -> int:
-    return (i * dim + j) * dim + k
+def _bases(dim: int) -> list[list[int]]:
+    """base[a][b] = p * dim for the p-th pair {a, b}: the first column of
+    x[p], the coordinates of t(e_min, e_max). Unused where a == b."""
+    base = [[0] * dim for _ in range(dim)]
+    for p, (a, b) in enumerate(combinations(range(dim), 2)):
+        base[a][b] = base[b][a] = p * dim
+    return base
+
+
+def _first_slots(j: Matrix) -> list[int]:
+    """Indices I with {e_i, J e_i : i in I} a basis, taken greedily: the
+    span W of those kept is J-invariant, so an e_i outside W adds e_i and
+    J e_i both (J e_i = w + c e_i would put (1 + c^2) e_i in W)."""
+    pivots: dict[int, Row] = {}
+    keep = []
+    for i, col in enumerate(j.transpose().rows):
+        rank = len(pivots)
+        echelon(({i: 1}, dict(col)), pivots)
+        if len(pivots) > rank:
+            keep.append(i)
+    return keep
 
 
 def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
@@ -43,48 +67,53 @@ def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
     coefficients: J and omega enter scaled by the lcm of their own
     denominators, which multiplies a row by a nonzero constant and leaves
     its solutions alone. Only their nonzero entries are walked."""
-    pairs = [(i, i) for i in range(dim)] + list(combinations(range(dim), 2))
-    return _rows(dim, omega, j, pairs, product(range(dim), repeat=3),
+    return _rows(dim, omega, j, product(_first_slots(j), range(dim),
+                                        range(dim)),
                  combinations(range(dim), 3))
 
 
-def _rows(dim: int, omega: Matrix, j: Matrix, pairs, linear,
+def _rows(dim: int, omega: Matrix, j: Matrix, linear,
           triples) -> Iterator[Row]:
-    """The constraint rows of the unordered pairs (i, jj), i <= jj, the
-    anti-linearity keys (i, jj, k) and the triples i < jj < k given."""
+    """The constraint rows of the anti-linearity keys (i, jj, k) and the
+    triples i < jj < k given, in the pair coordinates: a term of
+    t(e_a, e_b) is dropped where a == b and negated where a > b."""
+    base = _bases(dim)
     j_rows, j_cols = j.rows, j.transpose().rows
     om_cols = omega.transpose().rows
-    # antisymmetry (and vanishing on the diagonal, where both keys agree)
-    for i, jj in pairs:
-        for k in range(dim):
-            yield {_idx(dim, i, jj, k): 1, _idx(dim, jj, i, k): 1}
-    # anti-linearity in the first slot: t(Je_i, e_j) = -J t(e_i, e_j);
-    # the second slot follows from antisymmetry and this one.
+    # anti-linearity in the first slot: B(e_i, e_j) = 0 for
+    # B(x, y) = t(Jx, y) + J t(x, y). As B(Jx, y) = J B(x, y), the keys
+    # with i in `_first_slots` imply the rest, and the second slot
+    # follows from antisymmetry.
     for i, jj, k in linear:
         row: Row = {}
         for a, c in j_cols[i]:
-            col = _idx(dim, a, jj, k)
-            row[col] = row.get(col, 0) + c
-        for b, c in j_rows[k]:
-            col = _idx(dim, i, jj, b)
-            row[col] = row.get(col, 0) + c
+            if a != jj:
+                col = base[a][jj] + k
+                row[col] = row.get(col, 0) + (c if a < jj else -c)
+        if i != jj:
+            b0 = base[i][jj]
+            for b, c in j_rows[k]:
+                col = b0 + b
+                row[col] = row.get(col, 0) + (c if i < jj else -c)
         row = {c: v for c, v in row.items() if v}
         if row:
             yield row
-    # cyclic coupling against omega
+    # cyclic coupling against omega; t(e_k, e_i) = -t(e_i, e_k)
     for i, jj, k in triples:
         row = {}
-        for (a, b, c) in ((i, jj, k), (jj, k, i), (k, i, jj)):
+        for a, b, c, s in ((i, jj, k, 1), (jj, k, i, 1), (i, k, jj, -1)):
+            b0 = base[a][b]
             for m, w in om_cols[c]:
-                col = _idx(dim, a, b, m)
-                row[col] = row.get(col, 0) + w
+                col = b0 + m
+                row[col] = row.get(col, 0) + s * w
         row = {c: v for c, v in row.items() if v}
         if row:
             yield row
 
 
 def nullity(dim: int, omega: Matrix, j: Matrix) -> int:
-    return dim ** 3 - len(echelon(build_constraint_rows(dim, omega, j)))
+    return (dim * (dim * (dim - 1) // 2)
+            - len(echelon(build_constraint_rows(dim, omega, j))))
 
 
 def nijenhuis_space_dim(n: int) -> int:
@@ -105,30 +134,40 @@ def expected_dimension(n: int) -> int:
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space built from
     the triple's own (omega, J); an independent route to the pointwise
-    identity checks. Each row of `_support_rows` is checked in ints
-    against the tensor's numerators over its common denominator; every
-    other row evaluates to 0."""
-    dim = t.dim
-    scaled = {_idx(dim, i, jj, k): p
-              for (i, jj), row in tensor.rows.items() for k, p in row}
+    identity checks. Antisymmetry is read off the stored values (no
+    t(e_i, e_i), and t(e_j, e_i) the negation of t(e_i, e_j)); then each
+    row of `_support_rows` is checked in ints against the tensor's pair
+    coordinates over its common denominator; every other row evaluates
+    to 0."""
+    rows = tensor.rows
+    for (i, jj), row in rows.items():
+        if i == jj or rows.get((jj, i)) != tuple((k, -p) for k, p in row):
+            return False
+    base = _bases(t.dim)
+    scaled = {base[i][jj] + k: p
+              for (i, jj), row in rows.items() if i < jj for k, p in row}
     return not any(sum(v * scaled.get(c, 0) for c, v in row.items())
                    for row in _support_rows(t, tensor))
 
 
 def _support_rows(t: SymplecticTriple, tensor: Tensor3) -> Iterator[Row]:
-    """The constraint rows with a column in the tensor's support: those of
-    its pairs, of the triples containing one of its pairs, and the
-    anti-linearity rows of its columns. Column (a, jj, k) lies in the
-    anti-linearity rows (i, jj, k) with J_ai != 0 and (a, jj, k') with
-    J_k'k != 0."""
-    dim, support = t.dim, tensor.rows
-    pairs = {(min(ij), max(ij)) for ij in support}
+    """The constraint rows with a column in the tensor's pair coordinates,
+    its values t(e_a, e_b) with a < b: the anti-linearity rows of those
+    columns and the rows of the triples containing one of its pairs.
+    Column {a, b}, k lies in the anti-linearity rows (i, y, k) with
+    J_xi != 0 and (x, y, k') with J_k'k != 0, for (x, y) = (a, b) and
+    (b, a), of those whose first index is in `_first_slots`."""
+    dim = t.dim
+    upper = {ab: row for ab, row in tensor.rows.items() if ab[0] < ab[1]}
+    first = set(_first_slots(t.j))
     j_rows, j_cols = t.j.rows, t.j.transpose().rows
     linear = set()
-    for (a, jj), row in support.items():
-        for k, _ in row:
-            linear.update((i, jj, k) for i, _ in j_rows[a])
-            linear.update((a, jj, kk) for kk, _ in j_cols[k])
-    triples = {tuple(sorted((i, jj, k))) for i, jj in pairs if i != jj
-               for k in range(dim) if k != i and k != jj}
-    return _rows(dim, t.omega, t.j, pairs, linear, triples)
+    for (a, b), row in upper.items():
+        for x, y in ((a, b), (b, a)):
+            for k, _ in row:
+                linear.update((i, y, k) for i, _ in j_rows[x] if i in first)
+                if x in first:
+                    linear.update((x, y, kk) for kk, _ in j_cols[k])
+    triples = {tuple(sorted((a, b, k))) for a, b in upper
+               for k in range(dim) if k != a and k != b}
+    return _rows(dim, t.omega, t.j, linear, triples)

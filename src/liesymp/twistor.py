@@ -53,15 +53,21 @@ from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
 Sign = Literal["+", "-"]
 
 Sparse = dict[tuple[int, int], int]  # (row, col) -> value, matrix entries
+ByRow = dict[int, list[tuple[int, int]]]  # row -> [(col, value)]
 
 
-def _mat_mul(a: Sparse, b: Sparse) -> Sparse:
-    by_row: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in b.items():
-        by_row.setdefault(r, []).append((c, v))
+def _by_row(m: Sparse) -> ByRow:
+    rows: ByRow = {}
+    for (r, c), v in m.items():
+        rows.setdefault(r, []).append((c, v))
+    return rows
+
+
+def _mat_mul(a: Sparse, b: ByRow) -> Sparse:
+    """a @ b, with b indexed by row (`_by_row`)."""
     out: Sparse = {}
     for (r, c), v in a.items():
-        for c2, v2 in by_row.get(c, ()):
+        for c2, v2 in b.get(c, ()):
             key = (r, c2)
             out[key] = out.get(key, 0) + v * v2
     return {k: v for k, v in out.items() if v}
@@ -240,11 +246,12 @@ def build_twistor_model(n: int) -> TwistorModel:
     dim = len(names)
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
     name_pos = {nm: i for i, nm in enumerate(names)}
+    rows = [_by_row(m) for m in mats]
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for x in range(dim):
         for y in range(x + 1, dim):
-            br = _mat_sub(_mat_mul(mats[x], mats[y]),
-                          _mat_mul(mats[y], mats[x]))
+            br = _mat_sub(_mat_mul(mats[x], rows[y]),
+                          _mat_mul(mats[y], rows[x]))
             if not br:
                 continue
             twice = _expand_in_basis(br, n, name_pos)

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
                      validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import qof
-from liesymp.nspace import build_constraint_rows
 from liesymp.twistor import _expand_in_basis
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -323,13 +323,66 @@ def slab_norm_sq(n, t: SymplecticTriple) -> Fraction:
                 for k in range(d) for l in range(d)), Fraction(0))
 
 
+# -- the full dim^3 constraint system, with antisymmetry as rows, as an
+#    oracle for the rows of `nspace` in antisymmetric coordinates
+
+
+def _idx(dim: int, i: int, j: int, k: int) -> int:
+    return (i * dim + j) * dim + k
+
+
+def full_constraint_rows(dim: int, omega: Matrix, j: Matrix):
+    """All constraint rows over the dim^3 unknowns t[i][j][k] (k-th
+    coordinate of t(e_i, e_j)) in the flat order (i*dim + j)*dim + k,
+    with int coefficients: J and omega enter scaled by the lcm of their
+    own denominators. `nspace.build_constraint_rows` before it imposed
+    antisymmetry by coordinates."""
+    pairs = [(i, i) for i in range(dim)] + list(combinations(range(dim), 2))
+    return full_rows(dim, omega, j, pairs, product(range(dim), repeat=3),
+                     combinations(range(dim), 3))
+
+
+def full_rows(dim: int, omega: Matrix, j: Matrix, pairs, linear, triples):
+    """The constraint rows of the unordered pairs (i, jj), i <= jj, the
+    anti-linearity keys (i, jj, k) and the triples i < jj < k given."""
+    j_rows, j_cols = j.rows, j.transpose().rows
+    om_cols = omega.transpose().rows
+    # antisymmetry (and vanishing on the diagonal, where both keys agree)
+    for i, jj in pairs:
+        for k in range(dim):
+            yield {_idx(dim, i, jj, k): 1, _idx(dim, jj, i, k): 1}
+    # anti-linearity in the first slot: t(Je_i, e_j) = -J t(e_i, e_j);
+    # the second slot follows from antisymmetry and this one.
+    for i, jj, k in linear:
+        row = {}
+        for a, c in j_cols[i]:
+            col = _idx(dim, a, jj, k)
+            row[col] = row.get(col, 0) + c
+        for b, c in j_rows[k]:
+            col = _idx(dim, i, jj, b)
+            row[col] = row.get(col, 0) + c
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
+    # cyclic coupling against omega
+    for i, jj, k in triples:
+        row = {}
+        for (a, b, c) in ((i, jj, k), (jj, k, i), (k, i, jj)):
+            for m, w in om_cols[c]:
+                col = _idx(dim, a, b, m)
+                row[col] = row.get(col, 0) + w
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
+
+
 def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
-    """`contains_tensor` against every row of `build_constraint_rows`."""
+    """`contains_tensor` against every row of `full_constraint_rows`."""
     d = t.dim
-    scaled = {(i * d + j) * d + k: p
+    scaled = {_idx(d, i, j, k): p
               for (i, j), row in tensor.rows.items() for k, p in row}
     return all(sum(v * scaled.get(c, 0) for c, v in row.items()) == 0
-               for row in build_constraint_rows(d, t.omega, t.j))
+               for row in full_constraint_rows(d, t.omega, t.j))
 
 
 # -- the per-triple identity scans, as oracles for the one-sweep checks

@@ -164,6 +164,33 @@ def test_build_rank_example_full_sweep():
                 assert rep.image.dim == 2 * k
 
 
+def test_extensions_equal_their_fully_checked_triples(monkeypatch):
+    # an extension step runs only Jacobi and the 2-cocycle check and
+    # builds the metric as diag(metric, I); build_triple, which runs
+    # every check, must give the same triple for every extension made
+    from liesymp import build_triple, catalog
+    made = []
+    extended = catalog._extended
+
+    def recording(*args):
+        made.append(extended(*args))
+        return made[-1]
+
+    monkeypatch.setattr(catalog, "_extended", recording)
+    patterns = [(True, True), (True, False), (False, True), (False, False)]
+    for n in range(2, 6):
+        for k in range(1, n + 1):
+            for flags in (patterns if k < n else [(None, None)]):
+                if (n, k) != (2, 2):
+                    build_rank_example(n, k, *flags)
+    build_rank_example(10, 4, False, True)
+    # a fractional J and metric
+    character_extension(product_extension(builtin("thurston(1/3)")))
+    assert len(made) > 60
+    for t in made:
+        assert build_triple(t.algebra, t.omega, t.j) == t, t.algebra.name
+
+
 def test_build_rank_example_rejects_impossible_flags():
     with pytest.raises(Unsatisfiable):
         build_rank_example(3, 0, False, None)

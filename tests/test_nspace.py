@@ -2,8 +2,8 @@ from fractions import Fraction
 
 from liesymp import (Tensor3, contains_tensor, expected_dimension,
                      nijenhuis_space_dim, nijenhuis_tensor)
-from liesymp.nspace import build_constraint_rows, nullity
-from support import fraction_rref
+from liesymp.nspace import _first_slots, build_constraint_rows, nullity
+from support import fraction_rref, full_constraint_rows
 
 F = Fraction
 
@@ -17,16 +17,47 @@ def test_nullity_matches_closed_form():
         assert nijenhuis_space_dim(n) == expected_dimension(n)
 
 
-def test_nullity_against_dense_elimination():
-    # re-run the n = 2 system through a dense Fraction rank computation,
-    # not Matrix.rank, which shares nullity's elimination routine
-    from liesymp import Matrix, standard_j, standard_omega
-    dim = 4
-    rows = build_constraint_rows(dim, standard_omega(dim), standard_j(dim))
+def _full_corank(dim, omega, j):
+    """Corank of the full dim^3 system (antisymmetry as rows) by a dense
+    Fraction rank computation, not Matrix.rank, which shares nullity's
+    elimination routine."""
+    from liesymp import Matrix
     ncols = dim ** 3
-    dense = Matrix.from_rows([
-        [r.get(c, F(0)) for c in range(ncols)] for r in rows])
-    assert ncols - fraction_rref(dense)[1] == 4
+    dense = Matrix.from_rows([[r.get(c, F(0)) for c in range(ncols)]
+                              for r in full_constraint_rows(dim, omega, j)])
+    return ncols - fraction_rref(dense)[1]
+
+
+def test_nullity_against_dense_elimination():
+    # re-run the n = 2 system through a dense Fraction rank computation
+    from liesymp import standard_j, standard_omega
+    dim = 4
+    omega, j = standard_omega(dim), standard_j(dim)
+    assert _full_corank(dim, omega, j) == nullity(dim, omega, j) == 4
+
+
+def test_nullity_equals_the_corank_of_the_full_system():
+    # antisymmetry as coordinates, and anti-linearity only at the first
+    # slots, against every row of the dim^3 system
+    from liesymp import standard_j, standard_omega
+    for n in (1, 2, 3):
+        dim = 2 * n
+        omega, j = standard_omega(dim), standard_j(dim)
+        assert _first_slots(j) == list(range(n))
+        assert (nullity(dim, omega, j) == _full_corank(dim, omega, j)
+                == expected_dimension(n)), n
+
+
+def test_first_slots_of_an_interleaved_basis():
+    # basis (X1, Y1, X2, Y2): e_0 and J e_0 = e_1 span a J-plane, so the
+    # greedy choice skips e_1 and takes e_2
+    from liesymp import Matrix
+    omega = Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
+                              [0, 0, 0, 1], [0, 0, -1, 0]])
+    j = Matrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0],
+                          [0, 0, 0, -1], [0, 0, 1, 0]])
+    assert _first_slots(j) == [0, 2]
+    assert nullity(4, omega, j) == _full_corank(4, omega, j) == 4
 
 
 def test_catalog_tensors_satisfy_their_own_constraints(catalog):
@@ -109,20 +140,15 @@ def _dense_structures(n, seed, steps):
 
 
 def test_nullity_on_dense_structures_against_dense_elimination():
-    # the fraction-free sparse elimination over lcm-scaled rows against
-    # a dense Fraction Gauss-Jordan rank of the same rows, on non-standard
-    # (omega, J)
-    from liesymp import Matrix
+    # the fraction-free sparse elimination over lcm-scaled rows in
+    # antisymmetric coordinates against a dense Fraction Gauss-Jordan
+    # rank of the full dim^3 system, on non-standard (omega, J)
     # (one transvection leaves zeros in J; two make every entry nonzero)
     for n, seed, steps in ((2, 41, 4), (3, 43, 2)):
         dim = 2 * n
         omega, j = _dense_structures(n, seed, steps)
         got = nullity(dim, omega, j)
-        rows = list(build_constraint_rows(dim, omega, j))
-        ncols = dim ** 3
-        dense = Matrix.from_rows([
-            [r.get(c, 0) for c in range(ncols)] for r in rows])
-        assert got == ncols - fraction_rref(dense)[1] == expected_dimension(n)
+        assert got == _full_corank(dim, omega, j) == expected_dimension(n)
 
 
 def _kernel_tensor(dim, rows, rng):
@@ -138,8 +164,9 @@ def _kernel_tensor(dim, rows, rng):
 
 def test_membership_equals_the_full_constraint_system(extended_catalog):
     # contains_tensor builds only the rows that meet the tensor's support;
-    # its verdict must be that of every row of build_constraint_rows, and
-    # every row that does not vanish on the tensor must be built. The
+    # its verdict must be that of every row of the full dim^3 system, and
+    # every row of build_constraint_rows that does not vanish on the
+    # tensor's pair coordinates must be built. The
     # tensors: N; N plus a member of the space; N plus a tensor that is
     # antisymmetric and cyclic but in general not anti-linear (the
     # kernel of all rows but the anti-linearity ones); N with one value
@@ -147,8 +174,9 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
     import random
     from itertools import combinations
     from liesymp.nijenhuis import combine
-    from liesymp.nspace import _rows, _support_rows
-    from support import dense_conjugate, full_row_contains_tensor
+    from liesymp.nspace import _bases, _support_rows
+    from support import (dense_conjugate, full_row_contains_tensor,
+                         full_rows)
     rng = random.Random(20261020)
     triples = dict(extended_catalog)
     for name in ("ex3", "dim6"):
@@ -158,9 +186,9 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
         d = t.dim
         n = nijenhuis_tensor(t)
         pairs = [(i, i) for i in range(d)] + list(combinations(range(d), 2))
-        unanchored = _rows(d, t.omega, t.j, pairs, (),
-                           combinations(range(d), 3))
-        member = _kernel_tensor(d, build_constraint_rows(d, t.omega, t.j),
+        unanchored = full_rows(d, t.omega, t.j, pairs, (),
+                               combinations(range(d), 3))
+        member = _kernel_tensor(d, full_constraint_rows(d, t.omega, t.j),
                                 rng)
         loose = _kernel_tensor(d, unanchored, rng)
         i, jj, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
@@ -173,11 +201,49 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
             got = contains_tensor(t, tensor)
             assert got == full_row_contains_tensor(t, tensor), name
             verdicts.add(got)
-            # and row by row: each row that does not vanish is built
+            # and row by row: each row that does not vanish on the pair
+            # coordinates t(e_a, e_b), a < b, is built
             built = {frozenset(r.items()) for r in _support_rows(t, tensor)}
-            scaled = {(a * d + b) * d + c: p
-                      for (a, b), row in tensor.rows.items() for c, p in row}
+            base = _bases(d)
+            scaled = {base[a][b] + c: p for (a, b), row in tensor.rows.items()
+                      if a < b for c, p in row}
             for row in build_constraint_rows(d, t.omega, t.j):
                 if sum(v * scaled.get(c, 0) for c, v in row.items()):
                     assert frozenset(row.items()) in built, name
     assert verdicts == {True, False}
+
+
+def test_membership_rejects_a_diagonal_value(catalog):
+    # N plus t(e_i, e_i) = e_k alone: no pair coordinate moves, so only
+    # the antisymmetry check on the stored values can see it
+    from liesymp.nijenhuis import combine
+    from support import full_row_contains_tensor
+    for name in ("ex1", "dim6"):
+        t = catalog[name]
+        n = nijenhuis_tensor(t)
+        assert contains_tensor(t, n)
+        d = t.dim
+        for i, k in ((0, 0), (d - 1, 1)):
+            diag = Tensor3.from_ints(d, 1, {(i, i): [int(c == k)
+                                                     for c in range(d)]})
+            bad = combine([(1, n), (1, diag)])
+            assert not contains_tensor(t, bad), (name, i, k)
+            assert not full_row_contains_tensor(t, bad), (name, i, k)
+
+
+def test_membership_rejects_a_lone_change_below_the_diagonal(catalog):
+    # t(e_j, e_i), j > i, changed while t(e_i, e_j) stays: the pair
+    # coordinates are those of N, so only antisymmetry can see it
+    from support import full_row_contains_tensor
+    for name in ("ex1", "dim6"):
+        t = catalog[name]
+        n = nijenhuis_tensor(t)
+        d = t.dim
+        for jj, i, k in ((1, 0, 0), (d - 1, 0, d - 1), (d - 1, d - 2, 2)):
+            vals = [[list(n.of_basis(a, b)) for b in range(d)]
+                    for a in range(d)]
+            vals[jj][i][k] += F(1, 2)
+            bad = _tensor(d, vals)
+            assert bad.of_basis(i, jj) == n.of_basis(i, jj)
+            assert not contains_tensor(t, bad), (name, jj, i, k)
+            assert not full_row_contains_tensor(t, bad), (name, jj, i, k)
