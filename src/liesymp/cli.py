@@ -18,7 +18,8 @@ import time
 from typing import Optional
 
 from . import catalog
-from .errors import LiesympError, SerializationError, ValidationError
+from .errors import (DimensionMismatch, LiesympError, SerializationError,
+                     ValidationError)
 from .linalg import qof
 from .nspace import expected_dimension, nijenhuis_space_dim
 from .report import build_report, render_text, run_goldens
@@ -138,6 +139,9 @@ def _cmd_construct(args) -> int:
         xi = None
         if args.xi:
             xi = [qof(tok.strip()) for tok in args.xi.split(",")]
+            if len(xi) != t.dim:
+                raise DimensionMismatch(f"--xi has {len(xi)} entries for "
+                                        f"dimension {t.dim}")
         t2 = catalog.character_extension(t, xi)
     _emit(pretty_json(triple_to_dict(t2)), args.output)
     return 0

@@ -10,9 +10,10 @@ constant) and only the bracket terms survive:
 
 A connection is a labelled `Tensor3` (see `nijenhuis`): Gamma(e_i, e_j)
 as ints over one common denominator, nonzero coordinates only. Every map
-below is composed from its int operations, and so is curvature: one int
-column per R(e_i, e_j) e_b, i < j, with Ricci and the mixed trace form
-summed over the nonzero values. Every runtime check compares ints.
+below is composed from its int operations. Curvature is not: Ricci is a
+trace formula in the connection's ints, and the Chern operators are
+formed one pair at a time (see `curvature_summary`). Every runtime check
+compares ints.
 
 Sign sanity: metric compatibility  g(Gamma(A,B), C) + g(B, Gamma(A,C)) = 0
 and zero torsion  Gamma(A,B) - Gamma(B,A) = [A,B]  are asserted at
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, vec_is_zero
@@ -194,38 +196,6 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
 # -- curvature ---------------------------------------------------------
 
 
-def curvature_operators(t: SymplecticTriple, conn: Connection) -> Tensor3:
-    """R(e_i, e_j) = M_i M_j - M_j M_i - sum_k c^k_ij M_k for i < j, with
-    M_i = Gamma(e_i, .), as the tensor ((i, j), b) -> R(e_i, e_j) e_b:
-    its first slot runs over the pairs i < j, so R(e_j, e_i) =
-    -R(e_i, e_j) is not stored. Summed in ints over den^2 D_c, den the
-    connection's denominator and D_c the structure constants'."""
-    d, den, rows = conn.dim, conn.den, conn.rows
-    dc, table = t.algebra.bracket.den, t.algebra.bracket.rows
-    # cols[i]: the nonzero columns (b, M_i e_b) of M_i
-    cols = [[(b, rows[(i, b)]) for b in range(d) if (i, b) in rows]
-            for i in range(d)]
-    num: dict = {}
-
-    def add(key: tuple, f: int, vec) -> None:
-        col = num.setdefault(key, [0] * d)
-        for k, q in vec:
-            col[k] += f * q
-
-    for i in range(d):
-        for j in range(i + 1, d):
-            for x, y, f in ((i, j, dc), (j, i, -dc)):
-                # M_x M_y e_b = sum_m (M_y e_b)_m M_x e_m
-                for b, vec in cols[y]:
-                    for m, p in vec:
-                        if (x, m) in rows:
-                            add(((i, j), b), f * p, rows[(x, m)])
-            for k, c in table.get((i, j), ()):
-                for b, vec in cols[k]:
-                    add(((i, j), b), -den * c, vec)
-    return Tensor3.from_ints(d, den * den * dc, num)
-
-
 @dataclass(frozen=True)
 class CurvatureSummary:
     connection: str
@@ -236,48 +206,100 @@ class CurvatureSummary:
     hermitian_scalar: Fraction
 
 
+def _support(v) -> int:
+    """The bit mask of the nonzero entries of v."""
+    return sum(1 << k for k, s in enumerate(v) if s)
+
+
 def curvature_summary(t: SymplecticTriple, lc: Connection,
                       chern: Connection) -> CurvatureSummary:
     """Riemannian Ricci/scalar of the Levi-Civita map plus the mixed trace
-    form and Hermitian scalar of the Chern-type connection.
+    form and Hermitian scalar of the Chern-type connection, in ints.
 
-    Ricci(x, y) = sum_k (R(e_k, e_x) e_y)_k and P(x, y) = Tr(J R^c(e_x,
-    e_y)) are summed in ints over the nonzero curvature values.
+    Ricci(x, y) = sum_k (R(e_k, e_x) e_y)_k comes from the trace formula
+    (Gamma the Levi-Civita map, over den^2 D_c with den its denominator
+    and D_c the structure constants'), so no Riemannian operator is formed:
+
+        Ric(x, y) = sum_m Gamma(x, y)_m tau_m
+                    - sum_{k,m} Gamma(k, y)_m (Gamma(x, m)_k + c^k_mx),
+
+    tau_m = sum_k Gamma(k, m)_k. P(x, y) = Tr(J R^c(e_x, e_y)) is summed
+    in one int pass per pair x < y that holds the nonzero columns
+    R^c(e_x, e_y) e_b = M_x M_y e_b - M_y M_x e_b - sum_k c^k_xy M_k e_b
+    over den^2 D_c (M_i = Gamma^c(e_i, .)); each entry of a product is one
+    dot of a row and a column, taken only where their supports meet.
     Cross-checks (InternalInvariantViolation on failure): Ricci is
     symmetric, and every Chern curvature operator commutes with J and
     has zero real trace."""
-    d, j = t.dim, t.j
-    riem = curvature_operators(t, lc)
+    d, j, dc, gam, gden = t.dim, t.j, t.algebra.bracket.den, lc.rows, lc.den
+    tau = [0] * d
+    for (x, m), row in gam.items():
+        tau[m] += dict(row).get(x, 0)
+    # terms[(m, k)]: the (x, D_c Gamma(x, m)_k) and (x, den c^k_mx)
+    terms: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for f, tensor in ((dc, lc), (gden, t.algebra.bracket.swapped())):
+        for (x, m), row in tensor.rows.items():
+            for k, s in row:
+                terms.setdefault((m, k), []).append((x, f * s))
     ric = [[0] * d for _ in range(d)]
-    for ((i, k), b), row in riem.rows.items():
-        for m, p in row:
-            if m == i:
-                ric[k][b] += p   # R(e_i, e_k) e_b, traced over i
-            elif m == k:
-                ric[i][b] -= p   # R(e_k, e_i) e_b, traced over k
+    for (k, y), row in gam.items():
+        ric[k][y] += dc * sum(s * tau[m] for m, s in row)
+        for m, s in row:
+            for x, q in terms.get((m, k), ()):
+                ric[x][y] -= s * q
     if any(ric[x][y] != ric[y][x] for x in range(d) for y in range(x)):
         raise InternalInvariantViolation("Ricci form not symmetric")
-    ricci = Matrix.from_ints(riem.den, ric)
+    ricci = Matrix.from_ints(gden * gden * dc, ric)
     scalar = (t.metric_inv @ ricci).trace()
     ricci_j = (j.transpose() @ ricci @ j) == ricci
 
-    riem_c = curvature_operators(t, chern)
-    jr = riem_c.map_values(j)  # ((x, y), b) -> J R^c(e_x, e_y) e_b
-    if not combine([(1, jr), (-1, riem_c.map_second(j))]).is_zero():
-        raise InternalInvariantViolation(
-            "Chern curvature does not commute with J")
-    trace: dict[tuple[int, int], int] = {}
-    for (xy, b), row in riem_c.rows.items():
-        trace[xy] = trace.get(xy, 0) + dict(row).get(b, 0)
-    if any(trace.values()):
-        raise InternalInvariantViolation(
-            "Chern curvature has nonzero real trace")
+    den, table = chern.den, t.algebra.bracket.rows
+    zero = [0] * d
+    # M_i = Gamma^c(e_i, .) by nonzero columns b -> (M_i e_b, support) and
+    # rows (k, row, support); J by sparse rows with supports, dense columns
+    cols = [{b: (v, _support(v)) for b in range(d) if (i, b) in chern.rows
+             for v in [chern.numerators(i, b)]} for i in range(d)]
+    rows = [[(k, v, _support(v)) for k, v in enumerate(zip(*(
+        vs[b][0] if b in vs else zero for b in range(d)))) if any(v)]
+        for vs in cols]
+    jrows = [(*zip(*row), sum(1 << c for c, _ in row)) for row in j.rows]
+    jcols = list(zip(*j._dense()))
     p = [[0] * d for _ in range(d)]
-    for ((x, y), b), row in jr.rows.items():
-        val = dict(row).get(b, 0)
-        p[x][y] += val
-        p[y][x] -= val
-    chern_ricci = Matrix.from_ints(jr.den, p)
+    for x in range(d):
+        for y in range(x + 1, d):
+            r: dict[int, list[int]] = {}  # b -> R^c(e_x, e_y) e_b
+            for u, v, f in ((x, y, dc), (y, x, -dc)):
+                for b, (w, m) in cols[v].items() if rows[u] else ():
+                    col = r.setdefault(b, [0] * d)
+                    for k, z, n in rows[u]:  # f M_u M_v e_b, a dot a row
+                        if n & m:
+                            col[k] += f * sum(map(mul, z, w))
+            for k, c in table.get((x, y), ()):
+                for b, (w, _) in cols[k].items():
+                    r[b] = [a - den * c * s
+                            for a, s in zip(r.get(b, zero), w)]
+            r = {b: v for b, v in r.items() if any(v)}
+            if not r:
+                continue
+            jr = {}
+            for b, v in r.items():
+                m = _support(v)
+                jr[b] = [sum(map(mul, qs, map(v.__getitem__, ks)))
+                         if n & m else 0 for ks, qs, n in jrows]
+            # R J e_c = sum_b J_bc R e_b, by the nonzero rows of R
+            rt = [v if any(v) else None for v in zip(*r.values())]
+            for c in {c for b in r for c, _ in j.rows[b]} | r.keys():
+                rhs = list(map(jcols[c].__getitem__, r))
+                rj = [sum(map(mul, v, rhs)) if v else 0 for v in rt]
+                if rj != jr.get(c, zero):
+                    raise InternalInvariantViolation(
+                        "Chern curvature does not commute with J")
+            if sum(v[b] for b, v in r.items()):
+                raise InternalInvariantViolation(
+                    "Chern curvature has nonzero real trace")
+            p[x][y] = sum(v[b] for b, v in jr.items())
+            p[y][x] = -p[x][y]
+    chern_ricci = Matrix.from_ints(den * den * dc * j.den, p)
     # Jacobi's formula, see the module docstring
     herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
     return CurvatureSummary(

@@ -3,10 +3,10 @@
 `Tensor3` stores T(e_i, e_j) as Python ints over one common denominator
 and lists only the nonzero coordinates of each nonzero T(e_i, e_j), like
 `Matrix`. It is the one form of the structure constants
-(`LieAlgebra.bracket`), of N, of the connections, their torsion, nabla J
-and the curvature operators: products with J or a form, slot swaps and
-rational combinations sum ints over the nonzeros, and a value becomes a
-`Fraction` only where it is read (`of_basis`, `of_vectors`).
+(`LieAlgebra.bracket`), of N, of the connections, their torsion and
+nabla J: products with J or a form, slot swaps and rational combinations
+sum ints over the nonzeros, and a value becomes a `Fraction` only where
+it is read (`of_basis`, `of_vectors`).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Sequence
 
 from .linalg import Matrix, int_vector, qof
@@ -50,12 +51,15 @@ class Tensor3:
         are dropped."""
         g = den
         for v in num.values():
+            if g == 1:
+                break
             g = gcd(g, *v)
         rows = {}
         for ij, v in num.items():
-            row = tuple((k, p // g) for k, p in enumerate(v) if p)
+            row = tuple(filter(itemgetter(1), enumerate(v)))
             if row:
-                rows[ij] = row
+                rows[ij] = row if g == 1 else tuple((k, p // g)
+                                                    for k, p in row)
         return Tensor3(dim, den // g if rows else 1, rows, label)
 
     @staticmethod

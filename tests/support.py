@@ -195,12 +195,12 @@ def dense_curvature(t: SymplecticTriple, lc, chern):
     with Matrix @, - and scale, followed by the Ricci and mixed trace
     loops: the route the library took before its curvature ran on ints."""
     d, j = t.dim, t.j
-    riem = _dense_operators(t, lc)
+    riem = dense_operators(t, lc)
     ric = Matrix.from_rows([
         [sum((riem[k][x].entry(k, y) for k in range(d)), Fraction(0))
          for y in range(d)] for x in range(d)])
     scalar = (t.metric_inv @ ric).trace()
-    riem_c = _dense_operators(t, chern)
+    riem_c = dense_operators(t, chern)
     p = [[Fraction(0)] * d for _ in range(d)]
     for x in range(d):
         for y in range(x + 1, d):
@@ -212,7 +212,7 @@ def dense_curvature(t: SymplecticTriple, lc, chern):
     return ric, scalar, p, herm
 
 
-def _dense_operators(t: SymplecticTriple, conn) -> list[list[Matrix]]:
+def dense_operators(t: SymplecticTriple, conn) -> list[list[Matrix]]:
     d, g = t.dim, t.algebra
     endos = [conn.endo(i) for i in range(d)]
     out = [[zeros(d, d)] * d for _ in range(d)]

@@ -263,6 +263,14 @@ def test_construct_character_with_explicit_functional(capsys):
     assert payload["basis"][-2:] == ["c1", "d1"]
 
 
+def test_construct_character_of_the_wrong_length_exits_2(capsys):
+    assert main(["construct", "character", "ex3", "--xi", "1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("INVALID (DimensionMismatch): --xi has 2 "
+                            "entries for dimension 4\n")
+
+
 def test_synthesize_subcommand(capsys):
     assert main(["synthesize", "--n", "3", "--k", "1",
                  "--image-involutive", "false",

@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 
-from liesymp import (Analysis, chern_connection, levi_civita,
-                     nabla_j_checks, nijenhuis_tensor, norm_sq,
+import pytest
+
+from liesymp import (Analysis, Tensor3, chern_connection, curvature_summary,
+                     levi_civita, nabla_j_checks, nijenhuis_tensor, norm_sq,
                      symplectic_connection, torsion,
                      torsion_recovers_nijenhuis)
 from liesymp.connections import Connection
+from liesymp.errors import InternalInvariantViolation
+from liesymp.nijenhuis import combine
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
                      diag)
 
@@ -174,6 +178,39 @@ def test_abelian_curvature_vanishes(catalog):
     assert summary.scalar == 0 and summary.hermitian_scalar == 0
     assert summary.ricci.is_zero() and summary.chern_ricci.is_zero()
     assert summary.ricci_j_invariant
+
+
+# Each curvature cross-check, tripped by a connection that breaks its
+# premise: the Ricci form of a connection with torsion need not be
+# symmetric, the Levi-Civita curvature of a non-Kaehler triple does not
+# commute with J, and adding alpha(x) y to the Chern connection adds
+# -alpha([x, y]) Id to its curvature, whose real trace is then nonzero.
+
+def test_ricci_symmetry_check_trips_on_a_connection_with_torsion(catalog):
+    a = Analysis(catalog["ex1"])
+    with pytest.raises(InternalInvariantViolation,
+                       match="^Ricci form not symmetric$"):
+        curvature_summary(a.t, a.chern, a.chern)
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+def test_j_commutation_check_trips_on_levi_civita_curvature(catalog, name):
+    a = Analysis(catalog[name])
+    with pytest.raises(InternalInvariantViolation,
+                       match="^Chern curvature does not commute with J$"):
+        curvature_summary(a.t, a.lc, a.lc)
+
+
+def test_real_trace_check_trips_on_a_shifted_chern_connection(catalog):
+    a = Analysis(catalog["ex1"])
+    d = a.t.dim
+    # alpha = e^2, which is 1 on [X1, Y2] = Y1
+    shift = Tensor3.from_dense(d, [[[int(i == 2 and k == b)
+                                      for k in range(d)]
+                                     for b in range(d)] for i in range(d)])
+    with pytest.raises(InternalInvariantViolation,
+                       match="^Chern curvature has nonzero real trace$"):
+        curvature_summary(a.t, a.lc, combine([(1, a.chern), (1, shift)]))
 
 
 def test_ricci_j_invariance_tracks_integrability(catalog):

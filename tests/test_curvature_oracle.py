@@ -1,11 +1,13 @@
-"""The curvature summary, summed in ints over the nonzero curvature
-values, against the dense Matrix route it replaced
+"""The curvature summary (Ricci by its trace formula, the Chern operators
+one int pass per pair) against the dense Matrix route
 (`support.dense_curvature`), and the dense constructor of the sparse
 tensor type.
 
 Both routes read the same Levi-Civita and Chern connections, so this
-pins the curvature operators, the Ricci and mixed trace contractions and
-their scales; the connections themselves are pinned by their axiom tests.
+pins the Ricci formula, the Chern operators, the mixed trace and their
+scales; the connections themselves are pinned by their axiom tests. The
+dense conjugates take every product entry, the sparse dim-12 triple
+skips most of them and has pairs with no curvature at all.
 """
 
 import random
@@ -13,7 +15,7 @@ import random
 import pytest
 
 from liesymp import Analysis, Tensor3, build_rank_example, thurston
-from support import dense_conjugate, dense_curvature
+from support import dense_conjugate, dense_curvature, dense_operators
 
 
 def _assert_routes_agree(t, name):
@@ -37,12 +39,23 @@ def test_curvature_matches_dense_route_on_thurston_family(alpha):
 
 
 @pytest.mark.parametrize("n, k, flags", [(2, 1, (True, False)),
-                                         (3, 2, (False, True))])
+                                         (3, 2, (False, True)),
+                                         (4, 2, (True, False))])
 def test_curvature_matches_dense_route_on_dense_conjugates(n, k, flags):
     base = build_rank_example(n, k, *flags)
     t = dense_conjugate(base, random.Random(f"dense:{n}:{k}"))
     assert all(x != 0 for r in t.j.entries for x in r)
     _assert_routes_agree(t, f"dense dim {2 * n}")
+
+
+def test_curvature_matches_dense_route_on_a_sparse_dim_12_triple():
+    # some pairs i < j have no nonzero curvature column at all
+    t = build_rank_example(6, 3, True, True)
+    a = Analysis(t)
+    ops = dense_operators(t, a.chern)
+    assert any(ops[i][j].is_zero() for i in range(12) for j in range(i))
+    assert any(not ops[i][j].is_zero() for i in range(12) for j in range(i))
+    _assert_routes_agree(t, "rank(6, 3)")
 
 
 def test_from_dense_round_trips_n(extended_catalog):
