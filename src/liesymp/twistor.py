@@ -17,6 +17,16 @@ which everything on m here uses, list q then p in the same order):
     q: QX_ab (a<b), QY_ab (a<b)    with X, Y skew in [[X, Y], [Y, -X]]
     p: P_1 .. P_2n                 with P_i = E_{0i} + E_{i0}
 
+The structure constants come from a closed form, with no matrix
+product. With eta = G and M_ab = eta_b E_ab - eta_a E_ba, the basis above
+is P_i = M_0i, UX/QX_ab = M_ab +- M_{n+a,n+b}, UY_ab = M_{a,n+b} +
+M_{b,n+a} (UY_aa = M_{a,n+a}) and QY_ab = M_{a,n+b} - M_{b,n+a}, and
+
+    [M_ab, M_cd] = eta_bc M_ad - eta_ac M_bd - eta_bd M_ac + eta_ad M_bc
+
+is taken back through the inverse change of basis. The Jacobi check on
+the result is the second route to it.
+
 The invariant structures on m: both signs rotate the fibre directions the
 same way (QX_ab -> QY_ab -> -QX_ab = half the adjoint action of j'0),
 and differ on the horizontal part: J^{+-} P_i = +-P_{n+i}, i <= n.
@@ -46,39 +56,11 @@ from functools import cached_property
 from typing import Literal, Optional
 
 from .errors import InternalInvariantViolation
-from .lie import LieAlgebra, validate
+from .lie import LieAlgebra, _check_jacobi
 from .linalg import Matrix, Subspace
 from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
 
 Sign = Literal["+", "-"]
-
-Sparse = dict[tuple[int, int], int]  # (row, col) -> value, matrix entries
-ByRow = dict[int, list[tuple[int, int]]]  # row -> [(col, value)]
-
-
-def _by_row(m: Sparse) -> ByRow:
-    rows: ByRow = {}
-    for (r, c), v in m.items():
-        rows.setdefault(r, []).append((c, v))
-    return rows
-
-
-def _mat_mul(a: Sparse, b: ByRow) -> Sparse:
-    """a @ b, with b indexed by row (`_by_row`)."""
-    out: Sparse = {}
-    for (r, c), v in a.items():
-        for c2, v2 in b.get(c, ()):
-            key = (r, c2)
-            out[key] = out.get(key, 0) + v * v2
-    return {k: v for k, v in out.items() if v}
-
-
-def _mat_sub(a: Sparse, b: Sparse) -> Sparse:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
-
 
 @dataclass(frozen=True)
 class TwistorModel:
@@ -87,7 +69,6 @@ class TwistorModel:
     u_indices: tuple[int, ...]
     q_indices: tuple[int, ...]
     p_indices: tuple[int, ...]
-    mats: tuple[Sparse, ...] = field(repr=False)  # basis as Lorentz matrices
     phi: tuple[int, ...] = field(repr=False)
 
     @property
@@ -150,128 +131,101 @@ class TwistorModel:
         return out
 
 
-def _names_and_mats(n: int) -> tuple[list[str], list[Sparse],
-                                     list[int], list[int], list[int]]:
-    names: list[str] = []
-    mats: list[Sparse] = []
-    u_idx: list[int] = []
-    q_idx: list[int] = []
-    p_idx: list[int] = []
+Terms = list[tuple[int, int, int]]  # (c, d, s), c < d: the sum of s M_cd
 
-    def add(name: str, m: Sparse, bucket: list[int]) -> None:
-        bucket.append(len(names))
-        names.append(name)
-        mats.append(m)
 
-    # u(n): UX_ab = [[E_ab - E_ba, 0], [0, E_ab - E_ba]]
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            add(f"UX_{a}_{b}", {(a, b): 1, (b, a): -1,
-                                (n + a, n + b): 1, (n + b, n + a): -1},
-                u_idx)
-    # u(n): UY_ab = [[0, E_ab + E_ba], [-(E_ab + E_ba), 0]]  (Y symmetric)
+def _basis(n: int) -> list[tuple[str, Terms]]:
+    """The basis in the order above, each element as its terms in the
+    Lorentz generators M_cd, indices 0..2n with 0 timelike."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    out = [(f"UX_{a}_{b}", [(a, b, 1), (n + a, n + b, 1)]) for a, b in pairs]
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            if a == b:
-                m = {(a, n + a): 1, (n + a, a): -1}
-            else:
-                m = {(a, n + b): 1, (b, n + a): 1,
-                     (n + a, b): -1, (n + b, a): -1}
-            add(f"UY_{a}_{b}", m, u_idx)
-    # q: QX_ab = [[E_ab - E_ba, 0], [0, -(E_ab - E_ba)]]
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            add(f"QX_{a}_{b}", {(a, b): 1, (b, a): -1,
-                                (n + a, n + b): -1, (n + b, n + a): 1},
-                q_idx)
-    # q: QY_ab = [[0, E_ab - E_ba], [E_ab - E_ba, 0]]  (Y skew)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            add(f"QY_{a}_{b}", {(a, n + b): 1, (b, n + a): -1,
-                                (n + a, b): 1, (n + b, a): -1},
-                q_idx)
-    # p: P_i = E_{0i} + E_{i0}
-    for i in range(1, 2 * n + 1):
-        add(f"P_{i}", {(0, i): 1, (i, 0): 1}, p_idx)
-    return names, mats, u_idx, q_idx, p_idx
+            out.append((f"UY_{a}_{b}", [(a, n + a, 1)] if a == b else
+                        [(a, n + b, 1), (b, n + a, 1)]))
+    out += [(f"QX_{a}_{b}", [(a, b, 1), (n + a, n + b, -1)]) for a, b in pairs]
+    out += [(f"QY_{a}_{b}", [(a, n + b, 1), (b, n + a, -1)]) for a, b in pairs]
+    out += [(f"P_{i}", [(0, i, 1)]) for i in range(1, 2 * n + 1)]
+    return out
 
 
-def _expand_in_basis(m: Sparse, n: int, pos: dict[str, int]) -> dict[int, int]:
-    """Twice the coordinates of a Lorentz-algebra matrix in the basis
-    above, keyed by basis index (`pos` maps names to indices).
+def _add(acc: dict[tuple[int, int], int], c: int, d: int, v: int) -> None:
+    """acc += v M_cd, with M_dc = -M_cd and M_cc = 0."""
+    if c < d:
+        acc[(c, d)] = acc.get((c, d), 0) + v
+    elif c > d:
+        acc[(d, c)] = acc.get((d, c), 0) - v
 
-    Uses the entry layout directly and reads only the nonzero entries:
-    the p part is read off row 0, the so(2n) block decomposes by
-    symmetry type, which halves some coordinates; doubling keeps them
-    ints. The expansion is exact only for matrices in the algebra, which
-    the caller checks by reconstruction."""
-    twice: dict[int, int] = {}
 
-    def put(nm: str, v: int) -> None:
-        k = pos[nm]
-        twice[k] = twice.get(k, 0) + v
-
-    for (r, c), v in m.items():
-        if r == 0:
-            if c:
-                put(f"P_{c}", 2 * v)
-        elif c == 0:
-            continue
-        elif r <= n < c:                    # Y-type, top-right
-            a, b = r, c - n
-            if a == b:
-                put(f"UY_{a}_{a}", 2 * v)
-            elif a < b:
-                put(f"UY_{a}_{b}", v)
-                put(f"QY_{a}_{b}", v)
-            else:
-                put(f"UY_{b}_{a}", v)
-                put(f"QY_{b}_{a}", -v)
-        elif (r <= n) == (c <= n):          # X-type, diagonal blocks
-            top = r <= n
-            a, b = (r, c) if top else (r - n, c - n)
-            if a < b:
-                put(f"UX_{a}_{b}", v)
-                put(f"QX_{a}_{b}", v if top else -v)
-    return {k: v for k, v in twice.items() if v}
+def _closed_form_bracket(n: int, basis: list[tuple[str, Terms]]) -> Tensor3:
+    """so(1, 2n)'s bracket tensor on `basis`, from the closed form for
+    [M_ab, M_cd] (module docstring) taken back through the inverse change
+    of basis. Each M_cd lies in one basis element (P_i, UY_aa) or in two
+    whose 2 x 2 block [[1, 1], [1, -1]] is orthogonal with square norm 2,
+    so twice the inverse is 2 / (their number) times the transpose, and
+    the values are ints over 2. Only elements that share a Lorentz index
+    are bracketed; the others commute."""
+    eta = [-1] + [1] * (2 * n)
+    users: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    near: list[set[int]] = [set() for _ in eta]  # index -> elements on it
+    for x, (_, terms) in enumerate(basis):
+        for c, d, s in terms:
+            users.setdefault((c, d), []).append((x, s))
+            near[c].add(x)
+            near[d].add(x)
+    twice = {cd: [(x, 2 * s // len(us)) for x, s in us]
+             for cd, us in users.items()}
+    rows = {}
+    for x, (_, xs) in enumerate(basis):
+        for y in sorted({y for a, b, _ in xs for y in near[a] | near[b]
+                         if y > x}):
+            acc: dict[tuple[int, int], int] = {}
+            for a, b, s in xs:
+                for c, d, t in basis[y][1]:
+                    st = s * t
+                    if b == c:
+                        _add(acc, a, d, eta[b] * st)
+                    if a == c:
+                        _add(acc, b, d, -eta[a] * st)
+                    if b == d:
+                        _add(acc, a, c, -eta[b] * st)
+                    if a == d:
+                        _add(acc, b, c, eta[a] * st)
+            out: dict[int, int] = {}
+            for cd, v in acc.items():
+                if v:
+                    for k, w in twice[cd]:
+                        out[k] = out.get(k, 0) + v * w
+            row = tuple(sorted((k, v) for k, v in out.items() if v))
+            if row:
+                rows[(x, y)] = row
+                rows[(y, x)] = tuple((k, -v) for k, v in row)
+    if any(v % 2 for row in rows.values() for _, v in row):
+        return Tensor3(len(basis), 2, rows)
+    return Tensor3(len(basis), 1, {ij: tuple((k, v // 2) for k, v in row)
+                                   for ij, row in rows.items()})
 
 
 def build_twistor_model(n: int) -> TwistorModel:
-    """Construct so(1, 2n) with validated structure constants and the
-    split bookkeeping. The basis expansion of every bracket is verified
-    by exact reconstruction before the algebra is assembled."""
+    """Construct so(1, 2n) with the split bookkeeping. The structure
+    constants come from the closed form (`_closed_form_bracket`); the
+    Jacobi check on them is the second route."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    names, mats, u_idx, q_idx, p_idx = _names_and_mats(n)
+    basis = _basis(n)
+    names = tuple(nm for nm, _ in basis)
     dim = len(names)
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
-    name_pos = {nm: i for i, nm in enumerate(names)}
-    rows = [_by_row(m) for m in mats]
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for x in range(dim):
-        for y in range(x + 1, dim):
-            br = _mat_sub(_mat_mul(mats[x], rows[y]),
-                          _mat_mul(mats[y], rows[x]))
-            if not br:
-                continue
-            twice = _expand_in_basis(br, n, name_pos)
-            recon: Sparse = {}
-            for k, c in twice.items():
-                for key, v in mats[k].items():
-                    recon[key] = recon.get(key, 0) + c * v
-            if ({k: v for k, v in recon.items() if v}
-                    != {k: 2 * v for k, v in br.items()}):
-                raise InternalInvariantViolation(
-                    f"bracket of {names[x]}, {names[y]} leaves the span")
-            if twice:
-                table[(x, y)] = {k: Fraction(c, 2) for k, c in twice.items()}
-    g = validate(f"so(1,{2*n})", dim, names, table)
+    g = LieAlgebra(f"so(1,{2*n})", dim, names, _closed_form_bracket(n, basis))
+    _check_jacobi(g)
     # phi(A) = -Tr(j'0 A): supported on the UY diagonal only
+    name_pos = {nm: i for i, nm in enumerate(names)}
     phi = [0] * dim
     for a in range(1, n + 1):
         phi[name_pos[f"UY_{a}_{a}"]] = -2
-    return TwistorModel(n, g, tuple(u_idx), tuple(q_idx), tuple(p_idx),
-                        tuple(mats), tuple(phi))
+    nu, nq = n * n, n * n - n
+    return TwistorModel(n, g, tuple(range(nu)), tuple(range(nu, nu + nq)),
+                        tuple(range(nu + nq, dim)), tuple(phi))
 
 
 # -- the integrability tensor on m --------------------------------------

@@ -25,7 +25,6 @@ from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
                      validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import qof
-from liesymp.twistor import _expand_in_basis
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -271,6 +270,107 @@ def definitional_twistor_n(model, sign: str) -> dict:
             val = [sum(cs, Fraction(0)) for cs in zip(*terms)]
             out[(ia, ib)] = tuple(val[k] for k in m_idx)
     return out
+
+
+# -- the Lorentz-matrix route, as an oracle for the closed-form bracket
+
+Sparse = dict[tuple[int, int], int]  # (row, col) -> value, matrix entries
+
+
+def lorentz_matrices(n: int) -> list[Sparse]:
+    """The twistor basis as (2n+1) x (2n+1) matrices acting on R^{1,2n},
+    in `build_twistor_model`'s order, read off the block layouts in the
+    twistor module docstring."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    mats: list[Sparse] = []
+    # u(n): UX_ab = [[E_ab - E_ba, 0], [0, E_ab - E_ba]]
+    mats += [{(a, b): 1, (b, a): -1, (n + a, n + b): 1, (n + b, n + a): -1}
+             for a, b in pairs]
+    # u(n): UY_ab = [[0, E_ab + E_ba], [-(E_ab + E_ba), 0]]  (Y symmetric)
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            if a == b:
+                mats.append({(a, n + a): 1, (n + a, a): -1})
+            else:
+                mats.append({(a, n + b): 1, (b, n + a): 1,
+                             (n + a, b): -1, (n + b, a): -1})
+    # q: QX_ab = [[E_ab - E_ba, 0], [0, -(E_ab - E_ba)]]
+    mats += [{(a, b): 1, (b, a): -1, (n + a, n + b): -1, (n + b, n + a): 1}
+             for a, b in pairs]
+    # q: QY_ab = [[0, E_ab - E_ba], [E_ab - E_ba, 0]]  (Y skew)
+    mats += [{(a, n + b): 1, (b, n + a): -1, (n + a, b): 1, (n + b, a): -1}
+             for a, b in pairs]
+    # p: P_i = E_{0i} + E_{i0}
+    mats += [{(0, i): 1, (i, 0): 1} for i in range(1, 2 * n + 1)]
+    return mats
+
+
+def _mat_commutator(a: Sparse, b: Sparse) -> Sparse:
+    out: Sparse = {}
+    for x, y, s in ((a, b, 1), (b, a, -1)):
+        for (r, c), v in x.items():
+            for (c2, c3), w in y.items():
+                if c2 == c:
+                    out[(r, c3)] = out.get((r, c3), 0) + s * v * w
+    return {k: v for k, v in out.items() if v}
+
+
+def _expand_in_basis(m: Sparse, n: int, pos: dict[str, int]) -> dict[int, int]:
+    """Twice the coordinates of a Lorentz-algebra matrix in the twistor
+    basis, keyed by basis index (`pos` maps names to indices): the p part
+    is read off row 0, the so(2n) block decomposes by symmetry type. The
+    expansion is exact only for matrices in the algebra."""
+    twice: dict[int, int] = {}
+
+    def put(nm: str, v: int) -> None:
+        k = pos[nm]
+        twice[k] = twice.get(k, 0) + v
+
+    for (r, c), v in m.items():
+        if r == 0:
+            if c:
+                put(f"P_{c}", 2 * v)
+        elif c == 0:
+            continue
+        elif r <= n < c:                    # Y-type, top-right
+            a, b = r, c - n
+            if a == b:
+                put(f"UY_{a}_{a}", 2 * v)
+            elif a < b:
+                put(f"UY_{a}_{b}", v)
+                put(f"QY_{a}_{b}", v)
+            else:
+                put(f"UY_{b}_{a}", v)
+                put(f"QY_{b}_{a}", -v)
+        elif (r <= n) == (c <= n):          # X-type, diagonal blocks
+            top = r <= n
+            a, b = (r, c) if top else (r - n, c - n)
+            if a < b:
+                put(f"UX_{a}_{b}", v)
+                put(f"QX_{a}_{b}", v if top else -v)
+    return {k: v for k, v in twice.items() if v}
+
+
+def matrix_twistor_algebra(model):
+    """`model`'s so(1,2n) rebuilt the way the library built it before the
+    closed form: every bracket a commutator of Lorentz matrices, expanded
+    back into the basis, checked by reconstruction, then `validate`d."""
+    g, n = model.algebra, model.n
+    mats = lorentz_matrices(n)
+    pos = {nm: i for i, nm in enumerate(g.basis_names)}
+    table = {}
+    for x, y in combinations(range(g.dim), 2):
+        br = _mat_commutator(mats[x], mats[y])
+        twice = _expand_in_basis(br, n, pos)
+        recon: Sparse = {}
+        for k, c in twice.items():
+            for key, v in mats[k].items():
+                recon[key] = recon.get(key, 0) + c * v
+        assert ({k: v for k, v in recon.items() if v}
+                == {k: 2 * v for k, v in br.items()}), (x, y)
+        if twice:
+            table[(x, y)] = {k: Fraction(c, 2) for k, c in twice.items()}
+    return validate(g.name, g.dim, g.basis_names, table)
 
 
 # -- the definitional identity routes, as oracles for the int contractions
@@ -578,11 +678,12 @@ def j0_matrix(n: int) -> Matrix:
 def q_block_matrix(model, coords) -> Matrix:
     """The 2n x 2n spacelike block of a q-element given in m-coordinates."""
     n = model.n
+    mats = lorentz_matrices(n)
     rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for k, c in zip(model.m_indices, coords):
         if not c:
             continue
-        for (r, col), v in model.mats[k].items():
+        for (r, col), v in mats[k].items():
             if r == 0 or col == 0:
                 raise ValueError("element has a boost component")
             rows[r - 1][col - 1] += c * v

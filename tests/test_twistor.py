@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import Matrix, build_twistor_model, twistor_claims
+from liesymp import Matrix, build_twistor_model, twistor, twistor_claims
+from liesymp.errors import JacobiViolation
 from liesymp.nijenhuis import image_distribution
+from liesymp.tensor import Tensor3
 from liesymp.twistor import (p_pairs_span_q, positivity_report,
                              twistor_nijenhuis)
-from support import (definitional_twistor_n, j0_matrix, p_element,
-                     q_block_matrix, q_element)
+from support import (bracket_basis, definitional_twistor_n, j0_matrix,
+                     matrix_twistor_algebra, p_element, q_block_matrix,
+                     q_element)
 
 F = Fraction
 
@@ -24,6 +27,46 @@ def test_model_dimensions(models):
         assert len(model.q_indices) == n * n - n
         assert len(model.p_indices) == 2 * n
         assert model.m_dim == n * n + n
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_closed_form_matches_matrix_commutators(n):
+    model = build_twistor_model(n)
+    assert model.algebra == matrix_twistor_algebra(model)
+
+
+def test_so_1_2_by_hand():
+    # n = 1: so(1,2) on (UY_1_1, P_1, P_2), m = p; every constant an int
+    model = build_twistor_model(1)
+    g = model.algebra
+    assert g.basis_names == ("UY_1_1", "P_1", "P_2")
+    assert g.bracket.den == 1
+    assert bracket_basis(g, 0, 1) == {2: -1}  # [UY_1_1, P_1] = -P_2
+    assert bracket_basis(g, 0, 2) == {1: 1}   # [UY_1_1, P_2] = P_1
+    assert bracket_basis(g, 1, 2) == {0: 1}   # [P_1, P_2] = UY_1_1
+    assert model.omega_basis(1, 2) == -2
+
+
+def test_jacobi_check_trips_on_a_flipped_constant(monkeypatch):
+    # the Jacobi check is the runtime second route to the closed form:
+    # in so(1,4), [P_1, P_2] = M_12 = (UX_1_2 + QX_1_2) / 2; flip the sign
+    # of its QX_1_2 coefficient and the check fails
+    closed_form = twistor._closed_form_bracket
+
+    def flipped(n, basis):
+        t = closed_form(n, basis)
+        rows = dict(t.rows)
+        for xy, s in (((6, 7), 1), ((7, 6), -1)):  # (P_1, P_2)
+            assert rows[xy] == ((0, s), (4, s))
+            rows[xy] = ((0, s), (4, -s))
+        return Tensor3(t.dim, t.den, rows)
+
+    monkeypatch.setattr(twistor, "_closed_form_bracket", flipped)
+    with pytest.raises(JacobiViolation) as exc:
+        build_twistor_model(2)
+    # the residual is [UY_1_1, -QX_1_2] = [M_13, M_34 - M_12] = QY_1_2
+    assert str(exc.value) == ("Jacobi identity fails on basis triple "
+                              "(UY_1_1, P_1, P_2): residual {'QY_1_2': '1'}")
 
 
 def test_orbit_form_skew_and_nondegenerate(models):
@@ -157,8 +200,8 @@ def test_claims_bundle(models):
 
 
 def test_claims_bundle_at_n5():
-    # the largest n the benchmark runs: so(1,10), dim 55, with the int
-    # Lorentz matrices, the int Jacobi scan and the int Sylvester check
+    # the largest n the benchmark runs: so(1,10), dim 55, with the
+    # closed-form brackets, the int Jacobi scan and the int Sylvester check
     model = build_twistor_model(5)
     assert model.algebra.dim == 55 and model.m_dim == 30
     tc = twistor_claims(5, model)
