@@ -22,10 +22,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
+from .errors import (BadNumber, NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
 from .lie import validate
-from .linalg import Matrix, int_vector, qof
+from .linalg import Matrix, brief, int_vector, qof
 from .symp import (SymplecticTriple, _check_cocycle, build_triple,
                    standard_j, standard_omega)
 
@@ -141,8 +141,11 @@ def builtin(name: str, alpha=None) -> SymplecticTriple:
     if name == "thurston":
         return thurston(param if param is not None else 1)
     if name == "abelian":
-        n = int(param) if param is not None else 2
-        return abelian(n)
+        n = qof(param) if param is not None else 2
+        if n.denominator != 1:
+            raise BadNumber(f"abelian(n) needs an integer n, got "
+                            f"{brief(param)}")
+        return abelian(int(n))
     raise KeyError(f"unknown catalog entry {name!r}; known: "
                    + ", ".join(catalog_names()))
 

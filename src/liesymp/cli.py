@@ -6,6 +6,9 @@ Exit codes: 0 all checks pass, 1 usage error, 2 validation failure
 All numeric output is exact rational text. Reports are deterministic:
 identical inputs give byte-identical JSON (timings only appear under
 --timings, which deliberately breaks that guarantee for that run).
+
+Only the invoked command's parser is built; the full tree of commands
+is built for help, an unknown command or no command at all.
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ def _load_triple(target: str, alpha=None) -> tuple[SymplecticTriple, str]:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    except OSError as e:
+        raise _UsageError(f"cannot write {out}: {e.strerror}") from None
 
 
 def _cmd_validate(args) -> int:
@@ -251,115 +257,115 @@ def _cmd_twistor(args) -> int:
     return 0 if ok else 3
 
 
+_OUTPUT = ("-o --output", {})
+_TIMINGS = ("--timings", dict(action="store_true", help="append wall-clock "
+                              "timings (breaks byte-identical output)"))
+_N_LIST = dict(type=_parse_ns, help="comma separated list of n values")
+_OPS = ("product", "character")
+
+# command -> (handler, help line, its arguments as (flags, add_argument
+# kwargs) in the order --help lists them); both parsers are built from it
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate an algebra or triple file", [
+        ("path", {}),
+        ("--kind", dict(choices=("auto", "algebra", "triple"),
+                        default="auto")),
+    ]),
+    "analyze": (_cmd_analyze,
+                "full report for a triple file or builtin name", [
+        ("target", dict(help="path to a triple JSON or a catalog name")),
+        ("--alpha", dict(help="parameter for the parametric family")),
+        ("--report", dict(choices=("json", "text"), default="json")),
+        ("--full", dict(action="store_true",
+                        help="include raw tensor values")),
+        _OUTPUT, _TIMINGS,
+    ]),
+    "goldens": (_cmd_goldens, "replay all frozen catalog claims", [
+        ("--filter", dict(help="only claims whose entry name contains "
+                               "this")),
+        _TIMINGS,
+    ]),
+    "examples": (_cmd_examples, "list catalog entries or dump one", [
+        ("action", dict(nargs="?", help="'list' or 'show <name>'")),
+        ("pos_name", dict(nargs="?")),
+        ("--name", {}),
+        _OUTPUT,
+    ]),
+    "construct": (_cmd_construct, "apply a construction to a triple", [
+        ("kind", dict(nargs="?", choices=_OPS)),
+        ("target", dict(nargs="?")),
+        ("--op", dict(choices=_OPS,
+                      help="alternative spelling of the operation")),
+        ("--base", dict(help="alternative spelling of the base triple")),
+        ("--xi", dict(help="comma separated rational coefficients of the "
+                           "character (character construction only)")),
+        _OUTPUT,
+    ]),
+    "synthesize": (_cmd_synthesize,
+                   "build a triple with prescribed invariants", [
+        ("--n", dict(type=_decimal(1), required=True,
+                     help="half the dimension")),
+        ("--k", dict(type=_decimal(0), required=True,
+                     help="half the image dimension")),
+        ("--image-involutive", dict(choices=("true", "false"))),
+        ("--perp-involutive", dict(choices=("true", "false"))),
+        ("--inv-image", dict(choices=("y", "n"),
+                             help="short spelling of --image-involutive")),
+        ("--inv-perp", dict(choices=("y", "n"),
+                            help="short spelling of --perp-involutive")),
+        _OUTPUT,
+    ]),
+    "nspace-dim": (_cmd_nspace_dim, "corank of the tensor-identity "
+                                    "constraint system vs the closed form", [
+        ("--n", dict(_N_LIST, default="1,2,3,4,5")),
+        _TIMINGS,
+    ]),
+    "twistor": (_cmd_twistor, "verify the twistor model claims", [
+        ("--n", dict(_N_LIST, default="1,2,3")),
+        ("--sign", dict(choices=("+", "-"),
+                        help="restrict to the claims of one structure")),
+        ("--report", dict(choices=("json", "text"), default="text")),
+        _TIMINGS,
+    ]),
+}
+
+
+def _add_arguments(parser: _Parser, command: str) -> _Parser:
+    for flags, kwargs in _COMMANDS[command][2]:
+        parser.add_argument(*flags.split(), **kwargs)
+    return parser
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="liesymp",
                 description="Exact analysis of invariant compatible almost "
                             "complex structures on symplectic Lie algebras.")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--timings", action="store_true",
-                        help="append wall-clock timings (breaks "
-                             "byte-identical output)")
-
-    sp = sub.add_parser("validate", help="validate an algebra or triple file")
-    sp.add_argument("path")
-    sp.add_argument("--kind", choices=("auto", "algebra", "triple"),
-                    default="auto")
-
-    sp = sub.add_parser("analyze",
-                        help="full report for a triple file or builtin name")
-    sp.add_argument("target", help="path to a triple JSON or a catalog name")
-    sp.add_argument("--alpha", default=None,
-                    help="parameter for the parametric family")
-    sp.add_argument("--report", choices=("json", "text"), default="json")
-    sp.add_argument("--full", action="store_true",
-                    help="include raw tensor values")
-    sp.add_argument("-o", "--output", default=None)
-    common(sp)
-
-    sp = sub.add_parser("goldens", help="replay all frozen catalog claims")
-    sp.add_argument("--filter", default=None,
-                    help="only claims whose entry name contains this")
-    common(sp)
-
-    sp = sub.add_parser("examples", help="list catalog entries or dump one")
-    sp.add_argument("action", nargs="?", default=None,
-                    help="'list' or 'show <name>'")
-    sp.add_argument("pos_name", nargs="?", default=None)
-    sp.add_argument("--name", default=None)
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = sub.add_parser("construct",
-                        help="apply a construction to a triple")
-    sp.add_argument("kind", nargs="?", choices=("product", "character"),
-                    default=None)
-    sp.add_argument("target", nargs="?", default=None)
-    sp.add_argument("--op", choices=("product", "character"), default=None,
-                    help="alternative spelling of the operation")
-    sp.add_argument("--base", default=None,
-                    help="alternative spelling of the base triple")
-    sp.add_argument("--xi", default=None,
-                    help="comma separated rational coefficients of the "
-                         "character (character construction only)")
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = sub.add_parser("synthesize",
-                        help="build a triple with prescribed invariants")
-    sp.add_argument("--n", type=_decimal(1), required=True,
-                    help="half the dimension")
-    sp.add_argument("--k", type=_decimal(0), required=True,
-                    help="half the image dimension")
-    sp.add_argument("--image-involutive", choices=("true", "false"),
-                    default=None)
-    sp.add_argument("--perp-involutive", choices=("true", "false"),
-                    default=None)
-    sp.add_argument("--inv-image", choices=("y", "n"), default=None,
-                    help="short spelling of --image-involutive")
-    sp.add_argument("--inv-perp", choices=("y", "n"), default=None,
-                    help="short spelling of --perp-involutive")
-    sp.add_argument("-o", "--output", default=None)
-
-    sp = sub.add_parser("nspace-dim",
-                        help="corank of the tensor-identity constraint "
-                             "system vs the closed form")
-    sp.add_argument("--n", default="1,2,3,4,5", type=_parse_ns,
-                    help="comma separated list of n values")
-    common(sp)
-
-    sp = sub.add_parser("twistor", help="verify the twistor model claims")
-    sp.add_argument("--n", default="1,2,3", type=_parse_ns,
-                    help="comma separated list of n values")
-    sp.add_argument("--sign", choices=("+", "-"), default=None,
-                    help="restrict to the claims of one structure")
-    sp.add_argument("--report", choices=("json", "text"), default="text")
-    common(sp)
+    for command, (_, help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_line), command)
     return p
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "analyze": _cmd_analyze,
-    "goldens": _cmd_goldens,
-    "examples": _cmd_examples,
-    "construct": _cmd_construct,
-    "synthesize": _cmd_synthesize,
-    "nspace-dim": _cmd_nspace_dim,
-    "twistor": _cmd_twistor,
-}
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The command's own parser when argv starts with a command, as the
+    full tree's subparser would parse the rest; the full tree otherwise
+    (no argument, help, an unknown command, an option first)."""
+    if argv and argv[0] in _COMMANDS:
+        p = _add_arguments(_Parser(prog="liesymp " + argv[0]), argv[0])
+        return p.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
     except SystemExit as e:  # --help
         return int(e.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -7,8 +7,8 @@ from liesymp import (Analysis, Subspace, build_rank_example, builtin,
                      character_extension, nijenhuis_tensor,
                      product_extension)
 from liesymp.catalog import catalog_names
-from liesymp.errors import (NotACharacter, PerfectAlgebra, Unsatisfiable,
-                            ZeroCharacter)
+from liesymp.errors import (BadNumber, NotACharacter, PerfectAlgebra,
+                            Unsatisfiable, ZeroCharacter)
 from support import bracket_basis, diag, nonzero_brackets
 
 F = Fraction
@@ -23,6 +23,21 @@ def test_builtin_lookup_and_parametrized_names():
         builtin("nosuch")
     for name in catalog_names():
         assert isinstance(name, str)
+
+
+def test_abelian_parameter_follows_the_number_grammar():
+    assert builtin("abelian").dim == 4
+    assert builtin("abelian", alpha="3").algebra.name == "abelian(3)"
+    assert builtin("abelian(4/2)").algebra.name == "abelian(2)"
+    # int() read "1_0" as 10 and raised a bare ValueError on the others
+    for param in ("x", "3/2", "1_0", "0.5", "1/0"):
+        with pytest.raises(BadNumber):
+            builtin(f"abelian({param})")
+    with pytest.raises(BadNumber, match="needs an integer n, got '3/2'"):
+        builtin("abelian", alpha="3/2")
+    for param in ("0", "-1"):
+        with pytest.raises(Unsatisfiable, match="abelian factor needs n >= 1"):
+            builtin(f"abelian({param})")
 
 
 def test_product_extension_preserves_image_and_grows_complement(catalog):

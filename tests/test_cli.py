@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liesymp import cli
 from liesymp.cli import main
 from liesymp.report import run_goldens
 from liesymp import triple_to_dict, ex1, ex2
@@ -178,6 +179,24 @@ def test_cli_number_arguments_follow_the_grammar(capsys):
     assert main(["analyze", "thurston( 1/2 )"]) == 0
 
 
+@pytest.mark.parametrize("target,err", [
+    ("abelian(x)", "INVALID (BadNumber): 'x' is not an integer or p/q\n"),
+    ("abelian(3/2)", "INVALID (BadNumber): abelian(n) needs an integer n, "
+                     "got '3/2'\n"),
+    ("abelian(1_0)", "INVALID (BadNumber): '1_0' is not an integer or p/q\n"),
+    ("thurston(abc)",
+     "INVALID (BadNumber): 'abc' is not an integer or p/q\n"),
+    ("abelian(0)", "INVALID (Unsatisfiable): abelian factor needs n >= 1\n"),
+    ("abelian(-1)", "INVALID (Unsatisfiable): abelian factor needs n >= 1\n"),
+])
+def test_catalog_parameter_outside_the_grammar_exits_2(capsys, target, err):
+    # abelian's n was read by int(): a ValueError traceback for "x" and
+    # "3/2", and "1_0" was accepted as 10
+    assert main(["analyze", target]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 def test_analyze_json_report(capsys):
     assert main(["analyze", "thurston", "--alpha", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -211,6 +230,25 @@ def test_analyze_output_file(tmp_path, capsys):
     assert main(["analyze", "ex1", "-o", str(out_path)]) == 0
     report = json.loads(out_path.read_text())
     assert report["nijenhuis"]["norm_sq"] == "16"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "ex1"],
+    ["construct", "product", "ex2"],
+    ["synthesize", "--n", "2", "--k", "1"],
+    ["examples", "show", "ex1"],
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    # open() raised FileNotFoundError out of _emit: a traceback, exit 1
+    out = tmp_path / "no-such-dir" / "x.json"
+    assert main(argv + ["-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"usage error: cannot write {out}: "
+                            "No such file or directory\n")
+    assert main(argv + ["-o", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (f"usage error: cannot write "
+                                       f"{tmp_path}: Is a directory\n")
 
 
 def test_timings_are_opt_in(capsys):
@@ -374,3 +412,64 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["analyze", "--help"]) == 0
+
+
+# argvs for the single-command parser against the full tree: help of
+# every command, bad choices, missing and unknown arguments, "--",
+# abbreviated and ambiguous options, "=" values, a repeated option, an
+# unknown or misspelt command and options before the command
+_PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["-h", "analyze"], ["--timings"],
+    ["anlyze", "ex1"], ["--full", "analyze", "ex1"], ["ex1", "analyze"],
+] + [[command, "-h"] for command in cli._COMMANDS] + [
+    ["twistor", "--help"], ["twistor", "--n", "1", "-h"],
+    ["analyze", "ex1", "--h"],
+    ["analyze"], ["analyze", "ex1"], ["analyze", "ex1", "--report", "xml"],
+    ["analyze", "ex1", "--bogus"], ["analyze", "ex1", "extra"],
+    ["analyze", "--", "ex1"], ["analyze", "ex1", "--", "--full"],
+    ["analyze", "ex1", "--fu", "--rep", "text", "-o", "r.txt"],
+    ["analyze", "thurston", "--alpha=1/2", "--timings"],
+    ["validate"], ["validate", "x.json", "--kind", "bogus"],
+    ["validate", "x.json", "--kind", "triple"],
+    ["goldens"], ["goldens", "--filter"], ["goldens", "--filter", "ex1"],
+    ["examples"], ["examples", "show"], ["examples", "show", "ex2"],
+    ["examples", "a", "b", "c"], ["examples", "--name", "dim6"],
+    ["construct", "foo", "ex1"], ["construct", "--op", "bad"],
+    ["construct", "character", "ex2", "--xi", "1,0,0,0"],
+    ["construct", "--op", "product", "--base", "ex2"],
+    ["synthesize"], ["synthesize", "--n", "2"],
+    ["synthesize", "--n", "x", "--k", "1"],
+    ["synthesize", "--n", "2", "--k", "1", "--i", "y"],
+    ["synthesize", "--n", "3", "--k", "1", "--inv-im", "n", "--inv-p", "y"],
+    ["synthesize", "--n", "3", "--k", "1", "--image-involutive", "false"],
+    ["nspace-dim"], ["nspace-dim", "--n"], ["nspace-dim", "--n", "1,2"],
+    ["twistor"], ["twistor", "--sign", "*"], ["twistor", "--n", "0"],
+    ["twistor", "--", "--n"], ["twistor", "--n=1", "--sign=+"],
+    ["twistor", "-n", "1"], ["twistor", "--n", "1", "--n", "2"],
+    ["twistor", "--n", "1,2", "--report", "json"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = parse(argv)
+    except cli._UsageError as e:
+        result = ("usage error", str(e))
+    except SystemExit as e:
+        result = ("exit", e.code)
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=" ".join)
+def test_command_parser_parses_as_the_full_tree(monkeypatch, capsys, argv):
+    # the same Namespace, usage-error message, or help text and exit code;
+    # the full tree is built only when argv[0] is not a command
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_outcome(lambda a: cli._build_parser().parse_args(a), argv,
+                          capsys)
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or build())
+    assert _parse_outcome(cli._parse_args, argv, capsys) == full
+    assert built == ([] if argv and argv[0] in cli._COMMANDS else [1])
