@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 all checks pass, 1 usage error, 2 validation failure
-(including malformed input files), 3 golden or property failure.
+Exit codes: 0 all checks pass, 1 usage error or a stdout closed before
+the output was written (a pipe whose reader exited), 2 validation
+failure (including malformed input files), 3 golden or property failure.
 
 All numeric output is exact rational text. Reports are deterministic:
 identical inputs give byte-identical JSON (timings only appear under
@@ -365,7 +366,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:  # --help
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command][0](args)
+        code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -13,7 +13,10 @@ as ints over one common denominator, nonzero coordinates only. Every map
 below is composed from its int operations. Curvature is not: Ricci is a
 trace formula in the connection's ints, and the Chern operators are
 formed one pair at a time (see `curvature_summary`). Every runtime check
-compares ints.
+compares ints, on whole tensors and subspaces: nabla N and the torsion
+identity are `combine`s of N and the torsion with Gamma(e_i, .) or J
+put into their slots and values, and a distribution is parallel iff
+every Gamma(e_i, .) maps it into itself.
 
 Sign sanity: metric compatibility  g(Gamma(A,B), C) + g(B, Gamma(A,C)) = 0
 and zero torsion  Gamma(A,B) - Gamma(B,A) = [A,B]  are asserted at
@@ -55,7 +58,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InternalInvariantViolation
-from .linalg import Matrix, Subspace, vec_is_zero
+from .linalg import Matrix
 from .nijenhuis import DistributionReport, Tensor3, combine
 from .symp import SymplecticTriple
 
@@ -148,23 +151,17 @@ def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
     """For a J-parallel connection the torsion alone already knows the
     integrability obstruction:
 
-        T(jx, jy) - j T(jx, y) - j T(x, jy) - T(x, y) = -N(x, y)
+        T(Jx, Jy) - J T(Jx, y) - J T(x, Jy) - T(x, y) = -N(x, y),
 
-    on all basis pairs.  Returns False on the first defect."""
-    d = t.dim
+    checked as one int combination of whole tensors: T with J put into
+    its slots and values, plus n. It does not build N's own kernel, so n
+    is checked against an independent formula."""
+    j = t.j
     tor = torsion(t, conn)
-    basis = Matrix.identity(d).entries
-    jb = [t.j.apply(e) for e in basis]
-    for x in range(d):
-        for y in range(x + 1, d):
-            mixed = [p + q for p, q in zip(tor.of_vectors(jb[x], basis[y]),
-                                           tor.of_vectors(basis[x], jb[y]))]
-            lhs = [a - b - c for a, b, c in zip(tor.of_vectors(jb[x], jb[y]),
-                                                t.j.apply(mixed),
-                                                tor.of_basis(x, y))]
-            if any(a != -b for a, b in zip(lhs, n.of_basis(x, y))):
-                return False
-    return True
+    tjx = tor.map_first(j)  # T(Jx, y)
+    return combine([(1, tjx.map_second(j)), (-1, tjx.map_values(j)),
+                    (-1, tor.map_second(j).map_values(j)), (-1, tor),
+                    (1, n)]).is_zero()
 
 
 def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
@@ -329,36 +326,25 @@ class ParallelismReport:
 def covariant_derivative_n(t: SymplecticTriple, lc: Connection,
                            n: Tensor3,
                            rep: DistributionReport) -> ParallelismReport:
-    """(nabla N)(A; B, C) = Gamma(A, N(B,C)) - N(Gamma(A,B), C)
-                            - N(B, Gamma(A,C)) on all basis triples,
-    plus parallelism of im N and of its orthogonal complement under the
-    Levi-Civita map; rep is `classify(t, n)`. The two distribution flags
+    """Is nabla N = 0 under the Levi-Civita map, and are im N and its
+    orthogonal complement parallel; rep is `classify(t, n)`. With
+    M_i = Gamma(e_i, .), a distribution is parallel iff every M_i maps it
+    into itself (`Subspace.invariant_under`), and
+
+        nabla_i N = M_i N(., .) - N(M_i ., .) - N(., M_i .)
+
+    is one int combination of whole tensors. The two distribution flags
     must agree (the metric is parallel, so a distribution is parallel iff
     its complement is); a mismatch raises InternalInvariantViolation."""
-    d = t.dim
-    basis = Matrix.identity(d).entries
-
-    def nabla_n_zero(i: int, b: int, c: int) -> bool:
-        v = lc.nabla(basis[i], n.of_basis(b, c))
-        w1 = n.of_vectors(lc.of_basis(i, b), basis[c])
-        w2 = n.of_vectors(basis[b], lc.of_basis(i, c))
-        return vec_is_zero([x - y - z for x, y, z in zip(v, w1, w2)])
-
-    all_zero = all(nabla_n_zero(i, b, c) for i in range(d) for b in range(d)
-                   for c in range(b + 1, d))
-
-    def parallel(s: Subspace) -> bool:
-        if s.dim in (0, d):
-            return True
-        for i in range(d):
-            for v in s.vectors():
-                if not s.contains(lc.nabla(basis[i], v)):
-                    return False
-        return True
-
-    img_par = parallel(rep.image)
-    perp_par = parallel(rep.perp)
+    endos = [lc.endo(i) for i in range(t.dim)]
+    img_par = all(rep.image.invariant_under(m) for m in endos)
+    perp_par = all(rep.perp.invariant_under(m) for m in endos)
     if img_par != perp_par:
         raise InternalInvariantViolation(
             "im N parallel but its orthogonal complement is not")
-    return ParallelismReport(all_zero, img_par, perp_par)
+    # nabla N = 0 puts nabla_A N(B, C) = N(nabla_A B, C) + N(B, nabla_A C)
+    # in im N, so a non-parallel image already answers False
+    zero = img_par and all(
+        combine([(1, n.map_values(m)), (-1, n.map_first(m)),
+                 (-1, n.map_second(m))]).is_zero() for m in endos)
+    return ParallelismReport(zero, img_par, perp_par)

@@ -25,7 +25,8 @@ at its smallest column, fraction-free, and divided by its content.
 `rref` back-substitutes its rows in ints and puts each over its pivot,
 straight into the canonical state; `nullspace_of` reads int kernel
 vectors off the same rows, and `Matrix.nullspace` is their `Fraction`
-view. `Subspace.contains` subtracts the RREF rows at their pivots.
+view. `Subspace.contains` subtracts the RREF rows at their pivots, and
+`invariant_under` does so for each row of one product basis @ m^T.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
@@ -446,10 +447,6 @@ def nullspace_of(rows: Iterable[Row], ncols: int) -> list[list[int]]:
     return basis
 
 
-def vec_is_zero(v: Sequence) -> bool:
-    return all(not (a if type(a) is Fraction else qof(a)) for a in v)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^n in canonical form: basis rows are the RREF of any
@@ -498,6 +495,12 @@ class Subspace:
         if other.dim and other.ambient_dim != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
         return all(self._holds(dict(r)) for r in other.basis.rows)
+
+    def invariant_under(self, m: Matrix) -> bool:
+        """m maps the subspace into itself: each row of basis @ m^T, the
+        image of a basis vector, is in the span."""
+        return all(self._holds(dict(r))
+                   for r in (self.basis @ m.transpose()).rows)
 
     def _holds(self, w: Row) -> bool:
         """In the span iff den w = sum of w[p_i] den b_i (p_i: b_i's pivot)."""

@@ -96,10 +96,6 @@ class DistributionReport:
     kernel: Subspace
 
 
-def _j_stable(s: Subspace, j: Matrix) -> bool:
-    return all(s.contains(j.apply(v)) for v in s.vectors())
-
-
 def classify(t: SymplecticTriple, n: Tensor3) -> DistributionReport:
     """Full image/kernel analysis of the Nijenhuis tensor, with built in
     consistency checks (raise InternalInvariantViolation on any failure):
@@ -121,7 +117,7 @@ def classify(t: SymplecticTriple, n: Tensor3) -> DistributionReport:
     if perp_g != perp_om:
         raise InternalInvariantViolation(
             "metric and symplectic complements of im N disagree")
-    if not _j_stable(im, t.j) or not _j_stable(perp_g, t.j):
+    if not im.invariant_under(t.j) or not perp_g.invariant_under(t.j):
         raise InternalInvariantViolation("im N or its complement not J-stable")
     if im.dim % 2 or perp_g.dim % 2:
         raise InternalInvariantViolation("odd dimensional N-distribution")

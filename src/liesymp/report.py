@@ -88,20 +88,12 @@ def subspace_payload(s: Subspace, g: LieAlgebra) -> dict:
     }
 
 
-def _proportional_to(m: Matrix, ref: Matrix) -> tuple[bool, Optional[str]]:
-    """Is m = c * ref for a single rational c (ref != 0)?"""
-    c = None
-    for i in range(ref.nrows):
-        for j in range(ref.ncols):
-            r = ref.entry(i, j)
-            if r != 0:
-                c = m.entry(i, j) / r
-                break
-        if c is not None:
-            break
-    if c is None:
-        return m.is_zero(), None
-    return (m == ref.scale(c)), str(c)
+def _proportional_to(m: Matrix, ref: Matrix) -> tuple[bool, str]:
+    """Is m = c * ref for a single rational c? ref is nonzero; c is read
+    at its first nonzero entry."""
+    i, (j, p) = next((i, r[0]) for i, r in enumerate(ref.rows) if r)
+    c = m.entry(i, j) * ref.den / p
+    return m == ref.scale(c), str(c)
 
 
 def build_report(t: SymplecticTriple, name: Optional[str] = None,

@@ -112,9 +112,6 @@ class Tensor3:
         z = Fraction(0)
         return tuple([Fraction(x, den) if x else z for x in acc])
 
-    # a connection's covariant derivative of invariant fields
-    nabla = of_vectors
-
     def is_zero(self) -> bool:
         return not self.rows
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
-                     validate)
+                     torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import qof
 
@@ -557,6 +557,53 @@ def pairwise_is_involutive(s: Subspace, g) -> bool:
     before it bracketed the subspace on the int table."""
     return all(s.contains(g.bracket_vec(u, v))
                for u in s.vectors() for v in s.vectors())
+
+
+# -- the pointwise connection checks, as oracles for the whole-tensor ones
+
+
+def pointwise_parallelism(t: SymplecticTriple, lc, n, rep):
+    """(nabla N = 0, im N parallel, complement parallel) by the loops
+    `covariant_derivative_n` ran before its checks were int combinations:
+    (nabla N)(e_i; e_b, e_c) on every basis triple b < c with
+    `of_vectors`, and Gamma(e_i, v) in s for every basis vector v of s
+    by `Subspace.contains`."""
+    d = t.dim
+    basis = Matrix.identity(d).entries
+
+    def nabla_n_zero(i: int, b: int, c: int) -> bool:
+        v = lc.of_vectors(basis[i], n.of_basis(b, c))
+        w1 = n.of_vectors(lc.of_basis(i, b), basis[c])
+        w2 = n.of_vectors(basis[b], lc.of_basis(i, c))
+        return not any(x - y - z for x, y, z in zip(v, w1, w2))
+
+    def parallel(s: Subspace) -> bool:
+        return all(s.contains(lc.of_vectors(basis[i], v))
+                   for i in range(d) for v in s.vectors())
+
+    return (all(nabla_n_zero(i, b, c) for i in range(d) for b in range(d)
+                for c in range(b + 1, d)),
+            parallel(rep.image), parallel(rep.perp))
+
+
+def pointwise_torsion_recovers_nijenhuis(t: SymplecticTriple, conn,
+                                         n) -> bool:
+    """T(Jx, Jy) - J T(Jx, y) - J T(x, Jy) - T(x, y) = -N(x, y) on every
+    basis pair x < y, T the connection's torsion, by `of_vectors` and
+    `Matrix.apply`: the loop `torsion_recovers_nijenhuis` ran before."""
+    d, tor = t.dim, torsion(t, conn)
+    basis = Matrix.identity(d).entries
+    jb = [t.j.apply(e) for e in basis]
+    for x in range(d):
+        for y in range(x + 1, d):
+            mixed = [p + q for p, q in zip(tor.of_vectors(jb[x], basis[y]),
+                                           tor.of_vectors(basis[x], jb[y]))]
+            lhs = [a - b - c for a, b, c in zip(tor.of_vectors(jb[x], jb[y]),
+                                                t.j.apply(mixed),
+                                                tor.of_basis(x, y))]
+            if any(a != -b for a, b in zip(lhs, n.of_basis(x, y))):
+                return False
+    return True
 
 
 # -- the nested-Fraction bracket table, as an oracle for the bracket tensor

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -473,3 +477,20 @@ def test_command_parser_parses_as_the_full_tree(monkeypatch, capsys, argv):
                         lambda: built.append(1) or build())
     assert _parse_outcome(cli._parse_args, argv, capsys) == full
     assert built == ([] if argv and argv[0] in cli._COMMANDS else [1])
+
+
+@pytest.mark.parametrize("argv", [["analyze", "ex1"], ["goldens"],
+                                  ["twistor", "--n", "1"], ["examples"]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # stdout is a pipe whose read end is closed before the command starts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "liesymp.cli", *argv],
+                              stdout=w, stderr=subprocess.PIPE,
+                              env={**os.environ, "PYTHONPATH": src},
+                              timeout=120)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -1,0 +1,159 @@
+"""`covariant_derivative_n`, `classify`'s J-stability check and
+`torsion_recovers_nijenhuis` run as int checks on whole tensors and
+subspaces. Here they are held to the pointwise loops they replaced
+(`support.pointwise_parallelism`, `pointwise_torsion_recovers_nijenhuis`)
+and `Subspace.invariant_under` to the image of a subspace under a map,
+on inputs where both answers occur."""
+
+import dataclasses
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from liesymp import (Analysis, Matrix, Subspace, Tensor3, abelian,
+                     build_rank_example, covariant_derivative_n,
+                     symplectic_connection, torsion_recovers_nijenhuis)
+from liesymp.errors import InternalInvariantViolation, Unsatisfiable
+from liesymp.nijenhuis import combine
+from support import (dense_conjugate, image_under, pointwise_parallelism,
+                     pointwise_torsion_recovers_nijenhuis)
+
+F = Fraction
+_FLAGS = (True, False)
+
+
+def _admissible(n):
+    """Every triple `build_rank_example(n, k, ...)` builds; an unset flag
+    builds what True builds."""
+    out = {}
+    for k in range(n + 1):
+        for flags in product(_FLAGS, repeat=2):
+            try:
+                out[f"rank({n}, {k}, {flags})"] = build_rank_example(
+                    n, k, *flags)
+            except Unsatisfiable:
+                pass
+    return out
+
+
+def _check(t, seen):
+    """Assert that the library routes equal the pointwise oracles on t
+    and record the answers in seen."""
+    a = Analysis(t)
+    par = a.parallelism
+    got = (par.nabla_n_zero, par.image_parallel, par.perp_parallel)
+    assert got == pointwise_parallelism(t, a.lc, a.n, a.distributions)
+    seen.setdefault("parallelism", set()).add(got)
+    for conn in (a.lc, a.chern, symplectic_connection(t, a.lc)):
+        ok = torsion_recovers_nijenhuis(t, conn, a.n)
+        assert ok == pointwise_torsion_recovers_nijenhuis(t, conn, a.n)
+        seen.setdefault(conn.label, set()).add(ok)
+
+
+def test_routes_match_oracles_on_extended_catalog(extended_catalog):
+    seen = {}
+    for name, t in extended_catalog.items():
+        _check(t, seen)
+    for n in range(1, 5):
+        _check(abelian(n), seen)
+    # nabla N = 0 only with N = 0; a whole-algebra image is parallel
+    assert seen["parallelism"] == {(True, True, True), (False, True, True),
+                                   (False, False, False)}
+    assert seen["chern"] == {True}
+    assert seen["levi_civita"] == seen["symplectic"] == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_routes_match_oracles_on_rank_examples(n):
+    triples = _admissible(n)
+    assert len(triples) == {2: 5, 3: 10, 4: 14, 5: 18}[n]
+    seen = {}
+    for t in triples.values():
+        _check(t, seen)
+    assert seen["chern"] == {True}
+
+
+@pytest.mark.parametrize("n, k, flags", [
+    (2, 0, (None, None)), (2, 1, (True, False)), (2, 1, (False, True)),
+    (3, 1, (True, True)), (3, 2, (False, False)), (3, 3, (None, None)),
+    (4, 2, (False, True)), (4, 3, (True, False))])
+def test_routes_match_oracles_on_dense_conjugates(n, k, flags):
+    base = build_rank_example(n, k, *flags)
+    t = dense_conjugate(base, random.Random(f"parallel:{n}:{k}:{flags}"))
+    seen = {}
+    _check(t, seen)
+    assert seen["chern"] == {True}
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex4", "dim6"])
+def test_nabla_of_the_bracket_under_ad_is_jacobi(catalog, name):
+    # Gamma(A, B) = [A, B] acts by derivations, so it kills the bracket:
+    # [A, [B, C]] - [[A, B], C] - [B, [A, C]] = 0. No triple here has
+    # nabla N = 0 with N != 0, so this case holds each term's sign; the
+    # bracket with one value raised is not parallel. Zero and full
+    # distributions keep the derivative from being skipped.
+    t = catalog[name]
+    g = t.algebra.bracket
+    rep = dataclasses.replace(Analysis(t).distributions,
+                              image=Subspace.zero(t.dim),
+                              perp=Subspace.full(t.dim))
+    d = t.dim
+    bumped = combine([(1, g), (1, Tensor3.from_ints(d, 1, {
+        min(g.rows): [int(k == 0) for k in range(d)]}))])
+    for tensor, zero in ((g, True), (bumped, False)):
+        assert covariant_derivative_n(t, g, tensor, rep).nabla_n_zero == zero
+        assert pointwise_parallelism(t, g, tensor, rep)[0] == zero
+
+
+def test_torsion_identity_needs_a_j_parallel_connection(catalog):
+    # the Chern connection is J-parallel and recovers N; the Levi-Civita
+    # connection of a non-Kaehler triple is not, and does not
+    a = Analysis(catalog["ex1"])
+    assert torsion_recovers_nijenhuis(a.t, a.chern, a.n)
+    assert not torsion_recovers_nijenhuis(a.t, a.lc, a.n)
+
+
+def test_parallel_check_trips_on_a_complement_that_is_not_one(catalog):
+    # im N of ex1 is not parallel; the full space, passed as its
+    # complement, is
+    a = Analysis(catalog["ex1"])
+    rep = dataclasses.replace(a.distributions, perp=Subspace.full(a.t.dim))
+    with pytest.raises(InternalInvariantViolation,
+                       match="^im N parallel but its orthogonal complement "
+                             "is not$"):
+        covariant_derivative_n(a.t, a.lc, a.n, rep)
+
+
+def _random_matrix(rng, rows, cols):
+    return Matrix.from_rows([[F(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                              for _ in range(cols)] for _ in range(rows)])
+
+
+def test_invariant_under_matches_the_image(catalog):
+    rng = random.Random("invariant")
+    answers = set()
+    for d in (2, 3, 4, 6):
+        subspaces = [Subspace.zero(d), Subspace.full(d)]
+        for _ in range(6):
+            subspaces.append(Subspace.span(d, _random_matrix(
+                rng, rng.randint(1, d - 1), d).entries))
+        for s in subspaces:
+            maps = [_random_matrix(rng, d, d), Matrix.identity(d),
+                    Matrix.from_rows([[0] * d] * d)]
+            if s.dim:
+                # basis^T @ W maps everything into s
+                maps.append(s.basis.transpose()
+                            @ _random_matrix(rng, s.dim, d))
+            for m in maps:
+                got = s.invariant_under(m)
+                assert got == s.contains_subspace(image_under(s, m)), (s, m)
+                answers.add(got)
+    # the J-stable distributions of every catalog triple
+    for name, t in catalog.items():
+        rep = Analysis(t).distributions
+        for s in (rep.image, rep.perp):
+            assert s.invariant_under(t.j), name
+            assert s.contains_subspace(image_under(s, t.j)), name
+    assert answers == {True, False}

@@ -5,7 +5,6 @@ import pytest
 
 from liesymp import Matrix, Subspace, complement, qof
 from liesymp.errors import BadNumber, SingularGram, ValidationError
-from liesymp.linalg import vec_is_zero
 from support import (diag, image_under, solve, subspace_sum, vec_sub,
                      zeros)
 
@@ -224,7 +223,6 @@ def test_entries_coerce_alike_beside_zeros(x, want):
     assert Subspace.span(3, [[1, 0, x]]).vectors() == [(1, 0, want)]
     assert Subspace.span(3, [[1, 0, want]]).contains([1, 0, x])
     assert vec_sub([x, 0], [F(0), x]) == (want, -want)
-    assert not vec_is_zero([0, x])
 
 
 @pytest.mark.parametrize("x, err", _REFUSED)
@@ -239,5 +237,3 @@ def test_entries_refused_beside_zeros(x, err):
             Subspace.span(2, [[1, 0]]).contains(vec)
         with pytest.raises(err):
             vec_sub(vec, [0, 0])
-    with pytest.raises(err):
-        vec_is_zero([0, x])
