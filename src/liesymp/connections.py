@@ -10,13 +10,13 @@ constant) and only the bracket terms survive:
 
 A connection is a labelled `Tensor3` (see `nijenhuis`): Gamma(e_i, e_j)
 as ints over one common denominator, nonzero coordinates only. Every map
-below is composed from its int operations. Curvature is not: Ricci is a
-trace formula in the connection's ints, and the Chern operators are
-formed one pair at a time (see `curvature_summary`). Every runtime check
-compares ints, on whole tensors and subspaces: nabla N and the torsion
-identity are `combine`s of N and the torsion with Gamma(e_i, .) or J
-put into their slots and values, and a distribution is parallel iff
-every Gamma(e_i, .) maps it into itself.
+below is composed from its int operations. Curvature is not: Ricci and
+the mixed trace form P are trace formulas in the connections' ints, and
+no curvature operator is formed (see `curvature_summary`). Every
+runtime check compares ints, on whole tensors and subspaces: nabla N
+and the torsion identity are `combine`s of N and the torsion with
+Gamma(e_i, .) or J put into their slots and values, and a distribution
+is parallel iff every Gamma(e_i, .) maps it into itself.
 
 Sign sanity: metric compatibility  g(Gamma(A,B), C) + g(B, Gamma(A,C)) = 0
 and zero torsion  Gamma(A,B) - Gamma(B,A) = [A,B]  are asserted at
@@ -37,10 +37,17 @@ M_A = Gamma(A, .):
     R(A,B) = M_A M_B - M_B M_A - M_{[A,B]},
 
 Ricci(A,B) = trace of Z -> R(Z,A)B, scalar = trace of Ginv @ Ricci.
-The mixed trace form  P(A,B) = Tr(J R^c(A,B))  is a closed 2-form whose
-top wedge against omega recovers the Hermitian scalar curvature,
-s^c = d/dt Pf(W + t P) |_{t=0} / Pf(W), with W, P the matrices of omega
-and of the mixed trace form (the polarization identity
+The mixed trace form  P(A,B) = Tr(J R^c(A,B))  needs no curvature
+operator. nabla^c J = 0 says every M_k = Gamma^c(e_k, .) commutes with J,
+so Tr(J M_y M_x) = Tr(M_x J M_y) = Tr(J M_x M_y) and the commutator term
+of R^c(e_x, e_y) = [M_x, M_y] - sum_k c^k_xy M_k drops out of the trace:
+
+    P(e_x, e_y) = -sum_k c^k_xy psi_k,   psi_k = Tr(J M_k),
+
+and in the same way Tr R^c(e_x, e_y) = -sum_k c^k_xy Tr M_k. P is a
+closed 2-form whose top wedge against omega recovers the Hermitian
+scalar curvature, s^c = d/dt Pf(W + t P) |_{t=0} / Pf(W), with W, P the
+matrices of omega and of the mixed trace form (the polarization identity
 beta ^ alpha^{n-1} = (n-1)! dPf(A + tB)/dt|_0 on top degree makes the two
 factorials cancel).  Jacobi's formula for the Pfaffian,
 
@@ -55,7 +62,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import mul
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
@@ -68,17 +74,15 @@ Connection = Tensor3
 
 def _parallel(conn: Connection, form: Matrix) -> bool:
     """F M_i + M_i^T F = 0 for every i, F the form's matrix: with
-    lo(i, b)_c = (F Gamma(e_i, e_b))_c = (F M_i)_cb and hi(i, b)_c =
-    (F^T Gamma(e_i, e_b))_c = (M_i^T F)_bc, that is lo(i, b)_c +
-    hi(i, c)_b = 0."""
+    lo(i, b)_c = (F Gamma(e_i, e_b))_c = (F M_i)_cb, that is lo(i, b)_c +
+    (F^T Gamma(e_i, e_c))_b = 0. F is the metric or omega, symmetric or
+    skew (`build_triple` checks both), so F^T = s F and the second term
+    is s lo(i, c)_b."""
+    s = 1 if form.is_symmetric() else -1
     lo = conn.map_values(form)
-    hi = conn.map_values(form.transpose())
-    flip: dict[tuple[int, int], list[int]] = {}
-    for (i, c), row in hi.rows.items():
-        for b, p in row:
-            flip.setdefault((i, b), [0] * conn.dim)[c] = p
-    return combine([(1, lo), (1, Tensor3.from_ints(conn.dim, hi.den, flip))]
-                   ).is_zero()
+    return ({(i, b, c): p for (i, b), row in lo.rows.items() for c, p in row}
+            == {(i, b, c): -s * p
+                for (i, c), row in lo.rows.items() for b, p in row})
 
 
 def levi_civita(t: SymplecticTriple) -> Connection:
@@ -175,12 +179,13 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
     nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t. Both are
     whole-tensor identities in ints: with omega(u, v) = u^T omega v, the
     left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
-    the right side ((omega J)^T N(b, c))_a, each scaled by the other
-    side's denominator before the nonzero values are compared.
+    the right side ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J
+    the (symmetric) metric, each scaled by the other side's denominator
+    before the nonzero values are compared.
     """
     j = t.j
     low = nj.map_values(t.omega.transpose())
-    rhs = n.map_values((t.omega @ j).transpose())
+    rhs = n.map_values(t.metric)
     lhs = {(a, b, c): 2 * p * rhs.den
            for (a, b), row in low.rows.items() for c, p in row}
     pairing = lhs == {(a, b, c): p * low.den
@@ -203,31 +208,31 @@ class CurvatureSummary:
     hermitian_scalar: Fraction
 
 
-def _support(v) -> int:
-    """The bit mask of the nonzero entries of v."""
-    return sum(1 << k for k, s in enumerate(v) if s)
-
-
 def curvature_summary(t: SymplecticTriple, lc: Connection,
                       chern: Connection) -> CurvatureSummary:
     """Riemannian Ricci/scalar of the Levi-Civita map plus the mixed trace
-    form and Hermitian scalar of the Chern-type connection, in ints.
+    form and Hermitian scalar of the Chern-type connection, in ints; no
+    curvature operator is formed.
 
     Ricci(x, y) = sum_k (R(e_k, e_x) e_y)_k comes from the trace formula
     (Gamma the Levi-Civita map, over den^2 D_c with den its denominator
-    and D_c the structure constants'), so no Riemannian operator is formed:
+    and D_c the structure constants'):
 
         Ric(x, y) = sum_m Gamma(x, y)_m tau_m
                     - sum_{k,m} Gamma(k, y)_m (Gamma(x, m)_k + c^k_mx),
 
-    tau_m = sum_k Gamma(k, m)_k. P(x, y) = Tr(J R^c(e_x, e_y)) is summed
-    in one int pass per pair x < y that holds the nonzero columns
-    R^c(e_x, e_y) e_b = M_x M_y e_b - M_y M_x e_b - sum_k c^k_xy M_k e_b
-    over den^2 D_c (M_i = Gamma^c(e_i, .)); each entry of a product is one
-    dot of a row and a column, taken only where their supports meet.
-    Cross-checks (InternalInvariantViolation on failure): Ricci is
-    symmetric, and every Chern curvature operator commutes with J and
-    has zero real trace."""
+    tau_m = sum_k Gamma(k, m)_k. Every M_k = Gamma^c(e_k, .) commutes with
+    J, so the commutator term of R^c drops out of both Chern traces (see
+    the module docstring):
+
+        P(x, y) = -sum_k c^k_xy Tr(J M_k),
+        Tr R^c(e_x, e_y) = -sum_k c^k_xy Tr M_k,
+
+    summed in ints over D_c, the Chern denominator and J's, for every
+    stored bracket pair. Cross-checks (InternalInvariantViolation on
+    failure): Ricci is symmetric, every M_k commutes with J (so every
+    Chern curvature operator does), and every R^c(e_x, e_y) has zero
+    real trace."""
     d, j, dc, gam, gden = t.dim, t.j, t.algebra.bracket.den, lc.rows, lc.den
     tau = [0] * d
     for (x, m), row in gam.items():
@@ -250,53 +255,25 @@ def curvature_summary(t: SymplecticTriple, lc: Connection,
     scalar = (t.metric_inv @ ricci).trace()
     ricci_j = (j.transpose() @ ricci @ j) == ricci
 
-    den, table = chern.den, t.algebra.bracket.rows
-    zero = [0] * d
-    # M_i = Gamma^c(e_i, .) by nonzero columns b -> (M_i e_b, support) and
-    # rows (k, row, support); J by sparse rows with supports, dense columns
-    cols = [{b: (v, _support(v)) for b in range(d) if (i, b) in chern.rows
-             for v in [chern.numerators(i, b)]} for i in range(d)]
-    rows = [[(k, v, _support(v)) for k, v in enumerate(zip(*(
-        vs[b][0] if b in vs else zero for b in range(d)))) if any(v)]
-        for vs in cols]
-    jrows = [(*zip(*row), sum(1 << c for c, _ in row)) for row in j.rows]
-    jcols = list(zip(*j._dense()))
+    if not _nabla_of(chern, j).is_zero():
+        raise InternalInvariantViolation(
+            "Chern curvature does not commute with J")
+    # tr[k] = den Tr M_k and psi[k] = den J.den Tr(J M_k), where
+    # Tr(J M_k) = sum_b (J M_k e_b)_b
+    tr, psi, jrows = [0] * d, [0] * d, [dict(r) for r in j.rows]
+    for (k, b), row in chern.rows.items():
+        jb = jrows[b]
+        for m, s in row:
+            psi[k] += jb.get(m, 0) * s
+            if m == b:
+                tr[k] += s
     p = [[0] * d for _ in range(d)]
-    for x in range(d):
-        for y in range(x + 1, d):
-            r: dict[int, list[int]] = {}  # b -> R^c(e_x, e_y) e_b
-            for u, v, f in ((x, y, dc), (y, x, -dc)):
-                for b, (w, m) in cols[v].items() if rows[u] else ():
-                    col = r.setdefault(b, [0] * d)
-                    for k, z, n in rows[u]:  # f M_u M_v e_b, a dot a row
-                        if n & m:
-                            col[k] += f * sum(map(mul, z, w))
-            for k, c in table.get((x, y), ()):
-                for b, (w, _) in cols[k].items():
-                    r[b] = [a - den * c * s
-                            for a, s in zip(r.get(b, zero), w)]
-            r = {b: v for b, v in r.items() if any(v)}
-            if not r:
-                continue
-            jr = {}
-            for b, v in r.items():
-                m = _support(v)
-                jr[b] = [sum(map(mul, qs, map(v.__getitem__, ks)))
-                         if n & m else 0 for ks, qs, n in jrows]
-            # R J e_c = sum_b J_bc R e_b, by the nonzero rows of R
-            rt = [v if any(v) else None for v in zip(*r.values())]
-            for c in {c for b in r for c, _ in j.rows[b]} | r.keys():
-                rhs = list(map(jcols[c].__getitem__, r))
-                rj = [sum(map(mul, v, rhs)) if v else 0 for v in rt]
-                if rj != jr.get(c, zero):
-                    raise InternalInvariantViolation(
-                        "Chern curvature does not commute with J")
-            if sum(v[b] for b, v in r.items()):
-                raise InternalInvariantViolation(
-                    "Chern curvature has nonzero real trace")
-            p[x][y] = sum(v[b] for b, v in jr.items())
-            p[y][x] = -p[x][y]
-    chern_ricci = Matrix.from_ints(den * den * dc * j.den, p)
+    for (x, y), row in t.algebra.bracket.rows.items():
+        if sum(c * tr[k] for k, c in row):
+            raise InternalInvariantViolation(
+                "Chern curvature has nonzero real trace")
+        p[x][y] = -sum(c * psi[k] for k, c in row)
+    chern_ricci = Matrix.from_ints(dc * chern.den * j.den, p)
     # Jacobi's formula, see the module docstring
     herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
     return CurvatureSummary(

@@ -185,6 +185,17 @@ def fraction_rref(m: Matrix) -> tuple[Matrix, int]:
     return Matrix.from_rows(m), rank
 
 
+# -- parallel forms, as an oracle for `connections._parallel`
+
+
+def definitional_parallel(conn, form: Matrix) -> bool:
+    """nabla form = 0 by its definition: F M_i + M_i^T F == 0 for every
+    M_i = Gamma(e_i, .), F the form's matrix, with Matrix @, + and
+    transpose; any square F, not only a symmetric or skew one."""
+    return all((form @ m + m.transpose() @ form).is_zero()
+               for m in map(conn.endo, range(conn.dim)))
+
+
 # -- the dense curvature route, as an oracle for the library's int route
 
 

@@ -1,9 +1,11 @@
-"""`covariant_derivative_n`, `classify`'s J-stability check and
-`torsion_recovers_nijenhuis` run as int checks on whole tensors and
-subspaces. Here they are held to the pointwise loops they replaced
-(`support.pointwise_parallelism`, `pointwise_torsion_recovers_nijenhuis`)
-and `Subspace.invariant_under` to the image of a subspace under a map,
-on inputs where both answers occur."""
+"""`covariant_derivative_n`, `classify`'s J-stability check,
+`torsion_recovers_nijenhuis` and the parallel-form check `_parallel` run
+as int checks on whole tensors and subspaces. Here they are held to the
+pointwise loops they replaced (`support.pointwise_parallelism`,
+`pointwise_torsion_recovers_nijenhuis`), to the Matrix definition
+F M_i + M_i^T F = 0 (`support.definitional_parallel`), and
+`Subspace.invariant_under` to the image of a subspace under a map, on
+inputs where both answers occur."""
 
 import dataclasses
 import random
@@ -15,9 +17,11 @@ import pytest
 from liesymp import (Analysis, Matrix, Subspace, Tensor3, abelian,
                      build_rank_example, covariant_derivative_n,
                      symplectic_connection, torsion_recovers_nijenhuis)
+from liesymp.connections import _parallel
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from liesymp.nijenhuis import combine
-from support import (dense_conjugate, image_under, pointwise_parallelism,
+from support import (definitional_parallel, dense_conjugate, image_under,
+                     pointwise_parallelism,
                      pointwise_torsion_recovers_nijenhuis)
 
 F = Fraction
@@ -40,7 +44,8 @@ def _admissible(n):
 
 def _check(t, seen):
     """Assert that the library routes equal the pointwise oracles on t
-    and record the answers in seen."""
+    and record the answers in seen: the parallel-form answers under
+    "<connection> metric" and "<connection> omega"."""
     a = Analysis(t)
     par = a.parallelism
     got = (par.nabla_n_zero, par.image_parallel, par.perp_parallel)
@@ -50,6 +55,18 @@ def _check(t, seen):
         ok = torsion_recovers_nijenhuis(t, conn, a.n)
         assert ok == pointwise_torsion_recovers_nijenhuis(t, conn, a.n)
         seen.setdefault(conn.label, set()).add(ok)
+        for form, fname in ((t.metric, "metric"), (t.omega, "omega")):
+            par = _parallel(conn, form)
+            assert par == definitional_parallel(conn, form)
+            seen.setdefault(f"{conn.label} {fname}", set()).add(par)
+
+
+def _assert_parallel_forms(seen):
+    """The connections' own axioms: LC keeps the metric, Chern both forms,
+    the symplectic connection omega."""
+    for key in ("levi_civita metric", "chern metric", "chern omega",
+                "symplectic omega"):
+        assert seen[key] == {True}, key
 
 
 def test_routes_match_oracles_on_extended_catalog(extended_catalog):
@@ -63,6 +80,19 @@ def test_routes_match_oracles_on_extended_catalog(extended_catalog):
                                    (False, False, False)}
     assert seen["chern"] == {True}
     assert seen["levi_civita"] == seen["symplectic"] == {True, False}
+    _assert_parallel_forms(seen)
+    # omega is parallel for LC, and the metric for the symplectic
+    # connection, exactly on the Kaehler triples
+    assert seen["levi_civita omega"] == {True, False}
+    assert seen["symplectic metric"] == {True, False}
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
+def test_parallel_is_false_for_omega_under_levi_civita(catalog, name):
+    t = catalog[name]
+    lc = Analysis(t).lc
+    assert not _parallel(lc, t.omega)
+    assert not definitional_parallel(lc, t.omega)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -73,6 +103,7 @@ def test_routes_match_oracles_on_rank_examples(n):
     for t in triples.values():
         _check(t, seen)
     assert seen["chern"] == {True}
+    _assert_parallel_forms(seen)
 
 
 @pytest.mark.parametrize("n, k, flags", [
@@ -85,6 +116,7 @@ def test_routes_match_oracles_on_dense_conjugates(n, k, flags):
     seen = {}
     _check(t, seen)
     assert seen["chern"] == {True}
+    _assert_parallel_forms(seen)
 
 
 @pytest.mark.parametrize("name", ["ex1", "ex4", "dim6"])

@@ -3,41 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Tensor3, chern_connection, curvature_summary,
-                     levi_civita, nabla_j_checks, nijenhuis_tensor, norm_sq,
-                     symplectic_connection, torsion,
-                     torsion_recovers_nijenhuis)
+from liesymp import (Analysis, Matrix, Tensor3, chern_connection,
+                     curvature_summary, levi_civita, nabla_j_checks,
+                     nijenhuis_tensor, norm_sq, symplectic_connection,
+                     torsion, torsion_recovers_nijenhuis)
 from liesymp.connections import Connection
 from liesymp.errors import InternalInvariantViolation
 from liesymp.nijenhuis import combine
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
-                     diag)
+                     definitional_parallel, diag)
 
 F = Fraction
-
-
-def _metric_compatible(t, conn):
-    g = t.metric
-    for i in range(t.dim):
-        m = conn.endo(i)
-        if not (g @ m + m.transpose() @ g).is_zero():
-            return False
-    return True
-
-
-def _omega_parallel(t, conn):
-    om = t.omega
-    for i in range(t.dim):
-        m = conn.endo(i)
-        if not (om @ m + m.transpose() @ om).is_zero():
-            return False
-    return True
 
 
 def test_levi_civita_axioms(extended_catalog):
     for name, t in extended_catalog.items():
         lc = levi_civita(t)
-        assert _metric_compatible(t, lc), name
+        assert definitional_parallel(lc, t.metric), name
         assert torsion(t, lc).is_zero(), name
 
 
@@ -68,20 +50,20 @@ def test_wrong_sign_convention_loses_metric_compatibility(catalog):
         rows.append(tuple(row))
     variant = Connection.from_dense(d, rows, "allplus")
     assert torsion(t, variant).is_zero()
-    assert not _metric_compatible(t, variant)
+    assert not definitional_parallel(variant, t.metric)
 
 
 def test_symplectic_connection_axioms(extended_catalog):
     for name, t in extended_catalog.items():
         sc = symplectic_connection(t, levi_civita(t))
-        assert _omega_parallel(t, sc), name
+        assert definitional_parallel(sc, t.omega), name
         assert torsion(t, sc).is_zero(), name
 
 
 def test_chern_connection_axioms(extended_catalog):
     for name, t in extended_catalog.items():
         ch = chern_connection(t, levi_civita(t))
-        assert _omega_parallel(t, ch), name
+        assert definitional_parallel(ch, t.omega), name
         # J parallel: each endomorphism commutes with J
         for i in range(t.dim):
             m = ch.endo(i)
@@ -182,9 +164,10 @@ def test_abelian_curvature_vanishes(catalog):
 
 # Each curvature cross-check, tripped by a connection that breaks its
 # premise: the Ricci form of a connection with torsion need not be
-# symmetric, the Levi-Civita curvature of a non-Kaehler triple does not
-# commute with J, and adding alpha(x) y to the Chern connection adds
-# -alpha([x, y]) Id to its curvature, whose real trace is then nonzero.
+# symmetric, the Levi-Civita maps Gamma(e_k, .) of a non-Kaehler triple
+# do not commute with J, and adding alpha(x) y to the Chern connection
+# adds -alpha([x, y]) Id to its curvature, whose real trace is then
+# nonzero.
 
 def test_ricci_symmetry_check_trips_on_a_connection_with_torsion(catalog):
     a = Analysis(catalog["ex1"])
@@ -211,6 +194,29 @@ def test_real_trace_check_trips_on_a_shifted_chern_connection(catalog):
     with pytest.raises(InternalInvariantViolation,
                        match="^Chern curvature has nonzero real trace$"):
         curvature_summary(a.t, a.lc, combine([(1, a.chern), (1, shift)]))
+
+
+def test_character_shift_passes_and_keeps_the_mixed_trace_form(
+        extended_catalog):
+    # alpha vanishing on [g, g]: M_k gains alpha(k) Id, which commutes
+    # with J, and R^c gains -alpha([x, y]) Id = 0, so every check passes
+    # and P is unchanged (Tr J = 0). With the e^2 trip above, this pins
+    # the real-trace check to exactly alpha([g, g]) = 0.
+    for name, t in extended_catalog.items():
+        a, d = Analysis(t), t.dim
+        derived = [t.algebra.bracket.numerators(i, j)
+                   for i, j in t.algebra.pairs()]
+        alphas = Matrix.from_rows(derived or [[0] * d]).nullspace()
+        assert alphas, name  # no catalog algebra is perfect
+        for alpha in alphas:
+            shift = Tensor3.from_dense(d, [[[alpha[i] if k == b else 0
+                                             for k in range(d)]
+                                            for b in range(d)]
+                                           for i in range(d)])
+            cs = curvature_summary(t, a.lc, combine([(1, a.chern),
+                                                     (1, shift)]))
+            assert cs.chern_ricci == a.curvature.chern_ricci, name
+            assert cs.hermitian_scalar == a.curvature.hermitian_scalar, name
 
 
 def test_ricci_j_invariance_tracks_integrability(catalog):

@@ -1,13 +1,14 @@
-"""The curvature summary (Ricci by its trace formula, the Chern operators
-one int pass per pair) against the dense Matrix route
-(`support.dense_curvature`), and the dense constructor of the sparse
-tensor type.
+"""The curvature summary (Ricci by its trace formula, the mixed trace
+form P(x, y) = -sum_k c^k_xy Tr(J M_k) by the trace identity) against
+the dense Matrix route (`support.dense_curvature`), which forms every
+curvature operator and takes Tr(J R^c(e_x, e_y)) itself; and the dense
+constructor of the sparse tensor type.
 
 Both routes read the same Levi-Civita and Chern connections, so this
-pins the Ricci formula, the Chern operators, the mixed trace and their
-scales; the connections themselves are pinned by their axiom tests. The
-dense conjugates take every product entry, the sparse dim-12 triple
-skips most of them and has pairs with no curvature at all.
+pins the Ricci formula, the trace identity, its scales and the Hermitian
+scalar; the connections themselves are pinned by their axiom tests. The
+dense conjugates have every J entry nonzero, the sparse dim-12 triple
+has pairs with no curvature at all.
 """
 
 import random
@@ -38,12 +39,22 @@ def test_curvature_matches_dense_route_on_thurston_family(alpha):
     _assert_routes_agree(thurston(alpha), alpha)
 
 
-@pytest.mark.parametrize("n, k, flags", [(2, 1, (True, False)),
-                                         (3, 2, (False, True)),
-                                         (4, 2, (True, False))])
-def test_curvature_matches_dense_route_on_dense_conjugates(n, k, flags):
+@pytest.mark.parametrize("n, k, flags", [
+    (2, 1, (True, True)), (2, 1, (False, False)), (3, 1, (True, False)),
+    (3, 3, (True, True)), (4, 2, (False, True)), (4, 4, (True, True)),
+    (5, 2, (True, False)), (5, 4, (False, True))])
+def test_curvature_matches_dense_route_on_rank_examples(n, k, flags):
+    _assert_routes_agree(build_rank_example(n, k, *flags), f"rank({n}, {k})")
+
+
+@pytest.mark.parametrize("n, k, flags, seed", [
+    (2, 1, (True, False), ""), (2, 1, (False, True), ":b"),
+    (3, 2, (False, True), ""), (3, 1, (True, True), ":b"),
+    (4, 2, (True, False), ""), (4, 3, (False, False), ":b")])
+def test_curvature_matches_dense_route_on_dense_conjugates(n, k, flags,
+                                                           seed):
     base = build_rank_example(n, k, *flags)
-    t = dense_conjugate(base, random.Random(f"dense:{n}:{k}"))
+    t = dense_conjugate(base, random.Random(f"dense:{n}:{k}{seed}"))
     assert all(x != 0 for r in t.j.entries for x in r)
     _assert_routes_agree(t, f"dense dim {2 * n}")
 
