@@ -11,8 +11,8 @@ constant) and only the bracket terms survive:
 A connection is a labelled `Tensor3` (see `nijenhuis`): Gamma(e_i, e_j)
 as ints over one common denominator, nonzero coordinates only. Every map
 below is composed from its int operations. Curvature is not: Ricci and
-the mixed trace form P are trace formulas in the connections' ints, and
-no curvature operator is formed (see `curvature_summary`). Every
+the mixed trace form P are trace formulas in the Levi-Civita map's
+ints, and no curvature operator is formed (see `curvature_summary`). Every
 runtime check compares ints, on whole tensors and subspaces: nabla N
 and the torsion identity are `combine`s of N and the torsion with
 Gamma(e_i, .) or J put into their slots and values, and a distribution
@@ -37,16 +37,21 @@ M_A = Gamma(A, .):
     R(A,B) = M_A M_B - M_B M_A - M_{[A,B]},
 
 Ricci(A,B) = trace of Z -> R(Z,A)B, scalar = trace of Ginv @ Ricci.
-The mixed trace form  P(A,B) = Tr(J R^c(A,B))  needs no curvature
-operator. nabla^c J = 0 says every M_k = Gamma^c(e_k, .) commutes with J,
-so Tr(J M_y M_x) = Tr(M_x J M_y) = Tr(J M_x M_y) and the commutator term
-of R^c(e_x, e_y) = [M_x, M_y] - sum_k c^k_xy M_k drops out of the trace:
+The mixed trace form  P(A,B) = Tr(J R^c(A,B))  needs neither a
+curvature operator nor the Chern connection. With M_k = Gamma(e_k, .)
+the Levi-Civita map, M^c_k = Gamma^c(e_k, .) = (M_k - J M_k J)/2, and
+J^2 = -1 alone gives J M^c_k = (J M_k + M_k J)/2 = M^c_k J and
+Tr(J M^c_k) = Tr(J M_k). So Tr(J M^c_y M^c_x) = Tr(M^c_x J M^c_y) =
+Tr(J M^c_x M^c_y), the commutator term of
+R^c(e_x, e_y) = [M^c_x, M^c_y] - sum_k c^k_xy M^c_k drops out of the
+trace, and
 
-    P(e_x, e_y) = -sum_k c^k_xy psi_k,   psi_k = Tr(J M_k),
+    P(e_x, e_y) = -sum_k c^k_xy Tr(J M_k).
 
-and in the same way Tr R^c(e_x, e_y) = -sum_k c^k_xy Tr M_k. P is a
-closed 2-form whose top wedge against omega recovers the Hermitian
-scalar curvature, s^c = d/dt Pf(W + t P) |_{t=0} / Pf(W), with W, P the
+In the same way Tr R^c(e_x, e_y) = -sum_k c^k_xy Tr M_k = 0, since every
+M_k is skew for the metric (`levi_civita` checks it). P is a closed
+2-form whose top wedge against omega recovers the Hermitian scalar
+curvature, s^c = d/dt Pf(W + t P) |_{t=0} / Pf(W), with W, P the
 matrices of omega and of the mixed trace form (the polarization identity
 beta ^ alpha^{n-1} = (n-1)! dPf(A + tB)/dt|_0 on top degree makes the two
 factorials cancel).  Jacobi's formula for the Pfaffian,
@@ -208,11 +213,11 @@ class CurvatureSummary:
     hermitian_scalar: Fraction
 
 
-def curvature_summary(t: SymplecticTriple, lc: Connection,
-                      chern: Connection) -> CurvatureSummary:
+def curvature_summary(t: SymplecticTriple,
+                      lc: Connection) -> CurvatureSummary:
     """Riemannian Ricci/scalar of the Levi-Civita map plus the mixed trace
     form and Hermitian scalar of the Chern-type connection, in ints; no
-    curvature operator is formed.
+    curvature operator and no Chern connection is formed.
 
     Ricci(x, y) = sum_k (R(e_k, e_x) e_y)_k comes from the trace formula
     (Gamma the Levi-Civita map, over den^2 D_c with den its denominator
@@ -221,18 +226,14 @@ def curvature_summary(t: SymplecticTriple, lc: Connection,
         Ric(x, y) = sum_m Gamma(x, y)_m tau_m
                     - sum_{k,m} Gamma(k, y)_m (Gamma(x, m)_k + c^k_mx),
 
-    tau_m = sum_k Gamma(k, m)_k. Every M_k = Gamma^c(e_k, .) commutes with
-    J, so the commutator term of R^c drops out of both Chern traces (see
-    the module docstring):
+    tau_m = sum_k Gamma(k, m)_k. The Chern trace form is read off the
+    same map (see the module docstring), M_k = Gamma(e_k, .):
 
         P(x, y) = -sum_k c^k_xy Tr(J M_k),
-        Tr R^c(e_x, e_y) = -sum_k c^k_xy Tr M_k,
 
-    summed in ints over D_c, the Chern denominator and J's, for every
-    stored bracket pair. Cross-checks (InternalInvariantViolation on
-    failure): Ricci is symmetric, every M_k commutes with J (so every
-    Chern curvature operator does), and every R^c(e_x, e_y) has zero
-    real trace."""
+    summed in ints over D_c, den and J's for every stored bracket pair.
+    Cross-check (InternalInvariantViolation on failure): Ricci is
+    symmetric."""
     d, j, dc, gam, gden = t.dim, t.j, t.algebra.bracket.den, lc.rows, lc.den
     tau = [0] * d
     for (x, m), row in gam.items():
@@ -255,25 +256,15 @@ def curvature_summary(t: SymplecticTriple, lc: Connection,
     scalar = (t.metric_inv @ ricci).trace()
     ricci_j = (j.transpose() @ ricci @ j) == ricci
 
-    if not _nabla_of(chern, j).is_zero():
-        raise InternalInvariantViolation(
-            "Chern curvature does not commute with J")
-    # tr[k] = den Tr M_k and psi[k] = den J.den Tr(J M_k), where
-    # Tr(J M_k) = sum_b (J M_k e_b)_b
-    tr, psi, jrows = [0] * d, [0] * d, [dict(r) for r in j.rows]
-    for (k, b), row in chern.rows.items():
+    # psi[k] = den J.den Tr(J M_k), Tr(J M_k) = sum_b (J M_k e_b)_b
+    psi, jrows = [0] * d, [dict(r) for r in j.rows]
+    for (k, b), row in gam.items():
         jb = jrows[b]
-        for m, s in row:
-            psi[k] += jb.get(m, 0) * s
-            if m == b:
-                tr[k] += s
+        psi[k] += sum(jb.get(m, 0) * s for m, s in row)
     p = [[0] * d for _ in range(d)]
     for (x, y), row in t.algebra.bracket.rows.items():
-        if sum(c * tr[k] for k, c in row):
-            raise InternalInvariantViolation(
-                "Chern curvature has nonzero real trace")
         p[x][y] = -sum(c * psi[k] for k, c in row)
-    chern_ricci = Matrix.from_ints(dc * chern.den * j.den, p)
+    chern_ricci = Matrix.from_ints(dc * gden * j.den, p)
     # Jacobi's formula, see the module docstring
     herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
     return CurvatureSummary(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
@@ -63,17 +63,15 @@ class LieAlgebra:
                     raise DimensionMismatch(
                         f"bracket result index {k} out of range")
             if row:
-                ratios[(i, j)] = sorted(row)
-        # lowest terms over the lcm, sparse (from_ints takes dense values)
+                ratios[(i, j)] = row
         den = lcm(*(q for row in ratios.values() for _, (_, q) in row))
-        num = {ij: [(k, p * (den // q)) for k, (p, q) in row]
-               for ij, row in sorted(ratios.items())}
-        g = gcd(den, *(p for row in num.values() for _, p in row))
-        rows = {}
-        for (i, j), row in num.items():
-            rows[(i, j)] = tuple((k, p // g) for k, p in row)
-            rows[(j, i)] = tuple((k, -p // g) for k, p in row)
-        return LieAlgebra(name, dim, names, Tensor3(dim, den // g, rows))
+        num = {}
+        for (i, j), row in sorted(ratios.items()):
+            v = [0] * dim
+            for k, (p, q) in row:
+                v[k] = p * (den // q)
+            num[(i, j)], num[(j, i)] = v, [-x for x in v]
+        return LieAlgebra(name, dim, names, Tensor3.from_ints(dim, den, num))
 
     def pairs(self) -> list[tuple[int, int]]:
         """The pairs i < j with [e_i, e_j] != 0, ascending."""

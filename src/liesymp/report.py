@@ -2,8 +2,10 @@
 
 `Analysis(t)` computes each quantity of one triple at most once, on first
 use, in dependency order: N, then its distributions; the Levi-Civita map,
-then the Chern connection, nabla J, the curvature summary and the
-parallelism of N. Its cache lives as long as the object.
+then nabla J, the curvature summary and the parallelism of N. The Chern
+connection is built only on request (`Analysis.chern`): the curvature
+summary reads its trace form off the Levi-Civita map, so a report never
+builds it. The cache lives as long as the object.
 
 `build_report` aggregates everything the library can say about one
 triple into a plain JSON-ready dict: validation outcomes, the image and
@@ -70,7 +72,7 @@ class Analysis:
 
     @cached_property
     def curvature(self) -> CurvatureSummary:
-        return curvature_summary(self.t, self.lc, self.chern)
+        return curvature_summary(self.t, self.lc)
 
     @cached_property
     def parallelism(self) -> ParallelismReport:
@@ -108,6 +110,7 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
     ident.update(nabla_j_checks(t, a.nabla_j, n))
     ident["constraint_membership"] = contains_tensor(t, n)
     nil, lcs_dims = g.is_nilpotent()
+    derived_dim = g.derived_subalgebra().dim
     prop, factor = _proportional_to(cs.chern_ricci, t.omega)
     gap = cs.hermitian_scalar - cs.scalar
 
@@ -130,8 +133,9 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
             "abelian": g.is_abelian(),
             "nilpotent": nil,
             "lower_central_dims": lcs_dims,
-            "derived_dim": g.derived_subalgebra().dim,
-            "character_space_dim": len(g.characters()),
+            "derived_dim": derived_dim,
+            # the characters are the annihilator of [g, g]
+            "character_space_dim": t.dim - derived_dim,
         },
         "nijenhuis": {
             "integrable": rep.integrable,

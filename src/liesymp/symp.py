@@ -75,6 +75,8 @@ def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
 
 def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:
     n = g.dim
+    if n == 0:
+        raise DimensionMismatch("a triple needs a positive dimension")
     if omega.nrows != n or omega.ncols != n:
         raise DimensionMismatch("omega shape != algebra dimension")
     if j.nrows != n or j.ncols != n:
@@ -104,11 +106,8 @@ def standard_omega(n2: int) -> Matrix:
     if n2 % 2:
         raise DimensionMismatch("standard omega needs even dimension")
     n = n2 // 2
-    rows = [[0] * n2 for _ in range(n2)]
-    for i in range(n):
-        rows[i][n + i] = 1
-        rows[n + i][i] = -1
-    return Matrix.from_rows(rows)
+    return Matrix(1, tuple(((n + i, 1),) for i in range(n))
+                  + tuple(((i, -1),) for i in range(n)), n2)
 
 
 def standard_j(n2: int) -> Matrix:
@@ -116,8 +115,6 @@ def standard_j(n2: int) -> Matrix:
     if n2 % 2:
         raise DimensionMismatch("standard J needs even dimension")
     n = n2 // 2
-    rows = [[0] * n2 for _ in range(n2)]
-    for i in range(n):
-        rows[n + i][i] = 1   # column i is J X_i = Y_i
-        rows[i][n + i] = -1  # column n+i is J Y_i = -X_i
-    return Matrix.from_rows(rows)
+    # column i is J X_i = Y_i, column n+i is J Y_i = -X_i
+    return Matrix(1, tuple(((n + i, -1),) for i in range(n))
+                  + tuple(((i, 1),) for i in range(n)), n2)

@@ -18,8 +18,9 @@ import sympy
 
 from liesymp import (Analysis, build_rank_example, build_report, builtin,
                      golden_rows)
-from liesymp.connections import (chern_connection, curvature_summary,
-                                  levi_civita, nabla_j_endos)
+from liesymp.connections import (_nabla_of, chern_connection,
+                                  curvature_summary, levi_civita,
+                                  nabla_j_endos)
 from liesymp.nijenhuis import classify, nijenhuis_tensor
 from liesymp.twistor import twistor_nijenhuis
 from support import aff_aff_triple
@@ -44,17 +45,25 @@ def test_build_report_computes_each_quantity_once(monkeypatch):
     fns = (nijenhuis_tensor, classify, levi_civita, chern_connection,
            nabla_j_endos, curvature_summary)
     calls = {fn.__name__: _count(monkeypatch, fn) for fn in fns}
+    nablas = _count(monkeypatch, _nabla_of)
     build_report(build_rank_example(3, 1, True, True), full=True)
+    # the curvature summary reads the Chern trace form off the
+    # Levi-Civita map, so a report never builds the Chern connection
+    # and never checks nabla^c J = 0
     assert {k: len(v) for k, v in calls.items()} == {
-        fn.__name__: 1 for fn in fns}
+        fn.__name__: int(fn is not chern_connection) for fn in fns}
+    assert [conn.label for conn, _ in nablas] == ["levi_civita"]
 
 
 def test_golden_rows_classify_each_entry_once(monkeypatch):
     classified = _count(monkeypatch, classify)
     tensors = _count(monkeypatch, twistor_nijenhuis)
+    cherns = _count(monkeypatch, chern_connection)
+    nablas = _count(monkeypatch, _nabla_of)
     rows = golden_rows()
     assert len(rows) == 48 and all(r.ok for r in rows)
     assert len(classified) == 8
+    assert cherns == [] and nablas == []
     for sign in "+-":
         assert sorted(m.n for m, s in tensors if s == sign) == [1, 2, 3]
 

@@ -201,6 +201,21 @@ def test_catalog_parameter_outside_the_grammar_exits_2(capsys, target, err):
     assert captured.out == "" and captured.err == err
 
 
+@pytest.mark.parametrize("argv", [["validate"], ["analyze"],
+                                  ["construct", "product"]])
+def test_dim_0_triple_payload_exits_2(tmp_path, capsys, argv):
+    # validate passed it, and analyze died in a StopIteration traceback
+    # looking for a nonzero entry of omega
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps({"name": "z", "dim": 0, "basis": [],
+                             "brackets": [], "omega": [], "J": []}))
+    assert main(argv + [str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("INVALID (DimensionMismatch): a triple needs a "
+                            "positive dimension\n")
+
+
 def test_analyze_json_report(capsys):
     assert main(["analyze", "thurston", "--alpha", "3"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Matrix, Tensor3, chern_connection,
+from liesymp import (Analysis, build_rank_example, chern_connection,
                      curvature_summary, levi_civita, nabla_j_checks,
                      nijenhuis_tensor, norm_sq, symplectic_connection,
                      torsion, torsion_recovers_nijenhuis)
 from liesymp.connections import Connection
-from liesymp.errors import InternalInvariantViolation
-from liesymp.nijenhuis import combine
+from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
-                     definitional_parallel, diag)
+                     definitional_parallel, dense_conjugate, diag)
 
 F = Fraction
 
@@ -162,61 +161,45 @@ def test_abelian_curvature_vanishes(catalog):
     assert summary.ricci_j_invariant
 
 
-# Each curvature cross-check, tripped by a connection that breaks its
+# The curvature cross-check, tripped by a connection that breaks its
 # premise: the Ricci form of a connection with torsion need not be
-# symmetric, the Levi-Civita maps Gamma(e_k, .) of a non-Kaehler triple
-# do not commute with J, and adding alpha(x) y to the Chern connection
-# adds -alpha([x, y]) Id to its curvature, whose real trace is then
-# nonzero.
+# symmetric.
 
 def test_ricci_symmetry_check_trips_on_a_connection_with_torsion(catalog):
     a = Analysis(catalog["ex1"])
     with pytest.raises(InternalInvariantViolation,
                        match="^Ricci form not symmetric$"):
-        curvature_summary(a.t, a.chern, a.chern)
+        curvature_summary(a.t, a.chern)
 
 
-@pytest.mark.parametrize("name", ["ex1", "ex3", "ex4"])
-def test_j_commutation_check_trips_on_levi_civita_curvature(catalog, name):
-    a = Analysis(catalog[name])
-    with pytest.raises(InternalInvariantViolation,
-                       match="^Chern curvature does not commute with J$"):
-        curvature_summary(a.t, a.lc, a.lc)
+def _trace_identity_triples(extended_catalog):
+    out = dict(extended_catalog)
+    for n in range(2, 6):
+        for k in range(n + 1):
+            try:
+                out[f"rank({n}, {k})"] = build_rank_example(n, k, True, True)
+            except Unsatisfiable:
+                pass
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        out[f"dense({n}, {k})"] = dense_conjugate(
+            build_rank_example(n, k, *flags),
+            random.Random(f"trace:{n}:{k}"))
+    return out
 
 
-def test_real_trace_check_trips_on_a_shifted_chern_connection(catalog):
-    a = Analysis(catalog["ex1"])
-    d = a.t.dim
-    # alpha = e^2, which is 1 on [X1, Y2] = Y1
-    shift = Tensor3.from_dense(d, [[[int(i == 2 and k == b)
-                                      for k in range(d)]
-                                     for b in range(d)] for i in range(d)])
-    with pytest.raises(InternalInvariantViolation,
-                       match="^Chern curvature has nonzero real trace$"):
-        curvature_summary(a.t, a.lc, combine([(1, a.chern), (1, shift)]))
-
-
-def test_character_shift_passes_and_keeps_the_mixed_trace_form(
-        extended_catalog):
-    # alpha vanishing on [g, g]: M_k gains alpha(k) Id, which commutes
-    # with J, and R^c gains -alpha([x, y]) Id = 0, so every check passes
-    # and P is unchanged (Tr J = 0). With the e^2 trip above, this pins
-    # the real-trace check to exactly alpha([g, g]) = 0.
-    for name, t in extended_catalog.items():
-        a, d = Analysis(t), t.dim
-        derived = [t.algebra.bracket.numerators(i, j)
-                   for i, j in t.algebra.pairs()]
-        alphas = Matrix.from_rows(derived or [[0] * d]).nullspace()
-        assert alphas, name  # no catalog algebra is perfect
-        for alpha in alphas:
-            shift = Tensor3.from_dense(d, [[[alpha[i] if k == b else 0
-                                             for k in range(d)]
-                                            for b in range(d)]
-                                           for i in range(d)])
-            cs = curvature_summary(t, a.lc, combine([(1, a.chern),
-                                                     (1, shift)]))
-            assert cs.chern_ricci == a.curvature.chern_ricci, name
-            assert cs.hermitian_scalar == a.curvature.hermitian_scalar, name
+def test_chern_generators_share_the_levi_civita_traces(extended_catalog):
+    # curvature_summary reads P off the Levi-Civita map: with M_k =
+    # Gamma(e_k, .), the Chern generator (M_k - J M_k J)/2 commutes with
+    # J and has the traces Tr(J M_k) and Tr M_k = 0 (see `connections`)
+    for name, t in _trace_identity_triples(extended_catalog).items():
+        a, j = Analysis(t), t.j
+        for k in range(t.dim):
+            mc, m = a.chern.endo(k), a.lc.endo(k)
+            assert mc == (m - j @ m @ j).scale(F(1, 2)), (name, k)
+            assert mc @ j == j @ mc, (name, k)
+            assert (j @ mc).trace() == (j @ m).trace(), (name, k)
+            assert mc.trace() == m.trace() == 0, (name, k)
 
 
 def test_ricci_j_invariance_tracks_integrability(catalog):
