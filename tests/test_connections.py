@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, build_rank_example, chern_connection,
-                     curvature_summary, levi_civita, nabla_j_checks,
-                     nijenhuis_tensor, norm_sq, symplectic_connection,
-                     torsion, torsion_recovers_nijenhuis)
+from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
+                     chern_connection, curvature_summary, levi_civita,
+                     nabla_j_checks, nijenhuis_tensor, norm_sq,
+                     symplectic_connection, torsion,
+                     torsion_recovers_nijenhuis)
 from liesymp.connections import Connection
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
+from liesymp.nijenhuis import combine
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
                      definitional_parallel, dense_conjugate, diag)
 
@@ -170,6 +173,28 @@ def test_ricci_symmetry_check_trips_on_a_connection_with_torsion(catalog):
     with pytest.raises(InternalInvariantViolation,
                        match="^Ricci form not symmetric$"):
         curvature_summary(a.t, a.chern)
+
+
+def test_character_shift_passes_and_keeps_the_mixed_trace_form(
+        extended_catalog):
+    # alpha vanishing on [g, g]: M_k gains alpha(k) Id, so every
+    # R(e_x, e_y) gains -alpha([x, y]) Id = 0 and Ricci is unchanged, and
+    # Tr(J M_k) gains alpha(k) Tr J = 0, so P is unchanged. The whole
+    # summary read off the shifted map equals the Levi-Civita one (the
+    # shifted map's label aside).
+    for name, t in extended_catalog.items():
+        a, d = Analysis(t), t.dim
+        derived = [t.algebra.bracket.numerators(i, j)
+                   for i, j in t.algebra.pairs()]
+        alphas = Matrix.from_rows(derived or [[0] * d]).nullspace()
+        assert alphas, name  # no catalog algebra is perfect
+        for alpha in alphas:
+            shift = Tensor3.from_dense(d, [[[alpha[i] if k == b else 0
+                                             for k in range(d)]
+                                            for b in range(d)]
+                                           for i in range(d)])
+            cs = curvature_summary(t, combine([(1, a.lc), (1, shift)]))
+            assert replace(cs, connection="levi_civita") == a.curvature, name
 
 
 def _trace_identity_triples(extended_catalog):
