@@ -17,11 +17,12 @@ by one gcd pass that stops at 1. `entries`, the dense rows as
 `Fraction`s, is only a cached view for output. Strings are read straight
 into ints: `qof`'s grammar, "p" or "p/q", is matched once.
 
-`det` and the Sylvester check run integer Bareiss on a dense copy of
-the numerators, dividing exactly at every step; the k-th pivot, den^k
-times the k-th leading minor, becomes a `Fraction` only when returned.
-Every other elimination is `echelon` on sparse int rows, each reduced
-at its smallest column, fraction-free, and divided by its content.
+Every elimination is fraction-free on sparse int rows. `_bareiss`, for
+`det` and the Sylvester check, eliminates column by column, dividing
+exactly by the previous pivot; its k-th pivot, den^k times the k-th
+leading minor, becomes a `Fraction` only when returned. All others use
+`echelon`: each row is reduced at its smallest column and divided by
+its content.
 `rref` back-substitutes its rows in ints and puts each over its pivot,
 straight into the canonical state; `nullspace_of` reads int kernel
 vectors off the same rows, and `Matrix.nullspace` is their `Fraction`
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadNumber, SingularGram
 
@@ -302,30 +303,15 @@ class Matrix:
             out.append(tuple(Fraction(x, d) for x in v))
         return out
 
-    def _dense(self) -> list[list[int]]:
-        """A fresh dense copy of the numerators, for Bareiss in place."""
-        return [[r.get(j, 0) for j in range(self.ncols)]
-                for r in map(dict, self.rows)]
-
     def det(self) -> Fraction:
-        """Determinant by fraction-free Bareiss elimination in ints."""
-        n = self.nrows
-        if n != self.ncols:
+        """Determinant: the last pivot of sparse Bareiss (`_bareiss`) with
+        row swaps, over den^n."""
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return Fraction(1)
-        m = self._dense()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-                if swap is None:
-                    return Fraction(0)
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            prev = _bareiss_step(m, k, prev)
-        return Fraction(sign * m[n - 1][n - 1], self.den ** n)
+        p = 1
+        for p in _bareiss(self.rows, True):
+            pass
+        return Fraction(p, self.den ** self.nrows)
 
     def inverse(self) -> "Matrix":
         n = self.nrows
@@ -349,21 +335,16 @@ class Matrix:
         Returns (ok, k, minor): on failure, k is the size of the first
         non-positive leading principal minor and minor its value.
 
-        One integer Bareiss pass without pivoting on the numerators: its
-        k-th pivot is den^k times the k-th leading principal minor, and
-        every earlier pivot is positive when it is reached, so no
-        division by zero can occur.
+        Sparse Bareiss (`_bareiss`) without row swaps: its k-th pivot is
+        den^k times the k-th leading principal minor, and every earlier
+        pivot is positive when it is reached, so no division by zero can
+        occur.
         """
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("leading minors of a non-square matrix")
-        m = self._dense()
-        prev = 1
-        for k in range(n):
-            p = m[k][k]
+        for k, p in enumerate(_bareiss(self.rows, False), 1):
             if p <= 0:
-                return False, k + 1, Fraction(p, self.den ** (k + 1))
-            prev = _bareiss_step(m, k, prev)
+                return False, k, Fraction(p, self.den ** k)
         return True, 0, Fraction(1)
 
     def __str__(self) -> str:
@@ -371,18 +352,36 @@ class Matrix:
                          for r in self.entries)
 
 
-def _bareiss_step(m: list[list[int]], k: int, prev: int) -> int:
-    """Eliminate column k below row k in place, fraction-free: each
-    update divides exactly by the previous pivot. Returns the new pivot."""
-    p = m[k][k]
-    tail = m[k][k + 1:]
-    for i in range(k + 1, len(m)):
-        ri = m[i]
-        f = ri[k]
-        ri[k] = 0
-        ri[k + 1:] = [(x * p - f * y) // prev
-                      for x, y in zip(ri[k + 1:], tail)]
-    return p
+def _bareiss(rows: Iterable[IntRow], swap: bool) -> Iterator[int]:
+    """Fraction-free (Bareiss) elimination of a square matrix's sparse int
+    rows, column by column. Yields the k-th pivot, the k-th leading minor
+    of the numerators (as swapped), and stops after a zero one. Each
+    update divides exactly by the previous pivot; a row with no entry in
+    the pivot column is only rescaled, by p / prev. With `swap`, a zero
+    pivot's row is first swapped with the next row that has an entry in
+    its column, negated so that no determinant changes."""
+    m = [dict(r) for r in rows]
+    prev = 1
+    for k, row in enumerate(m):
+        if swap and k not in row:
+            r = next((r for r in range(k + 1, len(m)) if k in m[r]), None)
+            if r is not None:
+                row, m[r] = {j: -v for j, v in m[r].items()}, row
+        p = row.get(k, 0)
+        yield p
+        if not p:
+            return
+        for i in range(k + 1, len(m)):
+            f = m[i].pop(k, 0)
+            if f:
+                new = {j: v * p for j, v in m[i].items()}
+                for j, v in row.items():
+                    new[j] = new.get(j, 0) - f * v
+                del new[k]
+                m[i] = {j: v // prev for j, v in new.items() if v}
+            elif p != prev:
+                m[i] = {j: v * p // prev for j, v in m[i].items()}
+        prev = p
 
 
 def echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None,

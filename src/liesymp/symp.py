@@ -25,7 +25,7 @@ from .errors import (CocycleViolation, DegenerateForm, DimensionMismatch,
                      NotAlmostComplex, NotCompatible, NotPositive,
                      NotSkewSymmetric)
 from .lie import LieAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, echelon
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:
         raise DimensionMismatch("J shape != algebra dimension")
     if not omega.is_skew():
         raise NotSkewSymmetric("omega is not skew symmetric")
-    if omega.det() == 0:
+    if len(echelon(dict(r) for r in omega.rows)) < n:
         raise DegenerateForm("omega is degenerate")
     _check_cocycle(g, omega)
     if j @ j != -Matrix.identity(n):

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from liesymp import (Matrix, build_triple, standard_j, standard_omega,
                      validate as build_algebra)
 from liesymp.errors import (CocycleViolation, DegenerateForm,
                             DimensionMismatch, NotAlmostComplex,
                             NotCompatible, NotPositive, NotSkewSymmetric)
+from liesymp.linalg import echelon
 from support import inner, j_apply, omega_of
 
 F = Fraction
@@ -57,6 +60,20 @@ def test_not_skew_symmetric():
         build_triple(g, Matrix.from_rows(rows), standard_j(4))
 
 
+def _flat(d):
+    return build_algebra(f"flat{d}", d, [f"e{i}" for i in range(d)], {})
+
+
+def _wedges(d, pairs):
+    """The skew int rows of the sum of u ^ v = u v^T - v u^T."""
+    rows = [[0] * d for _ in range(d)]
+    for u, v in pairs:
+        for i in range(d):
+            for k in range(d):
+                rows[i][k] += u[i] * v[k] - v[i] * u[k]
+    return rows
+
+
 def test_degenerate_form():
     g = _flat4()
     rows = [list(r) for r in standard_omega(4).entries]
@@ -65,6 +82,49 @@ def test_degenerate_form():
         rows[k][0] = F(0)
     with pytest.raises(DegenerateForm):
         build_triple(g, Matrix.from_rows(rows), standard_j(4))
+    # odd dimension: a skew form has even rank, so at most d - 1, and the
+    # degeneracy is reported before the J^2 check, which this J fails
+    for d, rows in [(3, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+                    (5, _wedges(5, [((1, 2, 0, -1, 3), (0, 1, 1, 2, -1)),
+                                    ((2, 0, 1, 1, 1), (1, 1, -2, 0, 1))]))]:
+        omega = Matrix.from_ints(1, rows)
+        assert omega.is_skew() and omega.rank() == d - 1
+        with pytest.raises(DegenerateForm, match="omega is degenerate"):
+            build_triple(_flat(d), omega, Matrix.identity(d))
+    # rank d - 2 with no zero row: a kernel vector with no zero
+    # coordinate; the compatibility check would fail next
+    for d, pairs, ker in [
+            (4, [((1, 2, 3, 4), (2, -1, 1, 3))], (-3, -2, 1, 1)),
+            (6, [((1, 2, 0, -1, 3, 1), (0, 1, 1, 2, -1, 1)),
+                 ((2, 0, 1, 1, 1, -3), (1, 1, -2, 0, 1, 1))],
+             (6, -24, 4, 10, 13, 13))]:
+        omega = Matrix.from_ints(1, _wedges(d, pairs))
+        assert omega.is_skew() and omega.rank() == d - 2
+        assert all(ker) and not any(omega.apply(ker))
+        with pytest.raises(DegenerateForm, match="omega is degenerate"):
+            build_triple(_flat(d), omega, standard_j(d))
+
+
+def test_skew_rank_agrees_with_det_and_sympy():
+    # seeded skew int forms, sums of k random wedges (rank <= 2k) in odd
+    # and even dimension: echelon rank, det != 0, sympy's rank and
+    # build_triple's verdict on a flat algebra agree
+    rng = random.Random("skew-rank")
+    seen = set()
+    for _ in range(120):
+        d = rng.randint(1, 9)
+        pairs = [tuple(tuple(rng.choice([0, 0, 1, -1, 2, -3, 7])
+                             for _ in range(d)) for _ in "uv")
+                 for _ in range(rng.randint(0, d // 2 + 1))]
+        rows = _wedges(d, pairs)
+        omega = Matrix.from_ints(1, rows)
+        rank = len(echelon(dict(r) for r in omega.rows))
+        assert rank == sympy.Matrix(rows).rank()
+        assert (omega.det() != 0) == (rank == d)
+        with pytest.raises(NotAlmostComplex if rank == d else DegenerateForm):
+            build_triple(_flat(d), omega, Matrix.identity(d))
+        seen.add((d % 2, rank == d))
+    assert seen == {(0, False), (0, True), (1, False)}
 
 
 def test_cocycle_violation_names_basis_elements():
