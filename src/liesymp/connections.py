@@ -186,7 +186,8 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
     left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
     the right side ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J
     the (symmetric) metric, each scaled by the other side's denominator
-    before the nonzero values are compared.
+    before the nonzero values are compared; the anticommutation is one
+    comparison of canonical tensors.
     """
     j = t.j
     low = nj.map_values(t.omega.transpose())
@@ -195,7 +196,7 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
            for (a, b), row in low.rows.items() for c, p in row}
     pairing = lhs == {(a, b, c): p * low.den
                       for (b, c), row in rhs.rows.items() for a, p in row}
-    anticomm = combine([(1, nj.map_first(j)), (1, nj.map_values(j))]).is_zero()
+    anticomm = nj.map_first(j) == -nj.map_values(j)
     return {"nabla_j_pairing": pairing,
             "nabla_j_anticommutation": anticomm}
 

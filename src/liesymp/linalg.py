@@ -22,7 +22,7 @@ Every elimination is fraction-free on sparse int rows. `_bareiss`, for
 exactly by the previous pivot; its k-th pivot, den^k times the k-th
 leading minor, becomes a `Fraction` only when returned. All others use
 `echelon`: each row is reduced at its smallest column and divided by
-its content.
+its content, and given the column count it stops at full rank.
 `rref` back-substitutes its rows in ints and puts each over its pivot,
 straight into the canonical state; `nullspace_of` reads int kernel
 vectors off the same rows, and `Matrix.nullspace` is their `Fraction`
@@ -251,6 +251,10 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
+        return self._transposed
+
+    @cached_property
+    def _transposed(self) -> "Matrix":
         cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
         for i, r in enumerate(self.rows):
             for j, p in r:
@@ -282,7 +286,7 @@ class Matrix:
         so the lcm of those pivots is the canonical denominator (a
         negative pivot's quotient carries the sign)."""
         over = []
-        for c, row in _reduced(dict(r) for r in self.rows):
+        for c, row in _reduced((dict(r) for r in self.rows), self.ncols):
             g = gcd(*row.values())
             over.append((row[c] // g,
                          sorted((j, p // g) for j, p in row.items())))
@@ -359,7 +363,8 @@ def _bareiss(rows: Iterable[IntRow], swap: bool) -> Iterator[int]:
     update divides exactly by the previous pivot; a row with no entry in
     the pivot column is only rescaled, by p / prev. With `swap`, a zero
     pivot's row is first swapped with the next row that has an entry in
-    its column, negated so that no determinant changes."""
+    its column, negated so that no determinant changes. An updated row is
+    built in one pass, plus the pivot row's columns it lacks."""
     m = [dict(r) for r in rows]
     prev = 1
     for k, row in enumerate(m):
@@ -372,27 +377,33 @@ def _bareiss(rows: Iterable[IntRow], swap: bool) -> Iterator[int]:
         if not p:
             return
         for i in range(k + 1, len(m)):
-            f = m[i].pop(k, 0)
+            r = m[i]
+            f = r.pop(k, 0)
             if f:
-                new = {j: v * p for j, v in m[i].items()}
-                for j, v in row.items():
-                    new[j] = new.get(j, 0) - f * v
-                del new[k]
-                m[i] = {j: v // prev for j, v in new.items() if v}
+                new = {j: x for j, v in r.items()
+                       if (x := (v * p - f * row.get(j, 0)) // prev)}
+                for j in row.keys() - r.keys():
+                    if j != k:
+                        new[j] = -f * row[j] // prev
+                m[i] = new
             elif p != prev:
-                m[i] = {j: v * p // prev for j, v in m[i].items()}
+                m[i] = {j: v * p // prev for j, v in r.items()}
         prev = p
 
 
 def echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None,
-            ) -> dict[int, Row]:
+            width: int | None = None) -> dict[int, Row]:
     """Sparse fraction-free echelon form: a row is reduced by the stored
     row of its smallest column (`_eliminate`) until it is empty or that
     column is new, then stored as given. Its size is the rank. `pivots`,
-    the echelon form of other rows, is extended in place."""
+    the echelon form of other rows, is extended in place. It returns once
+    it holds `width` pivots, one per column: every later row would
+    reduce to zero."""
     if pivots is None:
         pivots = {}
     for row in rows:
+        if len(pivots) == width:
+            break
         while row:
             p = min(row)
             piv = pivots.get(p)
@@ -420,10 +431,11 @@ def _eliminate(row: Row, piv: Row, c: int) -> Row:
     return {j: v // g for j, v in new.items()} if g > 1 else new
 
 
-def _reduced(rows: Iterable[Row]) -> list[tuple[int, Row]]:
-    """(pivot column, row), ascending: the `echelon` rows back-substituted
-    in ints, last pivot first, so each is 0 at every other pivot."""
-    piv = echelon(rows)
+def _reduced(rows: Iterable[Row], width: int) -> list[tuple[int, Row]]:
+    """(pivot column, row), ascending: the `echelon` rows (of `width`
+    columns) back-substituted in ints, last pivot first, so each is 0 at
+    every other pivot."""
+    piv = echelon(rows, width=width)
     for c in sorted(piv, reverse=True):
         for k in [k for k in piv[c] if k != c and k in piv]:
             piv[c] = _eliminate(piv[c], piv[k], k)
@@ -434,7 +446,7 @@ def nullspace_of(rows: Iterable[Row], ncols: int) -> list[list[int]]:
     """Basis of {x : row . x = 0 for every int row}: per free column fc,
     d > 0 at fc (its last nonzero) and -d r_fc / r_c at each pivot c < fc,
     r the reduced row of c, d the least such that all are ints."""
-    red = _reduced(rows)
+    red = _reduced(rows, ncols)
     basis = []
     for fc in sorted(set(range(ncols)) - {c for c, _ in red}):
         hits = [(c, row) for c, row in red if fc in row]

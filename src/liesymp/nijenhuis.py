@@ -152,14 +152,14 @@ def check_tensor_identities(t: SymplecticTriple,
       anti_linearity    N(Jx, y) = -J N(x, y)  (and the y slot likewise)
       cyclic_omega      sum_cyc omega(N(x, y), z) = 0
 
-    Each is a whole-tensor identity in ints; omega(N(x, y), e_z) is the
+    Each is a whole-tensor identity in ints; A = -B is one comparison of
+    canonical tensors, A == -B. omega(N(x, y), e_z) is the
     z-th value of N lowered by omega^T (omega(u, v) = u^T omega v).
     """
     j = t.j
-    jn = n.map_values(j)
-    anti = combine([(1, n), (1, n.swapped())]).is_zero()
-    lin = (combine([(1, n.map_first(j)), (1, jn)]).is_zero()
-           and combine([(1, n.map_second(j)), (1, jn)]).is_zero())
+    minus_jn = -n.map_values(j)
+    anti = n == -n.swapped()
+    lin = n.map_first(j) == minus_jn and n.map_second(j) == minus_jn
     # add each lowered value L(x, y)_z into the x < y < z triple of which
     # (x, y, z) is a cyclic rotation
     sums: dict[tuple[int, int, int], int] = {}

@@ -50,11 +50,14 @@ def _bases(dim: int) -> list[list[int]]:
 def _first_slots(j: Matrix) -> list[int]:
     """Indices I with {e_i, J e_i : i in I} a basis, taken greedily: the
     span W of those kept is J-invariant, so an e_i outside W adds e_i and
-    J e_i both (J e_i = w + c e_i would put (1 + c^2) e_i in W)."""
+    J e_i both (J e_i = w + c e_i would put (1 + c^2) e_i in W), until
+    they span."""
     pivots: dict[int, Row] = {}
     keep = []
     for i, col in enumerate(j.transpose().rows):
         rank = len(pivots)
+        if rank == j.ncols:
+            break
         echelon(({i: 1}, dict(col)), pivots)
         if len(pivots) > rank:
             keep.append(i)
@@ -152,22 +155,29 @@ def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
 
 def _support_rows(t: SymplecticTriple, tensor: Tensor3) -> Iterator[Row]:
     """The constraint rows with a column in the tensor's pair coordinates,
-    its values t(e_a, e_b) with a < b: the anti-linearity rows of those
-    columns and the rows of the triples containing one of its pairs.
-    Column {a, b}, k lies in the anti-linearity rows (i, y, k) with
+    its values t(e_a, e_b) with a < b (see `_support_keys`)."""
+    return _rows(t.dim, t.omega, t.j, *_support_keys(t, tensor))
+
+
+def _support_keys(t: SymplecticTriple, tensor: Tensor3) -> tuple[set, set]:
+    """(anti-linearity keys, triples) of `_support_rows`: the rows of the
+    triples containing one of those pairs, and the anti-linearity rows of
+    those columns. Column {a, b}, k lies in the rows (i, y, k) with
     J_xi != 0 and (x, y, k') with J_k'k != 0, for (x, y) = (a, b) and
     (b, a), of those whose first index is in `_first_slots`."""
     dim = t.dim
     upper = {ab: row for ab, row in tensor.rows.items() if ab[0] < ab[1]}
     first = set(_first_slots(t.j))
-    j_rows, j_cols = t.j.rows, t.j.transpose().rows
+    slots = [[i for i, _ in r if i in first] for r in t.j.rows]
+    cols = [{kk for kk, _ in c} for c in t.j.transpose().rows]
     linear = set()
     for (a, b), row in upper.items():
+        ks = [k for k, _ in row]
+        hit = set().union(*(cols[k] for k in ks))
         for x, y in ((a, b), (b, a)):
-            for k, _ in row:
-                linear.update((i, y, k) for i, _ in j_rows[x] if i in first)
-                if x in first:
-                    linear.update((x, y, kk) for kk, _ in j_cols[k])
+            linear.update(product(slots[x], (y,), ks))
+            if x in first:
+                linear.update(product((x,), (y,), hit))
     triples = {tuple(sorted((a, b, k))) for a, b in upper
                for k in range(dim) if k != a and k != b}
-    return _rows(dim, t.omega, t.j, linear, triples)
+    return linear, triples

@@ -7,6 +7,8 @@ and lists only the nonzero coordinates of each nonzero T(e_i, e_j), like
 nabla J: products with J or a form, slot swaps and rational combinations
 sum ints over the nonzeros, and a value becomes a `Fraction` only where
 it is read (`of_basis`, `of_vectors`).
+The state is canonical, so an identity A + B = 0 is checked as
+`A == -B`, with no sum built.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ class Tensor3:
             g = gcd(g, *v)
         rows = {}
         for ij, v in num.items():
-            row = tuple(filter(itemgetter(1), enumerate(v)))
+            row = (tuple(filter(itemgetter(1), enumerate(v))) if g == 1
+                   else tuple([(k, p // g) for k, p in enumerate(v) if p]))
             if row:
-                rows[ij] = row if g == 1 else tuple((k, p // g)
-                                                    for k, p in row)
+                rows[ij] = row
         return Tensor3(dim, den // g if rows else 1, rows, label)
 
     @staticmethod
@@ -115,6 +117,12 @@ class Tensor3:
     def is_zero(self) -> bool:
         return not self.rows
 
+    def __neg__(self) -> "Tensor3":
+        """-T: negated numerators keep den and their common factor."""
+        return Tensor3(self.dim, self.den,
+                       {ij: tuple([(k, -p) for k, p in row])
+                        for ij, row in self.rows.items()}, self.label)
+
     def endo(self, i: int) -> Matrix:
         """T(e_i, .) as a matrix (columns are images)."""
         return Matrix.from_ints(self.den, list(zip(
@@ -142,7 +150,9 @@ class Tensor3:
         num: dict[tuple[int, int], list[int]] = {}
         for (i, l), row in self.rows.items():
             for j, q in m.rows[l]:
-                v = num.setdefault((i, j), [0] * self.dim)
+                v = num.get((i, j))
+                if v is None:
+                    v = num[(i, j)] = [0] * self.dim
                 for k, p in row:
                     v[k] += q * p
         return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)

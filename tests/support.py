@@ -25,6 +25,7 @@ from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
                      torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import qof
+from liesymp.nspace import _first_slots
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -494,6 +495,26 @@ def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
               for (i, j), row in tensor.rows.items() for k, p in row}
     return all(sum(v * scaled.get(c, 0) for c, v in row.items()) == 0
                for row in full_constraint_rows(d, t.omega, t.j))
+
+
+def generator_support_keys(t: SymplecticTriple, tensor):
+    """(anti-linearity keys, triples) of `nspace._support_keys`, selected
+    as the library did before it used `product`: one generator per value
+    entry, over J's rows and columns."""
+    dim = t.dim
+    upper = {ab: row for ab, row in tensor.rows.items() if ab[0] < ab[1]}
+    first = set(_first_slots(t.j))
+    j_rows, j_cols = t.j.rows, t.j.transpose().rows
+    linear = set()
+    for (a, b), row in upper.items():
+        for x, y in ((a, b), (b, a)):
+            for k, _ in row:
+                linear.update((i, y, k) for i, _ in j_rows[x] if i in first)
+                if x in first:
+                    linear.update((x, y, kk) for kk, _ in j_cols[k])
+    triples = {tuple(sorted((a, b, k))) for a, b in upper
+               for k in range(dim) if k != a and k != b}
+    return linear, triples
 
 
 # -- the per-triple identity scans, as oracles for the one-sweep checks

@@ -15,6 +15,7 @@ import pytest
 from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
                      check_tensor_identities, contains_tensor, dim6, ex1,
                      nabla_j_checks, norm_sq)
+from liesymp.tensor import combine
 from support import (definitional_nabla_j_checks,
                      definitional_tensor_identities, dense_conjugate,
                      full_row_contains_tensor, slab_norm_sq)
@@ -112,3 +113,54 @@ def test_a_single_value_is_never_a_member(catalog):
                 one = Tensor3.from_ints(d, 1, {(i, j): [int(m == k)
                                                         for m in range(d)]})
                 assert not contains_tensor(t, one), (i, j, k)
+
+
+def _first_slot_only(t):
+    """T(x, y) = phi(y) K x with K = A + J A J, so KJ = -JK and
+    T(Jx, y) = -J T(x, y), while T(x, Jy) = phi(Jy) K x is in general
+    not -J T(x, y): J-anti-linear in its first slot only."""
+    d, j = t.dim, t.j
+    rng = random.Random(f"first-slot:{d}")
+    a = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(d)]
+                          for _ in range(d)])
+    k = a + j @ a @ j
+    assert k @ j == -(j @ k) and not k.is_zero()
+    phi = [rng.randint(-2, 2) for _ in range(d)]
+    ke = k.entries
+    return Tensor3.from_dense(d, [[[phi[y] * ke[r][x] for r in range(d)]
+                                   for y in range(d)] for x in range(d)])
+
+
+@pytest.mark.parametrize("slot", ["first", "second"])
+@pytest.mark.parametrize("name", sorted(_TRIPLES))
+def test_anti_linearity_checks_both_slots(name, slot):
+    # a check that compared only one slot's N(Jx, y) or N(x, Jy) with
+    # -J N(x, y) would pass one of these tensors: T, anti-linear in its
+    # first slot only, and its swap T(y, x), in its second slot only
+    t = _TRIPLES[name]()
+    tensor = _first_slot_only(t)
+    if slot == "second":
+        tensor = tensor.swapped()
+    minus_jt = -tensor.map_values(t.j)
+    first = tensor.map_first(t.j) == minus_jt
+    second = tensor.map_second(t.j) == minus_jt
+    assert (first, second) == ((True, False) if slot == "first"
+                               else (False, True))
+    ident = check_tensor_identities(t, tensor)
+    assert ident == definitional_tensor_identities(t, tensor)
+    assert ident["anti_linearity"] is False
+
+
+@pytest.mark.parametrize("name", sorted(_TRIPLES))
+def test_negation_is_canonical(name):
+    # the identity checks compare A with -B, so -B must be in the one
+    # canonical state that equal tensors share
+    t = _TRIPLES[name]()
+    a = Analysis(t)
+    for tensor in (a.n, a.nabla_j, _first_slot_only(t)):
+        neg = -tensor
+        assert neg == combine([(-1, tensor)], tensor.label)
+        assert neg.den == tensor.den and neg.label == tensor.label
+        assert -neg == tensor
+        assert (neg == tensor) == tensor.is_zero()
+        assert hash(-neg) == hash(tensor)

@@ -247,3 +247,29 @@ def test_membership_rejects_a_lone_change_below_the_diagonal(catalog):
             assert bad.of_basis(i, jj) == n.of_basis(i, jj)
             assert not contains_tensor(t, bad), (name, jj, i, k)
             assert not full_row_contains_tensor(t, bad), (name, jj, i, k)
+
+
+def test_support_keys_match_the_generator_selection(extended_catalog):
+    # `_support_keys` selects with `product` and set unions; the
+    # per-entry generators it replaced must give the same anti-linearity
+    # keys and triples, for N, on dense J and for single values
+    import random
+    from liesymp.nspace import _support_keys
+    from support import dense_conjugate, generator_support_keys
+    rng = random.Random(20261022)
+    triples = dict(extended_catalog)
+    for name in ("ex3", "dim6"):
+        triples[f"dense({name})"] = dense_conjugate(triples[name], rng)
+    selected = 0
+    for name, t in sorted(triples.items()):
+        d = t.dim
+        tensors = [nijenhuis_tensor(t)]
+        tensors += [Tensor3.from_ints(d, 1, {(i, jj): [int(m == k)
+                                                       for m in range(d)]})
+                    for i in range(d) for jj in range(d) if i != jj
+                    for k in range(d)]
+        for tensor in tensors:
+            got = _support_keys(t, tensor)
+            assert got == generator_support_keys(t, tensor), name
+            selected += bool(got[0])
+    assert selected > 1000
