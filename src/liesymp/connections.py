@@ -70,7 +70,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
-from .nijenhuis import DistributionReport, Tensor3, combine
+from .nijenhuis import DistributionReport, Tensor3, combine, lowered
 from .symp import SymplecticTriple
 
 # a connection is the tensor (x, y) -> Gamma(x, y), labelled with its name
@@ -173,15 +173,16 @@ def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
                     (1, n)]).is_zero()
 
 
-def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
-                   n: Tensor3) -> dict[str, bool]:
+def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
+                   gn: Tensor3 | None = None) -> dict[str, bool]:
     """Structural identities tying nabla J to the Nijenhuis tensor:
 
       nabla_j_pairing          2 omega((nabla_A J) B, C) = omega(N(B,C), JA)
       nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J), checked on
                                every basis vector B.
 
-    nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t. Both are
+    nj is `nabla_j_endos(t, lc)`, n the Nijenhuis tensor of t and gn, if
+    given, `lowered(n, t)`, the G N(b, c) below. Both are
     whole-tensor identities in ints: with omega(u, v) = u^T omega v, the
     left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
     the right side ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J
@@ -191,7 +192,7 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
     """
     j = t.j
     low = nj.map_values(t.omega.transpose())
-    rhs = n.map_values(t.metric)
+    rhs = gn if gn is not None else lowered(n, t)
     lhs = {(a, b, c): 2 * p * rhs.den
            for (a, b), row in low.rows.items() for c, p in row}
     pairing = lhs == {(a, b, c): p * low.den

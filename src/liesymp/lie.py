@@ -24,11 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
-from .linalg import Matrix, Subspace, _ratio, qof
+from .linalg import Matrix, Subspace, _ratio
 from .tensor import Tensor3
 
 
@@ -154,19 +154,20 @@ class LieAlgebra:
     # -- naming helpers ---------------------------------------------------
 
     def name_of_vector(self, vec: Sequence) -> str:
-        """Render a coordinate vector as a combination of basis names."""
+        """Render a coordinate vector as a combination of basis names.
+        Each entry is read as `qof` reads it, into its numerator and
+        denominator ints; no `Fraction` is made."""
         terms = []
-        for c, nm in zip((qof(x) for x in vec), self.basis_names):
-            if c == 0:
+        for x, nm in zip(vec, self.basis_names):
+            p, q = _ratio(x)
+            if not p:
                 continue
-            if c == 1:
-                terms.append(("+", nm))
-            elif c == -1:
-                terms.append(("-", nm))
-            elif c > 0:
-                terms.append(("+", f"{c}*{nm}"))
-            else:
-                terms.append(("-", f"{-c}*{nm}"))
+            if q != 1:
+                g = gcd(p, q)
+                p, q = p // g, q // g
+            sign, p = ("-", -p) if p < 0 else ("+", p)
+            coef = f"{p}/{q}*" if q != 1 else f"{p}*" if p != 1 else ""
+            terms.append((sign, coef + nm))
         if not terms:
             return "0"
         sign, first = terms[0]

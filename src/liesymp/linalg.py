@@ -227,8 +227,21 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
         brows, width = other.rows, other.ncols
+        # a row sums its products into a dict when it makes fewer than
+        # width of them, and into a dense list otherwise; a full row makes
+        # all of other's
+        full = sum(map(len, brows))
         out = []
         for row in self.rows:
+            if (full if len(row) == len(brows)
+                    else sum([len(brows[k]) for k, _ in row])) < width:
+                sparse: dict[int, int] = {}
+                for k, p in row:
+                    for j, q in brows[k]:
+                        sparse[j] = sparse.get(j, 0) + p * q
+                out.append(tuple(sorted([(j, x) for j, x in sparse.items()
+                                         if x])))
+                continue
             acc = [0] * width
             for k, p in row:
                 for j, q in brows[k]:

@@ -17,8 +17,11 @@ algebra's bracket tensor with the int operations of that class.
 
 The identity checks and |N|^2 are int contractions of whole tensors, not
 loops over basis pairs and triples. With omega(u, v) = u^T omega v,
-omega(T(x, y), e_z) is the z-th value of
-`T.map_values(omega^T)`, and T(Jx, y) is `T.map_first(J)`.
+omega(T(x, y), e_z) is the z-th value of `T.map_values(omega^T)`, and
+T(Jx, y) is `T.map_first(J)`. |N|^2 raises one slot of N with G^-1 and
+pairs it with G N, N lowered by the metric; the report builds G N once
+and passes it to both `norm_sq` (through `classify`) and the nabla J
+pairing (`connections.nabla_j_checks`).
 """
 
 from __future__ import annotations
@@ -68,21 +71,38 @@ def is_involutive(s: Subspace, g) -> bool:
     return s.contains_subspace(g.bracket_of_subspaces(s, s))
 
 
-def norm_sq(n: Tensor3, t: SymplecticTriple) -> Fraction:
+def lowered(n: Tensor3, t: SymplecticTriple) -> Tensor3:
+    """G N: (x, y) -> G N(x, y), N lowered by the metric."""
+    return n.map_values(t.metric)
+
+
+def norm_sq(n: Tensor3, t: SymplecticTriple,
+            gn: Tensor3 | None = None) -> Fraction:
     """|N|^2 = sum over basis of G^{ia} G^{jb} G_{kc} N^k_{ij} N^c_{ab},
     i.e. the full metric contraction over ordered index pairs.
 
-    Summed in ints as sum_{a,b} <R(e_a, e_b), G N(e_a, e_b)>, with R = N
-    with G^-1 put into both slots; one `Fraction` is made at the end.
+    Only the second slot is raised: with r = N(., G^-1 .), so that
+    r(e_i, e_b) = sum_j G^{jb} N(e_i, e_j),
+
+        |N|^2 = sum_{i,a,b} G^{ia} <r(e_i, e_b), (G N)(e_a, e_b)>,
+
+    summed in ints, for each stored (a, b) of G N, as
+    <sum_i G^{ia} r(e_i, e_b), (G N)(e_a, e_b)>; one `Fraction` is made
+    at the end. gn is `lowered(n, t)`, built here if not given.
     """
     ginv = t.metric_inv
-    r = n.map_second(ginv).map_first(ginv)
-    gn = n.map_values(t.metric)
+    if gn is None:
+        gn = lowered(n, t)
+    r = n.map_second(ginv)
+    rows, cols = r.rows, ginv.transpose().rows
     total = 0
-    for ab, row in gn.rows.items():
-        other = dict(r.rows.get(ab, ()))
-        total += sum(p * other.get(k, 0) for k, p in row)
-    return Fraction(total, r.den * gn.den)
+    for (a, b), row in gn.rows.items():
+        u = [0] * n.dim
+        for i, g in cols[a]:
+            for k, p in rows.get((i, b), ()):
+                u[k] += g * p
+        total += sum([p * u[k] for k, p in row])
+    return Fraction(total, ginv.den * r.den * gn.den)
 
 
 @dataclass(frozen=True)
@@ -96,7 +116,8 @@ class DistributionReport:
     kernel: Subspace
 
 
-def classify(t: SymplecticTriple, n: Tensor3) -> DistributionReport:
+def classify(t: SymplecticTriple, n: Tensor3,
+             gn: Tensor3 | None = None) -> DistributionReport:
     """Full image/kernel analysis of the Nijenhuis tensor, with built in
     consistency checks (raise InternalInvariantViolation on any failure):
 
@@ -107,7 +128,7 @@ def classify(t: SymplecticTriple, n: Tensor3) -> DistributionReport:
         consequence of the cyclic omega identity);
       * integrable <=> |N|^2 = 0 <=> image = 0.
 
-    n is `nijenhuis_tensor(t)`.
+    n is `nijenhuis_tensor(t)` and gn, if given, `lowered(n, t)`.
     """
     g = t.algebra
     im = image_distribution(n)
@@ -124,7 +145,7 @@ def classify(t: SymplecticTriple, n: Tensor3) -> DistributionReport:
     if not perp_g.contains_subspace(ker):
         raise InternalInvariantViolation(
             "ker N not inside the metric complement of im N")
-    nsq = norm_sq(n, t)
+    nsq = norm_sq(n, t, gn)
     zero = n.is_zero()
     if zero != (nsq == 0) or zero != (im.dim == 0):
         raise InternalInvariantViolation(
@@ -155,11 +176,14 @@ def check_tensor_identities(t: SymplecticTriple,
     Each is a whole-tensor identity in ints; A = -B is one comparison of
     canonical tensors, A == -B. omega(N(x, y), e_z) is the
     z-th value of N lowered by omega^T (omega(u, v) = u^T omega v).
+    The y slot is compared only when antisymmetry fails: an antisymmetric
+    N anti-linear in x has N(x, Jy) = -N(Jy, x) = J N(y, x) = -J N(x, y).
     """
     j = t.j
     minus_jn = -n.map_values(j)
     anti = n == -n.swapped()
-    lin = n.map_first(j) == minus_jn and n.map_second(j) == minus_jn
+    lin = (n.map_first(j) == minus_jn
+           and (anti or n.map_second(j) == minus_jn))
     # add each lowered value L(x, y)_z into the x < y < z triple of which
     # (x, y, z) is a cyclic rotation
     sums: dict[tuple[int, int, int], int] = {}

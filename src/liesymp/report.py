@@ -1,7 +1,8 @@
 """Analysis reports and the golden-claim runner.
 
 `Analysis(t)` computes each quantity of one triple at most once, on first
-use, in dependency order: N, then its distributions; the Levi-Civita map,
+use, in dependency order: N, then G N (N lowered by the metric, read by
+|N|^2 and the nabla J pairing) and the distributions; the Levi-Civita map,
 then nabla J, the curvature summary and the parallelism of N. The Chern
 connection is built only on request (`Analysis.chern`): the curvature
 summary reads its trace form off the Levi-Civita map, so a report never
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
 
@@ -37,7 +39,7 @@ from .connections import (Connection, CurvatureSummary, ParallelismReport,
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
-                        classify, nijenhuis_tensor)
+                        classify, lowered, nijenhuis_tensor)
 from .nspace import contains_tensor
 from .serialization import matrix_to_rows, triple_hash
 from .symp import SymplecticTriple
@@ -55,8 +57,13 @@ class Analysis:
         return nijenhuis_tensor(self.t)
 
     @cached_property
+    def gn(self) -> Tensor3:
+        """G N, read by |N|^2 and the nabla J pairing."""
+        return lowered(self.n, self.t)
+
+    @cached_property
     def distributions(self) -> DistributionReport:
-        return classify(self.t, self.n)
+        return classify(self.t, self.n, self.gn)
 
     @cached_property
     def lc(self) -> Connection:
@@ -107,7 +114,7 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
     cs = a.curvature
     par = a.parallelism
     ident = dict(check_tensor_identities(t, n))
-    ident.update(nabla_j_checks(t, a.nabla_j, n))
+    ident.update(nabla_j_checks(t, a.nabla_j, n, a.gn))
     ident["constraint_membership"] = contains_tensor(t, n)
     nil, lcs_dims = g.is_nilpotent()
     derived_dim = g.derived_subalgebra().dim
@@ -173,16 +180,18 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
         },
     }
     if full:
-        tensor = []
-        for i in range(t.dim):
-            for j in range(i + 1, t.dim):
-                v = n.of_basis(i, j)
-                if any(x != 0 for x in v):
-                    tensor.append({
-                        "pair": f"{g.basis_names[i]},{g.basis_names[j]}",
-                        "coords": [str(x) for x in v],
-                        "combo": g.name_of_vector(v),
-                    })
+        # the stored values of the pairs i < j, in order; only the
+        # nonzero coordinates become Fractions
+        tensor, names = [], g.basis_names
+        for i, j in sorted(ij for ij in n.rows if ij[0] < ij[1]):
+            v: list = [0] * t.dim
+            for k, p in n.rows[(i, j)]:
+                v[k] = Fraction(p, n.den)
+            tensor.append({
+                "pair": f"{names[i]},{names[j]}",
+                "coords": [str(x) for x in v],
+                "combo": g.name_of_vector(v),
+            })
         out["tensor"] = tensor
     if timings:
         out["timings"] = {"total_ms": int((time.monotonic() - t0) * 1000)}

@@ -159,7 +159,15 @@ class Tensor3:
 
     def map_first(self, m: Matrix) -> "Tensor3":
         """(x, y) -> T(m x, y)."""
-        return self.swapped().map_second(m).swapped()
+        num: dict[tuple[int, int], list[int]] = {}
+        for (l, j), row in self.rows.items():
+            for i, q in m.rows[l]:
+                v = num.get((i, j))
+                if v is None:
+                    v = num[(i, j)] = [0] * self.dim
+                for k, p in row:
+                    v[k] += q * p
+        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
 
 
 def combine(terms: Sequence[tuple[object, Tensor3]],

@@ -10,6 +10,7 @@ squared into determinants: with Pf^2 = det, the ratio is
 only, never by the library.
 """
 
+import random
 import sys
 from fractions import Fraction
 
@@ -21,9 +22,9 @@ from liesymp import (Analysis, build_rank_example, build_report, builtin,
 from liesymp.connections import (_nabla_of, chern_connection,
                                   curvature_summary, levi_civita,
                                   nabla_j_endos)
-from liesymp.nijenhuis import classify, nijenhuis_tensor
+from liesymp.nijenhuis import classify, lowered, nijenhuis_tensor
 from liesymp.twistor import twistor_nijenhuis
-from support import aff_aff_triple
+from support import aff_aff_triple, dense_conjugate
 
 
 def _count(monkeypatch, fn) -> list:
@@ -42,14 +43,15 @@ def _count(monkeypatch, fn) -> list:
 
 
 def test_build_report_computes_each_quantity_once(monkeypatch):
-    fns = (nijenhuis_tensor, classify, levi_civita, chern_connection,
-           nabla_j_endos, curvature_summary)
+    fns = (nijenhuis_tensor, lowered, classify, levi_civita,
+           chern_connection, nabla_j_endos, curvature_summary)
     calls = {fn.__name__: _count(monkeypatch, fn) for fn in fns}
     nablas = _count(monkeypatch, _nabla_of)
     build_report(build_rank_example(3, 1, True, True), full=True)
     # the curvature summary reads the Chern trace form off the
     # Levi-Civita map, so a report never builds the Chern connection
-    # and never checks nabla^c J = 0
+    # and never checks nabla^c J = 0; G N is built once, for |N|^2 and
+    # the nabla J pairing both
     assert {k: len(v) for k, v in calls.items()} == {
         fn.__name__: int(fn is not chern_connection) for fn in fns}
     assert [conn.label for conn, _ in nablas] == ["levi_civita"]
@@ -66,6 +68,32 @@ def test_golden_rows_classify_each_entry_once(monkeypatch):
     assert cherns == [] and nablas == []
     for sign in "+-":
         assert sorted(m.n for m, s in tensors if s == sign) == [1, 2, 3]
+
+
+def _tensor_block_by_of_basis(t, n) -> list:
+    """The `tensor` block of a full report from `of_basis`: every pair
+    i < j with a nonzero value, in order."""
+    g, d, out = t.algebra, t.dim, []
+    for i in range(d):
+        for j in range(i + 1, d):
+            v = n.of_basis(i, j)
+            if any(x != 0 for x in v):
+                out.append({
+                    "pair": f"{g.basis_names[i]},{g.basis_names[j]}",
+                    "coords": [str(x) for x in v],
+                    "combo": g.name_of_vector(v),
+                })
+    return out
+
+
+@pytest.mark.parametrize("n, k, flags", [(2, 1, (True, False)),
+                                         (3, 2, (False, True)),
+                                         (4, 2, (True, False))])
+def test_full_tensor_block_matches_of_basis(n, k, flags):
+    t = dense_conjugate(build_rank_example(n, k, *flags),
+                        random.Random(f"dense:{n}:{k}"))
+    block = build_report(t, full=True)["tensor"]
+    assert block and block == _tensor_block_by_of_basis(t, Analysis(t).n)
 
 
 def test_analysis_caches_on_the_object():

@@ -9,12 +9,16 @@ triples."""
 
 import dataclasses
 import random
+from itertools import combinations, product
 
 import pytest
 
 from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
                      check_tensor_identities, contains_tensor, dim6, ex1,
                      nabla_j_checks, norm_sq)
+from liesymp.linalg import nullspace_of
+from liesymp.nijenhuis import lowered
+from liesymp.nspace import _first_slots, _rows
 from liesymp.tensor import combine
 from support import (definitional_nabla_j_checks,
                      definitional_tensor_identities, dense_conjugate,
@@ -164,3 +168,91 @@ def test_negation_is_canonical(name):
         assert -neg == tensor
         assert (neg == tensor) == tensor.is_zero()
         assert hash(-neg) == hash(tensor)
+
+
+def _antisymmetric_first_slot_anti_linear(t, count):
+    """count random tensors from the kernel of the anti-linearity rows of
+    `nspace` alone, no cyclic row, in its pair coordinates: each is
+    antisymmetric by construction and anti-linear in its first slot."""
+    d = t.dim
+    pairs = list(combinations(range(d), 2))
+    rows = _rows(d, t.omega, t.j,
+                 product(_first_slots(t.j), range(d), range(d)), ())
+    kernel = nullspace_of(rows, d * len(pairs))
+    rng = random.Random(f"first-slot-kernel:{t.algebra.name}:{d}")
+    out = []
+    for _ in range(count):
+        x = [0] * (d * len(pairs))
+        for v in kernel:
+            c = rng.randint(-3, 3)
+            x = [a + c * b for a, b in zip(x, v)]
+        vals = [[[0] * d for _ in range(d)] for _ in range(d)]
+        for p, (i, j) in enumerate(pairs):
+            vals[i][j] = x[p * d:(p + 1) * d]
+            vals[j][i] = [-c for c in vals[i][j]]
+        out.append(Tensor3.from_dense(d, vals))
+    return out
+
+
+def _second_slot_follows(t, tensor):
+    """The implication `check_tensor_identities` relies on: antisymmetry
+    and first-slot anti-linearity give the second slot."""
+    minus_jt = -tensor.map_values(t.j)
+    assert tensor == -tensor.swapped()
+    assert tensor.map_first(t.j) == minus_jt
+    assert tensor.map_second(t.j) == minus_jt
+
+
+def test_second_slot_follows_on_n_and_random_tensors(extended_catalog):
+    for name, t in extended_catalog.items():
+        _second_slot_follows(t, Analysis(t).n)
+        tensors = _antisymmetric_first_slot_anti_linear(t, 3)
+        # in dim 2 the space is 0: t(Jx, x) = -J t(x, x) = 0 with Jx, x
+        # a basis
+        assert t.dim == 2 or any(not x.is_zero() for x in tensors), name
+        for tensor in tensors:
+            _second_slot_follows(t, tensor)
+
+
+@pytest.mark.parametrize("n, k, flags", [(2, 1, (True, False)),
+                                         (3, 2, (False, True)),
+                                         (4, 2, (True, False))])
+def test_second_slot_follows_on_dense_conjugates(n, k, flags):
+    t = _dense(n, k, flags)
+    _second_slot_follows(t, Analysis(t).n)
+    if t.dim <= 6:
+        # the dim-8 kernel takes seconds to eliminate
+        tensors = _antisymmetric_first_slot_anti_linear(t, 3)
+        assert any(not x.is_zero() for x in tensors)
+        for tensor in tensors:
+            _second_slot_follows(t, tensor)
+
+
+@pytest.mark.parametrize("name", sorted(_TRIPLES))
+def test_an_antisymmetric_tensor_that_is_not_anti_linear(name):
+    # the second slot is compared only when antisymmetry fails, so an
+    # antisymmetric tensor must still fail in its first slot
+    t = _TRIPLES[name]()
+    d = t.dim
+    rng = random.Random(f"antisymmetric:{name}")
+    vals = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for i, j in combinations(range(d), 2):
+        vals[i][j] = [rng.randint(-3, 3) for _ in range(d)]
+        vals[j][i] = [-c for c in vals[i][j]]
+    tensor = Tensor3.from_dense(d, vals)
+    ident = check_tensor_identities(t, tensor)
+    assert ident == definitional_tensor_identities(t, tensor)
+    assert ident["antisymmetry"] is True
+    assert ident["anti_linearity"] is False
+
+
+@pytest.mark.parametrize("name", sorted(_TRIPLES))
+def test_norm_sq_matches_slabs_on_non_antisymmetric_tensors(name):
+    # one slot is raised and the other read off G N, so neither slot may
+    # be taken for the other
+    t = _TRIPLES[name]()
+    tensor = _first_slot_only(t)
+    for x in (tensor, tensor.swapped(), _bumped(Analysis(t).n)):
+        assert x != -x.swapped()
+        assert norm_sq(x, t) == slab_norm_sq(x, t)
+        assert norm_sq(x, t, lowered(x, t)) == norm_sq(x, t)

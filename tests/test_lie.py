@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liesymp import build_report, validate as build_algebra
-from liesymp.errors import JacobiViolation
+from liesymp.errors import BadNumber, JacobiViolation
 from liesymp.catalog import _xy_names
 from support import ad, nonzero_brackets
 
@@ -97,3 +97,16 @@ def test_vector_naming():
     assert g.name_of_vector([F(1), F(0), F(0), F(-1)]) == "X1 - Y2"
     assert g.name_of_vector([F(1, 2), F(0), F(2), F(0)]) == "1/2*X1 + 2*Y1"
     assert g.name_of_vector([F(0)] * 4) == "0"
+    # a leading -1, negative non-units, a unit written over 2
+    assert g.name_of_vector([F(-1), F(0), F(1), F(0)]) == "-X1 + Y1"
+    assert g.name_of_vector([F(0), F(-3, 2), F(0), F(-2)]) == "-3/2*X2 - 2*Y2"
+    assert g.name_of_vector([F(2, 2), F(0), F(-4, 2), F(0)]) == "X1 - 2*Y1"
+    # ints and "p/q" strings, read as qof reads them, in lowest terms
+    assert g.name_of_vector([0, -1, 3, 1]) == "-X2 + 3*Y1 + Y2"
+    assert g.name_of_vector(["2/2", "-2/4", "0/7", "-6/3"]) == (
+        "X1 - 1/2*X2 - 2*Y2")
+    assert g.name_of_vector(["-1", "0", "5", "1/1"]) == "-X1 + 5*Y1 + Y2"
+    with pytest.raises(TypeError):
+        g.name_of_vector([0.5, 0, 0, 0])
+    with pytest.raises(BadNumber):
+        g.name_of_vector(["1/0", 0, 0, 0])
