@@ -70,7 +70,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
-from .nijenhuis import DistributionReport, Tensor3, combine, lowered
+from .nijenhuis import DistributionReport, Tensor3, combine
 from .symp import SymplecticTriple
 
 # a connection is the tensor (x, y) -> Gamma(x, y), labelled with its name
@@ -181,8 +181,9 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
       nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J), checked on
                                every basis vector B.
 
-    nj is `nabla_j_endos(t, lc)`, n the Nijenhuis tensor of t and gn, if
-    given, `lowered(n, t)`, the G N(b, c) below. Both are
+    nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t. gn is
+    G N, `n.map_values(t.metric)`: optional, as in `nijenhuis.norm_sq`,
+    so a report can pass the one it built for |N|^2. Both are
     whole-tensor identities in ints: with omega(u, v) = u^T omega v, the
     left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
     the right side ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J
@@ -192,7 +193,7 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
     """
     j = t.j
     low = nj.map_values(t.omega.transpose())
-    rhs = gn if gn is not None else lowered(n, t)
+    rhs = gn if gn is not None else n.map_values(t.metric)
     lhs = {(a, b, c): 2 * p * rhs.den
            for (a, b), row in low.rows.items() for c, p in row}
     pairing = lhs == {(a, b, c): p * low.den

@@ -227,26 +227,25 @@ class Matrix:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
         brows, width = other.rows, other.ncols
-        # a row sums its products into a dict when it makes fewer than
-        # width of them, and into a dense list otherwise; a full row makes
-        # all of other's
-        full = sum(map(len, brows))
         out = []
-        for row in self.rows:
-            if (full if len(row) == len(brows)
-                    else sum([len(brows[k]) for k, _ in row])) < width:
+        # when other stores every entry, each nonzero row of self makes
+        # products in every column, so a list accumulates; otherwise a
+        # dict does, so a wide sparse product never walks empty columns
+        if sum(map(len, brows)) == len(brows) * width:
+            for row in self.rows:
+                acc = [0] * width
+                for k, p in row:
+                    for j, q in brows[k]:
+                        acc[j] += p * q
+                out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
+        else:
+            for row in self.rows:
                 sparse: dict[int, int] = {}
                 for k, p in row:
                     for j, q in brows[k]:
                         sparse[j] = sparse.get(j, 0) + p * q
                 out.append(tuple(sorted([(j, x) for j, x in sparse.items()
                                          if x])))
-                continue
-            acc = [0] * width
-            for k, p in row:
-                for j, q in brows[k]:
-                    acc[j] += p * q
-            out.append(tuple([(j, x) for j, x in enumerate(acc) if x]))
         return _canon(self.den * other.den, tuple(out), width)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:

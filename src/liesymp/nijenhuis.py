@@ -71,11 +71,6 @@ def is_involutive(s: Subspace, g) -> bool:
     return s.contains_subspace(g.bracket_of_subspaces(s, s))
 
 
-def lowered(n: Tensor3, t: SymplecticTriple) -> Tensor3:
-    """G N: (x, y) -> G N(x, y), N lowered by the metric."""
-    return n.map_values(t.metric)
-
-
 def norm_sq(n: Tensor3, t: SymplecticTriple,
             gn: Tensor3 | None = None) -> Fraction:
     """|N|^2 = sum over basis of G^{ia} G^{jb} G_{kc} N^k_{ij} N^c_{ab},
@@ -88,11 +83,15 @@ def norm_sq(n: Tensor3, t: SymplecticTriple,
 
     summed in ints, for each stored (a, b) of G N, as
     <sum_i G^{ia} r(e_i, e_b), (G N)(e_a, e_b)>; one `Fraction` is made
-    at the end. gn is `lowered(n, t)`, built here if not given.
+    at the end.
+
+    gn is G N, `n.map_values(t.metric)`. A report passes the one it
+    builds for the nabla J pairing too; it stays optional, built here
+    when omitted, so `norm_sq(n, t)` keeps working for other callers.
     """
     ginv = t.metric_inv
     if gn is None:
-        gn = lowered(n, t)
+        gn = n.map_values(t.metric)
     r = n.map_second(ginv)
     rows, cols = r.rows, ginv.transpose().rows
     total = 0
@@ -128,7 +127,7 @@ def classify(t: SymplecticTriple, n: Tensor3,
         consequence of the cyclic omega identity);
       * integrable <=> |N|^2 = 0 <=> image = 0.
 
-    n is `nijenhuis_tensor(t)` and gn, if given, `lowered(n, t)`.
+    n is `nijenhuis_tensor(t)`; gn, G N, is optional as in `norm_sq`.
     """
     g = t.algebra
     im = image_distribution(n)

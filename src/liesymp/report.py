@@ -39,7 +39,7 @@ from .connections import (Connection, CurvatureSummary, ParallelismReport,
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
-                        classify, lowered, nijenhuis_tensor)
+                        classify, nijenhuis_tensor)
 from .nspace import contains_tensor
 from .serialization import matrix_to_rows, triple_hash
 from .symp import SymplecticTriple
@@ -59,7 +59,7 @@ class Analysis:
     @cached_property
     def gn(self) -> Tensor3:
         """G N, read by |N|^2 and the nabla J pairing."""
-        return lowered(self.n, self.t)
+        return self.n.map_values(self.t.metric)
 
     @cached_property
     def distributions(self) -> DistributionReport:

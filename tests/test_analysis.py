@@ -22,7 +22,8 @@ from liesymp import (Analysis, build_rank_example, build_report, builtin,
 from liesymp.connections import (_nabla_of, chern_connection,
                                   curvature_summary, levi_civita,
                                   nabla_j_endos)
-from liesymp.nijenhuis import classify, lowered, nijenhuis_tensor
+from liesymp.nijenhuis import classify, nijenhuis_tensor
+from liesymp.tensor import Tensor3
 from liesymp.twistor import twistor_nijenhuis
 from support import aff_aff_triple, dense_conjugate
 
@@ -43,18 +44,30 @@ def _count(monkeypatch, fn) -> list:
 
 
 def test_build_report_computes_each_quantity_once(monkeypatch):
-    fns = (nijenhuis_tensor, lowered, classify, levi_civita,
+    t = build_rank_example(3, 1, True, True)
+    n = nijenhuis_tensor(t)
+    fns = (nijenhuis_tensor, classify, levi_civita,
            chern_connection, nabla_j_endos, curvature_summary)
     calls = {fn.__name__: _count(monkeypatch, fn) for fn in fns}
     nablas = _count(monkeypatch, _nabla_of)
-    build_report(build_rank_example(3, 1, True, True), full=True)
+    lowered_by_metric = []
+    map_values = Tensor3.map_values
+
+    def recorded(self, m):
+        if m is t.metric:
+            lowered_by_metric.append(self)
+        return map_values(self, m)
+
+    monkeypatch.setattr(Tensor3, "map_values", recorded)
+    build_report(t, full=True)
     # the curvature summary reads the Chern trace form off the
     # Levi-Civita map, so a report never builds the Chern connection
-    # and never checks nabla^c J = 0; G N is built once, for |N|^2 and
-    # the nabla J pairing both
+    # and never checks nabla^c J = 0
     assert {k: len(v) for k, v in calls.items()} == {
         fn.__name__: int(fn is not chern_connection) for fn in fns}
     assert [conn.label for conn, _ in nablas] == ["levi_civita"]
+    # G N is built once, for |N|^2 and the nabla J pairing both
+    assert sum(x == n for x in lowered_by_metric) == 1
 
 
 def test_golden_rows_classify_each_entry_once(monkeypatch):
