@@ -8,8 +8,9 @@ constant) and only the bracket terms survive:
 
     2 g(Gamma(A, B), C) = g([A,B], C) - g([B,C], A) - g([A,C], B).
 
-A connection is a labelled `Tensor3` (see `nijenhuis`): Gamma(e_i, e_j)
-as ints over one common denominator, nonzero coordinates only. Every map
+A connection is a `Tensor3` (see `nijenhuis`): Gamma(e_i, e_j) as ints
+over one common denominator, nonzero coordinates only, and two
+connections with equal values compare equal. Every map
 below is composed from its int operations. Curvature is not: Ricci and
 the mixed trace form P are trace formulas in the Levi-Civita map's
 ints, and no curvature operator is formed (see `curvature_summary`). Every
@@ -65,7 +66,7 @@ turns this into a trace, and W^-1 = J Ginv because G = W J:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
@@ -73,7 +74,7 @@ from .linalg import Matrix
 from .nijenhuis import DistributionReport, Tensor3, combine
 from .symp import SymplecticTriple
 
-# a connection is the tensor (x, y) -> Gamma(x, y), labelled with its name
+# a connection is the tensor (x, y) -> Gamma(x, y)
 Connection = Tensor3
 
 
@@ -104,7 +105,7 @@ def levi_civita(t: SymplecticTriple) -> Connection:
             num.setdefault((k, a), [0] * d)[b] -= p
             num.setdefault((a, k), [0] * d)[b] -= p
     koszul = Tensor3.from_ints(d, 2 * low.den, num)
-    conn = replace(koszul.map_values(t.metric_inv), label="levi_civita")
+    conn = koszul.map_values(t.metric_inv)
     # axioms; cheap and they catch convention slips immediately
     if not _parallel(conn, t.metric):
         raise InternalInvariantViolation("Levi-Civita not metric")
@@ -121,8 +122,7 @@ def _nabla_of(conn: Connection, m: Matrix) -> Tensor3:
 def chern_connection(t: SymplecticTriple, lc: Connection) -> Connection:
     j = t.j
     conn = combine([(Fraction(1, 2), lc),
-                    (Fraction(-1, 2), lc.map_second(j).map_values(j))],
-                   label="chern")
+                    (Fraction(-1, 2), lc.map_second(j).map_values(j))])
     if not _nabla_of(conn, j).is_zero():
         raise InternalInvariantViolation("Chern connection: nabla J != 0")
     if not _parallel(conn, t.omega):
@@ -133,8 +133,7 @@ def chern_connection(t: SymplecticTriple, lc: Connection) -> Connection:
 def symplectic_connection(t: SymplecticTriple, lc: Connection) -> Connection:
     jnj = nabla_j_endos(t, lc).map_values(t.j)  # J (nabla_{e_i} J) e_b
     third = Fraction(-1, 3)
-    conn = combine([(1, lc), (third, jnj), (third, jnj.swapped())],
-                   label="symplectic")
+    conn = combine([(1, lc), (third, jnj), (third, jnj.swapped())])
     if not _parallel(conn, t.omega):
         raise InternalInvariantViolation(
             "symplectic connection: nabla omega != 0")
@@ -208,7 +207,6 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
 
 @dataclass(frozen=True)
 class CurvatureSummary:
-    connection: str
     ricci: Matrix
     scalar: Fraction
     ricci_j_invariant: bool
@@ -271,7 +269,6 @@ def curvature_summary(t: SymplecticTriple,
     # Jacobi's formula, see the module docstring
     herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
     return CurvatureSummary(
-        connection=lc.label,
         ricci=ricci,
         scalar=scalar,
         ricci_j_invariant=ricci_j,

@@ -9,11 +9,12 @@ different denominators ("2/4" and "1/2") give equal algebras. `validate`
 reads each coefficient straight into ints, and a `Fraction` is made only
 where a value is read out (`bracket_vec`, serialization, a residual).
 
-The identity checks (Jacobi here, the 2-cocycle check in `symp`) sweep
-the stored pairs i < j once, adding each nonzero term into the sum of
-its basis triple, so their cost follows the nonzero terms, not the
-triples. No dimension limit is enforced; the linalg module docstring
-gives measured full-report times, up to dim 20.
+The identity checks add each nonzero term into the sum of its basis
+triple, so their cost follows the nonzero terms, not the triples: the
+Jacobi check here sweeps the stored pairs i < j once, and the 2-cocycle
+check in `symp` is `Tensor3.cyclic_sums` of the bracket tensor. No
+dimension limit is enforced; the linalg module docstring gives measured
+full-report times, up to dim 20.
 
 Conventions:
   * bases are 0-indexed internally; names are whatever the caller says.
@@ -121,16 +122,15 @@ class LieAlgebra:
         return Subspace.span(self.dim, vecs)
 
     def lower_central_series(self) -> list[Subspace]:
-        """g = g^1 >= g^2 = [g, g^1] >= ... until stable."""
+        """g = g^1 >= g^2 = [g, g^1] >= ... until stable; g^2 is the
+        derived subalgebra, spanned from the stored brackets."""
         series = [Subspace.full(self.dim)]
-        whole = series[0]
-        while True:
-            nxt = self.bracket_of_subspaces(whole, series[-1])
-            if nxt.dim == series[-1].dim:
-                break
+        nxt = self.derived_subalgebra()
+        while nxt.dim != series[-1].dim:
             series.append(nxt)
             if nxt.dim == 0:
                 break
+            nxt = self.bracket_of_subspaces(series[0], nxt)
         return series
 
     def is_nilpotent(self) -> tuple[bool, list[int]]:

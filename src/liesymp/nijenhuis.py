@@ -13,12 +13,14 @@ any mismatch raises InternalInvariantViolation rather than returning a
 silently wrong answer.
 
 N is a `Tensor3` (module `tensor`, re-exported here), composed from the
-algebra's bracket tensor with the int operations of that class.
+algebra's bracket tensor with the int operations of that class; two
+tensors with equal values compare equal.
 
 The identity checks and |N|^2 are int contractions of whole tensors, not
-loops over basis pairs and triples. With omega(u, v) = u^T omega v,
-omega(T(x, y), e_z) is the z-th value of `T.map_values(omega^T)`, and
-T(Jx, y) is `T.map_first(J)`. |N|^2 raises one slot of N with G^-1 and
+loops over basis pairs and triples. T(Jx, y) is `T.map_first(J)`, and
+the cyclic omega identity is `N.cyclic_sums(omega)`, the same sum over
+omega that checks the 2-cocycle condition on the bracket tensor (omega
+is closed, so N inherits it). |N|^2 raises one slot of N with G^-1 and
 pairs it with G N, N lowered by the metric; the report builds G N once
 and passes it to both `norm_sq` (through `classify`) and the nabla J
 pairing (`connections.nabla_j_checks`).
@@ -173,8 +175,8 @@ def check_tensor_identities(t: SymplecticTriple,
       cyclic_omega      sum_cyc omega(N(x, y), z) = 0
 
     Each is a whole-tensor identity in ints; A = -B is one comparison of
-    canonical tensors, A == -B. omega(N(x, y), e_z) is the
-    z-th value of N lowered by omega^T (omega(u, v) = u^T omega v).
+    canonical tensors, A == -B, and the cyclic sums are
+    `Tensor3.cyclic_sums` of N against omega.
     The y slot is compared only when antisymmetry fails: an antisymmetric
     N anti-linear in x has N(x, Jy) = -N(Jy, x) = J N(y, x) = -J N(x, y).
     """
@@ -183,13 +185,5 @@ def check_tensor_identities(t: SymplecticTriple,
     anti = n == -n.swapped()
     lin = (n.map_first(j) == minus_jn
            and (anti or n.map_second(j) == minus_jn))
-    # add each lowered value L(x, y)_z into the x < y < z triple of which
-    # (x, y, z) is a cyclic rotation
-    sums: dict[tuple[int, int, int], int] = {}
-    for (x, y), row in n.map_values(t.omega.transpose()).rows.items():
-        for z, p in row:
-            if x < y < z or y < z < x or z < x < y:
-                key = tuple(sorted((x, y, z)))
-                sums[key] = sums.get(key, 0) + p
-    cyc = not any(sums.values())
+    cyc = not n.cyclic_sums(t.omega)[0]
     return {"antisymmetry": anti, "anti_linearity": lin, "cyclic_omega": cyc}

@@ -137,18 +137,15 @@ def expected_dimension(n: int) -> int:
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space built from
     the triple's own (omega, J); an independent route to the pointwise
-    identity checks. Antisymmetry is read off the stored values (no
-    t(e_i, e_i), and t(e_j, e_i) the negation of t(e_i, e_j)); then each
-    row of `_support_rows` is checked in ints against the tensor's pair
-    coordinates over its common denominator; every other row evaluates
-    to 0."""
-    rows = tensor.rows
-    for (i, jj), row in rows.items():
-        if i == jj or rows.get((jj, i)) != tuple((k, -p) for k, p in row):
-            return False
+    identity checks. Antisymmetry is one comparison of canonical tensors,
+    tensor == -tensor.swapped(); then each row of `_support_rows` is
+    checked in ints against the tensor's pair coordinates over its
+    common denominator; every other row evaluates to 0."""
+    if tensor != -tensor.swapped():
+        return False
     base = _bases(t.dim)
-    scaled = {base[i][jj] + k: p
-              for (i, jj), row in rows.items() if i < jj for k, p in row}
+    scaled = {base[i][jj] + k: p for (i, jj), row in tensor.rows.items()
+              if i < jj for k, p in row}
     return not any(sum(v * scaled.get(c, 0) for c, v in row.items())
                    for row in _support_rows(t, tensor))
 

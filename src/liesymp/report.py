@@ -117,7 +117,8 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
     ident.update(nabla_j_checks(t, a.nabla_j, n, a.gn))
     ident["constraint_membership"] = contains_tensor(t, n)
     nil, lcs_dims = g.is_nilpotent()
-    derived_dim = g.derived_subalgebra().dim
+    # lcs_dims[1] is dim [g, g]; a perfect g has no second term
+    derived_dim = lcs_dims[1] if len(lcs_dims) > 1 else t.dim
     prop, factor = _proportional_to(cs.chern_ricci, t.omega)
     gap = cs.hermitian_scalar - cs.scalar
 

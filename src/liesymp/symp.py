@@ -47,29 +47,16 @@ class SymplecticTriple:
 def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
     """d(omega)(x,y,z) = -omega([x,y],z) + omega([x,z],y) - omega([y,z],x).
 
-    One sweep over the stored pairs y < z: the row omega([e_y, e_z], .)
-    is formed once and its entry x (not y or z) is added to the triple
-    sorted(x, y, z), + when y < x < z and - otherwise. Sums run in ints
-    (brackets over D, omega over the lcm D_omega of its denominators);
-    the reported value divides D * D_omega back out.
+    The bracket is antisymmetric, so d(omega)(x, y, z) is minus the
+    cyclic sum of omega([x, y], z): `Tensor3.cyclic_sums` of the bracket
+    tensor against omega, in ints (brackets over D, omega over the lcm
+    D_omega of its denominators); the reported value divides
+    D * D_omega back out.
     """
-    big, table = g.bracket.den, g.bracket.rows
-    om = omega.rows
-    acc: dict[tuple[int, int, int], int] = {}
-    for y, z in g.pairs():
-        row = [0] * g.dim
-        for m, p in table[(y, z)]:
-            for x, v in om[m]:
-                row[x] += p * v
-        for x, v in enumerate(row):
-            if v and x != y and x != z:
-                tri = (x, y, z) if x < y else (y, z, x) if x > z else (y, x, z)
-                acc[tri] = acc.get(tri, 0) + (v if y < x < z else -v)
-    bad = [tri for tri, v in acc.items() if v]
-    if bad:
-        i, j, k = tri = g._first_touched(bad)
-        raise CocycleViolation(i, j, k,
-                               str(Fraction(acc[tri], big * omega.den)),
+    sums, den = g.bracket.cyclic_sums(omega)
+    if sums:
+        i, j, k = tri = g._first_touched(sums)
+        raise CocycleViolation(i, j, k, str(Fraction(-sums[tri], den)),
                                names=g.basis_names)
 
 

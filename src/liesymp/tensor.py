@@ -7,8 +7,10 @@ and lists only the nonzero coordinates of each nonzero T(e_i, e_j), like
 nabla J: products with J or a form, slot swaps and rational combinations
 sum ints over the nonzeros, and a value becomes a `Fraction` only where
 it is read (`of_basis`, `of_vectors`).
-The state is canonical, so an identity A + B = 0 is checked as
-`A == -B`, with no sum built.
+A tensor is its values: the state is canonical, so `==` and `hash`
+compare values, and an identity A + B = 0 is checked as `A == -B`, with
+no sum built. `cyclic_sums` is the one cyclic sum over a 2-form, behind
+both the 2-cocycle check and N's cyclic omega identity.
 """
 
 from __future__ import annotations
@@ -31,23 +33,21 @@ class Tensor3:
     """Vector valued 2-tensor on the basis, stored sparsely in ints:
     T(e_i, e_j) = sum of p / den e_k over the (k, p) in rows[(i, j)].
     Only nonzero values are listed, in ascending k, and den is the least
-    common denominator of all of them, so equal tensors are equal
-    objects. A connection is a labelled instance, Gamma(e_i, e_j) =
+    common denominator of all of them, so tensors with equal values are
+    equal objects. A connection is an instance, Gamma(e_i, e_j) =
     T(e_i, e_j)."""
 
     dim: int
     den: int
     rows: IntRows
-    label: str = ""
 
     def __hash__(self) -> int:
         # the generated hash cannot take the rows dict
-        return hash((self.dim, self.den, frozenset(self.rows.items()),
-                     self.label))
+        return hash((self.dim, self.den, frozenset(self.rows.items())))
 
     @staticmethod
-    def from_ints(dim: int, den: int, num: dict[tuple[int, int], list[int]],
-                  label: str = "") -> "Tensor3":
+    def from_ints(dim: int, den: int,
+                  num: dict[tuple[int, int], list[int]]) -> "Tensor3":
         """The tensor with T(e_i, e_j)_k = num[(i, j)][k] / den (den > 0);
         zero values and any factor common to den and every numerator
         are dropped."""
@@ -62,18 +62,17 @@ class Tensor3:
                    else tuple([(k, p // g) for k, p in enumerate(v) if p]))
             if row:
                 rows[ij] = row
-        return Tensor3(dim, den // g if rows else 1, rows, label)
+        return Tensor3(dim, den // g if rows else 1, rows)
 
     @staticmethod
-    def from_dense(dim: int, vals: Sequence[Sequence[Sequence]],
-                   label: str = "") -> "Tensor3":
+    def from_dense(dim: int, vals: Sequence[Sequence[Sequence]]) -> "Tensor3":
         """The tensor with T(e_i, e_j) = vals[i][j], any exact numbers."""
         num = {(i, j): [qof(x) for x in v]
                for i, row in enumerate(vals) for j, v in enumerate(row)}
         den = lcm(*(x.denominator for v in num.values() for x in v))
         return Tensor3.from_ints(dim, den, {
             ij: [x.numerator * (den // x.denominator) for x in v]
-            for ij, v in num.items()}, label)
+            for ij, v in num.items()})
 
     @cached_property
     def _values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -121,7 +120,7 @@ class Tensor3:
         """-T: negated numerators keep den and their common factor."""
         return Tensor3(self.dim, self.den,
                        {ij: tuple([(k, -p) for k, p in row])
-                        for ij, row in self.rows.items()}, self.label)
+                        for ij, row in self.rows.items()})
 
     def endo(self, i: int) -> Matrix:
         """T(e_i, .) as a matrix (columns are images)."""
@@ -131,8 +130,7 @@ class Tensor3:
     def swapped(self) -> "Tensor3":
         """(x, y) -> T(y, x)."""
         return Tensor3(self.dim, self.den,
-                       {(j, i): r for (i, j), r in self.rows.items()},
-                       self.label)
+                       {(j, i): r for (i, j), r in self.rows.items()})
 
     def map_values(self, m: Matrix) -> "Tensor3":
         """(x, y) -> m T(x, y)."""
@@ -143,7 +141,7 @@ class Tensor3:
             for k, p in row:
                 for r, q in cols[k]:
                     v[r] += q * p
-        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
+        return Tensor3.from_ints(self.dim, self.den * m.den, num)
 
     def map_second(self, m: Matrix) -> "Tensor3":
         """(x, y) -> T(x, m y)."""
@@ -155,7 +153,7 @@ class Tensor3:
                     v = num[(i, j)] = [0] * self.dim
                 for k, p in row:
                     v[k] += q * p
-        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
+        return Tensor3.from_ints(self.dim, self.den * m.den, num)
 
     def map_first(self, m: Matrix) -> "Tensor3":
         """(x, y) -> T(m x, y)."""
@@ -167,11 +165,28 @@ class Tensor3:
                     v = num[(i, j)] = [0] * self.dim
                 for k, p in row:
                     v[k] += q * p
-        return Tensor3.from_ints(self.dim, self.den * m.den, num, self.label)
+        return Tensor3.from_ints(self.dim, self.den * m.den, num)
+
+    def cyclic_sums(self, form: Matrix) -> tuple[dict, int]:
+        """The nonzero sums form(T(a, b), c) + form(T(b, c), a) +
+        form(T(c, a), b) over a < b < c, form(u, v) = u^T form v, as
+        ints over the returned denominator. Each T(x, y) is read from
+        its own key, so T need not be antisymmetric."""
+        sums: dict[tuple[int, int, int], int] = {}
+        for (x, y), row in self.rows.items():
+            low: dict[int, int] = {}  # form(T(x, y), e_z)
+            for m, p in row:
+                for z, f in form.rows[m]:
+                    low[z] = low.get(z, 0) + p * f
+            for z, v in low.items():
+                # (x, y, z) is a cyclic rotation of its sorted triple
+                if x < y < z or y < z < x or z < x < y:
+                    key = tuple(sorted((x, y, z)))
+                    sums[key] = sums.get(key, 0) + v
+        return {k: v for k, v in sums.items() if v}, self.den * form.den
 
 
-def combine(terms: Sequence[tuple[object, Tensor3]],
-            label: str = "") -> Tensor3:
+def combine(terms: Sequence[tuple[object, Tensor3]]) -> Tensor3:
     """The sum of c * T over the (c, T) in terms, c any exact number."""
     dim = terms[0][1].dim
     terms = [(qof(c), t) for c, t in terms]
@@ -183,4 +198,4 @@ def combine(terms: Sequence[tuple[object, Tensor3]],
             v = num.setdefault(ij, [0] * dim)
             for k, p in row:
                 v[k] += f * p
-    return Tensor3.from_ints(dim, den, num, label)
+    return Tensor3.from_ints(dim, den, num)

@@ -65,7 +65,7 @@ def test_build_report_computes_each_quantity_once(monkeypatch):
     # and never checks nabla^c J = 0
     assert {k: len(v) for k, v in calls.items()} == {
         fn.__name__: int(fn is not chern_connection) for fn in fns}
-    assert [conn.label for conn, _ in nablas] == ["levi_civita"]
+    assert [conn for conn, _ in nablas] == [levi_civita(t)]
     # G N is built once, for |N|^2 and the nabla J pairing both
     assert sum(x == n for x in lowered_by_metric) == 1
 

@@ -51,14 +51,15 @@ def _check(t, seen):
     got = (par.nabla_n_zero, par.image_parallel, par.perp_parallel)
     assert got == pointwise_parallelism(t, a.lc, a.n, a.distributions)
     seen.setdefault("parallelism", set()).add(got)
-    for conn in (a.lc, a.chern, symplectic_connection(t, a.lc)):
+    for cname, conn in (("levi_civita", a.lc), ("chern", a.chern),
+                        ("symplectic", symplectic_connection(t, a.lc))):
         ok = torsion_recovers_nijenhuis(t, conn, a.n)
         assert ok == pointwise_torsion_recovers_nijenhuis(t, conn, a.n)
-        seen.setdefault(conn.label, set()).add(ok)
+        seen.setdefault(cname, set()).add(ok)
         for form, fname in ((t.metric, "metric"), (t.omega, "omega")):
             par = _parallel(conn, form)
             assert par == definitional_parallel(conn, form)
-            seen.setdefault(f"{conn.label} {fname}", set()).add(par)
+            seen.setdefault(f"{cname} {fname}", set()).add(par)
 
 
 def _assert_parallel_forms(seen):

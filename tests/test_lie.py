@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import build_report, validate as build_algebra
+from liesymp import Subspace, build_report, validate as build_algebra
 from liesymp.errors import BadNumber, JacobiViolation
 from liesymp.catalog import _xy_names
+from liesymp.twistor import build_twistor_model
 from support import ad, nonzero_brackets
 
 F = Fraction
@@ -59,6 +60,20 @@ def test_lower_central_series_dims(catalog):
     assert dims[0] == 6 and dims[-1] == 0
     nilp, dims = catalog["ex4"].algebra.is_nilpotent()
     assert not nilp
+
+
+def test_lower_central_series_brackets_g_with_each_term(extended_catalog):
+    # the series starts from [g, g] spanned off the stored brackets and
+    # stops at a term that g brackets back onto itself; so(1, 2n) is
+    # perfect, so its series is g alone
+    algebras = [t.algebra for t in extended_catalog.values()]
+    algebras += [build_twistor_model(n).algebra for n in (1, 2)]
+    for g in algebras:
+        series = g.lower_central_series()
+        assert series[0] == Subspace.full(g.dim), g.name
+        assert [g.bracket_of_subspaces(series[0], s) for s in series] == (
+            series[1:] + series[-1:]), g.name
+        assert (len(series) == 1) == g.name.startswith("so(1,"), g.name
 
 
 def test_abelian_flags(catalog):
