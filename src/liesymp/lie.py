@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
-from .linalg import Matrix, Subspace, _ratio
+from .linalg import Subspace, _ratio
 from .tensor import Tensor3
 
 
@@ -143,13 +143,12 @@ class LieAlgebra:
     def characters(self) -> list[tuple[Fraction, ...]]:
         """Basis of the space of linear functionals vanishing on [g, g].
 
-        Returned as coordinate rows in the dual basis, in canonical RREF
-        order, so the "first character" is deterministic.
+        Returned as coordinate rows in the dual basis: the `nullspace_of`
+        vectors of [g, g]'s basis, one per free column in ascending
+        order, each over its last nonzero entry, so the "first character"
+        is deterministic. For abelian g they are the identity rows.
         """
-        der = self.derived_subalgebra()
-        if der.dim == 0:
-            return [tuple(r) for r in Matrix.identity(self.dim).entries]
-        return der.basis.nullspace()
+        return self.derived_subalgebra().basis.nullspace()
 
     # -- naming helpers ---------------------------------------------------
 

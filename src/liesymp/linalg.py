@@ -26,8 +26,10 @@ its content, and given the column count it stops at full rank.
 `rref` back-substitutes its rows in ints and puts each over its pivot,
 straight into the canonical state; `nullspace_of` reads int kernel
 vectors off the same rows, and `Matrix.nullspace` is their `Fraction`
-view. `Subspace.contains` subtracts the RREF rows at their pivots, and
-`invariant_under` does so for each row of one product basis @ m^T.
+view. A `Subspace` answers membership through its annihilator A, the
+`nullspace_of` its basis B: v is in it iff A v = 0, it holds another
+subspace iff A kills that basis, it is invariant under m iff
+A m B^T = 0, and two subspaces meet in the kernel of both A stacked.
 
 No size limit is enforced; cost follows the nonzero count and the
 coefficients' bit length. Measured full reports (`build_report(...,
@@ -509,57 +511,41 @@ class Subspace:
     def vectors(self) -> list[tuple[Fraction, ...]]:
         return list(self.basis.entries)
 
+    @cached_property
+    def annihilator(self) -> Matrix:
+        """Int rows spanning {a : a . b = 0 for every b in the subspace}:
+        the `nullspace_of` the basis rows, d - k of them. v is in the
+        subspace iff every row kills it."""
+        return Matrix(1, tuple(tuple((j, p) for j, p in enumerate(v) if p)
+                               for v in nullspace_of(
+                                   map(dict, self.basis.rows),
+                                   self.ambient_dim)),
+                      self.ambient_dim)
+
     def contains(self, vec: Sequence) -> bool:
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return self._holds(dict(enumerate(int_vector(vec)[1])))
+        return not any(self.annihilator.apply(vec))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        if other.dim and other.ambient_dim != self.ambient_dim:
+        if not other.dim:
+            return True
+        if other.ambient_dim != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return all(self._holds(dict(r)) for r in other.basis.rows)
+        return (other.basis @ self.annihilator.transpose()).is_zero()
 
     def invariant_under(self, m: Matrix) -> bool:
-        """m maps the subspace into itself: each row of basis @ m^T, the
-        image of a basis vector, is in the span."""
-        return all(self._holds(dict(r))
-                   for r in (self.basis @ m.transpose()).rows)
-
-    def _holds(self, w: Row) -> bool:
-        """In the span iff den w = sum of w[p_i] den b_i (p_i: b_i's pivot)."""
-        acc = {j: x * self.basis.den for j, x in w.items()}
-        for row in self.basis.rows:
-            c = w.get(row[0][0])
-            if c:
-                for j, p in row:
-                    acc[j] = acc.get(j, 0) - c * p
-        return not any(acc.values())
+        """m maps the subspace into itself: A m B^T = 0, A the annihilator
+        and B the basis, one product of d - k rows."""
+        return (self.basis @ (self.annihilator @ m).transpose()).is_zero()
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of the stacked coefficient map."""
+        """The vectors both annihilators kill."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # unknowns: coefficients on self.basis then other.basis; one row
-        # per ambient coordinate of (sum self - sum other), both bases
-        # lifted to the denominator a.den * b.den
-        a, b, k = self.basis, other.basis, self.dim
-        stacked: list[Row] = [{} for _ in range(self.ambient_dim)]
-        for i, r in enumerate(a.rows):
-            for j, p in r:
-                stacked[j][i] = p * b.den
-        for i, r in enumerate(b.rows):
-            for j, p in r:
-                stacked[j][k + i] = -p * a.den
-        vecs = []
-        for ker in nullspace_of(stacked, k + other.dim):
-            acc = [0] * self.ambient_dim
-            for c, r in zip(ker[:k], a.rows):
-                for j, p in r:
-                    acc[j] += c * p
-            vecs.append(acc)
-        return Subspace.span(self.ambient_dim, vecs)
+        return Subspace.span(self.ambient_dim, nullspace_of(
+            map(dict, self.annihilator.rows + other.annihilator.rows),
+            self.ambient_dim))
 
 
 def complement(s: Subspace, gram: Matrix) -> Subspace:

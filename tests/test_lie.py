@@ -98,6 +98,16 @@ def test_character_space_dims(catalog):
     assert len(catalog["ex4"].algebra.characters()) == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_abelian_characters_are_the_identity_rows(catalog, n):
+    # [g, g] = 0, so every functional is a character: the nullspace of
+    # the zero subspace's empty basis, one identity row per column
+    chars = catalog[f"abelian({n})"].algebra.characters()
+    assert chars == [tuple(F(int(i == j)) for j in range(2 * n))
+                     for i in range(2 * n)]
+    assert all(type(x) is F for r in chars for x in r)
+
+
 def test_rational_basis_and_lattice_criterion(catalog):
     for name, t in catalog.items():
         g = t.algebra

@@ -1,7 +1,8 @@
 """The exact kernel against sympy on seeded random rational matrices,
 the common-denominator products on chosen denominators and against a naive
-Fraction triple sum, and the one-pass Sylvester check against the per-k
-det route.
+Fraction triple sum, the one-pass Sylvester check against the per-k
+det route, and a subspace's annihilator route against sympy and against
+membership by pivot subtraction (`support.pivot_contains`).
 
 sympy is an independent exact implementation; it is used here only, never
 by the library.
@@ -15,8 +16,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from liesymp import Matrix
-from support import col, diag as diag_matrix
+from liesymp import Matrix, Subspace
+from support import col, diag as diag_matrix, image_under, pivot_contains
 
 F = Fraction
 
@@ -320,3 +321,67 @@ def test_det_and_minors_on_coprime_row_denominators_near_2_30(n):
                           [F(5, _P[1]), F(2, _P[1]), F(7, _P[1])],
                           [F(-4, _P[2]), F(1, _P[2]), F(9, _P[2])]])
     assert m.det() == F(int(_to_sympy(m).det().p), int(_to_sympy(m).det().q))
+
+
+def _subspaces():
+    """(d, S, T) for d = 1..8: S and T spanned by 0 to d + 1 random
+    vectors (dependent ones included), with zero and full subspaces."""
+    rng = random.Random("annihilator")
+    out = []
+    for d in range(1, 9):
+        spaces = [Subspace.zero(d), Subspace.full(d)]
+        for _ in range(6):
+            r = rng.randint(0, d + 1)
+            spaces.append(Subspace.span(d, _random_matrix(
+                rng, r, d, rng.choice([0.3, 1.0])).entries))
+        for s in spaces:
+            out.append((d, s, rng.choice(spaces)))
+    return out
+
+
+@pytest.mark.parametrize("d,s,t", _subspaces())
+def test_annihilator_routes_match_sympy_and_pivot_subtraction(d, s, t):
+    rng = random.Random(f"{s}{t}")
+    a, k = s.annihilator, s.dim
+    # d - k independent rows that kill every basis row
+    assert a.ncols == d and a.nrows == d - k
+    sa = _to_sympy(a)
+    assert sa.rank() == d - k
+    assert all(x == 0 for x in sa * _to_sympy(s.basis).T)
+    # contains: basis combinations, random vectors, the zero vector
+    vecs = [[0] * d] + [_random_matrix(rng, 1, d, 0.6).entries[0]
+                        for _ in range(4)]
+    if k:
+        vecs += list((_random_matrix(rng, 3, k, 0.8) @ s.basis).entries)
+    for v in vecs:
+        assert s.contains(v) == pivot_contains(s, v), (s, v)
+    # contains_subspace: t, and subspaces of s
+    subs = [t, Subspace.zero(d)]
+    if k:
+        subs.append(Subspace.span(d, (_random_matrix(
+            rng, rng.randint(1, k), k, 0.8) @ s.basis).entries))
+    for o in subs:
+        assert s.contains_subspace(o) == all(
+            pivot_contains(s, v) for v in o.vectors()), (s, o)
+    # invariant_under: random maps, and B^T W + C A, which maps s into
+    # s without mapping everything into s; A here comes from sympy
+    maps = [_random_matrix(rng, d, d, 0.6), Matrix.identity(d),
+            Matrix.from_rows([[0] * d] * d)]
+    kernel = [[F(int(x.p), int(x.q)) for x in c]
+              for c in _to_sympy(s.basis).nullspace()]
+    into = (s.basis.transpose() @ _random_matrix(rng, k, d, 0.8)
+            if k else Matrix.from_rows([[0] * d] * d))
+    if kernel:
+        into = into + (_random_matrix(rng, d, len(kernel), 0.8)
+                       @ Matrix.from_rows(kernel))
+    maps.append(into)
+    for m in maps:
+        assert s.invariant_under(m) == all(
+            pivot_contains(s, v) for v in image_under(s, m).vectors()), (s, m)
+    assert s.invariant_under(into)
+    # intersect: dim S + dim T - rank [S; T], inside both
+    meet = s.intersect(t)
+    rank = sympy.Matrix.vstack(_to_sympy(s.basis), _to_sympy(t.basis)).rank()
+    assert meet.dim == k + t.dim - rank
+    assert all(pivot_contains(s, v) and pivot_contains(t, v)
+               for v in meet.vectors())
