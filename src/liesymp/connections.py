@@ -21,7 +21,11 @@ is parallel iff every Gamma(e_i, .) maps it into itself.
 
 Sign sanity: metric compatibility  g(Gamma(A,B), C) + g(B, Gamma(A,C)) = 0
 and zero torsion  Gamma(A,B) - Gamma(B,A) = [A,B]  are asserted at
-construction, so a convention slip cannot survive silently.
+construction, so a convention slip cannot survive silently. Since
+G Gamma is the Koszul tensor K / 2, metric compatibility is asserted
+before Gamma is formed, as K skew in its last two slots (on K's ints,
+which catches a Koszul sign slip) and G G^-1 = I (which catches a wrong
+inverse); torsion is asserted on Gamma.
 
 From the Levi-Civita map two canonical almost Hermitian connections are
 derived:
@@ -78,23 +82,28 @@ from .symp import SymplecticTriple
 Connection = Tensor3
 
 
+def _skew(lo: Tensor3, s: int) -> bool:
+    """lo(i, b)_c + s lo(i, c)_b = 0 for every i, b, c, compared on the
+    stored ints."""
+    return ({(i, b, c): p for (i, b), row in lo.rows.items() for c, p in row}
+            == {(i, b, c): -s * p
+                for (i, c), row in lo.rows.items() for b, p in row})
+
+
 def _parallel(conn: Connection, form: Matrix) -> bool:
     """F M_i + M_i^T F = 0 for every i, F the form's matrix: with
     lo(i, b)_c = (F Gamma(e_i, e_b))_c = (F M_i)_cb, that is lo(i, b)_c +
     (F^T Gamma(e_i, e_c))_b = 0. F is the metric or omega, symmetric or
     skew (`build_triple` checks both), so F^T = s F and the second term
     is s lo(i, c)_b."""
-    s = 1 if form.is_symmetric() else -1
-    lo = conn.map_values(form)
-    return ({(i, b, c): p for (i, b), row in lo.rows.items() for c, p in row}
-            == {(i, b, c): -s * p
-                for (i, c), row in lo.rows.items() for b, p in row})
+    return _skew(conn.map_values(form), 1 if form.is_symmetric() else -1)
 
 
 def levi_civita(t: SymplecticTriple) -> Connection:
     """The Koszul sums 2 g(Gamma(e_i, e_j), e_c) = L(i, j)_c - L(j, c)_i
     - L(i, c)_j in ints, L(a, b)_c = g(e_c, [e_a, e_b]) read off the
-    bracket tensor lowered by the metric, then Gamma = G^-1 of them / 2."""
+    bracket tensor lowered by the metric, then Gamma = G^-1 of them / 2,
+    checked metric on those sums (see "Sign sanity" above)."""
     d = t.dim
     low = t.algebra.bracket.map_values(t.metric)
     num: dict[tuple[int, int], list[int]] = {}
@@ -105,17 +114,19 @@ def levi_civita(t: SymplecticTriple) -> Connection:
             num.setdefault((k, a), [0] * d)[b] -= p
             num.setdefault((a, k), [0] * d)[b] -= p
     koszul = Tensor3.from_ints(d, 2 * low.den, num)
-    conn = koszul.map_values(t.metric_inv)
     # axioms; cheap and they catch convention slips immediately
-    if not _parallel(conn, t.metric):
+    if not (_skew(koszul, 1)
+            and t.metric @ t.metric_inv == Matrix.identity(d)):
         raise InternalInvariantViolation("Levi-Civita not metric")
+    conn = koszul.map_values(t.metric_inv)
     if not torsion(t, conn).is_zero():
         raise InternalInvariantViolation("Levi-Civita has torsion")
     return conn
 
 
-def _nabla_of(conn: Connection, m: Matrix) -> Tensor3:
-    """(x, y) -> (nabla_x m) y = Gamma(x, m y) - m Gamma(x, y)."""
+def nabla_of(conn: Connection, m: Matrix) -> Tensor3:
+    """(x, y) -> (nabla_x m) y = Gamma(x, m y) - m Gamma(x, y); with m = J
+    its endo(i) is the matrix of nabla_{e_i} J."""
     return combine([(1, conn.map_second(m)), (-1, conn.map_values(m))])
 
 
@@ -123,7 +134,7 @@ def chern_connection(t: SymplecticTriple, lc: Connection) -> Connection:
     j = t.j
     conn = combine([(Fraction(1, 2), lc),
                     (Fraction(-1, 2), lc.map_second(j).map_values(j))])
-    if not _nabla_of(conn, j).is_zero():
+    if not nabla_of(conn, j).is_zero():
         raise InternalInvariantViolation("Chern connection: nabla J != 0")
     if not _parallel(conn, t.omega):
         raise InternalInvariantViolation("Chern connection: nabla omega != 0")
@@ -131,7 +142,7 @@ def chern_connection(t: SymplecticTriple, lc: Connection) -> Connection:
 
 
 def symplectic_connection(t: SymplecticTriple, lc: Connection) -> Connection:
-    jnj = nabla_j_endos(t, lc).map_values(t.j)  # J (nabla_{e_i} J) e_b
+    jnj = nabla_of(lc, t.j).map_values(t.j)  # J (nabla_{e_i} J) e_b
     third = Fraction(-1, 3)
     conn = combine([(1, lc), (third, jnj), (third, jnj.swapped())])
     if not _parallel(conn, t.omega):
@@ -140,12 +151,6 @@ def symplectic_connection(t: SymplecticTriple, lc: Connection) -> Connection:
     if not torsion(t, conn).is_zero():
         raise InternalInvariantViolation("symplectic connection has torsion")
     return conn
-
-
-def nabla_j_endos(t: SymplecticTriple, lc: Connection) -> Tensor3:
-    """nabla J as the tensor (A, B) -> (nabla_A J) B = Gamma(A, JB) -
-    J Gamma(A, B); its endo(i) is the matrix of nabla_{e_i} J."""
-    return _nabla_of(lc, t.j)
 
 
 def torsion(t: SymplecticTriple, conn: Connection) -> Tensor3:
@@ -180,7 +185,7 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
       nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J), checked on
                                every basis vector B.
 
-    nj is `nabla_j_endos(t, lc)` and n the Nijenhuis tensor of t. gn is
+    nj is `nabla_of(lc, t.j)` and n the Nijenhuis tensor of t. gn is
     G N, `n.map_values(t.metric)`: optional, as in `nijenhuis.norm_sq`,
     so a report can pass the one it built for |N|^2. Both are
     whole-tensor identities in ints: with omega(u, v) = u^T omega v, the

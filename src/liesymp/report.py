@@ -35,7 +35,7 @@ from . import catalog
 from .connections import (Connection, CurvatureSummary, ParallelismReport,
                           chern_connection, covariant_derivative_n,
                           curvature_summary, levi_civita, nabla_j_checks,
-                          nabla_j_endos)
+                          nabla_of)
 from .lie import LieAlgebra
 from .linalg import Matrix, Subspace
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
@@ -75,7 +75,7 @@ class Analysis:
 
     @cached_property
     def nabla_j(self) -> Tensor3:
-        return nabla_j_endos(self.t, self.lc)
+        return nabla_of(self.lc, self.t.j)
 
     @cached_property
     def curvature(self) -> CurvatureSummary:

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
-from .linalg import Matrix, int_vector, qof
+from .linalg import Matrix, _canon, int_vector, qof
 
 
 IntRows = dict[tuple[int, int], tuple[tuple[int, int], ...]]
@@ -63,16 +63,6 @@ class Tensor3:
             if row:
                 rows[ij] = row
         return Tensor3(dim, den // g if rows else 1, rows)
-
-    @staticmethod
-    def from_dense(dim: int, vals: Sequence[Sequence[Sequence]]) -> "Tensor3":
-        """The tensor with T(e_i, e_j) = vals[i][j], any exact numbers."""
-        num = {(i, j): [qof(x) for x in v]
-               for i, row in enumerate(vals) for j, v in enumerate(row)}
-        den = lcm(*(x.denominator for v in num.values() for x in v))
-        return Tensor3.from_ints(dim, den, {
-            ij: [x.numerator * (den // x.denominator) for x in v]
-            for ij, v in num.items()})
 
     @cached_property
     def _values(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -123,9 +113,12 @@ class Tensor3:
                         for ij, row in self.rows.items()})
 
     def endo(self, i: int) -> Matrix:
-        """T(e_i, .) as a matrix (columns are images)."""
-        return Matrix.from_ints(self.den, list(zip(
-            *(self.numerators(i, b) for b in range(self.dim)))))
+        """T(e_i, .) as a matrix (columns are images): row b of its
+        transpose is T(e_i, e_b), the stored row of (i, b), so the matrix
+        is those rows over den in canonical form, transposed."""
+        return _canon(self.den, tuple([self.rows.get((i, b), ())
+                                       for b in range(self.dim)]),
+                      self.dim).transpose()
 
     def swapped(self) -> "Tensor3":
         """(x, y) -> T(y, x)."""

@@ -85,10 +85,6 @@ class TwistorModel:
         return sum(p * self.phi[k]
                    for k, p in self.algebra.bracket.rows.get((x, y), ()))
 
-    def omega_basis(self, x: int, y: int) -> Fraction:
-        """omega(e_x, e_y) = phi([e_x, e_y])."""
-        return Fraction(self._omega_num(x, y), self.algebra.bracket.den)
-
     @cached_property
     def kks_m(self) -> Matrix:
         """omega on m, in m-coordinates, evaluated once per model."""

@@ -20,9 +20,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
-from liesymp import (Matrix, Subspace, SymplecticTriple, build_triple,
-                     torsion, validate)
+from liesymp import (Matrix, Subspace, SymplecticTriple, Tensor3,
+                     build_triple, torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import int_vector, qof
 from liesymp.nspace import _first_slots
@@ -201,6 +202,26 @@ def fraction_rref(m: Matrix) -> tuple[Matrix, int]:
         if rank == nr:
             break
     return Matrix.from_rows(m), rank
+
+
+# -- dense tensors: a constructor, and an oracle for `Tensor3.endo`
+
+
+def from_dense(dim: int, vals) -> Tensor3:
+    """The tensor with T(e_i, e_j) = vals[i][j], any exact numbers."""
+    num = {(i, j): [qof(x) for x in v]
+           for i, row in enumerate(vals) for j, v in enumerate(row)}
+    den = lcm(*(x.denominator for v in num.values() for x in v))
+    return Tensor3.from_ints(dim, den, {
+        ij: [x.numerator * (den // x.denominator) for x in v]
+        for ij, v in num.items()})
+
+
+def dense_endo(t: Tensor3, i: int) -> Matrix:
+    """T(e_i, .) as a matrix (columns are images), from the dense
+    numerator lists T(e_i, e_b) * den put side by side as columns."""
+    return Matrix.from_ints(t.den, list(zip(
+        *(t.numerators(i, b) for b in range(t.dim)))))
 
 
 # -- parallel forms, as an oracle for `connections._parallel`
@@ -738,6 +759,13 @@ def bracket_basis(g, i: int, j: int) -> dict[int, Fraction]:
 
 def nonzero_brackets(g) -> list:
     return [(i, j, bracket_basis(g, i, j)) for i, j in g.pairs()]
+
+
+def omega_basis(model, x: int, y: int) -> Fraction:
+    """The twistor model's orbit form omega(e_x, e_y) = phi([e_x, e_y])."""
+    return sum((c * model.phi[k]
+                for k, c in bracket_basis(model.algebra, x, y).items()),
+               Fraction(0))
 
 
 def p_element(model, u) -> tuple:

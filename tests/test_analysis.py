@@ -19,9 +19,8 @@ import sympy
 
 from liesymp import (Analysis, build_rank_example, build_report, builtin,
                      golden_rows)
-from liesymp.connections import (_nabla_of, chern_connection,
-                                  curvature_summary, levi_civita,
-                                  nabla_j_endos)
+from liesymp.connections import (chern_connection, curvature_summary,
+                                  levi_civita, nabla_of)
 from liesymp.nijenhuis import classify, nijenhuis_tensor
 from liesymp.tensor import Tensor3
 from liesymp.twistor import twistor_nijenhuis
@@ -47,9 +46,9 @@ def test_build_report_computes_each_quantity_once(monkeypatch):
     t = build_rank_example(3, 1, True, True)
     n = nijenhuis_tensor(t)
     fns = (nijenhuis_tensor, classify, levi_civita,
-           chern_connection, nabla_j_endos, curvature_summary)
+           chern_connection, curvature_summary)
     calls = {fn.__name__: _count(monkeypatch, fn) for fn in fns}
-    nablas = _count(monkeypatch, _nabla_of)
+    nablas = _count(monkeypatch, nabla_of)
     lowered_by_metric = []
     map_values = Tensor3.map_values
 
@@ -65,16 +64,19 @@ def test_build_report_computes_each_quantity_once(monkeypatch):
     # and never checks nabla^c J = 0
     assert {k: len(v) for k, v in calls.items()} == {
         fn.__name__: int(fn is not chern_connection) for fn in fns}
-    assert [conn for conn, _ in nablas] == [levi_civita(t)]
-    # G N is built once, for |N|^2 and the nabla J pairing both
-    assert sum(x == n for x in lowered_by_metric) == 1
+    # the metric lowers the bracket tensor, for the Koszul sums, and N
+    # once, for |N|^2 and the nabla J pairing both; Levi-Civita is
+    # checked on the Koszul ints, so Gamma is never lowered
+    assert len(lowered_by_metric) == 2
+    assert t.algebra.bracket in lowered_by_metric and n in lowered_by_metric
+    assert nablas == [(levi_civita(t), t.j)]
 
 
 def test_golden_rows_classify_each_entry_once(monkeypatch):
     classified = _count(monkeypatch, classify)
     tensors = _count(monkeypatch, twistor_nijenhuis)
     cherns = _count(monkeypatch, chern_connection)
-    nablas = _count(monkeypatch, _nabla_of)
+    nablas = _count(monkeypatch, nabla_of)
     rows = golden_rows()
     assert len(rows) == 48 and all(r.ok for r in rows)
     assert len(classified) == 8

@@ -6,7 +6,8 @@ pointwise loops they replaced (`support.pointwise_parallelism`,
 F M_i + M_i^T F = 0 (`support.definitional_parallel`), and
 `Subspace.invariant_under` to the image of a subspace under a map, tested
 by pivot subtraction (`support.pivot_contains`), on inputs where both
-answers occur."""
+answers occur. `Tensor3.endo`, read off the stored rows, is held to the
+dense numerator route (`support.dense_endo`)."""
 
 import dataclasses
 import random
@@ -21,8 +22,8 @@ from liesymp import (Analysis, Matrix, Subspace, Tensor3, abelian,
 from liesymp.connections import _parallel
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from liesymp.nijenhuis import combine
-from support import (definitional_parallel, dense_conjugate, image_under,
-                     pivot_contains, pointwise_parallelism,
+from support import (definitional_parallel, dense_conjugate, dense_endo,
+                     image_under, pivot_contains, pointwise_parallelism,
                      pointwise_torsion_recovers_nijenhuis)
 
 F = Fraction
@@ -196,3 +197,28 @@ def test_invariant_under_matches_the_image(catalog):
             assert s.invariant_under(t.j), name
             assert _holds_image(s, t.j), name
     assert answers == {True, False}
+
+
+def _assert_endo_is_dense_endo(tensor, name):
+    for i in range(tensor.dim):
+        m, oracle = tensor.endo(i), dense_endo(tensor, i)
+        assert m == oracle and hash(m) == hash(oracle), (name, i)
+
+
+def test_endo_matches_the_dense_route(extended_catalog):
+    triples = dict(extended_catalog)
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        triples[f"dense rank({n}, {k})"] = dense_conjugate(
+            build_rank_example(n, k, *flags), random.Random(f"endo:{n}:{k}"))
+    for name, t in triples.items():
+        a = Analysis(t)
+        for tname, tensor in (("lc", a.lc), ("nabla_j", a.nabla_j),
+                              ("n", a.n)):
+            _assert_endo_is_dense_endo(tensor, f"{name} {tname}")
+    # den 4, and e_0's slice holds only the even numerators 2 and 6, so
+    # its matrix is over 2 in canonical form; e_1's slice is zero
+    tensor = Tensor3.from_ints(3, 4, {(0, 0): [2, 0, 6], (0, 2): [0, 2, 0],
+                                      (2, 1): [1, 0, 0]})
+    assert tensor.den == 4 and tensor.endo(0).den == 2
+    _assert_endo_is_dense_endo(tensor, "shared factor")

@@ -1,18 +1,19 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
+from liesymp import (Analysis, Matrix, build_rank_example,
                      chern_connection, curvature_summary, levi_civita,
                      nabla_j_checks, nijenhuis_tensor, norm_sq,
                      symplectic_connection, torsion,
                      torsion_recovers_nijenhuis)
-from liesymp.connections import Connection
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from liesymp.nijenhuis import combine
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
-                     definitional_parallel, dense_conjugate, diag)
+                     definitional_parallel, dense_conjugate, diag,
+                     from_dense)
 
 F = Fraction
 
@@ -24,6 +25,20 @@ def test_levi_civita_axioms(extended_catalog):
         assert torsion(t, lc).is_zero(), name
 
 
+def test_a_wrong_metric_inverse_is_not_metric(catalog):
+    # G G^-1 = I is checked before Gamma is formed, so a wrong inverse
+    # is caught even where Gamma = 0 (abelian) and G^-1 of it would be too
+    for name, t in catalog.items():
+        ginv = [list(r) for r in t.metric_inv.entries]
+        ginv[-1] = [2 * x for x in ginv[-1]]
+        bad = dataclasses.replace(t)
+        bad.__dict__["metric_inv"] = Matrix.from_rows(ginv)
+        assert bad.metric_inv != t.metric_inv, name
+        with pytest.raises(InternalInvariantViolation,
+                           match="^Levi-Civita not metric$"):
+            levi_civita(bad)
+
+
 def test_connections_compare_by_value(extended_catalog):
     # a tensor is its values: the Levi-Civita map rebuilt by a sum or
     # from its dense values is the same object, and so is its summary
@@ -32,7 +47,7 @@ def test_connections_compare_by_value(extended_catalog):
         summed = combine([(1, a.lc)])
         assert summed == a.lc and hash(summed) == hash(a.lc), name
         vals = [[a.lc.of_basis(i, j) for j in range(d)] for i in range(d)]
-        assert Tensor3.from_dense(d, vals) == a.lc, name
+        assert from_dense(d, vals) == a.lc, name
         assert curvature_summary(t, summed) == a.curvature, name
 
 
@@ -61,7 +76,7 @@ def test_wrong_sign_convention_loses_metric_compatibility(catalog):
                 rhs.append(val / 2)
             row.append(ginv.apply(rhs))
         rows.append(tuple(row))
-    variant = Connection.from_dense(d, rows)
+    variant = from_dense(d, rows)
     assert torsion(t, variant).is_zero()
     assert not definitional_parallel(variant, t.metric)
 
@@ -199,10 +214,10 @@ def test_character_shift_passes_and_keeps_the_mixed_trace_form(
         alphas = Matrix.from_rows(derived or [[0] * d]).nullspace()
         assert alphas, name  # no catalog algebra is perfect
         for alpha in alphas:
-            shift = Tensor3.from_dense(d, [[[alpha[i] if k == b else 0
-                                             for k in range(d)]
-                                            for b in range(d)]
-                                           for i in range(d)])
+            shift = from_dense(d, [[[alpha[i] if k == b else 0
+                                     for k in range(d)]
+                                    for b in range(d)]
+                                   for i in range(d)])
             cs = curvature_summary(t, combine([(1, a.lc), (1, shift)]))
             assert cs == a.curvature, name
 

@@ -15,8 +15,9 @@ import random
 
 import pytest
 
-from liesymp import Analysis, Tensor3, build_rank_example, thurston
-from support import dense_conjugate, dense_curvature, dense_operators
+from liesymp import Analysis, build_rank_example, thurston
+from support import (dense_conjugate, dense_curvature, dense_operators,
+                     from_dense)
 
 
 def _assert_routes_agree(t, name):
@@ -74,7 +75,7 @@ def test_from_dense_round_trips_n(extended_catalog):
         n = Analysis(t).n
         d = t.dim
         vals = [[n.of_basis(i, j) for j in range(d)] for i in range(d)]
-        back = Tensor3.from_dense(d, vals)
+        back = from_dense(d, vals)
         assert back == n, name
         assert all(back.of_basis(i, j) == vals[i][j]
                    for i in range(d) for j in range(d)), name

@@ -16,9 +16,10 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from liesymp import Matrix, Subspace, Tensor3
+from liesymp import Matrix, Subspace
 from liesymp.linalg import nullspace_of
 from liesymp.nijenhuis import kernel_distribution
+from support import from_dense
 
 F = Fraction
 
@@ -107,9 +108,9 @@ def _tensor(rng, dim, rank):
     c = _row(rng, dim)
     for i in range(dim):
         vals[i][0] = [c[i], c[i]] + [F(0)] * (dim - 2)
-    t = Tensor3.from_dense(dim, vals).map_first(p)
-    return Tensor3.from_dense(dim, [[t.of_basis(i, j) for j in range(dim)]
-                                    for i in range(dim)])
+    t = from_dense(dim, vals).map_first(p)
+    return from_dense(dim, [[t.of_basis(i, j) for j in range(dim)]
+                            for i in range(dim)])
 
 
 @pytest.mark.parametrize("dim,rank", [(4, 4), (4, 2), (6, 6), (6, 3),

@@ -21,7 +21,7 @@ from liesymp.nspace import _first_slots, _rows
 from liesymp.tensor import combine
 from support import (definitional_nabla_j_checks,
                      definitional_tensor_identities, dense_conjugate,
-                     full_row_contains_tensor, slab_norm_sq)
+                     from_dense, full_row_contains_tensor, slab_norm_sq)
 
 
 def _flags(t, nj, n):
@@ -64,7 +64,7 @@ def _bumped(tensor: Tensor3) -> Tensor3:
             for i in range(d)]
     i, j = min(tensor.rows)
     vals[i][j][tensor.rows[(i, j)][0][0]] += 1
-    return Tensor3.from_dense(d, vals)
+    return from_dense(d, vals)
 
 
 def _omega_row0_negated(t):
@@ -130,8 +130,8 @@ def _first_slot_only(t):
     assert k @ j == -(j @ k) and not k.is_zero()
     phi = [rng.randint(-2, 2) for _ in range(d)]
     ke = k.entries
-    return Tensor3.from_dense(d, [[[phi[y] * ke[r][x] for r in range(d)]
-                                   for y in range(d)] for x in range(d)])
+    return from_dense(d, [[[phi[y] * ke[r][x] for r in range(d)]
+                           for y in range(d)] for x in range(d)])
 
 
 @pytest.mark.parametrize("slot", ["first", "second"])
@@ -189,7 +189,7 @@ def _antisymmetric_first_slot_anti_linear(t, count):
         for p, (i, j) in enumerate(pairs):
             vals[i][j] = x[p * d:(p + 1) * d]
             vals[j][i] = [-c for c in vals[i][j]]
-        out.append(Tensor3.from_dense(d, vals))
+        out.append(from_dense(d, vals))
     return out
 
 
@@ -238,7 +238,7 @@ def test_an_antisymmetric_tensor_that_is_not_anti_linear(name):
     for i, j in combinations(range(d), 2):
         vals[i][j] = [rng.randint(-3, 3) for _ in range(d)]
         vals[j][i] = [-c for c in vals[i][j]]
-    tensor = Tensor3.from_dense(d, vals)
+    tensor = from_dense(d, vals)
     ident = check_tensor_identities(t, tensor)
     assert ident == definitional_tensor_identities(t, tensor)
     assert ident["antisymmetry"] is True

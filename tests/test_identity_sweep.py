@@ -16,7 +16,8 @@ from liesymp.errors import ValidationError
 from liesymp.lie import LieAlgebra
 from liesymp.symp import _check_cocycle
 from support import (cocycle_values, definitional_cocycle,
-                     definitional_jacobi, jacobi_residuals, nonzero_brackets)
+                     definitional_jacobi, jacobi_residuals, nonzero_brackets,
+                     omega_basis)
 
 F = Fraction
 
@@ -35,7 +36,8 @@ def _bases() -> dict:
         m = build_twistor_model(n)
         g = m.algebra
         # the orbit form phi([., .]) is a coboundary, so a cocycle
-        omega = Matrix.from_rows([[m.omega_basis(x, y) for y in range(g.dim)]
+        omega = Matrix.from_rows([[omega_basis(m, x, y)
+                                   for y in range(g.dim)]
                                   for x in range(g.dim)])
         out[g.name] = (g, omega)
     return out

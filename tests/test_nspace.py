@@ -3,7 +3,7 @@ from fractions import Fraction
 from liesymp import (Tensor3, contains_tensor, expected_dimension,
                      nijenhuis_space_dim, nijenhuis_tensor)
 from liesymp.nspace import _first_slots, build_constraint_rows, nullity
-from support import fraction_rref, full_constraint_rows
+from support import fraction_rref, from_dense, full_constraint_rows
 
 F = Fraction
 
@@ -67,7 +67,7 @@ def test_catalog_tensors_satisfy_their_own_constraints(catalog):
 
 
 def _tensor(dim, vals):
-    return Tensor3.from_dense(dim, vals)
+    return from_dense(dim, vals)
 
 
 def test_zero_tensor_is_always_a_member(catalog):

@@ -9,8 +9,8 @@ from liesymp.tensor import Tensor3
 from liesymp.twistor import (p_pairs_span_q, positivity_report,
                              twistor_nijenhuis)
 from support import (bracket_basis, definitional_twistor_n, j0_matrix,
-                     matrix_twistor_algebra, p_element, q_block_matrix,
-                     q_element)
+                     matrix_twistor_algebra, omega_basis, p_element,
+                     q_block_matrix, q_element)
 
 F = Fraction
 
@@ -44,7 +44,7 @@ def test_so_1_2_by_hand():
     assert bracket_basis(g, 0, 1) == {2: -1}  # [UY_1_1, P_1] = -P_2
     assert bracket_basis(g, 0, 2) == {1: 1}   # [UY_1_1, P_2] = P_1
     assert bracket_basis(g, 1, 2) == {0: 1}   # [P_1, P_2] = UY_1_1
-    assert model.omega_basis(1, 2) == -2
+    assert omega_basis(model, 1, 2) == -2
 
 
 def test_jacobi_check_trips_on_a_flipped_constant(monkeypatch):
