@@ -107,8 +107,11 @@ class LieAlgebra:
         """Span of [u, v] over the basis vectors u of a and v of b, each
         summed in ints on the bracket tensor from the bases' int rows. A
         nonzero multiple spans the same line, so only the nonzero int
-        results are passed to the span."""
+        results are passed to the span; with no stored bracket, the span
+        is the zero subspace at once."""
         table = self.bracket.rows
+        if not table:
+            return Subspace.zero(self.dim)
         vecs = []
         for us in a.basis.rows:
             for vs in b.basis.rows:

@@ -24,8 +24,12 @@ M_{b,n+a} (UY_aa = M_{a,n+a}) and QY_ab = M_{a,n+b} - M_{b,n+a}, and
 
     [M_ab, M_cd] = eta_bc M_ad - eta_ac M_bd - eta_bd M_ac + eta_ad M_bc
 
-is taken back through the inverse change of basis. The Jacobi check on
-the result is the second route to it.
+is taken back through the inverse change of basis. The second route is
+the matrices themselves: `_check_representation` checks in ints that
+the basis matrices are linearly independent and that the table is their
+commutator, so the basis -> matrix map is an injective homomorphism.
+That implies Jacobi and pins the constants as so(1,2n)'s, with neither
+the closed form nor the change of basis.
 
 The invariant structures on m: both signs rotate the fibre directions the
 same way (QX_ab -> QY_ab -> -QX_ab = half the adjoint action of j'0),
@@ -53,11 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Literal, Optional
 
 from .errors import InternalInvariantViolation
-from .lie import LieAlgebra, _check_jacobi
-from .linalg import Matrix, Subspace
+from .lie import LieAlgebra
+from .linalg import IntRow, Matrix, Subspace, _canon, echelon
 from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
 
 Sign = Literal["+", "-"]
@@ -79,51 +84,55 @@ class TwistorModel:
     def m_dim(self) -> int:
         return len(self.q_indices) + len(self.p_indices)
 
-    def _omega_num(self, x: int, y: int) -> int:
-        """D omega(e_x, e_y) = D phi([e_x, e_y]), D the bracket's
-        denominator."""
-        return sum(p * self.phi[k]
-                   for k, p in self.algebra.bracket.rows.get((x, y), ()))
-
     @cached_property
     def kks_m(self) -> Matrix:
-        """omega on m, in m-coordinates, evaluated once per model."""
-        m_idx = self.m_indices
-        return Matrix.from_ints(self.algebra.bracket.den, [
-            [self._omega_num(x, y) for y in m_idx] for x in m_idx])
+        """omega on m, in m-coordinates: D omega(e_x, e_y) = D phi([e_x,
+        e_y]) summed over each stored m x m row, D the bracket's
+        denominator."""
+        big, table = self.algebra.bracket.den, self.algebra.bracket.rows
+        pos = {k: i for i, k in enumerate(self.m_indices)}
+        rows: list[list[tuple[int, int]]] = [[] for _ in pos]
+        for (x, y), row in table.items():
+            if x in pos and y in pos:
+                v = sum(p * self.phi[k] for k, p in row)
+                if v:
+                    rows[pos[x]].append((pos[y], v))
+        return _canon(big, tuple(tuple(sorted(r)) for r in rows), len(pos))
 
     @cached_property
     def bracket_m(self) -> Tensor3:
-        """(A, B) -> [A, B]_m on m, in m-coordinates: the bracket with its
-        u-components dropped."""
+        """(A, B) -> [A, B]_m on m, in m-coordinates: the stored rows with
+        their u-components dropped, over the least denominator left."""
         big, table = self.algebra.bracket.den, self.algebra.bracket.rows
-        d = self.m_dim
         pos = {k: i for i, k in enumerate(self.m_indices)}
-        num = {}
+        rows = {}
         for (a, b), row in table.items():
             if a in pos and b in pos:
-                v = num[(pos[a], pos[b])] = [0] * d
-                for k, p in row:
-                    if k in pos:
-                        v[pos[k]] = p
-        return Tensor3.from_ints(d, big, num)
+                r = tuple([(pos[k], p) for k, p in row if k in pos])
+                if r:
+                    rows[(pos[a], pos[b])] = r
+        g = gcd(big, *(p for r in rows.values() for _, p in r))
+        if g > 1:
+            rows = {ab: tuple([(k, p // g) for k, p in r])
+                    for ab, r in rows.items()}
+        return Tensor3(len(pos), big // g, rows)
 
     @cached_property
     def j_m(self) -> dict[Sign, Matrix]:
         """J^{+-} on m, in m-coordinates: QX_ab -> QY_ab -> -QX_ab and
-        P_i -> +-P_{n+i} -> -P_i, i <= n."""
+        P_i -> +-P_{n+i} -> -P_i, i <= n; one entry per row."""
         n, d, nq = self.n, self.m_dim, len(self.q_indices)
         half = nq // 2
         out = {}
         for sign, s in (("+", 1), ("-", -1)):
-            rows = [[0] * d for _ in range(d)]
+            rows: list[IntRow] = [()] * d
             for t in range(half):
-                rows[half + t][t] = 1
-                rows[t][half + t] = -1
+                rows[t] = ((half + t, -1),)
+                rows[half + t] = ((t, 1),)
             for i in range(nq, nq + n):
-                rows[i + n][i] = s
-                rows[i][i + n] = -s
-            out[sign] = Matrix.from_rows(rows)
+                rows[i] = ((i + n, -s),)
+                rows[i + n] = ((i, s),)
+            out[sign] = Matrix(1, tuple(rows), d)
         return out
 
 
@@ -202,10 +211,77 @@ def _closed_form_bracket(n: int, basis: list[tuple[str, Terms]]) -> Tensor3:
                                    for ij, row in rows.items()})
 
 
+def _check_representation(g: LieAlgebra, n: int,
+                          basis: list[tuple[str, Terms]]) -> None:
+    """Check in ints that g's bracket is the commutator of its Lorentz
+    matrices rho(e_x) = sum of s M_cd over the terms of e_x: the rho(e_x)
+    are linearly independent (`echelon` rank = dim), the table is
+    antisymmetric, and D [rho(e_x), rho(e_y)] = sum of p rho(e_k) over the
+    stored (k, p) of (x, y) for every x < y that share a Lorentz index or
+    are stored (elements that share none commute). So rho is an injective
+    homomorphism: the bracket satisfies Jacobi, and its constants are
+    so(1, 2n)'s in this basis. A failure names the basis pair and the
+    residual: [e_x, e_y] + [e_y, e_x] in the basis, or the commutator
+    equation's over D in the M_cd."""
+    t, names, dim = g.bracket, g.basis_names, g.dim
+    table, big = t.rows, t.den
+    eta = [-1] + [1] * (2 * n)
+    size = len(eta)
+    rho: list[dict[int, list[tuple[int, int]]]] = []  # i -> (j, entry)
+    for _, terms in basis:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for c, d, s in terms:
+            rows.setdefault(c, []).append((d, s * eta[d]))
+            rows.setdefault(d, []).append((c, -s * eta[c]))
+        rho.append(rows)
+    rank = len(echelon({i * size + j: v for i, r in m.items() for j, v in r}
+                       for m in rho))
+    if rank != dim:
+        raise InternalInvariantViolation(
+            f"{g.name} basis matrices are linearly dependent: rank {rank} "
+            f"for dim {dim}")
+    flip = (-t.swapped()).rows
+    if table != flip:
+        x, y = min(tuple(sorted(xy)) for xy in table.keys() | flip.keys()
+                   if table.get(xy) != flip.get(xy))
+        acc: dict[int, int] = {}
+        for k, p in table.get((x, y), ()) + table.get((y, x), ()):
+            acc[k] = acc.get(k, 0) + p
+        resid = {names[k]: str(Fraction(v, big))
+                 for k, v in sorted(acc.items()) if v}
+        raise InternalInvariantViolation(
+            f"{g.name} bracket is not antisymmetric on basis pair "
+            f"({names[x]}, {names[y]}): residual {resid}")
+    for x, y in ((x, y) for x in range(dim) for y in range(x + 1, dim)
+                 if rho[x].keys() & rho[y].keys() or (x, y) in table):
+        row = table.get((x, y), ())
+        res = [0] * (size * size)  # entry (i, j) at i * size + j
+        for a, b, f in ((x, y, big), (y, x, -big)):
+            right = rho[b]
+            for i, r in rho[a].items():
+                for j, v in r:
+                    for k, w in right.get(j, ()):
+                        res[i * size + k] += f * v * w
+        for k, p in row:
+            for i, r in rho[k].items():
+                for j, v in r:
+                    res[i * size + j] -= p * v
+        if any(res):
+            resid = {f"M_{c}_{d}": str(Fraction(res[c * size + d] * eta[d],
+                                                big))
+                     for c in range(size) for d in range(c + 1, size)
+                     if res[c * size + d]}
+            raise InternalInvariantViolation(
+                f"{g.name} bracket is not the commutator of its Lorentz "
+                f"matrices on basis pair ({names[x]}, {names[y]}): "
+                f"residual {resid}")
+
+
 def build_twistor_model(n: int) -> TwistorModel:
     """Construct so(1, 2n) with the split bookkeeping. The structure
     constants come from the closed form (`_closed_form_bracket`); the
-    Jacobi check on them is the second route."""
+    second route to them is the bracket of so(1, 2n)'s own matrices
+    (`_check_representation`), which implies Jacobi."""
     if n < 1:
         raise ValueError("n >= 1 required")
     basis = _basis(n)
@@ -213,7 +289,7 @@ def build_twistor_model(n: int) -> TwistorModel:
     dim = len(names)
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
     g = LieAlgebra(f"so(1,{2*n})", dim, names, _closed_form_bracket(n, basis))
-    _check_jacobi(g)
+    _check_representation(g, n, basis)
     # phi(A) = -Tr(j'0 A): supported on the UY diagonal only
     name_pos = {nm: i for i, nm in enumerate(names)}
     phi = [0] * dim

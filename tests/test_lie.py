@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import Subspace, build_report, validate as build_algebra
+from liesymp import (Analysis, Subspace, abelian, build_report,
+                     validate as build_algebra)
 from liesymp.errors import BadNumber, JacobiViolation
 from liesymp.catalog import _xy_names
 from liesymp.twistor import build_twistor_model
@@ -74,6 +75,22 @@ def test_lower_central_series_brackets_g_with_each_term(extended_catalog):
         assert [g.bracket_of_subspaces(series[0], s) for s in series] == (
             series[1:] + series[-1:]), g.name
         assert (len(series) == 1) == g.name.startswith("so(1,"), g.name
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_abelian_series_and_involutivity(n):
+    # with no stored bracket, [a, b] is the zero subspace at once: the
+    # series is g, 0 and both distributions of the report are involutive
+    t = abelian(n)
+    g, d = t.algebra, t.dim
+    some = Subspace.span(d, [[1] + [2] * (d - 1), [0] * (d - 1) + [1]])
+    for s in (Subspace.full(d), some, Subspace.zero(d)):
+        assert g.bracket_of_subspaces(s, s) == Subspace.zero(d)
+    assert g.lower_central_series() == [Subspace.full(d), Subspace.zero(d)]
+    assert g.is_nilpotent() == (True, [d, 0])
+    rep = Analysis(t).distributions
+    assert rep.image_involutive and rep.perp_involutive
+    assert (rep.image.dim, rep.perp.dim) == (0, d)
 
 
 def test_abelian_flags(catalog):

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from liesymp import Matrix, build_twistor_model, twistor, twistor_claims
-from liesymp.errors import JacobiViolation
+from liesymp.errors import InternalInvariantViolation
+from liesymp.lie import _check_jacobi
 from liesymp.nijenhuis import image_distribution
 from liesymp.tensor import Tensor3
 from liesymp.twistor import (p_pairs_span_q, positivity_report,
@@ -29,7 +31,7 @@ def test_model_dimensions(models):
         assert model.m_dim == n * n + n
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_closed_form_matches_matrix_commutators(n):
     model = build_twistor_model(n)
     assert model.algebra == matrix_twistor_algebra(model)
@@ -47,26 +49,82 @@ def test_so_1_2_by_hand():
     assert omega_basis(model, 1, 2) == -2
 
 
-def test_jacobi_check_trips_on_a_flipped_constant(monkeypatch):
-    # the Jacobi check is the runtime second route to the closed form:
-    # in so(1,4), [P_1, P_2] = M_12 = (UX_1_2 + QX_1_2) / 2; flip the sign
-    # of its QX_1_2 coefficient and the check fails
+# so(1,4) in basis order: UX_1_2, UY_1_1, UY_1_2, UY_2_2, QX_1_2, QY_1_2,
+# P_1 .. P_4, with the table over D = 2; [P_1, P_2] = M_12 is stored as
+# (UX_1_2 + QX_1_2) / 2, i.e. {(6, 7): ((0, 1), (4, 1))}
+COMMUTATOR = ("so(1,4) bracket is not the commutator of its Lorentz "
+              "matrices on basis pair ")
+
+
+@pytest.mark.parametrize("edit, message", [
+    # flip the sign of QX_1_2 in [P_1, P_2]: the residual is
+    # M_12 - (UX_1_2 - QX_1_2) / 2 = M_12 - M_34
+    ({(6, 7): ((0, 1), (4, -1)), (7, 6): ((0, -1), (4, 1))},
+     COMMUTATOR + "(P_1, P_2): residual {'M_1_2': '1', 'M_3_4': '-1'}"),
+    # drop [P_1, P_2]: a pair that shares a Lorentz index is checked even
+    # with no stored row
+    ({(6, 7): None, (7, 6): None},
+     COMMUTATOR + "(P_1, P_2): residual {'M_1_2': '1'}"),
+    # [P_2, P_1] = -[P_1, P_2] + QX_1_2 / 2
+    ({(7, 6): ((0, -1),)},
+     "so(1,4) bracket is not antisymmetric on basis pair (P_1, P_2): "
+     "residual {'QX_1_2': '1/2'}"),
+    # [UY_2_2, P_1] = P_2, though UY_2_2 = M_24 and P_1 = M_01 share no
+    # Lorentz index and commute
+    ({(3, 6): ((7, 2),), (6, 3): ((7, -2),)},
+     COMMUTATOR + "(UY_2_2, P_1): residual {'M_0_2': '-1'}"),
+], ids=["flipped_constant", "dropped_bracket", "not_antisymmetric",
+        "disjoint_elements"])
+def test_representation_check_trips_on_an_edited_table(monkeypatch, edit,
+                                                       message):
+    # the matrix check is the runtime second route to the closed form
     closed_form = twistor._closed_form_bracket
+    assert closed_form(2, twistor._basis(2)).rows[(6, 7)] == ((0, 1), (4, 1))
 
-    def flipped(n, basis):
+    def edited(n, basis):
         t = closed_form(n, basis)
-        rows = dict(t.rows)
-        for xy, s in (((6, 7), 1), ((7, 6), -1)):  # (P_1, P_2)
-            assert rows[xy] == ((0, s), (4, s))
-            rows[xy] = ((0, s), (4, -s))
-        return Tensor3(t.dim, t.den, rows)
+        rows = {**t.rows, **edit}
+        return Tensor3(t.dim, t.den,
+                       {xy: r for xy, r in rows.items() if r is not None})
 
-    monkeypatch.setattr(twistor, "_closed_form_bracket", flipped)
-    with pytest.raises(JacobiViolation) as exc:
+    monkeypatch.setattr(twistor, "_closed_form_bracket", edited)
+    with pytest.raises(InternalInvariantViolation) as exc:
         build_twistor_model(2)
-    # the residual is [UY_1_1, -QX_1_2] = [M_13, M_34 - M_12] = QY_1_2
-    assert str(exc.value) == ("Jacobi identity fails on basis triple "
-                              "(UY_1_1, P_1, P_2): residual {'QY_1_2': '1'}")
+    assert str(exc.value) == message
+
+
+def test_representation_check_refuses_the_opposite_algebra(monkeypatch):
+    # -t is the opposite algebra: it satisfies Jacobi, so `_check_jacobi`
+    # passes it, but its constants are not so(1,4)'s in this basis
+    model = build_twistor_model(2)
+    t = model.algebra.bracket
+    _check_jacobi(replace(model.algebra, bracket=-t))
+    monkeypatch.setattr(twistor, "_closed_form_bracket",
+                        lambda n, basis: -t)
+    with pytest.raises(InternalInvariantViolation) as exc:
+        build_twistor_model(2)
+    # [UX_1_2, UY_1_1] = -UY_1_2 = -(M_14 + M_23) in so(1,4); -t stores
+    # +UY_1_2, so the residual is twice the commutator
+    assert str(exc.value) == (
+        "so(1,4) bracket is not the commutator of its Lorentz matrices on "
+        "basis pair (UX_1_2, UY_1_1): residual {'M_1_4': '-2', "
+        "'M_2_3': '-2'}")
+
+
+def test_representation_check_refuses_dependent_basis_matrices():
+    # give UY_1_1 the terms of P_1: the map to matrices is not injective
+    basis = twistor._basis(1)
+    basis[0] = ("UY_1_1", basis[1][1])
+    with pytest.raises(InternalInvariantViolation) as exc:
+        twistor._check_representation(build_twistor_model(1).algebra, 1,
+                                      basis)
+    assert str(exc.value) == (
+        "so(1,2) basis matrices are linearly dependent: rank 2 for dim 3")
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_closed_form_satisfies_jacobi(n):
+    _check_jacobi(build_twistor_model(n).algebra)
 
 
 def test_orbit_form_skew_and_nondegenerate(models):
@@ -201,7 +259,7 @@ def test_claims_bundle(models):
 
 def test_claims_bundle_at_n5():
     # the largest n the benchmark runs: so(1,10), dim 55, with the
-    # closed-form brackets, the int Jacobi scan and the int Sylvester check
+    # closed-form brackets, the int matrix check and the int Sylvester check
     model = build_twistor_model(5)
     assert model.algebra.dim == 55 and model.m_dim == 30
     tc = twistor_claims(5, model)
