@@ -1,31 +1,28 @@
 """Dimension of the space of "algebraic Nijenhuis tensors".
 
 Fix a symplectic vector space with a compatible J. The vector valued
-2-tensors sharing the three pointwise identities of an actual Nijenhuis
-tensor, i.e.
+2-tensors t with the pointwise identities of an actual Nijenhuis tensor,
+antisymmetry, anti-linearity t(Jx, y) = -J t(x, y) and the cyclic
+identity c(x, y, z) = sum_cyc omega(t(x, y), z) = 0, form a subspace of
+(R^{2n})* ^ (R^{2n})* (x) R^{2n} of dimension 2n(n^2 - 1)/3. `nullity`
+is the corank of c = 0 in unknowns that solve the other two: for
+F = `_first_slots(J)`, u_ab = t(e_a, e_b), a < b in F, coordinate k of
+the p-th pair of `combinations(F, 2)` in column p * dim + k. Setting
+t(Je_a, e_b) = t(e_a, Je_b) = -J u_ab, t(Je_a, Je_b) = -u_ab and
+t(e_a, Je_a) = 0 maps u one to one onto the antisymmetric t anti-linear
+in the first slot (so in both). As omega(J., J.) = omega gives
+omega(Jv, w) = -omega(v, Jw), c alternates and c(Jx, y, z) =
+c(x, Jy, z) = c(x, y, Jz) = sum_cyc omega(t(x, y), Jz). So
+c(e_a, Je_a, .) = 0, and c = 0 iff c vanishes at (e_a, e_b, e_c) and
+(Je_a, e_b, e_c) for a < b < c in F. With t(e_c, e_a) = -u_ac these are
+2 C(n, 3) rows, in omega and in g(v, w) = omega(v, Jw):
 
-    antisymmetry       t(x, y) = -t(y, x)
-    anti-linearity     t(Jx, y) = -J t(x, y)
-    cyclic coupling    omega(t(x,y), z) + omega(t(y,z), x)
-                                        + omega(t(z,x), y) = 0
+    omega(u_ab, e_c) + omega(u_bc, e_a) - omega(u_ac, e_b) = 0, and for g.
 
-form a linear subspace of (R^{2n})* ^ (R^{2n})* (x) R^{2n}. Its dimension
-is 2n(n^2 - 1)/3; `nullity` computes it as the corank of the explicit
-constraint system, which doubles as a membership test for concrete
-tensors against a triple's own (omega, J).
-
-Antisymmetry is imposed by the coordinates rather than by rows: the
-unknowns are the dim * C(dim, 2) coefficients x[p][k], the k-th
-coordinate of t(e_i, e_j) for the p-th pair i < j of
-`combinations(range(dim), 2)`, in the flat order p * dim + k, with
-t(e_j, e_i) = -x[p] and t(e_i, e_i) = 0. The rows are the anti-linearity
-identities at the first slots of `_first_slots` and the cyclic ones, in
-these unknowns. Rows are sparse {column: int} dicts (omega and J scaled
-to ints) and are ranked by the fraction-free `linalg.echelon`; with the
-standard (omega, J) nearly every row has at most two entries, and
-`nspace-dim --n 3,4,5,6,7,8` (up to 1,920 unknowns, 6,488 rows) takes
-0.03-0.04 s in all (Python 3.11, one core of a shared 2-vCPU x86-64
-VM).
+`linalg.echelon` ranks them fraction-free: `nspace-dim --n 3,4,5,6,7,8`
+ranks 252 rows in 3 ms as `--timings` reads it (Python 3.11, one core of
+a shared 2-vCPU x86-64 VM). `contains_tensor` tests a concrete tensor in
+the pair coordinates of `_rows`, with anti-linearity as rows.
 """
 
 from __future__ import annotations
@@ -35,12 +32,13 @@ from typing import Iterator
 
 from .linalg import Matrix, Row, echelon
 from .nijenhuis import Tensor3
-from .symp import SymplecticTriple, standard_j, standard_omega
+from .symp import SymplecticTriple, check_j, standard_j, standard_omega
 
 
 def _bases(dim: int) -> list[list[int]]:
-    """base[a][b] = p * dim for the p-th pair {a, b}: the first column of
-    x[p], the coordinates of t(e_min, e_max). Unused where a == b."""
+    """base[a][b] = p * dim for the p-th pair {a, b} of
+    `combinations(range(dim), 2)`: column base[a][b] + k of `_rows` holds
+    coordinate k of t(e_min, e_max). Unused where a == b."""
     base = [[0] * dim for _ in range(dim)]
     for p, (a, b) in enumerate(combinations(range(dim), 2)):
         base[a][b] = base[b][a] = p * dim
@@ -56,23 +54,21 @@ def _first_slots(j: Matrix) -> list[int]:
     keep = []
     for i, col in enumerate(j.transpose().rows):
         rank = len(pivots)
-        if rank == j.ncols:
-            break
-        echelon(({i: 1}, dict(col)), pivots)
-        if len(pivots) > rank:
+        if len(echelon(({i: 1}, dict(col)), pivots, j.ncols)) > rank:
             keep.append(i)
     return keep
 
 
-def build_constraint_rows(dim: int, omega: Matrix, j: Matrix,
-                          ) -> Iterator[Row]:
-    """All constraint rows for the given ambient (omega, J), with int
-    coefficients: J and omega enter scaled by the lcm of their own
-    denominators, which multiplies a row by a nonzero constant and leaves
-    its solutions alone. Only their nonzero entries are walked."""
-    return _rows(dim, omega, j, product(_first_slots(j), range(dim),
-                                        range(dim)),
-                 combinations(range(dim), 3))
+def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
+    """The rows of the module docstring, from the columns of omega and of
+    G = omega J in ints. A row's three pairs differ: no column repeats."""
+    first = _first_slots(j)
+    base = {ab: p * dim for p, ab in enumerate(combinations(first, 2))}
+    forms = omega.transpose().rows, (omega @ j).transpose().rows
+    for (a, b, c), cols in product(combinations(first, 3), forms):
+        yield {base[x, y] + m: s * w for x, y, z, s in
+               ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1))
+               for m, w in cols[z]}
 
 
 def _rows(dim: int, omega: Matrix, j: Matrix, linear,
@@ -115,15 +111,15 @@ def _rows(dim: int, omega: Matrix, j: Matrix, linear,
 
 
 def nullity(dim: int, omega: Matrix, j: Matrix) -> int:
-    return (dim * (dim * (dim - 1) // 2)
+    """Corank of the rows, after `check_j`: their derivation needs it."""
+    check_j(omega, j)
+    return (dim * (dim // 2) * (dim // 2 - 1) // 2
             - len(echelon(build_constraint_rows(dim, omega, j))))
 
 
 def nijenhuis_space_dim(n: int) -> int:
-    """Corank of the constraint system for the standard structures on
-    R^{2n}."""
-    dim = 2 * n
-    return nullity(dim, standard_omega(dim), standard_j(dim))
+    """`nullity` for the standard structures on R^{2n}."""
+    return nullity(2 * n, standard_omega(2 * n), standard_j(2 * n))
 
 
 def expected_dimension(n: int) -> int:

@@ -60,6 +60,14 @@ def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:
                                names=g.basis_names)
 
 
+def check_j(omega: Matrix, j: Matrix) -> None:
+    """J^2 = -Id, then omega(J., J.) = omega, i.e. J^T omega J = omega."""
+    if j @ j != -Matrix.identity(j.nrows):
+        raise NotAlmostComplex("J^2 != -Id")
+    if j.transpose() @ omega @ j != omega:
+        raise NotCompatible("omega(J., J.) != omega(., .)")
+
+
 def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:
     n = g.dim
     if n == 0:
@@ -73,11 +81,7 @@ def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:
     if len(echelon(dict(r) for r in omega.rows)) < n:
         raise DegenerateForm("omega is degenerate")
     _check_cocycle(g, omega)
-    if j @ j != -Matrix.identity(n):
-        raise NotAlmostComplex("J^2 != -Id")
-    # omega(Ju, Jv) = omega(u, v)  <=>  J^T omega J = omega
-    if j.transpose() @ omega @ j != omega:
-        raise NotCompatible("omega(J., J.) != omega(., .)")
+    check_j(omega, j)
     metric = omega @ j
     if not metric.is_symmetric():
         # cannot happen once compatibility holds, but belt and braces

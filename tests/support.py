@@ -25,8 +25,8 @@ from math import lcm
 from liesymp import (Matrix, Subspace, SymplecticTriple, Tensor3,
                      build_triple, torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
-from liesymp.linalg import int_vector, qof
-from liesymp.nspace import _first_slots
+from liesymp.linalg import echelon, int_vector, qof
+from liesymp.nspace import _first_slots, _rows
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -533,6 +533,24 @@ def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
               for (i, j), row in tensor.rows.items() for k, p in row}
     return all(sum(v * scaled.get(c, 0) for c, v in row.items()) == 0
                for row in full_constraint_rows(d, t.omega, t.j))
+
+
+def pair_constraint_rows(dim: int, omega: Matrix, j: Matrix):
+    """The anti-linearity rows at `_first_slots` and every cyclic row, in
+    the pair coordinates of `nspace._rows` (antisymmetry solved by the
+    unknowns, anti-linearity and the cyclic identity as rows): the system
+    `nspace.build_constraint_rows` built before it solved anti-linearity
+    in its unknowns too."""
+    return _rows(dim, omega, j,
+                 product(_first_slots(j), range(dim), range(dim)),
+                 combinations(range(dim), 3))
+
+
+def pair_corank(dim: int, omega: Matrix, j: Matrix) -> int:
+    """Corank of `pair_constraint_rows` over the dim * C(dim, 2) pair
+    coordinates."""
+    return (dim * (dim * (dim - 1) // 2)
+            - len(echelon(pair_constraint_rows(dim, omega, j))))
 
 
 def generator_support_keys(t: SymplecticTriple, tensor):

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from liesymp import (Tensor3, contains_tensor, expected_dimension,
                      nijenhuis_space_dim, nijenhuis_tensor)
 from liesymp.nspace import _first_slots, build_constraint_rows, nullity
-from support import fraction_rref, from_dense, full_constraint_rows
+from support import (fraction_rref, from_dense, full_constraint_rows,
+                     pair_constraint_rows, pair_corank)
 
 F = Fraction
 
@@ -165,8 +168,9 @@ def _kernel_tensor(dim, rows, rng):
 def test_membership_equals_the_full_constraint_system(extended_catalog):
     # contains_tensor builds only the rows that meet the tensor's support;
     # its verdict must be that of every row of the full dim^3 system, and
-    # every row of build_constraint_rows that does not vanish on the
-    # tensor's pair coordinates must be built. The
+    # every row of the pair-coordinate system (`pair_constraint_rows`)
+    # that does not vanish on the tensor's pair coordinates must be
+    # built. The
     # tensors: N; N plus a member of the space; N plus a tensor that is
     # antisymmetric and cyclic but in general not anti-linear (the
     # kernel of all rows but the anti-linearity ones); N with one value
@@ -207,7 +211,7 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
             base = _bases(d)
             scaled = {base[a][b] + c: p for (a, b), row in tensor.rows.items()
                       if a < b for c, p in row}
-            for row in build_constraint_rows(d, t.omega, t.j):
+            for row in pair_constraint_rows(d, t.omega, t.j):
                 if sum(v * scaled.get(c, 0) for c, v in row.items()):
                     assert frozenset(row.items()) in built, name
     assert verdicts == {True, False}
@@ -273,3 +277,174 @@ def test_support_keys_match_the_generator_selection(extended_catalog):
             assert got == generator_support_keys(t, tensor), name
             selected += bool(got[0])
     assert selected > 1000
+
+
+# -- the unknowns u_ab = t(e_a, e_b), a < b in `_first_slots`, and the
+#    2 C(n, 3) cyclic rows `build_constraint_rows` ranks over them
+
+
+def _structures(catalog):
+    """(name, omega, J): standard on ex1 (n = 2) and dim6 (n = 3), and
+    dense rational ones for n = 2, 3, 4."""
+    out = [(name, catalog[name].omega, catalog[name].j)
+           for name in ("ex1", "dim6")]
+    for n, seed, steps in ((2, 41, 4), (3, 43, 2), (4, 7, 3)):
+        out.append((f"dense{n}", *_dense_structures(n, seed, steps)))
+    return out
+
+
+def _cyclic_form(omega, j, u):
+    """C[i][k][l] = c(e_i, e_k, e_l), c(x, y, z) = sum_cyc omega(t(x, y), z),
+    over Fractions, for the t that u spans: t(e_a, e_b) = u[(a, b)],
+    t(Je_a, e_b) = t(e_a, Je_b) = -J t(e_a, e_b) and t(Je_a, Je_b) =
+    -t(e_a, e_b) on the basis {e_a, Je_a : a in `_first_slots`}, moved to
+    the standard basis. Asserts on the way that this t is antisymmetric
+    and anti-linear in its first slot."""
+    from liesymp import Matrix
+    dim = j.nrows
+    first = _first_slots(j)
+    n, zero = len(first), (F(0),) * dim
+
+    def neg(v):
+        return tuple(-x for x in v)
+
+    def t_first(a, b):
+        return u[a, b] if a < b else neg(u[b, a]) if a > b else zero
+
+    tb = {}
+    for p, a in enumerate(first):
+        for q, b in enumerate(first):
+            v = t_first(a, b)
+            tb[p, q], tb[n + p, n + q] = v, neg(v)
+            tb[n + p, q] = tb[p, n + q] = neg(j.apply(v))
+    cols = [tuple(F(int(r == a)) for r in range(dim)) for a in first]
+    cols += [j.apply(c) for c in cols]
+    inv = Matrix.from_rows([list(r) for r in zip(*cols)]).inverse().entries
+    # e_i = sum_p inv[p][i] b_p
+    t = [[tuple(sum((inv[p][i] * inv[q][k] * tb[p, q][m]
+                     for p in range(dim) for q in range(dim)), F(0))
+                for m in range(dim)) for k in range(dim)]
+         for i in range(dim)]
+    je = j.entries
+    for i in range(dim):
+        for k in range(dim):
+            assert t[k][i] == neg(t[i][k])
+            jt = tuple(sum((je[m][i] * t[m][k][r] for m in range(dim)), F(0))
+                       for r in range(dim))
+            assert jt == neg(j.apply(t[i][k]))
+    om = omega.entries
+    w = [[[sum((t[i][k][m] * om[m][l] for m in range(dim)), F(0))
+           for l in range(dim)] for k in range(dim)] for i in range(dim)]
+    return [[[w[i][k][l] + w[k][l][i] + w[l][i][k] for l in range(dim)]
+             for k in range(dim)] for i in range(dim)]
+
+
+def _moved_j(c, je, dim):
+    """(c(Je_i, e_k, e_l), c(e_i, Je_k, e_l), c(e_i, e_k, Je_l)) for
+    every basis triple."""
+    r = range(dim)
+    return [(sum(je[m][i] * c[m][k][l] for m in r),
+             sum(je[m][k] * c[i][m][l] for m in r),
+             sum(je[m][l] * c[i][k][m] for m in r))
+            for i in r for k in r for l in r]
+
+
+def test_cyclic_identity_reduces_to_the_first_slot_rows(catalog):
+    # the module docstring's lemma, over Fractions: c takes J into any
+    # slot, and c vanishes on every triple iff every row of
+    # build_constraint_rows vanishes at u. The u: random; in the kernel
+    # of every row; in the kernel of the omega rows alone, which the
+    # metric rows must still see
+    import random
+    from liesymp.linalg import nullspace_of
+    rng = random.Random(20261019)
+    verdicts = set()
+    for name, omega, j in _structures(catalog):
+        dim = j.nrows
+        pairs = list(combinations(_first_slots(j), 2))
+        rows = list(build_constraint_rows(dim, omega, j))
+        assert len(rows) == 2 * comb(dim // 2, 3)
+        ncols = dim * len(pairs)
+
+        def draw(basis):
+            x = [F(0)] * ncols
+            for b in basis:
+                c = rng.randint(-2, 2)
+                x = [p + c * q for p, q in zip(x, b)]
+            return x
+
+        # rows alternate: omega's, then the metric's, per triple
+        us = [[F(rng.randint(-3, 3), rng.randint(1, 3))
+               for _ in range(ncols)],
+              draw(nullspace_of(rows, ncols)),
+              draw(nullspace_of(rows[0::2], ncols))]
+        for x in us:
+            u = {ab: tuple(x[p * dim:(p + 1) * dim])
+                 for p, ab in enumerate(pairs)}
+            c = _cyclic_form(omega, j, u)
+            for got in _moved_j(c, j.entries, dim):
+                assert got[0] == got[1] == got[2], name
+            flat = all(v == 0 for a in c for b in a for v in b)
+            quiet = not any(sum(v * x[k] for k, v in row.items())
+                            for row in rows)
+            assert flat == quiet, name
+            verdicts.add((len(rows) > 0, flat))
+    assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+def _standard(n):
+    from liesymp import standard_j, standard_omega
+    return standard_omega(2 * n), standard_j(2 * n)
+
+
+def test_nullity_equals_the_pair_coordinate_corank():
+    # the rows of the cyclic identity alone against the pair-coordinate
+    # system that also carries anti-linearity as rows
+    for n in range(1, 7):
+        assert nullity(2 * n, *_standard(n)) == pair_corank(
+            2 * n, *_standard(n)) == expected_dimension(n), n
+    for n, seed, steps in ((2, 41, 4), (3, 43, 2), (4, 7, 1)):
+        omega, j = _dense_structures(n, seed, steps)
+        assert (nullity(2 * n, omega, j) == pair_corank(2 * n, omega, j)
+                == expected_dimension(n)), n
+
+
+def test_nullity_on_dense_structures_up_to_dim_12():
+    for n, seed, steps in ((2, 5, 3), (3, 6, 3), (4, 7, 3), (5, 8, 3),
+                           (6, 9, 3)):
+        omega, j = _dense_structures(n, seed, steps)
+        assert nullity(2 * n, omega, j) == expected_dimension(n), n
+
+
+def test_standard_rows_are_independent():
+    # on the standard structures no row reduces to zero: 2 C(n, 3) rows
+    # of rank 2 C(n, 3), 252 for n = 3..8 where the pair-coordinate
+    # system of `pair_constraint_rows` had 6,488
+    from liesymp.linalg import echelon
+    built = old = 0
+    for n in range(3, 9):
+        rows = list(build_constraint_rows(2 * n, *_standard(n)))
+        assert len(rows) == len(echelon(rows)) == 2 * comb(n, 3), n
+        built += len(rows)
+        old += sum(1 for _ in pair_constraint_rows(2 * n, *_standard(n)))
+    assert (built, old) == (252, 6488)
+
+
+def test_nullity_checks_its_structures():
+    import pytest
+    from liesymp import Matrix
+    from liesymp.errors import NotAlmostComplex, NotCompatible
+    omega, j = _standard(2)
+    with pytest.raises(NotAlmostComplex):
+        nullity(4, omega, j.scale(2))
+    with pytest.raises(NotAlmostComplex):
+        nullity(4, omega, Matrix.identity(4))
+    # P^-1 J P is a complex structure; P e_0 = e_0 + e_1 shears across
+    # the two symplectic planes, so omega(J., J.) != omega
+    p = Matrix.from_rows([[int(r == c or (r, c) == (1, 0))
+                           for c in range(4)] for r in range(4)])
+    bent = p.inverse() @ j @ p
+    assert bent @ bent == Matrix.identity(4).scale(-1)
+    assert bent.transpose() @ omega @ bent != omega
+    with pytest.raises(NotCompatible):
+        nullity(4, omega, bent)
