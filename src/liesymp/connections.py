@@ -192,17 +192,16 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
     left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
     the right side ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J
     the (symmetric) metric, each scaled by the other side's denominator
-    before the nonzero values are compared; the anticommutation is one
-    comparison of canonical tensors.
+    before the nonzero values are compared; the anticommutation is
+    `Tensor3.anti_linear` of nj at the triple's first slots.
     """
-    j = t.j
     low = nj.map_values(t.omega.transpose())
     rhs = gn if gn is not None else n.map_values(t.metric)
     lhs = {(a, b, c): 2 * p * rhs.den
            for (a, b), row in low.rows.items() for c, p in row}
     pairing = lhs == {(a, b, c): p * low.den
                       for (b, c), row in rhs.rows.items() for a, p in row}
-    anticomm = nj.map_first(j) == -nj.map_values(j)
+    anticomm = nj.anti_linear(t.j, t.first_slots)
     return {"nabla_j_pairing": pairing,
             "nabla_j_anticommutation": anticomm}
 

@@ -17,13 +17,14 @@ algebra's bracket tensor with the int operations of that class; two
 tensors with equal values compare equal.
 
 The identity checks and |N|^2 are int contractions of whole tensors, not
-loops over basis pairs and triples. T(Jx, y) is `T.map_first(J)`, and
-the cyclic omega identity is `N.cyclic_sums(omega)`, the same sum over
-omega that checks the 2-cocycle condition on the bracket tensor (omega
-is closed, so N inherits it). |N|^2 raises one slot of N with G^-1 and
-pairs it with G N, N lowered by the metric; the report builds G N once
-and passes it to both `norm_sq` (through `classify`) and the nabla J
-pairing (`connections.nabla_j_checks`).
+loops over basis pairs and triples. T(Jx, y) = -J T(x, y) is
+`T.anti_linear(J, t.first_slots)`, and the cyclic omega identity is
+`N.cyclic_sums(omega)`, the same sum over omega that checks the
+2-cocycle condition on the bracket tensor (omega is closed, so N
+inherits it). |N|^2 raises one slot of N with G^-1 and pairs it with
+G N, N lowered by the metric; the report builds G N once and passes it
+to both `norm_sq` (through `classify`) and the nabla J pairing
+(`connections.nabla_j_checks`).
 """
 
 from __future__ import annotations
@@ -174,16 +175,17 @@ def check_tensor_identities(t: SymplecticTriple,
       anti_linearity    N(Jx, y) = -J N(x, y)  (and the y slot likewise)
       cyclic_omega      sum_cyc omega(N(x, y), z) = 0
 
-    Each is a whole-tensor identity in ints; A = -B is one comparison of
-    canonical tensors, A == -B, and the cyclic sums are
-    `Tensor3.cyclic_sums` of N against omega.
-    The y slot is compared only when antisymmetry fails: an antisymmetric
-    N anti-linear in x has N(x, Jy) = -N(Jy, x) = J N(y, x) = -J N(x, y).
+    Each is a whole-tensor identity in ints: antisymmetry is one
+    comparison of canonical tensors, N == -N.swapped(); anti-linearity in
+    x is `Tensor3.anti_linear` at the triple's first slots; the cyclic
+    sums are `Tensor3.cyclic_sums` of N against omega.
+    The y slot is checked, as the x slot of N.swapped(), only when
+    antisymmetry fails: an antisymmetric N anti-linear in x has
+    N(x, Jy) = -N(Jy, x) = J N(y, x) = -J N(x, y).
     """
-    j = t.j
-    minus_jn = -n.map_values(j)
+    j, first = t.j, t.first_slots
     anti = n == -n.swapped()
-    lin = (n.map_first(j) == minus_jn
-           and (anti or n.map_second(j) == minus_jn))
+    lin = (n.anti_linear(j, first)
+           and (anti or n.swapped().anti_linear(j, first)))
     cyc = not n.cyclic_sums(t.omega)[0]
     return {"antisymmetry": anti, "anti_linearity": lin, "cyclic_omega": cyc}

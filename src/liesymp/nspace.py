@@ -6,7 +6,7 @@ antisymmetry, anti-linearity t(Jx, y) = -J t(x, y) and the cyclic
 identity c(x, y, z) = sum_cyc omega(t(x, y), z) = 0, form a subspace of
 (R^{2n})* ^ (R^{2n})* (x) R^{2n} of dimension 2n(n^2 - 1)/3. `nullity`
 is the corank of c = 0 in unknowns that solve the other two: for
-F = `_first_slots(J)`, u_ab = t(e_a, e_b), a < b in F, coordinate k of
+F = `symp.first_slots(J)`, u_ab = t(e_a, e_b), a < b in F, coordinate k of
 the p-th pair of `combinations(F, 2)` in column p * dim + k. Setting
 t(Je_a, e_b) = t(e_a, Je_b) = -J u_ab, t(Je_a, Je_b) = -u_ab and
 t(e_a, Je_a) = 0 maps u one to one onto the antisymmetric t anti-linear
@@ -21,8 +21,10 @@ c(e_a, Je_a, .) = 0, and c = 0 iff c vanishes at (e_a, e_b, e_c) and
 
 `linalg.echelon` ranks them fraction-free: `nspace-dim --n 3,4,5,6,7,8`
 ranks 252 rows in 3 ms as `--timings` reads it (Python 3.11, one core of
-a shared 2-vCPU x86-64 VM). `contains_tensor` tests a concrete tensor in
-the pair coordinates of `_rows`, with anti-linearity as rows.
+a shared 2-vCPU x86-64 VM). `contains_tensor` tests a concrete tensor
+through the same reduction, after the same `check_j`: antisymmetry and
+first-slot anti-linearity (`Tensor3.anti_linear` at F) as whole-tensor
+checks, then these rows at its own u.
 """
 
 from __future__ import annotations
@@ -32,82 +34,20 @@ from typing import Iterator
 
 from .linalg import Matrix, Row, echelon
 from .nijenhuis import Tensor3
-from .symp import SymplecticTriple, check_j, standard_j, standard_omega
-
-
-def _bases(dim: int) -> list[list[int]]:
-    """base[a][b] = p * dim for the p-th pair {a, b} of
-    `combinations(range(dim), 2)`: column base[a][b] + k of `_rows` holds
-    coordinate k of t(e_min, e_max). Unused where a == b."""
-    base = [[0] * dim for _ in range(dim)]
-    for p, (a, b) in enumerate(combinations(range(dim), 2)):
-        base[a][b] = base[b][a] = p * dim
-    return base
-
-
-def _first_slots(j: Matrix) -> list[int]:
-    """Indices I with {e_i, J e_i : i in I} a basis, taken greedily: the
-    span W of those kept is J-invariant, so an e_i outside W adds e_i and
-    J e_i both (J e_i = w + c e_i would put (1 + c^2) e_i in W), until
-    they span."""
-    pivots: dict[int, Row] = {}
-    keep = []
-    for i, col in enumerate(j.transpose().rows):
-        rank = len(pivots)
-        if len(echelon(({i: 1}, dict(col)), pivots, j.ncols)) > rank:
-            keep.append(i)
-    return keep
+from .symp import (SymplecticTriple, check_j, first_slots, standard_j,
+                   standard_omega)
 
 
 def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
     """The rows of the module docstring, from the columns of omega and of
     G = omega J in ints. A row's three pairs differ: no column repeats."""
-    first = _first_slots(j)
+    first = first_slots(j)
     base = {ab: p * dim for p, ab in enumerate(combinations(first, 2))}
     forms = omega.transpose().rows, (omega @ j).transpose().rows
     for (a, b, c), cols in product(combinations(first, 3), forms):
         yield {base[x, y] + m: s * w for x, y, z, s in
                ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1))
                for m, w in cols[z]}
-
-
-def _rows(dim: int, omega: Matrix, j: Matrix, linear,
-          triples) -> Iterator[Row]:
-    """The constraint rows of the anti-linearity keys (i, jj, k) and the
-    triples i < jj < k given, in the pair coordinates: a term of
-    t(e_a, e_b) is dropped where a == b and negated where a > b."""
-    base = _bases(dim)
-    j_rows, j_cols = j.rows, j.transpose().rows
-    om_cols = omega.transpose().rows
-    # anti-linearity in the first slot: B(e_i, e_j) = 0 for
-    # B(x, y) = t(Jx, y) + J t(x, y). As B(Jx, y) = J B(x, y), the keys
-    # with i in `_first_slots` imply the rest, and the second slot
-    # follows from antisymmetry.
-    for i, jj, k in linear:
-        row: Row = {}
-        for a, c in j_cols[i]:
-            if a != jj:
-                col = base[a][jj] + k
-                row[col] = row.get(col, 0) + (c if a < jj else -c)
-        if i != jj:
-            b0 = base[i][jj]
-            for b, c in j_rows[k]:
-                col = b0 + b
-                row[col] = row.get(col, 0) + (c if i < jj else -c)
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            yield row
-    # cyclic coupling against omega; t(e_k, e_i) = -t(e_i, e_k)
-    for i, jj, k in triples:
-        row = {}
-        for a, b, c, s in ((i, jj, k, 1), (jj, k, i, 1), (i, k, jj, -1)):
-            b0 = base[a][b]
-            for m, w in om_cols[c]:
-                col = b0 + m
-                row[col] = row.get(col, 0) + s * w
-        row = {c: v for c, v in row.items() if v}
-        if row:
-            yield row
 
 
 def nullity(dim: int, omega: Matrix, j: Matrix) -> int:
@@ -131,46 +71,20 @@ def expected_dimension(n: int) -> int:
 
 
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
-    """Membership of a concrete tensor in the constraint space built from
-    the triple's own (omega, J); an independent route to the pointwise
-    identity checks. Antisymmetry is one comparison of canonical tensors,
-    tensor == -tensor.swapped(); then each row of `_support_rows` is
-    checked in ints against the tensor's pair coordinates over its
-    common denominator; every other row evaluates to 0."""
-    if tensor != -tensor.swapped():
+    """Membership of a concrete tensor in the constraint space of the
+    triple's own (omega, J); an independent route to the pointwise
+    identity checks. `check_j` first, as for `nullity`: the rows need
+    omega(J., J.) = omega. Antisymmetry is one comparison of canonical
+    tensors, tensor == -tensor.swapped(), and anti-linearity is
+    `Tensor3.anti_linear` at F = `t.first_slots`; then the rows of
+    `build_constraint_rows` are evaluated in ints at the tensor's
+    u_ab = t(e_a, e_b), a < b in F, over its denominator."""
+    check_j(t.omega, t.j)
+    first = t.first_slots
+    if tensor != -tensor.swapped() or not tensor.anti_linear(t.j, first):
         return False
-    base = _bases(t.dim)
-    scaled = {base[i][jj] + k: p for (i, jj), row in tensor.rows.items()
-              if i < jj for k, p in row}
-    return not any(sum(v * scaled.get(c, 0) for c, v in row.items())
-                   for row in _support_rows(t, tensor))
-
-
-def _support_rows(t: SymplecticTriple, tensor: Tensor3) -> Iterator[Row]:
-    """The constraint rows with a column in the tensor's pair coordinates,
-    its values t(e_a, e_b) with a < b (see `_support_keys`)."""
-    return _rows(t.dim, t.omega, t.j, *_support_keys(t, tensor))
-
-
-def _support_keys(t: SymplecticTriple, tensor: Tensor3) -> tuple[set, set]:
-    """(anti-linearity keys, triples) of `_support_rows`: the rows of the
-    triples containing one of those pairs, and the anti-linearity rows of
-    those columns. Column {a, b}, k lies in the rows (i, y, k) with
-    J_xi != 0 and (x, y, k') with J_k'k != 0, for (x, y) = (a, b) and
-    (b, a), of those whose first index is in `_first_slots`."""
-    dim = t.dim
-    upper = {ab: row for ab, row in tensor.rows.items() if ab[0] < ab[1]}
-    first = set(_first_slots(t.j))
-    slots = [[i for i, _ in r if i in first] for r in t.j.rows]
-    cols = [{kk for kk, _ in c} for c in t.j.transpose().rows]
-    linear = set()
-    for (a, b), row in upper.items():
-        ks = [k for k, _ in row]
-        hit = set().union(*(cols[k] for k in ks))
-        for x, y in ((a, b), (b, a)):
-            linear.update(product(slots[x], (y,), ks))
-            if x in first:
-                linear.update(product((x,), (y,), hit))
-    triples = {tuple(sorted((a, b, k))) for a, b in upper
-               for k in range(dim) if k != a and k != b}
-    return linear, triples
+    dim, values = t.dim, tensor.rows
+    u = {p * dim + k: v for p, ab in enumerate(combinations(first, 2))
+         for k, v in values.get(ab, ())}
+    return not any(sum(v * u.get(c, 0) for c, v in row.items())
+                   for row in build_constraint_rows(dim, t.omega, t.j))

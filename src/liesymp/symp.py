@@ -25,7 +25,7 @@ from .errors import (CocycleViolation, DegenerateForm, DimensionMismatch,
                      NotAlmostComplex, NotCompatible, NotPositive,
                      NotSkewSymmetric)
 from .lie import LieAlgebra
-from .linalg import Matrix, echelon
+from .linalg import Matrix, Row, echelon
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,24 @@ class SymplecticTriple:
     @cached_property
     def metric_inv(self) -> Matrix:
         return self.metric.inverse()
+
+    @cached_property
+    def first_slots(self) -> list[int]:
+        return first_slots(self.j)
+
+
+def first_slots(j: Matrix) -> list[int]:
+    """Indices F with {e_a, J e_a : a in F} a basis, taken greedily: the
+    span W of those kept is J-invariant, so an e_i outside W adds e_i and
+    J e_i both (J e_i = w + c e_i would put (1 + c^2) e_i in W), until
+    they span."""
+    pivots: dict[int, Row] = {}
+    keep = []
+    for i, col in enumerate(j.transpose().rows):
+        rank = len(pivots)
+        if len(echelon(({i: 1}, dict(col)), pivots, j.ncols)) > rank:
+            keep.append(i)
+    return keep
 
 
 def _check_cocycle(g: LieAlgebra, omega: Matrix) -> None:

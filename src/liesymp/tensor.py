@@ -160,6 +160,27 @@ class Tensor3:
                     v[k] += q * p
         return Tensor3.from_ints(self.dim, self.den * m.den, num)
 
+    def anti_linear(self, j: Matrix, slots: Sequence[int]) -> bool:
+        """Whether B(x, y) = T(Jx, y) + J T(x, y) vanishes at (e_a, e_b)
+        for every a in slots and every b, in ints over den * j.den, up to
+        the first nonzero. J^2 = -1 gives B(Jx, y) = J B(x, y), so slots
+        whose e_a and J e_a span (`symp.first_slots`) decide
+        T(Jx, y) = -J T(x, y) on every pair."""
+        cols, dim, rows = j.transpose().rows, self.dim, self.rows
+        for a in slots:
+            ja = cols[a]
+            for b in range(dim):
+                acc = [0] * dim
+                for l, q in ja:
+                    for k, p in rows.get((l, b), ()):
+                        acc[k] += q * p
+                for k, p in rows.get((a, b), ()):
+                    for r, q in cols[k]:
+                        acc[r] += q * p
+                if any(acc):
+                    return False
+        return True
+
     def cyclic_sums(self, form: Matrix) -> tuple[dict, int]:
         """The nonzero sums form(T(a, b), c) + form(T(b, c), a) +
         form(T(c, a), b) over a < b < c, form(u, v) = u^T form v, as

@@ -26,7 +26,7 @@ from liesymp import (Matrix, Subspace, SymplecticTriple, Tensor3,
                      build_triple, torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import echelon, int_vector, qof
-from liesymp.nspace import _first_slots, _rows
+from liesymp.symp import first_slots
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -535,15 +535,63 @@ def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
                for row in full_constraint_rows(d, t.omega, t.j))
 
 
+def _pair_bases(dim: int) -> list[list[int]]:
+    """base[a][b] = p * dim for the p-th pair {a, b} of
+    `combinations(range(dim), 2)`: column base[a][b] + k of `pair_rows`
+    holds coordinate k of t(e_min, e_max). Unused where a == b."""
+    base = [[0] * dim for _ in range(dim)]
+    for p, (a, b) in enumerate(combinations(range(dim), 2)):
+        base[a][b] = base[b][a] = p * dim
+    return base
+
+
+def pair_rows(dim: int, omega: Matrix, j: Matrix, linear, triples):
+    """The constraint rows of the anti-linearity keys (i, jj, k) and the
+    triples i < jj < k given, in the pair coordinates of `_pair_bases`
+    (antisymmetry solved by the unknowns): a term of t(e_a, e_b) is
+    dropped where a == b and negated where a > b. `nspace` evaluated
+    these rows before it tested anti-linearity on the whole tensor."""
+    base = _pair_bases(dim)
+    j_rows, j_cols = j.rows, j.transpose().rows
+    om_cols = omega.transpose().rows
+    # anti-linearity in the first slot: B(e_i, e_j) = 0 for
+    # B(x, y) = t(Jx, y) + J t(x, y)
+    for i, jj, k in linear:
+        row = {}
+        for a, c in j_cols[i]:
+            if a != jj:
+                col = base[a][jj] + k
+                row[col] = row.get(col, 0) + (c if a < jj else -c)
+        if i != jj:
+            b0 = base[i][jj]
+            for b, c in j_rows[k]:
+                col = b0 + b
+                row[col] = row.get(col, 0) + (c if i < jj else -c)
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
+    # cyclic coupling against omega; t(e_k, e_i) = -t(e_i, e_k)
+    for i, jj, k in triples:
+        row = {}
+        for a, b, c, s in ((i, jj, k, 1), (jj, k, i, 1), (i, k, jj, -1)):
+            b0 = base[a][b]
+            for m, w in om_cols[c]:
+                col = b0 + m
+                row[col] = row.get(col, 0) + s * w
+        row = {c: v for c, v in row.items() if v}
+        if row:
+            yield row
+
+
 def pair_constraint_rows(dim: int, omega: Matrix, j: Matrix):
-    """The anti-linearity rows at `_first_slots` and every cyclic row, in
-    the pair coordinates of `nspace._rows` (antisymmetry solved by the
+    """The anti-linearity rows at `first_slots` and every cyclic row, in
+    the pair coordinates of `pair_rows` (antisymmetry solved by the
     unknowns, anti-linearity and the cyclic identity as rows): the system
     `nspace.build_constraint_rows` built before it solved anti-linearity
     in its unknowns too."""
-    return _rows(dim, omega, j,
-                 product(_first_slots(j), range(dim), range(dim)),
-                 combinations(range(dim), 3))
+    return pair_rows(dim, omega, j,
+                     product(first_slots(j), range(dim), range(dim)),
+                     combinations(range(dim), 3))
 
 
 def pair_corank(dim: int, omega: Matrix, j: Matrix) -> int:
@@ -551,26 +599,6 @@ def pair_corank(dim: int, omega: Matrix, j: Matrix) -> int:
     coordinates."""
     return (dim * (dim * (dim - 1) // 2)
             - len(echelon(pair_constraint_rows(dim, omega, j))))
-
-
-def generator_support_keys(t: SymplecticTriple, tensor):
-    """(anti-linearity keys, triples) of `nspace._support_keys`, selected
-    as the library did before it used `product`: one generator per value
-    entry, over J's rows and columns."""
-    dim = t.dim
-    upper = {ab: row for ab, row in tensor.rows.items() if ab[0] < ab[1]}
-    first = set(_first_slots(t.j))
-    j_rows, j_cols = t.j.rows, t.j.transpose().rows
-    linear = set()
-    for (a, b), row in upper.items():
-        for x, y in ((a, b), (b, a)):
-            for k, _ in row:
-                linear.update((i, y, k) for i, _ in j_rows[x] if i in first)
-                if x in first:
-                    linear.update((x, y, kk) for kk, _ in j_cols[k])
-    triples = {tuple(sorted((a, b, k))) for a, b in upper
-               for k in range(dim) if k != a and k != b}
-    return linear, triples
 
 
 # -- the per-triple identity scans, as oracles for the one-sweep checks

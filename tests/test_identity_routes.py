@@ -9,6 +9,7 @@ triples."""
 
 import dataclasses
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -16,21 +17,26 @@ import pytest
 from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
                      check_tensor_identities, contains_tensor, dim6, ex1,
                      nabla_j_checks, norm_sq)
+from liesymp.errors import NotCompatible
 from liesymp.linalg import nullspace_of
-from liesymp.nspace import _first_slots, _rows
+from liesymp.symp import first_slots
 from liesymp.tensor import combine
-from support import (definitional_nabla_j_checks,
+from support import (cocycle_values, definitional_nabla_j_checks,
                      definitional_tensor_identities, dense_conjugate,
-                     from_dense, full_row_contains_tensor, slab_norm_sq)
+                     from_dense, full_row_contains_tensor, pair_rows,
+                     slab_norm_sq)
 
 
-def _flags(t, nj, n):
+def _flags(t, nj, n, member=True):
     """Every check a report runs, by the library routes, after asserting
-    that each equals its definitional oracle."""
+    that each equals its definitional oracle; membership only if
+    `member`."""
     ident = check_tensor_identities(t, n)
     assert ident == definitional_tensor_identities(t, n)
     nabla = nabla_j_checks(t, nj, n)
     assert nabla == definitional_nabla_j_checks(t, nj, n)
+    if not member:
+        return {**ident, **nabla}
     member = contains_tensor(t, n)
     assert member == full_row_contains_tensor(t, n)
     return {**ident, **nabla, "constraint_membership": member}
@@ -68,22 +74,48 @@ def _bumped(tensor: Tensor3) -> Tensor3:
 
 
 def _omega_row0_negated(t):
+    """Omega with row 0 negated: no longer compatible with J."""
     om = t.omega.entries
-    return dataclasses.replace(
-        t, omega=Matrix.from_rows([[-x for x in om[0]], *om[1:]]))
+    omega = Matrix.from_rows([[-x for x in om[0]], *om[1:]])
+    assert t.j.transpose() @ omega @ t.j != omega
+    return dataclasses.replace(t, omega=omega)
+
+
+def _omega_opened(t):
+    """omega' = omega + S/10 with S = K + J^T K J, K a random skew
+    matrix: S(J., J.) = S as J^2 = -1, so omega' is compatible with J
+    and G' = omega' J is the metric it pairs with; S is not closed, so
+    neither is omega'."""
+    d, j = t.dim, t.j
+    rng = random.Random(f"open:{t.algebra.name}:{d}")
+    k = [[0] * d for _ in range(d)]
+    for a, b in combinations(range(d), 2):
+        k[a][b] = rng.randint(-3, 3)
+        k[b][a] = -k[a][b]
+    k = Matrix.from_rows(k)
+    omega = t.omega + (k + j.transpose() @ k @ j).scale(Fraction(1, 10))
+    assert omega.is_skew() and j.transpose() @ omega @ j == omega
+    assert any(v for _, v in cocycle_values(t.algebra, omega))
+    return dataclasses.replace(t, omega=omega, metric=omega @ j)
 
 
 _TRIPLES = {"ex1": ex1, "dim6": dim6,
             "dense-d6": lambda: _dense(3, 2, (False, True))}
 
 # which flags each broken input turns False, as the definitional loops
-# give them; the Omega mutation breaks the cyclic rows of the constraint
-# space as well as the two omega pairings
+# give them; a compatible omega that is not closed breaks the cyclic
+# rows of the constraint space as well as the two omega pairings, and an
+# incompatible one the two pairings, while membership, whose rows need
+# compatibility, raises `NotCompatible`. In dim 4 there is no cyclic row
+# (2 C(2, 3) = 0): every antisymmetric anti-linear tensor is cyclic for
+# every compatible omega, so there omega' breaks the pairing alone
 _RED = {
     "n": {"antisymmetry", "anti_linearity", "cyclic_omega",
           "nabla_j_pairing", "constraint_membership"},
     "nabla_j": {"nabla_j_pairing", "nabla_j_anticommutation"},
-    "omega": {"cyclic_omega", "nabla_j_pairing", "constraint_membership"},
+    "omega": {"cyclic_omega", "nabla_j_pairing"},
+    "omega-open": {"cyclic_omega", "nabla_j_pairing",
+                   "constraint_membership"},
 }
 
 
@@ -92,22 +124,29 @@ _RED = {
 def test_each_flag_turns_false_on_a_broken_input(name, broken):
     t = _TRIPLES[name]()
     a = Analysis(t)
-    n, nj = a.n, a.nabla_j
+    n, nj, member = a.n, a.nabla_j, True
     if broken == "n":
         n = _bumped(n)
         assert norm_sq(n, t) == slab_norm_sq(n, t)
     elif broken == "nabla_j":
         nj = _bumped(nj)
+    elif broken == "omega-open":
+        t = _omega_opened(t)
     else:
         t = _omega_row0_negated(t)
-    flags = _flags(t, nj, n)
-    assert {f for f, ok in flags.items() if not ok} == _RED[broken]
+        with pytest.raises(NotCompatible):
+            contains_tensor(t, n)
+        member = False
+    flags = _flags(t, nj, n, member)
+    red = ({"nabla_j_pairing"} if broken == "omega-open" and t.dim == 4
+           else _RED[broken])
+    assert {f for f, ok in flags.items() if not ok} == red
 
 
 def test_a_single_value_is_never_a_member(catalog):
-    # it breaks the antisymmetry rows of its pair and anti-linearity rows
-    # of its second slot; a route that chose its rows from the support
-    # with that pair left out would build none of them and accept it
+    # t(e_i, e_j) = e_k alone breaks antisymmetry, on the diagonal too
+    # (t(e_i, e_i) = -t(e_i, e_i) forces 0), so membership must reject
+    # it before any cyclic row is evaluated
     t = catalog["ex1"]
     d = t.dim
     for i in range(d):
@@ -171,12 +210,13 @@ def test_negation_is_canonical(name):
 
 def _antisymmetric_first_slot_anti_linear(t, count):
     """count random tensors from the kernel of the anti-linearity rows of
-    `nspace` alone, no cyclic row, in its pair coordinates: each is
-    antisymmetric by construction and anti-linear in its first slot."""
+    `support.pair_rows` alone, no cyclic row, in its pair coordinates:
+    each is antisymmetric by construction and anti-linear in its first
+    slot."""
     d = t.dim
     pairs = list(combinations(range(d), 2))
-    rows = _rows(d, t.omega, t.j,
-                 product(_first_slots(t.j), range(d), range(d)), ())
+    rows = pair_rows(d, t.omega, t.j,
+                     product(first_slots(t.j), range(d), range(d)), ())
     kernel = nullspace_of(rows, d * len(pairs))
     rng = random.Random(f"first-slot-kernel:{t.algebra.name}:{d}")
     out = []
@@ -255,3 +295,89 @@ def test_norm_sq_matches_slabs_on_non_antisymmetric_tensors(name):
         assert x != -x.swapped()
         assert norm_sq(x, t) == slab_norm_sq(x, t)
         assert norm_sq(x, t, x.map_values(t.metric)) == slab_norm_sq(x, t)
+
+
+# -- `Tensor3.anti_linear` at the first slots F against the two-tensor
+#    comparison T(Jx, y) == -J T(x, y) it replaced
+
+
+def _by_maps(t, tensor):
+    return tensor.map_first(t.j) == -tensor.map_values(t.j)
+
+
+def _random_tensors(t, rng):
+    """A random tensor, an antisymmetric one, and the first-slot
+    anti-linear part (T + J T(J., .)) / 2 of each."""
+    d, j = t.dim, t.j
+    plain = [[[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+             for _ in range(d)]
+    anti = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for a, b in combinations(range(d), 2):
+        anti[a][b] = plain[a][b]
+        anti[b][a] = [-c for c in plain[a][b]]
+    out = []
+    for vals in (plain, anti):
+        x = from_dense(d, vals)
+        out += [x, combine([(Fraction(1, 2), x),
+                            (Fraction(1, 2), x.map_first(j).map_values(j))])]
+    return out
+
+
+def test_first_slot_test_equals_the_two_tensor_comparison(extended_catalog):
+    # B(x, y) = T(Jx, y) + J T(x, y) has B(Jx, y) = J B(x, y) for every
+    # T, so B vanishes once it does at e_a, a in F: the verdicts agree on
+    # N, nabla J, random tensors and tensors anti-linear in one slot only
+    triples = dict(extended_catalog)
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        triples[f"dense-d{2 * n}"] = _dense(n, k, flags)
+    rng = random.Random(20261019)
+    verdicts = set()
+    for name, t in sorted(triples.items()):
+        a = Analysis(t)
+        tensors = [a.n, a.nabla_j, *_random_tensors(t, rng)]
+        if t.dim > 2:
+            one = _first_slot_only(t)
+            tensors += [one, one.swapped()]
+        for tensor in tensors:
+            got = tensor.anti_linear(t.j, t.first_slots)
+            assert got == _by_maps(t, tensor), name
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def _defect_at(t, a0):
+    """T(x, y) = lam(x) psi(y) w with lam vanishing on e_a and J e_a for
+    every first slot a but a0: B(x, y) = psi(y) (lam(Jx) w + lam(x) Jw)
+    vanishes at those e_a, and, w and Jw being independent, not at
+    e_a0, where lam or lam o J is nonzero."""
+    d, j = t.dim, t.j
+    cols = j.transpose().entries
+    kept = [v for a in t.first_slots if a != a0
+            for v in ([int(r == a) for r in range(d)], cols[a])]
+    lam = Matrix.from_rows(kept).nullspace()[0]
+    psi = [1] * d
+    w = [int(r == 0) for r in range(d)]
+    return from_dense(d, [[[lam[x] * psi[y] * c for c in w]
+                           for y in range(d)] for x in range(d)])
+
+
+@pytest.mark.parametrize("name", sorted(_TRIPLES))
+def test_a_slot_set_short_of_first_slots_misses_a_defect(name):
+    # F must span together with J F: leave one index out and a tensor
+    # whose defect sits only at that index passes the test
+    t = _TRIPLES[name]()
+    first = t.first_slots
+    assert len(first) == t.dim // 2
+    for a0 in first:
+        tensor = _defect_at(t, a0)
+        short = [a for a in first if a != a0]
+        assert tensor.anti_linear(t.j, short), a0
+        assert not tensor.anti_linear(t.j, first), a0
+        assert not _by_maps(t, tensor), a0
+
+
+def test_first_slots_are_cached_on_the_triple(catalog):
+    for name, t in catalog.items():
+        assert t.first_slots == first_slots(t.j), name
+        assert t.first_slots is t.first_slots

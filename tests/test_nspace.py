@@ -4,7 +4,8 @@ from math import comb
 
 from liesymp import (Tensor3, contains_tensor, expected_dimension,
                      nijenhuis_space_dim, nijenhuis_tensor)
-from liesymp.nspace import _first_slots, build_constraint_rows, nullity
+from liesymp.nspace import build_constraint_rows, nullity
+from liesymp.symp import first_slots
 from support import (fraction_rref, from_dense, full_constraint_rows,
                      pair_constraint_rows, pair_corank)
 
@@ -46,7 +47,7 @@ def test_nullity_equals_the_corank_of_the_full_system():
     for n in (1, 2, 3):
         dim = 2 * n
         omega, j = standard_omega(dim), standard_j(dim)
-        assert _first_slots(j) == list(range(n))
+        assert first_slots(j) == list(range(n))
         assert (nullity(dim, omega, j) == _full_corank(dim, omega, j)
                 == expected_dimension(n)), n
 
@@ -59,7 +60,7 @@ def test_first_slots_of_an_interleaved_basis():
                               [0, 0, 0, 1], [0, 0, -1, 0]])
     j = Matrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0],
                           [0, 0, 0, -1], [0, 0, 1, 0]])
-    assert _first_slots(j) == [0, 2]
+    assert first_slots(j) == [0, 2]
     assert nullity(4, omega, j) == _full_corank(4, omega, j) == 4
 
 
@@ -166,19 +167,16 @@ def _kernel_tensor(dim, rows, rng):
 
 
 def test_membership_equals_the_full_constraint_system(extended_catalog):
-    # contains_tensor builds only the rows that meet the tensor's support;
-    # its verdict must be that of every row of the full dim^3 system, and
-    # every row of the pair-coordinate system (`pair_constraint_rows`)
-    # that does not vanish on the tensor's pair coordinates must be
-    # built. The
-    # tensors: N; N plus a member of the space; N plus a tensor that is
-    # antisymmetric and cyclic but in general not anti-linear (the
+    # contains_tensor tests antisymmetry and first-slot anti-linearity on
+    # the whole tensor and evaluates only the 2 C(n, 3) cyclic rows at
+    # u; its verdict must be that of every row of the full dim^3 system.
+    # The tensors: N; N plus a member of the space; N plus a tensor that
+    # is antisymmetric and cyclic but in general not anti-linear (the
     # kernel of all rows but the anti-linearity ones); N with one value
     # bumped. Triples: the extended catalog and two with a dense J.
     import random
     from itertools import combinations
     from liesymp.nijenhuis import combine
-    from liesymp.nspace import _bases, _support_rows
     from support import (dense_conjugate, full_row_contains_tensor,
                          full_rows)
     rng = random.Random(20261020)
@@ -205,15 +203,6 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
             got = contains_tensor(t, tensor)
             assert got == full_row_contains_tensor(t, tensor), name
             verdicts.add(got)
-            # and row by row: each row that does not vanish on the pair
-            # coordinates t(e_a, e_b), a < b, is built
-            built = {frozenset(r.items()) for r in _support_rows(t, tensor)}
-            base = _bases(d)
-            scaled = {base[a][b] + c: p for (a, b), row in tensor.rows.items()
-                      if a < b for c, p in row}
-            for row in pair_constraint_rows(d, t.omega, t.j):
-                if sum(v * scaled.get(c, 0) for c, v in row.items()):
-                    assert frozenset(row.items()) in built, name
     assert verdicts == {True, False}
 
 
@@ -253,33 +242,7 @@ def test_membership_rejects_a_lone_change_below_the_diagonal(catalog):
             assert not full_row_contains_tensor(t, bad), (name, jj, i, k)
 
 
-def test_support_keys_match_the_generator_selection(extended_catalog):
-    # `_support_keys` selects with `product` and set unions; the
-    # per-entry generators it replaced must give the same anti-linearity
-    # keys and triples, for N, on dense J and for single values
-    import random
-    from liesymp.nspace import _support_keys
-    from support import dense_conjugate, generator_support_keys
-    rng = random.Random(20261022)
-    triples = dict(extended_catalog)
-    for name in ("ex3", "dim6"):
-        triples[f"dense({name})"] = dense_conjugate(triples[name], rng)
-    selected = 0
-    for name, t in sorted(triples.items()):
-        d = t.dim
-        tensors = [nijenhuis_tensor(t)]
-        tensors += [Tensor3.from_ints(d, 1, {(i, jj): [int(m == k)
-                                                       for m in range(d)]})
-                    for i in range(d) for jj in range(d) if i != jj
-                    for k in range(d)]
-        for tensor in tensors:
-            got = _support_keys(t, tensor)
-            assert got == generator_support_keys(t, tensor), name
-            selected += bool(got[0])
-    assert selected > 1000
-
-
-# -- the unknowns u_ab = t(e_a, e_b), a < b in `_first_slots`, and the
+# -- the unknowns u_ab = t(e_a, e_b), a < b in `first_slots`, and the
 #    2 C(n, 3) cyclic rows `build_constraint_rows` ranks over them
 
 
@@ -297,12 +260,12 @@ def _cyclic_form(omega, j, u):
     """C[i][k][l] = c(e_i, e_k, e_l), c(x, y, z) = sum_cyc omega(t(x, y), z),
     over Fractions, for the t that u spans: t(e_a, e_b) = u[(a, b)],
     t(Je_a, e_b) = t(e_a, Je_b) = -J t(e_a, e_b) and t(Je_a, Je_b) =
-    -t(e_a, e_b) on the basis {e_a, Je_a : a in `_first_slots`}, moved to
+    -t(e_a, e_b) on the basis {e_a, Je_a : a in `first_slots`}, moved to
     the standard basis. Asserts on the way that this t is antisymmetric
     and anti-linear in its first slot."""
     from liesymp import Matrix
     dim = j.nrows
-    first = _first_slots(j)
+    first = first_slots(j)
     n, zero = len(first), (F(0),) * dim
 
     def neg(v):
@@ -361,7 +324,7 @@ def test_cyclic_identity_reduces_to_the_first_slot_rows(catalog):
     verdicts = set()
     for name, omega, j in _structures(catalog):
         dim = j.nrows
-        pairs = list(combinations(_first_slots(j), 2))
+        pairs = list(combinations(first_slots(j), 2))
         rows = list(build_constraint_rows(dim, omega, j))
         assert len(rows) == 2 * comb(dim // 2, 3)
         ncols = dim * len(pairs)
