@@ -63,9 +63,14 @@ factorials cancel).  Jacobi's formula for the Pfaffian,
 
     d/dt Pf(W + t P) |_{t=0} = 1/2 Pf(W) tr(W^-1 P),
 
-turns this into a trace, and W^-1 = J Ginv because G = W J:
+turns this into a trace, with W^-1 the triple's cached omega^-1
+(`SymplecticTriple.omega_inv`, equal to J Ginv because G = W J):
 
-    s^c = 1/2 tr(J Ginv P).
+    s^c = 1/2 tr(W^-1 P).
+
+Both scalars, s_g = tr(Ginv Ric) and s^c, are summed in ints as
+sum_{i,k} A_ik B_ki over the nonzeros of A = Ginv or W^-1; no product
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -209,6 +214,12 @@ def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
 # -- curvature ---------------------------------------------------------
 
 
+def _trace_of_product(m: Matrix, num: list[list[int]], den: int) -> Fraction:
+    """tr(m B) for B = num / den: sum of m_ik B_ki over m's nonzeros."""
+    return Fraction(sum(p * num[k][i] for i, row in enumerate(m.rows)
+                        for k, p in row), m.den * den)
+
+
 @dataclass(frozen=True)
 class CurvatureSummary:
     ricci: Matrix
@@ -258,7 +269,7 @@ def curvature_summary(t: SymplecticTriple,
     if any(ric[x][y] != ric[y][x] for x in range(d) for y in range(x)):
         raise InternalInvariantViolation("Ricci form not symmetric")
     ricci = Matrix.from_ints(gden * gden * dc, ric)
-    scalar = (t.metric_inv @ ricci).trace()
+    scalar = _trace_of_product(t.metric_inv, ric, gden * gden * dc)
     ricci_j = (j.transpose() @ ricci @ j) == ricci
 
     # psi[k] = den J.den Tr(J M_k), Tr(J M_k) = sum_b (J M_k e_b)_b
@@ -271,7 +282,7 @@ def curvature_summary(t: SymplecticTriple,
         p[x][y] = -sum(c * psi[k] for k, c in row)
     chern_ricci = Matrix.from_ints(dc * gden * j.den, p)
     # Jacobi's formula, see the module docstring
-    herm = (j @ t.metric_inv @ chern_ricci).trace() / 2
+    herm = _trace_of_product(t.omega_inv, p, dc * gden * j.den) / 2
     return CurvatureSummary(
         ricci=ricci,
         scalar=scalar,

@@ -566,9 +566,12 @@ def complement(s: Subspace, gram: Matrix) -> Subspace:
             f"form degenerate on subspace: complement dim {comp.dim}, "
             f"expected {s.ambient_dim - s.dim}")
     # right dimension is not enough: a degenerate restriction leaves a
-    # radical, which shows up as a nonzero intersection with s
-    rad = s.intersect(comp)
-    if rad.dim != 0:
+    # radical, the intersection with s, of dim d - rank of s and comp
+    # stacked
+    d = s.ambient_dim
+    rank = len(echelon((dict(r) for r in s.basis.rows + comp.basis.rows),
+                       width=d))
+    if rank < d:
         raise SingularGram(
-            f"form degenerate on subspace: radical has dim {rad.dim}")
+            f"form degenerate on subspace: radical has dim {d - rank}")
     return comp

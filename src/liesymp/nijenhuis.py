@@ -124,7 +124,8 @@ def classify(t: SymplecticTriple, n: Tensor3,
     consistency checks (raise InternalInvariantViolation on any failure):
 
       * orthogonal complement w.r.t. the metric and symplectic complement
-        w.r.t. omega agree (the image is J-stable);
+        w.r.t. omega agree (the image is J-stable), checked as
+        omega(im, perp_g) = 0;
       * image and perp are J-stable and even dimensional;
       * the kernel sits inside the metric complement of the image (a
         consequence of the cyclic omega identity);
@@ -136,8 +137,9 @@ def classify(t: SymplecticTriple, n: Tensor3,
     im = image_distribution(n)
     ker = kernel_distribution(n)
     perp_g = complement(im, t.metric)
-    perp_om = complement(im, t.omega)
-    if perp_g != perp_om:
+    # omega is nondegenerate, so the symplectic complement has perp_g's
+    # dimension too: the two agree iff omega(im, perp_g) = 0
+    if not (im.basis @ t.omega @ perp_g.basis.transpose()).is_zero():
         raise InternalInvariantViolation(
             "metric and symplectic complements of im N disagree")
     if not im.invariant_under(t.j) or not perp_g.invariant_under(t.j):

@@ -24,7 +24,11 @@ ranks 252 rows in 3 ms as `--timings` reads it (Python 3.11, one core of
 a shared 2-vCPU x86-64 VM). `contains_tensor` tests a concrete tensor
 through the same reduction, after the same `check_j`: antisymmetry and
 first-slot anti-linearity (`Tensor3.anti_linear` at F) as whole-tensor
-checks, then these rows at its own u.
+checks, then these rows at its own u (`cyclic_rows_vanish`, with the
+triple's cached F and G). A report already holds the first three:
+`build_triple` ran `check_j`, and `check_tensor_identities` tested N's
+antisymmetry and anti-linearity; so its membership flag evaluates only
+the rows.
 """
 
 from __future__ import annotations
@@ -38,16 +42,22 @@ from .symp import (SymplecticTriple, check_j, first_slots, standard_j,
                    standard_omega)
 
 
-def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
-    """The rows of the module docstring, from the columns of omega and of
-    G = omega J in ints. A row's three pairs differ: no column repeats."""
-    first = first_slots(j)
+def _cyclic_rows(dim: int, first: list[int], omega: Matrix,
+                 metric: Matrix) -> Iterator[Row]:
+    """The rows of the module docstring for the first slots F = first,
+    from the columns of omega and of G = omega J in ints. A row's three
+    pairs differ: no column repeats."""
     base = {ab: p * dim for p, ab in enumerate(combinations(first, 2))}
-    forms = omega.transpose().rows, (omega @ j).transpose().rows
+    forms = omega.transpose().rows, metric.transpose().rows
     for (a, b, c), cols in product(combinations(first, 3), forms):
         yield {base[x, y] + m: s * w for x, y, z, s in
                ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1))
                for m, w in cols[z]}
+
+
+def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
+    """`_cyclic_rows` for F = `first_slots(j)` and G = omega J."""
+    return _cyclic_rows(dim, first_slots(j), omega, omega @ j)
 
 
 def nullity(dim: int, omega: Matrix, j: Matrix) -> int:
@@ -70,21 +80,28 @@ def expected_dimension(n: int) -> int:
     return num // 3
 
 
+def cyclic_rows_vanish(t: SymplecticTriple, tensor: Tensor3) -> bool:
+    """The rows, from the triple's cached `first_slots` and `metric`,
+    evaluated in ints at the tensor's u_ab = t(e_a, e_b), a < b in F,
+    over its denominator. They decide the cyclic identity only for an
+    antisymmetric tensor anti-linear in its first slot, and a compatible
+    J; `contains_tensor` checks all three first."""
+    dim, first, values = t.dim, t.first_slots, tensor.rows
+    u = {p * dim + k: v for p, ab in enumerate(combinations(first, 2))
+         for k, v in values.get(ab, ())}
+    return not any(sum(v * u.get(c, 0) for c, v in row.items())
+                   for row in _cyclic_rows(dim, first, t.omega, t.metric))
+
+
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:
     """Membership of a concrete tensor in the constraint space of the
     triple's own (omega, J); an independent route to the pointwise
     identity checks. `check_j` first, as for `nullity`: the rows need
     omega(J., J.) = omega. Antisymmetry is one comparison of canonical
     tensors, tensor == -tensor.swapped(), and anti-linearity is
-    `Tensor3.anti_linear` at F = `t.first_slots`; then the rows of
-    `build_constraint_rows` are evaluated in ints at the tensor's
-    u_ab = t(e_a, e_b), a < b in F, over its denominator."""
+    `Tensor3.anti_linear` at F = `t.first_slots`; then
+    `cyclic_rows_vanish`."""
     check_j(t.omega, t.j)
-    first = t.first_slots
-    if tensor != -tensor.swapped() or not tensor.anti_linear(t.j, first):
-        return False
-    dim, values = t.dim, tensor.rows
-    u = {p * dim + k: v for p, ab in enumerate(combinations(first, 2))
-         for k, v in values.get(ab, ())}
-    return not any(sum(v * u.get(c, 0) for c, v in row.items())
-                   for row in build_constraint_rows(dim, t.omega, t.j))
+    return (tensor == -tensor.swapped()
+            and tensor.anti_linear(t.j, t.first_slots)
+            and cyclic_rows_vanish(t, tensor))

@@ -40,7 +40,7 @@ from .lie import LieAlgebra
 from .linalg import Matrix, Subspace
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
                         classify, nijenhuis_tensor)
-from .nspace import contains_tensor
+from .nspace import cyclic_rows_vanish
 from .serialization import matrix_to_rows, triple_hash
 from .symp import SymplecticTriple
 from .twistor import twistor_claims
@@ -105,6 +105,16 @@ def _proportional_to(m: Matrix, ref: Matrix) -> tuple[bool, str]:
     return m == ref.scale(c), str(c)
 
 
+def _membership(t: SymplecticTriple, n: Tensor3,
+                ident: dict[str, bool]) -> bool:
+    """`nspace.contains_tensor(t, n)` from what a report already holds:
+    `build_triple` ran its `check_j`, and ident, from
+    `check_tensor_identities`, has N's antisymmetry and anti-linearity;
+    only the cyclic rows are left to evaluate."""
+    return (ident["antisymmetry"] and ident["anti_linearity"]
+            and cyclic_rows_vanish(t, n))
+
+
 def build_report(t: SymplecticTriple, name: Optional[str] = None,
                  full: bool = False, timings: bool = False) -> dict:
     t0 = time.monotonic()
@@ -115,7 +125,7 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
     par = a.parallelism
     ident = dict(check_tensor_identities(t, n))
     ident.update(nabla_j_checks(t, a.nabla_j, n, a.gn))
-    ident["constraint_membership"] = contains_tensor(t, n)
+    ident["constraint_membership"] = _membership(t, n, ident)
     nil, lcs_dims = g.is_nilpotent()
     # lcs_dims[1] is dim [g, g]; a perfect g has no second term
     derived_dim = lcs_dims[1] if len(lcs_dims) > 1 else t.dim

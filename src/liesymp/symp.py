@@ -40,8 +40,14 @@ class SymplecticTriple:
         return self.algebra.dim
 
     @cached_property
+    def omega_inv(self) -> Matrix:
+        return self.omega.inverse()
+
+    @cached_property
     def metric_inv(self) -> Matrix:
-        return self.metric.inverse()
+        """G^-1 = (omega J)^-1 = -J omega^-1, as J^2 = -Id: omega, not
+        the dense G, is inverted."""
+        return -(self.j @ self.omega_inv)
 
     @cached_property
     def first_slots(self) -> list[int]:

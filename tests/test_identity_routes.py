@@ -15,10 +15,11 @@ from itertools import combinations, product
 import pytest
 
 from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
-                     check_tensor_identities, contains_tensor, dim6, ex1,
-                     nabla_j_checks, norm_sq)
+                     build_report, check_tensor_identities, contains_tensor,
+                     dim6, ex1, nabla_j_checks, norm_sq)
 from liesymp.errors import NotCompatible
 from liesymp.linalg import nullspace_of
+from liesymp.report import _membership
 from liesymp.symp import first_slots
 from liesymp.tensor import combine
 from support import (cocycle_values, definitional_nabla_j_checks,
@@ -39,6 +40,7 @@ def _flags(t, nj, n, member=True):
         return {**ident, **nabla}
     member = contains_tensor(t, n)
     assert member == full_row_contains_tensor(t, n)
+    assert _membership(t, n, ident) == member
     return {**ident, **nabla, "constraint_membership": member}
 
 
@@ -375,6 +377,53 @@ def test_a_slot_set_short_of_first_slots_misses_a_defect(name):
         assert tensor.anti_linear(t.j, short), a0
         assert not tensor.anti_linear(t.j, first), a0
         assert not _by_maps(t, tensor), a0
+
+
+def _symmetric_anti_linear(t, rng):
+    """(A + J A(x, Jy) + J A(Jx, y) - A(Jx, Jy)) / 4 for a random
+    symmetric A: symmetric and anti-linear in both slots, so only the
+    antisymmetry test rejects it where no cyclic row exists (dim 4)."""
+    d, j = t.dim, t.j
+    vals = [[None] * d for _ in range(d)]
+    for a in range(d):
+        for b in range(a, d):
+            vals[a][b] = vals[b][a] = [rng.randint(-3, 3) for _ in range(d)]
+    x = from_dense(d, vals)
+    jx = x.map_first(j)
+    quarter = Fraction(1, 4)
+    return combine([(quarter, x), (quarter, x.map_second(j).map_values(j)),
+                    (quarter, jx.map_values(j)),
+                    (-quarter, jx.map_second(j))])
+
+
+def test_report_membership_equals_contains_tensor(extended_catalog):
+    # a report reads antisymmetry and anti-linearity off
+    # check_tensor_identities and evaluates only the cyclic rows: its
+    # verdict is contains_tensor's on N, on a bumped N, on random and
+    # symmetric anti-linear tensors, and on antisymmetric first-slot
+    # anti-linear tensors, where the cyclic rows alone decide
+    triples = dict(extended_catalog)
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        triples[f"dense-d{2 * n}"] = _dense(n, k, flags)
+    rng = random.Random(20261020)
+    verdicts = set()
+    for name, t in sorted(triples.items()):
+        n = Analysis(t).n
+        flags = build_report(t)["identities"]
+        assert flags["constraint_membership"] is contains_tensor(t, n), name
+        assert flags["constraint_membership"] is True, name
+        tensors = [*_random_tensors(t, rng), _symmetric_anti_linear(t, rng)]
+        if not n.is_zero():
+            tensors.append(_bumped(n))
+        if name != "dense-d8":
+            # the dim-8 dense kernel takes seconds to eliminate
+            tensors += _antisymmetric_first_slot_anti_linear(t, 2)
+        for tensor in tensors:
+            got = _membership(t, tensor, check_tensor_identities(t, tensor))
+            assert got is contains_tensor(t, tensor), name
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_first_slots_are_cached_on_the_triple(catalog):

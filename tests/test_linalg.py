@@ -199,13 +199,34 @@ def test_complement_decomposes_ambient():
             assert sum(gram.apply(v)[k] * w[k] for k in range(4)) == 0
 
 
+_OMEGA4 = Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1],
+                            [-1, 0, 0, 0], [0, -1, 0, 0]])
+
+
 def test_complement_rejects_degenerate_restriction():
     # the restriction of a symplectic form to an isotropic plane is zero
-    omega = Matrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1],
-                              [-1, 0, 0, 0], [0, -1, 0, 0]])
     iso = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    with pytest.raises(SingularGram):
-        complement(iso, omega)
+    with pytest.raises(SingularGram, match=r"^form degenerate on subspace: "
+                       r"radical has dim 2$"):
+        complement(iso, _OMEGA4)
+
+
+def test_complement_radical_of_a_coisotropic_subspace():
+    # span(e1, e2, e3) has the right complement dimension, 1, but that
+    # complement, span(e2), lies inside it: a radical of dim 1, not of
+    # the subspace's dim
+    s = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(SingularGram, match=r"^form degenerate on subspace: "
+                       r"radical has dim 1$"):
+        complement(s, _OMEGA4)
+
+
+def test_complement_rejects_a_form_of_low_rank():
+    # rank 1 < 4: the constraints of a plane leave a 3-dim kernel
+    s = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(SingularGram, match=r"^form degenerate on subspace: "
+                       r"complement dim 3, expected 2$"):
+        complement(s, diag([1, 0, 0, 0]))
 
 
 # entries already `Fraction` skip the coercion; everything else still goes

@@ -1,12 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Subspace, build_rank_example,
-                     check_tensor_identities, image_distribution,
+from liesymp import (Analysis, Matrix, Subspace, build_rank_example,
+                     check_tensor_identities, classify, image_distribution,
                      is_involutive, kernel_distribution, nijenhuis_tensor,
                      norm_sq)
+from liesymp.errors import InternalInvariantViolation
 from support import (conjugated_triple, dense_conjugate, image_under,
                      pairwise_is_involutive)
 
@@ -156,3 +158,22 @@ def test_is_involutive_matches_pairwise_brackets(extended_catalog):
             assert got == pairwise_is_involutive(s, g), (g.name, s)
             answers.add(got)
     assert answers == {True, False}
+
+
+def test_classify_rejects_a_metric_other_than_omega_j(catalog):
+    # with G' = G + 11^T, positive definite but not omega J, the
+    # G'-complement of a proper im N is not its omega-complement, which
+    # classify tests as omega(im, perp) = 0
+    proper = 0
+    for name, t in catalog.items():
+        a = Analysis(t)
+        if a.distributions.image.dim in (0, t.dim):
+            continue
+        proper += 1
+        ones = Matrix.from_rows([[1] * t.dim for _ in range(t.dim)])
+        bad = dataclasses.replace(t, metric=t.metric + ones)
+        assert bad.metric.leading_minors_positive()[0], name
+        with pytest.raises(InternalInvariantViolation, match="^metric and "
+                           "symplectic complements of im N disagree$"):
+            classify(bad, a.n)
+    assert proper == 8

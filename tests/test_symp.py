@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from liesymp import (Matrix, build_triple, standard_j, standard_omega,
-                     validate as build_algebra)
+from liesymp import (Matrix, build_rank_example, build_triple, standard_j,
+                     standard_omega, validate as build_algebra)
 from liesymp.errors import (CocycleViolation, DegenerateForm,
                             DimensionMismatch, NotAlmostComplex,
                             NotCompatible, NotPositive, NotSkewSymmetric)
 from liesymp.linalg import echelon
-from support import inner, j_apply, omega_of
+from support import dense_conjugate, inner, j_apply, omega_of
 
 F = Fraction
 
@@ -35,6 +35,22 @@ def test_metric_is_omega_compose_j(catalog):
         assert t.metric.is_symmetric()
         ok, _, _ = t.metric.leading_minors_positive()
         assert ok
+
+
+def test_metric_inv_is_the_inverse_of_the_metric(extended_catalog):
+    # G^-1 = -J omega^-1, as G = omega J and J^2 = -Id, against the
+    # Gauss-Jordan inverse of G it replaced; on the dense conjugates J
+    # and omega^-1 do not commute, so omega^-1 J or a lost sign is caught
+    triples = dict(extended_catalog)
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        t = dense_conjugate(build_rank_example(n, k, *flags),
+                            random.Random(f"dense:{n}:{k}"))
+        assert t.j @ t.omega_inv != t.omega_inv @ t.j
+        triples[f"dense-d{2 * n}"] = t
+    for name, t in triples.items():
+        assert t.metric_inv == t.metric.inverse(), name
+        assert t.metric_inv is t.metric_inv, name
 
 
 def test_accessors(catalog):
