@@ -316,10 +316,12 @@ def covariant_derivative_n(t: SymplecticTriple, lc: Connection,
 
         nabla_i N = M_i N(., .) - N(M_i ., .) - N(., M_i .)
 
-    is one int combination of whole tensors. The two distribution flags
-    must agree (the metric is parallel, so a distribution is parallel iff
-    its complement is); a mismatch raises InternalInvariantViolation."""
-    endos = [lc.endo(i) for i in range(t.dim)]
+    is one int combination of whole tensors. M_i is formed only for the
+    i with a stored pair (i, .): a zero M_i maps every subspace into
+    itself and adds 0 to nabla_i N. The two distribution flags must agree
+    (the metric is parallel, so a distribution is parallel iff its
+    complement is); a mismatch raises InternalInvariantViolation."""
+    endos = [lc.endo(i) for i in sorted({i for i, _ in lc.rows})]
     img_par = all(rep.image.invariant_under(m) for m in endos)
     perp_par = all(rep.perp.invariant_under(m) for m in endos)
     if img_par != perp_par:

@@ -21,14 +21,15 @@ c(e_a, Je_a, .) = 0, and c = 0 iff c vanishes at (e_a, e_b, e_c) and
 
 `linalg.echelon` ranks them fraction-free: `nspace-dim --n 3,4,5,6,7,8`
 ranks 252 rows in 3 ms as `--timings` reads it (Python 3.11, one core of
-a shared 2-vCPU x86-64 VM). `contains_tensor` tests a concrete tensor
-through the same reduction, after the same `check_j`: antisymmetry and
-first-slot anti-linearity (`Tensor3.anti_linear` at F) as whole-tensor
-checks, then these rows at its own u (`cyclic_rows_vanish`, with the
-triple's cached F and G). A report already holds the first three:
-`build_triple` ran `check_j`, and `check_tensor_identities` tested N's
-antisymmetry and anti-linearity; so its membership flag evaluates only
-the rows.
+a shared 2-vCPU x86-64 VM); `nullity` is their one reader.
+`contains_tensor` tests a concrete tensor after the same `check_j`:
+antisymmetry and first-slot anti-linearity (`Tensor3.anti_linear` at F)
+as whole-tensor checks, then the same equations at its own values
+(`cyclic_rows_vanish`): `Tensor3.cyclic_sums` of its values on F x F
+against omega and against G, which walks its stored pairs and builds no
+row. A report already holds the first three: `build_triple` ran
+`check_j`, and `check_tensor_identities` tested N's antisymmetry and
+anti-linearity; so its membership flag takes only the two sums.
 """
 
 from __future__ import annotations
@@ -42,22 +43,17 @@ from .symp import (SymplecticTriple, check_j, first_slots, standard_j,
                    standard_omega)
 
 
-def _cyclic_rows(dim: int, first: list[int], omega: Matrix,
-                 metric: Matrix) -> Iterator[Row]:
-    """The rows of the module docstring for the first slots F = first,
-    from the columns of omega and of G = omega J in ints. A row's three
-    pairs differ: no column repeats."""
+def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
+    """The rows of the module docstring for F = `first_slots(j)`, from
+    the columns of omega and of G = omega J in ints. A row's three pairs
+    differ: no column repeats."""
+    first = first_slots(j)
     base = {ab: p * dim for p, ab in enumerate(combinations(first, 2))}
-    forms = omega.transpose().rows, metric.transpose().rows
+    forms = omega.transpose().rows, (omega @ j).transpose().rows
     for (a, b, c), cols in product(combinations(first, 3), forms):
         yield {base[x, y] + m: s * w for x, y, z, s in
                ((a, b, c, 1), (b, c, a, 1), (a, c, b, -1))
                for m, w in cols[z]}
-
-
-def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
-    """`_cyclic_rows` for F = `first_slots(j)` and G = omega J."""
-    return _cyclic_rows(dim, first_slots(j), omega, omega @ j)
 
 
 def nullity(dim: int, omega: Matrix, j: Matrix) -> int:
@@ -81,16 +77,21 @@ def expected_dimension(n: int) -> int:
 
 
 def cyclic_rows_vanish(t: SymplecticTriple, tensor: Tensor3) -> bool:
-    """The rows, from the triple's cached `first_slots` and `metric`,
-    evaluated in ints at the tensor's u_ab = t(e_a, e_b), a < b in F,
-    over its denominator. They decide the cyclic identity only for an
-    antisymmetric tensor anti-linear in its first slot, and a compatible
-    J; `contains_tensor` checks all three first."""
-    dim, first, values = t.dim, t.first_slots, tensor.rows
-    u = {p * dim + k: v for p, ab in enumerate(combinations(first, 2))
-         for k, v in values.get(ab, ())}
-    return not any(sum(v * u.get(c, 0) for c, v in row.items())
-                   for row in _cyclic_rows(dim, first, t.omega, t.metric))
+    """Whether the rows vanish at the tensor's u_ab = t(e_a, e_b), a < b
+    in F = `t.first_slots`: the rows at (e_a, e_b, e_c) are
+    `Tensor3.cyclic_sums` of its values on F x F against omega, and those
+    at (Je_a, e_b, e_c) the sums against the triple's cached metric G,
+    as g(v, w) = omega(v, Jw); both must be zero at every a < b < c in F.
+    A sum reads t(e_c, e_a) = -u_ac, so this decides the cyclic identity
+    only for an antisymmetric tensor anti-linear in its first slot, and a
+    compatible J; `contains_tensor` checks all three first."""
+    f = set(t.first_slots)
+    # only which sums vanish is read, so den need not be the least one
+    on_f = Tensor3(t.dim, tensor.den,
+                   {ab: row for ab, row in tensor.rows.items()
+                    if ab[0] in f and ab[1] in f})
+    return not any(f.issuperset(abc) for form in (t.omega, t.metric)
+                   for abc in on_f.cyclic_sums(form)[0])
 
 
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:

@@ -110,7 +110,7 @@ def _membership(t: SymplecticTriple, n: Tensor3,
     """`nspace.contains_tensor(t, n)` from what a report already holds:
     `build_triple` ran its `check_j`, and ident, from
     `check_tensor_identities`, has N's antisymmetry and anti-linearity;
-    only the cyclic rows are left to evaluate."""
+    only the cyclic sums (`cyclic_rows_vanish`) are left."""
     return (ident["antisymmetry"] and ident["anti_linearity"]
             and cyclic_rows_vanish(t, n))
 

@@ -10,7 +10,8 @@ it is read (`of_basis`, `of_vectors`).
 A tensor is its values: the state is canonical, so `==` and `hash`
 compare values, and an identity A + B = 0 is checked as `A == -B`, with
 no sum built. `cyclic_sums` is the one cyclic sum over a 2-form, behind
-both the 2-cocycle check and N's cyclic omega identity.
+the 2-cocycle check, N's cyclic omega identity and membership's sums
+against omega and G (`nspace.cyclic_rows_vanish`).
 """
 
 from __future__ import annotations
@@ -149,27 +150,22 @@ class Tensor3:
         return Tensor3.from_ints(self.dim, self.den * m.den, num)
 
     def map_first(self, m: Matrix) -> "Tensor3":
-        """(x, y) -> T(m x, y)."""
-        num: dict[tuple[int, int], list[int]] = {}
-        for (l, j), row in self.rows.items():
-            for i, q in m.rows[l]:
-                v = num.get((i, j))
-                if v is None:
-                    v = num[(i, j)] = [0] * self.dim
-                for k, p in row:
-                    v[k] += q * p
-        return Tensor3.from_ints(self.dim, self.den * m.den, num)
+        """(x, y) -> T(m x, y), as `map_second` of the swapped tensor."""
+        return self.swapped().map_second(m).swapped()
 
     def anti_linear(self, j: Matrix, slots: Sequence[int]) -> bool:
         """Whether B(x, y) = T(Jx, y) + J T(x, y) vanishes at (e_a, e_b)
         for every a in slots and every b, in ints over den * j.den, up to
         the first nonzero. J^2 = -1 gives B(Jx, y) = J B(x, y), so slots
         whose e_a and J e_a span (`symp.first_slots`) decide
-        T(Jx, y) = -J T(x, y) on every pair."""
+        T(Jx, y) = -J T(x, y) on every pair. Only the b that are the
+        second slot of a stored pair are visited: T(., e_b) = 0 at any
+        other b, and so is B(., e_b)."""
         cols, dim, rows = j.transpose().rows, self.dim, self.rows
+        seconds = sorted({b for _, b in rows})
         for a in slots:
             ja = cols[a]
-            for b in range(dim):
+            for b in seconds:
                 acc = [0] * dim
                 for l, q in ja:
                     for k, p in rows.get((l, b), ()):

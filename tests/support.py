@@ -26,6 +26,7 @@ from liesymp import (Matrix, Subspace, SymplecticTriple, Tensor3,
                      build_triple, torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import echelon, int_vector, qof
+from liesymp.nspace import build_constraint_rows
 from liesymp.symp import first_slots
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -533,6 +534,19 @@ def full_row_contains_tensor(t: SymplecticTriple, tensor) -> bool:
               for (i, j), row in tensor.rows.items() for k, p in row}
     return all(sum(v * scaled.get(c, 0) for c, v in row.items()) == 0
                for row in full_constraint_rows(d, t.omega, t.j))
+
+
+def rows_vanish_at_u(t: SymplecticTriple, tensor) -> bool:
+    """`nspace.cyclic_rows_vanish` by every row of
+    `build_constraint_rows`, evaluated in ints at the tensor's
+    u_ab = t(e_a, e_b), a < b in F, column p * dim + k for coordinate k
+    of the p-th pair: the route membership took before it took
+    `Tensor3.cyclic_sums`."""
+    dim, first, values = t.dim, t.first_slots, tensor.rows
+    u = {p * dim + k: v for p, ab in enumerate(combinations(first, 2))
+         for k, v in values.get(ab, ())}
+    return not any(sum(v * u.get(c, 0) for c, v in row.items())
+                   for row in build_constraint_rows(dim, t.omega, t.j))
 
 
 def _pair_bases(dim: int) -> list[list[int]]:

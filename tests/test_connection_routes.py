@@ -12,7 +12,7 @@ dense numerator route (`support.dense_endo`)."""
 import dataclasses
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,8 +22,9 @@ from liesymp import (Analysis, Matrix, Subspace, Tensor3, abelian,
 from liesymp.connections import _parallel
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from liesymp.nijenhuis import combine
-from support import (definitional_parallel, dense_conjugate, dense_endo,
-                     image_under, pivot_contains, pointwise_parallelism,
+from support import (col, definitional_parallel, dense_conjugate,
+                     dense_endo, from_dense, image_under, pivot_contains,
+                     pointwise_parallelism,
                      pointwise_torsion_recovers_nijenhuis)
 
 F = Fraction
@@ -140,6 +141,33 @@ def test_nabla_of_the_bracket_under_ad_is_jacobi(catalog, name):
     for tensor, zero in ((g, True), (bumped, False)):
         assert covariant_derivative_n(t, g, tensor, rep).nabla_n_zero == zero
         assert pointwise_parallelism(t, g, tensor, rep)[0] == zero
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex3", "dim6"])
+def test_parallelism_forms_gamma_only_at_stored_first_slots(catalog, name):
+    # Gamma(e_0, .) = M = G^-1 (E_pq - E_qp), skew for the metric, and
+    # Gamma(e_i, .) = 0 for i != 0: e_p and e_q have a zero row and a
+    # nonzero column, so a check that took its i from Gamma's second
+    # slots would form the zero M_p and M_q and never M_0
+    t = catalog[name]
+    a = Analysis(t)
+    d = t.dim
+    seen = set()
+    for p, q in combinations(range(1, d), 2):
+        skew = Matrix.from_rows([[int((r, c) == (p, q))
+                                  - int((r, c) == (q, p)) for c in range(d)]
+                                 for r in range(d)])
+        m = t.metric_inv @ skew
+        gamma = from_dense(d, [[col(m, b) if i == 0 else [0] * d
+                                for b in range(d)] for i in range(d)])
+        assert {i for i, _ in gamma.rows} == {0}
+        assert {b for _, b in gamma.rows} == {p, q}
+        par = covariant_derivative_n(t, gamma, a.n, a.distributions)
+        got = (par.nabla_n_zero, par.image_parallel, par.perp_parallel)
+        assert got == pointwise_parallelism(t, gamma, a.n,
+                                            a.distributions), (p, q)
+        seen.add(got)
+    assert seen - {(True, True, True)}
 
 
 def test_torsion_identity_needs_a_j_parallel_connection(catalog):

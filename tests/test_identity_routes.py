@@ -2,10 +2,10 @@
 `contains_tensor`) and `norm_sq` run as int contractions over `Tensor3`.
 Here they are held to the definitional loops they replaced
 (`support.definitional_tensor_identities`, `definitional_nabla_j_checks`,
-`slab_norm_sq`, `full_row_contains_tensor`), on valid triples and on
-broken inputs, and each flag is shown to turn False on a broken input:
-a route that always returned True would pass every test on valid
-triples."""
+`slab_norm_sq`, `full_row_contains_tensor`, `rows_vanish_at_u`), on
+valid triples and on broken inputs, and each flag is shown to turn False
+on a broken input: a route that always returned True would pass every
+test on valid triples."""
 
 import dataclasses
 import random
@@ -14,18 +14,19 @@ from itertools import combinations, product
 
 import pytest
 
-from liesymp import (Analysis, Matrix, Tensor3, build_rank_example,
+from liesymp import (Analysis, Matrix, Tensor3, abelian, build_rank_example,
                      build_report, check_tensor_identities, contains_tensor,
-                     dim6, ex1, nabla_j_checks, norm_sq)
+                     dim6, ex1, nabla_j_checks, norm_sq, nspace)
 from liesymp.errors import NotCompatible
 from liesymp.linalg import nullspace_of
+from liesymp.nspace import cyclic_rows_vanish
 from liesymp.report import _membership
 from liesymp.symp import first_slots
 from liesymp.tensor import combine
 from support import (cocycle_values, definitional_nabla_j_checks,
                      definitional_tensor_identities, dense_conjugate,
                      from_dense, full_row_contains_tensor, pair_rows,
-                     slab_norm_sq)
+                     rows_vanish_at_u, slab_norm_sq)
 
 
 def _flags(t, nj, n, member=True):
@@ -379,6 +380,39 @@ def test_a_slot_set_short_of_first_slots_misses_a_defect(name):
         assert not _by_maps(t, tensor), a0
 
 
+def _first_slot_by_definition(t, tensor):
+    """T(Je_a, e_b) == -J T(e_a, e_b) on every basis pair, by
+    `of_vectors` and `Matrix.apply`."""
+    d, j = t.dim, t.j
+    basis = Matrix.identity(d).entries
+    return all(tensor.of_vectors(j.apply(basis[a]), basis[b])
+               == tuple(-x for x in j.apply(tensor.of_basis(a, b)))
+               for a in range(d) for b in range(d))
+
+
+@pytest.mark.parametrize("name", ["dim6", "dense-d6"])
+def test_anti_linear_on_every_single_value_tensor(name):
+    # T(e_i, e_j) = e_k, i != j, has one stored pair, whose slots differ:
+    # B(e_a, e_b) can be nonzero only at b = j, which a test that took
+    # its b from the first slots of stored pairs would never visit. Each
+    # tensor's first-slot anti-linear part (T + J T(J., .)) / 2 too
+    t = _TRIPLES[name]()
+    d, j = t.dim, t.j
+    half = Fraction(1, 2)
+    verdicts = set()
+    for i, jj, k in product(range(d), repeat=3):
+        if i == jj:
+            continue
+        one = Tensor3.from_ints(d, 1, {(i, jj): [int(m == k)
+                                                 for m in range(d)]})
+        part = combine([(half, one), (half, one.map_first(j).map_values(j))])
+        for tensor in (one, part):
+            got = tensor.anti_linear(j, t.first_slots)
+            assert got == _first_slot_by_definition(t, tensor), (i, jj, k)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def _symmetric_anti_linear(t, rng):
     """(A + J A(x, Jy) + J A(Jx, y) - A(Jx, Jy)) / 4 for a random
     symmetric A: symmetric and anti-linear in both slots, so only the
@@ -424,6 +458,62 @@ def test_report_membership_equals_contains_tensor(extended_catalog):
             assert got is contains_tensor(t, tensor), name
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_cyclic_sums_equal_the_rows_at_u(extended_catalog):
+    # membership's sums against omega and G on F x F against every row
+    # of `build_constraint_rows` at u, on antisymmetric tensors, where
+    # both read t(e_c, e_a) as -u_ac: N, random antisymmetric tensors
+    # and antisymmetric first-slot anti-linear ones
+    triples = dict(extended_catalog)
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        triples[f"dense-d{2 * n}"] = _dense(n, k, flags)
+    rng = random.Random(20261021)
+    verdicts = set()
+    for name, t in sorted(triples.items()):
+        tensors = [Analysis(t).n, *_random_tensors(t, rng)]
+        if name != "dense-d8":
+            # the dim-8 dense kernel takes seconds to eliminate
+            tensors += _antisymmetric_first_slot_anti_linear(t, 2)
+        for tensor in tensors:
+            if tensor != -tensor.swapped():
+                continue
+            got = cyclic_rows_vanish(t, tensor)
+            assert got == rows_vanish_at_u(t, tensor), name
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_a_report_on_abelian_forms_no_endomorphism_and_no_row(monkeypatch):
+    # abelian(20), dim 40: N = 0 and Gamma = 0, so covariant_derivative_n
+    # forms no Gamma(e_i, .), no constraint row is built, and every
+    # tensor handed to cyclic_sums, membership's two included, has no
+    # stored pair. Operations are counted, not timed
+    t = abelian(20)
+    endo, sums = Tensor3.endo, Tensor3.cyclic_sums
+    rows = nspace.build_constraint_rows
+    calls = {"endo": 0, "rows": 0}
+    handed = []
+
+    def counted_endo(self, i):
+        calls["endo"] += 1
+        return endo(self, i)
+
+    def counted_rows(*args):
+        calls["rows"] += 1
+        return rows(*args)
+
+    def recorded_sums(self, form):
+        handed.append(len(self.rows))
+        return sums(self, form)
+
+    monkeypatch.setattr(Tensor3, "endo", counted_endo)
+    monkeypatch.setattr(Tensor3, "cyclic_sums", recorded_sums)
+    monkeypatch.setattr(nspace, "build_constraint_rows", counted_rows)
+    assert build_report(t)["identities"]["constraint_membership"] is True
+    assert calls == {"endo": 0, "rows": 0}
+    assert handed == [0, 0, 0]
 
 
 def test_first_slots_are_cached_on_the_triple(catalog):

@@ -256,13 +256,12 @@ def _structures(catalog):
     return out
 
 
-def _cyclic_form(omega, j, u):
-    """C[i][k][l] = c(e_i, e_k, e_l), c(x, y, z) = sum_cyc omega(t(x, y), z),
-    over Fractions, for the t that u spans: t(e_a, e_b) = u[(a, b)],
-    t(Je_a, e_b) = t(e_a, Je_b) = -J t(e_a, e_b) and t(Je_a, Je_b) =
-    -t(e_a, e_b) on the basis {e_a, Je_a : a in `first_slots`}, moved to
-    the standard basis. Asserts on the way that this t is antisymmetric
-    and anti-linear in its first slot."""
+def _u_tensor(j, u):
+    """t[i][k] = t(e_i, e_k) over Fractions for the t that u spans:
+    t(e_a, e_b) = u[(a, b)], t(Je_a, e_b) = t(e_a, Je_b) = -J t(e_a, e_b)
+    and t(Je_a, Je_b) = -t(e_a, e_b) on the basis {e_a, Je_a : a in
+    `first_slots`}, moved to the standard basis. Asserts on the way that
+    this t is antisymmetric and anti-linear in its first slot."""
     from liesymp import Matrix
     dim = j.nrows
     first = first_slots(j)
@@ -295,6 +294,13 @@ def _cyclic_form(omega, j, u):
             jt = tuple(sum((je[m][i] * t[m][k][r] for m in range(dim)), F(0))
                        for r in range(dim))
             assert jt == neg(j.apply(t[i][k]))
+    return t
+
+
+def _cyclic_form(omega, j, u):
+    """C[i][k][l] = c(e_i, e_k, e_l), c(x, y, z) = sum_cyc omega(t(x, y), z),
+    over Fractions, for t = `_u_tensor(j, u)`."""
+    dim, t = j.nrows, _u_tensor(j, u)
     om = omega.entries
     w = [[[sum((t[i][k][m] * om[m][l] for m in range(dim)), F(0))
            for l in range(dim)] for k in range(dim)] for i in range(dim)]
@@ -353,6 +359,43 @@ def test_cyclic_identity_reduces_to_the_first_slot_rows(catalog):
             assert flat == quiet, name
             verdicts.add((len(rows) > 0, flat))
     assert verdicts == {(False, True), (True, True), (True, False)}
+
+
+def test_membership_sees_the_metric_rows(catalog):
+    # u in the kernel of the omega rows alone, not of the metric rows:
+    # its t is antisymmetric and anti-linear in its first slot, and its
+    # cyclic sums against omega vanish at every a < b < c in F, so only
+    # the rows at (Je_a, e_b, e_c), the sums against G, can reject it
+    import random
+    from liesymp import build_rank_example
+    from liesymp.linalg import nullspace_of
+    from support import (dense_conjugate, full_row_contains_tensor,
+                         rows_vanish_at_u)
+    rng = random.Random(20261021)
+    rank = build_rank_example(4, 2, True, False)
+    triples = {"dim6": catalog["dim6"], "rank(4, 2)": rank,
+               "dense(dim6)": dense_conjugate(catalog["dim6"], rng),
+               "dense(rank(4, 2))": dense_conjugate(rank, rng)}
+    for name, t in triples.items():
+        dim = t.dim
+        pairs = list(combinations(t.first_slots, 2))
+        rows = list(build_constraint_rows(dim, t.omega, t.j))
+        # rows alternate: omega's, then the metric's, per triple
+        seen = 0
+        for x in nullspace_of(rows[0::2], dim * len(pairs)):
+            if not any(sum(v * x[c] for c, v in row.items())
+                       for row in rows[1::2]):
+                continue
+            u = {ab: tuple(x[p * dim:(p + 1) * dim])
+                 for p, ab in enumerate(pairs)}
+            tensor = from_dense(dim, _u_tensor(t.j, u))
+            assert not contains_tensor(t, tensor), name
+            assert not full_row_contains_tensor(t, tensor), name
+            assert not rows_vanish_at_u(t, tensor), name
+            seen += 1
+            if seen == 3:
+                break
+        assert seen == 3, name
 
 
 def _standard(n):
