@@ -75,12 +75,12 @@ matrix is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
 from .nijenhuis import DistributionReport, Tensor3, combine
+from .record import Record
 from .symp import SymplecticTriple
 
 # a connection is the tensor (x, y) -> Gamma(x, y)
@@ -220,8 +220,7 @@ def _trace_of_product(m: Matrix, num: list[list[int]], den: int) -> Fraction:
                         for k, p in row), m.den * den)
 
 
-@dataclass(frozen=True)
-class CurvatureSummary:
+class CurvatureSummary(Record):
     ricci: Matrix
     scalar: Fraction
     ricci_j_invariant: bool
@@ -270,7 +269,8 @@ def curvature_summary(t: SymplecticTriple,
         raise InternalInvariantViolation("Ricci form not symmetric")
     ricci = Matrix.from_ints(gden * gden * dc, ric)
     scalar = _trace_of_product(t.metric_inv, ric, gden * gden * dc)
-    ricci_j = (j.transpose() @ ricci @ j) == ricci
+    # J^T Ric J = Ric iff Ric J is skew: Ric is symmetric and J^2 = -1
+    ricci_j = (ricci @ j).is_skew()
 
     # psi[k] = den J.den Tr(J M_k), Tr(J M_k) = sum_b (J M_k e_b)_b
     psi, jrows = [0] * d, [dict(r) for r in j.rows]
@@ -295,8 +295,7 @@ def curvature_summary(t: SymplecticTriple,
 # -- parallelism of N --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParallelismReport:
+class ParallelismReport(Record):
     nabla_n_zero: bool
     image_parallel: bool
     perp_parallel: bool

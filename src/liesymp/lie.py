@@ -23,18 +23,17 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
 from .linalg import Subspace, _ratio
+from .record import Record
 from .tensor import Tensor3
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(Record):
     name: str
     dim: int
     basis_names: tuple[str, ...]

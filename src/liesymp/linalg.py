@@ -42,13 +42,13 @@ untested.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadNumber, SingularGram
+from .record import Record, _set
 
 Scalar = Fraction
 Row = dict[int, int]   # a sparse int row {column: value}
@@ -138,8 +138,7 @@ def _canon(den: int, rows: tuple[IntRow, ...], ncols: int) -> "Matrix":
                                   for r in rows), ncols)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable rational matrix: entry (i, j) is p / den for the (j, p)
     in rows[i], and 0 where row i lists no j. Canonical (see the module
     docstring); build one with `from_rows`, `from_ints` or `identity`."""
@@ -147,6 +146,12 @@ class Matrix:
     den: int
     rows: tuple[IntRow, ...]
     ncols: int
+
+    def __init__(self, den: int, rows: tuple[IntRow, ...], ncols: int):
+        # positional only: Record's generic __init__ takes twice as long
+        _set(self, "den", den)
+        _set(self, "rows", rows)
+        _set(self, "ncols", ncols)
 
     # -- construction -------------------------------------------------
 
@@ -472,10 +477,9 @@ def nullspace_of(rows: Iterable[Row], ncols: int) -> list[list[int]]:
     return basis
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n in canonical form: basis rows are the RREF of any
-    spanning set, so two equal subspaces compare equal as dataclasses."""
+    spanning set, so two equal subspaces compare equal as records."""
 
     ambient_dim: int
     basis: Matrix  # RREF, one row per basis vector, no zero rows

@@ -29,11 +29,11 @@ to both `norm_sq` (through `classify`) and the nabla J pairing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, complement, nullspace_of
+from .record import Record
 from .symp import SymplecticTriple
 from .tensor import IntRows, Tensor3, combine  # IntRows only re-exported
 
@@ -107,8 +107,7 @@ def norm_sq(n: Tensor3, t: SymplecticTriple,
     return Fraction(total, ginv.den * r.den * gn.den)
 
 
-@dataclass(frozen=True)
-class DistributionReport:
+class DistributionReport(Record):
     integrable: bool
     norm_sq: Fraction
     image: Subspace

@@ -81,17 +81,21 @@ def cyclic_rows_vanish(t: SymplecticTriple, tensor: Tensor3) -> bool:
     in F = `t.first_slots`: the rows at (e_a, e_b, e_c) are
     `Tensor3.cyclic_sums` of its values on F x F against omega, and those
     at (Je_a, e_b, e_c) the sums against the triple's cached metric G,
-    as g(v, w) = omega(v, Jw); both must be zero at every a < b < c in F.
+    as g(v, w) = omega(v, Jw), each form with its columns in F only; both
+    must be zero at every a < b < c in F.
     A sum reads t(e_c, e_a) = -u_ac, so this decides the cyclic identity
     only for an antisymmetric tensor anti-linear in its first slot, and a
     compatible J; `contains_tensor` checks all three first."""
     f = set(t.first_slots)
-    # only which sums vanish is read, so den need not be the least one
+    # only which sums vanish is read, so no den need be the least one;
+    # with T's pairs and the forms' columns in F, every sum is at abc in F
     on_f = Tensor3(t.dim, tensor.den,
                    {ab: row for ab, row in tensor.rows.items()
                     if ab[0] in f and ab[1] in f})
-    return not any(f.issuperset(abc) for form in (t.omega, t.metric)
-                   for abc in on_f.cyclic_sums(form)[0])
+    forms = (Matrix(form.den, tuple(tuple((z, w) for z, w in r if z in f)
+                                    for r in form.rows), t.dim)
+             for form in (t.omega, t.metric))
+    return not any(on_f.cyclic_sums(form)[0] for form in forms)
 
 
 def contains_tensor(t: SymplecticTriple, tensor: Tensor3) -> bool:

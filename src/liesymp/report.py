@@ -26,7 +26,6 @@ can verify the runner actually fails when it should.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
@@ -41,6 +40,7 @@ from .linalg import Matrix, Subspace
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
                         classify, nijenhuis_tensor)
 from .nspace import cyclic_rows_vanish
+from .record import Record
 from .serialization import matrix_to_rows, triple_hash
 from .symp import SymplecticTriple
 from .twistor import twistor_claims
@@ -257,8 +257,7 @@ def render_text(report: dict) -> str:
 # -- goldens -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(Record):
     name: str
     claim: str
     expected: Any

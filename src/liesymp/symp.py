@@ -17,7 +17,6 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -26,14 +25,14 @@ from .errors import (CocycleViolation, DegenerateForm, DimensionMismatch,
                      NotSkewSymmetric)
 from .lie import LieAlgebra
 from .linalg import Matrix, Row, echelon
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SymplecticTriple:
+class SymplecticTriple(Record):
     algebra: LieAlgebra
     omega: Matrix
     j: Matrix
-    metric: Matrix = field(repr=False)
+    metric: Matrix
 
     @property
     def dim(self) -> int:

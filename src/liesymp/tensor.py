@@ -16,7 +16,6 @@ against omega and G (`nspace.cyclic_rows_vanish`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -24,13 +23,13 @@ from operator import itemgetter
 from typing import Sequence
 
 from .linalg import Matrix, _canon, int_vector, qof
+from .record import Record, _set
 
 
 IntRows = dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
-@dataclass(frozen=True)
-class Tensor3:
+class Tensor3(Record):
     """Vector valued 2-tensor on the basis, stored sparsely in ints:
     T(e_i, e_j) = sum of p / den e_k over the (k, p) in rows[(i, j)].
     Only nonzero values are listed, in ascending k, and den is the least
@@ -42,8 +41,14 @@ class Tensor3:
     den: int
     rows: IntRows
 
+    def __init__(self, dim: int, den: int, rows: IntRows):
+        # positional only, as Matrix's
+        _set(self, "dim", dim)
+        _set(self, "den", den)
+        _set(self, "rows", rows)
+
     def __hash__(self) -> int:
-        # the generated hash cannot take the rows dict
+        # the record hash cannot take the rows dict
         return hash((self.dim, self.den, frozenset(self.rows.items())))
 
     @staticmethod

@@ -54,7 +54,6 @@ directions q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -64,17 +63,18 @@ from .errors import InternalInvariantViolation
 from .lie import LieAlgebra
 from .linalg import IntRow, Matrix, Subspace, _canon, echelon
 from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
+from .record import Record
 
 Sign = Literal["+", "-"]
 
-@dataclass(frozen=True)
-class TwistorModel:
+
+class TwistorModel(Record):
     n: int
     algebra: LieAlgebra
     u_indices: tuple[int, ...]
     q_indices: tuple[int, ...]
     p_indices: tuple[int, ...]
-    phi: tuple[int, ...] = field(repr=False)
+    phi: tuple[int, ...]
 
     @property
     def m_indices(self) -> tuple[int, ...]:
@@ -329,8 +329,7 @@ def kks_j_invariant(model: TwistorModel, sign: Sign) -> bool:
     return jm.transpose() @ w @ jm == w
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(Record):
     minus_positive: bool
     plus_positive: bool
     plus_witness: Optional[tuple[str, Fraction]]
@@ -372,8 +371,7 @@ def positivity_report(model: TwistorModel) -> PositivityReport:
 # -- claim bundle --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwistorClaims:
+class TwistorClaims(Record):
     n: int
     plus_integrable: bool
     minus_image_dim: int

@@ -9,16 +9,16 @@ by pivot subtraction (`support.pivot_contains`), on inputs where both
 answers occur. `Tensor3.endo`, read off the stored rows, is held to the
 dense numerator route (`support.dense_endo`)."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from liesymp import (Analysis, Matrix, Subspace, Tensor3, abelian,
-                     build_rank_example, covariant_derivative_n,
-                     symplectic_connection, torsion_recovers_nijenhuis)
+from liesymp import (Analysis, DistributionReport, Matrix, Subspace,
+                     Tensor3, abelian, build_rank_example,
+                     covariant_derivative_n, symplectic_connection,
+                     torsion_recovers_nijenhuis)
 from liesymp.connections import _parallel
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from liesymp.nijenhuis import combine
@@ -28,6 +28,13 @@ from support import (col, definitional_parallel, dense_conjugate,
                      pointwise_torsion_recovers_nijenhuis)
 
 F = Fraction
+
+
+def _with_image_perp(rep, image, perp):
+    """rep with its image and perp replaced"""
+    return DistributionReport(rep.integrable, rep.norm_sq, image,
+                              rep.image_involutive, perp,
+                              rep.perp_involutive, rep.kernel)
 _FLAGS = (True, False)
 
 
@@ -132,9 +139,8 @@ def test_nabla_of_the_bracket_under_ad_is_jacobi(catalog, name):
     # distributions keep the derivative from being skipped.
     t = catalog[name]
     g = t.algebra.bracket
-    rep = dataclasses.replace(Analysis(t).distributions,
-                              image=Subspace.zero(t.dim),
-                              perp=Subspace.full(t.dim))
+    rep = _with_image_perp(Analysis(t).distributions,
+                           Subspace.zero(t.dim), Subspace.full(t.dim))
     d = t.dim
     bumped = combine([(1, g), (1, Tensor3.from_ints(d, 1, {
         min(g.rows): [int(k == 0) for k in range(d)]}))])
@@ -182,7 +188,8 @@ def test_parallel_check_trips_on_a_complement_that_is_not_one(catalog):
     # im N of ex1 is not parallel; the full space, passed as its
     # complement, is
     a = Analysis(catalog["ex1"])
-    rep = dataclasses.replace(a.distributions, perp=Subspace.full(a.t.dim))
+    rep = _with_image_perp(a.distributions, a.distributions.image,
+                           Subspace.full(a.t.dim))
     with pytest.raises(InternalInvariantViolation,
                        match="^im N parallel but its orthogonal complement "
                              "is not$"):

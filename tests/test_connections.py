@@ -1,10 +1,9 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Matrix, build_rank_example,
+from liesymp import (Analysis, Matrix, SymplecticTriple, build_rank_example,
                      chern_connection, curvature_summary, levi_civita,
                      nabla_j_checks, nijenhuis_tensor, norm_sq,
                      symplectic_connection, torsion,
@@ -31,7 +30,7 @@ def test_a_wrong_metric_inverse_is_not_metric(catalog):
     for name, t in catalog.items():
         ginv = [list(r) for r in t.metric_inv.entries]
         ginv[-1] = [2 * x for x in ginv[-1]]
-        bad = dataclasses.replace(t)
+        bad = SymplecticTriple(t.algebra, t.omega, t.j, t.metric)
         bad.__dict__["metric_inv"] = Matrix.from_rows(ginv)
         assert bad.metric_inv != t.metric_inv, name
         with pytest.raises(InternalInvariantViolation,
@@ -260,6 +259,25 @@ def test_ricci_j_invariance_tracks_integrability(catalog):
             assert summary.ricci_j_invariant, name
         else:
             assert not summary.ricci_j_invariant, name
+
+
+def test_ricci_j_invariance_is_the_two_product_form(extended_catalog):
+    # ricci_j_invariant is `(Ric J).is_skew()`, held to J^T Ric J == Ric.
+    # aff(R) + aff(R) is Kaehler and not flat, so its Ric J is skew and
+    # nonzero, hence not symmetric: a symmetry test in place of the skew
+    # one reads False there
+    triples = _trace_identity_triples(extended_catalog)
+    triples["aff+aff"] = aff_aff_triple()
+    seen = {}
+    for name, t in triples.items():
+        cs, j = Analysis(t).curvature, t.j
+        assert cs.ricci_j_invariant == (
+            j.transpose() @ cs.ricci @ j == cs.ricci), name
+        seen[name] = cs.ricci_j_invariant
+    assert seen["abelian(2)"] and seen["aff+aff"]
+    assert not any(v for name, v in seen.items()
+                   if name in ("ex1", "ex2", "ex3", "ex4", "dim6")
+                   or name.startswith("thurston"))
 
 
 def test_scalar_gap_is_sixteenth_of_norm(extended_catalog):

@@ -7,16 +7,16 @@ valid triples and on broken inputs, and each flag is shown to turn False
 on a broken input: a route that always returned True would pass every
 test on valid triples."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from liesymp import (Analysis, Matrix, Tensor3, abelian, build_rank_example,
-                     build_report, check_tensor_identities, contains_tensor,
-                     dim6, ex1, nabla_j_checks, norm_sq, nspace)
+from liesymp import (Analysis, Matrix, SymplecticTriple, Tensor3, abelian,
+                     build_rank_example, build_report,
+                     check_tensor_identities, contains_tensor, dim6, ex1,
+                     nabla_j_checks, norm_sq, nspace)
 from liesymp.errors import NotCompatible
 from liesymp.linalg import nullspace_of
 from liesymp.nspace import cyclic_rows_vanish
@@ -81,7 +81,7 @@ def _omega_row0_negated(t):
     om = t.omega.entries
     omega = Matrix.from_rows([[-x for x in om[0]], *om[1:]])
     assert t.j.transpose() @ omega @ t.j != omega
-    return dataclasses.replace(t, omega=omega)
+    return SymplecticTriple(t.algebra, omega, t.j, t.metric)
 
 
 def _omega_opened(t):
@@ -99,7 +99,7 @@ def _omega_opened(t):
     omega = t.omega + (k + j.transpose() @ k @ j).scale(Fraction(1, 10))
     assert omega.is_skew() and j.transpose() @ omega @ j == omega
     assert any(v for _, v in cocycle_values(t.algebra, omega))
-    return dataclasses.replace(t, omega=omega, metric=omega @ j)
+    return SymplecticTriple(t.algebra, omega, j, omega @ j)
 
 
 _TRIPLES = {"ex1": ex1, "dim6": dim6,

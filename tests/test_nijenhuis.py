@@ -1,13 +1,12 @@
-import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Matrix, Subspace, build_rank_example,
-                     check_tensor_identities, classify, image_distribution,
-                     is_involutive, kernel_distribution, nijenhuis_tensor,
-                     norm_sq)
+from liesymp import (Analysis, Matrix, Subspace, SymplecticTriple,
+                     build_rank_example, check_tensor_identities, classify,
+                     image_distribution, is_involutive, kernel_distribution,
+                     nijenhuis_tensor, norm_sq)
 from liesymp.errors import InternalInvariantViolation
 from support import (conjugated_triple, dense_conjugate, image_under,
                      pairwise_is_involutive)
@@ -171,7 +170,7 @@ def test_classify_rejects_a_metric_other_than_omega_j(catalog):
             continue
         proper += 1
         ones = Matrix.from_rows([[1] * t.dim for _ in range(t.dim)])
-        bad = dataclasses.replace(t, metric=t.metric + ones)
+        bad = SymplecticTriple(t.algebra, t.omega, t.j, t.metric + ones)
         assert bad.metric.leading_minors_positive()[0], name
         with pytest.raises(InternalInvariantViolation, match="^metric and "
                            "symplectic complements of im N disagree$"):

@@ -1,9 +1,9 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from liesymp import Matrix, build_twistor_model, twistor, twistor_claims
+from liesymp import (LieAlgebra, Matrix, build_twistor_model, twistor,
+                     twistor_claims)
 from liesymp.errors import InternalInvariantViolation
 from liesymp.lie import _check_jacobi
 from liesymp.nijenhuis import image_distribution
@@ -98,7 +98,8 @@ def test_representation_check_refuses_the_opposite_algebra(monkeypatch):
     # passes it, but its constants are not so(1,4)'s in this basis
     model = build_twistor_model(2)
     t = model.algebra.bracket
-    _check_jacobi(replace(model.algebra, bracket=-t))
+    alg = model.algebra
+    _check_jacobi(LieAlgebra(alg.name, alg.dim, alg.basis_names, -t))
     monkeypatch.setattr(twistor, "_closed_form_bracket",
                         lambda n, basis: -t)
     with pytest.raises(InternalInvariantViolation) as exc:
