@@ -116,9 +116,20 @@ def thurston(alpha=1) -> SymplecticTriple:
 
 _PLAIN = {"ex1": ex1, "ex2": ex2, "ex3": ex3, "ex4": ex4, "dim6": dim6}
 
+# each entry's one-line description, in listing order
+DESCRIPTIONS = {
+    "ex1": "dim 4, nilpotent, neither distribution involutive",
+    "ex2": "dim 4, nilpotent, both distributions involutive",
+    "ex3": "dim 4, solvable, only the complement involutive",
+    "ex4": "dim 4, not nilpotent, only the image involutive",
+    "dim6": "dim 6, nilpotent, im N is the whole algebra",
+    "thurston(a)": "dim 4 family, |N|^2 = 8a (a > 0 rational)",
+    "abelian(n)": "dim 2n abelian, Kaehler (N = 0)",
+}
+
 
 def catalog_names() -> list[str]:
-    return ["ex1", "ex2", "ex3", "ex4", "dim6", "thurston(a)", "abelian(n)"]
+    return list(DESCRIPTIONS)
 
 
 def builtin(name: str, alpha=None) -> SymplecticTriple:
@@ -205,7 +216,7 @@ def _extended(t: SymplecticTriple, name: str, pair: tuple[str, str],
     int rows). Only the checks the new brackets can break run: Jacobi
     (`validate`) and the 2-cocycle. Skewness, det != 0, J^2 = -1,
     compatibility and positivity of diag(A, plane) follow from those of
-    A, and the metric is diag(t.metric, I), as plane @ -plane = I."""
+    A."""
     g = t.algebra
     den, rows = g.bracket.den, g.bracket.rows
     table = {ij: {k: Fraction(p, den) for k, p in rows[ij]}
@@ -214,8 +225,7 @@ def _extended(t: SymplecticTriple, name: str, pair: tuple[str, str],
     plane = Matrix.from_rows([[0, 1], [-1, 0]])
     omega = _block2(t.omega, plane)
     _check_cocycle(g2, omega)
-    return SymplecticTriple(g2, omega, _block2(t.j, -plane),
-                            _block2(t.metric, Matrix.identity(2)))
+    return SymplecticTriple(g2, omega, _block2(t.j, -plane))
 
 
 def _block2(a: Matrix, b: Matrix) -> Matrix:

@@ -33,16 +33,6 @@ from .serialization import (algebra_from_dict, is_triple_payload,
 from .symp import SymplecticTriple
 from .twistor import twistor_claims
 
-_DESCRIPTIONS = {
-    "ex1": "dim 4, nilpotent, neither distribution involutive",
-    "ex2": "dim 4, nilpotent, both distributions involutive",
-    "ex3": "dim 4, solvable, only the complement involutive",
-    "ex4": "dim 4, not nilpotent, only the image involutive",
-    "dim6": "dim 6, nilpotent, im N is the whole algebra",
-    "thurston(a)": "dim 4 family, |N|^2 = 8a (a > 0 rational)",
-    "abelian(n)": "dim 2n abelian, Kaehler (N = 0)",
-}
-
 
 class _UsageError(Exception):
     pass
@@ -125,7 +115,7 @@ def _cmd_examples(args) -> int:
     elif args.action is not None:
         raise _UsageError(f"unknown examples action {args.action!r}")
     if not name:
-        for entry, desc in _DESCRIPTIONS.items():
+        for entry, desc in catalog.DESCRIPTIONS.items():
             print(f"{entry:14} {desc}")
         return 0
     t, name = _load_triple(name, alpha=None)

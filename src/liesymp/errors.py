@@ -29,20 +29,23 @@ class BracketOrder(ValidationError, ValueError):
     antisymmetric partner and [e_i, e_i] = 0 are implied."""
 
 
+def _on_triple(what, i, j, k, names, label, value) -> str:
+    """"<what> fails on basis triple (a, b, c)[: <label> <value>]", the
+    triple by its names when given, else by its indices."""
+    shown = ", ".join(map(str, (i, j, k) if names is None
+                          else (names[i], names[j], names[k])))
+    msg = f"{what} fails on basis triple ({shown})"
+    return msg if value is None else f"{msg}: {label} {value}"
+
+
 class JacobiViolation(ValidationError):
     """Jacobi identity fails; args carry the basis triple (i, j, k)."""
 
     def __init__(self, i, j, k, residual=None, names=None):
         self.triple = (i, j, k)
         self.residual = residual
-        if names is not None:
-            shown = f"({names[i]}, {names[j]}, {names[k]})"
-        else:
-            shown = f"({i}, {j}, {k})"
-        msg = f"Jacobi identity fails on basis triple {shown}"
-        if residual is not None:
-            msg += f": residual {residual}"
-        super().__init__(msg)
+        super().__init__(_on_triple("Jacobi identity", i, j, k, names,
+                                    "residual", residual))
 
 
 class NotSkewSymmetric(ValidationError):
@@ -59,14 +62,8 @@ class CocycleViolation(ValidationError):
     def __init__(self, i, j, k, value=None, names=None):
         self.triple = (i, j, k)
         self.value = value
-        if names is not None:
-            shown = f"({names[i]}, {names[j]}, {names[k]})"
-        else:
-            shown = f"({i}, {j}, {k})"
-        msg = f"2-cocycle condition fails on basis triple {shown}"
-        if value is not None:
-            msg += f": d-omega value {value}"
-        super().__init__(msg)
+        super().__init__(_on_triple("2-cocycle condition", i, j, k, names,
+                                    "d-omega value", value))
 
 
 class NotAlmostComplex(ValidationError):

@@ -35,9 +35,12 @@ from .tensor import Tensor3
 
 class LieAlgebra(Record):
     name: str
-    dim: int
     basis_names: tuple[str, ...]
     bracket: Tensor3
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis_names)
 
     @staticmethod
     def from_brackets(name: str, dim: int, basis_names: Sequence[str],
@@ -71,7 +74,7 @@ class LieAlgebra(Record):
             for k, (p, q) in row:
                 v[k] = p * (den // q)
             num[(i, j)], num[(j, i)] = v, [-x for x in v]
-        return LieAlgebra(name, dim, names, Tensor3.from_ints(dim, den, num))
+        return LieAlgebra(name, names, Tensor3.from_ints(dim, den, num))
 
     def pairs(self) -> list[tuple[int, int]]:
         """The pairs i < j with [e_i, e_j] != 0, ascending."""

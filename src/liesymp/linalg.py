@@ -481,7 +481,6 @@ class Subspace(Record):
     """Subspace of Q^n in canonical form: basis rows are the RREF of any
     spanning set, so two equal subspaces compare equal as records."""
 
-    ambient_dim: int
     basis: Matrix  # RREF, one row per basis vector, no zero rows
 
     @staticmethod
@@ -497,16 +496,19 @@ class Subspace(Record):
         if not rows:
             return Subspace.zero(ambient_dim)
         red, rank = Matrix(1, tuple(rows), ambient_dim).rref()
-        return Subspace(ambient_dim,
-                        Matrix(red.den, red.rows[:rank], ambient_dim))
+        return Subspace(Matrix(red.den, red.rows[:rank], ambient_dim))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix(1, (), ambient_dim))
+        return Subspace(Matrix(1, (), ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(Matrix.identity(ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.ncols
 
     @property
     def dim(self) -> int:

@@ -19,8 +19,7 @@ requested.
 
 `run_goldens` replays the frozen expected values for the whole catalog
 (spans, flags, norms, nilpotency, twistor claims) and reports PASS/FAIL
-per claim. The `overrides` hook swaps expected values so the test suite
-can verify the runner actually fails when it should.
+per claim.
 """
 
 from __future__ import annotations
@@ -330,77 +329,54 @@ _TWISTOR_EXPECT: dict[int, dict[str, Any]] = {
 }
 
 
-def _catalog_actual(a: Analysis, claim: str) -> Any:
-    t, rep = a.t, a.distributions
-    if claim == "image_span":
-        return _span_rows(rep.image)
-    if claim == "perp_span":
-        return _span_rows(rep.perp)
-    if claim == "image_involutive":
-        return rep.image_involutive
-    if claim == "perp_involutive":
-        return rep.perp_involutive
-    if claim == "norm_sq":
-        return str(rep.norm_sq)
-    if claim == "nilpotent":
-        return t.algebra.is_nilpotent()[0]
-    if claim == "image_dim":
-        return rep.image.dim
-    if claim == "maximally_non_integrable":
-        return rep.image.dim == t.dim
-    if claim == "integrable":
-        return rep.integrable
-    raise KeyError(claim)
+# how each catalog claim is read off the entry and its distributions
+_CATALOG_READERS = {
+    "image_span": lambda t, rep: _span_rows(rep.image),
+    "perp_span": lambda t, rep: _span_rows(rep.perp),
+    "image_involutive": lambda t, rep: rep.image_involutive,
+    "perp_involutive": lambda t, rep: rep.perp_involutive,
+    "norm_sq": lambda t, rep: str(rep.norm_sq),
+    "nilpotent": lambda t, rep: t.algebra.is_nilpotent()[0],
+    "image_dim": lambda t, rep: rep.image.dim,
+    "maximally_non_integrable": lambda t, rep: rep.image.dim == t.dim,
+    "integrable": lambda t, rep: rep.integrable,
+}
+
+# the `TwistorClaims` field each twistor claim reads
+_TWISTOR_FIELDS = {
+    "plus_integrable": "plus_integrable",
+    "minus_image_dim": "minus_image_dim",
+    "minus_form_positive": "minus_positive",
+    "plus_form_positive": "plus_positive",
+}
 
 
-def golden_rows(filter_substr: Optional[str] = None,
-                overrides: Optional[dict[tuple[str, str], Any]] = None,
-                ) -> list[GoldenRow]:
-    overrides = overrides or {}
+def golden_rows(filter_substr: Optional[str] = None) -> list[GoldenRow]:
     rows: list[GoldenRow] = []
-
-    def want(name: str, claim: str, default: Any) -> Any:
-        return overrides.get((name, claim), default)
-
     for name, claims in _TABLE_EXPECT.items():
         if filter_substr and filter_substr not in name:
             continue
-        a = Analysis(catalog.builtin(name))
-        for claim, expected in claims.items():
-            rows.append(GoldenRow(name, claim,
-                                  want(name, claim, expected),
-                                  _catalog_actual(a, claim)))
+        t = catalog.builtin(name)
+        rep = Analysis(t).distributions
+        rows += [GoldenRow(name, claim, expected,
+                           _CATALOG_READERS[claim](t, rep))
+                 for claim, expected in claims.items()]
     for n, claims in _TWISTOR_EXPECT.items():
         name = f"twistor(n={n})"
         if filter_substr and filter_substr not in name:
             continue
         tc = twistor_claims(n)
-        actuals = {
-            "plus_integrable": tc.plus_integrable,
-            "minus_image_dim": tc.minus_image_dim,
-            "minus_form_positive": tc.minus_positive,
-            "plus_form_positive": tc.plus_positive,
-        }
-        for claim, expected in claims.items():
-            rows.append(GoldenRow(name, claim,
-                                  want(name, claim, expected),
-                                  actuals[claim]))
+        rows += [GoldenRow(name, claim, expected,
+                           getattr(tc, _TWISTOR_FIELDS[claim]))
+                 for claim, expected in claims.items()]
     return rows
 
 
-def run_goldens(filter_substr: Optional[str] = None,
-                overrides: Optional[dict[tuple[str, str], Any]] = None,
-                ) -> tuple[list[str], bool]:
-    rows = golden_rows(filter_substr, overrides)
-    lines = []
-    ok = True
-    for r in rows:
-        if r.ok:
-            lines.append(f"PASS  {r.name} :: {r.claim}")
-        else:
-            ok = False
-            lines.append(f"FAIL  {r.name} :: {r.claim} "
-                         f"(expected {r.expected!r}, got {r.actual!r})")
-    n_fail = sum(1 for r in rows if not r.ok)
+def run_goldens(filter_substr: Optional[str] = None) -> tuple[list[str], bool]:
+    rows = golden_rows(filter_substr)
+    lines = [f"PASS  {r.name} :: {r.claim}" if r.ok else
+             f"FAIL  {r.name} :: {r.claim} "
+             f"(expected {r.expected!r}, got {r.actual!r})" for r in rows]
+    n_fail = sum(not r.ok for r in rows)
     lines.append(f"{len(rows) - n_fail}/{len(rows)} golden claims hold")
-    return lines, ok
+    return lines, not n_fail

@@ -9,10 +9,11 @@ A triple bundles:
     omega(., J.) positive definite.
 
 The induced inner product is g(u, v) = omega(u, Jv); its matrix in the
-basis is  G = omega_mat @ J_mat  (G_uv = sum_k omega_uk J_kv). Validation
-is all-or-nothing: `build_triple` either returns a fully checked triple or
-raises the first failing axiom, in a fixed order so error reporting is
-deterministic.
+basis is  G = omega_mat @ J_mat  (G_uv = sum_k omega_uk J_kv). A triple
+stores only (g, omega, J); G is derived once, on first use (`t.metric`).
+Validation is all-or-nothing: `build_triple` either returns a fully
+checked triple or raises the first failing axiom, in a fixed order so
+error reporting is deterministic.
 """
 
 from __future__ import annotations
@@ -32,11 +33,14 @@ class SymplecticTriple(Record):
     algebra: LieAlgebra
     omega: Matrix
     j: Matrix
-    metric: Matrix
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def metric(self) -> Matrix:
+        return self.omega @ self.j
 
     @cached_property
     def omega_inv(self) -> Matrix:
@@ -105,14 +109,14 @@ def build_triple(g: LieAlgebra, omega: Matrix, j: Matrix) -> SymplecticTriple:
         raise DegenerateForm("omega is degenerate")
     _check_cocycle(g, omega)
     check_j(omega, j)
-    metric = omega @ j
-    if not metric.is_symmetric():
+    t = SymplecticTriple(g, omega, j)
+    if not t.metric.is_symmetric():
         # cannot happen once compatibility holds, but belt and braces
         raise NotCompatible("induced form is not symmetric")
-    ok, k, minor = metric.leading_minors_positive()
+    ok, k, minor = t.metric.leading_minors_positive()
     if not ok:
         raise NotPositive(k, minor)
-    return SymplecticTriple(g, omega, j, metric)
+    return t
 
 
 def standard_omega(n2: int) -> Matrix:

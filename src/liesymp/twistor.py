@@ -288,7 +288,7 @@ def build_twistor_model(n: int) -> TwistorModel:
     names = tuple(nm for nm, _ in basis)
     dim = len(names)
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
-    g = LieAlgebra(f"so(1,{2*n})", dim, names, _closed_form_bracket(n, basis))
+    g = LieAlgebra(f"so(1,{2*n})", names, _closed_form_bracket(n, basis))
     _check_representation(g, n, basis)
     # phi(A) = -Tr(j'0 A): supported on the UY diagonal only
     name_pos = {nm: i for i, nm in enumerate(names)}
@@ -384,10 +384,8 @@ class TwistorClaims(Record):
     plus_witness: Optional[tuple[str, Fraction]]
 
 
-def twistor_claims(n: int, model: Optional[TwistorModel] = None,
-                   ) -> TwistorClaims:
-    if model is None:
-        model = build_twistor_model(n)
+def twistor_claims(n: int) -> TwistorClaims:
+    model = build_twistor_model(n)
     nplus = twistor_nijenhuis(model, "+")
     nminus = twistor_nijenhuis(model, "-")
     img = image_distribution(nminus)

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import (Analysis, Subspace, build_rank_example, builtin,
-                     character_extension, nijenhuis_tensor,
-                     product_extension)
-from liesymp.catalog import catalog_names
+from liesymp import (Analysis, Matrix, Subspace, build_rank_example,
+                     build_triple, builtin, catalog, character_extension,
+                     nijenhuis_tensor, product_extension)
+from liesymp.catalog import _block2, catalog_names
 from liesymp.errors import (BadNumber, NotACharacter, PerfectAlgebra,
                             Unsatisfiable, ZeroCharacter)
 from support import bracket_basis, diag, nonzero_brackets
@@ -220,3 +220,35 @@ def test_build_rank_example_rejects_impossible_flags():
 def test_thurston_metric_profile(catalog):
     t = catalog["thurston(2)"]
     assert t.metric == diag([2, 1, "1/2", 1])
+
+
+def test_each_rank_extension_is_a_checked_triple_with_the_block_metric(
+        monkeypatch):
+    # `_extended` validates only what the new brackets can break, and
+    # its metric is derived as omega J; both must agree with a full
+    # `build_triple` and with diag(parent metric, I) on every extension
+    # the synthesizer makes
+    made = []
+    real = catalog._extended
+
+    def spy(t, *args):
+        made.append((t, real(t, *args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(catalog, "_extended", spy)
+    for n in range(2, 6):
+        for k in range(n + 1):
+            for flags in ((None, None), (True, False), (False, True),
+                          (False, False)):
+                try:
+                    build_rank_example(n, k, *flags)
+                except Unsatisfiable:
+                    pass
+    # n - 2 per signature with 0 < k < n, four signatures each; n - 3 at k = n
+    assert len(made) == 8 + 25 + 50
+    plane = Matrix.identity(2)
+    for parent, t in made:
+        name = t.algebra.name
+        assert t.metric == _block2(parent.metric, plane), name
+        assert t.metric == t.omega @ t.j, name
+        assert t == build_triple(t.algebra, t.omega, t.j), name

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from liesymp import cli
+from liesymp import cli, report
 from liesymp.cli import main
 from liesymp.report import run_goldens
 from liesymp import triple_to_dict, ex1, ex2
@@ -289,16 +289,37 @@ def test_goldens_filter(capsys):
     assert "twistor" in out and "ex1" not in out
 
 
-def test_goldens_catch_wrong_expectations():
-    # flip two known-good claims; exactly those two rows must fail
-    lines, ok = run_goldens(overrides={
-        ("ex3", "image_involutive"): True,
-        ("ex3", "perp_involutive"): False,
-    })
+def test_goldens_catch_wrong_expectations(monkeypatch):
+    # flip two known-good catalog claims and one twistor claim; exactly
+    # those three rows must fail, each read through its own table
+    monkeypatch.setitem(report._TABLE_EXPECT["ex3"], "image_involutive", True)
+    monkeypatch.setitem(report._TABLE_EXPECT["ex3"], "perp_involutive", False)
+    monkeypatch.setitem(report._TWISTOR_EXPECT[2], "minus_image_dim", 5)
+    lines, ok = run_goldens()
     assert not ok
-    fails = [l for l in lines if l.startswith("FAIL")]
-    assert len(fails) == 2
-    assert all("ex3" in l for l in fails)
+    assert [l for l in lines if l.startswith("FAIL")] == [
+        "FAIL  ex3 :: image_involutive (expected True, got False)",
+        "FAIL  ex3 :: perp_involutive (expected False, got True)",
+        "FAIL  twistor(n=2) :: minus_image_dim (expected 5, got 6)",
+    ]
+    assert lines[-1] == "45/48 golden claims hold"
+
+
+def test_examples_listing_and_unknown_entry_bytes(capsys):
+    # both read the catalog's one table of entry descriptions
+    assert main(["examples"]) == 0
+    assert capsys.readouterr().out == (
+        "ex1            dim 4, nilpotent, neither distribution involutive\n"
+        "ex2            dim 4, nilpotent, both distributions involutive\n"
+        "ex3            dim 4, solvable, only the complement involutive\n"
+        "ex4            dim 4, not nilpotent, only the image involutive\n"
+        "dim6           dim 6, nilpotent, im N is the whole algebra\n"
+        "thurston(a)    dim 4 family, |N|^2 = 8a (a > 0 rational)\n"
+        "abelian(n)     dim 2n abelian, Kaehler (N = 0)\n")
+    assert main(["analyze", "foo"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: unknown catalog entry 'foo'; known: ex1, ex2, ex3, "
+        "ex4, dim6, thurston(a), abelian(n)\n")
 
 
 def test_examples_subcommand(tmp_path):

@@ -30,7 +30,7 @@ def test_a_wrong_metric_inverse_is_not_metric(catalog):
     for name, t in catalog.items():
         ginv = [list(r) for r in t.metric_inv.entries]
         ginv[-1] = [2 * x for x in ginv[-1]]
-        bad = SymplecticTriple(t.algebra, t.omega, t.j, t.metric)
+        bad = SymplecticTriple(t.algebra, t.omega, t.j)
         bad.__dict__["metric_inv"] = Matrix.from_rows(ginv)
         assert bad.metric_inv != t.metric_inv, name
         with pytest.raises(InternalInvariantViolation,

@@ -81,7 +81,9 @@ def _omega_row0_negated(t):
     om = t.omega.entries
     omega = Matrix.from_rows([[-x for x in om[0]], *om[1:]])
     assert t.j.transpose() @ omega @ t.j != omega
-    return SymplecticTriple(t.algebra, omega, t.j, t.metric)
+    bad = SymplecticTriple(t.algebra, omega, t.j)
+    bad.__dict__["metric"] = t.metric   # the old metric, not omega J
+    return bad
 
 
 def _omega_opened(t):
@@ -99,7 +101,7 @@ def _omega_opened(t):
     omega = t.omega + (k + j.transpose() @ k @ j).scale(Fraction(1, 10))
     assert omega.is_skew() and j.transpose() @ omega @ j == omega
     assert any(v for _, v in cocycle_values(t.algebra, omega))
-    return SymplecticTriple(t.algebra, omega, j, omega @ j)
+    return SymplecticTriple(t.algebra, omega, j)
 
 
 _TRIPLES = {"ex1": ex1, "dim6": dim6,

@@ -152,3 +152,11 @@ def test_vector_naming():
         g.name_of_vector([0.5, 0, 0, 0])
     with pytest.raises(BadNumber):
         g.name_of_vector(["1/0", 0, 0, 0])
+
+
+def test_dim_is_the_number_of_basis_names(catalog):
+    algebras = [t.algebra for t in catalog.values()]
+    algebras += [build_twistor_model(n).algebra for n in (1, 2, 3)]
+    assert [g.dim for g in algebras[-3:]] == [3, 10, 21]
+    for g in algebras:
+        assert g.dim == g.bracket.dim == len(g.basis_names), g.name

@@ -258,3 +258,12 @@ def test_entries_refused_beside_zeros(x, err):
             Subspace.span(2, [[1, 0]]).contains(vec)
         with pytest.raises(err):
             vec_sub(vec, [0, 0])
+
+
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_ambient_dim_is_the_basis_width(d):
+    spanned = Subspace.span(d, [[1] * d, [2] * d] if d else [])
+    for s in (Subspace.zero(d), Subspace.full(d), spanned):
+        assert s.ambient_dim == s.basis.ncols == d
+    assert (Subspace.zero(d).dim, Subspace.full(d).dim,
+            spanned.dim) == (0, d, min(d, 1))

@@ -170,7 +170,8 @@ def test_classify_rejects_a_metric_other_than_omega_j(catalog):
             continue
         proper += 1
         ones = Matrix.from_rows([[1] * t.dim for _ in range(t.dim)])
-        bad = SymplecticTriple(t.algebra, t.omega, t.j, t.metric + ones)
+        bad = SymplecticTriple(t.algebra, t.omega, t.j)
+        bad.__dict__["metric"] = t.metric + ones
         assert bad.metric.leading_minors_positive()[0], name
         with pytest.raises(InternalInvariantViolation, match="^metric and "
                            "symplectic complements of im N disagree$"):

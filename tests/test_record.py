@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import liesymp
 from liesymp import Matrix, Tensor3
 from liesymp.record import Record
 
@@ -114,3 +115,39 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
                          env=env).stdout.split()
     assert "liesymp.cli" in out
     assert "dataclasses" not in out and "inspect" not in out
+
+
+def test_each_value_class_stores_only_what_it_cannot_derive():
+    # a triple's metric is omega J, a subspace's ambient dimension its
+    # basis width and an algebra's dimension its number of basis names:
+    # each is a property, so no constructor can make it disagree
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    fields = {cls.__name__: cls._fields for cls in subclasses(Record)
+              if cls.__module__.startswith(liesymp.__name__ + ".")}
+    assert fields == {
+        "Matrix": ("den", "rows", "ncols"),
+        "Subspace": ("basis",),
+        "Tensor3": ("dim", "den", "rows"),
+        "LieAlgebra": ("name", "basis_names", "bracket"),
+        "SymplecticTriple": ("algebra", "omega", "j"),
+        "DistributionReport": ("integrable", "norm_sq", "image",
+                               "image_involutive", "perp",
+                               "perp_involutive", "kernel"),
+        "CurvatureSummary": ("ricci", "scalar", "ricci_j_invariant",
+                             "chern_ricci", "hermitian_scalar"),
+        "ParallelismReport": ("nabla_n_zero", "image_parallel",
+                              "perp_parallel"),
+        "TwistorModel": ("n", "algebra", "u_indices", "q_indices",
+                         "p_indices", "phi"),
+        "PositivityReport": ("minus_positive", "plus_positive",
+                             "plus_witness", "q_diag", "p_diag_minus"),
+        "TwistorClaims": ("n", "plus_integrable", "minus_image_dim",
+                          "m_dim", "p_pairs_fill_q", "kks_invariant_plus",
+                          "kks_invariant_minus", "minus_positive",
+                          "plus_positive", "plus_witness"),
+        "GoldenRow": ("name", "claim", "expected", "actual"),
+    }

@@ -218,3 +218,16 @@ def test_pairing_reads_every_number_type_as_before(catalog, name):
                 omega_of(t, w, v)
             with pytest.raises(err):
                 inner(t, w, v)
+
+
+def test_metric_is_omega_j_and_a_triple_is_its_three_fields(extended_catalog):
+    # G is derived once from (omega, J), and rebuilding a triple from its
+    # three fields through every check gives an equal triple
+    rng = random.Random("metric")
+    triples = dict(extended_catalog)
+    for name in ("ex1", "ex3", "dim6", "char(ex4)"):
+        triples[f"dense({name})"] = dense_conjugate(triples[name], rng)
+    for name, t in triples.items():
+        assert t.metric == t.omega @ t.j, name
+        assert t.metric is t.metric, name
+        assert t == build_triple(t.algebra, t.omega, t.j), name

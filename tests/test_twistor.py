@@ -99,7 +99,7 @@ def test_representation_check_refuses_the_opposite_algebra(monkeypatch):
     model = build_twistor_model(2)
     t = model.algebra.bracket
     alg = model.algebra
-    _check_jacobi(LieAlgebra(alg.name, alg.dim, alg.basis_names, -t))
+    _check_jacobi(LieAlgebra(alg.name, alg.basis_names, -t))
     monkeypatch.setattr(twistor, "_closed_form_bracket",
                         lambda n, basis: -t)
     with pytest.raises(InternalInvariantViolation) as exc:
@@ -246,15 +246,15 @@ def test_nijenhuis_matches_definitional_route(models, n, sign):
             for a in range(d) for b in range(d)} == want
 
 
-def test_claims_bundle(models):
-    tc = twistor_claims(2, models[2])
+def test_claims_bundle():
+    tc = twistor_claims(2)
     assert tc.plus_integrable
     assert tc.minus_image_dim == 6 == tc.m_dim
     assert tc.p_pairs_fill_q
     assert tc.kks_invariant_plus and tc.kks_invariant_minus
     assert tc.minus_positive and not tc.plus_positive
     assert tc.plus_witness == ("P_1", F(-2))
-    tc1 = twistor_claims(1, models[1])
+    tc1 = twistor_claims(1)
     assert tc1.minus_image_dim == 0
 
 
@@ -263,7 +263,7 @@ def test_claims_bundle_at_n5():
     # closed-form brackets, the int matrix check and the int Sylvester check
     model = build_twistor_model(5)
     assert model.algebra.dim == 55 and model.m_dim == 30
-    tc = twistor_claims(5, model)
+    tc = twistor_claims(5)
     assert tc.plus_integrable
     assert tc.minus_image_dim == 30 == tc.m_dim
     assert tc.p_pairs_fill_q
