@@ -7,7 +7,8 @@ for i < j and i > j alike; [e_i, e_i] is never stored. The tensor is
 canonical, so `==` and `hash` compare the constants, and tables read over
 different denominators ("2/4" and "1/2") give equal algebras. `validate`
 reads each coefficient straight into ints, and a `Fraction` is made only
-where a value is read out (`bracket_vec`, serialization, a residual).
+where a value is read out (`bracket_vec`, a residual); serialization and
+`name_of_row` write the ints.
 
 The identity checks add each nonzero term into the sum of its basis
 triple, so their cost follows the nonzero terms, not the triples: the
@@ -28,7 +29,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
-from .linalg import Subspace, _ratio
+from .linalg import Subspace, _ratio, int_vector
 from .record import Record
 from .tensor import Tensor3
 
@@ -114,10 +115,10 @@ class LieAlgebra(Record):
         table = self.bracket.rows
         if not table:
             return Subspace.zero(self.dim)
-        vecs = []
+        vecs, dim = [], self.dim
         for us in a.basis.rows:
             for vs in b.basis.rows:
-                acc = [0] * self.dim
+                acc = [0] * dim
                 for i, p in us:
                     for j, q in vs:
                         for k, c in table.get((i, j), ()):
@@ -159,19 +160,24 @@ class LieAlgebra(Record):
 
     def name_of_vector(self, vec: Sequence) -> str:
         """Render a coordinate vector as a combination of basis names.
-        Each entry is read as `qof` reads it, into its numerator and
-        denominator ints; no `Fraction` is made."""
+        Each entry is read as `qof` reads it (`int_vector`); no
+        `Fraction` is made."""
+        den, w = int_vector(vec)
+        return self.name_of_row(
+            [(k, p) for k, p in zip(range(self.dim), w) if p], den)
+
+    def name_of_row(self, row: Iterable[tuple[int, int]], den: int) -> str:
+        """The combination of basis names sum p / den e_k over the sparse
+        int row ((k, p), ...), p nonzero and k ascending; "0" if empty."""
         terms = []
-        for x, nm in zip(vec, self.basis_names):
-            p, q = _ratio(x)
-            if not p:
-                continue
+        for k, p in row:
+            q = den
             if q != 1:
                 g = gcd(p, q)
                 p, q = p // g, q // g
             sign, p = ("-", -p) if p < 0 else ("+", p)
             coef = f"{p}/{q}*" if q != 1 else f"{p}*" if p != 1 else ""
-            terms.append((sign, coef + nm))
+            terms.append((sign, coef + self.basis_names[k]))
         if not terms:
             return "0"
         sign, first = terms[0]

@@ -14,8 +14,9 @@ built over different denominators compare equal. Arithmetic, `apply`,
 the transpose, the trace and the predicates run in ints on that state,
 over the nonzero factors only, and a result is brought to lowest terms
 by one gcd pass that stops at 1. `entries`, the dense rows as
-`Fraction`s, is only a cached view for output. Strings are read straight
-into ints: `qof`'s grammar, "p" or "p/q", is matched once.
+`Fraction`s, is only a cached view; output is written from the ints
+(`serialization.rational_text`). Strings are read straight into ints:
+`qof`'s grammar, "p" or "p/q", is matched once.
 
 Every elimination is fraction-free on sparse int rows. `_bareiss`, for
 `det` and the Sylvester check, eliminates column by column, dividing

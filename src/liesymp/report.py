@@ -25,7 +25,6 @@ per claim.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
 
@@ -40,7 +39,7 @@ from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
                         classify, nijenhuis_tensor)
 from .nspace import cyclic_rows_vanish
 from .record import Record
-from .serialization import matrix_to_rows, triple_hash
+from .serialization import matrix_to_rows, row_texts, triple_hash
 from .symp import SymplecticTriple
 from .twistor import twistor_claims
 
@@ -87,12 +86,13 @@ class Analysis:
 
 
 def subspace_payload(s: Subspace, g: LieAlgebra) -> dict:
+    b = s.basis
     return {
         "dim": s.dim,
         "basis": [{
-            "coords": [str(x) for x in v],
-            "combo": g.name_of_vector(v),
-        } for v in s.vectors()],
+            "coords": row_texts(r, b.den, b.ncols),
+            "combo": g.name_of_row(r, b.den),
+        } for r in b.rows],
     }
 
 
@@ -190,19 +190,13 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
         },
     }
     if full:
-        # the stored values of the pairs i < j, in order; only the
-        # nonzero coordinates become Fractions
-        tensor, names = [], g.basis_names
-        for i, j in sorted(ij for ij in n.rows if ij[0] < ij[1]):
-            v: list = [0] * t.dim
-            for k, p in n.rows[(i, j)]:
-                v[k] = Fraction(p, n.den)
-            tensor.append({
-                "pair": f"{names[i]},{names[j]}",
-                "coords": [str(x) for x in v],
-                "combo": g.name_of_vector(v),
-            })
-        out["tensor"] = tensor
+        # the stored values of the pairs i < j, in order
+        names = g.basis_names
+        out["tensor"] = [{
+            "pair": f"{names[i]},{names[j]}",
+            "coords": row_texts(n.rows[(i, j)], n.den, t.dim),
+            "combo": g.name_of_row(n.rows[(i, j)], n.den),
+        } for i, j in sorted(ij for ij in n.rows if ij[0] < ij[1])]
     if timings:
         out["timings"] = {"total_ms": int((time.monotonic() - t0) * 1000)}
     return out
@@ -267,10 +261,6 @@ class GoldenRow(Record):
         return self.expected == self.actual
 
 
-def _span_rows(s: Subspace) -> list[list[str]]:
-    return [[str(x) for x in v] for v in s.vectors()]
-
-
 # frozen expected values for the catalog table; spans are canonical RREF
 # rows in the entry's own basis order
 _TABLE_EXPECT: dict[str, dict[str, Any]] = {
@@ -331,8 +321,8 @@ _TWISTOR_EXPECT: dict[int, dict[str, Any]] = {
 
 # how each catalog claim is read off the entry and its distributions
 _CATALOG_READERS = {
-    "image_span": lambda t, rep: _span_rows(rep.image),
-    "perp_span": lambda t, rep: _span_rows(rep.perp),
+    "image_span": lambda t, rep: matrix_to_rows(rep.image.basis),
+    "perp_span": lambda t, rep: matrix_to_rows(rep.perp.basis),
     "image_involutive": lambda t, rep: rep.image_involutive,
     "perp_involutive": lambda t, rep: rep.perp_involutive,
     "norm_sq": lambda t, rep: str(rep.norm_sq),

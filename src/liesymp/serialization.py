@@ -15,6 +15,20 @@ matrices of rational strings.
 
 `triple_hash` is the sha256 of the canonical (sorted-key, no-whitespace)
 triple JSON; it identifies inputs in reports.
+
+Every rational is written from its stored ints: `rational_text(p, den)`
+is str(Fraction(p, den)) with no `Fraction` made, and `row_texts` puts
+one sparse int row (`Matrix.rows`, `Tensor3.rows`) into dense strings.
+
+`pretty_json` writes exactly the bytes of json.dumps(obj,
+sort_keys=True, indent=2) for what liesymp emits: dicts with str keys,
+lists and tuples, str (escaped by json's own
+`encode_basestring_ascii`), int, bool and None; anything else, a float
+or a `Fraction` included, is a TypeError. It is written out because on
+Python 3.11 any `indent` turns json's C encoder off, and the pure-Python
+encoder took 2-3 times as long as this writer on a full report (one
+core of a shared 2-vCPU VM: 0.51 against 0.25 ms at dim 10, 49 against
+17 ms for `abelian(80)`).
 """
 
 from __future__ import annotations
@@ -22,7 +36,9 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii
+from math import gcd
+from typing import Any, Iterable
 
 from .errors import SerializationError
 from .lie import LieAlgebra, validate
@@ -84,8 +100,27 @@ def load_json_file(path: str) -> Any:
         raise SerializationError(f"cannot read {path}: {e}") from None
 
 
+def rational_text(p: int, den: int) -> str:
+    """str(Fraction(p, den)) for den > 0, with no `Fraction` made."""
+    if den == 1:
+        return str(p)
+    g = gcd(p, den)
+    if g == den:
+        return str(p // g)
+    return f"{p // g}/{den // g}"
+
+
+def row_texts(row: Iterable[tuple[int, int]], den: int,
+              width: int) -> list[str]:
+    """The dense strings of the sparse int row ((k, p), ...) over den."""
+    out = ["0"] * width
+    for k, p in row:
+        out[k] = rational_text(p, den)
+    return out
+
+
 def matrix_to_rows(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    return [row_texts(r, m.den, m.ncols) for r in m.rows]
 
 
 def matrix_from_rows(rows: Any, what: str) -> Matrix:
@@ -109,7 +144,8 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
     for i, j in g.pairs():
         brackets.append({
             "i": i, "j": j,
-            "coeffs": {str(k): str(Fraction(p, den)) for k, p in rows[(i, j)]},
+            "coeffs": {str(k): rational_text(p, den)
+                       for k, p in rows[(i, j)]},
         })
     return {"name": g.name, "dim": g.dim, "basis": list(g.basis_names),
             "brackets": brackets}
@@ -179,7 +215,43 @@ def canonical_json(obj: Any) -> str:
 
 
 def pretty_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """json.dumps(obj, sort_keys=True, indent=2), for the types above."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(x: Any, nl: str) -> str:
+    """x as JSON, nl the newline and indent of the line it starts on; a
+    str item or value is quoted in place, without a recursive call."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = [encode_basestring_ascii(v) if type(v) is str
+                 else _json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for k in sorted(x):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            v = x[k]
+            items.append(encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if type(v) is str
+                else _json_text(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
 def triple_hash(t: SymplecticTriple) -> str:

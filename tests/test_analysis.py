@@ -21,7 +21,10 @@ from liesymp import (Analysis, build_rank_example, build_report, builtin,
                      golden_rows)
 from liesymp.connections import (chern_connection, curvature_summary,
                                   levi_civita, nabla_of)
+from liesymp.linalg import Matrix
 from liesymp.nijenhuis import classify, nijenhuis_tensor
+from liesymp.report import subspace_payload
+from liesymp.serialization import pretty_json
 from liesymp.tensor import Tensor3
 from liesymp.twistor import twistor_nijenhuis
 from support import aff_aff_triple, dense_conjugate
@@ -109,6 +112,32 @@ def test_full_tensor_block_matches_of_basis(n, k, flags):
                         random.Random(f"dense:{n}:{k}"))
     block = build_report(t, full=True)["tensor"]
     assert block and block == _tensor_block_by_of_basis(t, Analysis(t).n)
+
+
+def test_subspace_payload_matches_its_fraction_vectors(catalog):
+    for name, t in catalog.items():
+        rep, g = Analysis(t).distributions, t.algebra
+        for s in (rep.image, rep.perp, rep.kernel):
+            assert subspace_payload(s, g)["basis"] == [{
+                "coords": [str(x) for x in v],
+                "combo": g.name_of_vector(v),
+            } for v in s.vectors()], name
+
+
+def test_full_report_reads_no_fraction_entries(monkeypatch):
+    t = builtin("abelian(20)")
+    reads = []
+    entries = Matrix.entries.func
+
+    def counted(m):
+        reads.append(m)
+        return entries(m)
+
+    monkeypatch.setattr(Matrix, "entries", property(counted))
+    pretty_json(build_report(t, full=True))
+    assert reads == []
+    Matrix.identity(2).entries
+    assert len(reads) == 1
 
 
 def test_analysis_caches_on_the_object():
