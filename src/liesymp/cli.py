@@ -46,8 +46,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_triple(target: str, alpha=None) -> tuple[SymplecticTriple, str]:
-    """File path or builtin name -> (triple, display name)."""
-    if os.path.exists(target):
+    """File path (not a directory) or builtin name -> (triple, display
+    name)."""
+    if os.path.exists(target) and not os.path.isdir(target):
         payload = load_json_file(target)
         if not is_triple_payload(payload):
             raise SerializationError(
@@ -97,6 +98,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_goldens(args) -> int:
     t0 = time.monotonic()
     lines, ok = run_goldens(filter_substr=args.filter)
+    if len(lines) == 1:  # the tally alone: no entry name matched
+        raise _UsageError(f"no golden entry matches --filter {args.filter!r}")
     print("\n".join(lines))
     if args.timings:
         print(f"elapsed: {int((time.monotonic() - t0) * 1000)} ms")
@@ -203,44 +206,27 @@ def _cmd_twistor(args) -> int:
     for n in args.n:
         c = twistor_claims(n)
         checks = [
-            ("+", "plus structure integrable", c.plus_integrable),
+            ("+", "plus structure integrable", c["plus_integrable"]),
             ("-", "minus image = q+p" if n >= 2 else "minus image = 0",
-             c.minus_image_dim == (c.m_dim if n >= 2 else 0)),
-            ("-", "p x p values fill q", c.p_pairs_fill_q),
-            ("+", "orbit form J+ invariant", c.kks_invariant_plus),
-            ("-", "orbit form J- invariant", c.kks_invariant_minus),
-            ("-", "minus metric positive definite", c.minus_positive),
-            ("+", "plus form not positive", not c.plus_positive),
+             c["minus_image_dim"] == (c["m_dim"] if n >= 2 else 0)),
+            ("-", "p x p values fill q", c["p_pairs_fill_q"]),
+            ("+", "orbit form J+ invariant", c["kks_invariant_plus"]),
+            ("-", "orbit form J- invariant", c["kks_invariant_minus"]),
+            ("-", "minus metric positive definite", c["minus_positive"]),
+            ("+", "plus form not positive", not c["plus_positive"]),
         ]
         if args.sign:
             checks = [row for row in checks if row[0] == args.sign]
+        passed = all(good for _, _, good in checks)
+        ok = ok and passed
         if args.report == "json":
-            witness = None
-            if c.plus_witness:
-                witness = [c.plus_witness[0], str(c.plus_witness[1])]
-            payloads.append({
-                "n": n,
-                "dim": n * (2 * n + 1),
-                "m_dim": c.m_dim,
-                "plus_integrable": c.plus_integrable,
-                "minus_image_dim": c.minus_image_dim,
-                "p_pairs_fill_q": c.p_pairs_fill_q,
-                "kks_invariant_plus": c.kks_invariant_plus,
-                "kks_invariant_minus": c.kks_invariant_minus,
-                "minus_positive": c.minus_positive,
-                "plus_positive": c.plus_positive,
-                "plus_witness": witness,
-                "checks_pass": all(good for _, _, good in checks),
-            })
+            payloads.append({**c, "checks_pass": passed})
+            continue
         for _, label, good in checks:
-            ok = ok and good
-            if args.report != "json":
-                print(f"{'PASS' if good else 'FAIL'}  "
-                      f"twistor(n={n}) :: {label}")
-        if args.report != "json" and c.plus_witness and args.sign != "-":
-            nm, val = c.plus_witness
-            print(f"      non-positivity witness: "
-                  f"form({nm}, {nm}) = {val}")
+            print(f"{'PASS' if good else 'FAIL'}  twistor(n={n}) :: {label}")
+        if c["plus_witness"] and args.sign != "-":
+            nm, val = c["plus_witness"]
+            print(f"      non-positivity witness: form({nm}, {nm}) = {val}")
     if args.report == "json":
         print(pretty_json(payloads))
     if args.timings:

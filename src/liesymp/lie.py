@@ -29,7 +29,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BracketOrder, DimensionMismatch, JacobiViolation
-from .linalg import Subspace, _ratio, int_vector
+from .linalg import Subspace, _ratio
 from .record import Record
 from .tensor import Tensor3
 
@@ -157,14 +157,6 @@ class LieAlgebra(Record):
         return self.derived_subalgebra().basis.nullspace()
 
     # -- naming helpers ---------------------------------------------------
-
-    def name_of_vector(self, vec: Sequence) -> str:
-        """Render a coordinate vector as a combination of basis names.
-        Each entry is read as `qof` reads it (`int_vector`); no
-        `Fraction` is made."""
-        den, w = int_vector(vec)
-        return self.name_of_row(
-            [(k, p) for k, p in zip(range(self.dim), w) if p], den)
 
     def name_of_row(self, row: Iterable[tuple[int, int]], den: int) -> str:
         """The combination of basis names sum p / den e_k over the sparse

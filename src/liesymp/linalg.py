@@ -371,10 +371,6 @@ class Matrix(Record):
                 return False, k, Fraction(p, self.den ** k)
         return True, 0, Fraction(1)
 
-    def __str__(self) -> str:
-        return "\n".join("[" + ", ".join(str(a) for a in r) + "]"
-                         for r in self.entries)
-
 
 def _bareiss(rows: Iterable[IntRow], swap: bool) -> Iterator[int]:
     """Fraction-free (Bareiss) elimination of a square matrix's sparse int
@@ -514,9 +510,6 @@ class Subspace(Record):
     @property
     def dim(self) -> int:
         return self.basis.nrows
-
-    def vectors(self) -> list[tuple[Fraction, ...]]:
-        return list(self.basis.entries)
 
     @cached_property
     def annihilator(self) -> Matrix:

@@ -332,7 +332,7 @@ _CATALOG_READERS = {
     "integrable": lambda t, rep: rep.integrable,
 }
 
-# the `TwistorClaims` field each twistor claim reads
+# the `twistor_claims` key each twistor claim reads
 _TWISTOR_FIELDS = {
     "plus_integrable": "plus_integrable",
     "minus_image_dim": "minus_image_dim",
@@ -357,7 +357,7 @@ def golden_rows(filter_substr: Optional[str] = None) -> list[GoldenRow]:
             continue
         tc = twistor_claims(n)
         rows += [GoldenRow(name, claim, expected,
-                           getattr(tc, _TWISTOR_FIELDS[claim]))
+                           tc[_TWISTOR_FIELDS[claim]])
                  for claim, expected in claims.items()]
     return rows
 

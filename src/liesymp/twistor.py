@@ -57,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Literal, Optional
+from typing import Any, Literal, Optional
 
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra
@@ -69,20 +69,21 @@ Sign = Literal["+", "-"]
 
 
 class TwistorModel(Record):
+    """so(1, 2n) in the basis order above, with phi = -Tr(j'0 .) on it.
+    Indices 0 .. n^2 - 1 are u, and m = q (+) p is the rest: n^2 - n
+    fibre directions q, then the 2n boosts p. m-coordinate i is basis
+    index n^2 + i."""
     n: int
     algebra: LieAlgebra
-    u_indices: tuple[int, ...]
-    q_indices: tuple[int, ...]
-    p_indices: tuple[int, ...]
     phi: tuple[int, ...]
 
     @property
-    def m_indices(self) -> tuple[int, ...]:
-        return self.q_indices + self.p_indices
+    def m_indices(self) -> range:
+        return range(self.n * self.n, self.algebra.dim)
 
     @property
     def m_dim(self) -> int:
-        return len(self.q_indices) + len(self.p_indices)
+        return self.n * self.n + self.n
 
     @cached_property
     def kks_m(self) -> Matrix:
@@ -90,38 +91,38 @@ class TwistorModel(Record):
         e_y]) summed over each stored m x m row, D the bracket's
         denominator."""
         big, table = self.algebra.bracket.den, self.algebra.bracket.rows
-        pos = {k: i for i, k in enumerate(self.m_indices)}
-        rows: list[list[tuple[int, int]]] = [[] for _ in pos]
+        nu = self.n * self.n
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.m_indices]
         for (x, y), row in table.items():
-            if x in pos and y in pos:
+            if x >= nu and y >= nu:
                 v = sum(p * self.phi[k] for k, p in row)
                 if v:
-                    rows[pos[x]].append((pos[y], v))
-        return _canon(big, tuple(tuple(sorted(r)) for r in rows), len(pos))
+                    rows[x - nu].append((y - nu, v))
+        return _canon(big, tuple(tuple(sorted(r)) for r in rows), len(rows))
 
     @cached_property
     def bracket_m(self) -> Tensor3:
         """(A, B) -> [A, B]_m on m, in m-coordinates: the stored rows with
         their u-components dropped, over the least denominator left."""
         big, table = self.algebra.bracket.den, self.algebra.bracket.rows
-        pos = {k: i for i, k in enumerate(self.m_indices)}
+        nu = self.n * self.n
         rows = {}
         for (a, b), row in table.items():
-            if a in pos and b in pos:
-                r = tuple([(pos[k], p) for k, p in row if k in pos])
+            if a >= nu and b >= nu:
+                r = tuple([(k - nu, p) for k, p in row if k >= nu])
                 if r:
-                    rows[(pos[a], pos[b])] = r
+                    rows[(a - nu, b - nu)] = r
         g = gcd(big, *(p for r in rows.values() for _, p in r))
         if g > 1:
             rows = {ab: tuple([(k, p // g) for k, p in r])
                     for ab, r in rows.items()}
-        return Tensor3(len(pos), big // g, rows)
+        return Tensor3(self.m_dim, big // g, rows)
 
     @cached_property
     def j_m(self) -> dict[Sign, Matrix]:
         """J^{+-} on m, in m-coordinates: QX_ab -> QY_ab -> -QX_ab and
         P_i -> +-P_{n+i} -> -P_i, i <= n; one entry per row."""
-        n, d, nq = self.n, self.m_dim, len(self.q_indices)
+        n, d, nq = self.n, self.m_dim, self.n * self.n - self.n
         half = nq // 2
         out = {}
         for sign, s in (("+", 1), ("-", -1)):
@@ -278,7 +279,7 @@ def _check_representation(g: LieAlgebra, n: int,
 
 
 def build_twistor_model(n: int) -> TwistorModel:
-    """Construct so(1, 2n) with the split bookkeeping. The structure
+    """Construct so(1, 2n) with its orbit potential phi. The structure
     constants come from the closed form (`_closed_form_bracket`); the
     second route to them is the bracket of so(1, 2n)'s own matrices
     (`_check_representation`), which implies Jacobi."""
@@ -290,14 +291,11 @@ def build_twistor_model(n: int) -> TwistorModel:
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
     g = LieAlgebra(f"so(1,{2*n})", names, _closed_form_bracket(n, basis))
     _check_representation(g, n, basis)
-    # phi(A) = -Tr(j'0 A): supported on the UY diagonal only
-    name_pos = {nm: i for i, nm in enumerate(names)}
-    phi = [0] * dim
-    for a in range(1, n + 1):
-        phi[name_pos[f"UY_{a}_{a}"]] = -2
-    nu, nq = n * n, n * n - n
-    return TwistorModel(n, g, tuple(range(nu)), tuple(range(nu, nu + nq)),
-                        tuple(range(nu + nq, dim)), tuple(phi))
+    # phi(e_x) = -Tr(j'0 rho(e_x)), where Tr(j'0 M_cd) = 2 if d = n + c
+    # with 1 <= c <= n, and 0 otherwise: only the UY diagonal has phi
+    phi = tuple(-2 * sum(s for c, d, s in terms if 1 <= c <= n and d == n + c)
+                for _, terms in basis)
+    return TwistorModel(n, g, phi)
 
 
 # -- the integrability tensor on m --------------------------------------
@@ -312,7 +310,7 @@ def p_pairs_span_q(model: TwistorModel, n: Tensor3) -> bool:
     """Do the p x p values of N (as `twistor_nijenhuis` returned it) fill
     the fibre directions q exactly? Every such value must lie in the
     first nq coordinates, and together they must span nq dimensions."""
-    nq = len(model.q_indices)
+    nq = model.n * model.n - model.n
     vecs = []
     for (a, b), row in n.rows.items():
         if nq <= a < b:
@@ -329,22 +327,16 @@ def kks_j_invariant(model: TwistorModel, sign: Sign) -> bool:
     return jm.transpose() @ w @ jm == w
 
 
-class PositivityReport(Record):
-    minus_positive: bool
-    plus_positive: bool
-    plus_witness: Optional[tuple[str, Fraction]]
-    q_diag: Fraction
-    p_diag_minus: Fraction
-
-
-def positivity_report(model: TwistorModel) -> PositivityReport:
-    """Definiteness of g_{+-}(A, B) = omega(A, J_{+-} B) on m.
+def positivity_report(model: TwistorModel
+                      ) -> tuple[bool, bool, Optional[list[str]]]:
+    """Definiteness of g_{+-}(A, B) = omega(A, J_{+-} B) on m, as
+    (minus_positive, plus_positive, plus_witness).
 
     The minus form is checked positive definite by Sylvester minors. For
-    the plus form, which is not, the first m-basis vector with a
-    non-positive diagonal entry is returned as the witness. The two forms
-    agree on q and differ by sign on p, so for every n the witness is a
-    boost (P_1)."""
+    the plus form, which is not, the witness is [name, value] for the
+    first m-basis vector with a non-positive diagonal entry, the value as
+    rational text. The two forms agree on q and differ by sign on p, so
+    for every n the witness is a boost (P_1)."""
     kks = model.kks_m
     grams = {}
     for sign in ("+", "-"):
@@ -360,45 +352,32 @@ def positivity_report(model: TwistorModel) -> PositivityReport:
         for i, k in enumerate(model.m_indices):
             v = grams["+"].entry(i, i)
             if v <= 0:
-                witness = (model.algebra.basis_names[k], v)
+                witness = [model.algebra.basis_names[k], str(v)]
                 break
-    nq = len(model.q_indices)
-    q_diag = grams["-"].entry(0, 0) if nq else Fraction(0)
-    p_diag = grams["-"].entry(nq, nq)
-    return PositivityReport(ok_minus, ok_plus, witness, q_diag, p_diag)
+    return ok_minus, ok_plus, witness
 
 
 # -- claim bundle --------------------------------------------------------
 
 
-class TwistorClaims(Record):
-    n: int
-    plus_integrable: bool
-    minus_image_dim: int
-    m_dim: int
-    p_pairs_fill_q: bool
-    kks_invariant_plus: bool
-    kks_invariant_minus: bool
-    minus_positive: bool
-    plus_positive: bool
-    plus_witness: Optional[tuple[str, Fraction]]
-
-
-def twistor_claims(n: int) -> TwistorClaims:
+def twistor_claims(n: int) -> dict[str, Any]:
+    """The `twistor --report json` entry for n, without `checks_pass`:
+    each so(1, 2n) claim once, under the key that output prints."""
     model = build_twistor_model(n)
     nplus = twistor_nijenhuis(model, "+")
     nminus = twistor_nijenhuis(model, "-")
     img = image_distribution(nminus)
-    pos = positivity_report(model)
-    return TwistorClaims(
-        n=n,
-        plus_integrable=nplus.is_zero(),
-        minus_image_dim=img.dim,
-        m_dim=model.m_dim,
-        p_pairs_fill_q=p_pairs_span_q(model, nminus),
-        kks_invariant_plus=kks_j_invariant(model, "+"),
-        kks_invariant_minus=kks_j_invariant(model, "-"),
-        minus_positive=pos.minus_positive,
-        plus_positive=pos.plus_positive,
-        plus_witness=pos.plus_witness,
-    )
+    minus_positive, plus_positive, witness = positivity_report(model)
+    return {
+        "n": n,
+        "dim": model.algebra.dim,
+        "m_dim": model.m_dim,
+        "plus_integrable": nplus.is_zero(),
+        "minus_image_dim": img.dim,
+        "p_pairs_fill_q": p_pairs_span_q(model, nminus),
+        "kks_invariant_plus": kks_j_invariant(model, "+"),
+        "kks_invariant_minus": kks_j_invariant(model, "-"),
+        "minus_positive": minus_positive,
+        "plus_positive": plus_positive,
+        "plus_witness": witness,
+    }

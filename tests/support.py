@@ -143,12 +143,12 @@ def ad(g, u) -> Matrix:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """a + b."""
-    return Subspace.span(a.ambient_dim, a.vectors() + b.vectors())
+    return Subspace.span(a.ambient_dim, a.basis.entries + b.basis.entries)
 
 
 def image_under(s: Subspace, m: Matrix) -> Subspace:
     """m(s)."""
-    return Subspace.span(m.nrows, [m.apply(v) for v in s.vectors()])
+    return Subspace.span(m.nrows, [m.apply(v) for v in s.basis.entries])
 
 
 # -- membership by pivot subtraction, as an oracle for the annihilator
@@ -686,7 +686,7 @@ def pairwise_is_involutive(s: Subspace, g) -> bool:
     `bracket_vec` and `pivot_contains`: `is_involutive`'s route before
     it bracketed the subspace on the int table."""
     return all(pivot_contains(s, g.bracket_vec(u, v))
-               for u in s.vectors() for v in s.vectors())
+               for u in s.basis.entries for v in s.basis.entries)
 
 
 # -- the pointwise connection checks, as oracles for the whole-tensor ones
@@ -709,7 +709,7 @@ def pointwise_parallelism(t: SymplecticTriple, lc, n, rep):
 
     def parallel(s: Subspace) -> bool:
         return all(pivot_contains(s, lc.of_vectors(basis[i], v))
-                   for i in range(d) for v in s.vectors())
+                   for i in range(d) for v in s.basis.entries)
 
     return (all(nabla_n_zero(i, b, c) for i in range(d) for b in range(d)
                 for c in range(b + 1, d)),
@@ -763,8 +763,8 @@ class FractionTable:
 
     def bracket_of_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
         return Subspace.span(self.dim, [self.bracket_vec(u, v)
-                                        for u in a.vectors()
-                                        for v in b.vectors()])
+                                        for u in a.basis.entries
+                                        for v in b.basis.entries])
 
     def derived_subalgebra(self) -> Subspace:
         vecs = []
@@ -817,6 +817,13 @@ def bracket_basis(g, i: int, j: int) -> dict[int, Fraction]:
     return {k: Fraction(p, den) for k, p in g.bracket.rows.get((i, j), ())}
 
 
+def name_of_vector(g, vec) -> str:
+    """A coordinate vector as a combination of g's basis names: each
+    entry read as `qof` reads it (`int_vector`), then `name_of_row`."""
+    den, w = int_vector(vec)
+    return g.name_of_row([(k, p) for k, p in enumerate(w) if p], den)
+
+
 def nonzero_brackets(g) -> list:
     return [(i, j, bracket_basis(g, i, j)) for i, j in g.pairs()]
 
@@ -833,7 +840,7 @@ def p_element(model, u) -> tuple:
     u = [qof(x) for x in u]
     if len(u) != 2 * model.n:
         raise ValueError("boost vector has wrong length")
-    return (Fraction(0),) * len(model.q_indices) + tuple(u)
+    return (Fraction(0),) * (model.n * model.n - model.n) + tuple(u)
 
 
 def q_element(model, d2n: Matrix) -> tuple:
@@ -842,12 +849,12 @@ def q_element(model, d2n: Matrix) -> tuple:
     m = {(r + 1, c + 1): p for r, row in enumerate(d2n.rows) for c, p in row}
     pos = {nm: i for i, nm in enumerate(model.algebra.basis_names)}
     twice = _expand_in_basis(m, model.n, pos)
-    qpos = {k: t for t, k in enumerate(model.q_indices)}
-    if any(k not in qpos for k in twice):
+    nu, nq = model.n * model.n, model.n * model.n - model.n
+    if any(not nu <= k < nu + nq for k in twice):
         raise ValueError("matrix is not in the j0-anticommuting part")
     v = [Fraction(0)] * model.m_dim
     for k, c in twice.items():
-        v[qpos[k]] = Fraction(c, 2 * d2n.den)
+        v[k - nu] = Fraction(c, 2 * d2n.den)
     return tuple(v)
 
 

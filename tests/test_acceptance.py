@@ -253,7 +253,7 @@ def test_criterion_10_constructions():
         t = builder()
         rep = Analysis(t).distributions
         rep2 = Analysis(product_extension(t)).distributions
-        padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
+        padded = [list(v) + [F(0), F(0)] for v in rep.image.basis.entries]
         ok = ok and rep2.image == Subspace.span(t.dim + 2, padded)
         ok = ok and rep2.perp.dim == rep.perp.dim + 2
     # character extension: image grows by exactly the new plane
@@ -262,7 +262,7 @@ def test_criterion_10_constructions():
         rep = Analysis(t).distributions
         rep2 = Analysis(character_extension(t)).distributions
         d2 = t.dim + 2
-        padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
+        padded = [list(v) + [F(0), F(0)] for v in rep.image.basis.entries]
         plane = [[F(0)] * t.dim + [F(1), F(0)],
                  [F(0)] * t.dim + [F(0), F(1)]]
         ok = ok and rep2.image == Subspace.span(d2, padded + plane)
@@ -303,15 +303,15 @@ def test_criterion_12_twistor_model():
     ok = True
     for n in range(1, 5):
         c = twistor_claims(n)
-        ok = ok and c.plus_integrable
+        ok = ok and c["plus_integrable"]
         if n >= 2:
-            ok = ok and c.minus_image_dim == c.m_dim == n * n + n
-            ok = ok and c.p_pairs_fill_q
+            ok = ok and c["minus_image_dim"] == c["m_dim"] == n * n + n
+            ok = ok and c["p_pairs_fill_q"]
         else:
-            ok = ok and c.minus_image_dim == 0
-        ok = ok and c.kks_invariant_plus and c.kks_invariant_minus
-        ok = ok and c.minus_positive and not c.plus_positive
-        ok = ok and c.plus_witness is not None
+            ok = ok and c["minus_image_dim"] == 0
+        ok = ok and c["kks_invariant_plus"] and c["kks_invariant_minus"]
+        ok = ok and c["minus_positive"] and not c["plus_positive"]
+        ok = ok and c["plus_witness"] is not None
     _verdict(12, "twistor model n = 1..4: one integrable structure, one "
                  "maximally non-integrable with positive metric", ok)
     assert ok

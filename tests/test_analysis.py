@@ -27,7 +27,7 @@ from liesymp.report import subspace_payload
 from liesymp.serialization import pretty_json
 from liesymp.tensor import Tensor3
 from liesymp.twistor import twistor_nijenhuis
-from support import aff_aff_triple, dense_conjugate
+from support import aff_aff_triple, dense_conjugate, name_of_vector
 
 
 def _count(monkeypatch, fn) -> list:
@@ -99,7 +99,7 @@ def _tensor_block_by_of_basis(t, n) -> list:
                 out.append({
                     "pair": f"{g.basis_names[i]},{g.basis_names[j]}",
                     "coords": [str(x) for x in v],
-                    "combo": g.name_of_vector(v),
+                    "combo": name_of_vector(g, v),
                 })
     return out
 
@@ -120,8 +120,8 @@ def test_subspace_payload_matches_its_fraction_vectors(catalog):
         for s in (rep.image, rep.perp, rep.kernel):
             assert subspace_payload(s, g)["basis"] == [{
                 "coords": [str(x) for x in v],
-                "combo": g.name_of_vector(v),
-            } for v in s.vectors()], name
+                "combo": name_of_vector(g, v),
+            } for v in s.basis.entries], name
 
 
 def test_full_report_reads_no_fraction_entries(monkeypatch):

@@ -48,7 +48,7 @@ def test_product_extension_preserves_image_and_grows_complement(catalog):
         rep2 = Analysis(t2).distributions
         assert t2.dim == t.dim + 2
         # old image, embedded by zero padding, is the whole new image
-        padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
+        padded = [list(v) + [F(0), F(0)] for v in rep.image.basis.entries]
         assert rep2.image == Subspace.span(t2.dim, padded)
         assert rep2.perp.dim == rep.perp.dim + 2
         assert rep2.image_involutive == rep.image_involutive
@@ -73,7 +73,7 @@ def test_character_extension_grows_image_by_new_plane(catalog):
         d2 = t2.dim
         assert d2 == t.dim + 2
         assert t2.algebra.basis_names[-2:] == ("c1", "d1")
-        padded = [list(v) + [F(0), F(0)] for v in rep.image.vectors()]
+        padded = [list(v) + [F(0), F(0)] for v in rep.image.basis.entries]
         new_plane = [[F(0)] * t.dim + [F(1), F(0)],
                      [F(0)] * t.dim + [F(0), F(1)]]
         expected = Subspace.span(d2, padded + new_plane)
@@ -139,7 +139,7 @@ def test_character_check_matches_the_derived_algebra(catalog):
     seen = set()
     for name in ("ex1", "ex3", "ex4", "dim6"):
         t = catalog[name]
-        der = t.algebra.derived_subalgebra().vectors()
+        der = t.algebra.derived_subalgebra().basis.entries
         for _ in range(40):
             xi = [F(rng.randint(-2, 2), rng.choice([1, 3, 5]))
                   if rng.random() < 0.5 else F(0) for _ in range(t.dim)]

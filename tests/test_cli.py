@@ -443,6 +443,124 @@ def test_twistor_sign_filter_and_json(capsys):
     assert payload[0]["plus_witness"] == ["P_1", "-2"]
 
 
+TWISTOR_TEXT = (
+    'PASS  twistor(n=1) :: plus structure integrable\n'
+    'PASS  twistor(n=1) :: minus image = 0\n'
+    'PASS  twistor(n=1) :: p x p values fill q\n'
+    'PASS  twistor(n=1) :: orbit form J+ invariant\n'
+    'PASS  twistor(n=1) :: orbit form J- invariant\n'
+    'PASS  twistor(n=1) :: minus metric positive definite\n'
+    'PASS  twistor(n=1) :: plus form not positive\n'
+    '      non-positivity witness: form(P_1, P_1) = -2\n'
+    'PASS  twistor(n=2) :: plus structure integrable\n'
+    'PASS  twistor(n=2) :: minus image = q+p\n'
+    'PASS  twistor(n=2) :: p x p values fill q\n'
+    'PASS  twistor(n=2) :: orbit form J+ invariant\n'
+    'PASS  twistor(n=2) :: orbit form J- invariant\n'
+    'PASS  twistor(n=2) :: minus metric positive definite\n'
+    'PASS  twistor(n=2) :: plus form not positive\n'
+    '      non-positivity witness: form(P_1, P_1) = -2\n'
+    'PASS  twistor(n=3) :: plus structure integrable\n'
+    'PASS  twistor(n=3) :: minus image = q+p\n'
+    'PASS  twistor(n=3) :: p x p values fill q\n'
+    'PASS  twistor(n=3) :: orbit form J+ invariant\n'
+    'PASS  twistor(n=3) :: orbit form J- invariant\n'
+    'PASS  twistor(n=3) :: minus metric positive definite\n'
+    'PASS  twistor(n=3) :: plus form not positive\n'
+    '      non-positivity witness: form(P_1, P_1) = -2\n')
+TWISTOR_PLUS_TEXT = (
+    'PASS  twistor(n=1) :: plus structure integrable\n'
+    'PASS  twistor(n=1) :: orbit form J+ invariant\n'
+    'PASS  twistor(n=1) :: plus form not positive\n'
+    '      non-positivity witness: form(P_1, P_1) = -2\n'
+    'PASS  twistor(n=2) :: plus structure integrable\n'
+    'PASS  twistor(n=2) :: orbit form J+ invariant\n'
+    'PASS  twistor(n=2) :: plus form not positive\n'
+    '      non-positivity witness: form(P_1, P_1) = -2\n'
+    'PASS  twistor(n=3) :: plus structure integrable\n'
+    'PASS  twistor(n=3) :: orbit form J+ invariant\n'
+    'PASS  twistor(n=3) :: plus form not positive\n'
+    '      non-positivity witness: form(P_1, P_1) = -2\n')
+TWISTOR_MINUS_TEXT = (
+    'PASS  twistor(n=1) :: minus image = 0\n'
+    'PASS  twistor(n=1) :: p x p values fill q\n'
+    'PASS  twistor(n=1) :: orbit form J- invariant\n'
+    'PASS  twistor(n=1) :: minus metric positive definite\n'
+    'PASS  twistor(n=2) :: minus image = q+p\n'
+    'PASS  twistor(n=2) :: p x p values fill q\n'
+    'PASS  twistor(n=2) :: orbit form J- invariant\n'
+    'PASS  twistor(n=2) :: minus metric positive definite\n'
+    'PASS  twistor(n=3) :: minus image = q+p\n'
+    'PASS  twistor(n=3) :: p x p values fill q\n'
+    'PASS  twistor(n=3) :: orbit form J- invariant\n'
+    'PASS  twistor(n=3) :: minus metric positive definite\n')
+# one `twistor --sign - --report json` entry; n, dim, m_dim and the minus
+# image dimension are (1, 3, 2, 0), (2, 10, 6, 6) and (3, 21, 12, 12)
+TWISTOR_MINUS_JSON_ENTRY = """  {{
+    "checks_pass": true,
+    "dim": {1},
+    "kks_invariant_minus": true,
+    "kks_invariant_plus": true,
+    "m_dim": {2},
+    "minus_image_dim": {3},
+    "minus_positive": true,
+    "n": {0},
+    "p_pairs_fill_q": true,
+    "plus_integrable": true,
+    "plus_positive": false,
+    "plus_witness": [
+      "P_1",
+      "-2"
+    ]
+  }}"""
+
+
+@pytest.mark.parametrize("argv, want", [
+    ([], TWISTOR_TEXT),
+    (["--sign", "+"], TWISTOR_PLUS_TEXT),
+    (["--sign", "-"], TWISTOR_MINUS_TEXT),
+    (["--sign", "-", "--report", "json"],
+     "[\n" + ",\n".join(TWISTOR_MINUS_JSON_ENTRY.format(*e) for e in
+                         ((1, 3, 2, 0), (2, 10, 6, 6), (3, 21, 12, 12)))
+     + "\n]\n"),
+], ids=["text", "plus_text", "minus_text", "minus_json"])
+def test_twistor_output_bytes(argv, want, capsys):
+    # the benchmark's digests cover only `twistor --n N --report json`
+    assert main(["twistor", "--n", "1,2,3", *argv]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_unmatched_goldens_filter_is_a_usage_error(capsys):
+    assert main(["goldens", "--filter", "zzz"]) == 1
+    assert capsys.readouterr() == (
+        "", "usage error: no golden entry matches --filter 'zzz'\n")
+
+
+@pytest.mark.parametrize("argv", [["analyze", "ex1"],
+                                  ["construct", "product", "ex1"],
+                                  ["examples", "show", "ex1"]])
+def test_a_directory_does_not_shadow_a_catalog_entry(argv, tmp_path,
+                                                     monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    (tmp_path / "ex1").mkdir()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_analyze_reads_a_triple_piped_into_dev_stdin(ex2_file, capsys):
+    # /dev/stdin on a pipe is not a regular file, and still a path
+    assert main(["analyze", ex2_file]) == 0
+    want = capsys.readouterr().out
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "liesymp.cli", "analyze",
+                           "/dev/stdin"], input=Path(ex2_file).read_text(),
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+
 def test_usage_errors_exit_1(capsys):
     assert main(["analyze"]) == 1
     assert main(["no-such-command"]) == 1

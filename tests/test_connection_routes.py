@@ -203,7 +203,7 @@ def _random_matrix(rng, rows, cols):
 
 def _holds_image(s, m):
     """m(s) in s, by pivot subtraction."""
-    return all(pivot_contains(s, v) for v in image_under(s, m).vectors())
+    return all(pivot_contains(s, v) for v in image_under(s, m).basis.entries)
 
 
 def test_invariant_under_matches_the_image(catalog):

@@ -171,7 +171,7 @@ def test_contains_rejects_one_coordinate_off_a_proper_subspace():
     assert 0 < s.dim < m.ncols
     missed = 0
     for k in range(m.ncols):
-        v = list(s.vectors()[0])
+        v = list(s.basis.entries[0])
         v[k] += 1
         assert s.contains(v) == _stacked_rank_contains(s, v)
         missed += not s.contains(v)

@@ -194,8 +194,8 @@ def test_complement_decomposes_ambient():
     assert subspace_sum(s, c).dim == 4
     assert s.intersect(c).dim == 0
     # gram-orthogonality of the two factors
-    for v in s.vectors():
-        for w in c.vectors():
+    for v in s.basis.entries:
+        for w in c.basis.entries:
             assert sum(gram.apply(v)[k] * w[k] for k in range(4)) == 0
 
 
@@ -241,7 +241,7 @@ def test_entries_coerce_alike_beside_zeros(x, want):
     m = Matrix.from_rows([[0, x], [x, F(0)]])
     assert m.entries == ((0, want), (want, 0))
     assert all(type(v) is Fraction for r in m.entries for v in r)
-    assert Subspace.span(3, [[1, 0, x]]).vectors() == [(1, 0, want)]
+    assert Subspace.span(3, [[1, 0, x]]).basis.entries == ((1, 0, want),)
     assert Subspace.span(3, [[1, 0, want]]).contains([1, 0, x])
     assert vec_sub([x, 0], [F(0), x]) == (want, -want)
 

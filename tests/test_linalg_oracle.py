@@ -362,7 +362,7 @@ def test_annihilator_routes_match_sympy_and_pivot_subtraction(d, s, t):
             rng, rng.randint(1, k), k, 0.8) @ s.basis).entries))
     for o in subs:
         assert s.contains_subspace(o) == all(
-            pivot_contains(s, v) for v in o.vectors()), (s, o)
+            pivot_contains(s, v) for v in o.basis.entries), (s, o)
     # invariant_under: random maps, and B^T W + C A, which maps s into
     # s without mapping everything into s; A here comes from sympy
     maps = [_random_matrix(rng, d, d, 0.6), Matrix.identity(d),
@@ -377,11 +377,11 @@ def test_annihilator_routes_match_sympy_and_pivot_subtraction(d, s, t):
     maps.append(into)
     for m in maps:
         assert s.invariant_under(m) == all(
-            pivot_contains(s, v) for v in image_under(s, m).vectors()), (s, m)
+            pivot_contains(s, v) for v in image_under(s, m).basis.entries), (s, m)
     assert s.invariant_under(into)
     # intersect: dim S + dim T - rank [S; T], inside both
     meet = s.intersect(t)
     rank = sympy.Matrix.vstack(_to_sympy(s.basis), _to_sympy(t.basis)).rank()
     assert meet.dim == k + t.dim - rank
     assert all(pivot_contains(s, v) and pivot_contains(t, v)
-               for v in meet.vectors())
+               for v in meet.basis.entries)

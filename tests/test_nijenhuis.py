@@ -114,7 +114,7 @@ def test_kernel_distribution_annihilates(catalog):
     t = catalog["ex1"]
     n = nijenhuis_tensor(t)
     ker = kernel_distribution(n)
-    for v in ker.vectors():
+    for v in ker.basis.entries:
         for b in range(t.dim):
             e = [F(1) if k == b else F(0) for k in range(t.dim)]
             assert all(x == 0 for x in n.of_vectors(v, e))

@@ -141,13 +141,6 @@ def test_each_value_class_stores_only_what_it_cannot_derive():
                              "chern_ricci", "hermitian_scalar"),
         "ParallelismReport": ("nabla_n_zero", "image_parallel",
                               "perp_parallel"),
-        "TwistorModel": ("n", "algebra", "u_indices", "q_indices",
-                         "p_indices", "phi"),
-        "PositivityReport": ("minus_positive", "plus_positive",
-                             "plus_witness", "q_diag", "p_diag_minus"),
-        "TwistorClaims": ("n", "plus_integrable", "minus_image_dim",
-                          "m_dim", "p_pairs_fill_q", "kks_invariant_plus",
-                          "kks_invariant_minus", "minus_positive",
-                          "plus_positive", "plus_witness"),
+        "TwistorModel": ("n", "algebra", "phi"),
         "GoldenRow": ("name", "claim", "expected", "actual"),
     }

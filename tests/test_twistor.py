@@ -1,18 +1,21 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from liesymp import (LieAlgebra, Matrix, build_twistor_model, twistor,
                      twistor_claims)
+from liesymp.cli import main
 from liesymp.errors import InternalInvariantViolation
 from liesymp.lie import _check_jacobi
 from liesymp.nijenhuis import image_distribution
+from liesymp.serialization import pretty_json
 from liesymp.tensor import Tensor3
 from liesymp.twistor import (p_pairs_span_q, positivity_report,
                              twistor_nijenhuis)
 from support import (bracket_basis, definitional_twistor_n, j0_matrix,
-                     matrix_twistor_algebra, omega_basis, p_element,
-                     q_block_matrix, q_element)
+                     lorentz_matrices, matrix_twistor_algebra, omega_basis,
+                     p_element, q_block_matrix, q_element)
 
 F = Fraction
 
@@ -23,12 +26,30 @@ def models():
 
 
 def test_model_dimensions(models):
+    # u is the first n^2 basis indices, then q (n^2 - n), then p (2n)
     for n, model in models.items():
-        assert model.algebra.dim == n * (2 * n + 1)
-        assert len(model.u_indices) == n * n
-        assert len(model.q_indices) == n * n - n
-        assert len(model.p_indices) == 2 * n
-        assert model.m_dim == n * n + n
+        dim = model.algebra.dim
+        assert dim == n * (2 * n + 1)
+        assert [nm[0] for nm in model.algebra.basis_names] == (
+            ["U"] * (n * n) + ["Q"] * (n * n - n) + ["P"] * (2 * n))
+        assert model.m_indices == range(n * n, dim)
+        assert model.m_dim == n * n + n == len(model.m_indices)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_phi_is_minus_trace_with_j0(n):
+    # phi(e_x) = -Tr(j'0 rho(e_x)), j'0 = diag(0, j0), from the matrices
+    model = build_twistor_model(n)
+    j0 = {(r + 1, c + 1): p for r, row in enumerate(j0_matrix(n).rows)
+          for c, p in row}
+    want = tuple(-sum(p * mat.get((c, r), 0) for (r, c), p in j0.items())
+                 for mat in lorentz_matrices(n))
+    assert model.phi == want
+    assert sum(x != 0 for x in want) == n  # the UY diagonal
+    d, nu = model.m_dim, n * n
+    assert [[model.kks_m.entry(i, j) for j in range(d)] for i in range(d)] \
+        == [[omega_basis(model, nu + i, nu + j) for j in range(d)]
+            for i in range(d)]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
@@ -165,14 +186,17 @@ def test_orbit_form_invariant_under_both_structures(models):
         assert kks_j_invariant(model, "-")
 
 
+def minus_diagonals(model):
+    """The minus form's Gram matrix kks_m J- on its first q and first p
+    diagonal entries (None for q at n = 1, which has no q directions)."""
+    gram, nq = model.kks_m @ model.j_m["-"], model.n * model.n - model.n
+    return (gram.entry(0, 0) if nq else None), gram.entry(nq, nq)
+
+
 def test_positivity_split(models):
     for n, model in models.items():
-        rep = positivity_report(model)
-        assert rep.minus_positive
-        assert not rep.plus_positive
-        assert rep.plus_witness == ("P_1", F(-2))
-        assert rep.q_diag == 8 or n == 1  # no q directions at n = 1
-        assert rep.p_diag_minus == 2
+        assert positivity_report(model) == (True, False, ["P_1", "-2"])
+        assert minus_diagonals(model) == ((8 if n > 1 else None), 2)
 
 
 def test_closed_form_on_boost_pairs(models):
@@ -228,7 +252,7 @@ def test_fibre_pairs_project_to_zero(models):
     for n in (2, 3):
         model = models[n]
         nminus = twistor_nijenhuis(model, "-")
-        nq = len(model.q_indices)
+        nq = n * n - n
         for a in range(nq):
             for b in range(nq):
                 assert not any(nminus.of_basis(a, b))
@@ -248,14 +272,13 @@ def test_nijenhuis_matches_definitional_route(models, n, sign):
 
 def test_claims_bundle():
     tc = twistor_claims(2)
-    assert tc.plus_integrable
-    assert tc.minus_image_dim == 6 == tc.m_dim
-    assert tc.p_pairs_fill_q
-    assert tc.kks_invariant_plus and tc.kks_invariant_minus
-    assert tc.minus_positive and not tc.plus_positive
-    assert tc.plus_witness == ("P_1", F(-2))
-    tc1 = twistor_claims(1)
-    assert tc1.minus_image_dim == 0
+    assert tc["plus_integrable"]
+    assert tc["minus_image_dim"] == 6 == tc["m_dim"]
+    assert tc["p_pairs_fill_q"]
+    assert tc["kks_invariant_plus"] and tc["kks_invariant_minus"]
+    assert tc["minus_positive"] and not tc["plus_positive"]
+    assert tc["plus_witness"] == ["P_1", "-2"]
+    assert twistor_claims(1)["minus_image_dim"] == 0
 
 
 def test_claims_bundle_at_n5():
@@ -264,11 +287,21 @@ def test_claims_bundle_at_n5():
     model = build_twistor_model(5)
     assert model.algebra.dim == 55 and model.m_dim == 30
     tc = twistor_claims(5)
-    assert tc.plus_integrable
-    assert tc.minus_image_dim == 30 == tc.m_dim
-    assert tc.p_pairs_fill_q
-    assert tc.kks_invariant_plus and tc.kks_invariant_minus
-    assert tc.minus_positive and not tc.plus_positive
-    assert tc.plus_witness == ("P_1", F(-2))
-    rep = positivity_report(model)
-    assert (rep.q_diag, rep.p_diag_minus) == (8, 2)
+    assert tc["dim"] == 55
+    assert tc["plus_integrable"]
+    assert tc["minus_image_dim"] == 30 == tc["m_dim"]
+    assert tc["p_pairs_fill_q"]
+    assert tc["kks_invariant_plus"] and tc["kks_invariant_minus"]
+    assert tc["minus_positive"] and not tc["plus_positive"]
+    assert tc["plus_witness"] == ["P_1", "-2"]
+    assert minus_diagonals(model) == (8, 2)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_claims_are_the_json_entry(n, capsys):
+    # `twistor --report json` prints {**twistor_claims(n), "checks_pass"}
+    claims = twistor_claims(n)
+    pretty_json(claims)
+    assert main(["twistor", "--n", str(n), "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        {**claims, "checks_pass": True}]
