@@ -230,7 +230,9 @@ def _cmd_twistor(args) -> int:
     if args.report == "json":
         print(pretty_json(payloads))
     if args.timings:
-        print(f"elapsed: {int((time.monotonic() - t0) * 1000)} ms")
+        # stdout under --report json stays one JSON document
+        print(f"elapsed: {int((time.monotonic() - t0) * 1000)} ms",
+              file=sys.stderr if args.report == "json" else sys.stdout)
     return 0 if ok else 3
 
 

@@ -79,9 +79,10 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
-from .nijenhuis import DistributionReport, Tensor3, combine
+from .nijenhuis import DistributionReport
 from .record import Record
 from .symp import SymplecticTriple
+from .tensor import Tensor3, combine
 
 # a connection is the tensor (x, y) -> Gamma(x, y)
 Connection = Tensor3

@@ -12,9 +12,11 @@ full report and cross-checks every identity the tensor must satisfy;
 any mismatch raises InternalInvariantViolation rather than returning a
 silently wrong answer.
 
-N is a `Tensor3` (module `tensor`, re-exported here), composed from the
-algebra's bracket tensor with the int operations of that class; two
-tensors with equal values compare equal.
+N is a `Tensor3` (module `tensor`, re-exported here), built by
+`nijenhuis_of` in one pass over the bracket's stored pairs: each pair
+adds its four terms in ints over c.den D^2, J = Q / D, and one
+`Tensor3.from_ints` reduces the sums. Two tensors with equal values
+compare equal.
 
 The identity checks and |N|^2 are int contractions of whole tensors, not
 loops over basis pairs and triples. T(Jx, y) = -J T(x, y) is
@@ -29,13 +31,14 @@ to both `norm_sq` (through `classify`) and the nabla J pairing
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, complement, nullspace_of
 from .record import Record
 from .symp import SymplecticTriple
-from .tensor import IntRows, Tensor3, combine  # IntRows only re-exported
+from .tensor import IntRows, Tensor3  # IntRows only re-exported
 
 
 def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
@@ -45,12 +48,42 @@ def nijenhuis_tensor(t: SymplecticTriple) -> Tensor3:
 
 def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
     """N(x, y) = [Jx, Jy] - J[Jx, y] - J[x, Jy] - [x, y] for the bracket
-    tensor C and J = j: with A(x, y) = [x, Jy], [Jx, Jy] is A with J
-    also put into the first slot, and J[Jx, y] = -J A(y, x)."""
-    a = c.map_second(j)
-    ja = a.map_values(j)
-    both = a.map_first(j)
-    return combine([(1, both), (1, ja.swapped()), (-1, ja), (-1, c)])
+    tensor C and J = Q / D, in one pass over C's stored pairs. A stored
+    [e_a, e_b] = r / c.den with Jr = Qr / D feeds, over c.den D^2,
+
+        Q_ai Q_bj r  at (i, j)  for Q_ai in J's row a, Q_bj in its row b
+        -Q_ai Qr     at (i, b)  (J[Je_i, e_b] holds Q_ai J[e_a, e_b])
+        -Q_bj Qr     at (a, j)
+        -D^2 r       at (a, b),
+
+    and one `Tensor3.from_ints` reduces the sums. Neither J^2 = -1 nor
+    the antisymmetry of C is used."""
+    dim, d2 = c.dim, j.den * j.den
+    jrows, cols = j.rows, j.transpose().rows
+    num: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * dim)
+    for (a, b), r in c.rows.items():
+        qr = [0] * dim
+        for m, p in r:
+            for k, q in cols[m]:
+                qr[k] += q * p
+        qr = [(k, p) for k, p in enumerate(qr) if p]
+        jb = jrows[b]
+        for i, qa in jrows[a]:
+            for jj, qb in jb:
+                v, f = num[(i, jj)], qa * qb
+                for k, p in r:
+                    v[k] += f * p
+            v = num[(i, b)]
+            for k, p in qr:
+                v[k] -= qa * p
+        for jj, qb in jb:
+            v = num[(a, jj)]
+            for k, p in qr:
+                v[k] -= qb * p
+        v = num[(a, b)]
+        for k, p in r:
+            v[k] -= d2 * p
+    return Tensor3.from_ints(dim, c.den * d2, num)
 
 
 def image_distribution(n: Tensor3) -> Subspace:

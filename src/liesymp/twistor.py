@@ -219,7 +219,8 @@ def _check_representation(g: LieAlgebra, n: int,
     are linearly independent (`echelon` rank = dim), the table is
     antisymmetric, and D [rho(e_x), rho(e_y)] = sum of p rho(e_k) over the
     stored (k, p) of (x, y) for every x < y that share a Lorentz index or
-    are stored (elements that share none commute). So rho is an injective
+    are stored (elements that share none commute), in (x, y) order, each
+    residual summed only at the entries it touches. So rho is an injective
     homomorphism: the bracket satisfies Jacobi, and its constants are
     so(1, 2n)'s in this basis. A failure names the basis pair and the
     residual: [e_x, e_y] + [e_y, e_x] in the basis, or the commutator
@@ -253,25 +254,32 @@ def _check_representation(g: LieAlgebra, n: int,
         raise InternalInvariantViolation(
             f"{g.name} bracket is not antisymmetric on basis pair "
             f"({names[x]}, {names[y]}): residual {resid}")
-    for x, y in ((x, y) for x in range(dim) for y in range(x + 1, dim)
-                 if rho[x].keys() & rho[y].keys() or (x, y) in table):
-        row = table.get((x, y), ())
-        res = [0] * (size * size)  # entry (i, j) at i * size + j
+    near: list[set[int]] = [set() for _ in eta]  # index -> elements on it
+    for x, m in enumerate(rho):
+        for i in m:
+            near[i].add(x)
+    pairs = {(x, y) for x, m in enumerate(rho) for i in m for y in near[i]
+             if x < y}
+    pairs.update(xy for xy in table if xy[0] < xy[1])
+    for x, y in sorted(pairs):
+        res: dict[int, int] = {}  # entry (i, j) at i * size + j
         for a, b, f in ((x, y, big), (y, x, -big)):
             right = rho[b]
             for i, r in rho[a].items():
                 for j, v in r:
                     for k, w in right.get(j, ()):
-                        res[i * size + k] += f * v * w
-        for k, p in row:
+                        ik = i * size + k
+                        res[ik] = res.get(ik, 0) + f * v * w
+        for k, p in table.get((x, y), ()):
             for i, r in rho[k].items():
                 for j, v in r:
-                    res[i * size + j] -= p * v
-        if any(res):
+                    ij = i * size + j
+                    res[ij] = res.get(ij, 0) - p * v
+        if any(res.values()):
             resid = {f"M_{c}_{d}": str(Fraction(res[c * size + d] * eta[d],
                                                 big))
                      for c in range(size) for d in range(c + 1, size)
-                     if res[c * size + d]}
+                     if res.get(c * size + d)}
             raise InternalInvariantViolation(
                 f"{g.name} bracket is not the commutator of its Lorentz "
                 f"matrices on basis pair ({names[x]}, {names[y]}): "

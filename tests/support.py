@@ -28,6 +28,7 @@ from liesymp.errors import CocycleViolation, JacobiViolation
 from liesymp.linalg import echelon, int_vector, qof
 from liesymp.nspace import build_constraint_rows
 from liesymp.symp import first_slots
+from liesymp.tensor import combine
 
 _LAMBDAS = [Fraction(1), Fraction(-1), Fraction(1, 2),
             Fraction(-1, 2), Fraction(2), Fraction(-2), Fraction(1, 3)]
@@ -280,6 +281,37 @@ def dense_operators(t: SymplecticTriple, conn) -> list[list[Matrix]]:
     return out
 
 
+# -- the composed Nijenhuis route, as an oracle for the one-pass kernel
+
+
+def composed_nijenhuis(c: Tensor3, j: Matrix) -> Tensor3:
+    """N(x, y) = [Jx, Jy] - J[Jx, y] - J[x, Jy] - [x, y] composed from
+    `Tensor3` operations: with A(x, y) = [x, Jy], [Jx, Jy] is A with J
+    also put into the first slot, and J[Jx, y] = -J A(y, x). The route
+    `nijenhuis_of` took before it became one pass over C's pairs."""
+    a = c.map_second(j)
+    ja = a.map_values(j)
+    both = a.map_first(j)
+    return combine([(1, both), (1, ja.swapped()), (-1, ja), (-1, c)])
+
+
+def definitional_nijenhuis(c: Tensor3, j: Matrix) -> dict:
+    """(a, b) -> N(e_a, e_b) for every basis pair, straight from the
+    definition with `Tensor3.of_vectors` and `Matrix.apply`. Unlike
+    `composed_nijenhuis` it reads [Jx, y] and [x, Jy] each from its own
+    slot order, so C need not be antisymmetric."""
+    basis = Matrix.identity(c.dim).entries
+    out = {}
+    for a, x in enumerate(basis):
+        jx = j.apply(x)
+        for b, y in enumerate(basis):
+            jy = j.apply(y)
+            terms = (c.of_vectors(jx, jy), j.apply(c.of_vectors(jx, y)),
+                     j.apply(c.of_vectors(x, jy)), c.of_vectors(x, y))
+            out[(a, b)] = tuple(p - q - r - s for p, q, r, s in zip(*terms))
+    return out
+
+
 # -- the definitional twistor route, as an oracle for the m-projected kernel
 
 
@@ -287,8 +319,8 @@ def definitional_twistor_n(model, sign: str) -> dict:
     """(a, b) -> N(A, B) for every pair of m-coordinates (q then p), by
     the definition on the full so(1,2n): J extended by zero on u(n) as a
     dim x dim Matrix, read off the basis names (QX_ab -> QY_ab -> -QX_ab,
-    P_i -> +-P_{n+i} -> -+P_i), N from `bracket_vec` and `Matrix.apply`,
-    then the u-components dropped. The route the library took before its
+    P_i -> +-P_{n+i} -> -+P_i), N by `definitional_nijenhuis`, then the
+    u-components dropped. The route the library took before its
     twistor tensor ran on the shared kernel."""
     g, n = model.algebra, model.n
     pos = {nm: i for i, nm in enumerate(g.basis_names)}
@@ -308,19 +340,9 @@ def definitional_twistor_n(model, sign: str) -> dict:
     j = Matrix.from_rows(rows)
     m_idx = [k for k, nm in enumerate(g.basis_names) if nm[0] == "Q"]
     m_idx += [k for k, nm in enumerate(g.basis_names) if nm[0] == "P"]
-    basis = Matrix.identity(g.dim).entries
-    out = {}
-    for ia, a in enumerate(m_idx):
-        x, jx = basis[a], j.apply(basis[a])
-        for ib, b in enumerate(m_idx):
-            y, jy = basis[b], j.apply(basis[b])
-            terms = (g.bracket_vec(jx, jy),
-                     tuple(-c for c in j.apply(g.bracket_vec(jx, y))),
-                     tuple(-c for c in j.apply(g.bracket_vec(x, jy))),
-                     tuple(-c for c in g.bracket_vec(x, y)))
-            val = [sum(cs, Fraction(0)) for cs in zip(*terms)]
-            out[(ia, ib)] = tuple(val[k] for k in m_idx)
-    return out
+    full = definitional_nijenhuis(g.bracket, j)
+    return {(ia, ib): tuple(full[(a, b)][k] for k in m_idx)
+            for ia, a in enumerate(m_idx) for ib, b in enumerate(m_idx)}
 
 
 # -- the Lorentz-matrix route, as an oracle for the closed-form bracket

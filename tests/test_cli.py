@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -441,6 +442,20 @@ def test_twistor_sign_filter_and_json(capsys):
     assert payload[0]["minus_image_dim"] == 6
     assert payload[0]["checks_pass"] is True
     assert payload[0]["plus_witness"] == ["P_1", "-2"]
+
+
+def test_twistor_json_timings_keep_stdout_json(capsys):
+    # the elapsed line goes to stderr, so stdout still parses as JSON;
+    # text mode keeps it on stdout
+    assert main(["twistor", "--n", "1", "--report", "json",
+                 "--timings"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)[0]["checks_pass"] is True
+    assert re.fullmatch(r"elapsed: \d+ ms\n", captured.err)
+    assert main(["twistor", "--n", "1", "--timings"]) == 0
+    captured = capsys.readouterr()
+    assert re.search(r"\nelapsed: \d+ ms\n\Z", captured.out)
+    assert captured.err == ""
 
 
 TWISTOR_TEXT = (

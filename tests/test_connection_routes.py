@@ -21,7 +21,7 @@ from liesymp import (Analysis, DistributionReport, Matrix, Subspace,
                      torsion_recovers_nijenhuis)
 from liesymp.connections import _parallel
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
-from liesymp.nijenhuis import combine
+from liesymp.tensor import combine
 from support import (col, definitional_parallel, dense_conjugate,
                      dense_endo, from_dense, image_under, pivot_contains,
                      pointwise_parallelism,

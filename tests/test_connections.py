@@ -9,7 +9,7 @@ from liesymp import (Analysis, Matrix, SymplecticTriple, build_rank_example,
                      symplectic_connection, torsion,
                      torsion_recovers_nijenhuis)
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
-from liesymp.nijenhuis import combine
+from liesymp.tensor import combine
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
                      definitional_parallel, dense_conjugate, diag,
                      from_dense)

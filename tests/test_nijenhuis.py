@@ -2,13 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from liesymp import (Analysis, Matrix, Subspace, SymplecticTriple,
-                     build_rank_example, check_tensor_identities, classify,
-                     image_distribution, is_involutive, kernel_distribution,
-                     nijenhuis_tensor, norm_sq)
+                     build_rank_example, build_twistor_model,
+                     check_tensor_identities, classify, image_distribution,
+                     is_involutive, kernel_distribution, nijenhuis,
+                     nijenhuis_tensor, norm_sq, tensor)
 from liesymp.errors import InternalInvariantViolation
-from support import (conjugated_triple, dense_conjugate, image_under,
+from liesymp.nijenhuis import nijenhuis_of
+from liesymp.tensor import Tensor3
+from liesymp.twistor import twistor_nijenhuis
+from support import (composed_nijenhuis, conjugated_triple, dense_conjugate,
+                     definitional_nijenhuis, image_under,
                      pairwise_is_involutive)
 
 F = Fraction
@@ -177,3 +183,112 @@ def test_classify_rejects_a_metric_other_than_omega_j(catalog):
                            "symplectic complements of im N disagree$"):
             classify(bad, a.n)
     assert proper == 8
+
+
+# -- the one-pass kernel against the composed route --------------------
+
+
+def _rank_examples(max_dim: int):
+    patterns = [(True, True), (True, False), (False, True), (False, False)]
+    for n in range(2, max_dim // 2 + 1):
+        for k in range(n + 1):
+            if (n, k) == (2, 2):
+                continue
+            for flags in (patterns if 0 < k < n else [(None, None)]):
+                yield f"rank({n},{k},{flags})", build_rank_example(n, k,
+                                                                   *flags)
+
+
+def test_one_pass_n_matches_composed_on_catalog_rank_and_dense(
+        extended_catalog):
+    triples = dict(extended_catalog)
+    triples.update(_rank_examples(12))
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        triples[f"dense({n},{k})"] = dense_conjugate(
+            build_rank_example(n, k, *flags), random.Random(f"n:{n}:{k}"))
+    dens = set()
+    for name, t in triples.items():
+        got = nijenhuis_tensor(t)
+        assert got == composed_nijenhuis(t.algebra.bracket, t.j), name
+        dens.add(t.j.den > 1)
+    assert dens == {True, False}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_one_pass_n_matches_composed_on_twistor(n):
+    model = build_twistor_model(n)
+    for sign in ("+", "-"):
+        assert twistor_nijenhuis(model, sign) == composed_nijenhuis(
+            model.bracket_m, model.j_m[sign]), (n, sign)
+
+
+@st.composite
+def _bracket_and_j(draw):
+    """An int bracket tensor over a small denominator and a rational J
+    with den > 1 and J^2 != -1. Half the brackets are antisymmetric; the
+    others store any pairs, the diagonal too."""
+    dim = draw(st.integers(1, 5))
+    ints = st.integers(-4, 4)
+    antisymmetric = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                    st.integers(0, dim - 1)),
+                          max_size=8, unique=True))
+    num = {}
+    for a, b in pairs:
+        v = draw(st.lists(ints, min_size=dim, max_size=dim))
+        if not antisymmetric:
+            num[(a, b)] = v
+        elif a != b:
+            num[(a, b)], num[(b, a)] = v, [-x for x in v]
+    c = Tensor3.from_ints(dim, draw(st.sampled_from([1, 2, 6])), num)
+    j = Matrix.from_ints(draw(st.sampled_from([2, 3, 4, 6])),
+                         [draw(st.lists(ints, min_size=dim, max_size=dim))
+                          for _ in range(dim)])
+    assume(j.den > 1 and j @ j != -Matrix.identity(dim))
+    return c, j
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_bracket_and_j())
+def test_one_pass_n_on_drawn_tensors(cj):
+    # the one pass uses neither J^2 = -1 nor antisymmetry; the composed
+    # route reads J[Jx, y] as -J[y, Jx], so it needs the latter
+    c, j = cj
+    got = nijenhuis_of(c, j)
+    want = definitional_nijenhuis(c, j)
+    assert {ab: got.of_basis(*ab) for ab in want} == want
+    if c == -c.swapped():
+        assert got == composed_nijenhuis(c, j)
+
+
+def test_n_is_one_from_ints_and_no_composition(monkeypatch, catalog):
+    model = build_twistor_model(3)
+    model.bracket_m, model.j_m  # cached before counting
+    calls = dict.fromkeys(("map_second", "map_values", "map_first",
+                           "combine", "from_ints"), 0)
+
+    def counting(name, f):
+        def g(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return g
+
+    for name in ("map_second", "map_values", "map_first"):
+        monkeypatch.setattr(Tensor3, name,
+                            counting(name, getattr(Tensor3, name)))
+    monkeypatch.setattr(Tensor3, "from_ints",
+                        staticmethod(counting("from_ints", Tensor3.from_ints)))
+    for module in (nijenhuis, tensor):
+        # nijenhuis imports no combine; patched anyway, so one it gained
+        # would be counted
+        monkeypatch.setattr(module, "combine",
+                            counting("combine", tensor.combine),
+                            raising=False)
+    for compute in (lambda: nijenhuis_tensor(catalog["ex1"]),
+                    lambda: twistor_nijenhuis(model, "+"),
+                    lambda: twistor_nijenhuis(model, "-")):
+        calls.update(dict.fromkeys(calls, 0))
+        compute()
+        assert calls == {"map_second": 0, "map_values": 0, "map_first": 0,
+                         "combine": 0, "from_ints": 1}

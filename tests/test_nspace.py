@@ -176,7 +176,7 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
     # bumped. Triples: the extended catalog and two with a dense J.
     import random
     from itertools import combinations
-    from liesymp.nijenhuis import combine
+    from liesymp.tensor import combine
     from support import (dense_conjugate, full_row_contains_tensor,
                          full_rows)
     rng = random.Random(20261020)
@@ -209,7 +209,7 @@ def test_membership_equals_the_full_constraint_system(extended_catalog):
 def test_membership_rejects_a_diagonal_value(catalog):
     # N plus t(e_i, e_i) = e_k alone: no pair coordinate moves, so only
     # the antisymmetry check on the stored values can see it
-    from liesymp.nijenhuis import combine
+    from liesymp.tensor import combine
     from support import full_row_contains_tensor
     for name in ("ex1", "dim6"):
         t = catalog[name]

@@ -94,8 +94,14 @@ COMMUTATOR = ("so(1,4) bracket is not the commutator of its Lorentz "
     # Lorentz index and commute
     ({(3, 6): ((7, 2),), (6, 3): ((7, -2),)},
      COMMUTATOR + "(UY_2_2, P_1): residual {'M_0_2': '-1'}"),
+    # both of the edits above: the message names the first pair in
+    # (x, y) order, a stored pair of disjoint elements before one that
+    # shares a Lorentz index
+    ({(6, 7): ((0, 1), (4, -1)), (7, 6): ((0, -1), (4, 1)),
+      (3, 6): ((7, 2),), (6, 3): ((7, -2),)},
+     COMMUTATOR + "(UY_2_2, P_1): residual {'M_0_2': '-1'}"),
 ], ids=["flipped_constant", "dropped_bracket", "not_antisymmetric",
-        "disjoint_elements"])
+        "disjoint_elements", "two_broken_pairs"])
 def test_representation_check_trips_on_an_edited_table(monkeypatch, edit,
                                                        message):
     # the matrix check is the runtime second route to the closed form
