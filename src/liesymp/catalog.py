@@ -24,8 +24,8 @@ from typing import Optional
 
 from .errors import (BadNumber, NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
-from .lie import validate
-from .linalg import Matrix, brief, int_vector, qof
+from .lie import LieAlgebra, _check_jacobi, antisymmetric, validate
+from .linalg import Matrix, brief, int_vector, nullspace_of, qof
 from .symp import (SymplecticTriple, _check_cocycle, build_triple,
                    standard_j, standard_omega)
 
@@ -185,17 +185,19 @@ def character_extension(t: SymplecticTriple, xi=None) -> SymplecticTriple:
 
     Both new directions land in im N (N(u, c) = -xi(Ju) c + xi(u) d), so
     this bumps dim and dim im N by 2 each and keeps the involutivity
-    pattern. With xi omitted, the canonical character (first RREF basis
-    vector of the annihilator of [g, g]) is used.
+    pattern. With xi omitted, `g.characters()[0]` is used, read in ints:
+    [g, g]'s first `nullspace_of` vector over its last nonzero entry (> 0).
     """
     g = t.algebra
     n = g.dim
     if xi is None:
-        chars = g.characters()
+        chars = nullspace_of(map(dict, g.derived_subalgebra().basis.rows), n)
         if not chars:
             raise PerfectAlgebra(f"{g.name} has no nonzero characters")
-        xi = chars[0]
-    dx, xs = int_vector(xi)
+        xs = chars[0]
+        dx = next(x for x in reversed(xs) if x)
+    else:
+        dx, xs = int_vector(xi)
     if len(xs) != n:
         raise ValueError("character has wrong length")
     if not any(xs):
@@ -206,22 +208,22 @@ def character_extension(t: SymplecticTriple, xi=None) -> SymplecticTriple:
         raise NotACharacter("functional does not vanish on [g, g]")
     pair = _fresh_pair(g.basis_names, "c", "d")
     return _extended(t, f"{g.name}_ext", pair, {
-        (i, n): {n + 1: Fraction(-x, dx)} for i, x in enumerate(xs) if x})
+        (i, n): [(n + 1, (-x, dx))] for i, x in enumerate(xs) if x})
 
 
 def _extended(t: SymplecticTriple, name: str, pair: tuple[str, str],
               extra: dict) -> SymplecticTriple:
     """t with two basis vectors `pair` added, omega = 1 and J a rotation
-    on their plane, and the brackets `extra` added to g's (read off its
-    int rows). Only the checks the new brackets can break run: Jacobi
-    (`validate`) and the 2-cocycle. Skewness, det != 0, J^2 = -1,
-    compatibility and positivity of diag(A, plane) follow from those of
-    A."""
-    g = t.algebra
-    den, rows = g.bracket.den, g.bracket.rows
-    table = {ij: {k: Fraction(p, den) for k, p in rows[ij]}
-             for ij in g.pairs()}
-    g2 = validate(name, g.dim + 2, g.basis_names + pair, {**table, **extra})
+    on their plane, and the `antisymmetric` rows `extra` added to g's
+    stored ints. Only the checks the new brackets can break run: Jacobi
+    and the 2-cocycle. Skewness, det != 0, J^2 = -1, compatibility and
+    positivity of diag(A, plane) follow from those of A."""
+    g, den = t.algebra, t.algebra.bracket.den
+    table = {ij: [(k, (p, den)) for k, p in r]
+             for ij, r in g.bracket.rows.items() if ij[0] < ij[1]}
+    g2 = LieAlgebra(name, g.basis_names + pair,
+                    antisymmetric(g.dim + 2, {**table, **extra}))
+    _check_jacobi(g2)
     plane = Matrix.from_rows([[0, 1], [-1, 0]])
     omega = _block2(t.omega, plane)
     _check_cocycle(g2, omega)

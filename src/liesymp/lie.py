@@ -6,7 +6,8 @@ coefficient p / D of e_k, D the least common denominator of all of them,
 for i < j and i > j alike; [e_i, e_i] is never stored. The tensor is
 canonical, so `==` and `hash` compare the constants, and tables read over
 different denominators ("2/4" and "1/2") give equal algebras. `validate`
-reads each coefficient straight into ints, and a `Fraction` is made only
+reads each coefficient straight into ints and `antisymmetric` builds the
+tensor, also for the catalog's extensions; a `Fraction` is made only
 where a value is read out (`bracket_vec`, a residual); serialization and
 `name_of_row` write the ints.
 
@@ -68,14 +69,7 @@ class LieAlgebra(Record):
                         f"bracket result index {k} out of range")
             if row:
                 ratios[(i, j)] = row
-        den = lcm(*(q for row in ratios.values() for _, (_, q) in row))
-        num = {}
-        for (i, j), row in sorted(ratios.items()):
-            v = [0] * dim
-            for k, (p, q) in row:
-                v[k] = p * (den // q)
-            num[(i, j)], num[(j, i)] = v, [-x for x in v]
-        return LieAlgebra(name, names, Tensor3.from_ints(dim, den, num))
+        return LieAlgebra(name, names, antisymmetric(dim, ratios))
 
     def pairs(self) -> list[tuple[int, int]]:
         """The pairs i < j with [e_i, e_j] != 0, ascending."""
@@ -177,6 +171,19 @@ class LieAlgebra(Record):
         for sign, t in terms[1:]:
             out += f" {sign} {t}"
         return out
+
+
+def antisymmetric(dim: int, ratios: Mapping) -> Tensor3:
+    """The bracket tensor with [e_i, e_j] = -[e_j, e_i] = sum of p / q e_k
+    over the (k, (p, q)) of ratios[(i, j)], i < j, p != 0, in ints over
+    the lcm of the q in lowest terms, pairs stored in ascending order."""
+    den = lcm(*(q // gcd(p, q)
+                for row in ratios.values() for _, (p, q) in row))
+    rows = {}
+    for (i, j), row in sorted(ratios.items()):
+        row = tuple(sorted([(k, p * den // q) for k, (p, q) in row]))
+        rows[(i, j)], rows[(j, i)] = row, tuple([(k, -p) for k, p in row])
+    return Tensor3(dim, den, rows)
 
 
 def validate(name: str, dim: int, basis_names: Sequence[str],

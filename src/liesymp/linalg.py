@@ -13,10 +13,10 @@ numerator), so `==` and `hash` compare the state, and equal matrices
 built over different denominators compare equal. Arithmetic, `apply`,
 the transpose, the trace and the predicates run in ints on that state,
 over the nonzero factors only, and a result is brought to lowest terms
-by one gcd pass that stops at 1. `entries`, the dense rows as
-`Fraction`s, is only a cached view; output is written from the ints
-(`serialization.rational_text`). Strings are read straight into ints:
-`qof`'s grammar, "p" or "p/q", is matched once.
+by one gcd pass that stops at 1. `entries` (dense `Fraction` rows) is
+only a cached view; output is written from the ints. `from_rows` reads
+an entry with one match of `qof`'s grammar, "p" or "p/q", into ints, in
+row order and before the row lengths, and skips one spelled "0" unread.
 
 Every elimination is fraction-free on sparse int rows. `_bareiss`, for
 `det` and the Sylvester check, eliminates column by column, dividing
@@ -69,18 +69,9 @@ def brief(x) -> str:
 
 
 def _ratio(x) -> tuple[int, int]:
-    """(p, q), q > 0 and x = p / q, not always in lowest terms, for the
-    values `qof` accepts; refuses what it refuses."""
+    """(p, q), q > 0 and x = p / q not always reduced, as `qof` reads x."""
     if type(x) is int:
         return x, 1
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator
-    if isinstance(x, float):
-        raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
-    if isinstance(x, bool):
-        raise TypeError(f"refusing to read the boolean {x!r} as a number")
-    if isinstance(x, int):
-        return int(x), 1
     if isinstance(x, str):
         m = _RATIONAL.fullmatch(x)
         if not m:
@@ -93,6 +84,14 @@ def _ratio(x) -> tuple[int, int]:
         if not q:
             raise BadNumber(f"{brief(x)} has a zero denominator")
         return p, q
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    if isinstance(x, float):
+        raise TypeError(f"refusing to coerce float {x!r} to an exact rational")
+    if isinstance(x, bool):
+        raise TypeError(f"refusing to read the boolean {x!r} as a number")
+    if isinstance(x, int):
+        return int(x), 1
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact rational")
 
 
@@ -159,12 +158,13 @@ class Matrix(Record):
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
         """The matrix of any exact numbers, each read as `qof` reads it."""
-        ratios = [[_ratio(x) for x in r] for r in rows]
-        if len({len(r) for r in ratios}) > 1:
+        ratios = [[(j, pq) for j, x in enumerate(r)
+                   if x != "0" and (pq := _ratio(x))[0]] for r in rows]
+        if len({len(r) for r in rows}) > 1:
             raise ValueError("ragged rows")
-        den = lcm(*(q for r in ratios for _, q in r))
-        return Matrix.from_ints(den, [[p * (den // q) for p, q in r]
-                                      for r in ratios])
+        den = lcm(*(q for r in ratios for _, (_, q) in r))
+        return _canon(den, tuple(tuple((j, p * (den // q)) for j, (p, q) in r)
+                                 for r in ratios), len(rows[0]) if rows else 0)
 
     @staticmethod
     def from_ints(den: int, rows: Sequence[Sequence[int]]) -> "Matrix":

@@ -1,9 +1,11 @@
 """JSON schemas and exact round-tripping.
 
 Every number is serialized as the string str(Fraction) produces ("3",
-"-1/2") and parsed back in `qof`'s grammar. Floats are rejected at the
-JSON layer (parse_float hook) and at the coercion layer, so a rounding
-artifact cannot enter silently from any direction.
+"-1/2") and read back in `qof`'s grammar into ints, one match per value
+and none for a matrix entry spelled "0"; a refused value is reported
+where reading the payload in file order first meets it. Floats are
+rejected at the JSON layer (parse_float hook) and at the coercion layer,
+so a rounding artifact cannot enter silently from any direction.
 
 Algebra payload:
     {"name": str, "dim": int, "basis": [str, ...],
@@ -40,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Iterable
 
-from .errors import SerializationError
+from .errors import LiesympError, SerializationError
 from .lie import LieAlgebra, validate
 from .linalg import Matrix, brief, qof
 from .symp import SymplecticTriple, build_triple
@@ -174,22 +176,33 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
     brackets = _field(d, "brackets")
     if not isinstance(brackets, list):
         raise SerializationError("brackets must be a list")
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for ent in brackets:
-        if not isinstance(ent, dict):
-            raise SerializationError("each bracket must be an object")
-        i, j = _field(ent, "i"), _field(ent, "j")
-        if not _is_int(i) or not _is_int(j):
-            raise SerializationError("bracket indices must be integers")
-        raw = _field(ent, "coeffs")
-        if not isinstance(raw, dict):
-            raise SerializationError("bracket coeffs must be an object")
-        coeffs = {_index_key(k): _num(v) for k, v in raw.items()}
-        key = (i, j)
-        if key in table:
-            raise SerializationError(f"duplicate bracket entry ({i}, {j})")
-        table[key] = coeffs
-    return validate(name, dim, basis, table)
+    table: dict[tuple[int, int], dict[int, Any]] = {}
+    seen = []  # each entry's coeffs object, once the entry's shape passed
+    try:
+        for ent in brackets:
+            if not isinstance(ent, dict):
+                raise SerializationError("each bracket must be an object")
+            i, j = _field(ent, "i"), _field(ent, "j")
+            if not _is_int(i) or not _is_int(j):
+                raise SerializationError("bracket indices must be integers")
+            raw = _field(ent, "coeffs")
+            if not isinstance(raw, dict):
+                raise SerializationError("bracket coeffs must be an object")
+            seen.append(raw)
+            coeffs = {_index_key(k): v for k, v in raw.items()}
+            key = (i, j)
+            if key in table:
+                raise SerializationError(f"duplicate bracket entry ({i}, {j})")
+            table[key] = coeffs
+        return validate(name, dim, basis, table)
+    except (LiesympError, TypeError, ValueError):
+        # a refused coefficient the checks above met is reported first,
+        # in `_num`'s words, each read after its key in file order
+        for raw in seen:
+            for k, v in raw.items():
+                _index_key(k)
+                _num(v)
+        raise
 
 
 def triple_to_dict(t: SymplecticTriple) -> dict:

@@ -25,7 +25,7 @@ from math import lcm
 from liesymp import (Matrix, Subspace, SymplecticTriple, Tensor3,
                      build_triple, torsion, validate)
 from liesymp.errors import CocycleViolation, JacobiViolation
-from liesymp.linalg import echelon, int_vector, qof
+from liesymp.linalg import _ratio, echelon, int_vector, qof
 from liesymp.nspace import build_constraint_rows
 from liesymp.symp import first_slots
 from liesymp.tensor import combine
@@ -167,6 +167,21 @@ def pivot_contains(s: Subspace, vec) -> bool:
             for j, p in row:
                 acc[j] = acc.get(j, 0) - c * p
     return not any(acc.values())
+
+
+# -- the dense reader, as an oracle for `Matrix.from_rows`
+
+
+def dense_from_rows(rows) -> Matrix:
+    """`Matrix.from_rows` as it read before it skipped entries spelled
+    "0": every entry parsed into a dense list of (p, q), then the ragged
+    check, then the dense ints over the lcm of every q."""
+    ratios = [[_ratio(x) for x in r] for r in rows]
+    if len({len(r) for r in ratios}) > 1:
+        raise ValueError("ragged rows")
+    den = lcm(*(q for r in ratios for _, q in r))
+    return Matrix.from_ints(den, [[p * (den // q) for p, q in r]
+                                  for r in ratios])
 
 
 # -- the Fraction Gauss-Jordan elimination, as an oracle for the library's
