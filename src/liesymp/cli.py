@@ -108,15 +108,13 @@ def _cmd_goldens(args) -> int:
 
 def _cmd_examples(args) -> int:
     # two spellings: `examples [--name X]` and `examples list|show X`
-    name = args.name
-    if args.action == "show":
-        if not args.pos_name:
-            raise _UsageError("examples show needs an entry name")
-        name = args.pos_name
-    elif args.action == "list":
-        name = None
-    elif args.action is not None:
+    if args.action not in (None, "list", "show"):
         raise _UsageError(f"unknown examples action {args.action!r}")
+    if args.action and args.name:
+        raise _UsageError(f"examples {args.action} takes no --name")
+    name = args.pos_name if args.action == "show" else args.name
+    if args.action == "show" and not name:
+        raise _UsageError("examples show needs an entry name")
     if not name:
         for entry, desc in catalog.DESCRIPTIONS.items():
             print(f"{entry:14} {desc}")
@@ -132,6 +130,8 @@ def _cmd_construct(args) -> int:
     if kind is None or target is None:
         raise _UsageError("construct needs an operation (product|character) "
                           "and a base triple (file or catalog name)")
+    if kind == "product" and args.xi is not None:
+        raise _UsageError("--xi applies to the character construction only")
     t, _ = _load_triple(target, alpha=None)
     if kind == "product":
         t2 = catalog.product_extension(t)
@@ -147,20 +147,23 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _parse_flag(v: Optional[str]) -> Optional[bool]:
-    if v is None:
-        return None
-    return {"true": True, "false": False, "y": True, "n": False}[v]
+_FLAG = {"true": True, "false": False, "y": True, "n": False, None: None}
+
+
+def _flag(args, long: str, short: str) -> Optional[bool]:
+    """A flag given as --long true|false or as --short y|n; when both
+    spellings are given they must agree."""
+    a = _FLAG[getattr(args, long.replace("-", "_"))]
+    b = _FLAG[getattr(args, short.replace("-", "_"))]
+    if None not in (a, b) and a != b:
+        raise _UsageError(f"--{long} and --{short} disagree")
+    return b if a is None else a
 
 
 def _cmd_synthesize(args) -> int:
-    inv_image = args.image_involutive if args.image_involutive is not None \
-        else args.inv_image
-    inv_perp = args.perp_involutive if args.perp_involutive is not None \
-        else args.inv_perp
-    t = catalog.build_rank_example(args.n, args.k,
-                                   _parse_flag(inv_image),
-                                   _parse_flag(inv_perp))
+    t = catalog.build_rank_example(
+        args.n, args.k, _flag(args, "image-involutive", "inv-image"),
+        _flag(args, "perp-involutive", "inv-perp"))
     _emit(pretty_json(triple_to_dict(t)), args.output)
     return 0
 

@@ -17,19 +17,17 @@ which everything on m here uses, list q then p in the same order):
     q: QX_ab (a<b), QY_ab (a<b)    with X, Y skew in [[X, Y], [Y, -X]]
     p: P_1 .. P_2n                 with P_i = E_{0i} + E_{i0}
 
-The structure constants come from a closed form, with no matrix
-product. With eta = G and M_ab = eta_b E_ab - eta_a E_ba, the basis above
-is P_i = M_0i, UX/QX_ab = M_ab +- M_{n+a,n+b}, UY_ab = M_{a,n+b} +
-M_{b,n+a} (UY_aa = M_{a,n+a}) and QY_ab = M_{a,n+b} - M_{b,n+a}, and
-
-    [M_ab, M_cd] = eta_bc M_ad - eta_ac M_bd - eta_bd M_ac + eta_ad M_bc
-
-is taken back through the inverse change of basis. The second route is
-the matrices themselves: `_check_representation` checks in ints that
-the basis matrices are linearly independent and that the table is their
-commutator, so the basis -> matrix map is an injective homomorphism.
-That implies Jacobi and pins the constants as so(1,2n)'s, with neither
-the closed form nor the change of basis.
+The structure constants are read off the matrices, certified by
+reconstruction. With eta = G and M_ab = eta_b E_ab - eta_a E_ba, the
+basis above is P_i = M_0i, UX/QX_ab = M_ab +- M_{n+a,n+b}, UY_ab =
+M_{a,n+b} + M_{b,n+a} (UY_aa = M_{a,n+a}) and QY_ab = M_{a,n+b} -
+M_{b,n+a}. `_lorentz_bracket` takes each commutator of two basis
+matrices in ints, reads it in the M_cd off its entries above the
+diagonal (the entry at (c, d) is eta_d times the M_cd coefficient), and
+takes that back through the inverse change of basis; the result must
+give back the commutator at every entry. With the basis matrices
+linearly independent, the basis -> matrix map is an injective
+homomorphism: that implies Jacobi and pins the constants as so(1,2n)'s.
 
 The invariant structures on m: both signs rotate the fibre directions the
 same way (QX_ab -> QY_ab -> -QX_ab = half the adjoint action of j'0),
@@ -56,11 +54,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Any, Literal, Optional
 
 from .errors import InternalInvariantViolation
-from .lie import LieAlgebra
+from .lie import LieAlgebra, antisymmetric
 from .linalg import IntRow, Matrix, Subspace, _canon, echelon
 from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
 from .record import Record
@@ -106,17 +103,13 @@ class TwistorModel(Record):
         their u-components dropped, over the least denominator left."""
         big, table = self.algebra.bracket.den, self.algebra.bracket.rows
         nu = self.n * self.n
-        rows = {}
+        ratios = {}
         for (a, b), row in table.items():
-            if a >= nu and b >= nu:
-                r = tuple([(k - nu, p) for k, p in row if k >= nu])
+            if nu <= a < b:
+                r = [(k - nu, (p, big)) for k, p in row if k >= nu]
                 if r:
-                    rows[(a - nu, b - nu)] = r
-        g = gcd(big, *(p for r in rows.values() for _, p in r))
-        if g > 1:
-            rows = {ab: tuple([(k, p // g) for k, p in r])
-                    for ab, r in rows.items()}
-        return Tensor3(self.m_dim, big // g, rows)
+                    ratios[(a - nu, b - nu)] = r
+        return antisymmetric(self.m_dim, ratios)
 
     @cached_property
     def j_m(self) -> dict[Sign, Matrix]:
@@ -155,150 +148,93 @@ def _basis(n: int) -> list[tuple[str, Terms]]:
     return out
 
 
-def _add(acc: dict[tuple[int, int], int], c: int, d: int, v: int) -> None:
-    """acc += v M_cd, with M_dc = -M_cd and M_cc = 0."""
-    if c < d:
-        acc[(c, d)] = acc.get((c, d), 0) + v
-    elif c > d:
-        acc[(d, c)] = acc.get((d, c), 0) - v
-
-
-def _closed_form_bracket(n: int, basis: list[tuple[str, Terms]]) -> Tensor3:
-    """so(1, 2n)'s bracket tensor on `basis`, from the closed form for
-    [M_ab, M_cd] (module docstring) taken back through the inverse change
-    of basis. Each M_cd lies in one basis element (P_i, UY_aa) or in two
-    whose 2 x 2 block [[1, 1], [1, -1]] is orthogonal with square norm 2,
-    so twice the inverse is 2 / (their number) times the transpose, and
-    the values are ints over 2. Only elements that share a Lorentz index
-    are bracketed; the others commute."""
+def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
+                     names: tuple[str, ...]) -> Tensor3:
+    """so(1, 2n)'s bracket tensor on `basis`, read off the Lorentz
+    matrices rho(e_x) = sum of s M_cd over the terms of e_x and certified
+    in the same pass, in ints. The rho(e_x) must be linearly independent
+    (`echelon` rank = dim). For every x < y that share a Lorentz index, in
+    (x, y) order (elements that share none commute), C = [rho(e_x),
+    rho(e_y)] is expanded through `twice`, the inverse change of basis,
+    and the result must give back 2C as a sum of the rho(e_k) at every
+    entry. So rho is an injective homomorphism onto so(1, 2n): the table
+    holds its structure constants and satisfies Jacobi. A failure names
+    the basis pair and the residual, 2C minus its expansion over 2, in the
+    M_cd."""
     eta = [-1] + [1] * (2 * n)
+    size, dim = len(eta), len(basis)
+    rho: list[dict[int, list[tuple[int, int]]]] = []  # i -> (j, entry)
     users: dict[tuple[int, int], list[tuple[int, int]]] = {}
     near: list[set[int]] = [set() for _ in eta]  # index -> elements on it
     for x, (_, terms) in enumerate(basis):
-        for c, d, s in terms:
-            users.setdefault((c, d), []).append((x, s))
-            near[c].add(x)
-            near[d].add(x)
-    twice = {cd: [(x, 2 * s // len(us)) for x, s in us]
-             for cd, us in users.items()}
-    rows = {}
-    for x, (_, xs) in enumerate(basis):
-        for y in sorted({y for a, b, _ in xs for y in near[a] | near[b]
-                         if y > x}):
-            acc: dict[tuple[int, int], int] = {}
-            for a, b, s in xs:
-                for c, d, t in basis[y][1]:
-                    st = s * t
-                    if b == c:
-                        _add(acc, a, d, eta[b] * st)
-                    if a == c:
-                        _add(acc, b, d, -eta[a] * st)
-                    if b == d:
-                        _add(acc, a, c, -eta[b] * st)
-                    if a == d:
-                        _add(acc, b, c, eta[a] * st)
-            out: dict[int, int] = {}
-            for cd, v in acc.items():
-                if v:
-                    for k, w in twice[cd]:
-                        out[k] = out.get(k, 0) + v * w
-            row = tuple(sorted((k, v) for k, v in out.items() if v))
-            if row:
-                rows[(x, y)] = row
-                rows[(y, x)] = tuple((k, -v) for k, v in row)
-    if any(v % 2 for row in rows.values() for _, v in row):
-        return Tensor3(len(basis), 2, rows)
-    return Tensor3(len(basis), 1, {ij: tuple((k, v // 2) for k, v in row)
-                                   for ij, row in rows.items()})
-
-
-def _check_representation(g: LieAlgebra, n: int,
-                          basis: list[tuple[str, Terms]]) -> None:
-    """Check in ints that g's bracket is the commutator of its Lorentz
-    matrices rho(e_x) = sum of s M_cd over the terms of e_x: the rho(e_x)
-    are linearly independent (`echelon` rank = dim), the table is
-    antisymmetric, and D [rho(e_x), rho(e_y)] = sum of p rho(e_k) over the
-    stored (k, p) of (x, y) for every x < y that share a Lorentz index or
-    are stored (elements that share none commute), in (x, y) order, each
-    residual summed only at the entries it touches. So rho is an injective
-    homomorphism: the bracket satisfies Jacobi, and its constants are
-    so(1, 2n)'s in this basis. A failure names the basis pair and the
-    residual: [e_x, e_y] + [e_y, e_x] in the basis, or the commutator
-    equation's over D in the M_cd."""
-    t, names, dim = g.bracket, g.basis_names, g.dim
-    table, big = t.rows, t.den
-    eta = [-1] + [1] * (2 * n)
-    size = len(eta)
-    rho: list[dict[int, list[tuple[int, int]]]] = []  # i -> (j, entry)
-    for _, terms in basis:
         rows: dict[int, list[tuple[int, int]]] = {}
         for c, d, s in terms:
             rows.setdefault(c, []).append((d, s * eta[d]))
             rows.setdefault(d, []).append((c, -s * eta[c]))
+            users.setdefault((c, d), []).append((x, s))
+            near[c].add(x)
+            near[d].add(x)
         rho.append(rows)
     rank = len(echelon({i * size + j: v for i, r in m.items() for j, v in r}
                        for m in rho))
     if rank != dim:
         raise InternalInvariantViolation(
-            f"{g.name} basis matrices are linearly dependent: rank {rank} "
+            f"{name} basis matrices are linearly dependent: rank {rank} "
             f"for dim {dim}")
-    flip = (-t.swapped()).rows
-    if table != flip:
-        x, y = min(tuple(sorted(xy)) for xy in table.keys() | flip.keys()
-                   if table.get(xy) != flip.get(xy))
-        acc: dict[int, int] = {}
-        for k, p in table.get((x, y), ()) + table.get((y, x), ()):
-            acc[k] = acc.get(k, 0) + p
-        resid = {names[k]: str(Fraction(v, big))
-                 for k, v in sorted(acc.items()) if v}
-        raise InternalInvariantViolation(
-            f"{g.name} bracket is not antisymmetric on basis pair "
-            f"({names[x]}, {names[y]}): residual {resid}")
-    near: list[set[int]] = [set() for _ in eta]  # index -> elements on it
-    for x, m in enumerate(rho):
-        for i in m:
-            near[i].add(x)
-    pairs = {(x, y) for x, m in enumerate(rho) for i in m for y in near[i]
-             if x < y}
-    pairs.update(xy for xy in table if xy[0] < xy[1])
-    for x, y in sorted(pairs):
-        res: dict[int, int] = {}  # entry (i, j) at i * size + j
-        for a, b, f in ((x, y, big), (y, x, -big)):
-            right = rho[b]
-            for i, r in rho[a].items():
-                for j, v in r:
-                    for k, w in right.get(j, ()):
-                        ik = i * size + k
-                        res[ik] = res.get(ik, 0) + f * v * w
-        for k, p in table.get((x, y), ()):
-            for i, r in rho[k].items():
-                for j, v in r:
-                    ij = i * size + j
-                    res[ij] = res.get(ij, 0) - p * v
-        if any(res.values()):
-            resid = {f"M_{c}_{d}": str(Fraction(res[c * size + d] * eta[d],
-                                                big))
-                     for c in range(size) for d in range(c + 1, size)
-                     if res.get(c * size + d)}
-            raise InternalInvariantViolation(
-                f"{g.name} bracket is not the commutator of its Lorentz "
-                f"matrices on basis pair ({names[x]}, {names[y]}): "
-                f"residual {resid}")
+    # M_cd lies in one basis element (P_i, UY_aa) or in two whose 2 x 2
+    # block [[1, 1], [1, -1]] is orthogonal with square norm 2, so twice
+    # the inverse is 2 / (their number) times the transpose, in ints
+    twice = {cd: [(x, 2 * s // len(us)) for x, s in us]
+             for cd, us in users.items()}
+    ratios = {}
+    for x, left in enumerate(rho):
+        for y in sorted({y for i in left for y in near[i] if y > x}):
+            com: dict[int, int] = {}  # C at entry (i, j) = i * size + j
+            for a, b, f in ((left, rho[y], 1), (rho[y], left, -1)):
+                for i, r in a.items():
+                    for j, v in r:
+                        for k, w in b.get(j, ()):
+                            ik = i * size + k
+                            com[ik] = com.get(ik, 0) + f * v * w
+            out: dict[int, int] = {}  # twice C in the basis
+            for ij, v in com.items():
+                c, d = divmod(ij, size)
+                if c < d and v:
+                    for k, w in twice.get((c, d), ()):
+                        out[k] = out.get(k, 0) + v * eta[d] * w
+            res = {ij: 2 * v for ij, v in com.items()}
+            for k, p in out.items():
+                for i, r in rho[k].items():
+                    for j, v in r:
+                        ij = i * size + j
+                        res[ij] = res.get(ij, 0) - p * v
+            if any(res.values()):
+                resid = {f"M_{c}_{d}": str(Fraction(res[c * size + d]
+                                                    * eta[d], 2))
+                         for c in range(size) for d in range(c + 1, size)
+                         if res.get(c * size + d)}
+                raise InternalInvariantViolation(
+                    f"{name} bracket is not the commutator of its Lorentz "
+                    f"matrices on basis pair ({names[x]}, {names[y]}): "
+                    f"residual {resid}")
+            row = [(k, (p, 2)) for k, p in out.items() if p]
+            if row:
+                ratios[(x, y)] = row
+    return antisymmetric(dim, ratios)
 
 
 def build_twistor_model(n: int) -> TwistorModel:
     """Construct so(1, 2n) with its orbit potential phi. The structure
-    constants come from the closed form (`_closed_form_bracket`); the
-    second route to them is the bracket of so(1, 2n)'s own matrices
-    (`_check_representation`), which implies Jacobi."""
+    constants are read off so(1, 2n)'s own matrices and certified in the
+    same pass (`_lorentz_bracket`)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     basis = _basis(n)
     names = tuple(nm for nm, _ in basis)
     dim = len(names)
     assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
-    g = LieAlgebra(f"so(1,{2*n})", names, _closed_form_bracket(n, basis))
-    _check_representation(g, n, basis)
+    name = f"so(1,{2*n})"
+    g = LieAlgebra(name, names, _lorentz_bracket(name, n, basis, names))
     # phi(e_x) = -Tr(j'0 rho(e_x)), where Tr(j'0 M_cd) = 2 if d = n + c
     # with 1 <= c <= n, and 0 otherwise: only the UY diagonal has phi
     phi = tuple(-2 * sum(s for c, d, s in terms if 1 <= c <= n and d == n + c)

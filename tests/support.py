@@ -360,7 +360,7 @@ def definitional_twistor_n(model, sign: str) -> dict:
             for ia, a in enumerate(m_idx) for ib, b in enumerate(m_idx)}
 
 
-# -- the Lorentz-matrix route, as an oracle for the closed-form bracket
+# -- the Lorentz-matrix route, as an oracle for the so(1,2n) bracket
 
 Sparse = dict[tuple[int, int], int]  # (row, col) -> value, matrix entries
 
@@ -440,9 +440,11 @@ def _expand_in_basis(m: Sparse, n: int, pos: dict[str, int]) -> dict[int, int]:
 
 
 def matrix_twistor_algebra(model):
-    """`model`'s so(1,2n) rebuilt the way the library built it before the
-    closed form: every bracket a commutator of Lorentz matrices, expanded
-    back into the basis, checked by reconstruction, then `validate`d."""
+    """`model`'s so(1,2n) rebuilt from the hand-written matrices of
+    `lorentz_matrices` and the hand-written expansion `_expand_in_basis`,
+    neither of which reads `twistor._basis` or its inverse change of
+    basis: every bracket a commutator, expanded back into the basis,
+    checked by reconstruction, then `validate`d."""
     g, n = model.algebra, model.n
     mats = lorentz_matrices(n)
     pos = {nm: i for i, nm in enumerate(g.basis_names)}

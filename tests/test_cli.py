@@ -433,6 +433,28 @@ def test_synthesize_short_flag_spellings(capsys):
     assert payload["dim"] == 6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "product", "ex2", "--xi", "1,0,0,0"],
+     "--xi applies to the character construction only"),
+    (["synthesize", "--n", "3", "--k", "1", "--image-involutive", "true",
+      "--inv-image", "n"],
+     "--image-involutive and --inv-image disagree"),
+    (["synthesize", "--n", "3", "--k", "1", "--inv-perp", "y",
+      "--perp-involutive", "false"],
+     "--perp-involutive and --inv-perp disagree"),
+    (["examples", "show", "ex1", "--name", "ex2"],
+     "examples show takes no --name"),
+    (["examples", "list", "--name", "ex2"], "examples list takes no --name"),
+], ids=["product_with_xi", "conflicting_flag_spellings",
+        "conflicting_perp_spellings", "show_with_name", "list_with_name"])
+def test_arguments_a_command_would_ignore_are_usage_errors(argv, message,
+                                                           capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_twistor_sign_filter_and_json(capsys):
     assert main(["twistor", "--n", "2", "--sign", "+"]) == 0
     out = capsys.readouterr().out

@@ -1,16 +1,15 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from liesymp import (LieAlgebra, Matrix, build_twistor_model, twistor,
-                     twistor_claims)
+from liesymp import Matrix, build_twistor_model, twistor, twistor_claims
 from liesymp.cli import main
 from liesymp.errors import InternalInvariantViolation
 from liesymp.lie import _check_jacobi
 from liesymp.nijenhuis import image_distribution
 from liesymp.serialization import pretty_json
-from liesymp.tensor import Tensor3
 from liesymp.twistor import (p_pairs_span_q, positivity_report,
                              twistor_nijenhuis)
 from support import (bracket_basis, definitional_twistor_n, j0_matrix,
@@ -54,6 +53,9 @@ def test_phi_is_minus_trace_with_j0(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_closed_form_matches_matrix_commutators(n):
+    # the second route to the constants: hand-written Lorentz matrices and
+    # expansion in `support`, independent of `_basis` and its inverse
+    # change of basis; the opposite algebra (-t) fails here
     model = build_twistor_model(n)
     assert model.algebra == matrix_twistor_algebra(model)
 
@@ -70,84 +72,71 @@ def test_so_1_2_by_hand():
     assert omega_basis(model, 1, 2) == -2
 
 
-# so(1,4) in basis order: UX_1_2, UY_1_1, UY_1_2, UY_2_2, QX_1_2, QY_1_2,
-# P_1 .. P_4, with the table over D = 2; [P_1, P_2] = M_12 is stored as
-# (UX_1_2 + QX_1_2) / 2, i.e. {(6, 7): ((0, 1), (4, 1))}
-COMMUTATOR = ("so(1,4) bracket is not the commutator of its Lorentz "
-              "matrices on basis pair ")
+def _edited_basis(monkeypatch, name, terms):
+    """Give basis element `name` the Lorentz terms `terms` in every
+    `_basis(n)` that `build_twistor_model` reads."""
+    basis = twistor._basis
+
+    def edited(n):
+        out = basis(n)
+        x = [nm for nm, _ in out].index(name)
+        out[x] = (name, terms(out))
+        return out
+
+    monkeypatch.setattr(twistor, "_basis", edited)
 
 
-@pytest.mark.parametrize("edit, message", [
-    # flip the sign of QX_1_2 in [P_1, P_2]: the residual is
-    # M_12 - (UX_1_2 - QX_1_2) / 2 = M_12 - M_34
-    ({(6, 7): ((0, 1), (4, -1)), (7, 6): ((0, -1), (4, 1))},
-     COMMUTATOR + "(P_1, P_2): residual {'M_1_2': '1', 'M_3_4': '-1'}"),
-    # drop [P_1, P_2]: a pair that shares a Lorentz index is checked even
-    # with no stored row
-    ({(6, 7): None, (7, 6): None},
-     COMMUTATOR + "(P_1, P_2): residual {'M_1_2': '1'}"),
-    # [P_2, P_1] = -[P_1, P_2] + QX_1_2 / 2
-    ({(7, 6): ((0, -1),)},
-     "so(1,4) bracket is not antisymmetric on basis pair (P_1, P_2): "
-     "residual {'QX_1_2': '1/2'}"),
-    # [UY_2_2, P_1] = P_2, though UY_2_2 = M_24 and P_1 = M_01 share no
-    # Lorentz index and commute
-    ({(3, 6): ((7, 2),), (6, 3): ((7, -2),)},
-     COMMUTATOR + "(UY_2_2, P_1): residual {'M_0_2': '-1'}"),
-    # both of the edits above: the message names the first pair in
-    # (x, y) order, a stored pair of disjoint elements before one that
-    # shares a Lorentz index
-    ({(6, 7): ((0, 1), (4, -1)), (7, 6): ((0, -1), (4, 1)),
-      (3, 6): ((7, 2),), (6, 3): ((7, -2),)},
-     COMMUTATOR + "(UY_2_2, P_1): residual {'M_0_2': '-1'}"),
-], ids=["flipped_constant", "dropped_bracket", "not_antisymmetric",
-        "disjoint_elements", "two_broken_pairs"])
-def test_representation_check_trips_on_an_edited_table(monkeypatch, edit,
-                                                       message):
-    # the matrix check is the runtime second route to the closed form
-    closed_form = twistor._closed_form_bracket
-    assert closed_form(2, twistor._basis(2)).rows[(6, 7)] == ((0, 1), (4, 1))
-
-    def edited(n, basis):
-        t = closed_form(n, basis)
-        rows = {**t.rows, **edit}
-        return Tensor3(t.dim, t.den,
-                       {xy: r for xy, r in rows.items() if r is not None})
-
-    monkeypatch.setattr(twistor, "_closed_form_bracket", edited)
+def test_representation_check_refuses_an_unclosed_basis(monkeypatch):
+    # QX_1_2 = M_12 - 2 M_34: the span of the edited basis matrices is not
+    # closed under the commutator, so no table reproduces them; the check
+    # names the first pair in (x, y) order and 2C minus its expansion,
+    # over 2, in the M_cd
+    _edited_basis(monkeypatch, "QX_1_2", lambda b: [(1, 2, 1), (3, 4, -2)])
     with pytest.raises(InternalInvariantViolation) as exc:
         build_twistor_model(2)
-    assert str(exc.value) == message
-
-
-def test_representation_check_refuses_the_opposite_algebra(monkeypatch):
-    # -t is the opposite algebra: it satisfies Jacobi, so `_check_jacobi`
-    # passes it, but its constants are not so(1,4)'s in this basis
-    model = build_twistor_model(2)
-    t = model.algebra.bracket
-    alg = model.algebra
-    _check_jacobi(LieAlgebra(alg.name, alg.basis_names, -t))
-    monkeypatch.setattr(twistor, "_closed_form_bracket",
-                        lambda n, basis: -t)
-    with pytest.raises(InternalInvariantViolation) as exc:
-        build_twistor_model(2)
-    # [UX_1_2, UY_1_1] = -UY_1_2 = -(M_14 + M_23) in so(1,4); -t stores
-    # +UY_1_2, so the residual is twice the commutator
     assert str(exc.value) == (
         "so(1,4) bracket is not the commutator of its Lorentz matrices on "
-        "basis pair (UX_1_2, UY_1_1): residual {'M_1_4': '-2', "
-        "'M_2_3': '-2'}")
+        "basis pair (UY_1_1, UY_1_2): residual {'M_1_2': '-1/2', "
+        "'M_3_4': '1'}")
 
 
-def test_representation_check_refuses_dependent_basis_matrices():
+def test_representation_check_refuses_dependent_basis_matrices(monkeypatch):
     # give UY_1_1 the terms of P_1: the map to matrices is not injective
-    basis = twistor._basis(1)
-    basis[0] = ("UY_1_1", basis[1][1])
+    _edited_basis(monkeypatch, "UY_1_1", lambda b: b[1][1])
     with pytest.raises(InternalInvariantViolation) as exc:
-        twistor._check_representation(build_twistor_model(1).algebra, 1,
-                                      basis)
+        build_twistor_model(1)
     assert str(exc.value) == (
         "so(1,2) basis matrices are linearly dependent: rank 2 for dim 3")
+
+
+# sha256 of repr((den, list(rows.items()))) of the bracket tensor and of
+# bracket_m, recorded from the closed-form construction the matrix route
+# replaced: the same constants, den, rows and insertion order
+DIGESTS = {
+    1: ("3b830afba72f1b6416941242970245dbc082a939e2aada6f1121eeea67bb825f",
+        "670ea7b5868fc4324facfdc38e973026489ef21665f19cb5ff5391e3310ed53c"),
+    2: ("dd34b40692c27381d79dfbba040006400e7e48881158ea03809cf9361a0f9dd7",
+        "69ed1626c8a0db62bd2eda8f330e0eeafef6403abf2dad4a012e4fae4ac3b48c"),
+    3: ("67c290676b26db0a6f2e4dd0ab96050b65b87e38ff0f020bedf8fb22b1b67cc4",
+        "1171d156dbcb9c466a50ca09183806d090efd4849b5c64d75c5d9a854f53fa50"),
+    4: ("3c2bc57671b349722c75e12771297440fb3444276408a2c6842284b928ff2b30",
+        "25891b4b589f64fbb1fd86dc4ea051482c10389e5c7928c9d00ab93ee43f1303"),
+    5: ("4d17884d3a461ba814121b7dfbcf5589c8627b34189c457b5ee16e71f7c3e520",
+        "9b7106efa120b76d1071fe36f336ac0b2764e92ae42b031690e3a0c0b1bc40a8"),
+    6: ("2890092aa3f84922abab32b7260166cbfc1fbc68d48a7e11b0aabb1f8e743691",
+        "95fcf123c8b19bfea6777a0147eba4506d617e17111dc307136c5478361eb003"),
+    7: ("02b7b3e1234f4b349d3955e674a4ea2fd60e19e6aa2060f562ab46f994c3f0ad",
+        "1724960eb979f62ca22b05e56d8ea352cdc7ca6c77cc2b2f1a970092db28ef7c"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DIGESTS))
+def test_bracket_tensors_are_pinned(n):
+    model = build_twistor_model(n)
+    assert tuple(hashlib.sha256(repr((t.den, list(t.rows.items())))
+                                .encode()).hexdigest()
+                 for t in (model.algebra.bracket, model.bracket_m)) \
+        == DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
@@ -289,7 +278,7 @@ def test_claims_bundle():
 
 def test_claims_bundle_at_n5():
     # the largest n the benchmark runs: so(1,10), dim 55, with the
-    # closed-form brackets, the int matrix check and the int Sylvester check
+    # brackets read off its Lorentz matrices and the int Sylvester check
     model = build_twistor_model(5)
     assert model.algebra.dim == 55 and model.m_dim == 30
     tc = twistor_claims(5)
