@@ -12,8 +12,8 @@ The package computes, entirely over Q:
   * a catalog of dim-4 and dim-6 model algebras, two dimension-raising
     constructions and a synthesizer for prescribed invariants;
   * the dimension of the space of algebraic Nijenhuis-like tensors;
-  * the hyperbolic twistor model so(1,2n) with its two canonical
-    structures.
+  * reductive pairs g = h (+) m and, as one of them, the hyperbolic
+    twistor model so(1,2n) with its two canonical structures.
 
 Everything is deterministic and float-free; see the README for the CLI.
 """
@@ -32,6 +32,7 @@ from .errors import (BadNumber, BracketOrder, CocycleViolation,
                      NotCompatible, NotPositive, NotSkewSymmetric,
                      PerfectAlgebra, SerializationError, SingularGram,
                      Unsatisfiable, ValidationError, ZeroCharacter)
+from .homogeneous import ReductivePair
 from .lie import LieAlgebra, validate
 from .linalg import Matrix, Scalar, Subspace, complement, qof
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
@@ -44,7 +45,7 @@ from .serialization import (algebra_from_dict, algebra_to_dict,
                             triple_from_dict, triple_hash, triple_to_dict)
 from .symp import (SymplecticTriple, build_triple, standard_j,
                    standard_omega)
-from .twistor import (TwistorModel, build_twistor_model, positivity_report,
-                      twistor_claims, twistor_nijenhuis)
+from .twistor import (build_twistor_model, positivity_report, twistor_claims,
+                      twistor_j, twistor_nijenhuis)
 
 __version__ = "0.1.0"

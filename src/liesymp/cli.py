@@ -112,6 +112,8 @@ def _cmd_examples(args) -> int:
         raise _UsageError(f"unknown examples action {args.action!r}")
     if args.action and args.name:
         raise _UsageError(f"examples {args.action} takes no --name")
+    if args.action == "list" and args.pos_name:
+        raise _UsageError("examples list takes no entry name")
     name = args.pos_name if args.action == "show" else args.name
     if args.action == "show" and not name:
         raise _UsageError("examples show needs an entry name")
@@ -124,9 +126,19 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+def _agree(a, b, clash: str):
+    """A value that has two spellings: a, or b when a is not given; when
+    both are given they must agree, else the usage error `clash`."""
+    if None not in (a, b) and a != b:
+        raise _UsageError(clash)
+    return b if a is None else a
+
+
 def _cmd_construct(args) -> int:
-    kind = args.kind or args.op
-    target = args.target or args.base
+    kind = _agree(args.kind, args.op,
+                  f"operation {args.kind} and --op {args.op} disagree")
+    target = _agree(args.target, args.base,
+                    f"base {args.target} and --base {args.base} disagree")
     if kind is None or target is None:
         raise _UsageError("construct needs an operation (product|character) "
                           "and a base triple (file or catalog name)")
@@ -150,20 +162,13 @@ def _cmd_construct(args) -> int:
 _FLAG = {"true": True, "false": False, "y": True, "n": False, None: None}
 
 
-def _flag(args, long: str, short: str) -> Optional[bool]:
-    """A flag given as --long true|false or as --short y|n; when both
-    spellings are given they must agree."""
-    a = _FLAG[getattr(args, long.replace("-", "_"))]
-    b = _FLAG[getattr(args, short.replace("-", "_"))]
-    if None not in (a, b) and a != b:
-        raise _UsageError(f"--{long} and --{short} disagree")
-    return b if a is None else a
-
-
 def _cmd_synthesize(args) -> int:
-    t = catalog.build_rank_example(
-        args.n, args.k, _flag(args, "image-involutive", "inv-image"),
-        _flag(args, "perp-involutive", "inv-perp"))
+    # a flag given as --long true|false or as --short y|n
+    image = _agree(_FLAG[args.image_involutive], _FLAG[args.inv_image],
+                   "--image-involutive and --inv-image disagree")
+    perp = _agree(_FLAG[args.perp_involutive], _FLAG[args.inv_perp],
+                  "--perp-involutive and --inv-perp disagree")
+    t = catalog.build_rank_example(args.n, args.k, image, perp)
     _emit(pretty_json(triple_to_dict(t)), args.output)
     return 0
 

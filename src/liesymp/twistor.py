@@ -9,127 +9,44 @@ on the spacelike R^{2n}, the algebra splits as
 
 where u(n) is the centralizer of j'0 = diag(0, j0) inside so(2n), q the
 j0-anticommuting part of so(2n), and p the boosts E_{0i} + E_{i0}. The
-reductive tangent space is m = q (+) p. Basis order (m-coordinates,
-which everything on m here uses, list q then p in the same order):
+model is the `homogeneous.ReductivePair` with h = u(n), h_dim = n^2, and
+m = q (+) p. Basis order (m-coordinates list q then p in the same order):
 
     u: UX_ab (a<b), UY_ab (a<=b)   with X skew / Y symmetric in
                                    [[X, Y], [-Y, X]]
     q: QX_ab (a<b), QY_ab (a<b)    with X, Y skew in [[X, Y], [Y, -X]]
     p: P_1 .. P_2n                 with P_i = E_{0i} + E_{i0}
 
-The structure constants are read off the matrices, certified by
-reconstruction. With eta = G and M_ab = eta_b E_ab - eta_a E_ba, the
-basis above is P_i = M_0i, UX/QX_ab = M_ab +- M_{n+a,n+b}, UY_ab =
-M_{a,n+b} + M_{b,n+a} (UY_aa = M_{a,n+a}) and QY_ab = M_{a,n+b} -
-M_{b,n+a}. `_lorentz_bracket` takes each commutator of two basis
-matrices in ints, reads it in the M_cd off its entries above the
-diagonal (the entry at (c, d) is eta_d times the M_cd coefficient), and
-takes that back through the inverse change of basis; the result must
-give back the commutator at every entry. With the basis matrices
-linearly independent, the basis -> matrix map is an injective
-homomorphism: that implies Jacobi and pins the constants as so(1,2n)'s.
+With eta = G and M_ab = eta_b E_ab - eta_a E_ba, this is P_i = M_0i,
+UX/QX_ab = M_ab +- M_{n+a,n+b}, UY_ab = M_{a,n+b} + M_{b,n+a} (UY_aa =
+M_{a,n+a}) and QY_ab = M_{a,n+b} - M_{b,n+a}. `_lorentz_bracket` reads
+the structure constants off the commutators of these matrices and
+certifies them by reconstruction.
 
 The invariant structures on m: both signs rotate the fibre directions the
 same way (QX_ab -> QY_ab -> -QX_ab = half the adjoint action of j'0),
-and differ on the horizontal part: J^{+-} P_i = +-P_{n+i}, i <= n.
-
-The orbit 2-form is omega(A, B) = -Tr(j'0 [A, B]); its potential
-phi = -Tr(j'0 . ) vanishes on q and p, so omega kills u(n) and restricts
-to an invariant symplectic form on m (block diagonal across q and p).
-
-The integrability tensor of either J is N(A, B) = [JA, JB] - J[JA, B]
-- J[A, JB] - [A, B] with J extended by zero on u(n) and the values
-projected back to m. For A, B in m this is the plain Nijenhuis formula
-for J on m applied to the m-projected bracket [A, B]_m: J kills the
-u-part of every bracket it is applied to, and maps m into m, so
-projecting J[., .] to m changes nothing, and projecting [JA, JB] and
-[A, B] gives [JA, JB]_m and [A, B]_m. So `twistor_nijenhuis` is the
-shared `nijenhuis_of` on the model's m-projected bracket tensor, in
-m-coordinates. The plus structure is integrable; the minus one has image
-all of m once n >= 2, with its p x p values filling the fibre
-directions q.
+and differ on the horizontal part: J^{+-} P_i = +-P_{n+i}, i <= n. The
+orbit 2-form is omega(A, B) = phi([A, B]) with phi = -Tr(j'0 .), which
+vanishes on q and p, so omega kills u(n) and restricts to an invariant
+symplectic form on m (block diagonal across q and p). The plus structure
+is integrable; the minus one has image all of m once n >= 2, with its
+p x p values filling the fibre directions q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from math import isqrt
 from typing import Any, Literal, Optional
 
 from .errors import InternalInvariantViolation
+from .homogeneous import (ReductivePair, m_nijenhuis, omega_j_invariant,
+                          positivity)
 from .lie import LieAlgebra, antisymmetric
-from .linalg import IntRow, Matrix, Subspace, _canon, echelon
-from .nijenhuis import Tensor3, image_distribution, nijenhuis_of
-from .record import Record
+from .linalg import Matrix, Subspace, echelon
+from .nijenhuis import Tensor3, image_distribution
 
 Sign = Literal["+", "-"]
-
-
-class TwistorModel(Record):
-    """so(1, 2n) in the basis order above, with phi = -Tr(j'0 .) on it.
-    Indices 0 .. n^2 - 1 are u, and m = q (+) p is the rest: n^2 - n
-    fibre directions q, then the 2n boosts p. m-coordinate i is basis
-    index n^2 + i."""
-    n: int
-    algebra: LieAlgebra
-    phi: tuple[int, ...]
-
-    @property
-    def m_indices(self) -> range:
-        return range(self.n * self.n, self.algebra.dim)
-
-    @property
-    def m_dim(self) -> int:
-        return self.n * self.n + self.n
-
-    @cached_property
-    def kks_m(self) -> Matrix:
-        """omega on m, in m-coordinates: D omega(e_x, e_y) = D phi([e_x,
-        e_y]) summed over each stored m x m row, D the bracket's
-        denominator."""
-        big, table = self.algebra.bracket.den, self.algebra.bracket.rows
-        nu = self.n * self.n
-        rows: list[list[tuple[int, int]]] = [[] for _ in self.m_indices]
-        for (x, y), row in table.items():
-            if x >= nu and y >= nu:
-                v = sum(p * self.phi[k] for k, p in row)
-                if v:
-                    rows[x - nu].append((y - nu, v))
-        return _canon(big, tuple(tuple(sorted(r)) for r in rows), len(rows))
-
-    @cached_property
-    def bracket_m(self) -> Tensor3:
-        """(A, B) -> [A, B]_m on m, in m-coordinates: the stored rows with
-        their u-components dropped, over the least denominator left."""
-        big, table = self.algebra.bracket.den, self.algebra.bracket.rows
-        nu = self.n * self.n
-        ratios = {}
-        for (a, b), row in table.items():
-            if nu <= a < b:
-                r = [(k - nu, (p, big)) for k, p in row if k >= nu]
-                if r:
-                    ratios[(a - nu, b - nu)] = r
-        return antisymmetric(self.m_dim, ratios)
-
-    @cached_property
-    def j_m(self) -> dict[Sign, Matrix]:
-        """J^{+-} on m, in m-coordinates: QX_ab -> QY_ab -> -QX_ab and
-        P_i -> +-P_{n+i} -> -P_i, i <= n; one entry per row."""
-        n, d, nq = self.n, self.m_dim, self.n * self.n - self.n
-        half = nq // 2
-        out = {}
-        for sign, s in (("+", 1), ("-", -1)):
-            rows: list[IntRow] = [()] * d
-            for t in range(half):
-                rows[t] = ((half + t, -1),)
-                rows[half + t] = ((t, 1),)
-            for i in range(nq, nq + n):
-                rows[i] = ((i + n, -s),)
-                rows[i + n] = ((i, s),)
-            out[sign] = Matrix(1, tuple(rows), d)
-        return out
-
-
 Terms = list[tuple[int, int, int]]  # (c, d, s), c < d: the sum of s M_cd
 
 
@@ -155,12 +72,13 @@ def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
     in the same pass, in ints. The rho(e_x) must be linearly independent
     (`echelon` rank = dim). For every x < y that share a Lorentz index, in
     (x, y) order (elements that share none commute), C = [rho(e_x),
-    rho(e_y)] is expanded through `twice`, the inverse change of basis,
-    and the result must give back 2C as a sum of the rho(e_k) at every
-    entry. So rho is an injective homomorphism onto so(1, 2n): the table
-    holds its structure constants and satisfies Jacobi. A failure names
-    the basis pair and the residual, 2C minus its expansion over 2, in the
-    M_cd."""
+    rho(e_y)] is read in the M_cd off its entries above the diagonal (the
+    entry at (c, d) is eta_d times the M_cd coefficient), taken through
+    `twice`, the inverse change of basis, and the result must give back
+    2C as a sum of the rho(e_k) at every entry. So rho is an injective
+    homomorphism onto so(1, 2n): the table holds its structure constants
+    and satisfies Jacobi. A failure names the basis pair and the
+    residual, 2C minus its expansion over 2, in the M_cd."""
     eta = [-1] + [1] * (2 * n)
     size, dim = len(eta), len(basis)
     rho: list[dict[int, list[tuple[int, int]]]] = []  # i -> (j, entry)
@@ -223,85 +141,60 @@ def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
     return antisymmetric(dim, ratios)
 
 
-def build_twistor_model(n: int) -> TwistorModel:
-    """Construct so(1, 2n) with its orbit potential phi. The structure
-    constants are read off so(1, 2n)'s own matrices and certified in the
-    same pass (`_lorentz_bracket`)."""
+def build_twistor_model(n: int) -> ReductivePair:
+    """Construct so(1, 2n) with its orbit potential phi, as the pair with
+    h = u(n). The structure constants are read off so(1, 2n)'s own
+    matrices and certified in the same pass (`_lorentz_bracket`)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     basis = _basis(n)
     names = tuple(nm for nm, _ in basis)
-    dim = len(names)
-    assert dim == n * (2 * n + 1)  # (2n+1)(2n)/2
+    assert len(names) == n * (2 * n + 1)  # (2n+1)(2n)/2
     name = f"so(1,{2*n})"
     g = LieAlgebra(name, names, _lorentz_bracket(name, n, basis, names))
     # phi(e_x) = -Tr(j'0 rho(e_x)), where Tr(j'0 M_cd) = 2 if d = n + c
     # with 1 <= c <= n, and 0 otherwise: only the UY diagonal has phi
     phi = tuple(-2 * sum(s for c, d, s in terms if 1 <= c <= n and d == n + c)
                 for _, terms in basis)
-    return TwistorModel(n, g, phi)
+    return ReductivePair(g, n * n, phi)
 
 
-# -- the integrability tensor on m --------------------------------------
+def twistor_j(model: ReductivePair, sign: Sign) -> Matrix:
+    """J^{+-} on m: QX_ab -> QY_ab -> -QX_ab and P_i -> +-P_{n+i} -> -P_i,
+    i <= n; one entry per row."""
+    n, d = isqrt(model.h_dim), model.m_dim
+    half, s = d // 2 - n, 1 if sign == "+" else -1
+    return Matrix(1, tuple([((half + t, -1),) for t in range(half)]
+                           + [((t, 1),) for t in range(half)]
+                           + [((d - n + i, -s),) for i in range(n)]
+                           + [((d - 2 * n + i, s),) for i in range(n)]), d)
 
 
-def twistor_nijenhuis(model: TwistorModel, sign: Sign) -> Tensor3:
-    """N of J^{+-} on m, in m-coordinates (see the module docstring)."""
-    return nijenhuis_of(model.bracket_m, model.j_m[sign])
+def twistor_nijenhuis(model: ReductivePair, sign: Sign) -> Tensor3:
+    """N of J^{+-} on m (see `homogeneous`)."""
+    return m_nijenhuis(model, twistor_j(model, sign))
 
 
-def p_pairs_span_q(model: TwistorModel, n: Tensor3) -> bool:
+def p_pairs_span_q(model: ReductivePair, n: Tensor3) -> bool:
     """Do the p x p values of N (as `twistor_nijenhuis` returned it) fill
     the fibre directions q exactly? Every such value must lie in the
     first nq coordinates, and together they must span nq dimensions."""
-    nq = model.n * model.n - model.n
-    vecs = []
-    for (a, b), row in n.rows.items():
-        if nq <= a < b:
-            if any(k >= nq for k, _ in row):
-                return False  # a p x p value escaping q refutes the claim
-            vecs.append(n.numerators(a, b))
-    return Subspace.span(model.m_dim, vecs).dim == nq
+    nq = model.h_dim - isqrt(model.h_dim)
+    pp = [ab for ab in n.rows if nq <= ab[0] < ab[1]]
+    return (all(k < nq for ab in pp for k, _ in n.rows[ab]) and
+            Subspace.span(model.m_dim,
+                          [n.numerators(*ab) for ab in pp]).dim == nq)
 
 
-def kks_j_invariant(model: TwistorModel, sign: Sign) -> bool:
-    """omega(J A, J B) = omega(A, B) on all m-basis pairs, that is
-    J^T W J = W for the m-block W of omega."""
-    jm, w = model.j_m[sign], model.kks_m
-    return jm.transpose() @ w @ jm == w
-
-
-def positivity_report(model: TwistorModel
+def positivity_report(model: ReductivePair
                       ) -> tuple[bool, bool, Optional[list[str]]]:
-    """Definiteness of g_{+-}(A, B) = omega(A, J_{+-} B) on m, as
-    (minus_positive, plus_positive, plus_witness).
-
-    The minus form is checked positive definite by Sylvester minors. For
-    the plus form, which is not, the witness is [name, value] for the
-    first m-basis vector with a non-positive diagonal entry, the value as
-    rational text. The two forms agree on q and differ by sign on p, so
-    for every n the witness is a boost (P_1)."""
-    kks = model.kks_m
-    grams = {}
-    for sign in ("+", "-"):
-        gram = kks @ model.j_m[sign]
-        if not gram.is_symmetric():
-            raise InternalInvariantViolation(
-                f"omega(., J{sign} .) not symmetric on m")
-        grams[sign] = gram
-    ok_minus, _, _ = grams["-"].leading_minors_positive()
-    ok_plus, _, _ = grams["+"].leading_minors_positive()
-    witness = None
-    if not ok_plus:
-        for i, k in enumerate(model.m_indices):
-            v = grams["+"].entry(i, i)
-            if v <= 0:
-                witness = [model.algebra.basis_names[k], str(v)]
-                break
-    return ok_minus, ok_plus, witness
-
-
-# -- claim bundle --------------------------------------------------------
+    """(minus_positive, plus_positive, plus_witness) for the forms
+    g_{+-}(A, B) = omega(A, J_{+-} B) on m, by `homogeneous.positivity`.
+    The two forms agree on q and differ by sign on p, so for every n the
+    plus form is not positive and its witness is a boost (P_1)."""
+    minus_positive, _ = positivity(model, twistor_j(model, "-"))
+    plus_positive, witness = positivity(model, twistor_j(model, "+"))
+    return minus_positive, plus_positive, witness
 
 
 def twistor_claims(n: int) -> dict[str, Any]:
@@ -310,17 +203,16 @@ def twistor_claims(n: int) -> dict[str, Any]:
     model = build_twistor_model(n)
     nplus = twistor_nijenhuis(model, "+")
     nminus = twistor_nijenhuis(model, "-")
-    img = image_distribution(nminus)
     minus_positive, plus_positive, witness = positivity_report(model)
     return {
         "n": n,
         "dim": model.algebra.dim,
         "m_dim": model.m_dim,
         "plus_integrable": nplus.is_zero(),
-        "minus_image_dim": img.dim,
+        "minus_image_dim": image_distribution(nminus).dim,
         "p_pairs_fill_q": p_pairs_span_q(model, nminus),
-        "kks_invariant_plus": kks_j_invariant(model, "+"),
-        "kks_invariant_minus": kks_j_invariant(model, "-"),
+        "kks_invariant_plus": omega_j_invariant(model, twistor_j(model, "+")),
+        "kks_invariant_minus": omega_j_invariant(model, twistor_j(model, "-")),
         "minus_positive": minus_positive,
         "plus_positive": plus_positive,
         "plus_witness": witness,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import isqrt, lcm
 
 from liesymp import (Matrix, Subspace, SymplecticTriple, Tensor3,
                      build_triple, torsion, validate)
@@ -330,6 +330,11 @@ def definitional_nijenhuis(c: Tensor3, j: Matrix) -> dict:
 # -- the definitional twistor route, as an oracle for the m-projected kernel
 
 
+def twistor_n(model) -> int:
+    """n of the so(1,2n) pair, whose h = u(n) has dimension n^2."""
+    return isqrt(model.h_dim)
+
+
 def definitional_twistor_n(model, sign: str) -> dict:
     """(a, b) -> N(A, B) for every pair of m-coordinates (q then p), by
     the definition on the full so(1,2n): J extended by zero on u(n) as a
@@ -337,7 +342,7 @@ def definitional_twistor_n(model, sign: str) -> dict:
     P_i -> +-P_{n+i} -> -+P_i), N by `definitional_nijenhuis`, then the
     u-components dropped. The route the library took before its
     twistor tensor ran on the shared kernel."""
-    g, n = model.algebra, model.n
+    g, n = model.algebra, twistor_n(model)
     pos = {nm: i for i, nm in enumerate(g.basis_names)}
     s = 1 if sign == "+" else -1
     rows = [[0] * g.dim for _ in range(g.dim)]
@@ -358,6 +363,28 @@ def definitional_twistor_n(model, sign: str) -> dict:
     full = definitional_nijenhuis(g.bracket, j)
     return {(ia, ib): tuple(full[(a, b)][k] for k in m_idx)
             for ia, a in enumerate(m_idx) for ib, b in enumerate(m_idx)}
+
+
+def descent_facts(pair, j: Matrix) -> tuple[bool, bool, bool]:
+    """The three facts that let J and omega descend from the reductive pair
+    g = h (+) m to G/H: [h, m] in m, phi([h, g]) = 0, and J commuting
+    with ad(x) on m for every basis element x of h. One int pass over the
+    stored pairs (x, y), x in h: their values give phi([e_x, e_y]) and
+    the columns of ad(x) on m, in m-coordinates, over the bracket's
+    denominator; [J, ad(x)] = 0 is tested on numerators, both products
+    being over that denominator times J's."""
+    h = pair.h_dim
+    closed = phi_h = True
+    ad: list[dict] = [{} for _ in range(h)]  # (k, y) -> [e_x, e_y]_k
+    for (x, y), row in pair.algebra.bracket.rows.items():
+        if x < h:
+            phi_h = phi_h and not sum(p * pair.phi[k] for k, p in row)
+            if y >= h:
+                closed = closed and all(k >= h for k, _ in row)
+                ad[x].update(((k - h, y - h), p) for k, p in row if k >= h)
+    jm = {(i, c): p for i, r in enumerate(j.rows) for c, p in r}
+    commutes = not any(_mat_commutator(jm, a) for a in ad)
+    return closed, phi_h, commutes
 
 
 # -- the Lorentz-matrix route, as an oracle for the so(1,2n) bracket
@@ -445,7 +472,7 @@ def matrix_twistor_algebra(model):
     neither of which reads `twistor._basis` or its inverse change of
     basis: every bracket a commutator, expanded back into the basis,
     checked by reconstruction, then `validate`d."""
-    g, n = model.algebra, model.n
+    g, n = model.algebra, twistor_n(model)
     mats = lorentz_matrices(n)
     pos = {nm: i for i, nm in enumerate(g.basis_names)}
     table = {}
@@ -877,9 +904,10 @@ def omega_basis(model, x: int, y: int) -> Fraction:
 def p_element(model, u) -> tuple:
     """P(u) = sum u_i P_i in m-coordinates (u has length 2n)."""
     u = [qof(x) for x in u]
-    if len(u) != 2 * model.n:
+    n = twistor_n(model)
+    if len(u) != 2 * n:
         raise ValueError("boost vector has wrong length")
-    return (Fraction(0),) * (model.n * model.n - model.n) + tuple(u)
+    return (Fraction(0),) * (n * n - n) + tuple(u)
 
 
 def q_element(model, d2n: Matrix) -> tuple:
@@ -887,8 +915,9 @@ def q_element(model, d2n: Matrix) -> tuple:
     [[X, Y], [Y, -X]] with X, Y skew; raises if the matrix is not in q."""
     m = {(r + 1, c + 1): p for r, row in enumerate(d2n.rows) for c, p in row}
     pos = {nm: i for i, nm in enumerate(model.algebra.basis_names)}
-    twice = _expand_in_basis(m, model.n, pos)
-    nu, nq = model.n * model.n, model.n * model.n - model.n
+    n = twistor_n(model)
+    twice = _expand_in_basis(m, n, pos)
+    nu, nq = n * n, n * n - n
     if any(not nu <= k < nu + nq for k in twice):
         raise ValueError("matrix is not in the j0-anticommuting part")
     v = [Fraction(0)] * model.m_dim
@@ -907,7 +936,7 @@ def j0_matrix(n: int) -> Matrix:
 
 def q_block_matrix(model, coords) -> Matrix:
     """The 2n x 2n spacelike block of a q-element given in m-coordinates."""
-    n = model.n
+    n = twistor_n(model)
     mats = lorentz_matrices(n)
     rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for k, c in zip(model.m_indices, coords):

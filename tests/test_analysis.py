@@ -85,7 +85,7 @@ def test_golden_rows_classify_each_entry_once(monkeypatch):
     assert len(classified) == 8
     assert cherns == [] and nablas == []
     for sign in "+-":
-        assert sorted(m.n for m, s in tensors if s == sign) == [1, 2, 3]
+        assert sorted(m.h_dim for m, s in tensors if s == sign) == [1, 4, 9]
 
 
 def _tensor_block_by_of_basis(t, n) -> list:

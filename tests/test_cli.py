@@ -421,8 +421,12 @@ def test_examples_action_spellings(capsys):
 
 def test_construct_flag_spellings(capsys):
     assert main(["construct", "--op", "product", "--base", "ex2"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["name"] == "ex2_xR2"
+    out = capsys.readouterr().out
+    assert json.loads(out)["name"] == "ex2_xR2"
+    # both spellings of each argument, agreeing: the same triple
+    assert main(["construct", "product", "ex2", "--op", "product",
+                 "--base", "ex2"]) == 0
+    assert capsys.readouterr().out == out
     assert main(["construct", "product"]) == 1  # base missing
 
 
@@ -445,8 +449,15 @@ def test_synthesize_short_flag_spellings(capsys):
     (["examples", "show", "ex1", "--name", "ex2"],
      "examples show takes no --name"),
     (["examples", "list", "--name", "ex2"], "examples list takes no --name"),
+    (["examples", "list", "ex1"], "examples list takes no entry name"),
+    (["construct", "product", "ex2", "--op", "character"],
+     "operation product and --op character disagree"),
+    (["construct", "product", "ex2", "--base", "ex1"],
+     "base ex2 and --base ex1 disagree"),
 ], ids=["product_with_xi", "conflicting_flag_spellings",
-        "conflicting_perp_spellings", "show_with_name", "list_with_name"])
+        "conflicting_perp_spellings", "show_with_name", "list_with_name",
+        "list_with_entry_name", "conflicting_op_spellings",
+        "conflicting_base_spellings"])
 def test_arguments_a_command_would_ignore_are_usage_errors(argv, message,
                                                            capsys):
     assert main(argv) == 1

@@ -12,7 +12,7 @@ from liesymp import (Analysis, Matrix, Subspace, SymplecticTriple,
 from liesymp.errors import InternalInvariantViolation
 from liesymp.nijenhuis import nijenhuis_of
 from liesymp.tensor import Tensor3
-from liesymp.twistor import twistor_nijenhuis
+from liesymp.twistor import twistor_j, twistor_nijenhuis
 from support import (composed_nijenhuis, conjugated_triple, dense_conjugate,
                      definitional_nijenhuis, image_under,
                      pairwise_is_involutive)
@@ -220,7 +220,7 @@ def test_one_pass_n_matches_composed_on_twistor(n):
     model = build_twistor_model(n)
     for sign in ("+", "-"):
         assert twistor_nijenhuis(model, sign) == composed_nijenhuis(
-            model.bracket_m, model.j_m[sign]), (n, sign)
+            model.bracket_m, twistor_j(model, sign)), (n, sign)
 
 
 @st.composite
@@ -264,7 +264,7 @@ def test_one_pass_n_on_drawn_tensors(cj):
 
 def test_n_is_one_from_ints_and_no_composition(monkeypatch, catalog):
     model = build_twistor_model(3)
-    model.bracket_m, model.j_m  # cached before counting
+    model.bracket_m  # cached before counting
     calls = dict.fromkeys(("map_second", "map_values", "map_first",
                            "combine", "from_ints"), 0)
 

@@ -141,6 +141,6 @@ def test_each_value_class_stores_only_what_it_cannot_derive():
                              "chern_ricci", "hermitian_scalar"),
         "ParallelismReport": ("nabla_n_zero", "image_parallel",
                               "perp_parallel"),
-        "TwistorModel": ("n", "algebra", "phi"),
+        "ReductivePair": ("algebra", "h_dim", "phi"),
         "GoldenRow": ("name", "claim", "expected", "actual"),
     }

@@ -7,14 +7,15 @@ import pytest
 from liesymp import Matrix, build_twistor_model, twistor, twistor_claims
 from liesymp.cli import main
 from liesymp.errors import InternalInvariantViolation
+from liesymp.homogeneous import omega_j_invariant
 from liesymp.lie import _check_jacobi
 from liesymp.nijenhuis import image_distribution
 from liesymp.serialization import pretty_json
-from liesymp.twistor import (p_pairs_span_q, positivity_report,
+from liesymp.twistor import (p_pairs_span_q, positivity_report, twistor_j,
                              twistor_nijenhuis)
 from support import (bracket_basis, definitional_twistor_n, j0_matrix,
                      lorentz_matrices, matrix_twistor_algebra, omega_basis,
-                     p_element, q_block_matrix, q_element)
+                     p_element, q_block_matrix, q_element, twistor_n)
 
 F = Fraction
 
@@ -31,6 +32,7 @@ def test_model_dimensions(models):
         assert dim == n * (2 * n + 1)
         assert [nm[0] for nm in model.algebra.basis_names] == (
             ["U"] * (n * n) + ["Q"] * (n * n - n) + ["P"] * (2 * n))
+        assert model.h_dim == n * n
         assert model.m_indices == range(n * n, dim)
         assert model.m_dim == n * n + n == len(model.m_indices)
 
@@ -175,16 +177,16 @@ def test_p_pairs_fill_fibre_directions(models):
 
 
 def test_orbit_form_invariant_under_both_structures(models):
-    from liesymp.twistor import kks_j_invariant
     for n, model in models.items():
-        assert kks_j_invariant(model, "+")
-        assert kks_j_invariant(model, "-")
+        assert omega_j_invariant(model, twistor_j(model, "+"))
+        assert omega_j_invariant(model, twistor_j(model, "-"))
 
 
 def minus_diagonals(model):
     """The minus form's Gram matrix kks_m J- on its first q and first p
     diagonal entries (None for q at n = 1, which has no q directions)."""
-    gram, nq = model.kks_m @ model.j_m["-"], model.n * model.n - model.n
+    gram = model.kks_m @ twistor_j(model, "-")
+    nq = model.h_dim - twistor_n(model)
     return (gram.entry(0, 0) if nq else None), gram.entry(nq, nq)
 
 
