@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Optional
 
 from .errors import (BadNumber, NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
@@ -132,19 +130,14 @@ def catalog_names() -> list[str]:
     return list(DESCRIPTIONS)
 
 
-def builtin(name: str, alpha=None) -> SymplecticTriple:
+def builtin(name: str) -> SymplecticTriple:
     """Look up a catalog entry by name.
 
     Accepts "ex1".."ex4", "dim6", "thurston", "thurston(1/2)", "abelian(3)".
-    A separate `alpha` argument overrides any parenthesized parameter.
     """
     name = name.strip()
     m = re.fullmatch(r"(\w+)\s*\(\s*([^)]+?)\s*\)", name)
-    param: Optional[str] = None
-    if m:
-        name, param = m.group(1), m.group(2)
-    if alpha is not None:
-        param = str(alpha)
+    name, param = m.groups() if m else (name, None)
     if name in _PLAIN:
         if param is not None:
             raise KeyError(f"{name} takes no parameter")
@@ -231,13 +224,11 @@ def _extended(t: SymplecticTriple, name: str, pair: tuple[str, str],
 
 
 def _block2(a: Matrix, b: Matrix) -> Matrix:
-    """diag(a, b) over the lcm of their denominators; canonical, as a and
-    b are."""
-    den, n = lcm(a.den, b.den), a.ncols
-    fa, fb = den // a.den, den // b.den
-    return Matrix(den, tuple(tuple((j, p * fa) for j, p in r) for r in a.rows)
-                  + tuple(tuple((n + j, p * fb) for j, p in r)
-                          for r in b.rows), n + b.ncols)
+    """diag(a, b) for an integral b, over a's denominator: a's rows are
+    reused as they are; canonical, as a and b are."""
+    n = a.ncols
+    rows = tuple(tuple((n + j, p * a.den) for j, p in r) for r in b.rows)
+    return Matrix(a.den, a.rows + rows, n + b.ncols)
 
 
 # -- synthesis ---------------------------------------------------------
@@ -250,27 +241,22 @@ _SEEDS = {
 }
 
 
-def build_rank_example(n: int, k: int,
-                       inv_image: Optional[bool] = None,
-                       inv_perp: Optional[bool] = None) -> SymplecticTriple:
+def build_rank_example(n: int, k: int, inv_image: bool = True,
+                       inv_perp: bool = True) -> SymplecticTriple:
     """A triple of dimension 2n with dim im N = 2k and the requested
     involutivity flags for im N and its orthogonal complement.
 
     Admissible signatures:
       k = 0           : only the trivially-involutive flags (N = 0);
-      0 < k < n       : every flag combination (unset flags default True);
+      0 < k < n       : every flag combination;
       k = n and n >= 3: only the trivially-involutive flags;
       k = n < 3       : nothing (impossible: a nonzero N on dim 2 cannot
                         exist and on dim 4 its image is at most half).
     """
     if n < 1 or k < 0 or k > n:
         raise Unsatisfiable(f"no model with half-dim {n}, half-image {k}")
-
-    def trivial_flags_ok() -> bool:
-        return inv_image in (None, True) and inv_perp in (None, True)
-
     if k == 0:
-        if not trivial_flags_ok():
+        if not (inv_image and inv_perp):
             raise Unsatisfiable(
                 "N = 0: the empty image and full complement are involutive")
         return abelian(n)
@@ -278,16 +264,14 @@ def build_rank_example(n: int, k: int,
         if n < 3:
             raise Unsatisfiable(
                 f"im N cannot be all of a {2*n}-dimensional algebra")
-        if not trivial_flags_ok():
+        if not (inv_image and inv_perp):
             raise Unsatisfiable(
                 "im N = g is a subalgebra and its complement is zero")
         t = dim6()
         for _ in range(n - 3):
             t = character_extension(t)
         return t
-    flags = (True if inv_image is None else bool(inv_image),
-             True if inv_perp is None else bool(inv_perp))
-    t = _SEEDS[flags]()
+    t = _SEEDS[inv_image, inv_perp]()
     for _ in range(k - 1):
         t = character_extension(t)
     for _ in range(n - k - 1):

@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_triple(target: str, alpha=None) -> tuple[SymplecticTriple, str]:
+def _load_triple(target: str) -> tuple[SymplecticTriple, str]:
     """File path (not a directory) or builtin name -> (triple, display
     name)."""
     if os.path.exists(target) and not os.path.isdir(target):
@@ -55,7 +55,7 @@ def _load_triple(target: str, alpha=None) -> tuple[SymplecticTriple, str]:
                 f"{target} is not a triple payload (no \"omega\" field)")
         t = triple_from_dict(payload)
         return t, payload.get("name", os.path.basename(target))
-    t = catalog.builtin(target, alpha=alpha)
+    t = catalog.builtin(target)
     return t, t.algebra.name
 
 
@@ -86,7 +86,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    t, name = _load_triple(args.target, alpha=args.alpha)
+    t, name = _load_triple(args.target)
     rep = build_report(t, name=name, full=args.full, timings=args.timings)
     if args.report == "text":
         _emit(render_text(rep), args.output)
@@ -107,45 +107,22 @@ def _cmd_goldens(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    # two spellings: `examples [--name X]` and `examples list|show X`
-    if args.action not in (None, "list", "show"):
-        raise _UsageError(f"unknown examples action {args.action!r}")
-    if args.action and args.name:
-        raise _UsageError(f"examples {args.action} takes no --name")
-    if args.action == "list" and args.pos_name:
-        raise _UsageError("examples list takes no entry name")
-    name = args.pos_name if args.action == "show" else args.name
-    if args.action == "show" and not name:
-        raise _UsageError("examples show needs an entry name")
-    if not name:
-        for entry, desc in catalog.DESCRIPTIONS.items():
-            print(f"{entry:14} {desc}")
+    if args.action is None:
+        _emit("\n".join(f"{entry:14} {desc}" for entry, desc
+                        in catalog.DESCRIPTIONS.items()), args.output)
         return 0
-    t, name = _load_triple(name, alpha=None)
+    if args.name is None:
+        raise _UsageError("examples show needs an entry name")
+    t, _ = _load_triple(args.name)
     _emit(pretty_json(triple_to_dict(t)), args.output)
     return 0
 
 
-def _agree(a, b, clash: str):
-    """A value that has two spellings: a, or b when a is not given; when
-    both are given they must agree, else the usage error `clash`."""
-    if None not in (a, b) and a != b:
-        raise _UsageError(clash)
-    return b if a is None else a
-
-
 def _cmd_construct(args) -> int:
-    kind = _agree(args.kind, args.op,
-                  f"operation {args.kind} and --op {args.op} disagree")
-    target = _agree(args.target, args.base,
-                    f"base {args.target} and --base {args.base} disagree")
-    if kind is None or target is None:
-        raise _UsageError("construct needs an operation (product|character) "
-                          "and a base triple (file or catalog name)")
-    if kind == "product" and args.xi is not None:
+    if args.kind == "product" and args.xi is not None:
         raise _UsageError("--xi applies to the character construction only")
-    t, _ = _load_triple(target, alpha=None)
-    if kind == "product":
+    t, _ = _load_triple(args.target)
+    if args.kind == "product":
         t2 = catalog.product_extension(t)
     else:
         xi = None
@@ -159,16 +136,10 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-_FLAG = {"true": True, "false": False, "y": True, "n": False, None: None}
-
-
 def _cmd_synthesize(args) -> int:
-    # a flag given as --long true|false or as --short y|n
-    image = _agree(_FLAG[args.image_involutive], _FLAG[args.inv_image],
-                   "--image-involutive and --inv-image disagree")
-    perp = _agree(_FLAG[args.perp_involutive], _FLAG[args.inv_perp],
-                  "--perp-involutive and --inv-perp disagree")
-    t = catalog.build_rank_example(args.n, args.k, image, perp)
+    t = catalog.build_rank_example(args.n, args.k,
+                                   args.image_involutive == "true",
+                                   args.perp_involutive == "true")
     _emit(pretty_json(triple_to_dict(t)), args.output)
     return 0
 
@@ -248,7 +219,7 @@ _OUTPUT = ("-o --output", {})
 _TIMINGS = ("--timings", dict(action="store_true", help="append wall-clock "
                               "timings (breaks byte-identical output)"))
 _N_LIST = dict(type=_parse_ns, help="comma separated list of n values")
-_OPS = ("product", "character")
+_TRUE_FALSE = dict(choices=("true", "false"), default="true")
 
 # command -> (handler, help line, its arguments as (flags, add_argument
 # kwargs) in the order --help lists them); both parsers are built from it
@@ -261,7 +232,6 @@ _COMMANDS = {
     "analyze": (_cmd_analyze,
                 "full report for a triple file or builtin name", [
         ("target", dict(help="path to a triple JSON or a catalog name")),
-        ("--alpha", dict(help="parameter for the parametric family")),
         ("--report", dict(choices=("json", "text"), default="json")),
         ("--full", dict(action="store_true",
                         help="include raw tensor values")),
@@ -273,17 +243,14 @@ _COMMANDS = {
         _TIMINGS,
     ]),
     "examples": (_cmd_examples, "list catalog entries or dump one", [
-        ("action", dict(nargs="?", help="'list' or 'show <name>'")),
-        ("pos_name", dict(nargs="?")),
-        ("--name", {}),
+        ("action", dict(nargs="?", choices=("show",),
+                        help="'show <name>' dumps one entry")),
+        ("name", dict(nargs="?")),
         _OUTPUT,
     ]),
     "construct": (_cmd_construct, "apply a construction to a triple", [
-        ("kind", dict(nargs="?", choices=_OPS)),
-        ("target", dict(nargs="?")),
-        ("--op", dict(choices=_OPS,
-                      help="alternative spelling of the operation")),
-        ("--base", dict(help="alternative spelling of the base triple")),
+        ("kind", dict(choices=("product", "character"))),
+        ("target", {}),
         ("--xi", dict(help="comma separated rational coefficients of the "
                            "character (character construction only)")),
         _OUTPUT,
@@ -294,12 +261,8 @@ _COMMANDS = {
                      help="half the dimension")),
         ("--k", dict(type=_decimal(0), required=True,
                      help="half the image dimension")),
-        ("--image-involutive", dict(choices=("true", "false"))),
-        ("--perp-involutive", dict(choices=("true", "false"))),
-        ("--inv-image", dict(choices=("y", "n"),
-                             help="short spelling of --image-involutive")),
-        ("--inv-perp", dict(choices=("y", "n"),
-                            help="short spelling of --perp-involutive")),
+        ("--image-involutive", _TRUE_FALSE),
+        ("--perp-involutive", _TRUE_FALSE),
         _OUTPUT,
     ]),
     "nspace-dim": (_cmd_nspace_dim, "corank of the tensor-identity "

@@ -14,10 +14,11 @@ connections with equal values compare equal. Every map
 below is composed from its int operations. Curvature is not: Ricci and
 the mixed trace form P are trace formulas in the Levi-Civita map's
 ints, and no curvature operator is formed (see `curvature_summary`). Every
-runtime check compares ints, on whole tensors and subspaces: nabla N
-and the torsion identity are `combine`s of N and the torsion with
-Gamma(e_i, .) or J put into their slots and values, and a distribution
-is parallel iff every Gamma(e_i, .) maps it into itself.
+runtime check compares ints, on whole tensors and subspaces: nabla N is
+a `combine` of N with Gamma(e_i, .) put into its slots and values, the
+torsion identity is N's kernel `nijenhuis_of` applied to the torsion,
+and a distribution is parallel iff every Gamma(e_i, .) maps it into
+itself.
 
 Sign sanity: metric compatibility  g(Gamma(A,B), C) + g(B, Gamma(A,C)) = 0
 and zero torsion  Gamma(A,B) - Gamma(B,A) = [A,B]  are asserted at
@@ -79,7 +80,7 @@ from fractions import Fraction
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix
-from .nijenhuis import DistributionReport
+from .nijenhuis import DistributionReport, nijenhuis_of
 from .record import Record
 from .symp import SymplecticTriple
 from .tensor import Tensor3, combine
@@ -172,15 +173,12 @@ def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
 
         T(Jx, Jy) - J T(Jx, y) - J T(x, Jy) - T(x, y) = -N(x, y),
 
-    checked as one int combination of whole tensors: T with J put into
-    its slots and values, plus n. It does not build N's own kernel, so n
-    is checked against an independent formula."""
-    j = t.j
-    tor = torsion(t, conn)
-    tjx = tor.map_first(j)  # T(Jx, y)
-    return combine([(1, tjx.map_second(j)), (-1, tjx.map_values(j)),
-                    (-1, tor.map_second(j).map_values(j)), (-1, tor),
-                    (1, n)]).is_zero()
+    the Nijenhuis expression with the torsion T in place of the bracket.
+    So the left side is N's own kernel, `nijenhuis_of(T, J)`, which uses
+    neither J^2 = -1 nor the antisymmetry of its tensor; that kernel is
+    checked against `composed_nijenhuis` and `definitional_nijenhuis` in
+    tests/support.py."""
+    return nijenhuis_of(torsion(t, conn), t.j) == -n
 
 
 def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,

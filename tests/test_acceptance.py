@@ -277,14 +277,13 @@ def test_criterion_10_constructions():
         for k in range(0, n + 1):
             if (n, k) == (2, 2):
                 continue
-            requested = patterns if 0 < k < n else [(None, None)]
+            requested = patterns if 0 < k < n else [(True, True)]
             for inv_im, inv_perp in requested:
                 t = build_rank_example(n, k, inv_im, inv_perp)
                 rep = Analysis(t).distributions
                 ok = ok and t.dim == 2 * n and rep.image.dim == 2 * k
-                if inv_im is not None:
-                    ok = ok and rep.image_involutive == inv_im
-                    ok = ok and rep.perp_involutive == inv_perp
+                ok = ok and rep.image_involutive == inv_im
+                ok = ok and rep.perp_involutive == inv_perp
     _verdict(10, "extension constructions and the synthesized-rank sweep "
                  "(2 <= n <= 5, all admissible signatures)", ok)
     assert ok

@@ -17,7 +17,7 @@ F = Fraction
 def test_builtin_lookup_and_parametrized_names():
     assert builtin("ex2").algebra.name == "ex2"
     assert builtin("thurston(1/2)").algebra.name == "thurston(1/2)"
-    assert builtin("thurston", alpha="3").algebra.name == "thurston(3)"
+    assert builtin("thurston(3)").algebra.name == "thurston(3)"
     assert builtin("abelian(4)").dim == 8
     with pytest.raises(KeyError):
         builtin("nosuch")
@@ -27,14 +27,14 @@ def test_builtin_lookup_and_parametrized_names():
 
 def test_abelian_parameter_follows_the_number_grammar():
     assert builtin("abelian").dim == 4
-    assert builtin("abelian", alpha="3").algebra.name == "abelian(3)"
+    assert builtin("abelian(3)").algebra.name == "abelian(3)"
     assert builtin("abelian(4/2)").algebra.name == "abelian(2)"
     # int() read "1_0" as 10 and raised a bare ValueError on the others
     for param in ("x", "3/2", "1_0", "0.5", "1/0"):
         with pytest.raises(BadNumber):
             builtin(f"abelian({param})")
     with pytest.raises(BadNumber, match="needs an integer n, got '3/2'"):
-        builtin("abelian", alpha="3/2")
+        builtin("abelian(3/2)")
     for param in ("0", "-1"):
         with pytest.raises(Unsatisfiable, match="abelian factor needs n >= 1"):
             builtin(f"abelian({param})")
@@ -195,7 +195,7 @@ def test_extensions_equal_their_fully_checked_triples(monkeypatch):
     patterns = [(True, True), (True, False), (False, True), (False, False)]
     for n in range(2, 6):
         for k in range(1, n + 1):
-            for flags in (patterns if k < n else [(None, None)]):
+            for flags in (patterns if k < n else [(True, True)]):
                 if (n, k) != (2, 2):
                     build_rank_example(n, k, *flags)
     build_rank_example(10, 4, False, True)
@@ -208,9 +208,9 @@ def test_extensions_equal_their_fully_checked_triples(monkeypatch):
 
 def test_build_rank_example_rejects_impossible_flags():
     with pytest.raises(Unsatisfiable):
-        build_rank_example(3, 0, False, None)
+        build_rank_example(3, 0, False, True)
     with pytest.raises(Unsatisfiable):
-        build_rank_example(3, 3, None, False)
+        build_rank_example(3, 3, True, False)
     with pytest.raises(Unsatisfiable):
         build_rank_example(1, 1)
     with pytest.raises(Unsatisfiable):
@@ -238,7 +238,7 @@ def test_each_rank_extension_is_a_checked_triple_with_the_block_metric(
     monkeypatch.setattr(catalog, "_extended", spy)
     for n in range(2, 6):
         for k in range(n + 1):
-            for flags in ((None, None), (True, False), (False, True),
+            for flags in ((True, True), (True, False), (False, True),
                           (False, False)):
                 try:
                     build_rank_example(n, k, *flags)

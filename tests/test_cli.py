@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -155,12 +156,10 @@ def _assert_cut(err: str) -> None:
 
 
 def test_oversized_number_arguments_exit_2(capsys):
-    for argv in (["analyze", "thurston", "--alpha", _HUGE],
-                 ["analyze", f"thurston({_HUGE})"]):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "BadNumber" in err
-        _assert_cut(err)
+    assert main(["analyze", f"thurston({_HUGE})"]) == 2
+    err = capsys.readouterr().err
+    assert "BadNumber" in err
+    _assert_cut(err)
 
 
 @pytest.mark.parametrize("literal", ["string", "integer"])
@@ -179,7 +178,7 @@ def test_validate_oversized_number_in_file_exits_2(tmp_path, capsys, literal):
 
 
 def test_cli_number_arguments_follow_the_grammar(capsys):
-    assert main(["analyze", "thurston", "--alpha", "0.5"]) == 2
+    assert main(["analyze", "thurston(0.5)"]) == 2
     assert "BadNumber" in capsys.readouterr().err
     assert main(["analyze", "thurston( 1/2 )"]) == 0
 
@@ -218,7 +217,7 @@ def test_dim_0_triple_payload_exits_2(tmp_path, capsys, argv):
 
 
 def test_analyze_json_report(capsys):
-    assert main(["analyze", "thurston", "--alpha", "3"]) == 0
+    assert main(["analyze", "thurston(3)"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["nijenhuis"]["norm_sq"] == "24"
     assert report["validation"]["metric_positive"] is True
@@ -325,7 +324,7 @@ def test_examples_listing_and_unknown_entry_bytes(capsys):
 
 def test_examples_subcommand(tmp_path):
     out = tmp_path / "ex.json"
-    assert main(["examples", "--name", "ex3", "-o", str(out)]) == 0
+    assert main(["examples", "show", "ex3", "-o", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["name"] == "ex3"
 
@@ -409,10 +408,16 @@ def test_twistor_subcommand(capsys):
     assert "FAIL" not in out and "witness" in out
 
 
-def test_examples_action_spellings(capsys):
-    assert main(["examples", "list"]) == 0
+def test_examples_listing_goes_to_the_output_file(tmp_path, capsys):
+    assert main(["examples"]) == 0
     listing = capsys.readouterr().out
-    assert "ex1" in listing and "thurston" in listing
+    out = tmp_path / "list.txt"
+    assert main(["examples", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == listing
+
+
+def test_examples_action_spellings(capsys):
     assert main(["examples", "show", "ex1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["name"] == "ex1"
@@ -420,50 +425,67 @@ def test_examples_action_spellings(capsys):
 
 
 def test_construct_flag_spellings(capsys):
-    assert main(["construct", "--op", "product", "--base", "ex2"]) == 0
-    out = capsys.readouterr().out
-    assert json.loads(out)["name"] == "ex2_xR2"
-    # both spellings of each argument, agreeing: the same triple
-    assert main(["construct", "product", "ex2", "--op", "product",
-                 "--base", "ex2"]) == 0
-    assert capsys.readouterr().out == out
-    assert main(["construct", "product"]) == 1  # base missing
+    # the operation and the base are positional, and both are required
+    assert main(["construct", "product"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: ")
 
 
-def test_synthesize_short_flag_spellings(capsys):
-    assert main(["synthesize", "--n", "3", "--k", "1",
-                 "--inv-image", "n", "--inv-perp", "y"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["dim"] == 6
-
-
-@pytest.mark.parametrize("argv, message", [
+# (argv, what its usage error names). Each value has one spelling, the
+# one README's CLI block shows; any other (examples list or --name,
+# construct --op or --base, synthesize --inv-image or --inv-perp, analyze
+# --alpha) is an argument the parser refuses
+@pytest.mark.parametrize("argv, named", [
     (["construct", "product", "ex2", "--xi", "1,0,0,0"],
-     "--xi applies to the character construction only"),
+     "usage error: --xi applies to the character construction only\n"),
     (["synthesize", "--n", "3", "--k", "1", "--image-involutive", "true",
-      "--inv-image", "n"],
-     "--image-involutive and --inv-image disagree"),
+      "--inv-image", "n"], "--inv-image n"),
     (["synthesize", "--n", "3", "--k", "1", "--inv-perp", "y",
-      "--perp-involutive", "false"],
-     "--perp-involutive and --inv-perp disagree"),
-    (["examples", "show", "ex1", "--name", "ex2"],
-     "examples show takes no --name"),
-    (["examples", "list", "--name", "ex2"], "examples list takes no --name"),
-    (["examples", "list", "ex1"], "examples list takes no entry name"),
+      "--perp-involutive", "false"], "--inv-perp y"),
+    (["examples", "show", "ex1", "--name", "ex2"], "--name ex2"),
+    (["examples", "list", "--name", "ex2"], "'list'"),
+    (["examples", "list", "ex1"], "'list'"),
     (["construct", "product", "ex2", "--op", "character"],
-     "operation product and --op character disagree"),
-    (["construct", "product", "ex2", "--base", "ex1"],
-     "base ex2 and --base ex1 disagree"),
+     "--op character"),
+    (["construct", "product", "ex2", "--base", "ex1"], "--base ex1"),
+    (["examples", "list"], "'list'"),
+    (["examples", "--name", "ex1"], "'ex1'"),
+    (["construct", "--op", "product", "ex2"], "--op"),
+    (["construct", "product", "--base", "ex2"], "--base"),
+    (["synthesize", "--n", "3", "--k", "1", "--inv-image", "n"],
+     "--inv-image n"),
+    (["synthesize", "--n", "3", "--k", "1", "--inv-image", "n",
+      "--inv-perp", "y"], "--inv-image n --inv-perp y"),
+    (["analyze", "thurston", "--alpha", "3"], "--alpha 3"),
 ], ids=["product_with_xi", "conflicting_flag_spellings",
         "conflicting_perp_spellings", "show_with_name", "list_with_name",
         "list_with_entry_name", "conflicting_op_spellings",
-        "conflicting_base_spellings"])
-def test_arguments_a_command_would_ignore_are_usage_errors(argv, message,
+        "conflicting_base_spellings", "examples_list", "examples_name",
+        "construct_op", "construct_base", "synthesize_inv_image",
+        "short_flag_spellings", "analyze_alpha"])
+def test_arguments_a_command_would_ignore_are_usage_errors(argv, named,
                                                            capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"usage error: {message}\n"
+    assert captured.err.startswith("usage error: ")
+    assert named in captured.err
+
+
+def _readme_cli_block() -> list[list[str]]:
+    """The argv of each command in README's CLI block, without the
+    leading `liesymp`."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_block(), ids=" ".join)
+def test_readme_cli_block_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triple.json").write_text(json.dumps(triple_to_dict(ex2())))
+    assert main(argv) == 0
 
 
 def test_twistor_sign_filter_and_json(capsys):

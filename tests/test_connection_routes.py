@@ -39,8 +39,7 @@ _FLAGS = (True, False)
 
 
 def _admissible(n):
-    """Every triple `build_rank_example(n, k, ...)` builds; an unset flag
-    builds what True builds."""
+    """Every triple `build_rank_example(n, k, ...)` builds."""
     out = {}
     for k in range(n + 1):
         for flags in product(_FLAGS, repeat=2):
@@ -118,8 +117,8 @@ def test_routes_match_oracles_on_rank_examples(n):
 
 
 @pytest.mark.parametrize("n, k, flags", [
-    (2, 0, (None, None)), (2, 1, (True, False)), (2, 1, (False, True)),
-    (3, 1, (True, True)), (3, 2, (False, False)), (3, 3, (None, None)),
+    (2, 0, (True, True)), (2, 1, (True, False)), (2, 1, (False, True)),
+    (3, 1, (True, True)), (3, 2, (False, False)), (3, 3, (True, True)),
     (4, 2, (False, True)), (4, 3, (True, False))])
 def test_routes_match_oracles_on_dense_conjugates(n, k, flags):
     base = build_rank_example(n, k, *flags)

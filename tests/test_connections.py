@@ -113,6 +113,21 @@ def test_torsion_of_j_parallel_connection_recovers_n(extended_catalog):
         assert torsion_recovers_nijenhuis(t, a.chern, a.n), name
 
 
+def test_torsion_identity_rejects_the_wrong_connection_or_n(catalog):
+    # on every non-Kaehler catalog triple the Levi-Civita map has torsion
+    # 0 while N != 0, and the Chern connection's torsion recovers N, not 2N
+    checked = 0
+    for name, t in catalog.items():
+        a = Analysis(t)
+        if a.n.is_zero():
+            continue
+        checked += 1
+        assert not torsion_recovers_nijenhuis(t, a.lc, a.n), name
+        assert not torsion_recovers_nijenhuis(t, a.chern,
+                                              combine([(2, a.n)])), name
+    assert checked == 9
+
+
 def test_nabla_j_identities(extended_catalog):
     for name, t in extended_catalog.items():
         a = Analysis(t)

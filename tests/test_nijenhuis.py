@@ -194,7 +194,7 @@ def _rank_examples(max_dim: int):
         for k in range(n + 1):
             if (n, k) == (2, 2):
                 continue
-            for flags in (patterns if 0 < k < n else [(None, None)]):
+            for flags in (patterns if 0 < k < n else [(True, True)]):
                 yield f"rank({n},{k},{flags})", build_rank_example(n, k,
                                                                    *flags)
 
