@@ -41,6 +41,9 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad usage; our contract reserves 2
     # for validation failures, so route usage problems to exit code 1.
+    def __init__(self, **kwargs):  # no option is read from a prefix
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 

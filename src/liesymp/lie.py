@@ -97,8 +97,8 @@ class LieAlgebra(Record):
 
     def derived_subalgebra(self) -> Subspace:
         """Span of the stored brackets, as their int rows."""
-        return Subspace.span(self.dim, [self.bracket.numerators(i, j)
-                                        for i, j in self.pairs()])
+        return Subspace.of_rows(self.dim, [
+            row for (i, j), row in self.bracket.rows.items() if i < j])
 
     def bracket_of_subspaces(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [u, v] over the basis vectors u of a and v of b, each

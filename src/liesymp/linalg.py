@@ -490,6 +490,12 @@ class Subspace(Record):
             if len(w) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
             rows.append(tuple((j, p) for j, p in enumerate(w) if p))
+        return Subspace.of_rows(ambient_dim, rows)
+
+    @staticmethod
+    def of_rows(ambient_dim: int, rows: Sequence[IntRow]) -> "Subspace":
+        """The span of sparse int rows as a `Matrix` or a `Tensor3` stores
+        them, ((column, value), ...), read as they are."""
         if not rows:
             return Subspace.zero(ambient_dim)
         red, rank = Matrix(1, tuple(rows), ambient_dim).rref()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import partial
 
 from .errors import InternalInvariantViolation
 from .linalg import Matrix, Subspace, complement, nullspace_of
@@ -57,16 +58,25 @@ def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
         -D^2 r       at (a, b),
 
     and one `Tensor3.from_ints` reduces the sums. Neither J^2 = -1 nor
-    the antisymmetry of C is used."""
+    the antisymmetry of C is used. Qr and each value of N are summed in
+    {k: int} dicts when J is under 1/16 full (16 |J| < dim^2, |J| its
+    stored entries), else in lists of dim ints. A sparse J sends a
+    stored pair to a few values of a few terms each, while a list costs
+    dim per value to fill and scan; a J with one entry per row (the
+    twistor and catalog J) takes the dicts from dim 17 on. A fuller J
+    fills the values, which lists sum faster."""
     dim, d2 = c.dim, j.den * j.den
     jrows, cols = j.rows, j.transpose().rows
-    num: dict[tuple[int, int], list[int]] = defaultdict(lambda: [0] * dim)
+    wide = 16 * sum(map(len, jrows)) < dim * dim
+    sums = partial(defaultdict, int) if wide else lambda: [0] * dim
+    num: dict = defaultdict(sums)
     for (a, b), r in c.rows.items():
-        qr = [0] * dim
+        qr = sums()
         for m, p in r:
             for k, q in cols[m]:
                 qr[k] += q * p
-        qr = [(k, p) for k, p in enumerate(qr) if p]
+        qr = [(k, p) for k, p in (qr.items() if wide else enumerate(qr))
+              if p]
         jb = jrows[b]
         for i, qa in jrows[a]:
             for jj, qb in jb:
@@ -88,8 +98,8 @@ def nijenhuis_of(c: Tensor3, j: Matrix) -> Tensor3:
 
 def image_distribution(n: Tensor3) -> Subspace:
     """Span of the nonzero values N(e_i, e_j), i < j."""
-    return Subspace.span(n.dim, [n.numerators(i, j) for i, j in n.rows
-                                 if i < j])
+    return Subspace.of_rows(n.dim, [row for (i, j), row in n.rows.items()
+                                    if i < j])
 
 
 def kernel_distribution(n: Tensor3) -> Subspace:

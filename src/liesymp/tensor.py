@@ -52,20 +52,21 @@ class Tensor3(Record):
         return hash((self.dim, self.den, frozenset(self.rows.items())))
 
     @staticmethod
-    def from_ints(dim: int, den: int,
-                  num: dict[tuple[int, int], list[int]]) -> "Tensor3":
-        """The tensor with T(e_i, e_j)_k = num[(i, j)][k] / den (den > 0);
-        zero values and any factor common to den and every numerator
-        are dropped."""
-        g = den
+    def from_ints(dim: int, den: int, num: dict) -> "Tensor3":
+        """The tensor with T(e_i, e_j)_k = num[(i, j)][k] / den (den > 0),
+        every num[(i, j)] a list of dim ints, or every one a {k: int}
+        dict; zero values and any factor common to den and every
+        numerator are dropped."""
+        g, dicts = den, isinstance(next(iter(num.values()), None), dict)
         for v in num.values():
             if g == 1:
                 break
-            g = gcd(g, *v)
+            g = gcd(g, *(v.values() if dicts else v))
         rows = {}
         for ij, v in num.items():
-            row = (tuple(filter(itemgetter(1), enumerate(v))) if g == 1
-                   else tuple([(k, p // g) for k, p in enumerate(v) if p]))
+            kp = sorted(v.items()) if dicts else enumerate(v)
+            row = (tuple(filter(itemgetter(1), kp)) if g == 1
+                   else tuple([(k, p // g) for k, p in kp if p]))
             if row:
                 rows[ij] = row
         return Tensor3(dim, den // g if rows else 1, rows)
@@ -79,13 +80,6 @@ class Tensor3(Record):
                 v[k] = Fraction(p, self.den)
             out[ij] = tuple(v)
         return out
-
-    def numerators(self, i: int, j: int) -> list[int]:
-        """den * T(e_i, e_j) as a dense list of ints."""
-        v = [0] * self.dim
-        for k, p in self.rows.get((i, j), ()):
-            v[k] = p
-        return v
 
     def of_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
         v = self._values.get((i, j))

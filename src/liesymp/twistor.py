@@ -78,10 +78,14 @@ def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
     2C as a sum of the rho(e_k) at every entry. So rho is an injective
     homomorphism onto so(1, 2n): the table holds its structure constants
     and satisfies Jacobi. A failure names the basis pair and the
-    residual, 2C minus its expansion over 2, in the M_cd."""
+    residual, 2C minus its expansion over 2, in the M_cd. Each rho(e_x)
+    is listed once as its entries, keyed i * size + j, and `twice` is
+    keyed by the entry it reads; the expansion is subtracted from 2C in
+    place, so a pair that passes builds no second dict."""
     eta = [-1] + [1] * (2 * n)
     size, dim = len(eta), len(basis)
     rho: list[dict[int, list[tuple[int, int]]]] = []  # i -> (j, entry)
+    ents: list[list[tuple[int, int, int]]] = []  # (i * size, j, entry)
     users: dict[tuple[int, int], list[tuple[int, int]]] = {}
     near: list[set[int]] = [set() for _ in eta]  # index -> elements on it
     for x, (_, terms) in enumerate(basis):
@@ -93,39 +97,35 @@ def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
             near[c].add(x)
             near[d].add(x)
         rho.append(rows)
-    rank = len(echelon({i * size + j: v for i, r in m.items() for j, v in r}
-                       for m in rho))
+        ents.append([(i * size, j, v) for i, r in rows.items() for j, v in r])
+    flat = [[(i + j, v) for i, j, v in e] for e in ents]
+    rank = len(echelon(map(dict, flat)))
     if rank != dim:
         raise InternalInvariantViolation(
             f"{name} basis matrices are linearly dependent: rank {rank} "
             f"for dim {dim}")
     # M_cd lies in one basis element (P_i, UY_aa) or in two whose 2 x 2
     # block [[1, 1], [1, -1]] is orthogonal with square norm 2, so twice
-    # the inverse is 2 / (their number) times the transpose, in ints
-    twice = {cd: [(x, 2 * s // len(us)) for x, s in us]
-             for cd, us in users.items()}
+    # the inverse is 2 / (their number) times the transpose, in ints; the
+    # entry at (c, d), c < d, is eta_d times the M_cd coefficient
+    twice = {c * size + d: [(x, 2 * s // len(us) * eta[d]) for x, s in us]
+             for (c, d), us in users.items()}
     ratios = {}
-    for x, left in enumerate(rho):
-        for y in sorted({y for i in left for y in near[i] if y > x}):
-            com: dict[int, int] = {}  # C at entry (i, j) = i * size + j
-            for a, b, f in ((left, rho[y], 1), (rho[y], left, -1)):
-                for i, r in a.items():
-                    for j, v in r:
-                        for k, w in b.get(j, ()):
-                            ik = i * size + k
-                            com[ik] = com.get(ik, 0) + f * v * w
-            out: dict[int, int] = {}  # twice C in the basis
-            for ij, v in com.items():
-                c, d = divmod(ij, size)
-                if c < d and v:
-                    for k, w in twice.get((c, d), ()):
-                        out[k] = out.get(k, 0) + v * eta[d] * w
-            res = {ij: 2 * v for ij, v in com.items()}
-            for k, p in out.items():
-                for i, r in rho[k].items():
-                    for j, v in r:
-                        ij = i * size + j
-                        res[ij] = res.get(ij, 0) - p * v
+    for x, left in enumerate(ents):
+        for y in sorted({y for i in rho[x] for y in near[i] if y > x}):
+            res: dict[int, int] = {}  # 2C at entry (i, j) = i * size + j
+            for a, b, f in ((left, rho[y], 2), (ents[y], rho[x], -2)):
+                for i, j, v in a:
+                    for k, w in b.get(j, ()):
+                        ik = i + k
+                        res[ik] = res.get(ik, 0) + f * v * w
+            out: dict[int, int] = {}  # 4C in the basis, so all even
+            for ij, v in res.items():
+                for k, w in twice.get(ij, ()):
+                    out[k] = out.get(k, 0) + v * w
+            for k, p in out.items():  # 2C minus its expansion, in place
+                for ij, v in flat[k]:
+                    res[ij] = res.get(ij, 0) - (p >> 1) * v
             if any(res.values()):
                 resid = {f"M_{c}_{d}": str(Fraction(res[c * size + d]
                                                     * eta[d], 2))
@@ -135,7 +135,7 @@ def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
                     f"{name} bracket is not the commutator of its Lorentz "
                     f"matrices on basis pair ({names[x]}, {names[y]}): "
                     f"residual {resid}")
-            row = [(k, (p, 2)) for k, p in out.items() if p]
+            row = [(k, (p, 4)) for k, p in out.items() if p]
             if row:
                 ratios[(x, y)] = row
     return antisymmetric(dim, ratios)
@@ -182,8 +182,8 @@ def p_pairs_span_q(model: ReductivePair, n: Tensor3) -> bool:
     nq = model.h_dim - isqrt(model.h_dim)
     pp = [ab for ab in n.rows if nq <= ab[0] < ab[1]]
     return (all(k < nq for ab in pp for k, _ in n.rows[ab]) and
-            Subspace.span(model.m_dim,
-                          [n.numerators(*ab) for ab in pp]).dim == nq)
+            Subspace.of_rows(model.m_dim,
+                             [n.rows[ab] for ab in pp]).dim == nq)
 
 
 def positivity_report(model: ReductivePair

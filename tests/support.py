@@ -234,11 +234,27 @@ def from_dense(dim: int, vals) -> Tensor3:
         for ij, v in num.items()})
 
 
+def numerators(t: Tensor3, i: int, j: int) -> list[int]:
+    """den * T(e_i, e_j) as a dense list of ints."""
+    v = [0] * t.dim
+    for k, p in t.rows.get((i, j), ()):
+        v[k] = p
+    return v
+
+
+def dense_span(t: Tensor3, pairs) -> Subspace:
+    """The span of the T(e_i, e_j), (i, j) in pairs, by `Subspace.span` of
+    their dense numerator lists: an oracle for the `Subspace.of_rows` of
+    the stored rows that `image_distribution`, `p_pairs_span_q` and
+    `derived_subalgebra` take."""
+    return Subspace.span(t.dim, [numerators(t, i, j) for i, j in pairs])
+
+
 def dense_endo(t: Tensor3, i: int) -> Matrix:
     """T(e_i, .) as a matrix (columns are images), from the dense
     numerator lists T(e_i, e_b) * den put side by side as columns."""
     return Matrix.from_ints(t.den, list(zip(
-        *(t.numerators(i, b) for b in range(t.dim)))))
+        *(numerators(t, i, b) for b in range(t.dim)))))
 
 
 # -- parallel forms, as an oracle for `connections._parallel`

@@ -434,7 +434,7 @@ def test_construct_flag_spellings(capsys):
 # (argv, what its usage error names). Each value has one spelling, the
 # one README's CLI block shows; any other (examples list or --name,
 # construct --op or --base, synthesize --inv-image or --inv-perp, analyze
-# --alpha) is an argument the parser refuses
+# --alpha, a prefix of an option) is an argument the parser refuses
 @pytest.mark.parametrize("argv, named", [
     (["construct", "product", "ex2", "--xi", "1,0,0,0"],
      "usage error: --xi applies to the character construction only\n"),
@@ -457,12 +457,17 @@ def test_construct_flag_spellings(capsys):
     (["synthesize", "--n", "3", "--k", "1", "--inv-image", "n",
       "--inv-perp", "y"], "--inv-image n --inv-perp y"),
     (["analyze", "thurston", "--alpha", "3"], "--alpha 3"),
+    (["analyze", "ex1", "--rep", "text"], "--rep text"),
+    (["analyze", "ex1", "--h"], "--h"),
+    (["synthesize", "--n", "2", "--k", "1", "--image", "false", "--perp",
+      "true"], "--image false --perp true"),
 ], ids=["product_with_xi", "conflicting_flag_spellings",
         "conflicting_perp_spellings", "show_with_name", "list_with_name",
         "list_with_entry_name", "conflicting_op_spellings",
         "conflicting_base_spellings", "examples_list", "examples_name",
         "construct_op", "construct_base", "synthesize_inv_image",
-        "short_flag_spellings", "analyze_alpha"])
+        "short_flag_spellings", "analyze_alpha", "option_prefix",
+        "help_prefix", "flag_prefixes"])
 def test_arguments_a_command_would_ignore_are_usage_errors(argv, named,
                                                            capsys):
     assert main(argv) == 1
@@ -644,8 +649,9 @@ def test_help_exits_0(capsys):
 
 # argvs for the single-command parser against the full tree: help of
 # every command, bad choices, missing and unknown arguments, "--",
-# abbreviated and ambiguous options, "=" values, a repeated option, an
-# unknown or misspelt command and options before the command
+# options in full and abbreviated (refused by both), "=" values, a
+# repeated option, an unknown or misspelt command and options before the
+# command
 _PARSE_CORPUS = [
     [], ["-h"], ["--help"], ["-h", "analyze"], ["--timings"],
     ["anlyze", "ex1"], ["--full", "analyze", "ex1"], ["ex1", "analyze"],
@@ -656,6 +662,7 @@ _PARSE_CORPUS = [
     ["analyze", "ex1", "--bogus"], ["analyze", "ex1", "extra"],
     ["analyze", "--", "ex1"], ["analyze", "ex1", "--", "--full"],
     ["analyze", "ex1", "--fu", "--rep", "text", "-o", "r.txt"],
+    ["analyze", "ex1", "--full", "--report", "text", "-o", "r.txt"],
     ["analyze", "thurston", "--alpha=1/2", "--timings"],
     ["validate"], ["validate", "x.json", "--kind", "bogus"],
     ["validate", "x.json", "--kind", "triple"],

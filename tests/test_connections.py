@@ -12,7 +12,7 @@ from liesymp.errors import InternalInvariantViolation, Unsatisfiable
 from liesymp.tensor import combine
 from support import (aff_aff_triple, bracket_basis, conjugated_triple,
                      definitional_parallel, dense_conjugate, diag,
-                     from_dense)
+                     from_dense, numerators)
 
 F = Fraction
 
@@ -223,7 +223,7 @@ def test_character_shift_passes_and_keeps_the_mixed_trace_form(
     # summary read off the shifted map equals the Levi-Civita one.
     for name, t in extended_catalog.items():
         a, d = Analysis(t), t.dim
-        derived = [t.algebra.bracket.numerators(i, j)
+        derived = [numerators(t.algebra.bracket, i, j)
                    for i, j in t.algebra.pairs()]
         alphas = Matrix.from_rows(derived or [[0] * d]).nullspace()
         assert alphas, name  # no catalog algebra is perfect

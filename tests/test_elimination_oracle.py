@@ -109,6 +109,7 @@ def _check_elimination(m):
     assert m.nullspace() == _oracle_nullspace(m)
     s = Subspace.span(m.ncols, m.entries)
     assert s.basis.entries == want.entries[:want_rank]
+    assert Subspace.of_rows(m.ncols, m.rows) == s
 
 
 @pytest.mark.parametrize("name,m", CASES, ids=IDS)

@@ -14,7 +14,7 @@ from liesymp.nijenhuis import nijenhuis_of
 from liesymp.tensor import Tensor3
 from liesymp.twistor import twistor_j, twistor_nijenhuis
 from support import (composed_nijenhuis, conjugated_triple, dense_conjugate,
-                     definitional_nijenhuis, image_under,
+                     dense_span, definitional_nijenhuis, image_under,
                      pairwise_is_involutive)
 
 F = Fraction
@@ -215,20 +215,69 @@ def test_one_pass_n_matches_composed_on_catalog_rank_and_dense(
     assert dens == {True, False}
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_spans_of_stored_rows_match_the_dense_route(extended_catalog):
+    # image_distribution and derived_subalgebra pass the stored rows to
+    # Subspace.of_rows; the oracle spans their dense numerator lists
+    triples = dict(extended_catalog)
+    triples.update(_rank_examples(12))
+    for n, k, flags in ((2, 1, (True, False)), (3, 2, (False, True)),
+                        (4, 2, (True, False))):
+        triples[f"dense({n},{k})"] = dense_conjugate(
+            build_rank_example(n, k, *flags), random.Random(f"s:{n}:{k}"))
+    dims = set()
+    for name, t in triples.items():
+        n, g = nijenhuis_tensor(t), t.algebra
+        im = image_distribution(n)
+        assert im == dense_span(n, [ij for ij in n.rows if ij[0] < ij[1]]), \
+            name
+        assert g.derived_subalgebra() == dense_span(g.bracket, g.pairs()), \
+            name
+        dims.add(0 < im.dim < t.dim)
+    assert dims == {True, False}
+
+
+def test_one_pass_n_on_both_sides_of_the_sum_rule():
+    # at dim 18 the rank example's J, one entry a row, is under 1/16 full
+    # and N's values are summed in dicts; its dense conjugate fills J and
+    # they are summed in lists
+    t = build_rank_example(9, 3, False, True)
+    fill = []
+    for u in (t, dense_conjugate(t, random.Random("wide"))):
+        c, j = u.algebra.bracket, u.j
+        fill.append(16 * sum(map(len, j.rows)) < u.dim * u.dim)
+        got = nijenhuis_of(c, j)
+        assert got == composed_nijenhuis(c, j)
+        want = definitional_nijenhuis(c, j)
+        assert {ab: got.of_basis(*ab) for ab in want} == want
+    assert fill == [True, False]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_one_pass_n_matches_composed_on_twistor(n):
+    # J+- has one entry per row, so N's values are summed in dicts from
+    # n = 4 (dim 20) and in lists below; the dense conjugates above sum
+    # them in lists
     model = build_twistor_model(n)
     for sign in ("+", "-"):
-        assert twistor_nijenhuis(model, sign) == composed_nijenhuis(
-            model.bracket_m, twistor_j(model, sign)), (n, sign)
+        j = twistor_j(model, sign)
+        got = twistor_nijenhuis(model, sign)
+        assert got == composed_nijenhuis(model.bracket_m, j), (n, sign)
+        want = definitional_nijenhuis(model.bracket_m, j)
+        assert {ab: got.of_basis(*ab) for ab in want} == want, (n, sign)
 
 
 @st.composite
 def _bracket_and_j(draw):
     """An int bracket tensor over a small denominator and a rational J
     with den > 1 and J^2 != -1. Half the brackets are antisymmetric; the
-    others store any pairs, the diagonal too."""
-    dim = draw(st.integers(1, 5))
+    others store any pairs, the diagonal too. Half the J draw one or two
+    entries a row, at dims 1-9 and 17: at 17 one a row leaves J under
+    1/16 full, so `nijenhuis_of` sums N's values in dicts, and two a row
+    mostly keep the lists, as every J below dim 17 does; the others
+    have any rows, at dims 1-9."""
+    sparse = draw(st.booleans())
+    dim = draw(st.sampled_from((*range(1, 10), 17) if sparse
+                               else range(1, 10)))
     ints = st.integers(-4, 4)
     antisymmetric = draw(st.booleans())
     pairs = draw(st.lists(st.tuples(st.integers(0, dim - 1),
@@ -242,9 +291,17 @@ def _bracket_and_j(draw):
         elif a != b:
             num[(a, b)], num[(b, a)] = v, [-x for x in v]
     c = Tensor3.from_ints(dim, draw(st.sampled_from([1, 2, 6])), num)
-    j = Matrix.from_ints(draw(st.sampled_from([2, 3, 4, 6])),
-                         [draw(st.lists(ints, min_size=dim, max_size=dim))
-                          for _ in range(dim)])
+    if sparse:
+        rows, per_row = [], draw(st.integers(1, 2))
+        for _ in range(dim):
+            row = [0] * dim
+            for _ in range(per_row):
+                row[draw(st.integers(0, dim - 1))] = draw(ints)
+            rows.append(row)
+    else:
+        rows = [draw(st.lists(ints, min_size=dim, max_size=dim))
+                for _ in range(dim)]
+    j = Matrix.from_ints(draw(st.sampled_from([2, 3, 4, 6])), rows)
     assume(j.den > 1 and j @ j != -Matrix.identity(dim))
     return c, j
 

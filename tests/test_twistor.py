@@ -13,9 +13,10 @@ from liesymp.nijenhuis import image_distribution
 from liesymp.serialization import pretty_json
 from liesymp.twistor import (p_pairs_span_q, positivity_report, twistor_j,
                              twistor_nijenhuis)
-from support import (bracket_basis, definitional_twistor_n, j0_matrix,
-                     lorentz_matrices, matrix_twistor_algebra, omega_basis,
-                     p_element, q_block_matrix, q_element, twistor_n)
+from support import (bracket_basis, definitional_twistor_n, dense_span,
+                     j0_matrix, lorentz_matrices, matrix_twistor_algebra,
+                     omega_basis, p_element, q_block_matrix, q_element,
+                     twistor_n)
 
 F = Fraction
 
@@ -174,6 +175,22 @@ def test_p_pairs_fill_fibre_directions(models):
     for n in (2, 3):
         model = models[n]
         assert p_pairs_span_q(model, twistor_nijenhuis(model, "-"))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_minus_spans_match_the_dense_route(n):
+    # the image and the p x p span read N-'s stored rows (Subspace.of_rows);
+    # the oracle spans their dense numerator lists
+    model = build_twistor_model(n)
+    nminus = twistor_nijenhuis(model, "-")
+    upper = [ab for ab in nminus.rows if ab[0] < ab[1]]
+    assert image_distribution(nminus) == dense_span(nminus, upper)
+    nq = n * n - n
+    pp = [ab for ab in nminus.rows if nq <= ab[0] < ab[1]]
+    fill = (all(k < nq for ab in pp for k, _ in nminus.rows[ab])
+            and dense_span(nminus, pp).dim == nq)
+    assert fill  # q = 0 at n = 1
+    assert p_pairs_span_q(model, nminus)
 
 
 def test_orbit_form_invariant_under_both_structures(models):
