@@ -17,18 +17,83 @@ Nijenhuis formula for J on m applied to the m-projected bracket
 m into m, so projecting J[., .] to m changes nothing, and projecting
 [JA, JB] and [A, B] gives [JA, JB]_m and [A, B]_m. So `m_nijenhuis` is
 the shared `nijenhuis_of` on the m-projected bracket tensor.
+
+`matrix_bracket` reads the constants of an algebra given as int
+matrices off their commutators, through one inverse of the basis on the
+entries where `echelon` pivots. A complex one, such as su(n), enters
+realified: a + ib -> [[a, -b], [b, a]].
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InternalInvariantViolation
 from .lie import LieAlgebra, antisymmetric
-from .linalg import Matrix, _canon
+from .linalg import IntRow, Matrix, _canon, echelon
 from .nijenhuis import Tensor3, nijenhuis_of
 from .record import Record
+
+
+def matrix_bracket(name: str, names: Sequence[str],
+                   mats: Sequence[Sequence[IntRow]]) -> Tensor3:
+    """The bracket tensor of the basis rho(e_x) = mats[x], int square
+    matrices as `Matrix.rows` holds them, certified in the same pass.
+    The rho(e_x) must be linearly independent (`echelon` rank = dim), so
+    they are invertible on the entries where `echelon` pivots; that
+    `Matrix.inverse`, over its denominator D, reads coordinates. For
+    every x < y whose matrices share an index, in (x, y) order (others
+    commute), C = [rho(e_x), rho(e_y)] is read through it and must come
+    back as the sum of the rho(e_k) at every entry. So rho is an
+    injective homomorphism: the table holds its structure constants and
+    satisfies Jacobi. A failure names the pair and the residual, C minus
+    its expansion, by entry (i, j). Entries are keyed i * size + j."""
+    size, dim = len(mats[0]), len(mats)
+    rho = [{i: r for i, r in enumerate(m) if r} for m in mats]
+    ents = [[(i * size, j, v) for i, r in m.items() for j, v in r]
+            for m in rho]
+    flat = [[(i + j, v) for i, j, v in e] for e in ents]
+    piv = sorted(echelon(map(dict, flat)))
+    if len(piv) != dim:
+        raise InternalInvariantViolation(
+            f"{name} basis matrices are linearly dependent: rank "
+            f"{len(piv)} for dim {dim}")
+    pos = {ij: t for t, ij in enumerate(piv)}
+    inv = Matrix(1, tuple(tuple((pos[ij], v) for ij, v in f if ij in pos)
+                          for f in flat), dim).inverse()
+    d, through = inv.den, dict(zip(piv, inv.rows))  # e -> [(x, w)]
+    touch = [set(m).union(j for r in m.values() for j, _ in r) for m in rho]
+    near = [[x for x, t in enumerate(touch) if i in t] for i in range(size)]
+    ratios = {}
+    for x, left in enumerate(ents):
+        for y in sorted({y for i in touch[x] for y in near[i] if y > x}):
+            res: dict[int, int] = {}  # D C
+            for a, b, f in ((left, rho[y], d), (ents[y], rho[x], -d)):
+                for i, j, v in a:
+                    for k, w in b.get(j, ()):
+                        ik = i + k
+                        res[ik] = res.get(ik, 0) + f * v * w
+            out: dict[int, int] = {}  # D^2 c_x, the sum of w D C_e
+            for ij, v in res.items():
+                for k, w in through.get(ij, ()):
+                    out[k] = out.get(k, 0) + v * w
+            for k, p in out.items():  # D C minus its expansion, in place
+                p //= d
+                for ij, v in flat[k]:
+                    res[ij] = res.get(ij, 0) - p * v
+            if any(res.values()):
+                resid = {divmod(ij, size): str(Fraction(v, d))
+                         for ij, v in sorted(res.items()) if v}
+                raise InternalInvariantViolation(
+                    f"{name} bracket is not the commutator of its basis "
+                    f"matrices on basis pair ({names[x]}, {names[y]}): "
+                    f"residual {resid}")
+            row = [(k, (p, d * d)) for k, p in out.items() if p]
+            if row:
+                ratios[(x, y)] = row
+    return antisymmetric(dim, ratios)
 
 
 class ReductivePair(Record):

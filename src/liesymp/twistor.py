@@ -19,9 +19,8 @@ m = q (+) p. Basis order (m-coordinates list q then p in the same order):
 
 With eta = G and M_ab = eta_b E_ab - eta_a E_ba, this is P_i = M_0i,
 UX/QX_ab = M_ab +- M_{n+a,n+b}, UY_ab = M_{a,n+b} + M_{b,n+a} (UY_aa =
-M_{a,n+a}) and QY_ab = M_{a,n+b} - M_{b,n+a}. `_lorentz_bracket` reads
-the structure constants off the commutators of these matrices and
-certifies them by reconstruction.
+M_{a,n+a}) and QY_ab = M_{a,n+b} - M_{b,n+a}. These matrices (`_rho`)
+are all the model gives `homogeneous.matrix_bracket` for its constants.
 
 The invariant structures on m: both signs rotate the fibre directions the
 same way (QX_ab -> QY_ab -> -QX_ab = half the adjoint action of j'0),
@@ -35,15 +34,13 @@ p x p values filling the fibre directions q.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Any, Literal, Optional
 
-from .errors import InternalInvariantViolation
-from .homogeneous import (ReductivePair, m_nijenhuis, omega_j_invariant,
-                          positivity)
-from .lie import LieAlgebra, antisymmetric
-from .linalg import Matrix, Subspace, echelon
+from .homogeneous import (ReductivePair, m_nijenhuis, matrix_bracket,
+                          omega_j_invariant, positivity)
+from .lie import LieAlgebra
+from .linalg import IntRow, Matrix, Subspace
 from .nijenhuis import Tensor3, image_distribution
 
 Sign = Literal["+", "-"]
@@ -65,93 +62,29 @@ def _basis(n: int) -> list[tuple[str, Terms]]:
     return out
 
 
-def _lorentz_bracket(name: str, n: int, basis: list[tuple[str, Terms]],
-                     names: tuple[str, ...]) -> Tensor3:
-    """so(1, 2n)'s bracket tensor on `basis`, read off the Lorentz
-    matrices rho(e_x) = sum of s M_cd over the terms of e_x and certified
-    in the same pass, in ints. The rho(e_x) must be linearly independent
-    (`echelon` rank = dim). For every x < y that share a Lorentz index, in
-    (x, y) order (elements that share none commute), C = [rho(e_x),
-    rho(e_y)] is read in the M_cd off its entries above the diagonal (the
-    entry at (c, d) is eta_d times the M_cd coefficient), taken through
-    `twice`, the inverse change of basis, and the result must give back
-    2C as a sum of the rho(e_k) at every entry. So rho is an injective
-    homomorphism onto so(1, 2n): the table holds its structure constants
-    and satisfies Jacobi. A failure names the basis pair and the
-    residual, 2C minus its expansion over 2, in the M_cd. Each rho(e_x)
-    is listed once as its entries, keyed i * size + j, and `twice` is
-    keyed by the entry it reads; the expansion is subtracted from 2C in
-    place, so a pair that passes builds no second dict."""
-    eta = [-1] + [1] * (2 * n)
-    size, dim = len(eta), len(basis)
-    rho: list[dict[int, list[tuple[int, int]]]] = []  # i -> (j, entry)
-    ents: list[list[tuple[int, int, int]]] = []  # (i * size, j, entry)
-    users: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    near: list[set[int]] = [set() for _ in eta]  # index -> elements on it
-    for x, (_, terms) in enumerate(basis):
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for c, d, s in terms:
-            rows.setdefault(c, []).append((d, s * eta[d]))
-            rows.setdefault(d, []).append((c, -s * eta[c]))
-            users.setdefault((c, d), []).append((x, s))
-            near[c].add(x)
-            near[d].add(x)
-        rho.append(rows)
-        ents.append([(i * size, j, v) for i, r in rows.items() for j, v in r])
-    flat = [[(i + j, v) for i, j, v in e] for e in ents]
-    rank = len(echelon(map(dict, flat)))
-    if rank != dim:
-        raise InternalInvariantViolation(
-            f"{name} basis matrices are linearly dependent: rank {rank} "
-            f"for dim {dim}")
-    # M_cd lies in one basis element (P_i, UY_aa) or in two whose 2 x 2
-    # block [[1, 1], [1, -1]] is orthogonal with square norm 2, so twice
-    # the inverse is 2 / (their number) times the transpose, in ints; the
-    # entry at (c, d), c < d, is eta_d times the M_cd coefficient
-    twice = {c * size + d: [(x, 2 * s // len(us) * eta[d]) for x, s in us]
-             for (c, d), us in users.items()}
-    ratios = {}
-    for x, left in enumerate(ents):
-        for y in sorted({y for i in rho[x] for y in near[i] if y > x}):
-            res: dict[int, int] = {}  # 2C at entry (i, j) = i * size + j
-            for a, b, f in ((left, rho[y], 2), (ents[y], rho[x], -2)):
-                for i, j, v in a:
-                    for k, w in b.get(j, ()):
-                        ik = i + k
-                        res[ik] = res.get(ik, 0) + f * v * w
-            out: dict[int, int] = {}  # 4C in the basis, so all even
-            for ij, v in res.items():
-                for k, w in twice.get(ij, ()):
-                    out[k] = out.get(k, 0) + v * w
-            for k, p in out.items():  # 2C minus its expansion, in place
-                for ij, v in flat[k]:
-                    res[ij] = res.get(ij, 0) - (p >> 1) * v
-            if any(res.values()):
-                resid = {f"M_{c}_{d}": str(Fraction(res[c * size + d]
-                                                    * eta[d], 2))
-                         for c in range(size) for d in range(c + 1, size)
-                         if res.get(c * size + d)}
-                raise InternalInvariantViolation(
-                    f"{name} bracket is not the commutator of its Lorentz "
-                    f"matrices on basis pair ({names[x]}, {names[y]}): "
-                    f"residual {resid}")
-            row = [(k, (p, 4)) for k, p in out.items() if p]
-            if row:
-                ratios[(x, y)] = row
-    return antisymmetric(dim, ratios)
+def _rho(eta: list[int], terms: Terms) -> tuple[IntRow, ...]:
+    """The Lorentz matrix of the sum of s M_cd, M_cd = eta_d E_cd - eta_c
+    E_dc with eta = G, as `Matrix.rows` holds it (no M_cd twice)."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in eta]
+    for c, d, s in terms:
+        rows[c].append((d, s * eta[d]))
+        rows[d].append((c, -s * eta[c]))
+    return tuple(tuple(sorted(r)) if r else () for r in rows)
 
 
 def build_twistor_model(n: int) -> ReductivePair:
     """Construct so(1, 2n) with its orbit potential phi, as the pair with
     h = u(n). The structure constants are read off so(1, 2n)'s own
-    matrices and certified in the same pass (`_lorentz_bracket`)."""
+    matrices and certified in the same pass (`matrix_bracket`)."""
     if n < 1:
         raise ValueError("n >= 1 required")
     basis = _basis(n)
     names = tuple(nm for nm, _ in basis)
     assert len(names) == n * (2 * n + 1)  # (2n+1)(2n)/2
     name = f"so(1,{2*n})"
-    g = LieAlgebra(name, names, _lorentz_bracket(name, n, basis, names))
+    eta = [-1] + [1] * (2 * n)
+    g = LieAlgebra(name, names, matrix_bracket(
+        name, names, [_rho(eta, terms) for _, terms in basis]))
     # phi(e_x) = -Tr(j'0 rho(e_x)), where Tr(j'0 M_cd) = 2 if d = n + c
     # with 1 <= c <= n, and 0 otherwise: only the UY diagonal has phi
     phi = tuple(-2 * sum(s for c, d, s in terms if 1 <= c <= n and d == n + c)

@@ -485,8 +485,8 @@ def _expand_in_basis(m: Sparse, n: int, pos: dict[str, int]) -> dict[int, int]:
 def matrix_twistor_algebra(model):
     """`model`'s so(1,2n) rebuilt from the hand-written matrices of
     `lorentz_matrices` and the hand-written expansion `_expand_in_basis`,
-    neither of which reads `twistor._basis` or its inverse change of
-    basis: every bracket a commutator, expanded back into the basis,
+    neither of which reads `twistor._basis` or `homogeneous.matrix_bracket`'s
+    inverse: every bracket a commutator, expanded back into the basis,
     checked by reconstruction, then `validate`d."""
     g, n = model.algebra, twistor_n(model)
     mats = lorentz_matrices(n)

@@ -1,5 +1,6 @@
 """The reductive-pair engine: so(1,2n)'s descent facts, the Lie-group case
-h = 0, and how often a pair builds what it shares between structures."""
+h = 0, how often a pair builds what it shares between structures, and
+the reader of structure constants off int matrices."""
 
 from functools import cached_property
 from itertools import product
@@ -11,7 +12,7 @@ from liesymp import (Analysis, Matrix, ReductivePair, abelian,
                      ex2, ex3, ex4, image_distribution, nijenhuis_tensor,
                      thurston, twistor_claims)
 from liesymp.errors import InternalInvariantViolation, Unsatisfiable
-from liesymp.homogeneous import m_nijenhuis, positivity
+from liesymp.homogeneous import m_nijenhuis, matrix_bracket, positivity
 from liesymp.twistor import twistor_j
 from support import descent_facts, twistor_n
 
@@ -21,6 +22,29 @@ from support import descent_facts, twistor_n
 def test_twistor_descent_facts_hold(n, sign):
     model = build_twistor_model(n)
     assert descent_facts(model, twistor_j(model, sign)) == (True, True, True)
+
+
+def test_matrix_bracket_refuses_a_set_that_is_not_closed():
+    # {E_12, E_21} in gl(2): [E_12, E_21] = E_11 - E_22 lies outside
+    # their span, so its expansion is 0 and the residual is all of it
+    e12, e21 = (((1, 1),), ()), ((), ((0, 1),))
+    with pytest.raises(InternalInvariantViolation) as exc:
+        matrix_bracket("gl(2)", ("E_12", "E_21"), [e12, e21])
+    assert str(exc.value) == (
+        "gl(2) bracket is not the commutator of its basis matrices on basis "
+        "pair (E_12, E_21): residual {(0, 0): '1', (1, 1): '-1'}")
+
+
+def test_matrix_bracket_pairs_matrices_that_share_only_a_column_index():
+    # strictly upper triangular 3 x 3: E_12 lists row 0 and E_23 row 1,
+    # but they meet at index 1, and [E_12, E_23] = E_13; without E_13 the
+    # set is not closed
+    e12, e23, e13 = (((1, 1),), (), ()), ((), ((2, 1),), ()), \
+        (((2, 1),), (), ())
+    t = matrix_bracket("n(3)", ("E_12", "E_23", "E_13"), [e12, e23, e13])
+    assert (t.den, t.rows) == (1, {(0, 1): ((2, 1),), (1, 0): ((2, -1),)})
+    with pytest.raises(InternalInvariantViolation, match=r"\(0, 2\): '1'"):
+        matrix_bracket("n(3)", ("E_12", "E_23"), [e12, e23])
 
 
 def _mixed_j(model) -> Matrix:

@@ -57,8 +57,8 @@ def test_phi_is_minus_trace_with_j0(n):
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_closed_form_matches_matrix_commutators(n):
     # the second route to the constants: hand-written Lorentz matrices and
-    # expansion in `support`, independent of `_basis` and its inverse
-    # change of basis; the opposite algebra (-t) fails here
+    # expansion in `support`, independent of `_basis` and of
+    # `matrix_bracket`'s inverse; the opposite algebra (-t) fails here
     model = build_twistor_model(n)
     assert model.algebra == matrix_twistor_algebra(model)
 
@@ -89,18 +89,27 @@ def _edited_basis(monkeypatch, name, terms):
     monkeypatch.setattr(twistor, "_basis", edited)
 
 
-def test_representation_check_refuses_an_unclosed_basis(monkeypatch):
-    # QX_1_2 = M_12 - 2 M_34: the span of the edited basis matrices is not
-    # closed under the commutator, so no table reproduces them; the check
-    # names the first pair in (x, y) order and 2C minus its expansion,
-    # over 2, in the M_cd
+def test_representation_check_accepts_another_basis_of_the_algebra(
+        monkeypatch):
+    # QX_1_2 = M_12 - 2 M_34 = -UX_1_2 / 2 + 3 QX_1_2 / 2: dim-many
+    # independent elements of so(1,4) still span all of it, so the reader
+    # accepts them; the table obeys Jacobi and is the original one
+    # transported by the change of basis P, c'(e_i, e_j) = P^-1 c(P e_i,
+    # P e_j), with column k of P the old coordinates of the new e_k
+    old = build_twistor_model(2).algebra
     _edited_basis(monkeypatch, "QX_1_2", lambda b: [(1, 2, 1), (3, 4, -2)])
-    with pytest.raises(InternalInvariantViolation) as exc:
-        build_twistor_model(2)
-    assert str(exc.value) == (
-        "so(1,4) bracket is not the commutator of its Lorentz matrices on "
-        "basis pair (UY_1_1, UY_1_2): residual {'M_1_2': '-1/2', "
-        "'M_3_4': '1'}")
+    new = build_twistor_model(2).algebra
+    assert new.basis_names == old.basis_names
+    assert new.bracket != old.bracket
+    _check_jacobi(new)
+    ux, qx = old.basis_names.index("UX_1_2"), old.basis_names.index("QX_1_2")
+    cols = [[F(int(i == k)) for i in range(old.dim)] for k in range(old.dim)]
+    cols[qx][ux], cols[qx][qx] = F(-1, 2), F(3, 2)
+    pinv = Matrix.from_rows([list(r) for r in zip(*cols)]).inverse()
+    for i in range(old.dim):
+        for j in range(old.dim):
+            assert new.bracket.of_basis(i, j) == pinv.apply(
+                old.bracket_vec(cols[i], cols[j])), (i, j)
 
 
 def test_representation_check_refuses_dependent_basis_matrices(monkeypatch):
