@@ -34,7 +34,7 @@ from .errors import (BadNumber, BracketOrder, CocycleViolation,
                      Unsatisfiable, ValidationError, ZeroCharacter)
 from .homogeneous import ReductivePair
 from .lie import LieAlgebra, validate
-from .linalg import Matrix, Scalar, Subspace, complement, qof
+from .linalg import Matrix, Subspace, complement, qof
 from .nijenhuis import (DistributionReport, Tensor3, check_tensor_identities,
                         classify, image_distribution, is_involutive,
                         kernel_distribution, nijenhuis_tensor, norm_sq)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 
 from .errors import (BadNumber, NotACharacter, PerfectAlgebra, Unsatisfiable,
                      ZeroCharacter)
@@ -36,19 +37,19 @@ def abelian(n: int) -> SymplecticTriple:
     """R^{2n} with the standard structures; Kaehler, N = 0."""
     if n < 1:
         raise Unsatisfiable("abelian factor needs n >= 1")
-    g = validate(f"abelian({n})", 2 * n, _xy_names(n), {})
+    g = validate(f"abelian({n})", _xy_names(n), {})
     return build_triple(g, standard_omega(2 * n), standard_j(2 * n))
 
 
 def ex1() -> SymplecticTriple:
     # [X1, X2] = Y2, [X1, Y2] = Y1; nilpotent, neither distribution involutive
-    g = validate("ex1", 4, _xy_names(2), {(0, 1): {3: 1}, (0, 3): {2: 1}})
+    g = validate("ex1", _xy_names(2), {(0, 1): {3: 1}, (0, 3): {2: 1}})
     return build_triple(g, standard_omega(4), standard_j(4))
 
 
 def ex2() -> SymplecticTriple:
     # [Y1, Y2] = X2; nilpotent, both distributions involutive
-    g = validate("ex2", 4, _xy_names(2), {(2, 3): {1: 1}})
+    g = validate("ex2", _xy_names(2), {(2, 3): {1: 1}})
     return build_triple(g, standard_omega(4), standard_j(4))
 
 
@@ -56,7 +57,7 @@ def ex3() -> SymplecticTriple:
     # [X1,X2] = (X2+Y2)/2, [X1,Y1] = Y1, [X1,Y2] = Y2/2, [X2,Y2] = Y1
     # solvable not nilpotent; only the complement of im N is involutive
     h = Fraction(1, 2)
-    g = validate("ex3", 4, _xy_names(2), {
+    g = validate("ex3", _xy_names(2), {
         (0, 1): {1: h, 3: h},
         (0, 2): {2: 1},
         (0, 3): {3: h},
@@ -68,7 +69,7 @@ def ex3() -> SymplecticTriple:
 def ex4() -> SymplecticTriple:
     # [X1,X2] = -X2+2Y1+4Y2, [X1,Y1] = -Y1, [X1,Y2] = Y1+Y2
     # not nilpotent; only im N is involutive
-    g = validate("ex4", 4, _xy_names(2), {
+    g = validate("ex4", _xy_names(2), {
         (0, 1): {1: -1, 2: 2, 3: 4},
         (0, 2): {2: -1},
         (0, 3): {2: 1, 3: 1},
@@ -78,7 +79,7 @@ def ex4() -> SymplecticTriple:
 
 def dim6() -> SymplecticTriple:
     # 6-dimensional nilpotent with im N = the whole algebra
-    g = validate("dim6", 6, _xy_names(3), {
+    g = validate("dim6", _xy_names(3), {
         (0, 1): {1: 1, 2: 1},
         (0, 2): {1: -1, 2: -1, 4: 1},
         (0, 4): {4: -1, 5: 1},
@@ -95,8 +96,7 @@ def thurston(alpha=1) -> SymplecticTriple:
     a = qof(alpha)
     if a <= 0:
         raise Unsatisfiable("parameter must be positive")
-    g = validate(f"thurston({a})", 4, ("E1", "E2", "E3", "E4"),
-                 {(2, 3): {1: 1}})
+    g = validate(f"thurston({a})", ("E1", "E2", "E3", "E4"), {(2, 3): {1: 1}})
     omega = Matrix.from_rows([
         [0, 0, 1, 0],
         [0, 0, 0, 1],
@@ -135,8 +135,7 @@ def builtin(name: str) -> SymplecticTriple:
 
     Accepts "ex1".."ex4", "dim6", "thurston", "thurston(1/2)", "abelian(3)".
     """
-    name = name.strip()
-    m = re.fullmatch(r"(\w+)\s*\(\s*([^)]+?)\s*\)", name)
+    m = re.fullmatch(r"(\w+)\(([^)]+)\)", name)
     name, param = m.groups() if m else (name, None)
     if name in _PLAIN:
         if param is not None:
@@ -158,8 +157,9 @@ def builtin(name: str) -> SymplecticTriple:
 
 
 def _fresh_pair(names: tuple[str, ...], stem1: str, stem2: str) -> tuple[str, str]:
-    pat = re.compile(rf"^{stem1}\d+$")
-    m = sum(1 for nm in names if pat.match(nm)) + 1
+    """(stem1 m, stem2 m) for the least m >= 1 with both names unused."""
+    m = next(m for m in count(1)
+             if f"{stem1}{m}" not in names and f"{stem2}{m}" not in names)
     return f"{stem1}{m}", f"{stem2}{m}"
 
 

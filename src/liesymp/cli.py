@@ -48,18 +48,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_triple(target: str) -> tuple[SymplecticTriple, str]:
-    """File path (not a directory) or builtin name -> (triple, display
-    name)."""
+def _load_triple(target: str) -> SymplecticTriple:
+    """The triple of a file path (not a directory) or a builtin name; an
+    unknown name is a usage error."""
     if os.path.exists(target) and not os.path.isdir(target):
         payload = load_json_file(target)
         if not is_triple_payload(payload):
             raise SerializationError(
                 f"{target} is not a triple payload (no \"omega\" field)")
-        t = triple_from_dict(payload)
-        return t, payload.get("name", os.path.basename(target))
-    t = catalog.builtin(target)
-    return t, t.algebra.name
+        return triple_from_dict(payload)
+    try:
+        return catalog.builtin(target)
+    except KeyError as e:
+        raise _UsageError(e.args[0]) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -78,19 +79,15 @@ def _cmd_validate(args) -> int:
     kind = args.kind
     if kind == "auto":
         kind = "triple" if is_triple_payload(payload) else "algebra"
-    if kind == "triple":
-        t = triple_from_dict(payload)
-        name, dim = t.algebra.name, t.dim
-    else:
-        g = algebra_from_dict(payload)
-        name, dim = g.name, g.dim
-    print(f"OK: valid {kind} '{name}' (dim {dim})")
+    g = (triple_from_dict(payload).algebra if kind == "triple"
+         else algebra_from_dict(payload))
+    print(f"OK: valid {kind} '{g.name}' (dim {g.dim})")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    t, name = _load_triple(args.target)
-    rep = build_report(t, name=name, full=args.full, timings=args.timings)
+    rep = build_report(_load_triple(args.target), full=args.full,
+                       timings=args.timings)
     if args.report == "text":
         _emit(render_text(rep), args.output)
     else:
@@ -116,15 +113,14 @@ def _cmd_examples(args) -> int:
         return 0
     if args.name is None:
         raise _UsageError("examples show needs an entry name")
-    t, _ = _load_triple(args.name)
-    _emit(pretty_json(triple_to_dict(t)), args.output)
+    _emit(pretty_json(triple_to_dict(_load_triple(args.name))), args.output)
     return 0
 
 
 def _cmd_construct(args) -> int:
     if args.kind == "product" and args.xi is not None:
         raise _UsageError("--xi applies to the character construction only")
-    t, _ = _load_triple(args.target)
+    t = _load_triple(args.target)
     if args.kind == "product":
         t2 = catalog.product_extension(t)
     else:
@@ -332,10 +328,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValidationError as e:
         print(f"INVALID ({type(e).__name__}): {e}", file=sys.stderr)
         return 2
-    except KeyError as e:
-        # unknown catalog name and similar lookup misses are usage errors
-        print(f"usage error: {e.args[0] if e.args else e}", file=sys.stderr)
-        return 1
     except LiesympError as e:
         print(f"ERROR ({type(e).__name__}): {e}", file=sys.stderr)
         return 2

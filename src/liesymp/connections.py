@@ -181,30 +181,29 @@ def torsion_recovers_nijenhuis(t: SymplecticTriple, conn: Connection,
     return nijenhuis_of(torsion(t, conn), t.j) == -n
 
 
-def nabla_j_checks(t: SymplecticTriple, nj: Tensor3, n: Tensor3,
-                   gn: Tensor3 | None = None) -> dict[str, bool]:
+def nabla_j_checks(t: SymplecticTriple, nj: Tensor3,
+                   gn: Tensor3) -> dict[str, bool]:
     """Structural identities tying nabla J to the Nijenhuis tensor:
 
       nabla_j_pairing          2 omega((nabla_A J) B, C) = omega(N(B,C), JA)
       nabla_j_anticommutation  (nabla_{JA} J) = -J (nabla_A J), checked on
                                every basis vector B.
 
-    nj is `nabla_of(lc, t.j)` and n the Nijenhuis tensor of t. gn is
-    G N, `n.map_values(t.metric)`: optional, as in `nijenhuis.norm_sq`,
-    so a report can pass the one it built for |N|^2. Both are
-    whole-tensor identities in ints: with omega(u, v) = u^T omega v, the
-    left side of the pairing at (a, b, c) is 2 (omega^T nj(a, b))_c and
-    the right side ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J
-    the (symmetric) metric, each scaled by the other side's denominator
-    before the nonzero values are compared; the anticommutation is
+    nj is `nabla_of(lc, t.j)` and gn is G N, `n.map_values(t.metric)`
+    for the Nijenhuis tensor n of t, the one a report built for |N|^2
+    (`nijenhuis.norm_sq`). Both are whole-tensor identities in ints:
+    with omega(u, v) = u^T omega v, the left side of the pairing at
+    (a, b, c) is 2 (omega^T nj(a, b))_c and the right side
+    ((omega J)^T N(b, c))_a = (G N(b, c))_a, G = omega J the (symmetric)
+    metric, each scaled by the other side's denominator before the
+    nonzero values are compared; the anticommutation is
     `Tensor3.anti_linear` of nj at the triple's first slots.
     """
     low = nj.map_values(t.omega.transpose())
-    rhs = gn if gn is not None else n.map_values(t.metric)
-    lhs = {(a, b, c): 2 * p * rhs.den
+    lhs = {(a, b, c): 2 * p * gn.den
            for (a, b), row in low.rows.items() for c, p in row}
     pairing = lhs == {(a, b, c): p * low.den
-                      for (b, c), row in rhs.rows.items() for a, p in row}
+                      for (b, c), row in gn.rows.items() for a, p in row}
     anticomm = nj.anti_linear(t.j, t.first_slots)
     return {"nabla_j_pairing": pairing,
             "nabla_j_anticommutation": anticomm}
@@ -308,7 +307,7 @@ def covariant_derivative_n(t: SymplecticTriple, lc: Connection,
                            n: Tensor3,
                            rep: DistributionReport) -> ParallelismReport:
     """Is nabla N = 0 under the Levi-Civita map, and are im N and its
-    orthogonal complement parallel; rep is `classify(t, n)`. With
+    orthogonal complement parallel; rep is `classify(t, n, gn)`. With
     M_i = Gamma(e_i, .), a distribution is parallel iff every M_i maps it
     into itself (`Subspace.invariant_under`), and
 

@@ -45,16 +45,18 @@ class LieAlgebra(Record):
         return len(self.basis_names)
 
     @staticmethod
-    def from_brackets(name: str, dim: int, basis_names: Sequence[str],
+    def from_brackets(name: str, basis_names: Sequence[str],
                       brackets: Mapping[tuple[int, int], Mapping[int, object]],
                       ) -> "LieAlgebra":
         """The algebra with [e_i, e_j] = sum of c e_k over brackets[(i, j)],
-        i < j, any exact numbers; indices and order are checked, the
-        Jacobi identity is not (`validate` adds it)."""
+        i < j, any exact numbers, of dimension len(basis_names); indices
+        and order are checked, the Jacobi identity is not (`validate`
+        adds it)."""
         names = tuple(basis_names)
-        if len(names) != dim:
-            raise DimensionMismatch(f"{len(names)} basis names for dim {dim}")
-        ratios = {}
+        dim, ratios = len(names), {}
+        if len(set(names)) != dim:
+            raise DimensionMismatch("basis name {!r} repeats".format(
+                next(nm for k, nm in enumerate(names) if nm in names[:k])))
         for (i, j), res in brackets.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatch(
@@ -186,12 +188,12 @@ def antisymmetric(dim: int, ratios: Mapping) -> Tensor3:
     return Tensor3(dim, den, rows)
 
 
-def validate(name: str, dim: int, basis_names: Sequence[str],
+def validate(name: str, basis_names: Sequence[str],
              brackets: Mapping[tuple[int, int], Mapping[int, object]],
              ) -> LieAlgebra:
     """Build a LieAlgebra after checking indices, antisymmetry bookkeeping
     and the full Jacobi identity on all basis triples."""
-    g = LieAlgebra.from_brackets(name, dim, basis_names, brackets)
+    g = LieAlgebra.from_brackets(name, basis_names, brackets)
     _check_jacobi(g)
     return g
 

@@ -33,11 +33,12 @@ subspace iff A kills that basis, it is invariant under m iff
 A m B^T = 0, and two subspaces meet in the kernel of both A stacked.
 
 No size limit is enforced; cost follows the nonzero count and the
-coefficients' bit length. Measured full reports (`build_report(...,
-full=True)` on `build_rank_example(n, k, False, True)`, Python 3.11, one
-core of a shared 2-vCPU x86-64 VM, median of 3): dim 12 (k = 2) 0.008 s,
-dim 14 (k = 3) 0.010 s, dim 20 (k = 4) 0.020 s. Larger dimensions are
-untested.
+coefficients' bit length, except N's [Ja, Jb] term: d^5 on a dense
+bracket with a dense J (`nijenhuis_of`). Measured full reports
+(`build_report(..., full=True)` on `build_rank_example(n, k, False,
+True)`, Python 3.11, one core of a shared 2-vCPU x86-64 VM, median of
+3): dim 12 (k = 2) 0.008 s, dim 14 (k = 3) 0.010 s, dim 20 (k = 4)
+0.020 s. Larger dimensions are untested.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from typing import Iterable, Iterator, Sequence
 from .errors import BadNumber, SingularGram
 from .record import Record, _set
 
-Scalar = Fraction
 Row = dict[int, int]   # a sparse int row {column: value}
 IntRow = tuple[tuple[int, int], ...]   # ((column, value), ...), ascending
 

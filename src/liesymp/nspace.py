@@ -43,11 +43,11 @@ from .symp import (SymplecticTriple, check_j, first_slots, standard_j,
                    standard_omega)
 
 
-def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
+def build_constraint_rows(omega: Matrix, j: Matrix) -> Iterator[Row]:
     """The rows of the module docstring for F = `first_slots(j)`, from
-    the columns of omega and of G = omega J in ints. A row's three pairs
-    differ: no column repeats."""
-    first = first_slots(j)
+    the columns of omega and of G = omega J in ints, dim = omega.nrows.
+    A row's three pairs differ: no column repeats."""
+    dim, first = omega.nrows, first_slots(j)
     base = {ab: p * dim for p, ab in enumerate(combinations(first, 2))}
     forms = omega.transpose().rows, (omega @ j).transpose().rows
     for (a, b, c), cols in product(combinations(first, 3), forms):
@@ -56,16 +56,17 @@ def build_constraint_rows(dim: int, omega: Matrix, j: Matrix) -> Iterator[Row]:
                for m, w in cols[z]}
 
 
-def nullity(dim: int, omega: Matrix, j: Matrix) -> int:
+def nullity(omega: Matrix, j: Matrix) -> int:
     """Corank of the rows, after `check_j`: their derivation needs it."""
     check_j(omega, j)
+    dim = omega.nrows
     return (dim * (dim // 2) * (dim // 2 - 1) // 2
-            - len(echelon(build_constraint_rows(dim, omega, j))))
+            - len(echelon(build_constraint_rows(omega, j))))
 
 
 def nijenhuis_space_dim(n: int) -> int:
     """`nullity` for the standard structures on R^{2n}."""
-    return nullity(2 * n, standard_omega(2 * n), standard_j(2 * n))
+    return nullity(standard_omega(2 * n), standard_j(2 * n))
 
 
 def expected_dimension(n: int) -> int:

@@ -114,8 +114,8 @@ def _membership(t: SymplecticTriple, n: Tensor3,
             and cyclic_rows_vanish(t, n))
 
 
-def build_report(t: SymplecticTriple, name: Optional[str] = None,
-                 full: bool = False, timings: bool = False) -> dict:
+def build_report(t: SymplecticTriple, full: bool = False,
+                 timings: bool = False) -> dict:
     t0 = time.monotonic()
     g = t.algebra
     a = Analysis(t)
@@ -123,7 +123,7 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
     cs = a.curvature
     par = a.parallelism
     ident = dict(check_tensor_identities(t, n))
-    ident.update(nabla_j_checks(t, a.nabla_j, n, a.gn))
+    ident.update(nabla_j_checks(t, a.nabla_j, a.gn))
     ident["constraint_membership"] = _membership(t, n, ident)
     nil, lcs_dims = g.is_nilpotent()
     # lcs_dims[1] is dim [g, g]; a perfect g has no second term
@@ -132,7 +132,7 @@ def build_report(t: SymplecticTriple, name: Optional[str] = None,
     gap = cs.hermitian_scalar - cs.scalar
 
     out: dict[str, Any] = {
-        "name": name if name is not None else g.name,
+        "name": g.name,
         "dim": t.dim,
         "hash": triple_hash(t),
         "validation": {

@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Iterable
 
-from .errors import LiesympError, SerializationError
+from .errors import DimensionMismatch, LiesympError, SerializationError
 from .lie import LieAlgebra, validate
 from .linalg import Matrix, brief, qof
 from .symp import SymplecticTriple, build_triple
@@ -169,6 +169,8 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
     name = _field(d, "name")
     dim = _field(d, "dim")
     basis = _field(d, "basis")
+    if not isinstance(name, str):
+        raise SerializationError("name must be a string")
     if not _is_int(dim):
         raise SerializationError("dim must be an integer")
     if not isinstance(basis, list) or not all(isinstance(x, str) for x in basis):
@@ -194,7 +196,10 @@ def algebra_from_dict(d: dict) -> LieAlgebra:
             if key in table:
                 raise SerializationError(f"duplicate bracket entry ({i}, {j})")
             table[key] = coeffs
-        return validate(name, dim, basis, table)
+        if len(basis) != dim:
+            raise DimensionMismatch(
+                f"{len(basis)} basis names for dim {dim}")
+        return validate(name, basis, table)
     except (LiesympError, TypeError, ValueError):
         # a refused coefficient the checks above met is reported first,
         # in `_num`'s words, each read after its key in file order

@@ -91,7 +91,7 @@ def aff_aff_triple() -> SymplecticTriple:
     """aff(R) + aff(R): [e1,e2] = e2, [e3,e4] = e4, omega = e^12 + e^34,
     J e1 = e2, J e3 = e4.  Kaehler and not flat, unlike every integrable
     catalog entry."""
-    alg = validate("aff+aff", 4, ("e1", "e2", "e3", "e4"),
+    alg = validate("aff+aff", ("e1", "e2", "e3", "e4"),
                    {(0, 1): {1: 1}, (2, 3): {3: 1}})
     omega = Matrix.from_rows([[0, 1, 0, 0], [-1, 0, 0, 0],
                               [0, 0, 0, 1], [0, 0, -1, 0]])
@@ -108,6 +108,20 @@ def conjugated_triple(t: SymplecticTriple, rng: random.Random,
     s = random_symplectic(t.omega, rng, steps=steps)
     j2 = s @ t.j @ s.inverse()
     return build_triple(t.algebra, t.omega, j2)
+
+
+def transport(t: SymplecticTriple, p: Matrix) -> SymplecticTriple:
+    """t in the basis e'_i = P e_i, the columns of an invertible P, under
+    the same names: c' = P^-1 c(P., P.), omega' = P^T omega P and
+    J' = P^-1 J P, rebuilt through `validate` and `build_triple`."""
+    g, p_inv, cols = t.algebra, p.inverse(), p.transpose().entries
+    table = {}
+    for a, b in combinations(range(t.dim), 2):
+        res = p_inv.apply(g.bracket_vec(cols[a], cols[b]))
+        if any(res):
+            table[(a, b)] = dict(enumerate(res))
+    return build_triple(validate(g.name, g.basis_names, table),
+                        p.transpose() @ t.omega @ p, p_inv @ t.j @ p)
 
 
 # -- helpers for matrix and subspace operations the library does not need
@@ -503,7 +517,7 @@ def matrix_twistor_algebra(model):
                 == {k: 2 * v for k, v in br.items()}), (x, y)
         if twice:
             table[(x, y)] = {k: Fraction(c, 2) for k, c in twice.items()}
-    return validate(g.name, g.dim, g.basis_names, table)
+    return validate(g.name, g.basis_names, table)
 
 
 # -- the definitional identity routes, as oracles for the int contractions
@@ -628,7 +642,7 @@ def rows_vanish_at_u(t: SymplecticTriple, tensor) -> bool:
     u = {p * dim + k: v for p, ab in enumerate(combinations(first, 2))
          for k, v in values.get(ab, ())}
     return not any(sum(v * u.get(c, 0) for c, v in row.items())
-                   for row in build_constraint_rows(dim, t.omega, t.j))
+                   for row in build_constraint_rows(t.omega, t.j))
 
 
 def _pair_bases(dim: int) -> list[list[int]]:

@@ -102,7 +102,8 @@ def test_criterion_03_family_norm_is_8_alpha():
     results = {}
     for a in ("1/2", "1", "2", "3"):
         t = thurston(a)
-        results[a] = norm_sq(nijenhuis_tensor(t), t)
+        n = nijenhuis_tensor(t)
+        results[a] = norm_sq(n, t, n.map_values(t.metric))
     ok = all(results[a] == 8 * F(a) for a in results)
     _verdict(3, "parametric family: |N|^2 = 8a for a in {1/2, 1, 2, 3}", ok)
     assert ok, results
@@ -181,7 +182,7 @@ def test_criterion_07_nabla_j_identities(full_catalog):
     ok = True
     for name, t in full_catalog:
         a = Analysis(t)
-        checks = nabla_j_checks(t, a.nabla_j, a.n)
+        checks = nabla_j_checks(t, a.nabla_j, a.gn)
         ok = ok and all(checks.values())
     _verdict(7, "covariant-derivative-of-J pairing and anticommutation "
                 "identities on the full catalog", ok)
@@ -223,7 +224,7 @@ def test_criterion_08_scalar_identity_with_coefficient_two(full_catalog):
     for name, t in full_catalog:
         a = Analysis(t)
         summary = a.curvature
-        nsq = norm_sq(a.n, t)
+        nsq = norm_sq(a.n, t, a.gn)
         djsq = _grad_j_norm_sq(t, a.nabla_j)
         gap = summary.hermitian_scalar - summary.scalar
         if gap != F(1, 16) * nsq or gap != djsq / 4:

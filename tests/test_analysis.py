@@ -27,7 +27,8 @@ from liesymp.report import subspace_payload
 from liesymp.serialization import pretty_json
 from liesymp.tensor import Tensor3
 from liesymp.twistor import twistor_nijenhuis
-from support import aff_aff_triple, dense_conjugate, name_of_vector
+from support import (aff_aff_triple, dense_conjugate, image_under,
+                     name_of_vector, transport)
 
 
 def _count(monkeypatch, fn) -> list:
@@ -138,6 +139,48 @@ def test_full_report_reads_no_fraction_entries(monkeypatch):
     assert reads == []
     Matrix.identity(2).entries
     assert len(reads) == 1
+
+
+def _basis_invariants(rep: dict) -> dict:
+    """The report fields a change of basis leaves alone. Left out by
+    design: the hash, and every coordinate row and named combination
+    (the spans, the Ricci forms and the N values)."""
+    nj = rep["nijenhuis"]
+    return {
+        **{k: rep[k] for k in ("name", "dim", "validation", "algebra",
+                               "identities", "flags", "parallelism")},
+        "norm_sq": nj["norm_sq"],
+        "dims": [nj[s]["dim"] for s in ("image", "perp", "kernel")],
+        "involutive": [nj["image_involutive"], nj["perp_involutive"]],
+        "curvature": {k: v for k, v in rep["curvature"].items()
+                      if k not in ("ricci", "chern_ricci")},
+    }
+
+
+def _invertible(dim: int, rng: random.Random) -> Matrix:
+    """The first drawn dim x dim matrix with entries in [-2, 2] and a
+    nonzero determinant."""
+    while True:
+        p = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(dim)]
+                              for _ in range(dim)])
+        if p.det():
+            return p
+
+
+def test_a_change_of_basis_keeps_every_invariant(catalog):
+    # dense brackets: the transported rank (6, 3) table stores all 132
+    # ordered pairs, where the library-built one stores 6
+    rank = {f"rank{key}": build_rank_example(*key)
+            for key in ((3, 1, False, False), (4, 2, True, False),
+                        (5, 2, False, True), (6, 3, True, True))}
+    for name, t in {**catalog, **rank}.items():
+        p = _invertible(t.dim, random.Random(f"transport:{name}"))
+        moved = transport(t, p)
+        assert (_basis_invariants(build_report(moved, full=True))
+                == _basis_invariants(build_report(t, full=True))), name
+        old, new = Analysis(t).distributions, Analysis(moved).distributions
+        for s in ("image", "perp", "kernel"):
+            assert image_under(getattr(new, s), p) == getattr(old, s), name
 
 
 def test_analysis_caches_on_the_object():

@@ -5,7 +5,7 @@ import pytest
 
 from liesymp import (Analysis, Matrix, Subspace, build_rank_example,
                      build_triple, builtin, catalog, character_extension,
-                     nijenhuis_tensor, product_extension)
+                     nijenhuis_tensor, product_extension, validate)
 from liesymp.catalog import _block2, catalog_names
 from liesymp.errors import (BadNumber, NotACharacter, PerfectAlgebra,
                             Unsatisfiable, ZeroCharacter)
@@ -97,6 +97,37 @@ def test_repeated_extensions_get_fresh_names(catalog):
     assert t.algebra.basis_names[-4:] == ("p1", "q1", "p2", "q2")
     t = character_extension(character_extension(catalog["ex3"]))
     assert t.algebra.basis_names[-4:] == ("c1", "d1", "c2", "d2")
+
+
+def test_extensions_take_the_least_unused_pair_of_names(catalog):
+    # the pair was numbered by counting the names on its stem, so p2, q2
+    # came out twice
+    t = catalog["abelian(1)"]
+    t = build_triple(validate("pq", ("p2", "q2"), {}), t.omega, t.j)
+    assert product_extension(t).algebra.basis_names == ("p2", "q2",
+                                                        "p1", "q1")
+    t = catalog["abelian(2)"]
+    t = build_triple(validate("cd", ("c2", "X2", "d2", "Y2"), {}),
+                     t.omega, t.j)
+    assert character_extension(t).algebra.basis_names[-2:] == ("c1", "d1")
+    t = build_triple(validate("d1", ("d1", "X2", "Y1", "Y2"), {}),
+                     t.omega, t.j)
+    assert character_extension(t).algebra.basis_names[-2:] == ("c2", "d2")
+
+
+def test_builtin_names_have_one_spelling():
+    # the name is not stripped, and its parameter follows the number
+    # grammar, which refuses surrounding spaces
+    for name in (" ex1 ", "thurston (2)", "ex1 "):
+        with pytest.raises(KeyError, match="unknown catalog entry"):
+            builtin(name)
+    for name in ("abelian( 2 )", "thurston( 1/2 )", "thurston(2 )"):
+        with pytest.raises(BadNumber, match="is not an integer or p/q"):
+            builtin(name)
+    with pytest.raises(KeyError, match="^'ex1 takes no parameter'$"):
+        builtin("ex1(2)")
+    with pytest.raises(Unsatisfiable, match="^parameter must be positive$"):
+        builtin("thurston(-1)")
 
 
 def test_character_extension_rejects_bad_characters(catalog):

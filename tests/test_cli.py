@@ -103,12 +103,22 @@ def _set_bool_index(d):
     d["brackets"][0]["i"] = False
 
 
+def _name_setter(name):
+    def mutate(d):
+        d["name"] = name
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,message", [
     (_set_brackets, "brackets must be a list"),
     (_set_coeffs_list, "coeffs must be an object"),
     (_set_ragged_omega, "omega must be a list of equal-length rows"),
     (_set_bool_index, "bracket indices must be integers"),
-], ids=["brackets-number", "coeffs-list", "ragged-omega", "bool-index"])
+    (_name_setter({"a": 1}), "name must be a string"),
+    (_name_setter(None), "name must be a string"),
+    (_name_setter([1]), "name must be a string"),
+], ids=["brackets-number", "coeffs-list", "ragged-omega", "bool-index",
+        "name-object", "name-null", "name-list"])
 def test_validate_malformed_payload_shape_exits_2(tmp_path, capsys, mutate,
                                                   message):
     # wrong JSON types or shapes are input errors with a message, never a
@@ -180,7 +190,10 @@ def test_validate_oversized_number_in_file_exits_2(tmp_path, capsys, literal):
 def test_cli_number_arguments_follow_the_grammar(capsys):
     assert main(["analyze", "thurston(0.5)"]) == 2
     assert "BadNumber" in capsys.readouterr().err
-    assert main(["analyze", "thurston( 1/2 )"]) == 0
+    # a spaced parameter is outside the grammar too, as in a file
+    assert main(["analyze", "thurston( 1/2 )"]) == 2
+    assert capsys.readouterr().err == (
+        "INVALID (BadNumber): ' 1/2 ' is not an integer or p/q\n")
 
 
 @pytest.mark.parametrize("target,err", [
@@ -192,6 +205,8 @@ def test_cli_number_arguments_follow_the_grammar(capsys):
      "INVALID (BadNumber): 'abc' is not an integer or p/q\n"),
     ("abelian(0)", "INVALID (Unsatisfiable): abelian factor needs n >= 1\n"),
     ("abelian(-1)", "INVALID (Unsatisfiable): abelian factor needs n >= 1\n"),
+    ("abelian( 2 )", "INVALID (BadNumber): ' 2 ' is not an integer or p/q\n"),
+    ("thurston(-1)", "INVALID (Unsatisfiable): parameter must be positive\n"),
 ])
 def test_catalog_parameter_outside_the_grammar_exits_2(capsys, target, err):
     # abelian's n was read by int(): a ValueError traceback for "x" and
@@ -725,3 +740,133 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
     finally:
         os.close(w)
     assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+# -- input checks on a payload's name, basis and dim ----------------------
+
+
+def _write(tmp_path, payload) -> str:
+    p = tmp_path / "in.json"
+    p.write_text(json.dumps(payload))
+    return str(p)
+
+
+def test_repeated_basis_names_exit_2(tmp_path, capsys):
+    # two different X1 in one span
+    d = triple_to_dict(ex1())
+    d["basis"] = ["X1", "X1", "Y1", "Y2"]
+    path = _write(tmp_path, d)
+    for argv in (["validate", path], ["analyze", path]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "INVALID (DimensionMismatch): basis name 'X1' repeats\n")
+
+
+def test_dim_against_basis_and_a_refused_coefficient_first(tmp_path,
+                                                           capsys):
+    d = triple_to_dict(ex1())
+    d["dim"] = 5
+    assert main(["validate", _write(tmp_path, d)]) == 2
+    assert capsys.readouterr().err == (
+        "INVALID (DimensionMismatch): 4 basis names for dim 5\n")
+    d["brackets"][1]["coeffs"] = {"2": "0.5"}
+    assert main(["validate", _write(tmp_path, d)]) == 2
+    assert capsys.readouterr().err == (
+        "INVALID (SerializationError): bad rational value '0.5': '0.5' is "
+        "not an integer or p/q\n")
+
+
+def test_construct_adds_two_unused_names(tmp_path, capsys):
+    d = triple_to_dict(ex1())
+    d["basis"] = ["p2", "q2", "X2", "Y2"]
+    assert main(["construct", "product", _write(tmp_path, d)]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == [
+        "p2", "q2", "X2", "Y2", "p1", "q1"]
+
+
+_KNOWN = "known: ex1, ex2, ex3, ex4, dim6, thurston(a), abelian(n)\n"
+
+
+@pytest.mark.parametrize("target,err", [
+    (" ex1 ", "usage error: unknown catalog entry ' ex1 '; " + _KNOWN),
+    ("thurston (2)",
+     "usage error: unknown catalog entry 'thurston (2)'; " + _KNOWN),
+    ("ex1(2)", "usage error: ex1 takes no parameter\n"),
+])
+def test_a_name_outside_the_catalog_is_a_usage_error(capsys, target, err):
+    # a name is not stripped, and only `builtin`'s KeyError is a usage
+    # error
+    assert main(["analyze", target]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
+# -- branches of the commands ----------------------------------------------
+
+
+def _algebra_file(tmp_path) -> str:
+    d = triple_to_dict(ex1())
+    del d["omega"], d["J"]
+    return _write(tmp_path, d)
+
+
+def test_validate_an_algebra_file(tmp_path, capsys):
+    assert main(["validate", _algebra_file(tmp_path)]) == 0
+    assert capsys.readouterr().out == "OK: valid algebra 'ex1' (dim 4)\n"
+
+
+def test_analyze_an_algebra_file_exits_2(tmp_path, capsys):
+    path = _algebra_file(tmp_path)
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == (
+        f"INVALID (SerializationError): {path} is not a triple payload "
+        "(no \"omega\" field)\n")
+
+
+def test_validate_a_top_level_list_exits_2(tmp_path, capsys):
+    assert main(["validate", _write(tmp_path, [triple_to_dict(ex1())])]) == 2
+    assert capsys.readouterr().err == (
+        "INVALID (SerializationError): algebra payload must be an object\n")
+
+
+def test_full_text_report_lists_the_values_of_n(capsys):
+    assert main(["analyze", "ex1", "--report", "text", "--full"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("  identities: all hold\n"
+                        "  N values:\n"
+                        "      N(X1,X2) = X1 - Y2\n"
+                        "      N(X1,Y2) = -X2 - Y1\n"
+                        "      N(X2,Y1) = X2 + Y1\n"
+                        "      N(Y1,Y2) = -X1 + Y2\n")
+
+
+@pytest.mark.parametrize("argv", [["goldens", "--filter", "ex1"],
+                                  ["nspace-dim", "--n", "2"]])
+def test_timings_end_with_an_elapsed_line(capsys, argv):
+    assert main(argv + ["--timings"]) == 0
+    assert re.fullmatch(r"elapsed: [0-9]+ ms",
+                        capsys.readouterr().out.splitlines()[-1])
+
+
+def test_an_internal_invariant_violation_exits_2(monkeypatch, capsys):
+    from liesymp.errors import InternalInvariantViolation
+
+    def broken(n):
+        raise InternalInvariantViolation("two routes disagree")
+
+    monkeypatch.setattr(cli, "twistor_claims", broken)
+    assert main(["twistor", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "ERROR (InternalInvariantViolation): two routes disagree\n")
+
+
+def test_a_key_error_inside_a_command_is_not_a_usage_error(monkeypatch):
+    # only an unknown catalog name is; any other KeyError is a bug and
+    # shows as one
+    def broken(n):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "twistor_claims", broken)
+    with pytest.raises(KeyError, match="lost"):
+        main(["twistor", "--n", "1"])

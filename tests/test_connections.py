@@ -131,7 +131,7 @@ def test_torsion_identity_rejects_the_wrong_connection_or_n(catalog):
 def test_nabla_j_identities(extended_catalog):
     for name, t in extended_catalog.items():
         a = Analysis(t)
-        checks = nabla_j_checks(t, a.nabla_j, a.n)
+        checks = nabla_j_checks(t, a.nabla_j, a.gn)
         assert all(checks.values()), (name, checks)
 
 
@@ -192,7 +192,8 @@ def test_thurston_curvature_profile(catalog):
         assert summary.hermitian_scalar == 0
         assert summary.chern_ricci.is_zero()
         assert not summary.ricci_j_invariant
-        assert norm_sq(nijenhuis_tensor(t), t) / 16 == a / 2
+        n = nijenhuis_tensor(t)
+        assert norm_sq(n, t, n.map_values(t.metric)) / 16 == a / 2
     s1 = Analysis(catalog["thurston(1)"]).curvature
     assert s1.ricci == diag([0, F(1, 2), F(-1, 2), F(-1, 2)])
 
@@ -300,7 +301,8 @@ def test_scalar_gap_is_sixteenth_of_norm(extended_catalog):
     # the hermitian scalar against the riemannian one is |N|^2 / 16
     for name, t in extended_catalog.items():
         summary = Analysis(t).curvature
-        nsq = norm_sq(nijenhuis_tensor(t), t)
+        n = nijenhuis_tensor(t)
+        nsq = norm_sq(n, t, n.map_values(t.metric))
         assert summary.hermitian_scalar - summary.scalar == nsq / 16, name
 
 
@@ -309,7 +311,8 @@ def test_scalar_gap_law_survives_symplectic_conjugation(catalog):
     for base in ("ex1", "ex2", "ex4", "thurston(2)"):
         t = conjugated_triple(catalog[base], rng)
         summary = Analysis(t).curvature
-        nsq = norm_sq(nijenhuis_tensor(t), t)
+        n = nijenhuis_tensor(t)
+        nsq = norm_sq(n, t, n.map_values(t.metric))
         assert summary.hermitian_scalar - summary.scalar == nsq / 16, base
 
 

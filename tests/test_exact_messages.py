@@ -58,7 +58,7 @@ ABCD = ["a", "b", "c", "d"]
 def test_jacobi_violation_message(dim, names, brackets, triple, residual,
                                   message):
     with pytest.raises(JacobiViolation) as exc:
-        validate("bad", dim, names, brackets)
+        validate("bad", names, brackets)
     assert exc.value.triple == triple
     assert exc.value.residual == residual
     assert str(exc.value) == message
@@ -89,7 +89,7 @@ def _skew(dim, upper):
 ])
 def test_cocycle_violation_message(names, brackets, omega, triple, value):
     d = len(names)
-    g = validate("g", d, names, brackets)
+    g = validate("g", names, brackets)
     with pytest.raises(CocycleViolation) as exc:
         build_triple(g, _skew(d, omega), Matrix.identity(d))
     assert exc.value.triple == triple
@@ -132,7 +132,7 @@ def test_not_positive_message(n, signs, diag, extra, k, minor):
     u = _upper(d, diag, extra)
     omega = u.transpose() @ standard_omega(d) @ u
     j = u.inverse() @ _signed_j(n, signs) @ u
-    g = validate("abelian", d, [f"e{i}" for i in range(d)], {})
+    g = validate("abelian", [f"e{i}" for i in range(d)], {})
     with pytest.raises(NotPositive) as exc:
         build_triple(g, omega, j)
     assert (exc.value.minor_index, exc.value.minor_value) == (k, minor)

@@ -59,8 +59,8 @@ def _jacobi_outcomes(g: LieAlgebra, edits) -> tuple:
         table.setdefault((a, b), {})[k] = c
     table = {pair: {k: c for k, c in res.items() if c}
              for pair, res in table.items()}
-    unchecked = LieAlgebra.from_brackets("p", g.dim, g.basis_names, table)
-    return (_outcome(validate, "p", g.dim, g.basis_names, table),
+    unchecked = LieAlgebra.from_brackets("p", g.basis_names, table)
+    return (_outcome(validate, "p", g.basis_names, table),
             _outcome(definitional_jacobi, unchecked))
 
 
@@ -137,15 +137,15 @@ def test_reported_triple_is_the_first_touched_not_the_smallest():
     # (b, c, d) and (y, z, w) are touched only through their (j, k)
     # pair; the smaller failing triples (a, d, e) and (x, w, v) are
     # touched later, through (d, e) and (w, v)
-    g = LieAlgebra.from_brackets("j", 5, tuple("abcde"), {
+    g = LieAlgebra.from_brackets("j", tuple("abcde"), {
         (0, 1): {0: F(-1, 7)}, (2, 3): {0: F(2, 11)}, (3, 4): {1: F(2, 3)}})
     failing = [tri for tri, resid in jacobi_residuals(g) if resid]
     assert failing == [(1, 2, 3), (0, 3, 4)]
     new, old = _jacobi_outcomes(g, ())
     assert new == old and new[1] == (1, 2, 3)
 
-    h = validate("c", 6, tuple("xyzwuv"), {(2, 3): {0: F(-1, 5)},
-                                            (3, 5): {1: F(2, 3)}})
+    h = validate("c", tuple("xyzwuv"), {(2, 3): {0: F(-1, 5)},
+                                        (3, 5): {1: F(2, 3)}})
     omega = Matrix.from_rows([[0] * 6] * 6)
     edits = [(0, 1, F(-1, 5)), (0, 3, F(3)), (1, 2, F(1)), (1, 4, F(-1)),
              (1, 5, F(-1)), (2, 3, F(3, 5)), (3, 5, F(3)), (4, 5, F(3, 11))]

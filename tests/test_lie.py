@@ -4,7 +4,7 @@ import pytest
 
 from liesymp import (Analysis, Subspace, abelian, build_report,
                      validate as build_algebra)
-from liesymp.errors import BadNumber, JacobiViolation
+from liesymp.errors import BadNumber, DimensionMismatch, JacobiViolation
 from liesymp.catalog import _xy_names
 from liesymp.twistor import build_twistor_model
 from support import ad, name_of_vector, nonzero_brackets
@@ -17,7 +17,7 @@ def test_catalog_algebras_revalidate(catalog):
     for name, t in catalog.items():
         g = t.algebra
         brackets = {(i, j): res for i, j, res in nonzero_brackets(g)}
-        g2 = build_algebra(g.name, g.dim, g.basis_names, brackets)
+        g2 = build_algebra(g.name, g.basis_names, brackets)
         assert nonzero_brackets(g2) == nonzero_brackets(g)
 
 
@@ -27,10 +27,20 @@ def test_jacobi_violation_reports_offending_basis_triple():
     # [X2,Y2] = X2, which breaks the cyclic sum
     with pytest.raises(JacobiViolation) as exc:
         build_algebra(
-            "bad", 4, ["X1", "X2", "Y1", "Y2"],
+            "bad", ["X1", "X2", "Y1", "Y2"],
             {(0, 1): {3: F(1)}, (0, 3): {2: F(1)}, (1, 3): {1: F(1)}})
     msg = str(exc.value)
     assert "X1" in msg and "X2" in msg and "Y2" in msg
+
+
+def test_basis_names_are_distinct():
+    # the dimension is the number of names, so each must name its own
+    # basis vector; an abelian table is refused as well
+    for names in (["x", "y", "x"], ["x", "x"]):
+        with pytest.raises(DimensionMismatch) as exc:
+            build_algebra("g", names, {})
+        assert str(exc.value) == "basis name 'x' repeats"
+    assert build_algebra("g", ["x", "y"], {(0, 1): {1: 1}}).dim == 2
 
 
 def test_bracket_bilinearity(catalog):
@@ -135,7 +145,7 @@ def test_rational_basis_and_lattice_criterion(catalog):
 def test_vector_naming():
     names = _xy_names(2)
     assert names == ["X1", "X2", "Y1", "Y2"]
-    g = build_algebra("a", 4, names, {})
+    g = build_algebra("a", names, {})
     assert name_of_vector(g, [F(1), F(0), F(0), F(-1)]) == "X1 - Y2"
     assert name_of_vector(g, [F(1, 2), F(0), F(2), F(0)]) == "1/2*X1 + 2*Y1"
     assert name_of_vector(g, [F(0)] * 4) == "0"

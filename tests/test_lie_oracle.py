@@ -54,7 +54,7 @@ def _subspaces(dim: int):
 @given(st.data())
 def test_evaluations_match_the_fraction_table(data):
     dim, names, table = data.draw(_tables())
-    g = LieAlgebra.from_brackets("g", dim, names, table)
+    g = LieAlgebra.from_brackets("g", names, table)
     ref = FractionTable(dim, table)
     for _ in range(3):
         u, v = data.draw(_vectors(dim)), data.draw(_vectors(dim))
@@ -76,8 +76,8 @@ def test_equal_constants_give_equal_algebras(drawn, m):
     dim, names, table = drawn
     scaled = {ij: {k: f"{F(c).numerator * m}/{F(c).denominator * m}"
                    for k, c in res.items()} for ij, res in table.items()}
-    g = LieAlgebra.from_brackets("g", dim, names, table)
-    h = LieAlgebra.from_brackets("g", dim, names, scaled)
+    g = LieAlgebra.from_brackets("g", names, table)
+    h = LieAlgebra.from_brackets("g", names, scaled)
     assert g == h and hash(g) == hash(h)
     assert g.bracket.rows == h.bracket.rows and g.bracket.den == h.bracket.den
 
@@ -88,10 +88,9 @@ def test_dump_load_round_trip(drawn):
     # a table that validates loads back from its dump as the same
     # algebra; one that fails Jacobi fails it again, with the same message
     dim, names, table = drawn
-    payload = algebra_to_dict(LieAlgebra.from_brackets("g", dim, names,
-                                                       table))
+    payload = algebra_to_dict(LieAlgebra.from_brackets("g", names, table))
     try:
-        g = validate("g", dim, names, table)
+        g = validate("g", names, table)
     except JacobiViolation as e:
         try:
             algebra_from_dict(payload)
@@ -106,25 +105,24 @@ def test_dump_load_round_trip(drawn):
 
 
 def test_equality_across_denominators_and_orders():
-    half = LieAlgebra.from_brackets("h", 3, "xyz", {(0, 1): {2: "1/2"}})
-    assert half == LieAlgebra.from_brackets("h", 3, "xyz",
-                                            {(0, 1): {2: "2/4"}})
+    half = LieAlgebra.from_brackets("h", "xyz", {(0, 1): {2: "1/2"}})
+    assert half == LieAlgebra.from_brackets("h", "xyz", {(0, 1): {2: "2/4"}})
     assert hash(half) == hash(LieAlgebra.from_brackets(
-        "h", 3, "xyz", {(0, 1): {2: F(3, 6)}}))
-    assert half != LieAlgebra.from_brackets("h", 3, "xyz",
+        "h", "xyz", {(0, 1): {2: F(3, 6)}}))
+    assert half != LieAlgebra.from_brackets("h", "xyz",
                                             {(0, 1): {2: "-1/2"}})
     # both orders are stored, the reversed one negated
     assert half.bracket.rows == {(0, 1): ((2, 1),), (1, 0): ((2, -1),)}
     assert half.bracket.den == 2
     assert half.bracket_vec([0, 1, 0], [1, 0, 0]) == (0, 0, F(-1, 2))
     # coprime denominators: 1/3 and 2/5 over 15, in lowest terms
-    g = LieAlgebra.from_brackets("g", 3, "xyz", {(0, 1): {2: "2/6"},
-                                                  (0, 2): {1: F(2, 5)}})
+    g = LieAlgebra.from_brackets("g", "xyz", {(0, 1): {2: "2/6"},
+                                             (0, 2): {1: F(2, 5)}})
     assert g.bracket.den == 15
     assert g.bracket.rows[(0, 1)] == ((2, 5),)
     assert g.bracket.rows[(2, 0)] == ((1, -6),)
     assert g.pairs() == [(0, 1), (0, 2)]
     # zero coefficients and empty results are not stored
-    z = LieAlgebra.from_brackets("z", 2, "xy", {(0, 1): {0: "0/3", 1: 0}})
+    z = LieAlgebra.from_brackets("z", "xy", {(0, 1): {0: "0/3", 1: 0}})
     assert z.bracket.rows == {} and z.bracket.den == 1 and z.is_abelian()
-    assert z == LieAlgebra.from_brackets("z", 2, "xy", {})
+    assert z == LieAlgebra.from_brackets("z", "xy", {})

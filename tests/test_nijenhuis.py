@@ -181,7 +181,7 @@ def test_classify_rejects_a_metric_other_than_omega_j(catalog):
         assert bad.metric.leading_minors_positive()[0], name
         with pytest.raises(InternalInvariantViolation, match="^metric and "
                            "symplectic complements of im N disagree$"):
-            classify(bad, a.n)
+            classify(bad, a.n, a.n.map_values(bad.metric))
     assert proper == 8
 
 

@@ -37,7 +37,7 @@ def test_nullity_against_dense_elimination():
     from liesymp import standard_j, standard_omega
     dim = 4
     omega, j = standard_omega(dim), standard_j(dim)
-    assert _full_corank(dim, omega, j) == nullity(dim, omega, j) == 4
+    assert _full_corank(dim, omega, j) == nullity(omega, j) == 4
 
 
 def test_nullity_equals_the_corank_of_the_full_system():
@@ -48,7 +48,7 @@ def test_nullity_equals_the_corank_of_the_full_system():
         dim = 2 * n
         omega, j = standard_omega(dim), standard_j(dim)
         assert first_slots(j) == list(range(n))
-        assert (nullity(dim, omega, j) == _full_corank(dim, omega, j)
+        assert (nullity(omega, j) == _full_corank(dim, omega, j)
                 == expected_dimension(n)), n
 
 
@@ -61,7 +61,7 @@ def test_first_slots_of_an_interleaved_basis():
     j = Matrix.from_rows([[0, -1, 0, 0], [1, 0, 0, 0],
                           [0, 0, 0, -1], [0, 0, 1, 0]])
     assert first_slots(j) == [0, 2]
-    assert nullity(4, omega, j) == _full_corank(4, omega, j) == 4
+    assert nullity(omega, j) == _full_corank(4, omega, j) == 4
 
 
 def test_catalog_tensors_satisfy_their_own_constraints(catalog):
@@ -151,7 +151,7 @@ def test_nullity_on_dense_structures_against_dense_elimination():
     for n, seed, steps in ((2, 41, 4), (3, 43, 2)):
         dim = 2 * n
         omega, j = _dense_structures(n, seed, steps)
-        got = nullity(dim, omega, j)
+        got = nullity(omega, j)
         assert got == _full_corank(dim, omega, j) == expected_dimension(n)
 
 
@@ -331,7 +331,7 @@ def test_cyclic_identity_reduces_to_the_first_slot_rows(catalog):
     for name, omega, j in _structures(catalog):
         dim = j.nrows
         pairs = list(combinations(first_slots(j), 2))
-        rows = list(build_constraint_rows(dim, omega, j))
+        rows = list(build_constraint_rows(omega, j))
         assert len(rows) == 2 * comb(dim // 2, 3)
         ncols = dim * len(pairs)
 
@@ -379,7 +379,7 @@ def test_membership_sees_the_metric_rows(catalog):
     for name, t in triples.items():
         dim = t.dim
         pairs = list(combinations(t.first_slots, 2))
-        rows = list(build_constraint_rows(dim, t.omega, t.j))
+        rows = list(build_constraint_rows(t.omega, t.j))
         # rows alternate: omega's, then the metric's, per triple
         seen = 0
         for x in nullspace_of(rows[0::2], dim * len(pairs)):
@@ -407,11 +407,11 @@ def test_nullity_equals_the_pair_coordinate_corank():
     # the rows of the cyclic identity alone against the pair-coordinate
     # system that also carries anti-linearity as rows
     for n in range(1, 7):
-        assert nullity(2 * n, *_standard(n)) == pair_corank(
+        assert nullity(*_standard(n)) == pair_corank(
             2 * n, *_standard(n)) == expected_dimension(n), n
     for n, seed, steps in ((2, 41, 4), (3, 43, 2), (4, 7, 1)):
         omega, j = _dense_structures(n, seed, steps)
-        assert (nullity(2 * n, omega, j) == pair_corank(2 * n, omega, j)
+        assert (nullity(omega, j) == pair_corank(2 * n, omega, j)
                 == expected_dimension(n)), n
 
 
@@ -419,7 +419,7 @@ def test_nullity_on_dense_structures_up_to_dim_12():
     for n, seed, steps in ((2, 5, 3), (3, 6, 3), (4, 7, 3), (5, 8, 3),
                            (6, 9, 3)):
         omega, j = _dense_structures(n, seed, steps)
-        assert nullity(2 * n, omega, j) == expected_dimension(n), n
+        assert nullity(omega, j) == expected_dimension(n), n
 
 
 def test_standard_rows_are_independent():
@@ -429,7 +429,7 @@ def test_standard_rows_are_independent():
     from liesymp.linalg import echelon
     built = old = 0
     for n in range(3, 9):
-        rows = list(build_constraint_rows(2 * n, *_standard(n)))
+        rows = list(build_constraint_rows(*_standard(n)))
         assert len(rows) == len(echelon(rows)) == 2 * comb(n, 3), n
         built += len(rows)
         old += sum(1 for _ in pair_constraint_rows(2 * n, *_standard(n)))
@@ -442,9 +442,9 @@ def test_nullity_checks_its_structures():
     from liesymp.errors import NotAlmostComplex, NotCompatible
     omega, j = _standard(2)
     with pytest.raises(NotAlmostComplex):
-        nullity(4, omega, j.scale(2))
+        nullity(omega, j.scale(2))
     with pytest.raises(NotAlmostComplex):
-        nullity(4, omega, Matrix.identity(4))
+        nullity(omega, Matrix.identity(4))
     # P^-1 J P is a complex structure; P e_0 = e_0 + e_1 shears across
     # the two symplectic planes, so omega(J., J.) != omega
     p = Matrix.from_rows([[int(r == c or (r, c) == (1, 0))
@@ -453,4 +453,4 @@ def test_nullity_checks_its_structures():
     assert bent @ bent == Matrix.identity(4).scale(-1)
     assert bent.transpose() @ omega @ bent != omega
     with pytest.raises(NotCompatible):
-        nullity(4, omega, bent)
+        nullity(omega, bent)

@@ -104,7 +104,7 @@ def _dumps(obj) -> str:
 @pytest.mark.parametrize("full", [False, True])
 def test_pretty_json_matches_json_dumps_on_reports(catalog, full):
     for name, t in catalog.items():
-        rep = build_report(t, name=name, full=full)
+        rep = build_report(t, full=full)
         assert pretty_json(rep) == _dumps(rep), name
 
 

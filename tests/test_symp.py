@@ -16,7 +16,7 @@ F = Fraction
 
 
 def _flat4():
-    return build_algebra("flat4", 4, ["X1", "X2", "Y1", "Y2"], {})
+    return build_algebra("flat4", ["X1", "X2", "Y1", "Y2"], {})
 
 
 def test_standard_forms_shape():
@@ -77,7 +77,7 @@ def test_not_skew_symmetric():
 
 
 def _flat(d):
-    return build_algebra(f"flat{d}", d, [f"e{i}" for i in range(d)], {})
+    return build_algebra(f"flat{d}", [f"e{i}" for i in range(d)], {})
 
 
 def _wedges(d, pairs):
@@ -145,7 +145,7 @@ def test_skew_rank_agrees_with_det_and_sympy():
 
 def test_cocycle_violation_names_basis_elements():
     # [X1,X2] = X1 pairs nontrivially with omega(X1, Y1)
-    g = build_algebra("nonclosed", 4, ["X1", "X2", "Y1", "Y2"],
+    g = build_algebra("nonclosed", ["X1", "X2", "Y1", "Y2"],
                       {(0, 1): {0: F(1)}})
     with pytest.raises(CocycleViolation) as exc:
         build_triple(g, standard_omega(4), standard_j(4))
