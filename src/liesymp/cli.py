@@ -64,7 +64,7 @@ def _load_triple(target: str) -> SymplecticTriple:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if not out:
+    if out is None:
         print(text)
         return
     try:
@@ -125,8 +125,8 @@ def _cmd_construct(args) -> int:
         t2 = catalog.product_extension(t)
     else:
         xi = None
-        if args.xi:
-            xi = [qof(tok.strip()) for tok in args.xi.split(",")]
+        if args.xi is not None:
+            xi = [qof(tok) for tok in args.xi.split(",")]
             if len(xi) != t.dim:
                 raise DimensionMismatch(f"--xi has {len(xi)} entries for "
                                         f"dimension {t.dim}")

@@ -108,20 +108,11 @@ class LieAlgebra(Record):
         nonzero multiple spans the same line, so only the nonzero int
         results are passed to the span; with no stored bracket, the span
         is the zero subspace at once."""
-        table = self.bracket.rows
-        if not table:
+        if self.bracket.is_zero():
             return Subspace.zero(self.dim)
-        vecs, dim = [], self.dim
-        for us in a.basis.rows:
-            for vs in b.basis.rows:
-                acc = [0] * dim
-                for i, p in us:
-                    for j, q in vs:
-                        for k, c in table.get((i, j), ()):
-                            acc[k] += p * q * c
-                if any(acc):
-                    vecs.append(acc)
-        return Subspace.span(self.dim, vecs)
+        return Subspace.span(self.dim, [
+            acc for us in a.basis.rows for vs in b.basis.rows
+            if any(acc := self.bracket.int_value(us, vs))])
 
     def lower_central_series(self) -> list[Subspace]:
         """g = g^1 >= g^2 = [g, g^1] >= ... until stable; g^2 is the

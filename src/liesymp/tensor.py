@@ -6,7 +6,7 @@ and lists only the nonzero coordinates of each nonzero T(e_i, e_j), like
 (`LieAlgebra.bracket`), of N, of the connections, their torsion and
 nabla J: products with J or a form, slot swaps and rational combinations
 sum ints over the nonzeros, and a value becomes a `Fraction` only where
-it is read (`of_basis`, `of_vectors`).
+it is read (`of_basis`, `of_vectors`); `int_value` sums T(u, v) in ints.
 A tensor is its values: the state is canonical, so `==` and `hash`
 compare values, and an identity A + B = 0 is checked as `A == -B`, with
 no sum built. `cyclic_sums` is the one cyclic sum over a 2-form, behind
@@ -88,20 +88,25 @@ class Tensor3(Record):
     def of_vectors(self, u: Sequence, v: Sequence) -> tuple[Fraction, ...]:
         du, us = int_vector(u)
         dv, vs = int_vector(v)
-        vs = [(j, b) for j, b in enumerate(vs) if b]
-        acc = [0] * self.dim
-        for i, a in enumerate(us):
-            if not a:
-                continue
+        acc = self.int_value([(i, a) for i, a in enumerate(us) if a],
+                             [(j, b) for j, b in enumerate(vs) if b])
+        den = self.den * du * dv
+        z = Fraction(0)
+        return tuple([Fraction(x, den) if x else z for x in acc])
+
+    def int_value(self, us: Sequence[tuple[int, int]],
+                  vs: Sequence[tuple[int, int]]) -> list[int]:
+        """den T(u, v), u and v given by their nonzero (index, int)
+        coordinates, as dense ints."""
+        acc, rows = [0] * self.dim, self.rows
+        for i, a in us:
             for j, b in vs:
-                row = self.rows.get((i, j))
+                row = rows.get((i, j))
                 if row:
                     c = a * b
                     for k, p in row:
                         acc[k] += c * p
-        den = self.den * du * dv
-        z = Fraction(0)
-        return tuple([Fraction(x, den) if x else z for x in acc])
+        return acc
 
     def is_zero(self) -> bool:
         return not self.rows

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from liesymp import (Analysis, build_rank_example, build_report, builtin,
                      golden_rows)
@@ -167,6 +168,15 @@ def _invertible(dim: int, rng: random.Random) -> Matrix:
             return p
 
 
+def _assert_transport_keeps_invariants(name: str, t, p: Matrix) -> None:
+    moved = transport(t, p)
+    assert (_basis_invariants(build_report(moved, full=True))
+            == _basis_invariants(build_report(t, full=True))), name
+    old, new = Analysis(t).distributions, Analysis(moved).distributions
+    for s in ("image", "perp", "kernel"):
+        assert image_under(getattr(new, s), p) == getattr(old, s), name
+
+
 def test_a_change_of_basis_keeps_every_invariant(catalog):
     # dense brackets: the transported rank (6, 3) table stores all 132
     # ordered pairs, where the library-built one stores 6
@@ -174,13 +184,29 @@ def test_a_change_of_basis_keeps_every_invariant(catalog):
             for key in ((3, 1, False, False), (4, 2, True, False),
                         (5, 2, False, True), (6, 3, True, True))}
     for name, t in {**catalog, **rank}.items():
-        p = _invertible(t.dim, random.Random(f"transport:{name}"))
-        moved = transport(t, p)
-        assert (_basis_invariants(build_report(moved, full=True))
-                == _basis_invariants(build_report(t, full=True))), name
-        old, new = Analysis(t).distributions, Analysis(moved).distributions
-        for s in ("image", "perp", "kernel"):
-            assert image_under(getattr(new, s), p) == getattr(old, s), name
+        _assert_transport_keeps_invariants(
+            name, t, _invertible(t.dim, random.Random(f"transport:{name}")))
+
+
+def _invertibles(dim: int):
+    """dim x dim integer matrices with entries in [-2, 2] and a nonzero
+    determinant."""
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    return (st.lists(row, min_size=dim, max_size=dim).map(Matrix.from_rows)
+            .filter(lambda p: p.det() != 0))
+
+
+_RANK8 = build_rank_example(4, 2, True, False)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_a_drawn_change_of_basis_keeps_every_invariant(catalog, data):
+    pool = {name: t for name, t in catalog.items() if 4 <= t.dim <= 6}
+    pool["rank(4, 2)"] = _RANK8
+    name = data.draw(st.sampled_from(sorted(pool)))
+    t = pool[name]
+    _assert_transport_keeps_invariants(name, t, data.draw(_invertibles(t.dim)))
 
 
 def test_analysis_caches_on_the_object():

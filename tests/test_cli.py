@@ -285,6 +285,15 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
                                        f"{tmp_path}: Is a directory\n")
 
 
+def test_empty_output_path_is_a_usage_error(capsys):
+    # `-o ""` printed the report to stdout and exited 0
+    assert main(["analyze", "ex1", "-o", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("usage error: cannot write : "
+                            "No such file or directory\n")
+
+
 def test_timings_are_opt_in(capsys):
     assert main(["analyze", "ex1"]) == 0
     assert "timings" not in capsys.readouterr().out
@@ -362,6 +371,21 @@ def test_construct_character_of_the_wrong_length_exits_2(capsys):
     assert captured.out == ""
     assert captured.err == ("INVALID (DimensionMismatch): --xi has 2 "
                             "entries for dimension 4\n")
+
+
+@pytest.mark.parametrize("xi,token", [
+    ("", ""),
+    ("1, 0,0,0", " 0"),
+    (" 1,0,0,0 ", " 1"),
+])
+def test_construct_character_reads_xi_as_given(capsys, xi, token):
+    # an empty --xi fell back to the default character and spaced tokens
+    # were stripped: all three exited 0 with the bytes of "1,0,0,0"
+    assert main(["construct", "character", "ex3", "--xi", xi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"INVALID (BadNumber): {token!r} is not an "
+                            "integer or p/q\n")
 
 
 def test_synthesize_subcommand(capsys):

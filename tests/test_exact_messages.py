@@ -18,7 +18,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from liesymp import Matrix, build_triple, standard_omega, validate
+from liesymp import (LieAlgebra, Matrix, build_triple, standard_omega,
+                     validate)
 from liesymp.errors import CocycleViolation, JacobiViolation, NotPositive
 
 ABCD = ["a", "b", "c", "d"]
@@ -57,6 +58,8 @@ ABCD = ["a", "b", "c", "d"]
 ])
 def test_jacobi_violation_message(dim, names, brackets, triple, residual,
                                   message):
+    # the dimension is counted from the names; only the Jacobi check fails
+    assert LieAlgebra.from_brackets("bad", names, brackets).dim == dim
     with pytest.raises(JacobiViolation) as exc:
         validate("bad", names, brackets)
     assert exc.value.triple == triple
