@@ -18,12 +18,11 @@ only a cached view; output is written from the ints. `from_rows` reads
 an entry with one match of `qof`'s grammar, "p" or "p/q", into ints, in
 row order and before the row lengths, and skips one spelled "0" unread.
 
-Every elimination is fraction-free on sparse int rows. `_bareiss`, for
-`det` and the Sylvester check, eliminates column by column, dividing
-exactly by the previous pivot; its k-th pivot, den^k times the k-th
-leading minor, becomes a `Fraction` only when returned. All others use
-`echelon`: each row is reduced at its smallest column and divided by
-its content, and given the column count it stops at full rank.
+Every elimination is `echelon`, fraction-free on sparse int rows: each
+row is reduced at its smallest column and divided by its content, and
+given the column count it stops at full rank. `det` and the Sylvester
+check read its Gaussian pivots in row order (`_pivots`), multiplied in
+ints and made a `Fraction` only when returned.
 `rref` back-substitutes its rows in ints and puts each over its pivot,
 straight into the canonical state; `nullspace_of` reads int kernel
 vectors off the same rows, and `Matrix.nullspace` is their `Fraction`
@@ -328,14 +327,22 @@ class Matrix(Record):
         return out
 
     def det(self) -> Fraction:
-        """Determinant: the last pivot of sparse Bareiss (`_bareiss`) with
-        row swaps, over den^n."""
-        if self.nrows != self.ncols:
+        """Determinant: the product of the `_pivots`, signed by the parity
+        of their columns in row order, over den^n; 0 once a row keeps no
+        entry in the matrix's columns."""
+        n = self.nrows
+        if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        p = 1
-        for p in _bareiss(self.rows, True):
-            pass
-        return Fraction(p, self.den ** self.nrows)
+        num, dn, cols = 1, self.den ** n, []
+        for c, p, s in _pivots(self.rows):
+            if c >= n:
+                return Fraction(0)
+            num, dn = num * p, dn * s
+            cols.append(c)
+        for i in range(n):   # sort cols by swaps; each flips the sign
+            while (c := cols[i]) != i:
+                cols[i], cols[c], num = cols[c], c, -num
+        return Fraction(num, dn)
 
     def inverse(self) -> "Matrix":
         n = self.nrows
@@ -359,52 +366,35 @@ class Matrix(Record):
         Returns (ok, k, minor): on failure, k is the size of the first
         non-positive leading principal minor and minor its value.
 
-        Sparse Bareiss (`_bareiss`) without row swaps: its k-th pivot is
-        den^k times the k-th leading principal minor, and every earlier
-        pivot is positive when it is reached, so no division by zero can
-        occur.
+        While row i's pivot (`_pivots`) sits in column i, the k-th leading
+        minor is the product of the first k pivots; every earlier one is
+        positive, so it fails at the first negative pivot. A pivot right
+        of its row's column leaves a zero minor.
         """
         if self.nrows != self.ncols:
             raise ValueError("leading minors of a non-square matrix")
-        for k, p in enumerate(_bareiss(self.rows, False), 1):
-            if p <= 0:
-                return False, k, Fraction(p, self.den ** k)
+        num = dn = 1
+        for k, (c, p, s) in enumerate(_pivots(self.rows), 1):
+            if c != k - 1:
+                return False, k, Fraction(0)
+            num, dn = num * p, dn * s
+            if (p < 0) != (s < 0):
+                return False, k, Fraction(num, dn * self.den ** k)
         return True, 0, Fraction(1)
 
 
-def _bareiss(rows: Iterable[IntRow], swap: bool) -> Iterator[int]:
-    """Fraction-free (Bareiss) elimination of a square matrix's sparse int
-    rows, column by column. Yields the k-th pivot, the k-th leading minor
-    of the numerators (as swapped), and stops after a zero one. Each
-    update divides exactly by the previous pivot; a row with no entry in
-    the pivot column is only rescaled, by p / prev. With `swap`, a zero
-    pivot's row is first swapped with the next row that has an entry in
-    its column, negated so that no determinant changes. An updated row is
-    built in one pass, plus the pivot row's columns it lacks."""
-    m = [dict(r) for r in rows]
-    prev = 1
-    for k, row in enumerate(m):
-        if swap and k not in row:
-            r = next((r for r in range(k + 1, len(m)) if k in m[r]), None)
-            if r is not None:
-                row, m[r] = {j: -v for j, v in m[r].items()}, row
-        p = row.get(k, 0)
-        yield p
-        if not p:
-            return
-        for i in range(k + 1, len(m)):
-            r = m[i]
-            f = r.pop(k, 0)
-            if f:
-                new = {j: x for j, v in r.items()
-                       if (x := (v * p - f * row.get(j, 0)) // prev)}
-                for j in row.keys() - r.keys():
-                    if j != k:
-                        new[j] = -f * row[j] // prev
-                m[i] = new
-            elif p != prev:
-                m[i] = {j: v * p // prev for j, v in r.items()}
-        prev = p
+def _pivots(rows: Sequence[IntRow]) -> Iterator[tuple[int, int, int]]:
+    """(c, p, s) per row in order: `echelon` stores row i, given a 1 at
+    column n + i, at its pivot column c with p there. That 1 has become
+    s, the factor the row was scaled by, so p / s is the Gaussian pivot
+    of the rows as given; c >= n when the row reduced to zero. The entry
+    is popped, so later rows pick up no fill from it."""
+    n, piv = len(rows), {}
+    for i, r in enumerate(rows):
+        echelon((dict(r + ((n + i, 1),)),), piv)
+        c = next(reversed(piv))
+        s = piv[c].pop(n + i)
+        yield c, piv[c].get(c, 0), s
 
 
 def echelon(rows: Iterable[Row], pivots: dict[int, Row] | None = None,

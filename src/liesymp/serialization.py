@@ -92,13 +92,15 @@ def loads_json(text: str) -> Any:
         raise SerializationError(
             f"JSON parse error at line {e.lineno}, column {e.colno}: "
             f"{e.msg}") from None
+    except RecursionError:
+        raise SerializationError("JSON nested too deeply") from None
 
 
 def load_json_file(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return loads_json(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SerializationError(f"cannot read {path}: {e}") from None
 
 

@@ -853,6 +853,29 @@ def test_validate_a_top_level_list_exits_2(tmp_path, capsys):
         "INVALID (SerializationError): algebra payload must be an object\n")
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"INVALID (SerializationError): cannot read {path}: 'utf-8' codec "
+        "can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("text", [
+    "[" * 200_000,
+    '{"omega": ' + "[" * 200_000 + "]" * 200_000 + "}",
+], ids=["array", "omega"])
+def test_json_nested_too_deeply_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "INVALID (SerializationError): JSON nested too deeply\n")
+
+
 def test_full_text_report_lists_the_values_of_n(capsys):
     assert main(["analyze", "ex1", "--report", "text", "--full"]) == 0
     out = capsys.readouterr().out

@@ -3,11 +3,11 @@ from ints.
 
 The Jacobi scan sums over the structure constants' common denominator D
 (each term carries D^2), the cocycle scan over D times omega's own
-denominator, and the Sylvester check over the metric's denominator D (the
-k-th pivot is D^k times the k-th minor). Every case below uses coprime
-denominators (2, 3, 5, 7, 11, ...), so a residual that is not divided
-back, or a Bareiss pivot that is not divided by its predecessor, prints a
-different string. The expected strings were recorded on the Fraction
+denominator, and the Sylvester check over the metric's denominator D
+(the product of the first k pivots is D^k times the k-th minor). Every
+case below uses coprime denominators (2, 3, 5, 7, 11, ...), so a
+residual that is not divided back, or a pivot that is not divided by
+its row's scale, prints a different string. The expected strings were recorded on the Fraction
 implementation these scans replaced. The two cases whose triple is
 touched only through its (j, k) pair were recorded on the per-triple
 scan that the one-sweep checks replaced: they pin which of several

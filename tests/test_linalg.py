@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from liesymp import Matrix, Subspace, complement, qof
+from liesymp import Matrix, Subspace, complement, linalg, qof
+from liesymp.catalog import builtin
 from liesymp.errors import BadNumber, SingularGram, ValidationError
+from liesymp.linalg import _eliminate as eliminate
 from support import (diag, image_under, solve, subspace_sum, vec_sub,
                      zeros)
 
@@ -67,6 +69,16 @@ def test_det_known_values():
     assert m.det() == 27
     singular = Matrix.from_rows([[1, 2], [2, 4]])
     assert singular.det() == 0
+    # permutation matrices: the sign is the parity of the pivot columns
+    for perm, sign in [((0, 2, 1), -1), ((1, 2, 0), 1),
+                       ((1, 0, 3, 2), 1), ((1, 2, 3, 0), -1)]:
+        n = len(perm)
+        p = Matrix.from_rows([[int(j == perm[i]) for j in range(n)]
+                              for i in range(n)])
+        assert p.det() == sign
+    # the first column is nonzero only in the last row
+    last = Matrix.from_rows([[0, 1, 2], [0, 3, 5], [7, 0, 1]])
+    assert last.det() == 7 * (1 * 5 - 2 * 3)
 
 
 def test_det_matches_permutation_expansion_on_random_matrices():
@@ -123,6 +135,39 @@ def test_leading_minors_positive():
     assert ok and k == 0
     ok, k, minor = diag([1, -2, 3]).leading_minors_positive()
     assert not ok and k == 2 and minor == -2
+    # a pivot right of its own row's column leaves a zero minor
+    assert Matrix.from_rows([[0, 1], [1, 0]]).leading_minors_positive() == (
+        False, 1, 0)
+    assert Matrix.from_rows([[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+                            ).leading_minors_positive() == (False, 2, 0)
+
+
+@pytest.mark.parametrize("kind, n", [("abelian", 10), ("abelian", 1000),
+                                     ("tridiagonal", 10),
+                                     ("tridiagonal", 100)])
+def test_sylvester_check_reduces_only_against_the_rows_it_meets(
+        monkeypatch, kind, n):
+    # abelian(n)'s metric is diagonal: every row pivots at its own column
+    # at once, so a scan of the rows below each pivot would show. On a
+    # tridiagonal one, row i meets only row i - 1's pivot and keeps columns
+    # i, i + 1 and its own scale entry; fill from earlier rows' scale
+    # entries would grow the total as n^2
+    if kind == "abelian":
+        m, calls = builtin(f"abelian({n})").metric, 0
+    else:
+        m, calls = Matrix.from_rows([[2 if i == j else -1 if abs(i - j) == 1
+                                      else 0 for j in range(n)]
+                                     for i in range(n)]), n - 1
+    returned = []
+
+    def counted(row, piv, c):
+        returned.append(eliminate(row, piv, c))
+        return returned[-1]
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    assert m.leading_minors_positive() == (True, 0, 1)
+    assert len(returned) == calls
+    assert sum(map(len, returned)) <= 3 * n
 
 
 def test_subspace_membership_and_lattice_ops():

@@ -297,9 +297,9 @@ def test_one_pass_sylvester_on_random_symmetric_matrices():
 @pytest.mark.parametrize("n", [2, 3, 5, 6])
 def test_det_and_minors_on_coprime_row_denominators_near_2_30(n):
     # row i has denominator _P[i], so the lcm D of the matrix has 30n
-    # bits and the k-th Bareiss pivot carries D^k; the diagonal shift
-    # makes the matrix diagonally dominant, so every leading minor is
-    # positive and the pass runs to the end
+    # bits and the k-th leading minor of the int rows carries D^k; the
+    # diagonal shift makes the matrix diagonally dominant, so every
+    # leading minor is positive and the pass runs to the end
     rng = random.Random(f"bareiss-{n}")
     for shift in (0, 2**35):
         m = Matrix.from_rows([
@@ -316,7 +316,8 @@ def test_det_and_minors_on_coprime_row_denominators_near_2_30(n):
             x = minors[first_bad - 1]
             assert m.leading_minors_positive() == (
                 False, first_bad, F(int(x.p), int(x.q)))
-    # a row swap in det: a zero leading entry over coprime denominators
+    # det of a first row that pivots right of its own column, over
+    # coprime denominators
     m = Matrix.from_rows([[0, F(3, _P[0]), F(-1, _P[0])],
                           [F(5, _P[1]), F(2, _P[1]), F(7, _P[1])],
                           [F(-4, _P[2]), F(1, _P[2]), F(9, _P[2])]])
